@@ -3,128 +3,36 @@
 Whitney-form discretization of incompressible flow on tetrahedral
 meshes whose discrete velocity is exactly divergence-free and whose
 velocity error is insensitive to the pressure (gradient forcings move
-only the pressure).  The public surface covers mesh construction and
-IO, the discrete de Rham complex, assembly of the saddle system, the
-implicit stepper, and the packaged experiment drivers.
+only the pressure).  The top level re-exports what a typical script
+needs: box meshes, the discrete de Rham complex, boundary conditions,
+the solvers and their errors.  Everything else lives in the submodules
+(``vvpflow.mesh``, ``vvpflow.spaces``, ``vvpflow.assembly``,
+``vvpflow.linalg``, ``vvpflow.solver``, ``vvpflow.experiments``, ...).
 """
-from .assembly import (
-    BoundaryConditionSpec,
-    HarmonicSpace,
-    RegionBC,
-    assemble_B0,
-    assemble_convection,
-    assemble_load,
-    assemble_natural_bc,
-    build_harmonic_space,
-)
-from .experiments import (
-    CSV_HEADER,
-    ConvergenceReport,
-    ExperimentSpec,
-    least_squares_slope,
-    run_dt_sweep,
-    run_ethier,
-    run_experiment,
-    run_noflow,
-    run_stokes_mms,
-)
-from .linalg import (
-    BlockSystem,
-    SingularSystemError,
-    SolverError,
-    assemble_blocks,
-    m_norm,
-    solve,
-    solve_reduced,
-)
-from .mesh import (
-    SimplicialMesh3,
-    build_box_mesh,
-    mesh_size,
-    read_tetmesh,
-    write_tetmesh,
-)
-from .quadrature import QuadratureRule, edge_rule, tet_rule, triangle_rule
-from .solver import (
-    SolverConfig,
-    SteadyStateNotReached,
-    StepDiagnostics,
-    TrajectorySummary,
-    TransientState,
-    initialize_state,
-    run_transient,
-    solve_stokes,
-    step,
-)
-from .spaces import (
-    DeRhamComplex,
-    ErrorNorms,
-    FormCoefficients,
-    FormSpace,
-    derivative_matrix,
-    error_norms,
-    evaluate,
-    form_space,
-    interpolate,
-    mass_matrix,
-)
-from .vtk_io import write_vtk
+from .assembly import BoundaryConditionSpec, RegionBC, build_harmonic_space
+from .experiments import least_squares_slope
+from .linalg import SingularSystemError, SolverError
+from .mesh import build_box_mesh
+from .solver import SolverConfig, initialize_state, run_transient, solve_stokes, step
+from .spaces import DeRhamComplex, FormCoefficients, interpolate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryConditionSpec",
-    "HarmonicSpace",
     "RegionBC",
-    "assemble_B0",
-    "assemble_convection",
-    "assemble_load",
-    "assemble_natural_bc",
     "build_harmonic_space",
-    "BlockSystem",
+    "least_squares_slope",
     "SingularSystemError",
     "SolverError",
-    "assemble_blocks",
-    "m_norm",
-    "solve",
-    "solve_reduced",
-    "SimplicialMesh3",
     "build_box_mesh",
-    "mesh_size",
-    "read_tetmesh",
-    "write_tetmesh",
-    "QuadratureRule",
-    "edge_rule",
-    "tet_rule",
-    "triangle_rule",
     "SolverConfig",
-    "SteadyStateNotReached",
-    "StepDiagnostics",
-    "TrajectorySummary",
-    "TransientState",
     "initialize_state",
     "run_transient",
     "solve_stokes",
     "step",
     "DeRhamComplex",
-    "ErrorNorms",
     "FormCoefficients",
-    "FormSpace",
-    "derivative_matrix",
-    "error_norms",
-    "evaluate",
-    "form_space",
     "interpolate",
-    "mass_matrix",
-    "CSV_HEADER",
-    "ConvergenceReport",
-    "ExperimentSpec",
-    "least_squares_slope",
-    "run_dt_sweep",
-    "run_ethier",
-    "run_experiment",
-    "run_noflow",
-    "run_stokes_mms",
-    "write_vtk",
     "__version__",
 ]

@@ -29,9 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import BlockSystem
-from .mesh import TET_EDGE_VERTS, TET_FACE_VERTS
 from .quadrature import triangle_rule
-from .spaces import _scatter, interpolate
+from .spaces import _scatter, interpolate, whitney_values
 
 __all__ = [
     "RegionBC",
@@ -191,12 +190,6 @@ def build_harmonic_space(complex_, bc, check_rank=False):
     return HarmonicSpace(basis)
 
 
-def _region_faces(mesh, bc, owner, predicate):
-    """Boundary faces whose region satisfies ``predicate(region)``."""
-    mask = np.array([predicate(bc.regions[o]) for o in owner], dtype=bool)
-    return mesh.boundary_faces[mask], mask
-
-
 def essential_constraints(complex_, bc, t=0.0, f3_given=False, flux_correction=True):
     """Interpolated essential boundary values.
 
@@ -314,26 +307,7 @@ class NaturalBCCache:
             lam = np.zeros((B, Q, 4))
             for i in range(3):
                 lam[np.arange(B), :, loc[:, i]] = rule.points[:, i][None, :]
-            g = complex_.geometry.grads[tets]
-            psi1 = np.empty((B, 6, Q, 3))
-            for e, (i, j) in enumerate(TET_EDGE_VERTS):
-                psi1[:, e] = (
-                    lam[:, :, i, None] * g[:, None, j, :]
-                    - lam[:, :, j, None] * g[:, None, i, :]
-                )
-            cross = {
-                (i, j): np.cross(g[:, i, :], g[:, j, :])
-                for i in range(4)
-                for j in range(4)
-                if i != j
-            }
-            psi2 = np.empty((B, 4, Q, 3))
-            for f, (i, j, k) in enumerate(TET_FACE_VERTS):
-                psi2[:, f] = 2.0 * (
-                    lam[:, :, i, None] * cross[(j, k)][:, None, :]
-                    + lam[:, :, j, None] * cross[(k, i)][:, None, :]
-                    + lam[:, :, k, None] * cross[(i, j)][:, None, :]
-                )
+            psi1, psi2 = whitney_values(lam, complex_.geometry.grads[tets])
             tables.append(
                 {
                     "region": int(r),
@@ -455,7 +429,6 @@ def assemble_B0(
     harmonic=None,
     load_degree=None,
     natural_cache=None,
-    flux_correction=True,
 ):
     """The steady saddle system as a BlockSystem (see module docstring).
 
@@ -505,11 +478,7 @@ def assemble_B0(
         system.add_rhs("u2", natural["u2"])
 
     for group, (idx, vals) in essential_constraints(
-        complex_,
-        bc,
-        t=t,
-        f3_given=f3 is not None,
-        flux_correction=flux_correction,
+        complex_, bc, t=t, f3_given=f3 is not None
     ).items():
         system.constrain(group, idx, vals)
     return system

@@ -224,15 +224,11 @@ def _error_pair(complex_, coeffs, exact, exact_derivative, t):
     norms instead; mixing the two in one CSV column is the documented
     convention for those columns.
     """
-    abs_err = complex_.error_norms(
+    err = complex_.error_norms(
         coeffs, exact, exact_derivative=exact_derivative, t=t, relative=False
     )
-    zero = FormCoefficients.zeros(coeffs.space)
-    scale = complex_.error_norms(
-        zero, exact, exact_derivative=exact_derivative, t=t, relative=False
-    )
-    l2 = abs_err.l2 / scale.l2 if scale.l2 > 1e-14 else abs_err.l2
-    graph = abs_err.graph / scale.graph if scale.graph > 1e-14 else abs_err.graph
+    l2 = err.l2 / err.exact_l2 if err.exact_l2 > 1e-14 else err.l2
+    graph = err.graph / err.exact_graph if err.exact_graph > 1e-14 else err.graph
     return l2, graph
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -23,7 +22,6 @@ __all__ = [
     "solve",
     "solve_reduced",
     "relative_residual",
-    "write_matrix_market",
     "m_norm",
 ]
 
@@ -144,10 +142,8 @@ def assemble_blocks(system):
         off += sizes[n]
     total = off
 
-    grid = [[system.blocks.get((r, c)) for c in names] for r in names]
     a = sp.bmat(
-        [[b if b is not None else None for b in row] for row in grid],
-        format="csr",
+        [[system.blocks.get((r, c)) for c in names] for r in names], format="csr"
     )
     if a is None or a.shape != (total, total):
         raise ValueError("block grid does not cover the system")
@@ -228,10 +224,6 @@ def solve_reduced(reduced, residual_tol=RESIDUAL_TOL):
     x = solve(reduced.matrix, reduced.rhs, residual_tol=residual_tol)
     res = relative_residual(reduced.matrix, reduced.rhs, x)
     return reduced.expand(x), res
-
-
-def write_matrix_market(path, matrix):
-    scipy.io.mmwrite(str(path), sp.coo_matrix(matrix))
 
 
 def m_norm(mass, values):

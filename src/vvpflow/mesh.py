@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "SimplicialMesh3",
     "build_box_mesh",
-    "boundary_skeleton",
     "mesh_size",
     "euler_characteristic",
     "read_tetmesh",
@@ -134,12 +133,10 @@ class SimplicialMesh3:
 
     def _outward_signs(self):
         """Outward-flux sign of each boundary face w.r.t. its tet."""
-        signs = np.empty(len(self.boundary_faces), dtype=np.int64)
-        for out, face in enumerate(self.boundary_faces):
-            tet = self.face_tets[face, 0]
-            local = int(np.flatnonzero(self.tet_faces[tet] == face)[0])
-            signs[out] = TET_FACE_PARITY[local] * self.tet_orientations[tet]
-        return signs
+        bf = self.boundary_faces
+        tets = self.face_tets[bf, 0]
+        local = np.argmax(self.tet_faces[tets] == bf[:, None], axis=1)
+        return np.array(TET_FACE_PARITY, dtype=np.int64)[local] * self.tet_orientations[tets]
 
     def face_areas(self, faces=None):
         faces = self.faces if faces is None else self.faces[faces]
@@ -192,11 +189,6 @@ def build_box_mesh(nx, ny, nz, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
         chunks.append(np.stack(chain, axis=1))
     tets = np.concatenate(chunks, axis=0)
     return SimplicialMesh3(verts, tets)
-
-
-def boundary_skeleton(mesh):
-    """Sorted index arrays (faces, edges, vertices) of the boundary."""
-    return mesh.boundary_faces, mesh.boundary_edges, mesh.boundary_vertices
 
 
 def mesh_size(mesh):

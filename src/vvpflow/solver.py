@@ -261,8 +261,10 @@ def run_transient(
             natural_cache=natural_cache,
         )
         new_state.t = t0 + n * config.dt
-        unorm = m_norm(m2, new_state.u.values)
-        dnorm = m_norm(m2, new_state.u.values - state.u.values)
+        u = new_state.u.values
+        unorm2 = float(u @ (m2 @ u))
+        unorm = np.sqrt(max(unorm2, 0.0))
+        dnorm = m_norm(m2, u - state.u.values)
         if unorm > 0.0:
             update_rel = dnorm / (config.dt * unorm)
         else:
@@ -272,7 +274,7 @@ def run_transient(
             t=new_state.t,
             residual=residual,
             div_max=complex_.divergence_max(new_state.u.values),
-            kinetic_energy=0.5 * float(new_state.u.values @ (m2 @ new_state.u.values)),
+            kinetic_energy=0.5 * unorm2,
             update_rel=update_rel,
         )
         summary.history.append(diag)

@@ -38,13 +38,16 @@ from .mesh import (
     SimplicialMesh3,
     mesh_size,
 )
-from .quadrature import QuadratureRule, edge_rule, tet_rule, triangle_rule
+from .linalg import m_norm
+from .quadrature import edge_rule, tet_rule, triangle_rule
 
 __all__ = [
     "FormSpace",
     "FormCoefficients",
     "ErrorNorms",
     "DeRhamComplex",
+    "barycentric_gradients",
+    "whitney_values",
     "derivative_matrix",
     "mass_matrix",
     "interpolate",
@@ -57,15 +60,13 @@ __all__ = [
 class FormSpace:
     """A Whitney k-form space tied to one mesh.
 
-    ``dof_entities[i]`` is the global simplex index carrying DOF i; at
-    lowest order this is the identity map, kept explicit because callers
-    index boundary data with it.
+    DOF i lives on simplex i of the space's dimension (edge, face or
+    tet), so global simplex indices double as DOF indices.
     """
 
     k: int
     ndof: int
     mesh: SimplicialMesh3
-    dof_entities: np.ndarray
     boundary_dofs: np.ndarray
 
     def __post_init__(self):
@@ -105,29 +106,53 @@ def form_space(mesh, k):
         n, bdry = mesh.n_tets, np.empty(0, dtype=np.int64)
     else:
         raise ValueError("only k in {1, 2, 3} is supported")
-    return FormSpace(k, n, mesh, np.arange(n), bdry)
+    return FormSpace(k, n, mesh, bdry)
+
+
+def barycentric_gradients(corners):
+    """Gradients of the four barycentric coordinates, shape (..., 4, 3).
+
+    ``corners`` holds the tet vertex coordinates, shape (..., 4, 3).
+    """
+    jac = corners[..., 1:, :] - corners[..., :1, :]
+    grads = np.empty(corners.shape)
+    grads[..., 1:, :] = np.swapaxes(np.linalg.inv(jac), -1, -2)
+    grads[..., 0, :] = -grads[..., 1:, :].sum(axis=-2)
+    return grads
+
+
+def whitney_values(lam, grads):
+    """Edge and face Whitney basis vectors at barycentric points.
+
+    lam : (..., Q, 4) barycentric coordinates; grads : (..., 4, 3)
+    barycentric gradients (see :func:`barycentric_gradients`).  Leading
+    axes broadcast.  Returns psi1 (..., 6, Q, 3) and psi2 (..., 4, Q, 3)
+    in the local edge and face order of :mod:`vvpflow.mesh`.
+    """
+    lam = np.asarray(lam, dtype=float)[..., None]
+    g = np.asarray(grads, dtype=float)[..., None, :, :]
+    lead = np.broadcast_shapes(lam.shape[:-3], g.shape[:-3])
+    Q = lam.shape[-3]
+    psi1 = np.empty(lead + (6, Q, 3))
+    for e, (i, j) in enumerate(TET_EDGE_VERTS):
+        psi1[..., e, :, :] = lam[..., i, :] * g[..., j, :] - lam[..., j, :] * g[..., i, :]
+    psi2 = np.empty(lead + (4, Q, 3))
+    for f, (a, b, c) in enumerate(TET_FACE_VERTS):
+        psi2[..., f, :, :] = 2.0 * (
+            lam[..., a, :] * np.cross(g[..., b, :], g[..., c, :])
+            + lam[..., b, :] * np.cross(g[..., c, :], g[..., a, :])
+            + lam[..., c, :] * np.cross(g[..., a, :], g[..., b, :])
+        )
+    return psi1, psi2
 
 
 class TetGeometry:
-    """Per-tet barycentric gradients and orientation data."""
+    """Per-tet barycentric gradients and volumes."""
 
     def __init__(self, mesh):
         self.mesh = mesh
-        verts = mesh.vertices
-        jac = verts[mesh.tets[:, 1:]] - verts[mesh.tets[:, :1]]
-        grads = np.empty((mesh.n_tets, 4, 3))
-        grads[:, 1:, :] = np.linalg.inv(jac).transpose(0, 2, 1)
-        grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-        self.grads = grads
+        self.grads = barycentric_gradients(mesh.vertices[mesh.tets])
         self.volumes = mesh.tet_volumes
-        self.orientations = mesh.tet_orientations
-        # Cross products of gradient pairs, indexed like the local edges.
-        self.grad_cross = {
-            (i, j): np.cross(grads[:, i, :], grads[:, j, :])
-            for i in range(4)
-            for j in range(4)
-            if i != j
-        }
 
 
 class WhitneyTabulation:
@@ -143,27 +168,9 @@ class WhitneyTabulation:
         if rule.dim != 3:
             raise ValueError("volume tabulation needs a tetrahedron rule")
         mesh = geometry.mesh
-        lam = rule.points
-        g = geometry.grads
-        T, Q = mesh.n_tets, len(rule)
-
-        psi1 = np.empty((T, 6, Q, 3))
-        for e, (i, j) in enumerate(TET_EDGE_VERTS):
-            psi1[:, e] = (
-                lam[None, :, i, None] * g[:, None, j, :]
-                - lam[None, :, j, None] * g[:, None, i, :]
-            )
-        psi2 = np.empty((T, 4, Q, 3))
-        for f, (a, b, c) in enumerate(TET_FACE_VERTS):
-            psi2[:, f] = 2.0 * (
-                lam[None, :, a, None] * geometry.grad_cross[(b, c)][:, None, :]
-                + lam[None, :, b, None] * geometry.grad_cross[(c, a)][:, None, :]
-                + lam[None, :, c, None] * geometry.grad_cross[(a, b)][:, None, :]
-            )
         self.rule = rule
-        self.psi1 = psi1
-        self.psi2 = psi2
-        self.points = np.einsum("qi,tix->tqx", lam, mesh.vertices[mesh.tets])
+        self.psi1, self.psi2 = whitney_values(rule.points, geometry.grads)
+        self.points = np.einsum("qi,tix->tqx", rule.points, mesh.vertices[mesh.tets])
         self.weights = 6.0 * geometry.volumes[:, None] * rule.weights[None, :]
 
 
@@ -177,15 +184,13 @@ def _scatter(local, rows, cols, shape):
     return sp.coo_matrix((local.ravel(), (r, c)), shape=shape).tocsr()
 
 
-def derivative_matrix(space, mesh=None):
+def derivative_matrix(space):
     """Signed integer incidence matrix for the exterior derivative.
 
     k=1 -> (F, E) curl matrix, k=2 -> (T, F) divergence matrix.  Entries
     are in {-1, 0, +1}; applying the matrix to a coefficient vector
     yields the coefficients of the derivative in the next space.
     """
-    if mesh is not None and mesh is not space.mesh:
-        raise ValueError("space was built on a different mesh")
     mesh = space.mesh
     if space.k == 1:
         rows = np.repeat(np.arange(mesh.n_faces), 3)
@@ -206,7 +211,7 @@ def derivative_matrix(space, mesh=None):
     raise ValueError("exterior derivative of a 3-form is zero; no matrix")
 
 
-def mass_matrix(space, quad=None, tabulation=None, mesh=None):
+def mass_matrix(space, quad=None, tabulation=None):
     """L2 Gram matrix of the Whitney basis.
 
     For k in {1, 2} the entries are integrals of basis products,
@@ -214,8 +219,6 @@ def mass_matrix(space, quad=None, tabulation=None, mesh=None):
     the result exact since the integrands are quadratics).  For k=3 the
     matrix is diag(1/|T|) in closed form.
     """
-    if mesh is not None and mesh is not space.mesh:
-        raise ValueError("space was built on a different mesh")
     mesh = space.mesh
     if space.k == 3:
         return sp.diags(1.0 / mesh.tet_volumes).tocsr()
@@ -234,7 +237,7 @@ def mass_matrix(space, quad=None, tabulation=None, mesh=None):
     return _scatter(local, idx, idx, (space.ndof, space.ndof))
 
 
-def interpolate(fielddata, space, t=0.0, rule=None, mesh=None):
+def interpolate(fielddata, space, t=0.0, rule=None):
     """Canonical interpolation: evaluate the defining DOF functionals.
 
     ``fielddata(points, t)`` takes an (n, 3) array and returns (n, 3)
@@ -242,8 +245,6 @@ def interpolate(fielddata, space, t=0.0, rule=None, mesh=None):
     computed with a Gauss rule along each edge, fluxes with a triangle
     rule on each face, and cell integrals with a volume rule.
     """
-    if mesh is not None and mesh is not space.mesh:
-        raise ValueError("space was built on a different mesh")
     mesh = space.mesh
     if space.k == 1:
         rule = edge_rule(7) if rule is None else rule
@@ -291,29 +292,13 @@ def evaluate(coeffs, tet, bary):
     """
     space = coeffs.space
     mesh = space.mesh
-    bary = np.asarray(bary, dtype=float)
-    verts = mesh.vertices[mesh.tets[tet]]
-    jac = verts[1:] - verts[0]
-    grads = np.empty((4, 3))
-    grads[1:] = np.linalg.inv(jac).T
-    grads[0] = -grads[1:].sum(axis=0)
+    if space.k == 3:
+        return coeffs.values[tet] / mesh.tet_volumes[tet]
+    grads = barycentric_gradients(mesh.vertices[mesh.tets[tet]])
+    psi1, psi2 = whitney_values(np.asarray(bary, dtype=float)[None, :], grads)
     if space.k == 1:
-        out = np.zeros(3)
-        for e, (i, j) in enumerate(TET_EDGE_VERTS):
-            c = coeffs.values[mesh.tet_edges[tet, e]]
-            out += c * (bary[i] * grads[j] - bary[j] * grads[i])
-        return out
-    if space.k == 2:
-        out = np.zeros(3)
-        for f, (a, b, c) in enumerate(TET_FACE_VERTS):
-            w = coeffs.values[mesh.tet_faces[tet, f]]
-            out += 2.0 * w * (
-                bary[a] * np.cross(grads[b], grads[c])
-                + bary[b] * np.cross(grads[c], grads[a])
-                + bary[c] * np.cross(grads[a], grads[b])
-            )
-        return out
-    return coeffs.values[tet] / mesh.tet_volumes[tet]
+        return coeffs.values[mesh.tet_edges[tet]] @ psi1[:, 0, :]
+    return coeffs.values[mesh.tet_faces[tet]] @ psi2[:, 0, :]
 
 
 @dataclass(frozen=True)
@@ -321,11 +306,14 @@ class ErrorNorms:
     """Absolute and relative errors; ``graph`` adds the derivative term.
 
     graph is the H(curl) norm for k=1, H(div) for k=2, and equals the
-    L2 norm for k=3 (the derivative of a 3-form vanishes).
+    L2 norm for k=3 (the derivative of a 3-form vanishes).  ``exact_l2``
+    and ``exact_graph`` are the same norms of the exact field itself.
     """
 
     l2: float
     graph: float
+    exact_l2: float
+    exact_graph: float
     rel_l2: float | None = None
     rel_graph: float | None = None
 
@@ -398,13 +386,13 @@ def error_norms(
 
     l2 = np.sqrt(err2)
     graph = np.sqrt(err2 + derr2)
+    ex_l2 = np.sqrt(ex2)
+    ex_graph = np.sqrt(ex2 + dex2)
     if not relative:
-        return ErrorNorms(l2, graph)
-    denom_l2 = np.sqrt(ex2)
-    denom_graph = np.sqrt(ex2 + dex2)
-    if denom_l2 < 1e-300 or denom_graph < 1e-300:
+        return ErrorNorms(l2, graph, ex_l2, ex_graph)
+    if ex_l2 < 1e-300 or ex_graph < 1e-300:
         raise ValueError("relative error undefined: exact field has zero norm")
-    return ErrorNorms(l2, graph, l2 / denom_l2, graph / denom_graph)
+    return ErrorNorms(l2, graph, ex_l2, ex_graph, l2 / ex_l2, graph / ex_graph)
 
 
 class DeRhamComplex:
@@ -464,8 +452,7 @@ class DeRhamComplex:
 
     def norm(self, coeffs):
         """M-norm of a coefficient vector (the discrete L2 norm)."""
-        v = coeffs.values
-        return float(np.sqrt(v @ (self.mass(coeffs.space.k) @ v)))
+        return m_norm(self.mass(coeffs.space.k), coeffs.values)
 
     @property
     def h(self):

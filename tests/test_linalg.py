@@ -13,7 +13,6 @@ from vvpflow.linalg import (
     relative_residual,
     solve,
     solve_reduced,
-    write_matrix_market,
 )
 
 
@@ -163,16 +162,6 @@ def test_m_norm_matches_dense_quadratic_form():
     want = float(np.sqrt(x @ (mass.toarray() @ x)))
     assert m_norm(mass, x) == pytest.approx(want, rel=1e-13)
     assert m_norm(sp.eye(4, format="csr"), np.zeros(4)) == 0.0
-
-
-def test_matrix_market_round_trip(tmp_path):
-    import scipy.io
-
-    a = sp.random(6, 6, density=0.4, random_state=11)
-    path = tmp_path / "matrix.mtx"
-    write_matrix_market(path, a)
-    back = scipy.io.mmread(path)
-    np.testing.assert_allclose(back.toarray(), a.toarray(), atol=1e-15)
 
 
 def test_relative_residual_zero_rhs_guard():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from vvpflow.mesh import (
     SimplicialMesh3,
     build_box_mesh,
-    boundary_skeleton,
     euler_characteristic,
     mesh_size,
     read_tetmesh,
@@ -53,10 +52,6 @@ def test_boundary_edges_and_vertices():
     assert len(mesh.boundary_edges) == 72
     # All 27 - 1 = 26 vertices except the center lie on the boundary.
     assert len(mesh.boundary_vertices) == 26
-    faces, edges, verts = boundary_skeleton(mesh)
-    assert np.array_equal(faces, mesh.boundary_faces)
-    assert np.array_equal(edges, mesh.boundary_edges)
-    assert np.array_equal(verts, mesh.boundary_vertices)
 
 
 def test_volumes_sum_to_box_volume():

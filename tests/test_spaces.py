@@ -12,12 +12,14 @@ from vvpflow.spaces import (
     FormCoefficients,
     TetGeometry,
     WhitneyTabulation,
+    barycentric_gradients,
     derivative_matrix,
     error_norms,
     evaluate,
     form_space,
     interpolate,
     mass_matrix,
+    whitney_values,
 )
 
 import oracles
@@ -214,9 +216,6 @@ def test_interpolate_rule_dimension_guards():
         interpolate(
             lambda p, t=0.0: np.ones(len(p)), form_space(mesh, 3), rule=edge_rule(3)
         )
-    other = build_box_mesh(1, 1, 1)
-    with pytest.raises(ValueError, match="different mesh"):
-        interpolate(lambda p, t=0.0: p, form_space(mesh, 1), mesh=other)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +292,46 @@ def test_tabulation_needs_volume_rule():
 
 
 # ---------------------------------------------------------------------------
+# Whitney basis kernel
+
+
+def _reference_points(shape, seed):
+    """Random barycentric points; on the reference tet x = (lam1, lam2, lam3)."""
+    lam = np.random.default_rng(seed).dirichlet(np.ones(4), size=shape)
+    return lam, lam[..., 1:]
+
+
+def test_whitney_values_match_oracles_at_shared_points():
+    """One (Q, 4) point set against a stack of tets, as in tabulation."""
+    lam, pts = _reference_points(7, seed=0)
+    scale = np.array([1.0, 0.5, 2.0])
+    grads = barycentric_gradients(REF_VERTS[None] * scale[:, None, None])
+    psi1, psi2 = whitney_values(lam, grads)
+    assert psi1.shape == (3, 6, 7, 3)
+    assert psi2.shape == (3, 4, 7, 3)
+    edge, face = oracles.whitney_edge_values(pts), oracles.whitney_face_values(pts)
+    for t, s in enumerate(scale):
+        # Dilating the tet by s scales edge values by 1/s, face values by 1/s^2.
+        np.testing.assert_allclose(psi1[t], edge / s, atol=1e-14)
+        np.testing.assert_allclose(psi2[t], face / s**2, atol=1e-14)
+
+
+def test_whitney_values_match_oracles_per_batch():
+    """(B, Q, 4) points with (B, 4, 3) gradients, as in the face tables."""
+    lam, pts = _reference_points((5, 6), seed=1)
+    scale = 1.0 + 0.25 * np.arange(5)
+    grads = barycentric_gradients(REF_VERTS[None] * scale[:, None, None])
+    psi1, psi2 = whitney_values(lam, grads)
+    assert psi1.shape == (5, 6, 6, 3)
+    assert psi2.shape == (5, 4, 6, 3)
+    for b, s in enumerate(scale):
+        edge = oracles.whitney_edge_values(pts[b])
+        face = oracles.whitney_face_values(pts[b])
+        np.testing.assert_allclose(psi1[b], edge / s, atol=1e-14)
+        np.testing.assert_allclose(psi2[b], face / s**2, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
 # error norms
 
 
@@ -321,6 +360,7 @@ def test_error_norms_of_zero_against_constant(complex_n1):
     assert err.l2 == pytest.approx(5.0, rel=1e-12)
     assert err.graph == pytest.approx(5.0, rel=1e-12)
     assert err.rel_l2 == pytest.approx(1.0, rel=1e-12)
+    assert err.exact_l2 == err.exact_graph == err.l2
 
 
 def test_error_norms_relative_rejects_zero_exact(complex_n1):
