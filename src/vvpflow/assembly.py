@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from .linalg import BlockSystem
 from .quadrature import triangle_rule
-from .spaces import _scatter, interpolate, whitney_values
+from .spaces import TRACE_DEGREE, _scatter, interpolate, simplex_rule, whitney_values
 
 __all__ = [
     "RegionBC",
@@ -69,6 +69,12 @@ class RegionBC:
     ``where`` is a predicate on face centroids ((n, 3) -> bool mask);
     None marks the catch-all region for faces no other region claims.
     Missing data callables mean homogeneous data.
+
+    Essential vorticity with natural pressure is rejected: it leaves the
+    nearby fluxes underdetermined at this order (the tangential-vorticity
+    constraints remove exactly the test equations that would pin the
+    fluxes the pressure condition leaves free).  Every other pairing is
+    fine.
     """
 
     name: str = "all"
@@ -82,18 +88,13 @@ class RegionBC:
         for mode in (self.vorticity_mode, self.velocity_mode):
             if mode not in (ESSENTIAL, NATURAL):
                 raise ValueError(f"unknown boundary mode {mode!r}")
-
-    @property
-    def solvable(self):
-        """Essential vorticity with natural pressure leaves the nearby
-        fluxes underdetermined at this order (the tangential-vorticity
-        constraints remove exactly the test equations that would pin
-        the fluxes the pressure condition leaves free), so that pairing
-        is rejected at assembly.  Every other pairing is fine.
-        """
-        return not (
-            self.vorticity_mode == ESSENTIAL and self.velocity_mode == NATURAL
-        )
+        if self.vorticity_mode == ESSENTIAL and self.velocity_mode == NATURAL:
+            raise ValueError(
+                f"region {self.name!r} pairs essential vorticity with a "
+                "natural pressure condition; the discrete system is singular "
+                "for that pairing (use a natural tangential-velocity "
+                "condition there instead)"
+            )
 
 
 class BoundaryConditionSpec:
@@ -262,10 +263,10 @@ class NaturalBCCache:
     data fields are re-evaluated at the cached physical points.
     """
 
-    def __init__(self, complex_, bc, degree=7):
+    def __init__(self, complex_, bc):
         mesh = complex_.mesh
         owner = bc.face_region_map(mesh)
-        self.rule = triangle_rule(degree)
+        self.rule = triangle_rule(TRACE_DEGREE)
         self.tangential = self._face_tables(
             complex_, owner, bc, lambda r: r.vorticity_mode == NATURAL
         )
@@ -288,18 +289,10 @@ class NaturalBCCache:
             B = len(rf)
             tets = mesh.face_tets[rf, 0]
             tri = mesh.faces[rf]
-            a = mesh.vertices[tri[:, 0]]
-            u = mesh.vertices[tri[:, 1]] - a
-            v = mesh.vertices[tri[:, 2]] - a
+            points, normal = simplex_rule(mesh.vertices[tri], rule)
             sign = mesh.boundary_face_signs[np.searchsorted(mesh.boundary_faces, rf)]
-            normal = np.cross(u, v) * sign[:, None].astype(float)
+            normal = normal * sign[:, None].astype(float)
             nhat = normal / np.linalg.norm(normal, axis=1, keepdims=True)
-            x1, x2 = rule.points[:, 1], rule.points[:, 2]
-            points = (
-                a[:, None, :]
-                + x1[None, :, None] * u[:, None, :]
-                + x2[None, :, None] * v[:, None, :]
-            )
             # Barycentric coordinates of the face points inside the tet.
             loc = np.empty((B, 3), dtype=np.int64)
             for i in range(3):
@@ -385,7 +378,7 @@ def assemble_scalar_load(complex_, f3, t=0.0, degree=None):
     return np.sum(tab.weights * vals, axis=1) / mesh.tet_volumes
 
 
-def assemble_convection(complex_, omega_values, u_values, theta=0.5, degree=None):
+def assemble_convection(complex_, omega_values, u_values, theta=0.5):
     """Linearized convection blocks of the v-row.
 
     A3[i, j] = theta    * integral((psi1_j x u_prev)   . psi2_i)
@@ -393,14 +386,12 @@ def assemble_convection(complex_, omega_values, u_values, theta=0.5, degree=None
 
     where u_prev / omega_prev are the discrete fields given by the
     coefficient vectors.  The integrands are cubic, so the default
-    volume rule (degree >= 3) integrates them exactly.
+    volume rule (VOLUME_DEGREE >= 3) integrates them exactly.
     """
-    tab = complex_.tabulation(degree)
-    if tab.rule.exactness_degree < 3:
-        raise ValueError("convection assembly needs quadrature exact to degree >= 3")
+    tab = complex_.tabulation()
     mesh = complex_.mesh
-    u_prev = np.einsum("tfqx,tf->tqx", tab.psi2, np.asarray(u_values)[mesh.tet_faces])
-    w_prev = np.einsum("teqx,te->tqx", tab.psi1, np.asarray(omega_values)[mesh.tet_edges])
+    u_prev = tab.field(2, u_values)
+    w_prev = tab.field(1, omega_values)
 
     local3 = theta * np.einsum(
         "tq,tjqx,tiqx->tij",
@@ -438,14 +429,6 @@ def assemble_B0(
     """
     if nu <= 0:
         raise ValueError("viscosity must be positive")
-    for region in bc.regions:
-        if not region.solvable:
-            raise ValueError(
-                f"region {region.name!r} pairs essential vorticity with a "
-                "natural pressure condition; the discrete system is singular "
-                "for that pairing (use a natural tangential-velocity "
-                "condition there instead)"
-            )
     mesh = complex_.mesh
     if harmonic is None:
         harmonic = build_harmonic_space(complex_, bc)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import BoundaryConditionSpec, RegionBC, build_harmonic_space
+from .assembly import BoundaryConditionSpec, RegionBC
 from .fields import (
     ethier_velocity,
     ethier_vorticity,
@@ -248,14 +248,12 @@ def _report_row(complex_, state, exact_u, exact_w, exact_p, exact_wcurl, t):
     }
 
 
-def _rest_state(complex_, bc):
-    harmonic = build_harmonic_space(complex_, bc)
+def _rest_state(complex_):
     return TransientState(
         t=0.0,
         omega=FormCoefficients.zeros(complex_.V1),
         u=FormCoefficients.zeros(complex_.V2),
         p=FormCoefficients.zeros(complex_.V3),
-        phi=np.zeros(harmonic.dim),
     )
 
 
@@ -290,7 +288,7 @@ def run_noflow(spec):
     report = NoFlowReport()
     for g in spec.gamma:
         f = gradient_of_power(g, 1.0 / (g + 1.0))
-        state, _ = step(complex_, bc, config, _rest_state(complex_, bc), f=f)
+        state, _ = step(complex_, bc, config, _rest_state(complex_), f=f)
         unorm = complex_.norm(state.u)
         report.rows.append(
             {
@@ -361,7 +359,7 @@ def run_ethier(spec):
         )
         if steady:
             summary = run_transient(
-                complex_, bc, config, state=_rest_state(complex_, bc)
+                complex_, bc, config, state=_rest_state(complex_)
             )
             report.notes.append(
                 f"n={n}: steady after {summary.n_steps} pseudo-time steps"

@@ -5,12 +5,14 @@ are positive at every exactness degree.  Points are stored in barycentric
 coordinates and weights sum to the reference-simplex measure: 1 for the
 segment, 1/2 for the unit triangle, 1/6 for the unit tetrahedron.
 
-Every constructor checks monomial exactness against closed-form moments
-before returning, so a rule object can be trusted to integrate any
+Each rule is built, and checked for monomial exactness against
+closed-form moments, once per degree; the cached rule is shared, so its
+arrays are read-only.  A rule object can be trusted to integrate any
 polynomial up to ``exactness_degree`` exactly.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +34,10 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
     exactness_degree: int
+
+    def __post_init__(self):
+        self.points.flags.writeable = False
+        self.weights.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -80,6 +86,7 @@ def _multi_indices(d: int, total: int):
             yield (head, *tail)
 
 
+@functools.cache
 def edge_rule(degree: int) -> QuadratureRule:
     """Gauss-Legendre rule on the reference segment, barycentric storage."""
     if degree < 0:
@@ -92,6 +99,7 @@ def edge_rule(degree: int) -> QuadratureRule:
     return rule
 
 
+@functools.cache
 def triangle_rule(degree: int) -> QuadratureRule:
     """Conical-product rule on the unit triangle, exact to ``degree``."""
     if degree < 0:
@@ -108,6 +116,7 @@ def triangle_rule(degree: int) -> QuadratureRule:
     return rule
 
 
+@functools.cache
 def tet_rule(degree: int) -> QuadratureRule:
     """Conical-product rule on the unit tetrahedron, exact to ``degree``."""
     if degree < 0:

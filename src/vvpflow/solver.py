@@ -88,7 +88,6 @@ class TransientState:
     omega: FormCoefficients
     u: FormCoefficients
     p: FormCoefficients
-    phi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -109,15 +108,13 @@ class TrajectorySummary:
     n_steps: int = 0
 
 
-def _split_state(complex_, reduced, full, t, harmonic):
+def _split_state(complex_, reduced, full, t):
     parts = reduced.split(full)
-    phi = parts["phi"].copy() if harmonic.dim else np.zeros(0)
     return TransientState(
         t=t,
         omega=FormCoefficients(complex_.V1, parts["u1"].copy()),
         u=FormCoefficients(complex_.V2, parts["u2"].copy()),
         p=FormCoefficients(complex_.V3, parts["u3"].copy()),
-        phi=phi,
     )
 
 
@@ -131,15 +128,12 @@ def solve_stokes(
     load_degree=None,
     harmonic=None,
     natural_cache=None,
-    check_rank=False,
 ):
     """One linear steady solve (no convection, no time derivative).
 
     Returns ``(state, diagnostics)`` where diagnostics carries the
     relative linear residual and the max divergence density.
     """
-    if harmonic is None:
-        harmonic = build_harmonic_space(complex_, bc, check_rank=check_rank)
     system = assemble_B0(
         complex_,
         bc,
@@ -153,7 +147,7 @@ def solve_stokes(
     )
     reduced = assemble_blocks(system)
     full, residual = solve_reduced(reduced)
-    state = _split_state(complex_, reduced, full, t, harmonic)
+    state = _split_state(complex_, reduced, full, t)
     diagnostics = {
         "residual": residual,
         "div_max": complex_.divergence_max(state.u.values),
@@ -181,20 +175,16 @@ def initialize_state(complex_, bc, velocity_data, t=0.0):
     if "u1" in ess:
         system.constrain("u1", *ess["u1"])
     full, _ = solve_reduced(assemble_blocks(system))
-    harmonic = build_harmonic_space(complex_, bc)
     return TransientState(
         t=t,
         omega=FormCoefficients(complex_.V1, full),
         u=u,
         p=FormCoefficients.zeros(complex_.V3),
-        phi=np.zeros(harmonic.dim),
     )
 
 
 def step(complex_, bc, config, state, f=None, harmonic=None, natural_cache=None):
     """Advance one implicit step; returns (new_state, residual)."""
-    if harmonic is None:
-        harmonic = build_harmonic_space(complex_, bc)
     t_new = state.t + config.dt
     system = assemble_B0(
         complex_,
@@ -214,7 +204,7 @@ def step(complex_, bc, config, state, f=None, harmonic=None, natural_cache=None)
     system.add_rhs("u2", (complex_.m2 @ state.u.values) / config.dt)
     reduced = assemble_blocks(system)
     full, residual = solve_reduced(reduced)
-    return _split_state(complex_, reduced, full, t_new, harmonic), residual
+    return _split_state(complex_, reduced, full, t_new), residual
 
 
 def run_transient(

@@ -42,18 +42,32 @@ from .linalg import m_norm
 from .quadrature import edge_rule, tet_rule, triangle_rule
 
 __all__ = [
+    "VOLUME_DEGREE",
+    "ERROR_DEGREE",
+    "TRACE_DEGREE",
     "FormSpace",
     "FormCoefficients",
     "ErrorNorms",
     "DeRhamComplex",
     "barycentric_gradients",
     "whitney_values",
+    "simplex_rule",
     "derivative_matrix",
     "mass_matrix",
     "interpolate",
     "evaluate",
     "error_norms",
 ]
+
+# Exactness degrees of the quadrature rules, fixed here for the package.
+# The volume rule behind the mass matrices, the convection blocks and
+# the default loads must be exact to degree 3 (cubic integrands).
+VOLUME_DEGREE = 4
+# The volume rule behind the error norms.
+ERROR_DEGREE = 6
+# The edge, face and cell rules that evaluate the DOF functionals of
+# analytic data, and the face rule of the natural boundary terms.
+TRACE_DEGREE = 7
 
 
 @dataclass(eq=False, frozen=True)
@@ -67,7 +81,6 @@ class FormSpace:
     k: int
     ndof: int
     mesh: SimplicialMesh3
-    boundary_dofs: np.ndarray
 
     def __post_init__(self):
         if self.k not in (1, 2, 3):
@@ -98,15 +111,8 @@ class FormCoefficients:
 
 
 def form_space(mesh, k):
-    if k == 1:
-        n, bdry = mesh.n_edges, mesh.boundary_edges
-    elif k == 2:
-        n, bdry = mesh.n_faces, mesh.boundary_faces
-    elif k == 3:
-        n, bdry = mesh.n_tets, np.empty(0, dtype=np.int64)
-    else:
-        raise ValueError("only k in {1, 2, 3} is supported")
-    return FormSpace(k, n, mesh, bdry)
+    ndof = {1: mesh.n_edges, 2: mesh.n_faces, 3: mesh.n_tets}.get(k, 0)
+    return FormSpace(k, ndof, mesh)
 
 
 def barycentric_gradients(corners):
@@ -146,13 +152,41 @@ def whitney_values(lam, grads):
     return psi1, psi2
 
 
+def simplex_rule(corners, rule):
+    """Map a reference rule onto a stack of d-simplices.
+
+    corners : (S, d+1, 3) vertex coordinates; ``rule.dim`` must be d.
+    Returns the physical points (S, Q, 3) and the measure that scales
+    the reference weights: the edge vector (S, 3) for d=1, the
+    right-hand face normal of length 2 area (S, 3) for d=2, and 6|T|
+    (S,) for d=3.  The reference weights sum to 1, 1/2 and 1/6, so
+    ``sum_q w_q f(x_q) * measure`` is the circulation, the flux or the
+    cell integral of f.
+    """
+    corners = np.asarray(corners, dtype=float)
+    d = corners.shape[1] - 1
+    if rule.dim != d:
+        raise ValueError(f"a {d}-simplex needs a rule of dimension {d}, got {rule.dim}")
+    base = corners[:, :1, :]
+    spans = corners[:, 1:, :] - base
+    points = base
+    for i in range(d):
+        points = points + rule.points[None, :, i + 1, None] * spans[:, None, i, :]
+    if d == 1:
+        measure = spans[:, 0]
+    elif d == 2:
+        measure = np.cross(spans[:, 0], spans[:, 1])
+    else:
+        measure = np.abs(np.linalg.det(spans))
+    return points, measure
+
+
 class TetGeometry:
-    """Per-tet barycentric gradients and volumes."""
+    """Per-tet barycentric gradients."""
 
     def __init__(self, mesh):
         self.mesh = mesh
         self.grads = barycentric_gradients(mesh.vertices[mesh.tets])
-        self.volumes = mesh.tet_volumes
 
 
 class WhitneyTabulation:
@@ -165,13 +199,26 @@ class WhitneyTabulation:
     """
 
     def __init__(self, geometry, rule):
-        if rule.dim != 3:
-            raise ValueError("volume tabulation needs a tetrahedron rule")
-        mesh = geometry.mesh
+        self.mesh = mesh = geometry.mesh
         self.rule = rule
+        self.points, measure = simplex_rule(mesh.vertices[mesh.tets], rule)
+        self.weights = measure[:, None] * rule.weights[None, :]
         self.psi1, self.psi2 = whitney_values(rule.points, geometry.grads)
-        self.points = np.einsum("qi,tix->tqx", rule.points, mesh.vertices[mesh.tets])
-        self.weights = 6.0 * geometry.volumes[:, None] * rule.weights[None, :]
+
+    def field(self, k, values):
+        """The k-form with coefficients ``values`` at the points.
+
+        Returns (T, Q, 3) vectors for k in {1, 2} and (T, Q, 1)
+        densities (cell integral / |T|) for k=3.
+        """
+        values = np.asarray(values)
+        mesh = self.mesh
+        if k == 1:
+            return np.einsum("teqx,te->tqx", self.psi1, values[mesh.tet_edges])
+        if k == 2:
+            return np.einsum("tfqx,tf->tqx", self.psi2, values[mesh.tet_faces])
+        dens = values / mesh.tet_volumes
+        return np.broadcast_to(dens[:, None, None], self.weights.shape + (1,))
 
 
 def _scatter(local, rows, cols, shape):
@@ -211,11 +258,12 @@ def derivative_matrix(space):
     raise ValueError("exterior derivative of a 3-form is zero; no matrix")
 
 
-def mass_matrix(space, quad=None, tabulation=None):
+def mass_matrix(space, tabulation=None):
     """L2 Gram matrix of the Whitney basis.
 
     For k in {1, 2} the entries are integrals of basis products,
-    evaluated with ``quad`` (exactness degree >= 2 required, which makes
+    evaluated at the points of ``tabulation`` (default: the
+    VOLUME_DEGREE rule; exactness degree >= 2 is required, which makes
     the result exact since the integrands are quadratics).  For k=3 the
     matrix is diag(1/|T|) in closed form.
     """
@@ -223,11 +271,8 @@ def mass_matrix(space, quad=None, tabulation=None):
     if space.k == 3:
         return sp.diags(1.0 / mesh.tet_volumes).tocsr()
     if tabulation is None:
-        rule = tet_rule(2) if quad is None else quad
-        if rule.exactness_degree < 2:
-            raise ValueError("mass matrix needs quadrature exact to degree 2")
-        tabulation = WhitneyTabulation(TetGeometry(mesh), rule)
-    elif tabulation.rule.exactness_degree < 2:
+        tabulation = WhitneyTabulation(TetGeometry(mesh), tet_rule(VOLUME_DEGREE))
+    if tabulation.rule.exactness_degree < 2:
         raise ValueError("mass matrix needs quadrature exact to degree 2")
     if space.k == 1:
         psi, idx = tabulation.psi1, mesh.tet_edges
@@ -237,50 +282,23 @@ def mass_matrix(space, quad=None, tabulation=None):
     return _scatter(local, idx, idx, (space.ndof, space.ndof))
 
 
-def interpolate(fielddata, space, t=0.0, rule=None):
+def interpolate(fielddata, space, t=0.0):
     """Canonical interpolation: evaluate the defining DOF functionals.
 
     ``fielddata(points, t)`` takes an (n, 3) array and returns (n, 3)
-    vectors for k in {1, 2} or (n,) scalars for k=3.  Circulations are
-    computed with a Gauss rule along each edge, fluxes with a triangle
-    rule on each face, and cell integrals with a volume rule.
+    vectors for k in {1, 2} or (n,) scalars for k=3.  Circulations
+    along the edges, fluxes through the faces and cell integrals are
+    computed with the TRACE_DEGREE rule on each simplex.
     """
     mesh = space.mesh
-    if space.k == 1:
-        rule = edge_rule(7) if rule is None else rule
-        if rule.dim != 1:
-            raise ValueError("k=1 interpolation needs an edge rule")
-        a = mesh.vertices[mesh.edges[:, 0]]
-        tang = mesh.vertices[mesh.edges[:, 1]] - a
-        s = rule.points[:, 1]
-        pts = a[:, None, :] + s[None, :, None] * tang[:, None, :]
-        vals = np.asarray(fielddata(pts.reshape(-1, 3), t), dtype=float)
-        vals = vals.reshape(mesh.n_edges, len(rule), 3)
-        values = np.einsum("q,eqx,ex->e", rule.weights, vals, tang)
-    elif space.k == 2:
-        rule = triangle_rule(7) if rule is None else rule
-        if rule.dim != 2:
-            raise ValueError("k=2 interpolation needs a triangle rule")
-        a = mesh.vertices[mesh.faces[:, 0]]
-        u = mesh.vertices[mesh.faces[:, 1]] - a
-        v = mesh.vertices[mesh.faces[:, 2]] - a
-        # Unnormalized right-hand normal; |N| = 2 area, and the rule's
-        # weights sum to 1/2, so flux = sum w F.N needs no extra factor.
-        normal = np.cross(u, v)
-        x1, x2 = rule.points[:, 1], rule.points[:, 2]
-        pts = a[:, None, :] + x1[None, :, None] * u[:, None, :] + x2[None, :, None] * v[:, None, :]
-        vals = np.asarray(fielddata(pts.reshape(-1, 3), t), dtype=float)
-        vals = vals.reshape(mesh.n_faces, len(rule), 3)
-        values = np.einsum("q,fqx,fx->f", rule.weights, vals, normal)
-    else:
-        rule = tet_rule(7) if rule is None else rule
-        if rule.dim != 3:
-            raise ValueError("k=3 interpolation needs a tetrahedron rule")
-        pts = np.einsum("qi,tix->tqx", rule.points, mesh.vertices[mesh.tets])
-        vals = np.asarray(fielddata(pts.reshape(-1, 3), t), dtype=float)
-        vals = vals.reshape(mesh.n_tets, len(rule))
-        w = 6.0 * mesh.tet_volumes[:, None] * rule.weights[None, :]
-        values = np.sum(w * vals, axis=1)
+    simplices = (mesh.edges, mesh.faces, mesh.tets)[space.k - 1]
+    rule = (edge_rule, triangle_rule, tet_rule)[space.k - 1](TRACE_DEGREE)
+    points, measure = simplex_rule(mesh.vertices[simplices], rule)
+    S, Q = points.shape[:2]
+    vals = np.asarray(fielddata(points.reshape(-1, 3), t), dtype=float)
+    values = np.einsum(
+        "q,sqx,sx->s", rule.weights, vals.reshape(S, Q, -1), measure.reshape(S, -1)
+    )
     return FormCoefficients(space, values)
 
 
@@ -323,7 +341,6 @@ def error_norms(
     exact,
     exact_derivative=None,
     t=0.0,
-    quad=None,
     relative=True,
     tabulation=None,
     derivative=None,
@@ -332,57 +349,34 @@ def error_norms(
 
     ``exact(points, t)`` gives the field itself; ``exact_derivative`` the
     curl (k=1) or divergence (k=2).  A missing derivative field is
-    treated as zero.  ``derivative`` may pass a precomputed incidence
+    treated as zero.  The norms use ``tabulation`` (default: the
+    ERROR_DEGREE rule).  ``derivative`` may pass a precomputed incidence
     matrix; otherwise it is rebuilt.  Relative norms divide by the norms
     of the exact field and raise if those vanish.
     """
     space = coeffs.space
-    mesh = space.mesh
     if tabulation is None:
-        rule = tet_rule(6) if quad is None else quad
-        tabulation = WhitneyTabulation(TetGeometry(mesh), rule)
+        tabulation = WhitneyTabulation(TetGeometry(space.mesh), tet_rule(ERROR_DEGREE))
     W = tabulation.weights
     pts = tabulation.points.reshape(-1, 3)
 
-    def vec_at_points(tab_psi, idx, vals):
-        return np.einsum("teqx,te->tqx", tab_psi, vals[idx])
-
-    if space.k == 1:
-        uh = vec_at_points(tabulation.psi1, mesh.tet_edges, coeffs.values)
-    elif space.k == 2:
-        uh = vec_at_points(tabulation.psi2, mesh.tet_faces, coeffs.values)
-    else:
-        dens = coeffs.values / mesh.tet_volumes
-        uh = dens[:, None]
-
-    if space.k == 3:
-        uex = np.asarray(exact(pts, t), dtype=float).reshape(uh.shape[0], -1)
-        err2 = float(np.sum(W * (uex - uh) ** 2))
-        ex2 = float(np.sum(W * uex**2))
-        derr2 = dex2 = 0.0
-    else:
-        uex = np.asarray(exact(pts, t), dtype=float).reshape(uh.shape)
-        err2 = float(np.sum(W * np.sum((uex - uh) ** 2, axis=-1)))
-        ex2 = float(np.sum(W * np.sum(uex**2, axis=-1)))
-        D = derivative_matrix(space) if derivative is None else derivative
-        dc = D @ coeffs.values
-        if space.k == 1:
-            dh = vec_at_points(tabulation.psi2, mesh.tet_faces, dc)
-            if exact_derivative is None:
-                dex = np.zeros_like(dh)
-            else:
-                dex = np.asarray(exact_derivative(pts, t), dtype=float).reshape(dh.shape)
-            derr2 = float(np.sum(W * np.sum((dex - dh) ** 2, axis=-1)))
-            dex2 = float(np.sum(W * np.sum(dex**2, axis=-1)))
+    def squared(k, values, exact_field):
+        """Squared L2 norms of (exact - discrete) and of exact."""
+        uh = tabulation.field(k, values)
+        if exact_field is None:
+            uex = np.zeros(uh.shape)
         else:
-            dh = (dc / mesh.tet_volumes)[:, None]
-            if exact_derivative is None:
-                dex = np.zeros((uh.shape[0], uh.shape[1]))
-            else:
-                dex = np.asarray(exact_derivative(pts, t), dtype=float)
-                dex = dex.reshape(uh.shape[0], uh.shape[1])
-            derr2 = float(np.sum(W * (dex - dh) ** 2))
-            dex2 = float(np.sum(W * dex**2))
+            uex = np.asarray(exact_field(pts, t), dtype=float).reshape(uh.shape)
+        return (
+            float(np.sum(W * np.sum((uex - uh) ** 2, axis=-1))),
+            float(np.sum(W * np.sum(uex**2, axis=-1))),
+        )
+
+    err2, ex2 = squared(space.k, coeffs.values, exact)
+    derr2 = dex2 = 0.0
+    if space.k < 3:
+        D = derivative_matrix(space) if derivative is None else derivative
+        derr2, dex2 = squared(space.k + 1, D @ coeffs.values, exact_derivative)
 
     l2 = np.sqrt(err2)
     graph = np.sqrt(err2 + derr2)
@@ -400,31 +394,28 @@ class DeRhamComplex:
 
     Builds the incidence matrices D1, D2 and the mass matrices M1, M2,
     M3 once; tabulations of the basis at volume rules of any degree are
-    cached so repeated assembly (convection, loads) reuses them.
+    cached so repeated assembly (convection, loads, error norms) reuses
+    them.  The default degree is VOLUME_DEGREE.
     """
 
-    def __init__(self, mesh, quad_degree=4):
-        if quad_degree < 3:
-            raise ValueError("volume quadrature must be exact to degree >= 3")
+    def __init__(self, mesh):
         self.mesh = mesh
         self.geometry = TetGeometry(mesh)
         self.V1 = form_space(mesh, 1)
         self.V2 = form_space(mesh, 2)
         self.V3 = form_space(mesh, 3)
-        self.quad_degree = quad_degree
         self._tabs = {}
-        self.quad = self.tabulation(quad_degree).rule
         self.d1 = derivative_matrix(self.V1)
         self.d2 = derivative_matrix(self.V2)
-        self.m1 = mass_matrix(self.V1, tabulation=self.tabulation(quad_degree))
-        self.m2 = mass_matrix(self.V2, tabulation=self.tabulation(quad_degree))
+        self.m1 = mass_matrix(self.V1, tabulation=self.tabulation())
+        self.m2 = mass_matrix(self.V2, tabulation=self.tabulation())
         self.m3 = mass_matrix(self.V3)
 
     def space(self, k):
         return {1: self.V1, 2: self.V2, 3: self.V3}[k]
 
     def tabulation(self, degree=None):
-        degree = self.quad_degree if degree is None else degree
+        degree = VOLUME_DEGREE if degree is None else degree
         if degree not in self._tabs:
             self._tabs[degree] = WhitneyTabulation(self.geometry, tet_rule(degree))
         return self._tabs[degree]
@@ -432,14 +423,14 @@ class DeRhamComplex:
     def interpolate(self, fielddata, k, t=0.0):
         return interpolate(fielddata, self.space(k), t=t)
 
-    def error_norms(self, coeffs, exact, exact_derivative=None, t=0.0, degree=6, relative=True):
+    def error_norms(self, coeffs, exact, exact_derivative=None, t=0.0, relative=True):
         return error_norms(
             coeffs,
             exact,
             exact_derivative,
             t=t,
             relative=relative,
-            tabulation=self.tabulation(degree),
+            tabulation=self.tabulation(ERROR_DEGREE),
             derivative={1: self.d1, 2: self.d2, 3: None}[coeffs.space.k],
         )
 

@@ -73,12 +73,8 @@ def cell_fields(complex_, state):
     """
     mesh = complex_.mesh
     tab = complex_.tabulation(1)
-    velocity = np.einsum(
-        "tfx,tf->tx", tab.psi2[:, :, 0, :], state.u.values[mesh.tet_faces]
-    )
-    vorticity = np.einsum(
-        "tex,te->tx", tab.psi1[:, :, 0, :], state.omega.values[mesh.tet_edges]
-    )
+    velocity = tab.field(2, state.u.values)[:, 0]
+    vorticity = tab.field(1, state.omega.values)[:, 0]
     scalars = {
         "pressure": state.p.values / mesh.tet_volumes,
         "divergence": (complex_.d2 @ state.u.values) / mesh.tet_volumes,

@@ -72,6 +72,12 @@ def test_rule_is_frozen():
     rule = tet_rule(2)
     with pytest.raises(AttributeError):
         rule.exactness_degree = 0
+    # Rules are shared per degree, so their arrays must not change.
+    assert tet_rule(2) is rule
+    with pytest.raises(ValueError):
+        rule.points[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        rule.weights[0] = 0.0
 
 
 @settings(max_examples=25, deadline=None)

@@ -19,6 +19,7 @@ from vvpflow.spaces import (
     form_space,
     interpolate,
     mass_matrix,
+    simplex_rule,
     whitney_values,
 )
 
@@ -31,6 +32,16 @@ def single_tet_mesh(perturbation=None):
     if perturbation is not None:
         verts += np.asarray(perturbation, dtype=float).reshape(4, 3)
     return SimplicialMesh3(verts, [[0, 1, 2, 3]])
+
+
+def jittered_box(n, seed):
+    """Kuhn box with interior vertices moved by up to 0.1 h per coordinate."""
+    mesh = build_box_mesh(n, n, n)
+    verts = mesh.vertices.copy()
+    inner = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_vertices)
+    shift = np.random.default_rng(seed).uniform(-0.1, 0.1, (len(inner), 3))
+    verts[inner] += shift / n
+    return SimplicialMesh3(verts, mesh.tets)
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +218,43 @@ def test_volume_form_convention_is_cell_integral():
 
 
 def test_interpolate_rule_dimension_guards():
+    """Interpolation maps its rules through simplex_rule, which rejects a
+    rule whose dimension differs from the simplices'."""
     mesh = build_box_mesh(1, 1, 1)
-    with pytest.raises(ValueError, match="edge rule"):
-        interpolate(lambda p, t=0.0: p, form_space(mesh, 1), rule=tet_rule(3))
-    with pytest.raises(ValueError, match="triangle rule"):
-        interpolate(lambda p, t=0.0: p, form_space(mesh, 2), rule=edge_rule(3))
-    with pytest.raises(ValueError, match="tetrahedron rule"):
-        interpolate(
-            lambda p, t=0.0: np.ones(len(p)), form_space(mesh, 3), rule=edge_rule(3)
-        )
+    v = mesh.vertices
+    with pytest.raises(ValueError, match="1-simplex needs a rule of dimension 1"):
+        simplex_rule(v[mesh.edges], tet_rule(3))
+    with pytest.raises(ValueError, match="2-simplex needs a rule of dimension 2"):
+        simplex_rule(v[mesh.faces], edge_rule(3))
+    with pytest.raises(ValueError, match="3-simplex needs a rule of dimension 3"):
+        simplex_rule(v[mesh.tets], triangle_rule(3))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_simplex_rule_points_and_measures(seed):
+    mesh = jittered_box(3, seed)
+    v = mesh.vertices
+    cases = {
+        1: (mesh.edges, edge_rule(3)),
+        2: (mesh.faces, triangle_rule(3)),
+        3: (mesh.tets, tet_rule(3)),
+    }
+    measures = {}
+    for d, (simplices, rule) in cases.items():
+        corners = v[simplices]
+        points, measures[d] = simplex_rule(corners, rule)
+        want = np.einsum("qi,six->sqx", rule.points, corners)
+        assert points.shape == (len(simplices), len(rule), 3)
+        np.testing.assert_allclose(points, want, rtol=0, atol=1e-14)
+    tangents = v[mesh.edges[:, 1]] - v[mesh.edges[:, 0]]
+    np.testing.assert_allclose(measures[1], tangents, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        np.linalg.norm(measures[2], axis=1), 2.0 * mesh.face_areas(), rtol=1e-14
+    )
+    # The face measure is the right-hand normal of the ascending vertex order.
+    a, b, c = (v[mesh.faces[:, i]] for i in range(3))
+    assert np.all(np.einsum("fx,fx->f", measures[2], np.cross(b - a, c - a)) > 0)
+    np.testing.assert_allclose(measures[3], 6.0 * mesh.tet_volumes, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +284,9 @@ def test_mass_matrices_are_spd(k, complex_n2):
 
 def test_mass_matrix_quadrature_guard():
     mesh = build_box_mesh(1, 1, 1)
+    coarse = WhitneyTabulation(TetGeometry(mesh), tet_rule(1))
     with pytest.raises(ValueError, match="degree 2"):
-        mass_matrix(form_space(mesh, 1), quad=tet_rule(1))
+        mass_matrix(form_space(mesh, 1), tabulation=coarse)
 
 
 def test_mass_matrix_scaling_under_dilation():
@@ -289,6 +329,22 @@ def test_tabulation_needs_volume_rule():
     geometry = TetGeometry(build_box_mesh(1, 1, 1))
     with pytest.raises(ValueError):
         WhitneyTabulation(geometry, triangle_rule(3))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tabulation_field_matches_evaluate(k):
+    complex_ = DeRhamComplex(jittered_box(2, seed=3))
+    tab = complex_.tabulation(2)
+    n_tets, n_points = tab.weights.shape
+    coeffs = FormCoefficients(
+        complex_.space(k), np.random.default_rng(k).normal(size=complex_.space(k).ndof)
+    )
+    got = tab.field(k, coeffs.values)
+    assert got.shape == (n_tets, n_points, 3 if k < 3 else 1)
+    for tet in (0, n_tets // 2, n_tets - 1):
+        for q, bary in enumerate(tab.rule.points):
+            want = evaluate(coeffs, tet, bary)
+            np.testing.assert_allclose(got[tet, q], want, rtol=1e-13, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +452,6 @@ def test_volume_form_graph_norm_equals_l2(complex_n1):
 
 # ---------------------------------------------------------------------------
 # complex wrapper
-
-
-def test_complex_requires_cubic_quadrature():
-    with pytest.raises(ValueError, match="degree >= 3"):
-        DeRhamComplex(build_box_mesh(1, 1, 1), quad_degree=2)
 
 
 def test_complex_helpers(complex_n2):
