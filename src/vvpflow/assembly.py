@@ -15,6 +15,13 @@ The steady form assembled by :func:`assemble_B0` has rows
 and the transient step adds the mass-over-dt and linearized convection
 blocks to the v-row (see :mod:`vvpflow.solver`).
 
+The phi column and the chi-row are dense (M3 H has an entry in every
+cell), so the solver does not factor them.  Summing the q-rows against
+H gives phi = H^T (load(f3) - M3 D2 u2_fixed) before the solve; with phi
+fixed and one pressure cell pinned, the remaining matrix is sparse, and
+the solved pressure is shifted back to H^T M3 u3 = 0.  assemble_B0
+still returns the bordered system above.
+
 Boundary conditions come in two independent channels per region: the
 vorticity channel (essential tangential vorticity trace, or natural
 tangential velocity) and the velocity/pressure channel (essential normal
@@ -148,6 +155,11 @@ class HarmonicSpace:
     ``basis`` has shape (n_tets, dim); dim is 1 exactly when the normal
     velocity is essential on the whole boundary (the complement of the
     constrained divergence image is then the constants), else 0.
+
+    H^T M3 H = I and H^T M3 D2 vanishes on unconstrained faces, which is
+    what lets the solver compute the multiplier phi from the q-rows
+    before the solve and pin the pressure in the cell where each basis
+    vector is largest.
     """
 
     basis: np.ndarray
@@ -198,9 +210,10 @@ def essential_constraints(complex_, bc, t=0.0, f3_given=False, flux_correction=T
     with empty entries dropped.  When the normal velocity is essential on
     the whole boundary and no 3-form source is given, the face values
     are shifted by an area-weighted constant so the total boundary flux
-    vanishes exactly; otherwise the harmonic multiplier would turn the
-    quadrature-level compatibility defect of the interpolated data into
-    a spurious constant divergence.
+    vanishes exactly.  The solver computes the harmonic multiplier from
+    that flux (phi = H^T (load(f3) - M3 D2 u2_fixed)), so without the
+    shift the quadrature-level compatibility defect of the interpolated
+    data would become a nonzero phi and a spurious constant divergence.
     """
     mesh = complex_.mesh
     owner = bc.face_region_map(mesh)
@@ -292,7 +305,6 @@ class NaturalBCCache:
             points, normal = simplex_rule(mesh.vertices[tri], rule)
             sign = mesh.boundary_face_signs[np.searchsorted(mesh.boundary_faces, rf)]
             normal = normal * sign[:, None].astype(float)
-            nhat = normal / np.linalg.norm(normal, axis=1, keepdims=True)
             # Barycentric coordinates of the face points inside the tet.
             loc = np.empty((B, 3), dtype=np.int64)
             for i in range(3):
@@ -308,7 +320,6 @@ class NaturalBCCache:
                     "tets": tets,
                     "points": points,
                     "normal": normal,
-                    "nhat": nhat,
                     "psi1": psi1,
                     "psi2": psi2,
                     "edges": mesh.tet_edges[tets],

@@ -5,10 +5,12 @@ are positive at every exactness degree.  Points are stored in barycentric
 coordinates and weights sum to the reference-simplex measure: 1 for the
 segment, 1/2 for the unit triangle, 1/6 for the unit tetrahedron.
 
-Each rule is built, and checked for monomial exactness against
-closed-form moments, once per degree; the cached rule is shared, so its
-arrays are read-only.  A rule object can be trusted to integrate any
-polynomial up to ``exactness_degree`` exactly.
+A rule with m points per axis is exact to degree 2m - 1, so the degrees
+2m - 2 and 2m - 1 ask for the same rule.  Each rule is built, and
+checked for monomial exactness against closed-form moments, once per
+point count; the cached rule is shared, so its arrays are read-only.
+A rule object can be trusted to integrate any polynomial up to
+``exactness_degree`` exactly.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi
 
-__all__ = ["QuadratureRule", "edge_rule", "triangle_rule", "tet_rule"]
+__all__ = ["QuadratureRule", "edge_rule", "triangle_rule", "tet_rule", "points_per_axis"]
 
 
 @dataclass(frozen=True)
@@ -86,12 +88,30 @@ def _multi_indices(d: int, total: int):
             yield (head, *tail)
 
 
-@functools.cache
-def edge_rule(degree: int) -> QuadratureRule:
-    """Gauss-Legendre rule on the reference segment, barycentric storage."""
+def points_per_axis(degree: int) -> int:
+    """Gauss points per axis of the conical rule exact to ``degree``."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    m = max(1, (degree + 2) // 2)
+    return max(1, (degree + 2) // 2)
+
+
+def edge_rule(degree: int) -> QuadratureRule:
+    """Gauss-Legendre rule on the reference segment, barycentric storage."""
+    return _edge_rule(points_per_axis(degree))
+
+
+def triangle_rule(degree: int) -> QuadratureRule:
+    """Conical-product rule on the unit triangle, exact to ``degree``."""
+    return _triangle_rule(points_per_axis(degree))
+
+
+def tet_rule(degree: int) -> QuadratureRule:
+    """Conical-product rule on the unit tetrahedron, exact to ``degree``."""
+    return _tet_rule(points_per_axis(degree))
+
+
+@functools.cache
+def _edge_rule(m: int) -> QuadratureRule:
     u, w = _jacobi01(m, 0)
     pts = np.column_stack([1.0 - u, u])
     rule = QuadratureRule(pts, w, 2 * m - 1)
@@ -100,11 +120,7 @@ def edge_rule(degree: int) -> QuadratureRule:
 
 
 @functools.cache
-def triangle_rule(degree: int) -> QuadratureRule:
-    """Conical-product rule on the unit triangle, exact to ``degree``."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    m = max(1, (degree + 2) // 2)
+def _triangle_rule(m: int) -> QuadratureRule:
     u1, w1 = _jacobi01(m, 1)
     u2, w2 = _jacobi01(m, 0)
     x = np.repeat(u1, m)
@@ -117,11 +133,7 @@ def triangle_rule(degree: int) -> QuadratureRule:
 
 
 @functools.cache
-def tet_rule(degree: int) -> QuadratureRule:
-    """Conical-product rule on the unit tetrahedron, exact to ``degree``."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    m = max(1, (degree + 2) // 2)
+def _tet_rule(m: int) -> QuadratureRule:
     u1, w1 = _jacobi01(m, 2)
     u2, w2 = _jacobi01(m, 1)
     u3, w3 = _jacobi01(m, 0)

@@ -39,7 +39,7 @@ from .mesh import (
     mesh_size,
 )
 from .linalg import m_norm
-from .quadrature import edge_rule, tet_rule, triangle_rule
+from .quadrature import edge_rule, points_per_axis, tet_rule, triangle_rule
 
 __all__ = [
     "VOLUME_DEGREE",
@@ -416,9 +416,11 @@ class DeRhamComplex:
 
     def tabulation(self, degree=None):
         degree = VOLUME_DEGREE if degree is None else degree
-        if degree not in self._tabs:
-            self._tabs[degree] = WhitneyTabulation(self.geometry, tet_rule(degree))
-        return self._tabs[degree]
+        # Keyed like the rules, so degrees sharing a rule share a table.
+        m = points_per_axis(degree)
+        if m not in self._tabs:
+            self._tabs[m] = WhitneyTabulation(self.geometry, tet_rule(degree))
+        return self._tabs[m]
 
     def interpolate(self, fielddata, k, t=0.0):
         return interpolate(fielddata, self.space(k), t=t)

@@ -7,6 +7,16 @@ from vvpflow.spaces import DeRhamComplex
 from oracles import REF_VERTS
 
 
+def jittered_box(n, seed):
+    """Kuhn box with interior vertices moved by up to 0.1 h per coordinate."""
+    mesh = build_box_mesh(n, n, n)
+    verts = mesh.vertices.copy()
+    inner = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_vertices)
+    shift = np.random.default_rng(seed).uniform(-0.1, 0.1, (len(inner), 3))
+    verts[inner] += shift / n
+    return SimplicialMesh3(verts, mesh.tets)
+
+
 @pytest.fixture(scope="session")
 def ref_complex():
     """The single reference tetrahedron as a one-cell complex."""

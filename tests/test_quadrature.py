@@ -80,6 +80,15 @@ def test_rule_is_frozen():
         rule.weights[0] = 0.0
 
 
+@pytest.mark.parametrize("make_rule", [edge_rule, triangle_rule, tet_rule])
+def test_degrees_with_one_point_count_share_a_rule(make_rule):
+    """Degrees 2m - 2 and 2m - 1 need the same m points per axis."""
+    assert make_rule(6) is make_rule(7)  # the error and trace degrees
+    for m in range(1, 5):
+        assert make_rule(2 * m - 2) is make_rule(2 * m - 1)
+        assert make_rule(2 * m - 1).exactness_degree == 2 * m - 1
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     coeffs=st.lists(

@@ -1,13 +1,19 @@
 """Steady solves, state initialization, and the implicit time stepper."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from vvpflow import linalg
 from vvpflow.assembly import (
     NATURAL,
     BoundaryConditionSpec,
     RegionBC,
+    assemble_B0,
+    assemble_convection,
+    build_harmonic_space,
 )
 from vvpflow.fields import ethier_velocity, ethier_vorticity, stokes_mms_fields
+from vvpflow.linalg import RESIDUAL_TOL, assemble_blocks, relative_residual
 from vvpflow.solver import (
     SolverConfig,
     SteadyStateNotReached,
@@ -16,7 +22,9 @@ from vvpflow.solver import (
     solve_stokes,
     step,
 )
-from vvpflow.spaces import interpolate
+from vvpflow.spaces import DeRhamComplex, interpolate
+
+from conftest import jittered_box
 
 
 def both_essential(fields):
@@ -261,3 +269,117 @@ def test_times_free_of_accumulated_drift(complex_n2):
     )
     assert len(times) == 30
     np.testing.assert_array_equal(times, 0.1 * np.arange(1, 31))
+
+
+# ---------------------------------------------------------------------------
+# the harmonic multiplier is eliminated before the factorization
+
+
+@pytest.fixture(scope="module")
+def complex_j3():
+    return DeRhamComplex(jittered_box(3, seed=5))
+
+
+def _bordered_solution(system):
+    """Direct solve of the paper's system with phi and the chi-row kept."""
+    reduced = assemble_blocks(system)
+    x = linalg.solve(reduced.matrix, reduced.rhs)
+    return reduced, reduced.split(reduced.expand(x))
+
+
+def _solve_watching_matrices(monkeypatch, run):
+    """Run a solve and return its result plus every matrix handed to solve."""
+    seen = []
+    real = linalg.solve
+
+    def watch(matrix, rhs, **kwargs):
+        seen.append(sp.csr_matrix(matrix))
+        return real(matrix, rhs, **kwargs)
+
+    monkeypatch.setattr(linalg, "solve", watch)
+    out = run()
+    monkeypatch.undo()
+    return out, seen
+
+
+def _check_matches_bordered(complex_, bc, system, state, residual, seen):
+    """The eliminated solve reproduces the bordered one; returns phi."""
+    harmonic = build_harmonic_space(complex_, bc)
+    assert harmonic.dim == 1
+    reduced, want = _bordered_solution(system)
+    for got, key in ((state.omega, "u1"), (state.u, "u2"), (state.p, "u3")):
+        ref = want[key]
+        assert np.linalg.norm(got.values - ref) <= 1e-12 * np.linalg.norm(ref)
+    h = harmonic.basis
+    assert np.abs(h.T @ (complex_.m3 @ state.p.values)).max() <= 1e-14
+    # Every q-row and the chi-row of the bordered system hold.
+    rhs3 = system.rhs.get("u3", 0.0) - system.blocks[("u3", "u2")] @ state.u.values
+    phi = h.T @ rhs3
+    full = np.concatenate([state.omega.values, state.u.values, state.p.values, phi])
+    assert relative_residual(reduced.matrix, reduced.rhs, full[reduced.free]) <= RESIDUAL_TOL
+    assert residual <= RESIDUAL_TOL
+    # No dense row or column reaches the factorization.
+    (matrix,) = seen
+    assert matrix.shape[0] == reduced.matrix.shape[0] - 2
+    assert np.diff(matrix.indptr).max() <= 64
+    assert np.diff(matrix.tocsc().indptr).max() <= 64
+    return phi
+
+
+def test_step_eliminates_harmonic_multiplier(complex_j3, monkeypatch):
+    bc = ethier_bc(2.0, 1.0)
+    config = SolverConfig(nu=1.0, dt=0.01, t_end=0.01)
+    state0 = initialize_state(complex_j3, bc, ethier_velocity(2.0, 1.0))
+    (state, residual), seen = _solve_watching_matrices(
+        monkeypatch, lambda: step(complex_j3, bc, config, state0)
+    )
+    system = assemble_B0(complex_j3, bc, nu=config.nu, t=state.t)
+    a3, a5 = assemble_convection(
+        complex_j3, state0.omega.values, state0.u.values, config.theta
+    )
+    m2 = complex_j3.m2
+    system.add_block("u2", "u1", a3)
+    system.add_block("u2", "u2", a5 + m2 / config.dt)
+    system.add_rhs("u2", (m2 @ state0.u.values) / config.dt)
+    _check_matches_bordered(complex_j3, bc, system, state, residual, seen)
+
+
+def test_stokes_eliminates_harmonic_multiplier(complex_j3, monkeypatch):
+    fields = stokes_mms_fields(nu=1.0)
+    bc = both_essential(fields)
+    kwargs = dict(nu=1.0, f2=fields["forcing"], load_degree=8)
+    (state, info), seen = _solve_watching_matrices(
+        monkeypatch, lambda: solve_stokes(complex_j3, bc, **kwargs)
+    )
+    system = assemble_B0(complex_j3, bc, **kwargs)
+    phi = _check_matches_bordered(complex_j3, bc, system, state, info["residual"], seen)
+    assert np.abs(phi).max() <= 1e-14
+
+
+def test_stokes_with_net_source_sets_multiplier(complex_j3, monkeypatch):
+    """A 3-form source with nonzero integral makes phi nonzero."""
+    fields = stokes_mms_fields(nu=1.0)
+    bc = both_essential(fields)
+
+    def source(p, t=0.0):
+        return 1.0 + p[:, 0]
+
+    kwargs = dict(nu=1.0, f2=fields["forcing"], f3=source, load_degree=8)
+    (state, info), seen = _solve_watching_matrices(
+        monkeypatch, lambda: solve_stokes(complex_j3, bc, **kwargs)
+    )
+    system = assemble_B0(complex_j3, bc, **kwargs)
+    phi = _check_matches_bordered(complex_j3, bc, system, state, info["residual"], seen)
+    assert np.abs(phi).max() > 0.1
+
+
+def test_step_keeps_structure_at_n6():
+    """One step on a jittered n=6 box: divergence-free and residual-checked."""
+    complex_ = DeRhamComplex(jittered_box(6, seed=2))
+    bc = ethier_bc(2.0, 1.0)
+    config = SolverConfig(nu=1.0, dt=1e-3, t_end=1e-3)
+    state0 = initialize_state(complex_, bc, ethier_velocity(2.0, 1.0))
+    state, residual = step(complex_, bc, config, state0)
+    assert residual <= RESIDUAL_TOL
+    unorm = complex_.norm(state.u)
+    assert complex_.divergence_max(state.u.values) <= 1e-12 * (1.0 + unorm)

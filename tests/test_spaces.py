@@ -8,6 +8,9 @@ from vvpflow.linalg import m_norm
 from vvpflow.mesh import SimplicialMesh3, build_box_mesh
 from vvpflow.quadrature import edge_rule, tet_rule, triangle_rule
 from vvpflow.spaces import (
+    ERROR_DEGREE,
+    TRACE_DEGREE,
+    VOLUME_DEGREE,
     DeRhamComplex,
     FormCoefficients,
     TetGeometry,
@@ -24,6 +27,7 @@ from vvpflow.spaces import (
 )
 
 import oracles
+from conftest import jittered_box
 from oracles import REF_VERTS
 
 
@@ -32,16 +36,6 @@ def single_tet_mesh(perturbation=None):
     if perturbation is not None:
         verts += np.asarray(perturbation, dtype=float).reshape(4, 3)
     return SimplicialMesh3(verts, [[0, 1, 2, 3]])
-
-
-def jittered_box(n, seed):
-    """Kuhn box with interior vertices moved by up to 0.1 h per coordinate."""
-    mesh = build_box_mesh(n, n, n)
-    verts = mesh.vertices.copy()
-    inner = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_vertices)
-    shift = np.random.default_rng(seed).uniform(-0.1, 0.1, (len(inner), 3))
-    verts[inner] += shift / n
-    return SimplicialMesh3(verts, mesh.tets)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +339,13 @@ def test_tabulation_field_matches_evaluate(k):
         for q, bary in enumerate(tab.rule.points):
             want = evaluate(coeffs, tet, bary)
             np.testing.assert_allclose(got[tet, q], want, rtol=1e-13, atol=1e-13)
+
+
+def test_tabulations_shared_per_rule(complex_n1):
+    """Degrees that map to one quadrature rule map to one tabulation."""
+    assert complex_n1.tabulation(ERROR_DEGREE) is complex_n1.tabulation(TRACE_DEGREE)
+    assert complex_n1.tabulation() is complex_n1.tabulation(VOLUME_DEGREE + 1)
+    assert complex_n1.tabulation(2) is not complex_n1.tabulation()
 
 
 # ---------------------------------------------------------------------------
