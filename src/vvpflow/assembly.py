@@ -1,26 +1,24 @@
 """Assembly of the vorticity-velocity-pressure saddle system.
 
 Unknown groups: ``u1`` vorticity (edge circulations), ``u2`` velocity
-(face fluxes), ``u3`` total-head pressure (cell integrals), ``phi`` the
-harmonic multiplier that absorbs the mean-pressure ambiguity when the
-normal velocity is prescribed on the whole boundary.
+(face fluxes), ``u3`` total-head pressure (cell integrals).
 
-The steady form assembled by :func:`assemble_B0` has rows
+:func:`assemble_B0` returns the sparse steady system with rows
 
     tau-row :  M1 u1 - D1^T M2 u2                  = natural tangential term
     v-row   :  nu M2 D1 u1 - D2^T M3 u3            = load(f2) + natural pressure term
-    q-row   :  M3 D2 u2 + M3 H phi                 = load(f3)
-    chi-row :  H^T M3 u3                           = 0
+    q-row   :  M3 D2 u2                            = load(f3)
 
 and the transient step adds the mass-over-dt and linearized convection
 blocks to the v-row (see :mod:`vvpflow.solver`).
 
-The phi column and the chi-row are dense (M3 H has an entry in every
-cell), so the solver does not factor them.  Summing the q-rows against
-H gives phi = H^T (load(f3) - M3 D2 u2_fixed) before the solve; with phi
-fixed and one pressure cell pinned, the remaining matrix is sparse, and
-the solved pressure is shifted back to H^T M3 u3 = 0.  assemble_B0
-still returns the bordered system above.
+When every boundary face carries essential normal velocity, the
+paper's system also has a harmonic multiplier phi, which adds M3 H phi
+to the q-row, and a chi-row H^T M3 u3 = 0 (H from
+:func:`build_harmonic_space`).  Both are dense (M3 H has an entry in
+every cell), so neither is assembled here: ``solver._solve_saddle``
+computes phi from the q-rows before the solve and moves the solved
+pressure to the chi-row gauge afterwards.
 
 Boundary conditions come in two independent channels per region: the
 vorticity channel (essential tangential vorticity trace, or natural
@@ -33,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linalg import BlockSystem
 from .quadrature import triangle_rule
@@ -143,18 +140,39 @@ class BoundaryConditionSpec:
             raise ValueError("boundary faces left unclaimed by the region predicates")
         return owner
 
+
+class ResolvedBoundary:
+    """The boundary faces each region of ``bc`` claims on ``mesh``."""
+
+    def __init__(self, mesh, bc):
+        self.mesh, self.bc = mesh, bc
+        self.owner = bc.face_region_map(mesh)
+
+    def regions(self, channel, mode):
+        """(region, faces, outward signs) of each region that claims faces
+        and whose ``channel`` ("vorticity" or "velocity") has ``mode``;
+        a sign is +1 where the face's right-hand normal points outward.
+        """
+        faces, signs = self.mesh.boundary_faces, self.mesh.boundary_face_signs
+        for r, region in enumerate(self.bc.regions):
+            claimed = self.owner == r
+            if getattr(region, f"{channel}_mode") == mode and claimed.any():
+                yield region, faces[claimed], signs[claimed]
+
     @property
-    def all_velocity_essential(self):
-        return all(r.velocity_mode == ESSENTIAL for r in self.regions)
+    def harmonic_dim(self):
+        """1 when every boundary face has essential normal velocity, else 0."""
+        essential = np.array([r.velocity_mode == ESSENTIAL for r in self.bc.regions])
+        return int(essential[self.owner].all())
 
 
 @dataclass(frozen=True)
 class HarmonicSpace:
     """M3-orthonormal basis of the harmonic 3-form space.
 
-    ``basis`` has shape (n_tets, dim); dim is 1 exactly when the normal
-    velocity is essential on the whole boundary (the complement of the
-    constrained divergence image is then the constants), else 0.
+    ``basis`` has shape (n_tets, dim); dim is 1 exactly when every face
+    of the mesh boundary has essential normal velocity (the complement
+    of the constrained divergence image is then the constants), else 0.
 
     H^T M3 H = I and H^T M3 D2 vanishes on unconstrained faces, which is
     what lets the solver compute the multiplier phi from the q-rows
@@ -178,21 +196,18 @@ def build_harmonic_space(complex_, bc, check_rank=False):
     is not simply connected in the way the analytic count assumes.
     """
     mesh = complex_.mesh
-    if bc.all_velocity_essential:
+    boundary = ResolvedBoundary(mesh, bc)
+    if boundary.harmonic_dim:
         c = mesh.tet_volumes.astype(float)
         c = c / np.sqrt(mesh.tet_volumes.sum())
         basis = c[:, None]
     else:
         basis = np.zeros((mesh.n_tets, 0))
     if check_rank:
-        owner = bc.face_region_map(mesh)
-        essential_faces = mesh.boundary_faces[
-            np.array(
-                [bc.regions[o].velocity_mode == ESSENTIAL for o in owner], dtype=bool
-            )
-        ]
-        keep = np.setdiff1d(np.arange(mesh.n_faces), essential_faces)
-        rank = np.linalg.matrix_rank(complex_.d2[:, keep].toarray())
+        keep = np.ones(mesh.n_faces, dtype=bool)
+        for _, faces, _ in boundary.regions("velocity", ESSENTIAL):
+            keep[faces] = False
+        rank = np.linalg.matrix_rank(complex_.d2[:, np.flatnonzero(keep)].toarray())
         expected = mesh.n_tets - rank
         if expected != basis.shape[1]:
             raise ValueError(
@@ -203,36 +218,28 @@ def build_harmonic_space(complex_, bc, check_rank=False):
     return HarmonicSpace(basis)
 
 
-def essential_constraints(complex_, bc, t=0.0, f3_given=False, flux_correction=True):
+def essential_constraints(complex_, bc, t=0.0, f3_given=False):
     """Interpolated essential boundary values.
 
     Returns {"u1": (edge_indices, values), "u2": (face_indices, values)}
-    with empty entries dropped.  When the normal velocity is essential on
-    the whole boundary and no 3-form source is given, the face values
-    are shifted by an area-weighted constant so the total boundary flux
-    vanishes exactly.  The solver computes the harmonic multiplier from
-    that flux (phi = H^T (load(f3) - M3 D2 u2_fixed)), so without the
-    shift the quadrature-level compatibility defect of the interpolated
-    data would become a nonzero phi and a spurious constant divergence.
+    with empty entries dropped.  When the harmonic 3-form exists (see
+    :class:`HarmonicSpace`) and no 3-form source is given, the face
+    values are shifted by an area-weighted constant so the total
+    boundary flux vanishes exactly.  The solver computes the harmonic
+    multiplier from that flux (phi = H^T (load(f3) - M3 D2 u2_fixed)),
+    so without the shift the quadrature-level compatibility defect of
+    the interpolated data would become a nonzero phi and a spurious
+    constant divergence.
     """
     mesh = complex_.mesh
-    owner = bc.face_region_map(mesh)
+    boundary = ResolvedBoundary(mesh, bc)
     out = {}
 
     edge_idx_parts, edge_val_parts = [], []
-    for r, region in enumerate(bc.regions):
-        if region.vorticity_mode != ESSENTIAL:
-            continue
-        faces = mesh.boundary_faces[owner == r]
-        if len(faces) == 0:
-            continue
+    for region, faces, _ in boundary.regions("vorticity", ESSENTIAL):
         edges = np.unique(mesh.face_edges[faces])
-        if region.vorticity_data is None:
-            vals = np.zeros(len(edges))
-        else:
-            vals = interpolate(region.vorticity_data, complex_.V1, t=t).values[edges]
         edge_idx_parts.append(edges)
-        edge_val_parts.append(vals)
+        edge_val_parts.append(_interpolant(region.vorticity_data, complex_.V1, edges, t))
     if edge_idx_parts:
         idx = np.concatenate(edge_idx_parts)
         vals = np.concatenate(edge_val_parts)
@@ -241,32 +248,29 @@ def essential_constraints(complex_, bc, t=0.0, f3_given=False, flux_correction=T
         out["u1"] = (uniq, vals[first])
 
     face_idx_parts, face_val_parts = [], []
-    for r, region in enumerate(bc.regions):
-        if region.velocity_mode != ESSENTIAL:
-            continue
-        faces = mesh.boundary_faces[owner == r]
-        if len(faces) == 0:
-            continue
-        if region.velocity_data is None:
-            vals = np.zeros(len(faces))
-        else:
-            vals = interpolate(region.velocity_data, complex_.V2, t=t).values[faces]
+    for region, faces, _ in boundary.regions("velocity", ESSENTIAL):
         face_idx_parts.append(faces)
-        face_val_parts.append(vals)
+        face_val_parts.append(_interpolant(region.velocity_data, complex_.V2, faces, t))
     if face_idx_parts:
         idx = np.concatenate(face_idx_parts)
         vals = np.concatenate(face_val_parts)
-        if flux_correction and bc.all_velocity_essential and not f3_given:
+        if boundary.harmonic_dim and not f3_given:
+            # Every boundary face is constrained, so sorted idx is boundary_faces.
             order = np.argsort(idx)
             idx, vals = idx[order], vals[order]
-            signs = mesh.boundary_face_signs[
-                np.searchsorted(mesh.boundary_faces, idx)
-            ].astype(float)
+            signs = mesh.boundary_face_signs.astype(float)
             areas = mesh.face_areas(idx)
             defect = float(signs @ vals)
             vals = vals - signs * defect * areas / areas.sum()
         out["u2"] = (idx, vals)
     return out
+
+
+def _interpolant(data, space, idx, t):
+    """Canonical interpolant of ``data`` on the simplices ``idx`` (None: zero)."""
+    if data is None:
+        return np.zeros(len(idx))
+    return interpolate(data, space, t=t).values[idx]
 
 
 class NaturalBCCache:
@@ -277,33 +281,21 @@ class NaturalBCCache:
     """
 
     def __init__(self, complex_, bc):
-        mesh = complex_.mesh
-        owner = bc.face_region_map(mesh)
+        boundary = ResolvedBoundary(complex_.mesh, bc)
         self.rule = triangle_rule(TRACE_DEGREE)
-        self.tangential = self._face_tables(
-            complex_, owner, bc, lambda r: r.vorticity_mode == NATURAL
-        )
-        self.pressure = self._face_tables(
-            complex_, owner, bc, lambda r: r.velocity_mode == NATURAL
-        )
+        self.tangential = self._face_tables(complex_, boundary, "vorticity")
+        self.pressure = self._face_tables(complex_, boundary, "velocity")
 
-    def _face_tables(self, complex_, owner, bc, predicate):
+    def _face_tables(self, complex_, boundary, channel):
         mesh = complex_.mesh
-        sel = np.array([predicate(bc.regions[o]) for o in owner], dtype=bool)
-        faces = mesh.boundary_faces[sel]
-        tables = []
-        if len(faces) == 0:
-            return tables
-        regions = owner[sel]
         rule = self.rule
         Q = len(rule)
-        for r in np.unique(regions):
-            rf = faces[regions == r]
+        tables = []
+        for region, rf, sign in boundary.regions(channel, NATURAL):
             B = len(rf)
             tets = mesh.face_tets[rf, 0]
             tri = mesh.faces[rf]
             points, normal = simplex_rule(mesh.vertices[tri], rule)
-            sign = mesh.boundary_face_signs[np.searchsorted(mesh.boundary_faces, rf)]
             normal = normal * sign[:, None].astype(float)
             # Barycentric coordinates of the face points inside the tet.
             loc = np.empty((B, 3), dtype=np.int64)
@@ -312,16 +304,16 @@ class NaturalBCCache:
             lam = np.zeros((B, Q, 4))
             for i in range(3):
                 lam[np.arange(B), :, loc[:, i]] = rule.points[:, i][None, :]
-            psi1, psi2 = whitney_values(lam, complex_.geometry.grads[tets])
+            grads = complex_.geometry.grads[tets]
             tables.append(
                 {
-                    "region": int(r),
+                    "region": region,
                     "faces": rf,
                     "tets": tets,
                     "points": points,
                     "normal": normal,
-                    "psi1": psi1,
-                    "psi2": psi2,
+                    "psi1": whitney_values(lam, grads, 1),
+                    "psi2": whitney_values(lam, grads, 2),
                     "edges": mesh.tet_edges[tets],
                     "fdofs": mesh.tet_faces[tets],
                 }
@@ -345,7 +337,7 @@ def assemble_natural_bc(complex_, bc, t=0.0, cache=None):
     rhs1 = np.zeros(mesh.n_edges)
     rhs2 = np.zeros(mesh.n_faces)
     for tab in cache.tangential:
-        region = bc.regions[tab["region"]]
+        region = tab["region"]
         pts = tab["points"]
         B, Q = pts.shape[0], pts.shape[1]
         if region.vorticity_data is None:
@@ -356,7 +348,7 @@ def assemble_natural_bc(complex_, bc, t=0.0, cache=None):
         integrand = np.einsum("q,bqx,beqx->be", w, n_cross_u, tab["psi1"])
         np.add.at(rhs1, tab["edges"], integrand)
     for tab in cache.pressure:
-        region = bc.regions[tab["region"]]
+        region = tab["region"]
         pts = tab["points"]
         B, Q = pts.shape[0], pts.shape[1]
         if region.velocity_data is None:
@@ -428,25 +420,19 @@ def assemble_B0(
     f2=None,
     f3=None,
     t=0.0,
-    harmonic=None,
     load_degree=None,
     natural_cache=None,
 ):
-    """The steady saddle system as a BlockSystem (see module docstring).
+    """The sparse steady saddle system as a BlockSystem (see module docstring).
 
-    ``harmonic`` may pass a prebuilt HarmonicSpace; ``load_degree``
-    overrides the volume rule for the f2/f3 loads (gradient loads must
-    be integrated exactly for pressure-robustness to hold discretely).
+    ``load_degree`` overrides the volume rule for the f2/f3 loads
+    (gradient loads must be integrated exactly for pressure-robustness
+    to hold discretely).
     """
     if nu <= 0:
         raise ValueError("viscosity must be positive")
     mesh = complex_.mesh
-    if harmonic is None:
-        harmonic = build_harmonic_space(complex_, bc)
-    groups = {"u1": mesh.n_edges, "u2": mesh.n_faces, "u3": mesh.n_tets}
-    if harmonic.dim:
-        groups["phi"] = harmonic.dim
-    system = BlockSystem(groups)
+    system = BlockSystem({"u1": mesh.n_edges, "u2": mesh.n_faces, "u3": mesh.n_tets})
 
     m2d1 = complex_.m2 @ complex_.d1
     m3d2 = complex_.m3 @ complex_.d2
@@ -455,10 +441,6 @@ def assemble_B0(
     system.add_block("u2", "u1", nu * m2d1)
     system.add_block("u2", "u3", -m3d2.T)
     system.add_block("u3", "u2", m3d2)
-    if harmonic.dim:
-        m3h = complex_.m3 @ harmonic.basis
-        system.add_block("u3", "phi", sp.csr_matrix(m3h))
-        system.add_block("phi", "u3", sp.csr_matrix(m3h.T))
 
     if f2 is not None:
         system.add_rhs("u2", assemble_load(complex_, f2, t=t, degree=load_degree))

@@ -4,7 +4,8 @@ Subcommands ``noflow``, ``ethier``, ``dtsweep``, ``stokes-mms`` run the
 packaged experiments; ``mesh-info`` prints mesh statistics.  Each
 experiment subcommand reads an optional ``--config <path>`` file of
 flat ``key = value`` lines and applies ``--set key=value`` overrides on
-top (repeatable, highest precedence).
+top (repeatable, highest precedence).  Every subcommand turns bad input
+into ``error: ...`` and a non-zero exit status.
 """
 from __future__ import annotations
 
@@ -44,12 +45,9 @@ def _add_common(parser):
 
 
 def _run_kind(kind, args):
-    try:
-        options = _collect_options(args)
-        spec = spec_from_options(kind, options)
-        report = run_experiment(spec)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"error: {exc}")
+    options = _collect_options(args)
+    spec = spec_from_options(kind, options)
+    report = run_experiment(spec)
     summary = f"{spec.outdir}/{kind}_summary.txt"
     with open(summary) as fh:
         sys.stdout.write(fh.read())
@@ -96,7 +94,10 @@ def main(argv=None):
     _add_common(p)
     p.set_defaults(func=_mesh_info)
     args = parser.parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"error: {exc}")
     return 0
 
 

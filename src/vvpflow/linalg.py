@@ -191,8 +191,9 @@ def solve(matrix, rhs, residual_tol=RESIDUAL_TOL):
     costs a single extra triangular solve and pushes the residual from
     the raw-LU level down to a few ulps, which keeps the divergence
     rows of the saddle systems satisfied to near machine precision.
-    Raises SingularSystemError when factorization hits an exactly
-    singular pivot, SolverError when the residual contract is violated.
+    Returns the solution and its checked relative residual.  Raises
+    SingularSystemError when factorization hits an exactly singular
+    pivot, SolverError when the residual contract is violated.
     """
     a = sp.csc_matrix(matrix)
     if a.shape[0] != a.shape[1]:
@@ -216,13 +217,12 @@ def solve(matrix, rhs, residual_tol=RESIDUAL_TOL):
             f"direct solve violated the residual contract: "
             f"relative residual {res:.3e} > {residual_tol:.1e}"
         )
-    return x
+    return x, res
 
 
 def solve_reduced(reduced, residual_tol=RESIDUAL_TOL):
-    """Solve a ReducedSystem and expand to the full DOF vector."""
-    x = solve(reduced.matrix, reduced.rhs, residual_tol=residual_tol)
-    res = relative_residual(reduced.matrix, reduced.rhs, x)
+    """Solve a ReducedSystem; returns the full DOF vector and the residual."""
+    x, res = solve(reduced.matrix, reduced.rhs, residual_tol=residual_tol)
     return reduced.expand(x), res
 
 

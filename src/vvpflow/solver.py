@@ -13,9 +13,9 @@ splitting weight theta interpolates between the two equivalent forms of
 the rotational convection term; theta = 1/2 gives the symmetric
 average used throughout the experiments.
 
-Steady solves and steps share :func:`_solve_saddle`, which computes the
-harmonic multiplier before the factorization instead of factoring the
-dense border of the saddle matrix.
+Steady solves and steps share :func:`_solve_saddle`, the only code that
+knows the harmonic multiplier: it computes it before the factorization
+instead of factoring the dense border of the paper's saddle matrix.
 """
 from __future__ import annotations
 
@@ -113,22 +113,22 @@ class TrajectorySummary:
 
 
 def _solve_saddle(complex_, system, harmonic, t):
-    """Solve a system from assemble_B0 without factoring its border.
+    """Solve a system from assemble_B0 with the paper's harmonic border.
 
-    When harmonic forms exist the multiplier is known before the solve:
+    That border adds M3 H phi to the q-rows and the chi-row H^T M3 u3 = 0.
     H^T M3 H = I and H^T M3 D2 vanishes on the free faces, so the q-rows
-    summed against H give phi = H^T (rhs_u3 - M3 D2 u2_fixed).  Fixing
-    phi removes its dense column and the chi-row.  Pinning the pressure
-    of one cell per basis vector (the cell where that vector is largest)
-    removes the pressure's null mode and the q-row that the phi equation
-    makes redundant.  The solved pressure is then moved back to the
+    summed against H give phi = H^T (rhs_u3 - M3 D2 u2_fixed) before the
+    solve, and M3 H phi moves to the right-hand side.  Pinning the
+    pressure of one cell per basis vector (the cell where that vector is
+    largest) removes the pressure's null mode and the q-row that the phi
+    equation makes redundant.  The solved pressure is then moved to the
     chi-row gauge H^T M3 p = 0.  Returns (state, residual).
     """
     h = harmonic.basis
     if harmonic.dim:
         idx, vals = system.constraints["u2"]
         rhs3 = system.rhs.get("u3", 0.0) - system.blocks[("u3", "u2")][:, idx] @ vals
-        system.constrain("phi", np.arange(harmonic.dim), h.T @ rhs3)
+        system.add_rhs("u3", -(complex_.m3 @ h) @ (h.T @ rhs3))
         system.constrain("u3", np.argmax(np.abs(h), axis=0), np.zeros(harmonic.dim))
     reduced = assemble_blocks(system)
     full, residual = solve_reduced(reduced)
@@ -168,7 +168,6 @@ def solve_stokes(
         f2=f2,
         f3=f3,
         t=t,
-        harmonic=harmonic,
         load_degree=load_degree,
         natural_cache=natural_cache,
     )
@@ -219,7 +218,6 @@ def step(complex_, bc, config, state, f=None, harmonic=None, natural_cache=None)
         nu=config.nu,
         f2=f,
         t=t_new,
-        harmonic=harmonic,
         load_degree=config.load_degree,
         natural_cache=natural_cache,
     )

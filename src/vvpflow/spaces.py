@@ -26,6 +26,7 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -127,21 +128,24 @@ def barycentric_gradients(corners):
     return grads
 
 
-def whitney_values(lam, grads):
-    """Edge and face Whitney basis vectors at barycentric points.
+def whitney_values(lam, grads, k):
+    """Whitney k-form basis vectors at barycentric points, k in {1, 2}.
 
     lam : (..., Q, 4) barycentric coordinates; grads : (..., 4, 3)
     barycentric gradients (see :func:`barycentric_gradients`).  Leading
-    axes broadcast.  Returns psi1 (..., 6, Q, 3) and psi2 (..., 4, Q, 3)
-    in the local edge and face order of :mod:`vvpflow.mesh`.
+    axes broadcast.  Returns psi1 (..., 6, Q, 3) for k=1 and psi2
+    (..., 4, Q, 3) for k=2, in the local edge and face order of
+    :mod:`vvpflow.mesh`.
     """
     lam = np.asarray(lam, dtype=float)[..., None]
     g = np.asarray(grads, dtype=float)[..., None, :, :]
     lead = np.broadcast_shapes(lam.shape[:-3], g.shape[:-3])
     Q = lam.shape[-3]
-    psi1 = np.empty(lead + (6, Q, 3))
-    for e, (i, j) in enumerate(TET_EDGE_VERTS):
-        psi1[..., e, :, :] = lam[..., i, :] * g[..., j, :] - lam[..., j, :] * g[..., i, :]
+    if k == 1:
+        psi1 = np.empty(lead + (6, Q, 3))
+        for e, (i, j) in enumerate(TET_EDGE_VERTS):
+            psi1[..., e, :, :] = lam[..., i, :] * g[..., j, :] - lam[..., j, :] * g[..., i, :]
+        return psi1
     psi2 = np.empty(lead + (4, Q, 3))
     for f, (a, b, c) in enumerate(TET_FACE_VERTS):
         psi2[..., f, :, :] = 2.0 * (
@@ -149,7 +153,7 @@ def whitney_values(lam, grads):
             + lam[..., b, :] * np.cross(g[..., c, :], g[..., a, :])
             + lam[..., c, :] * np.cross(g[..., a, :], g[..., b, :])
         )
-    return psi1, psi2
+    return psi2
 
 
 def simplex_rule(corners, rule):
@@ -192,18 +196,23 @@ class TetGeometry:
 class WhitneyTabulation:
     """Whitney basis values at one quadrature rule's points, all tets.
 
-    psi1 : (T, 6, Q, 3) edge basis vectors
+    psi1 : (T, 6, Q, 3) edge basis vectors, built on first read
     psi2 : (T, 4, Q, 3) face basis vectors
     points : (T, Q, 3) physical quadrature points
     weights : (T, Q) physical quadrature weights (sum to |T| per tet)
     """
 
     def __init__(self, geometry, rule):
+        self.geometry = geometry
         self.mesh = mesh = geometry.mesh
         self.rule = rule
         self.points, measure = simplex_rule(mesh.vertices[mesh.tets], rule)
         self.weights = measure[:, None] * rule.weights[None, :]
-        self.psi1, self.psi2 = whitney_values(rule.points, geometry.grads)
+        self.psi2 = whitney_values(rule.points, geometry.grads, 2)
+
+    @cached_property
+    def psi1(self):
+        return whitney_values(self.rule.points, self.geometry.grads, 1)
 
     def field(self, k, values):
         """The k-form with coefficients ``values`` at the points.
@@ -211,14 +220,23 @@ class WhitneyTabulation:
         Returns (T, Q, 3) vectors for k in {1, 2} and (T, Q, 1)
         densities (cell integral / |T|) for k=3.
         """
-        values = np.asarray(values)
-        mesh = self.mesh
-        if k == 1:
-            return np.einsum("teqx,te->tqx", self.psi1, values[mesh.tet_edges])
-        if k == 2:
-            return np.einsum("tfqx,tf->tqx", self.psi2, values[mesh.tet_faces])
-        dens = values / mesh.tet_volumes
-        return np.broadcast_to(dens[:, None, None], self.weights.shape + (1,))
+        if k == 3:
+            dens = _form_at(self.mesh, 3, values, slice(None), None)
+            return np.broadcast_to(dens[:, None, None], self.weights.shape + (1,))
+        psi = self.psi1 if k == 1 else self.psi2
+        return _form_at(self.mesh, k, values, slice(None), psi)
+
+
+def _form_at(mesh, k, values, tets, psi):
+    """k-form ``values`` contracted with the basis ``psi`` of cells ``tets``.
+
+    For k=3 ``psi`` is unused and the result is the density, cell integral / |T|.
+    """
+    values = np.asarray(values)
+    if k == 3:
+        return values[tets] / mesh.tet_volumes[tets]
+    dofs = (mesh.tet_edges if k == 1 else mesh.tet_faces)[tets]
+    return np.einsum("...iqx,...i->...qx", psi, values[dofs])
 
 
 def _scatter(local, rows, cols, shape):
@@ -311,12 +329,10 @@ def evaluate(coeffs, tet, bary):
     space = coeffs.space
     mesh = space.mesh
     if space.k == 3:
-        return coeffs.values[tet] / mesh.tet_volumes[tet]
+        return _form_at(mesh, 3, coeffs.values, tet, None)
     grads = barycentric_gradients(mesh.vertices[mesh.tets[tet]])
-    psi1, psi2 = whitney_values(np.asarray(bary, dtype=float)[None, :], grads)
-    if space.k == 1:
-        return coeffs.values[mesh.tet_edges[tet]] @ psi1[:, 0, :]
-    return coeffs.values[mesh.tet_faces[tet]] @ psi2[:, 0, :]
+    psi = whitney_values(np.asarray(bary, dtype=float)[None, :], grads, space.k)
+    return _form_at(mesh, space.k, coeffs.values, tet, psi)[0]
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,16 @@ Everything in this module is computed by a different route than the
 library code it checks: exact rational arithmetic for the reference-tet
 mass matrices, a hand-rolled tensor-product Gauss-Legendre rule on the
 collapsed cube for the convection matrices, literal barycentric-gradient
-formulas for the Whitney bases, and a token-level parser for legacy VTK
-output.
+formulas for the Whitney bases, a token-level parser for legacy VTK
+output, and the paper's bordered saddle system, whose dense harmonic
+multiplier the solver never factors.
 """
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
+
+from vvpflow.linalg import BlockSystem
 
 # Reference tetrahedron: vertices (0,0,0), (1,0,0), (0,1,0), (0,0,1).
 REF_VERTS = np.array(
@@ -220,3 +223,22 @@ def parse_vtk(text):
         else:
             raise ValueError(f"unexpected vtk line: {lines[i]!r}")
     return out
+
+
+def bordered_system(system, basis, m3):
+    """The paper's saddle system around a system from ``assemble_B0``.
+
+    Adds the harmonic multiplier group ``phi`` with the column M3 H in
+    the q-rows and the chi-row H^T M3 u3 = 0, for the harmonic basis H
+    (``basis``, shape (n_tets, dim)).  The input system is not changed.
+    """
+    bordered = BlockSystem(
+        dict(system.groups, phi=basis.shape[1]),
+        dict(system.blocks),
+        dict(system.rhs),
+        dict(system.constraints),
+    )
+    m3h = m3 @ basis
+    bordered.add_block("u3", "phi", m3h)
+    bordered.add_block("phi", "u3", m3h.T)
+    return bordered

@@ -288,6 +288,16 @@ def test_cli_bad_set_and_unknown_option(tmp_path):
         main(["noflow", "--config", str(tmp_path / "missing.cfg")])
 
 
+def test_cli_mesh_info_rejects_bad_size():
+    with pytest.raises(SystemExit, match="error: cell counts must be positive"):
+        main(["mesh-info", "--set", "n=0"])
+
+
+def test_cli_mesh_info_rejects_missing_mesh(tmp_path):
+    with pytest.raises(SystemExit, match="error: .*No such file"):
+        main(["mesh-info", "--set", f"mesh={tmp_path / 'missing.mesh'}"])
+
+
 # ---------------------------------------------------------------------------
 # VTK output
 

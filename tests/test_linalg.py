@@ -132,8 +132,9 @@ def test_solve_residual_is_tiny():
     rng = np.random.default_rng(7)
     a = sp.random(40, 40, density=0.3, random_state=7) + 40 * sp.eye(40)
     rhs = rng.normal(size=40)
-    x = solve(a, rhs)
+    x, res = solve(a, rhs)
     assert relative_residual(sp.csc_matrix(a), rhs, x) < 1e-14
+    assert res == relative_residual(sp.csc_matrix(a), rhs, x)
 
 
 def test_solve_rejects_singular_matrix():

@@ -11,6 +11,7 @@ from vvpflow.assembly import (
     assemble_B0,
     assemble_convection,
     build_harmonic_space,
+    essential_constraints,
 )
 from vvpflow.fields import ethier_velocity, ethier_vorticity, stokes_mms_fields
 from vvpflow.linalg import RESIDUAL_TOL, assemble_blocks, relative_residual
@@ -22,8 +23,10 @@ from vvpflow.solver import (
     solve_stokes,
     step,
 )
+from vvpflow.mesh import build_box_mesh
 from vvpflow.spaces import DeRhamComplex, interpolate
 
+import oracles
 from conftest import jittered_box
 
 
@@ -280,10 +283,10 @@ def complex_j3():
     return DeRhamComplex(jittered_box(3, seed=5))
 
 
-def _bordered_solution(system):
+def _bordered_solution(system, harmonic, m3):
     """Direct solve of the paper's system with phi and the chi-row kept."""
-    reduced = assemble_blocks(system)
-    x = linalg.solve(reduced.matrix, reduced.rhs)
+    reduced = assemble_blocks(oracles.bordered_system(system, harmonic.basis, m3))
+    x, _ = linalg.solve(reduced.matrix, reduced.rhs)
     return reduced, reduced.split(reduced.expand(x))
 
 
@@ -306,7 +309,7 @@ def _check_matches_bordered(complex_, bc, system, state, residual, seen):
     """The eliminated solve reproduces the bordered one; returns phi."""
     harmonic = build_harmonic_space(complex_, bc)
     assert harmonic.dim == 1
-    reduced, want = _bordered_solution(system)
+    reduced, want = _bordered_solution(system, harmonic, complex_.m3)
     for got, key in ((state.omega, "u1"), (state.u, "u2"), (state.p, "u3")):
         ref = want[key]
         assert np.linalg.norm(got.values - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -383,3 +386,48 @@ def test_step_keeps_structure_at_n6():
     assert residual <= RESIDUAL_TOL
     unorm = complex_.norm(state.u)
     assert complex_.divergence_max(state.u.values) <= 1e-12 * (1.0 + unorm)
+
+
+def test_outlet_claiming_no_face_keeps_harmonic_form():
+    """dim H comes from the faces the regions claim, not from their modes.
+
+    The natural outlet's predicate claims no face of the unit box, so the
+    normal velocity is essential on the whole boundary: the mean-pressure
+    mode exists and needs the multiplier, or the LU meets a singular pivot.
+    """
+    complex_ = DeRhamComplex(build_box_mesh(3, 3, 3))
+    fields = stokes_mms_fields(nu=1.0)
+
+    def regions(velocity):
+        outlet = RegionBC(
+            name="outlet",
+            vorticity_mode=NATURAL,
+            velocity_mode=NATURAL,
+            where=lambda c: c[:, 0] > 2.0,
+        )
+        walls = RegionBC(
+            name="walls", vorticity_data=fields["vorticity"], velocity_data=velocity
+        )
+        return BoundaryConditionSpec((outlet, walls))
+
+    bc = regions(fields["velocity"])
+    assert build_harmonic_space(complex_, bc).dim == 1
+    assert build_harmonic_space(complex_, bc, check_rank=True).dim == 1
+
+    # The walls' normal data is shifted to zero net flux.
+    def expanding(points, t=0.0):
+        return points.copy()
+
+    idx, vals = essential_constraints(complex_, regions(expanding))["u2"]
+    mesh = complex_.mesh
+    np.testing.assert_array_equal(idx, mesh.boundary_faces)
+    signs = mesh.boundary_face_signs.astype(float)
+    raw = interpolate(expanding, complex_.V2).values[idx]
+    assert signs @ raw == pytest.approx(3.0, rel=1e-12)
+    assert abs(signs @ vals) < 1e-13
+
+    state, info = solve_stokes(
+        complex_, bc, nu=1.0, f2=fields["forcing"], load_degree=8
+    )
+    assert info["residual"] <= RESIDUAL_TOL
+    assert info["div_max"] <= 1e-12 * (1.0 + complex_.norm(state.u))

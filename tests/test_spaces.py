@@ -341,6 +341,15 @@ def test_tabulation_field_matches_evaluate(k):
             np.testing.assert_allclose(got[tet, q], want, rtol=1e-13, atol=1e-13)
 
 
+def test_tabulation_builds_edge_basis_on_first_read(complex_n1):
+    """Load and error tabulations never read psi1, so it is not built eagerly."""
+    tab = WhitneyTabulation(complex_n1.geometry, tet_rule(8))
+    assert "psi1" not in vars(tab)
+    want = whitney_values(tab.rule.points, complex_n1.geometry.grads, 1)
+    np.testing.assert_array_equal(tab.psi1, want)
+    assert tab.psi1 is tab.psi1
+
+
 def test_tabulations_shared_per_rule(complex_n1):
     """Degrees that map to one quadrature rule map to one tabulation."""
     assert complex_n1.tabulation(ERROR_DEGREE) is complex_n1.tabulation(TRACE_DEGREE)
@@ -363,7 +372,7 @@ def test_whitney_values_match_oracles_at_shared_points():
     lam, pts = _reference_points(7, seed=0)
     scale = np.array([1.0, 0.5, 2.0])
     grads = barycentric_gradients(REF_VERTS[None] * scale[:, None, None])
-    psi1, psi2 = whitney_values(lam, grads)
+    psi1, psi2 = whitney_values(lam, grads, 1), whitney_values(lam, grads, 2)
     assert psi1.shape == (3, 6, 7, 3)
     assert psi2.shape == (3, 4, 7, 3)
     edge, face = oracles.whitney_edge_values(pts), oracles.whitney_face_values(pts)
@@ -378,7 +387,7 @@ def test_whitney_values_match_oracles_per_batch():
     lam, pts = _reference_points((5, 6), seed=1)
     scale = 1.0 + 0.25 * np.arange(5)
     grads = barycentric_gradients(REF_VERTS[None] * scale[:, None, None])
-    psi1, psi2 = whitney_values(lam, grads)
+    psi1, psi2 = whitney_values(lam, grads, 1), whitney_values(lam, grads, 2)
     assert psi1.shape == (5, 6, 6, 3)
     assert psi2.shape == (5, 4, 6, 3)
     for b, s in enumerate(scale):
