@@ -12,13 +12,13 @@ Unknown groups: ``u1`` vorticity (edge circulations), ``u2`` velocity
 and the transient step adds the mass-over-dt and linearized convection
 blocks to the v-row (see :mod:`vvpflow.solver`).
 
-When every boundary face carries essential normal velocity, the
-paper's system also has a harmonic multiplier phi, which adds M3 H phi
-to the q-row, and a chi-row H^T M3 u3 = 0 (H from
-:func:`build_harmonic_space`).  Both are dense (M3 H has an entry in
-every cell), so neither is assembled here: ``solver._solve_saddle``
-computes phi from the q-rows before the solve and moves the solved
-pressure to the chi-row gauge afterwards.
+Each closed component of the mesh's dual forest (no boundary face with
+natural velocity) carries a harmonic 3-form, and the paper's system has
+a multiplier phi per form, which adds M3 H phi to the q-row, and a
+chi-row H^T M3 u3 = 0 (H from :func:`build_harmonic_space`).  Both are
+dense, so neither is assembled here: ``solver._solve_saddle`` computes
+phi before the solve, pins each component's root and sweeps its
+divergence roundoff along the forest afterwards.
 
 Boundary conditions come in two independent channels per region: the
 vorticity channel (essential tangential vorticity trace, or natural
@@ -160,76 +160,56 @@ class ResolvedBoundary:
                 yield region, faces[claimed], signs[claimed]
 
     @property
-    def harmonic_dim(self):
-        """1 when every boundary face has essential normal velocity, else 0."""
-        essential = np.array([r.velocity_mode == ESSENTIAL for r in self.bc.regions])
-        return int(essential[self.owner].all())
+    def closed(self):
+        """Per dual-forest component: True unless a face has natural velocity."""
+        labels = self.mesh.dual_forest.labels
+        closed = np.ones(labels.max() + 1, dtype=bool)
+        for _, faces, _ in self.regions("velocity", NATURAL):
+            closed[labels[self.mesh.face_tets[faces, 0]]] = False
+        return closed
 
 
 @dataclass(frozen=True)
 class HarmonicSpace:
     """M3-orthonormal basis of the harmonic 3-form space.
 
-    ``basis`` has shape (n_tets, dim); dim is 1 exactly when every face
-    of the mesh boundary has essential normal velocity (the complement
-    of the constrained divergence image is then the constants), else 0.
-
-    H^T M3 H = I and H^T M3 D2 vanishes on unconstrained faces, which is
-    what lets the solver compute the multiplier phi from the q-rows
-    before the solve and pin the pressure in the cell where each basis
-    vector is largest.
+    One column per closed component (:attr:`ResolvedBoundary.closed`):
+    its volume indicator scaled so that H^T M3 H = I.  H^T M3 D2 vanishes
+    on unconstrained faces, so the solver computes the multiplier phi
+    from the q-rows before the solve and pins the pressure at ``pins``,
+    the components' roots in ``mesh.dual_forest``.
     """
 
     basis: np.ndarray
+    pins: np.ndarray
 
     @property
     def dim(self):
         return self.basis.shape[1]
 
 
-def build_harmonic_space(complex_, bc, check_rank=False):
-    """Harmonic 3-forms for the given boundary conditions.
-
-    With ``check_rank=True`` the dimension is verified against a dense
-    rank computation on the divergence matrix with constrained columns
-    removed; this is the guard that fails loudly when an imported mesh
-    is not simply connected in the way the analytic count assumes.
-    """
+def build_harmonic_space(complex_, bc):
+    """Harmonic 3-forms for the given boundary conditions."""
     mesh = complex_.mesh
-    boundary = ResolvedBoundary(mesh, bc)
-    if boundary.harmonic_dim:
-        c = mesh.tet_volumes.astype(float)
-        c = c / np.sqrt(mesh.tet_volumes.sum())
-        basis = c[:, None]
-    else:
-        basis = np.zeros((mesh.n_tets, 0))
-    if check_rank:
-        keep = np.ones(mesh.n_faces, dtype=bool)
-        for _, faces, _ in boundary.regions("velocity", ESSENTIAL):
-            keep[faces] = False
-        rank = np.linalg.matrix_rank(complex_.d2[:, np.flatnonzero(keep)].toarray())
-        expected = mesh.n_tets - rank
-        if expected != basis.shape[1]:
-            raise ValueError(
-                f"harmonic space dimension mismatch: rank oracle gives "
-                f"{expected}, analytic count gives {basis.shape[1]}; "
-                "the mesh topology is not the expected contractible one"
-            )
-    return HarmonicSpace(basis)
+    closed = np.flatnonzero(ResolvedBoundary(mesh, bc).closed)
+    basis = np.zeros((mesh.n_tets, len(closed)))
+    for j, label in enumerate(closed):
+        cells = mesh.dual_forest.labels == label
+        basis[cells, j] = mesh.tet_volumes[cells] / np.sqrt(mesh.tet_volumes[cells].sum())
+    return HarmonicSpace(basis, mesh.dual_forest.roots[closed])
 
 
 def essential_constraints(complex_, bc, t=0.0, f3_given=False):
     """Interpolated essential boundary values.
 
     Returns {"u1": (edge_indices, values), "u2": (face_indices, values)}
-    with empty entries dropped.  When the harmonic 3-form exists (see
-    :class:`HarmonicSpace`) and no 3-form source is given, the face
-    values are shifted by an area-weighted constant so the total
-    boundary flux vanishes exactly.  The solver computes the harmonic
-    multiplier from that flux (phi = H^T (load(f3) - M3 D2 u2_fixed)),
-    so without the shift the quadrature-level compatibility defect of
-    the interpolated data would become a nonzero phi and a spurious
-    constant divergence.
+    with empty entries dropped.  Unless a 3-form source is given, each
+    closed component's face values (see :class:`HarmonicSpace`) are
+    shifted by an area-weighted constant so that its total boundary flux
+    vanishes exactly.  The solver computes the harmonic multiplier from
+    that flux (phi = H^T (load(f3) - M3 D2 u2_fixed)), so without the
+    shift the quadrature-level compatibility defect of the interpolated
+    data would become a nonzero phi and a spurious constant divergence.
     """
     mesh = complex_.mesh
     boundary = ResolvedBoundary(mesh, bc)
@@ -247,21 +227,20 @@ def essential_constraints(complex_, bc, t=0.0, f3_given=False):
         uniq, first = np.unique(idx, return_index=True)
         out["u1"] = (uniq, vals[first])
 
-    face_idx_parts, face_val_parts = [], []
-    for region, faces, _ in boundary.regions("velocity", ESSENTIAL):
-        face_idx_parts.append(faces)
-        face_val_parts.append(_interpolant(region.velocity_data, complex_.V2, faces, t))
-    if face_idx_parts:
-        idx = np.concatenate(face_idx_parts)
-        vals = np.concatenate(face_val_parts)
-        if boundary.harmonic_dim and not f3_given:
-            # Every boundary face is constrained, so sorted idx is boundary_faces.
-            order = np.argsort(idx)
-            idx, vals = idx[order], vals[order]
-            signs = mesh.boundary_face_signs.astype(float)
-            areas = mesh.face_areas(idx)
-            defect = float(signs @ vals)
-            vals = vals - signs * defect * areas / areas.sum()
+    face_parts = [
+        (faces, signs, _interpolant(region.velocity_data, complex_.V2, faces, t))
+        for region, faces, signs in boundary.regions("velocity", ESSENTIAL)
+    ]
+    if face_parts:
+        idx, signs, vals = (np.concatenate(part) for part in zip(*face_parts))
+        order = np.argsort(idx)
+        idx, signs, vals = idx[order], signs[order].astype(float), vals[order]
+        labels = mesh.dual_forest.labels[mesh.face_tets[idx, 0]]
+        for label in [] if f3_given else np.flatnonzero(boundary.closed):
+            on = labels == label
+            areas = mesh.face_areas(idx[on])
+            defect = float(signs[on] @ vals[on])
+            vals[on] = vals[on] - signs[on] * defect * areas / areas.sum()
         out["u2"] = (idx, vals)
     return out
 
@@ -283,12 +262,12 @@ class NaturalBCCache:
     def __init__(self, complex_, bc):
         boundary = ResolvedBoundary(complex_.mesh, bc)
         self.rule = triangle_rule(TRACE_DEGREE)
-        self.tangential = self._face_tables(complex_, boundary, "vorticity")
-        self.pressure = self._face_tables(complex_, boundary, "velocity")
+        self.tangential = self._face_tables(complex_, boundary, "vorticity", 1)
+        self.pressure = self._face_tables(complex_, boundary, "velocity", 2)
 
-    def _face_tables(self, complex_, boundary, channel):
-        mesh = complex_.mesh
-        rule = self.rule
+    def _face_tables(self, complex_, boundary, channel, k):
+        """Tables of ``channel``'s natural regions, with the k-form basis only."""
+        mesh, rule = complex_.mesh, self.rule
         Q = len(rule)
         tables = []
         for region, rf, sign in boundary.regions(channel, NATURAL):
@@ -298,12 +277,10 @@ class NaturalBCCache:
             points, normal = simplex_rule(mesh.vertices[tri], rule)
             normal = normal * sign[:, None].astype(float)
             # Barycentric coordinates of the face points inside the tet.
-            loc = np.empty((B, 3), dtype=np.int64)
-            for i in range(3):
-                loc[:, i] = np.argmax(mesh.tets[tets] == tri[:, i : i + 1], axis=1)
             lam = np.zeros((B, Q, 4))
             for i in range(3):
-                lam[np.arange(B), :, loc[:, i]] = rule.points[:, i][None, :]
+                loc = np.argmax(mesh.tets[tets] == tri[:, i : i + 1], axis=1)
+                lam[np.arange(B), :, loc] = rule.points[:, i][None, :]
             grads = complex_.geometry.grads[tets]
             tables.append(
                 {
@@ -312,8 +289,7 @@ class NaturalBCCache:
                     "tets": tets,
                     "points": points,
                     "normal": normal,
-                    "psi1": whitney_values(lam, grads, 1),
-                    "psi2": whitney_values(lam, grads, 2),
+                    f"psi{k}": whitney_values(lam, grads, k),
                     "edges": mesh.tet_edges[tets],
                     "fdofs": mesh.tet_faces[tets],
                 }

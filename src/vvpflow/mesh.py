@@ -19,12 +19,16 @@ matrices assembled by :mod:`vvpflow.spaces`.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix, csgraph
 
 __all__ = [
     "SimplicialMesh3",
+    "DualForest",
     "build_box_mesh",
     "mesh_size",
     "euler_characteristic",
@@ -38,6 +42,19 @@ TET_FACE_VERTS = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 TET_FACE_PARITY = (-1, 1, -1, 1)
 FACE_EDGE_VERTS = ((1, 2), (0, 2), (0, 1))
 FACE_EDGE_SIGN = (1, -1, 1)
+
+
+@dataclass(frozen=True)
+class DualForest:
+    """Breadth-first spanning forest of the dual graph (cells joined by
+    interior faces), one tree per connected component of cells."""
+
+    labels: np.ndarray  # (T,) component of each cell
+    roots: np.ndarray  # (C,) largest cell of each component, lowest index on ties
+    levels: list  # the cells in breadth-first order split by depth, roots first
+    parent: np.ndarray  # (T,) parent cell, -1 at roots
+    parent_face: np.ndarray  # (T,) face shared with the parent, -1 at roots
+    parent_sign: np.ndarray  # (T,) its divergence-matrix entry D2[cell, face], 0 at roots
 
 
 class SimplicialMesh3:
@@ -107,7 +124,8 @@ class SimplicialMesh3:
         self.boundary_faces = np.flatnonzero(counts == 1)
         self.boundary_edges = np.unique(self.face_edges[self.boundary_faces])
         self.boundary_vertices = np.unique(self.faces[self.boundary_faces])
-        self.boundary_face_signs = self._outward_signs()
+        bf = self.boundary_faces
+        self.boundary_face_signs = self._face_signs(self.face_tets[bf, 0], bf)
 
     def _lookup_edges(self, pairs):
         """Map ascending vertex pairs to global edge indices."""
@@ -131,12 +149,33 @@ class SimplicialMesh3:
         face_tets[interior, 1] = sorted_tets[starts[:-1][interior] + 1]
         return face_tets, counts
 
-    def _outward_signs(self):
-        """Outward-flux sign of each boundary face w.r.t. its tet."""
-        bf = self.boundary_faces
-        tets = self.face_tets[bf, 0]
-        local = np.argmax(self.tet_faces[tets] == bf[:, None], axis=1)
+    def _face_signs(self, tets, faces):
+        """D2[tets, faces]: +1 where the face's normal points out of the tet."""
+        local = np.argmax(self.tet_faces[tets] == faces[:, None], axis=1)
         return np.array(TET_FACE_PARITY, dtype=np.int64)[local] * self.tet_orientations[tets]
+
+    @functools.cached_property
+    def dual_forest(self):
+        """The mesh's :class:`DualForest`, built on first use."""
+        T = self.n_tets
+        a, b = self.face_tets[self.face_tets[:, 1] >= 0].T
+        adjacency = coo_matrix((np.ones(len(a)), (a, b)), shape=(T, T))
+        n_comp, labels = csgraph.connected_components(adjacency, directed=False)
+        by_size = np.lexsort((-self.tet_volumes, labels))
+        roots = by_size[np.searchsorted(labels[by_size], np.arange(n_comp))]
+        # A virtual cell T joined to every root: one search spans the forest.
+        rows, cols = np.r_[a, np.full(n_comp, T)], np.r_[b, roots]
+        graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(T + 1, T + 1))
+        order, pred = csgraph.breadth_first_order(graph, T, directed=False)
+        depth = csgraph.shortest_path(graph, directed=False, unweighted=True, indices=T)
+        levels = np.split(order[1:], np.flatnonzero(np.diff(depth[order[1:]])) + 1)
+        child = order[1 + n_comp :]
+        shared = self.tet_faces[child][:, :, None] == self.tet_faces[pred[child]][:, None]
+        local = np.argmax(shared.any(axis=2), axis=1)
+        parent, face, sign = np.full((3, T), [[-1], [-1], [0]], dtype=np.int64)
+        parent[child], face[child] = pred[child], self.tet_faces[child, local]
+        sign[child] = self._face_signs(child, face[child])
+        return DualForest(labels, roots, levels, parent, face, sign)
 
     def face_areas(self, faces=None):
         faces = self.faces if faces is None else self.faces[faces]

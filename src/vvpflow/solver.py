@@ -119,25 +119,39 @@ def _solve_saddle(complex_, system, harmonic, t):
     H^T M3 H = I and H^T M3 D2 vanishes on the free faces, so the q-rows
     summed against H give phi = H^T (rhs_u3 - M3 D2 u2_fixed) before the
     solve, and M3 H phi moves to the right-hand side.  Pinning the
-    pressure of one cell per basis vector (the cell where that vector is
-    largest) removes the pressure's null mode and the q-row that the phi
-    equation makes redundant.  The solved pressure is then moved to the
-    chi-row gauge H^T M3 p = 0.  Returns (state, residual).
+    pressure at each closed component's root (``harmonic.pins``) removes
+    the null modes and the q-rows that the phi equations make redundant.
+    So that no root collects its component's divergence roundoff, the
+    q-row defects, less their harmonic part (which phi absorbs in the
+    bordered system), are then swept from the leaves of
+    ``mesh.dual_forest`` to the roots through the tree-face fluxes, and
+    the pressure is moved to the gauge H^T M3 p = 0.  Returns (state,
+    residual).
     """
     h = harmonic.basis
     if harmonic.dim:
         idx, vals = system.constraints["u2"]
         rhs3 = system.rhs.get("u3", 0.0) - system.blocks[("u3", "u2")][:, idx] @ vals
         system.add_rhs("u3", -(complex_.m3 @ h) @ (h.T @ rhs3))
-        system.constrain("u3", np.argmax(np.abs(h), axis=0), np.zeros(harmonic.dim))
+        system.constrain("u3", harmonic.pins, np.zeros(harmonic.dim))
     reduced = assemble_blocks(system)
     full, residual = solve_reduced(reduced)
     parts = reduced.split(full)
+    u = parts["u2"].copy()
+    if harmonic.dim:
+        forest = complex_.mesh.dual_forest
+        defect = complex_.mesh.tet_volumes * system.rhs["u3"] - complex_.d2 @ u
+        acc = np.where(h.any(axis=1), defect, 0.0)  # closed components only
+        acc -= h @ (h.T @ (complex_.m3 @ acc))
+        for cells in forest.levels[:0:-1]:
+            np.add.at(acc, forest.parent[cells], acc[cells])
+        tree = forest.parent >= 0
+        u[forest.parent_face[tree]] += forest.parent_sign[tree] * acc[tree]
     p = parts["u3"] - h @ (h.T @ (complex_.m3 @ parts["u3"]))
     state = TransientState(
         t=t,
         omega=FormCoefficients(complex_.V1, parts["u1"].copy()),
-        u=FormCoefficients(complex_.V2, parts["u2"].copy()),
+        u=FormCoefficients(complex_.V2, u),
         p=FormCoefficients(complex_.V3, p),
     )
     return state, residual

@@ -5,8 +5,9 @@ library code it checks: exact rational arithmetic for the reference-tet
 mass matrices, a hand-rolled tensor-product Gauss-Legendre rule on the
 collapsed cube for the convection matrices, literal barycentric-gradient
 formulas for the Whitney bases, a token-level parser for legacy VTK
-output, and the paper's bordered saddle system, whose dense harmonic
-multiplier the solver never factors.
+output, the paper's bordered saddle system, whose dense harmonic
+multiplier the solver never factors, and a dense rank count of the
+harmonic 3-forms.
 """
 from fractions import Fraction
 from math import factorial
@@ -242,3 +243,13 @@ def bordered_system(system, basis, m3):
     bordered.add_block("u3", "phi", m3h)
     bordered.add_block("phi", "u3", m3h.T)
     return bordered
+
+
+def harmonic_rank(complex_, bc):
+    """dim H by dense linear algebra: the number of cells minus the rank
+    of the divergence matrix without its essential-normal columns."""
+    mesh = complex_.mesh
+    essential = np.array([r.velocity_mode == "essential" for r in bc.regions])
+    keep = np.ones(mesh.n_faces, dtype=bool)
+    keep[mesh.boundary_faces[essential[bc.face_region_map(mesh)]]] = False
+    return mesh.n_tets - np.linalg.matrix_rank(complex_.d2[:, keep].toarray())

@@ -376,6 +376,19 @@ def test_stokes_with_net_source_sets_multiplier(complex_j3, monkeypatch):
     assert np.abs(phi).max() > 0.1
 
 
+def test_step_on_small_box_keeps_divergence_gate():
+    """A box of side 0.1: each cell is 1000x smaller than in the unit box,
+    so a pinned cell holding its neighbours' roundoff would fail the gate."""
+    complex_ = DeRhamComplex(build_box_mesh(4, 4, 4, hi=(0.1, 0.1, 0.1)))
+    bc = ethier_bc(2.0, 1.0)
+    config = SolverConfig(nu=1.0, dt=1e-3, t_end=1e-3)
+    state0 = initialize_state(complex_, bc, ethier_velocity(2.0, 1.0))
+    state, residual = step(complex_, bc, config, state0)
+    assert residual <= RESIDUAL_TOL
+    unorm = complex_.norm(state.u)
+    assert complex_.divergence_max(state.u.values) <= 1e-12 * (1.0 + unorm)
+
+
 def test_step_keeps_structure_at_n6():
     """One step on a jittered n=6 box: divergence-free and residual-checked."""
     complex_ = DeRhamComplex(jittered_box(6, seed=2))
@@ -412,7 +425,7 @@ def test_outlet_claiming_no_face_keeps_harmonic_form():
 
     bc = regions(fields["velocity"])
     assert build_harmonic_space(complex_, bc).dim == 1
-    assert build_harmonic_space(complex_, bc, check_rank=True).dim == 1
+    assert oracles.harmonic_rank(complex_, bc) == 1
 
     # The walls' normal data is shifted to zero net flux.
     def expanding(points, t=0.0):

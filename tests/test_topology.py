@@ -1,0 +1,155 @@
+"""The mesh's dual spanning forest and what it decides: the harmonic
+3-forms and their pins, the flux shift, and the divergence sweep."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vvpflow import linalg
+from vvpflow.assembly import (
+    NATURAL,
+    BoundaryConditionSpec,
+    RegionBC,
+    assemble_B0,
+    build_harmonic_space,
+    essential_constraints,
+)
+from vvpflow.linalg import RESIDUAL_TOL, assemble_blocks
+from vvpflow.mesh import SimplicialMesh3, build_box_mesh
+from vvpflow.solver import solve_stokes
+from vvpflow.spaces import DeRhamComplex, interpolate
+
+import oracles
+from conftest import jittered_box
+
+
+def side_by_side(meshes):
+    """One mesh of unit boxes, box i shifted by 2i in x so that none touch."""
+    verts, tets, offset = [], [], 0
+    for i, mesh in enumerate(meshes):
+        verts.append(mesh.vertices + [2.0 * i, 0.0, 0.0])
+        tets.append(mesh.tets + offset)
+        offset += mesh.n_vertices
+    return SimplicialMesh3(np.concatenate(verts), np.concatenate(tets))
+
+
+def outlets(open_boxes, walls):
+    """Natural outlets on the x = 2i + 1 face of each open box i."""
+    xs = 2.0 * np.asarray(open_boxes, dtype=float) + 1.0
+    outlet = RegionBC(
+        name="outlet",
+        vorticity_mode=NATURAL,
+        velocity_mode=NATURAL,
+        where=lambda c: np.any(np.abs(c[:, :1] - xs[None, :]) < 1e-9, axis=1),
+    )
+    return BoundaryConditionSpec((outlet, walls))
+
+
+def forcing(points, t=0.0):
+    return np.stack(
+        [np.sin(points[:, 1]), points[:, 2] ** 2, np.cos(points[:, 0])], axis=1
+    )
+
+
+def expanding(points, t=0.0):
+    return points.copy()
+
+
+def assert_stokes_gates(complex_, bc):
+    state, info = solve_stokes(complex_, bc, f2=forcing)
+    assert info["residual"] <= RESIDUAL_TOL
+    assert info["div_max"] <= 1e-12 * (1.0 + complex_.norm(state.u))
+    return state
+
+
+def test_two_closed_boxes_have_two_harmonic_forms(monkeypatch):
+    complex_ = DeRhamComplex(side_by_side([build_box_mesh(2, 2, 2)] * 2))
+    bc = BoundaryConditionSpec(RegionBC())
+    harmonic = build_harmonic_space(complex_, bc)
+    assert harmonic.dim == 2 == oracles.harmonic_rank(complex_, bc)
+    np.testing.assert_array_equal(harmonic.pins // 48, [0, 1])
+
+    # The forest now exists; solving must not search the graph again.
+    def no_graph_work(*args, **kwargs):
+        raise AssertionError("graph search after the forest was built")
+
+    for name in ("connected_components", "breadth_first_order", "shortest_path"):
+        monkeypatch.setattr(f"vvpflow.mesh.csgraph.{name}", no_graph_work)
+    state = assert_stokes_gates(complex_, bc)
+    assert complex_.norm(state.u) > 1e-3
+    gauge = harmonic.basis.T @ (complex_.m3 @ state.p.values)
+    np.testing.assert_allclose(gauge, 0.0, atol=1e-14)
+
+    # The paper's bordered system, with both multipliers, has the same solution.
+    system = assemble_B0(complex_, bc, f2=forcing)
+    bordered = oracles.bordered_system(system, harmonic.basis, complex_.m3)
+    reduced = assemble_blocks(bordered)
+    x, _ = linalg.solve(reduced.matrix, reduced.rhs)
+    want = reduced.split(reduced.expand(x))
+    for got, key in ((state.omega, "u1"), (state.u, "u2"), (state.p, "u3")):
+        ref = want[key]
+        assert np.linalg.norm(got.values - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_outlet_box_beside_closed_box_shifts_only_the_closed_flux():
+    complex_ = DeRhamComplex(side_by_side([build_box_mesh(2, 2, 2)] * 2))
+    bc = outlets([1], RegionBC(name="walls", velocity_data=expanding))
+    harmonic = build_harmonic_space(complex_, bc)
+    assert harmonic.dim == 1 == oracles.harmonic_rank(complex_, bc)
+    np.testing.assert_array_equal(harmonic.pins // 48, [0])
+
+    idx, vals = essential_constraints(complex_, bc)["u2"]
+    mesh = complex_.mesh
+    signs = mesh.boundary_face_signs[np.searchsorted(mesh.boundary_faces, idx)]
+    raw = interpolate(expanding, complex_.V2).values[idx]
+    closed = mesh.face_tets[idx, 0] < 48
+    assert signs[closed] @ raw[closed] == pytest.approx(3.0, rel=1e-12)
+    assert abs(signs[closed] @ vals[closed]) < 1e-13
+    np.testing.assert_array_equal(vals[~closed], raw[~closed])
+    assert_stokes_gates(complex_, bc)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 3), st.integers(0, 50), st.booleans()),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_forest_matches_rank_oracle_on_box_unions(boxes):
+    meshes = [jittered_box(n, seed) for n, seed, _ in boxes]
+    mesh = side_by_side(meshes)
+    complex_ = DeRhamComplex(mesh)
+    open_boxes = [i for i, (_, _, is_open) in enumerate(boxes) if is_open]
+    bc = outlets(open_boxes, RegionBC(name="walls"))
+    harmonic = build_harmonic_space(complex_, bc)
+    assert harmonic.dim == oracles.harmonic_rank(complex_, bc)
+    assert harmonic.dim == len(boxes) - len(open_boxes)
+
+    forest = mesh.dual_forest
+    starts = np.cumsum([0] + [m.n_tets for m in meshes])
+    for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        assert len(np.unique(forest.labels[lo:hi])) == 1
+        pins = harmonic.pins[(harmonic.pins >= lo) & (harmonic.pins < hi)]
+        if i in open_boxes:
+            assert len(pins) == 0
+        else:
+            np.testing.assert_array_equal(pins, [lo + np.argmax(mesh.tet_volumes[lo:hi])])
+    assert len(np.unique(forest.labels)) == len(boxes) == len(forest.roots)
+
+    order = np.concatenate(forest.levels)
+    assert sorted(order) == list(range(mesh.n_tets))
+    np.testing.assert_array_equal(np.sort(forest.levels[0]), np.sort(forest.roots))
+    for above, level in zip(forest.levels, forest.levels[1:]):
+        assert np.all(np.isin(forest.parent[level], above))
+    tree = order[len(forest.roots) :]
+    faces = forest.parent_face[tree]
+    assert np.all(mesh.face_tets[faces, 1] >= 0)
+    np.testing.assert_array_equal(
+        np.sort(mesh.face_tets[faces], axis=1),
+        np.sort(np.stack([tree, forest.parent[tree]], axis=1), axis=1),
+    )
+    d2 = complex_.d2[tree, faces]
+    np.testing.assert_array_equal(np.asarray(d2).ravel(), forest.parent_sign[tree])
+    assert_stokes_gates(complex_, bc)
