@@ -189,14 +189,41 @@ class HarmonicSpace:
 
 
 def build_harmonic_space(complex_, bc):
-    """Harmonic 3-forms for the given boundary conditions."""
+    """Harmonic 3-forms for the given boundary conditions.
+
+    Raises ValueError for the two pairings that are singular on the
+    whole boundary of some domains: natural vorticity with natural
+    velocity around a cavity (b2 > 0), and essential vorticity with
+    essential velocity around a handle (b1 > 0).
+    """
     mesh = complex_.mesh
-    closed = np.flatnonzero(ResolvedBoundary(mesh, bc).closed)
+    boundary = ResolvedBoundary(mesh, bc)
+    _reject_singular_pairing(mesh, boundary)
+    closed = np.flatnonzero(boundary.closed)
     basis = np.zeros((mesh.n_tets, len(closed)))
     for j, label in enumerate(closed):
         cells = mesh.dual_forest.labels == label
         basis[cells, j] = mesh.tet_volumes[cells] / np.sqrt(mesh.tet_volumes[cells].sum())
     return HarmonicSpace(basis, mesh.dual_forest.roots[closed])
+
+
+def _reject_singular_pairing(mesh, boundary):
+    pairings = {
+        (region.vorticity_mode, region.velocity_mode)
+        for r, region in enumerate(boundary.bc.regions)
+        if np.any(boundary.owner == r)
+    }
+    _, b1, b2 = mesh.betti_numbers
+    for mode, count, what, fix in (
+        (NATURAL, b2, "cavity", "essential velocity"),
+        (ESSENTIAL, b1, "handle", "natural vorticity"),
+    ):
+        if pairings == {(mode, mode)} and count > 0:
+            raise ValueError(
+                f"{mode} vorticity with {mode} velocity on the whole boundary is "
+                f"singular on a mesh with a {what} (b1 = {b1}, b2 = {b2}); "
+                f"use {fix} instead"
+            )
 
 
 def essential_constraints(complex_, bc, t=0.0, f3_given=False):
@@ -249,7 +276,7 @@ def _interpolant(data, space, idx, t):
     """Canonical interpolant of ``data`` on the simplices ``idx`` (None: zero)."""
     if data is None:
         return np.zeros(len(idx))
-    return interpolate(data, space, t=t).values[idx]
+    return interpolate(data, space, t=t, only=idx).values[idx]
 
 
 class NaturalBCCache:

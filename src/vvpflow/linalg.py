@@ -4,6 +4,14 @@ Storage and factorization are delegated to scipy.sparse; this module
 owns the contracts: named block layout, essential constraints applied by
 elimination (never by penalties or Lagrange multipliers), and a checked
 relative residual on every solve.
+
+The solver hands :func:`solve` the mesh's nested-dissection order
+(``SimplicialMesh3.elimination_order``), in which every pressure cell
+follows the face it pairs with.  SuperLU factors in that order as
+given, in symmetric mode, and leaves the diagonal only for a pivot
+below ``diag_pivot_thresh`` of its column: that threshold, not static
+pivoting, is what keeps the zero pressure and Stokes velocity diagonals
+from breaking the factor, and it keeps the fill of the order.
 """
 from __future__ import annotations
 
@@ -26,6 +34,10 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
+# SuperLU keeps a diagonal pivot unless it is below this share of the
+# largest entry in its column.  Near a cliff: at n=7, 1e-3 leaves the
+# Navier-Stokes fill nearly unchanged and 3e-3 triples it.
+diag_pivot_thresh = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -184,33 +196,54 @@ def relative_residual(matrix, rhs, x):
     return float(np.linalg.norm(r)) / scale
 
 
-def solve(matrix, rhs, residual_tol=RESIDUAL_TOL):
-    """Direct sparse LU solve with a checked relative residual.
+def solve(matrix, rhs, residual_tol=RESIDUAL_TOL, order=None):
+    """Sparse LU solve in a given elimination order, with a checked residual.
 
-    One pass of iterative refinement follows the back-substitution; it
-    costs a single extra triangular solve and pushes the residual from
-    the raw-LU level down to a few ulps, which keeps the divergence
-    rows of the saddle systems satisfied to near machine precision.
-    Returns the solution and its checked relative residual.  Raises
-    SingularSystemError when factorization hits an exactly singular
-    pivot, SolverError when the residual contract is violated.
+    SuperLU factors the matrix with its rows and columns permuted by
+    ``order`` (identity when omitted), in that order (NATURAL, symmetric
+    mode): each pivot stays on the diagonal unless it is below
+    ``diag_pivot_thresh`` times its column's largest entry.  Static
+    pivots (threshold 0) are not used: the pressure diagonal of the
+    saddle systems is structurally zero, and so is the velocity diagonal
+    of a Stokes system, so a factor that never leaves the diagonal
+    breaks down there (relative residual 1e25 at n=8).
+    One pass of iterative refinement on the unpermuted system follows
+    the back-substitution; it costs a single extra triangular solve and
+    pushes the residual from the raw-LU level down to a few ulps, which
+    keeps the divergence rows of the saddle systems satisfied to near
+    machine precision.  Returns the solution and its checked relative
+    residual.  Raises SingularSystemError when factorization hits an
+    exactly singular pivot, SolverError when the residual contract is
+    violated.
     """
     a = sp.csc_matrix(matrix)
     if a.shape[0] != a.shape[1]:
         raise ValueError("solve needs a square matrix")
     rhs = np.asarray(rhs, dtype=float)
+    p = np.arange(a.shape[0]) if order is None else np.asarray(order)
     try:
-        lu = spla.splu(a)
+        lu = spla.splu(
+            a[p][:, p],
+            permc_spec="NATURAL",
+            diag_pivot_thresh=diag_pivot_thresh,
+            options={"SymmetricMode": True},
+        )
     except RuntimeError as exc:
         raise SingularSystemError(
             f"sparse LU factorization failed at the numeric pivot stage: {exc}"
         ) from exc
-    x = lu.solve(rhs)
+
+    def lu_solve(b):
+        x = np.empty_like(b)
+        x[p] = lu.solve(b[p])
+        return x
+
+    x = lu_solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(
             "sparse LU produced non-finite values in the back-substitution stage"
         )
-    x = x + lu.solve(rhs - a @ x)
+    x = x + lu_solve(rhs - a @ x)
     res = relative_residual(a, rhs, x)
     if res > residual_tol:
         raise SolverError(
@@ -220,9 +253,20 @@ def solve(matrix, rhs, residual_tol=RESIDUAL_TOL):
     return x, res
 
 
-def solve_reduced(reduced, residual_tol=RESIDUAL_TOL):
-    """Solve a ReducedSystem; returns the full DOF vector and the residual."""
-    x, res = solve(reduced.matrix, reduced.rhs, residual_tol=residual_tol)
+def solve_reduced(reduced, residual_tol=RESIDUAL_TOL, order=None):
+    """Solve a ReducedSystem; returns the full DOF vector and the residual.
+
+    ``order`` is an elimination order of the full unknowns (or of a
+    leading part of them, such as ``mesh.elimination_order``, which also
+    lists the faces and cells of an edge-only system); it is narrowed to
+    the free unknowns with their relative order kept.
+    """
+    if order is not None:
+        rank = np.full(len(order), -1)
+        rank[reduced.free] = np.arange(len(reduced.free))
+        order = rank[order]
+        order = order[order >= 0]
+    x, res = solve(reduced.matrix, reduced.rhs, residual_tol=residual_tol, order=order)
     return reduced.expand(x), res
 
 

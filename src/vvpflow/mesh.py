@@ -42,6 +42,8 @@ TET_FACE_VERTS = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 TET_FACE_PARITY = (-1, 1, -1, 1)
 FACE_EDGE_VERTS = ((1, 2), (0, 2), (0, 1))
 FACE_EDGE_SIGN = (1, -1, 1)
+# Cells per leaf of the bisection behind SimplicialMesh3.elimination_order.
+LEAF_CELLS = 16
 
 
 @dataclass(frozen=True)
@@ -176,6 +178,83 @@ class SimplicialMesh3:
         parent[child], face[child] = pred[child], self.tet_faces[child, local]
         sign[child] = self._face_signs(child, face[child])
         return DualForest(labels, roots, levels, parent, face, sign)
+
+    @functools.cached_property
+    def betti_numbers(self):
+        """(b0, b1, b2): components, handles and cavities, built on first use.
+
+        b2 counts the boundary surfaces (faces joined by shared edges)
+        beyond one per component, and b1 follows from the Euler
+        characteristic b0 - b1 + b2.
+        """
+        b0 = len(self.dual_forest.roots)
+        B = len(self.boundary_faces)
+        edges = self.face_edges[self.boundary_faces].ravel()
+        incidence = coo_matrix((np.ones(3 * B), (np.repeat(np.arange(B), 3), edges)))
+        b2 = csgraph.connected_components(incidence @ incidence.T)[0] - b0
+        return b0, b0 + b2 - euler_characteristic(self), b2
+
+    @functools.cached_property
+    def elimination_order(self):
+        """Nested-dissection order of all E+F+T entities, built on first use.
+
+        Entities are numbered edges, then faces, then cells, as the
+        unknowns u1, u2, u3 of ``assembly.assemble_B0``.  The cell
+        centroids are bisected recursively at the median of their
+        longest extent down to leaves of at most LEAF_CELLS cells; each
+        edge and face goes to the lowest tree node that holds all of its
+        cells, and the nodes follow in postorder.  Inside a node come its
+        edges, then its faces, each non-root cell of ``dual_forest``
+        right after its parent face, whose pivot it pairs with; the roots
+        go last.  Every matrix entry of the saddle system couples two
+        entities of one cell, so every node separates its two subtrees.
+        """
+        E, F, T = self.n_edges, self.n_faces, self.n_tets
+        centroids = self.vertices[self.tets].mean(axis=1)
+        cells = np.arange(T)  # permuted so that each tree node holds a range
+        leaf = np.empty(T, dtype=np.int64)  # leaf node of each position in cells
+        spans, parent = [], []  # per tree node in postorder: its range [lo, hi)
+
+        def bisect(lo, hi):
+            children = []
+            if hi - lo > LEAF_CELLS:
+                part = cells[lo:hi]
+                coord = centroids[part, np.argmax(np.ptp(centroids[part], axis=0))]
+                mid = lo + (hi - lo) // 2
+                cells[lo:hi] = part[np.argpartition(coord, mid - lo)]
+                children = [bisect(lo, mid), bisect(mid, hi)]
+            node = len(spans)
+            spans.append((lo, hi))
+            parent.append(-1)
+            for child in children:
+                parent[child] = node
+            if not children:
+                leaf[lo:hi] = node
+            return node
+
+        bisect(0, T)
+        spans, parent = np.array(spans), np.array(parent)
+        pos = np.empty(T, dtype=np.int64)
+        pos[cells] = np.arange(T)
+
+        def lowest_node(incidence, n):
+            """Lowest tree node holding all cells of each of the n entities."""
+            at = np.repeat(pos, incidence.shape[1])
+            lo, hi = np.full(n, T), np.full(n, -1)
+            np.minimum.at(lo, incidence.ravel(), at)
+            np.maximum.at(hi, incidence.ravel(), at)
+            node = leaf[lo]
+            while (up := spans[node, 1] <= hi).any():
+                node[up] = parent[node[up]]
+            return node
+
+        face_node = lowest_node(self.tet_faces, F)
+        face = self.dual_forest.parent_face
+        cell_node = np.where(face >= 0, face_node[face], len(spans))  # roots last
+        node = np.concatenate([lowest_node(self.tet_edges, E), face_node, cell_node])
+        # Within a node: edges, then faces, each followed by the cell it is parent face of.
+        key = np.concatenate([np.arange(E), E + 2 * np.arange(F), E + 2 * face + 1])
+        return np.lexsort((key, node))
 
     def face_areas(self, faces=None):
         faces = self.faces if faces is None else self.faces[faces]

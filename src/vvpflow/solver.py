@@ -135,7 +135,7 @@ def _solve_saddle(complex_, system, harmonic, t):
         system.add_rhs("u3", -(complex_.m3 @ h) @ (h.T @ rhs3))
         system.constrain("u3", harmonic.pins, np.zeros(harmonic.dim))
     reduced = assemble_blocks(system)
-    full, residual = solve_reduced(reduced)
+    full, residual = solve_reduced(reduced, order=complex_.mesh.elimination_order)
     parts = reduced.split(full)
     u = parts["u2"].copy()
     if harmonic.dim:
@@ -212,7 +212,7 @@ def initialize_state(complex_, bc, velocity_data, t=0.0):
     ess = essential_constraints(complex_, bc, t=t)
     if "u1" in ess:
         system.constrain("u1", *ess["u1"])
-    full, _ = solve_reduced(assemble_blocks(system))
+    full, _ = solve_reduced(assemble_blocks(system), order=complex_.mesh.elimination_order)
     return TransientState(
         t=t,
         omega=FormCoefficients(complex_.V1, full),

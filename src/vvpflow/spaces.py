@@ -300,21 +300,25 @@ def mass_matrix(space, tabulation=None):
     return _scatter(local, idx, idx, (space.ndof, space.ndof))
 
 
-def interpolate(fielddata, space, t=0.0):
+def interpolate(fielddata, space, t=0.0, only=None):
     """Canonical interpolation: evaluate the defining DOF functionals.
 
     ``fielddata(points, t)`` takes an (n, 3) array and returns (n, 3)
     vectors for k in {1, 2} or (n,) scalars for k=3.  Circulations
     along the edges, fluxes through the faces and cell integrals are
-    computed with the TRACE_DEGREE rule on each simplex.
+    computed with the TRACE_DEGREE rule on each simplex.  Given
+    ``only``, an index array of simplices, the others are not evaluated
+    and their values are zero.
     """
     mesh = space.mesh
     simplices = (mesh.edges, mesh.faces, mesh.tets)[space.k - 1]
+    idx = slice(None) if only is None else only
     rule = (edge_rule, triangle_rule, tet_rule)[space.k - 1](TRACE_DEGREE)
-    points, measure = simplex_rule(mesh.vertices[simplices], rule)
+    points, measure = simplex_rule(mesh.vertices[simplices[idx]], rule)
     S, Q = points.shape[:2]
     vals = np.asarray(fielddata(points.reshape(-1, 3), t), dtype=float)
-    values = np.einsum(
+    values = np.zeros(space.ndof)
+    values[idx] = np.einsum(
         "q,sqx,sx->s", rule.weights, vals.reshape(S, Q, -1), measure.reshape(S, -1)
     )
     return FormCoefficients(space, values)

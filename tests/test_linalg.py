@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from vvpflow import linalg
 from vvpflow.linalg import (
     RESIDUAL_TOL,
     BlockSystem,
@@ -168,3 +169,36 @@ def test_m_norm_matches_dense_quadratic_form():
 def test_relative_residual_zero_rhs_guard():
     a = sp.eye(2, format="csc")
     assert relative_residual(a, np.zeros(2), np.zeros(2)) == 0.0
+
+
+def test_solve_in_a_given_order_matches_natural_order():
+    rng = np.random.default_rng(10)
+    a = sp.random(30, 30, density=0.2, random_state=10) + 30 * sp.eye(30)
+    rhs = rng.normal(size=30)
+    x, _ = solve(a, rhs)
+    y, res = solve(a, rhs, order=rng.permutation(30))
+    np.testing.assert_allclose(y, x, rtol=1e-13)
+    assert res <= RESIDUAL_TOL
+
+
+def test_solve_reduced_narrows_a_longer_order_to_the_free_unknowns(monkeypatch):
+    """The order may list more entities than the system (the faces and
+    cells of an edge-only system); fixed ones drop out, the rest keep
+    their relative order."""
+    rng = np.random.default_rng(11)
+    system, _, _, fixed_idx, _ = random_block_system(rng)
+    reduced = assemble_blocks(system)
+    order = np.array([9, 7, 3, 0, 10, 6, 1, 2, 5, 4, 8])  # 8 unknowns plus 3 others
+    seen = []
+    real = linalg.solve
+
+    def watch(matrix, rhs, **kwargs):
+        seen.append(kwargs["order"])
+        return real(matrix, rhs, **kwargs)
+
+    monkeypatch.setattr(linalg, "solve", watch)
+    full, _ = solve_reduced(reduced, order=order)
+    kept = [i for i in order if i < 8 and i not in fixed_idx]
+    np.testing.assert_array_equal(reduced.free[seen[0]], kept)
+    want, _ = real(reduced.matrix, reduced.rhs)
+    np.testing.assert_allclose(full[reduced.free], want, rtol=1e-13)

@@ -153,3 +153,97 @@ def test_forest_matches_rank_oracle_on_box_unions(boxes):
     d2 = complex_.d2[tree, faces]
     np.testing.assert_array_equal(np.asarray(d2).ravel(), forest.parent_sign[tree])
     assert_stokes_gates(complex_, bc)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        lambda: jittered_box(4, 7),
+        lambda: side_by_side([jittered_box(2, 1), build_box_mesh(3, 2, 2)]),
+    ],
+    ids=["jittered-box", "two-boxes"],
+)
+def test_elimination_order_pairs_each_cell_with_its_parent_face(mesh):
+    mesh = mesh()
+    E, F, T = mesh.n_edges, mesh.n_faces, mesh.n_tets
+    order = mesh.elimination_order
+    np.testing.assert_array_equal(np.sort(order), np.arange(E + F + T))
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    forest = mesh.dual_forest
+    tree = np.flatnonzero(forest.parent >= 0)
+    np.testing.assert_array_equal(
+        position[E + F + tree], position[E + forest.parent_face[tree]] + 1
+    )
+    roots = order[-len(forest.roots) :] - E - F
+    np.testing.assert_array_equal(np.sort(roots), np.sort(forest.roots))
+
+
+def carved_box(cubes):
+    """3x3x3 Kuhn box of side 3 without the unit cubes at the given (i, j, k)."""
+    box = build_box_mesh(3, 3, 3, hi=(3.0, 3.0, 3.0))
+    cube = np.floor(box.vertices[box.tets].mean(axis=1)).astype(int)
+    drop = np.any([np.all(cube == c, axis=1) for c in cubes], axis=0)
+    return SimplicialMesh3(box.vertices, box.tets[~drop])
+
+
+CAVITY = carved_box([(1, 1, 1)])
+HANDLE = carved_box([(1, 1, k) for k in range(3)])
+
+
+def carved_bc(vorticity_mode, velocity_mode, outlet):
+    """One pairing on the walls; with ``outlet``, natural on the x = 3 face."""
+    walls = RegionBC(name="walls", vorticity_mode=vorticity_mode, velocity_mode=velocity_mode)
+    if not outlet:
+        return BoundaryConditionSpec(walls)
+    outlet = RegionBC(
+        name="outlet",
+        vorticity_mode=NATURAL,
+        velocity_mode=NATURAL,
+        where=lambda c: c[:, 0] > 3.0 - 1e-9,
+    )
+    return BoundaryConditionSpec((outlet, walls))
+
+
+def test_carved_boxes_have_their_betti_numbers():
+    assert CAVITY.betti_numbers == (1, 0, 1)
+    assert HANDLE.betti_numbers == (1, 1, 0)
+    assert build_box_mesh(2, 2, 2).betti_numbers == (1, 0, 0)
+    assert side_by_side([CAVITY, HANDLE]).betti_numbers == (2, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "mesh, mode, what",
+    [(CAVITY, NATURAL, "cavity"), (HANDLE, "essential", "handle")],
+    ids=["natural-on-cavity", "essential-on-handle"],
+)
+def test_singular_pairing_on_the_whole_boundary_is_rejected(mesh, mode, what):
+    complex_ = DeRhamComplex(mesh)
+    # A second region that claims no face leaves one pairing on the whole boundary.
+    unclaimed = RegionBC(
+        name="nowhere",
+        vorticity_mode=NATURAL,
+        velocity_mode=NATURAL,
+        where=lambda c: c[:, 0] > 4.0,
+    )
+    walls = RegionBC(vorticity_mode=mode, velocity_mode=mode)
+    for bc in (BoundaryConditionSpec(walls), BoundaryConditionSpec((unclaimed, walls))):
+        with pytest.raises(ValueError, match=f"{mode} vorticity with {mode} velocity.*{what}"):
+            build_harmonic_space(complex_, bc)
+        with pytest.raises(ValueError, match=what):
+            solve_stokes(complex_, bc, f2=forcing)
+
+
+@pytest.mark.parametrize("outlet", [False, True], ids=["whole", "outlet"])
+@pytest.mark.parametrize(
+    "mesh, vorticity_mode, velocity_mode",
+    [
+        (CAVITY, "essential", "essential"),
+        (CAVITY, NATURAL, "essential"),
+        (HANDLE, NATURAL, "essential"),
+        (HANDLE, NATURAL, NATURAL),
+    ],
+    ids=["cavity-essential", "cavity-mixed", "handle-mixed", "handle-natural"],
+)
+def test_other_pairings_on_carved_boxes_solve(mesh, vorticity_mode, velocity_mode, outlet):
+    assert_stokes_gates(DeRhamComplex(mesh), carved_bc(vorticity_mode, velocity_mode, outlet))
