@@ -16,9 +16,9 @@ Each closed component of the mesh's dual forest (no boundary face with
 natural velocity) carries a harmonic 3-form, and the paper's system has
 a multiplier phi per form, which adds M3 H phi to the q-row, and a
 chi-row H^T M3 u3 = 0 (H from :func:`build_harmonic_space`).  Both are
-dense, so neither is assembled here: ``solver._solve_saddle`` computes
-phi before the solve, pins each component's root and sweeps its
-divergence roundoff along the forest afterwards.
+dense, so neither is assembled here: ``solver._SaddleOperator``
+computes phi before the solve, pins each component's root and sweeps
+its divergence roundoff along the forest afterwards.
 
 Boundary conditions come in two independent channels per region: the
 vorticity channel (essential tangential vorticity trace, or natural
@@ -34,7 +34,7 @@ import numpy as np
 
 from .linalg import BlockSystem
 from .quadrature import triangle_rule
-from .spaces import TRACE_DEGREE, _scatter, interpolate, simplex_rule, whitney_values
+from .spaces import TRACE_DEGREE, interpolate, simplex_rule, whitney_values
 
 __all__ = [
     "RegionBC",
@@ -43,6 +43,7 @@ __all__ = [
     "build_harmonic_space",
     "essential_constraints",
     "assemble_B0",
+    "assemble_rhs",
     "assemble_convection",
     "assemble_natural_bc",
     "assemble_load",
@@ -385,35 +386,25 @@ def assemble_scalar_load(complex_, f3, t=0.0, degree=None):
 
 
 def assemble_convection(complex_, omega_values, u_values, theta=0.5):
-    """Linearized convection blocks of the v-row.
+    """Per-cell linearized convection blocks of the v-row.
 
     A3[i, j] = theta    * integral((psi1_j x u_prev)   . psi2_i)
     A5[i, j] = (1-theta) * integral((omega_prev x psi2_j) . psi2_i)
 
     where u_prev / omega_prev are the discrete fields given by the
-    coefficient vectors.  The integrands are cubic, so the default
-    volume rule (VOLUME_DEGREE >= 3) integrates them exactly.
+    coefficient vectors.  Both contract the cell's coefficients with
+    the cached tensor ``K`` of the volume tabulation
+    (``WhitneyTabulation.convection_tensor``): A3 sums u_prev over its
+    faces j, A5 sums omega_prev over its edges e.  Returns the local
+    blocks, (T, 4, 6) rows ``mesh.tet_faces`` by columns
+    ``mesh.tet_edges``, and (T, 4, 4) rows and columns
+    ``mesh.tet_faces``.
     """
-    tab = complex_.tabulation()
+    K = complex_.tabulation().convection_tensor
     mesh = complex_.mesh
-    u_prev = tab.field(2, u_values)
-    w_prev = tab.field(1, omega_values)
-
-    local3 = theta * np.einsum(
-        "tq,tjqx,tiqx->tij",
-        tab.weights,
-        np.cross(tab.psi1, u_prev[:, None, :, :]),
-        tab.psi2,
-    )
-    local5 = (1.0 - theta) * np.einsum(
-        "tq,tjqx,tiqx->tij",
-        tab.weights,
-        np.cross(w_prev[:, None, :, :], tab.psi2),
-        tab.psi2,
-    )
-    a3 = _scatter(local3, mesh.tet_faces, mesh.tet_edges, (mesh.n_faces, mesh.n_edges))
-    a5 = _scatter(local5, mesh.tet_faces, mesh.tet_faces, (mesh.n_faces, mesh.n_faces))
-    return a3, a5
+    local3 = theta * np.einsum("tiej,tj->tie", K, u_values[mesh.tet_faces])
+    local5 = (1.0 - theta) * np.einsum("tiej,te->tij", K, omega_values[mesh.tet_edges])
+    return local3, local5
 
 
 def assemble_B0(
@@ -430,7 +421,8 @@ def assemble_B0(
 
     ``load_degree`` overrides the volume rule for the f2/f3 loads
     (gradient loads must be integrated exactly for pressure-robustness
-    to hold discretely).
+    to hold discretely).  The right-hand side and the essential values
+    are those of :func:`assemble_rhs`.
     """
     if nu <= 0:
         raise ValueError("viscosity must be positive")
@@ -445,19 +437,31 @@ def assemble_B0(
     system.add_block("u2", "u3", -m3d2.T)
     system.add_block("u3", "u2", m3d2)
 
-    if f2 is not None:
-        system.add_rhs("u2", assemble_load(complex_, f2, t=t, degree=load_degree))
-    if f3 is not None:
-        system.add_rhs("u3", assemble_scalar_load(complex_, f3, t=t, degree=load_degree))
-
-    natural = assemble_natural_bc(complex_, bc, t=t, cache=natural_cache)
-    if np.any(natural["u1"]):
-        system.add_rhs("u1", natural["u1"])
-    if np.any(natural["u2"]):
-        system.add_rhs("u2", natural["u2"])
-
-    for group, (idx, vals) in essential_constraints(
-        complex_, bc, t=t, f3_given=f3 is not None
-    ).items():
+    rhs, constraints = assemble_rhs(complex_, bc, f2, f3, t, load_degree, natural_cache)
+    for group, vec in rhs.items():
+        system.add_rhs(group, vec)
+    for group, (idx, vals) in constraints.items():
         system.constrain(group, idx, vals)
     return system
+
+
+def assemble_rhs(
+    complex_, bc, f2=None, f3=None, t=0.0, load_degree=None, natural_cache=None
+):
+    """Right-hand side and essential values of :func:`assemble_B0` at time t.
+
+    Returns ``({group: vector}, {group: (indices, values)})``: the loads
+    and the nonzero natural terms, and the essential values of
+    :func:`essential_constraints`.  A step re-evaluates only these.
+    """
+    rhs = {}
+    if f2 is not None:
+        rhs["u2"] = assemble_load(complex_, f2, t=t, degree=load_degree)
+    if f3 is not None:
+        rhs["u3"] = assemble_scalar_load(complex_, f3, t=t, degree=load_degree)
+    natural = assemble_natural_bc(complex_, bc, t=t, cache=natural_cache)
+    for group in ("u1", "u2"):
+        if np.any(natural[group]):
+            rhs[group] = rhs.get(group, 0.0) + natural[group]
+    constraints = essential_constraints(complex_, bc, t=t, f3_given=f3 is not None)
+    return rhs, constraints

@@ -11,7 +11,9 @@ follows the face it pairs with.  SuperLU factors in that order as
 given, in symmetric mode, and leaves the diagonal only for a pivot
 below ``diag_pivot_thresh`` of its column: that threshold, not static
 pivoting, is what keeps the zero pressure and Stokes velocity diagonals
-from breaking the factor, and it keeps the fill of the order.
+from breaking the factor, and it keeps the fill of the order.  A
+:class:`FactorHolder` lets a sequence of nearby systems, such as the
+steps of one run, share one factor through iterative refinement.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ import scipy.sparse.linalg as spla
 __all__ = [
     "BlockSystem",
     "ReducedSystem",
+    "FactorHolder",
     "SolverError",
     "SingularSystemError",
     "assemble_blocks",
@@ -38,6 +41,13 @@ RESIDUAL_TOL = 1e-10
 # largest entry in its column.  Near a cliff: at n=7, 1e-3 leaves the
 # Navier-Stokes fill nearly unchanged and 3e-3 triples it.
 diag_pivot_thresh = 1e-6
+# Refinement continues while each pass multiplies the relative residual
+# by at most REFINE_RATE, for at most REFINE_MAX_PASSES passes, and stops
+# at ROUNDOFF_RESIDUAL.  A held factor whose refinement ends above
+# ROUNDOFF_RESIDUAL is replaced.
+REFINE_RATE = 0.5
+REFINE_MAX_PASSES = 10
+ROUNDOFF_RESIDUAL = 1e-15
 
 
 class SolverError(RuntimeError):
@@ -196,7 +206,20 @@ def relative_residual(matrix, rhs, x):
     return float(np.linalg.norm(r)) / scale
 
 
-def solve(matrix, rhs, residual_tol=RESIDUAL_TOL, order=None):
+@dataclass
+class FactorHolder:
+    """One held LU factor, which :func:`solve` reuses while it refines.
+
+    ``reused`` and ``passes`` describe the holder's last solve: whether
+    it kept the factor it found, and its refinement passes.
+    """
+
+    lu: object = None
+    reused: bool = False
+    passes: int = 0
+
+
+def solve(matrix, rhs, residual_tol=RESIDUAL_TOL, order=None, factor=None):
     """Sparse LU solve in a given elimination order, with a checked residual.
 
     SuperLU factors the matrix with its rows and columns permuted by
@@ -207,23 +230,55 @@ def solve(matrix, rhs, residual_tol=RESIDUAL_TOL, order=None):
     saddle systems is structurally zero, and so is the velocity diagonal
     of a Stokes system, so a factor that never leaves the diagonal
     breaks down there (relative residual 1e25 at n=8).
-    One pass of iterative refinement on the unpermuted system follows
-    the back-substitution; it costs a single extra triangular solve and
-    pushes the residual from the raw-LU level down to a few ulps, which
-    keeps the divergence rows of the saddle systems satisfied to near
-    machine precision.  Returns the solution and its checked relative
-    residual.  Raises SingularSystemError when factorization hits an
-    exactly singular pivot, SolverError when the residual contract is
-    violated.
+
+    Iterative refinement on the unpermuted system follows the
+    back-substitution while the relative residual is above
+    ``ROUNDOFF_RESIDUAL`` and each pass at least halves it
+    (``REFINE_RATE``), for at most ``REFINE_MAX_PASSES`` passes.
+
+    ``factor``, a :class:`FactorHolder`, lends the factor of an earlier
+    matrix of the same size and order.  Refinement against it converges
+    while the two matrices are close; the factor is kept if the residual
+    ends at roundoff (at most ``ROUNDOFF_RESIDUAL``), and otherwise this
+    matrix is factored, refined the same way, and its factor held.  A
+    fresh factor runs the same loop, and without a holder every call
+    factors.  Returns the solution and its checked relative residual.
+    Raises SingularSystemError when factorization hits an exactly
+    singular pivot, SolverError when the residual contract is violated.
     """
-    a = sp.csc_matrix(matrix)
+    a = sp.csr_matrix(matrix)
     if a.shape[0] != a.shape[1]:
         raise ValueError("solve needs a square matrix")
     rhs = np.asarray(rhs, dtype=float)
     p = np.arange(a.shape[0]) if order is None else np.asarray(order)
+    holder = FactorHolder() if factor is None else factor
+    holder.reused = holder.lu is not None
+    holder.passes = 0
+    while True:
+        if holder.lu is None:
+            holder.lu = _factor(a, p)
+        x, res, passes = _refine(holder.lu, p, a, rhs)
+        holder.passes += passes
+        if res <= ROUNDOFF_RESIDUAL or not holder.reused:
+            break
+        holder.lu, holder.reused = None, False
+    if not np.all(np.isfinite(x)):
+        holder.lu = None
+        raise SingularSystemError(
+            "sparse LU produced non-finite values in the back-substitution stage"
+        )
+    if res > residual_tol:
+        raise SolverError(
+            f"direct solve violated the residual contract: "
+            f"relative residual {res:.3e} > {residual_tol:.1e}"
+        )
+    return x, res
+
+
+def _factor(a, p):
     try:
-        lu = spla.splu(
-            a[p][:, p],
+        return spla.splu(
+            sp.csc_matrix(a[p][:, p]),
             permc_spec="NATURAL",
             diag_pivot_thresh=diag_pivot_thresh,
             options={"SymmetricMode": True},
@@ -233,6 +288,10 @@ def solve(matrix, rhs, residual_tol=RESIDUAL_TOL, order=None):
             f"sparse LU factorization failed at the numeric pivot stage: {exc}"
         ) from exc
 
+
+def _refine(lu, p, a, rhs):
+    """Back-substitution and refinement; returns (x, residual, passes)."""
+
     def lu_solve(b):
         x = np.empty_like(b)
         x[p] = lu.solve(b[p])
@@ -240,33 +299,38 @@ def solve(matrix, rhs, residual_tol=RESIDUAL_TOL, order=None):
 
     x = lu_solve(rhs)
     if not np.all(np.isfinite(x)):
-        raise SingularSystemError(
-            "sparse LU produced non-finite values in the back-substitution stage"
-        )
-    x = x + lu_solve(rhs - a @ x)
+        return x, np.inf, 0
     res = relative_residual(a, rhs, x)
-    if res > residual_tol:
-        raise SolverError(
-            f"direct solve violated the residual contract: "
-            f"relative residual {res:.3e} > {residual_tol:.1e}"
-        )
-    return x, res
+    passes = 0
+    while res > ROUNDOFF_RESIDUAL and passes < REFINE_MAX_PASSES:
+        y = x + lu_solve(rhs - a @ x)
+        res_y = relative_residual(a, rhs, y)
+        passes += 1
+        converging = res_y <= REFINE_RATE * res
+        if res_y < res:
+            x, res = y, res_y
+        if not converging:
+            break
+    return x, res, passes
 
 
-def solve_reduced(reduced, residual_tol=RESIDUAL_TOL, order=None):
+def solve_reduced(reduced, residual_tol=RESIDUAL_TOL, order=None, factor=None):
     """Solve a ReducedSystem; returns the full DOF vector and the residual.
 
     ``order`` is an elimination order of the full unknowns (or of a
     leading part of them, such as ``mesh.elimination_order``, which also
     lists the faces and cells of an edge-only system); it is narrowed to
-    the free unknowns with their relative order kept.
+    the free unknowns with their relative order kept.  ``factor`` is
+    passed on to :func:`solve`.
     """
     if order is not None:
         rank = np.full(len(order), -1)
         rank[reduced.free] = np.arange(len(reduced.free))
         order = rank[order]
         order = order[order >= 0]
-    x, res = solve(reduced.matrix, reduced.rhs, residual_tol=residual_tol, order=order)
+    x, res = solve(
+        reduced.matrix, reduced.rhs, residual_tol=residual_tol, order=order, factor=factor
+    )
     return reduced.expand(x), res
 
 

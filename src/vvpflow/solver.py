@@ -13,25 +13,51 @@ splitting weight theta interpolates between the two equivalent forms of
 the rotational convection term; theta = 1/2 gives the symmetric
 average used throughout the experiments.
 
-Steady solves and steps share :func:`_solve_saddle`, the only code that
-knows the harmonic multiplier: it computes it before the factorization
-instead of factoring the dense border of the paper's saddle matrix.
+Steady solves and steps share one operator, :class:`_SaddleOperator`,
+the only code that knows the harmonic multiplier: it computes it before
+the factorization instead of factoring the dense border of the paper's
+saddle matrix.  :func:`run_transient` builds one operator per run, and
+:func:`solve_stokes` and a standalone :func:`step` one per call.  What
+does not change between the steps of a run is built once: the
+:func:`assemble_B0` blocks and ``M2/dt``, the CSR pattern of the whole
+system (which also holds the convection entries), the fixed and free
+unknowns and the maps into the reduced matrix.  A step only adds the
+per-cell convection blocks into that pattern and re-evaluates the
+right-hand side: loads, natural terms, essential values, ``M2 u^n/dt``
+and the multiplier.
+
+The operator keeps one LU factor for its whole life.  Each solve refines
+against it while every pass at least halves the relative residual; the
+factor is kept if the residual ends at roundoff
+(``linalg.ROUNDOFF_RESIDUAL``), and otherwise the current matrix is
+factored (see :func:`vvpflow.linalg.solve`).  A factor never outlives
+the call that built its operator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import (
     NaturalBCCache,
     assemble_B0,
     assemble_convection,
     assemble_natural_bc,
+    assemble_rhs,
     build_harmonic_space,
     essential_constraints,
 )
-from .linalg import BlockSystem, SolverError, assemble_blocks, m_norm, solve_reduced
+from .linalg import (
+    BlockSystem,
+    FactorHolder,
+    ReducedSystem,
+    SolverError,
+    assemble_blocks,
+    m_norm,
+    solve_reduced,
+)
 from .spaces import FormCoefficients
 
 __all__ = [
@@ -96,12 +122,18 @@ class TransientState:
 
 @dataclass(frozen=True)
 class StepDiagnostics:
+    """One step's health.  ``factor_reused`` is True when the step's solve
+    kept the run's LU factor, ``refine_passes`` counts its refinement
+    passes (see :func:`vvpflow.linalg.solve`)."""
+
     step: int
     t: float
     residual: float
     div_max: float
     kinetic_energy: float
     update_rel: float
+    factor_reused: bool
+    refine_passes: int
 
 
 @dataclass
@@ -112,49 +144,171 @@ class TrajectorySummary:
     n_steps: int = 0
 
 
-def _solve_saddle(complex_, system, harmonic, t):
-    """Solve a system from assemble_B0 with the paper's harmonic border.
+class _SaddleOperator:
+    """The saddle system of one run, reduced once and solved per time level.
 
-    That border adds M3 H phi to the q-rows and the chi-row H^T M3 u3 = 0.
-    H^T M3 H = I and H^T M3 D2 vanishes on the free faces, so the q-rows
-    summed against H give phi = H^T (rhs_u3 - M3 D2 u2_fixed) before the
-    solve, and M3 H phi moves to the right-hand side.  Pinning the
-    pressure at each closed component's root (``harmonic.pins``) removes
-    the null modes and the q-rows that the phi equations make redundant.
-    So that no root collects its component's divergence roundoff, the
-    q-row defects, less their harmonic part (which phi absorbs in the
-    bordered system), are then swept from the leaves of
-    ``mesh.dual_forest`` to the roots through the tree-face fluxes, and
-    the pressure is moved to the gauge H^T M3 p = 0.  Returns (state,
-    residual).
+    Built from one :func:`assemble_B0` call at time ``t``, plus ``M2/dt``
+    and room for the convection blocks when ``dt`` is given:
+
+    * the CSR pattern of the whole system, which also holds the
+      tet-local face x edge and face x face convection entries (as
+      explicit zeros), and ``conv_pos``, where each entry of the raveled
+      local blocks of :func:`assemble_convection` lands in its data;
+    * the fixed unknowns (essential edges, essential faces, and the
+      pressure pins of ``harmonic``) and the free ones;
+    * the free x free matrix and the free x fixed block, whose data
+      ``picks`` select from the CSR data of each solve.
+
+    ``factor`` holds the LU that :func:`vvpflow.linalg.solve` reuses
+    across the operator's solves.
     """
-    h = harmonic.basis
-    if harmonic.dim:
-        idx, vals = system.constraints["u2"]
-        rhs3 = system.rhs.get("u3", 0.0) - system.blocks[("u3", "u2")][:, idx] @ vals
-        system.add_rhs("u3", -(complex_.m3 @ h) @ (h.T @ rhs3))
-        system.constrain("u3", harmonic.pins, np.zeros(harmonic.dim))
-    reduced = assemble_blocks(system)
-    full, residual = solve_reduced(reduced, order=complex_.mesh.elimination_order)
-    parts = reduced.split(full)
-    u = parts["u2"].copy()
-    if harmonic.dim:
-        forest = complex_.mesh.dual_forest
-        defect = complex_.mesh.tet_volumes * system.rhs["u3"] - complex_.d2 @ u
-        acc = np.where(h.any(axis=1), defect, 0.0)  # closed components only
-        acc -= h @ (h.T @ (complex_.m3 @ acc))
-        for cells in forest.levels[:0:-1]:
-            np.add.at(acc, forest.parent[cells], acc[cells])
-        tree = forest.parent >= 0
-        u[forest.parent_face[tree]] += forest.parent_sign[tree] * acc[tree]
-    p = parts["u3"] - h @ (h.T @ (complex_.m3 @ parts["u3"]))
-    state = TransientState(
-        t=t,
-        omega=FormCoefficients(complex_.V1, parts["u1"].copy()),
-        u=FormCoefficients(complex_.V2, u),
-        p=FormCoefficients(complex_.V3, p),
-    )
-    return state, residual
+
+    def __init__(self, complex_, bc, harmonic, nu, t, dt=None, **data_args):
+        self.complex, self.bc, self.harmonic = complex_, bc, harmonic
+        self.data_args = data_args  # f2, f3, load_degree, natural_cache
+        mesh = complex_.mesh
+        system = assemble_B0(complex_, bc, nu=nu, t=t, **data_args)
+        self.first = (t, system.rhs, system.constraints)
+        self.sizes = dict(system.groups)
+        self.offsets = dict(zip(self.sizes, np.cumsum([0, *self.sizes.values()])))
+        n = sum(self.sizes.values())
+
+        conv = np.empty((2, 0), dtype=np.int64)
+        if dt is not None:
+            system.add_block("u2", "u2", complex_.m2 / dt)
+            faces = self.offsets["u2"] + mesh.tet_faces
+            conv = np.array(
+                [
+                    np.concatenate([np.repeat(faces, 6, 1), np.repeat(faces, 4, 1)], None),
+                    np.concatenate([np.tile(mesh.tet_edges, 4), np.tile(faces, 4)], None),
+                ],
+                dtype=np.int64,
+            )
+        names = list(self.sizes)
+        static = sp.bmat(
+            [[system.blocks.get((r, c)) for c in names] for r in names], format="coo"
+        )
+        full = sp.coo_matrix(
+            (
+                np.concatenate([static.data, np.zeros(conv.shape[1])]),
+                (np.concatenate([static.row, conv[0]]), np.concatenate([static.col, conv[1]])),
+            ),
+            shape=(n, n),
+        ).tocsr()
+        self.static = full.data
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(full.indptr))
+        self.conv_pos = np.searchsorted(rows * n + full.indices, conv[0] * n + conv[1])
+
+        self.fixed_idx = {g: idx for g, (idx, _) in system.constraints.items()}
+        self.fixed = np.concatenate(
+            [self.offsets[g] + idx for g, idx in self.fixed_idx.items()]
+            + [self.offsets["u3"] + harmonic.pins]
+        ).astype(np.int64)
+        is_free = np.ones(n, dtype=bool)
+        is_free[self.fixed] = False
+        self.free = np.flatnonzero(is_free)
+        rank = np.cumsum(is_free) - 1
+        rank[self.fixed] = np.arange(len(self.fixed))
+        self.picks, self.blocks = [], []
+        for col_mask, width in ((is_free, len(self.free)), (~is_free, len(self.fixed))):
+            pick = np.flatnonzero(is_free[rows] & col_mask[full.indices])
+            counts = np.bincount(rank[rows[pick]], minlength=len(self.free))
+            indptr = np.concatenate([[0], np.cumsum(counts)])
+            self.picks.append(pick)
+            self.blocks.append(
+                sp.csr_matrix(
+                    (self.static[pick], rank[full.indices[pick]], indptr),
+                    shape=(len(self.free), width),
+                )
+            )
+        if harmonic.dim:
+            self.q_fixed = system.blocks[("u3", "u2")][:, self.fixed_idx["u2"]]
+            self.m3h = complex_.m3 @ harmonic.basis
+        self.factor = FactorHolder()
+
+    def _data(self, t):
+        """Right-hand side and essential values at t (the build's at its t)."""
+        first, self.first = self.first, None
+        if first is not None and first[0] == t:
+            return first[1:]
+        return assemble_rhs(self.complex, self.bc, t=t, **self.data_args)
+
+    def solve(self, t, convection=None, rhs_u2=None):
+        """Solve at time t; returns (state, residual).
+
+        ``convection`` holds the local blocks of :func:`assemble_convection`,
+        added into the v-row; ``rhs_u2`` is added to the v-row's right side.
+
+        With dim H > 0 the paper's bordered system adds M3 H phi to the
+        q-rows and the chi-row H^T M3 u3 = 0.  H^T M3 H = I and H^T M3 D2
+        vanishes on the free faces, so the q-rows summed against H give
+        phi = H^T (rhs_u3 - M3 D2 u2_fixed) before the solve, and M3 H phi
+        moves to the right-hand side.  Pinning the pressure at each closed
+        component's root (``harmonic.pins``) removes the null modes and
+        the q-rows that the phi equations make redundant.  So that no
+        root collects its component's divergence roundoff, the q-row
+        defects, less their harmonic part (which phi absorbs in the
+        bordered system), are then swept from the leaves of
+        ``mesh.dual_forest`` to the roots through the tree-face fluxes,
+        and the pressure is moved to the gauge H^T M3 p = 0.
+        """
+        complex_, h = self.complex, self.harmonic.basis
+        rhs, constraints = self._data(t)
+        if list(constraints) != list(self.fixed_idx) or not all(
+            np.array_equal(idx, self.fixed_idx[g]) for g, (idx, _) in constraints.items()
+        ):
+            raise SolverError("the essential boundary entities changed between solves")
+        b = np.zeros(sum(self.sizes.values()))
+        for g, vec in rhs.items():
+            b[self.offsets[g] : self.offsets[g] + self.sizes[g]] = vec
+        u2 = slice(self.offsets["u2"], self.offsets["u3"])
+        u3 = slice(self.offsets["u3"], len(b))
+        if rhs_u2 is not None:
+            b[u2] += rhs_u2
+        if self.harmonic.dim:
+            rhs3 = b[u3] - self.q_fixed @ constraints["u2"][1]
+            b[u3] += -self.m3h @ (h.T @ rhs3)
+        fixed_values = np.concatenate(
+            [vals for _, vals in constraints.values()] + [np.zeros(self.harmonic.dim)]
+        )
+
+        data = self.static
+        if convection is not None:
+            local = np.concatenate([block.ravel() for block in convection])
+            data = data + np.bincount(self.conv_pos, local, minlength=len(data))
+        a_free, a_fixed = self.blocks
+        a_free.data, a_fixed.data = (data[pick] for pick in self.picks)
+        reduced = ReducedSystem(
+            matrix=a_free,
+            rhs=b[self.free] - a_fixed @ fixed_values,
+            free=self.free,
+            fixed=self.fixed,
+            fixed_values=fixed_values,
+            offsets=self.offsets,
+            sizes=self.sizes,
+        )
+        full, residual = solve_reduced(
+            reduced, order=complex_.mesh.elimination_order, factor=self.factor
+        )
+        parts = reduced.split(full)
+        u = parts["u2"].copy()
+        if self.harmonic.dim:
+            forest = complex_.mesh.dual_forest
+            defect = complex_.mesh.tet_volumes * b[u3] - complex_.d2 @ u
+            acc = np.where(h.any(axis=1), defect, 0.0)  # closed components only
+            acc -= h @ (h.T @ (complex_.m3 @ acc))
+            for cells in forest.levels[:0:-1]:
+                np.add.at(acc, forest.parent[cells], acc[cells])
+            tree = forest.parent >= 0
+            u[forest.parent_face[tree]] += forest.parent_sign[tree] * acc[tree]
+        p = parts["u3"] - h @ (h.T @ (complex_.m3 @ parts["u3"]))
+        state = TransientState(
+            t=t,
+            omega=FormCoefficients(complex_.V1, parts["u1"].copy()),
+            u=FormCoefficients(complex_.V2, u),
+            p=FormCoefficients(complex_.V3, p),
+        )
+        return state, residual
 
 
 def solve_stokes(
@@ -175,17 +329,18 @@ def solve_stokes(
     """
     if harmonic is None:
         harmonic = build_harmonic_space(complex_, bc)
-    system = assemble_B0(
+    operator = _SaddleOperator(
         complex_,
         bc,
-        nu=nu,
+        harmonic,
+        nu,
+        t,
         f2=f2,
         f3=f3,
-        t=t,
         load_degree=load_degree,
         natural_cache=natural_cache,
     )
-    state, residual = _solve_saddle(complex_, system, harmonic, t)
+    state, residual = operator.solve(t)
     diagnostics = {
         "residual": residual,
         "div_max": complex_.divergence_max(state.u.values),
@@ -221,27 +376,38 @@ def initialize_state(complex_, bc, velocity_data, t=0.0):
     )
 
 
-def step(complex_, bc, config, state, f=None, harmonic=None, natural_cache=None):
-    """Advance one implicit step; returns (new_state, residual)."""
-    t_new = state.t + config.dt
-    if harmonic is None:
-        harmonic = build_harmonic_space(complex_, bc)
-    system = assemble_B0(
+def _step_operator(complex_, bc, config, t, f, harmonic, natural_cache):
+    return _SaddleOperator(
         complex_,
         bc,
-        nu=config.nu,
+        harmonic,
+        config.nu,
+        t,
+        dt=config.dt,
         f2=f,
-        t=t_new,
         load_degree=config.load_degree,
         natural_cache=natural_cache,
     )
-    a3, a5 = assemble_convection(
+
+
+def step(
+    complex_, bc, config, state, f=None, harmonic=None, natural_cache=None, operator=None
+):
+    """Advance one implicit step; returns (new_state, residual).
+
+    ``operator`` is the run's saddle operator, which :func:`run_transient`
+    builds once; without it the step builds a one-shot one from the
+    other arguments.
+    """
+    t_new = state.t + config.dt
+    if operator is None:
+        if harmonic is None:
+            harmonic = build_harmonic_space(complex_, bc)
+        operator = _step_operator(complex_, bc, config, t_new, f, harmonic, natural_cache)
+    convection = assemble_convection(
         complex_, state.omega.values, state.u.values, config.theta
     )
-    system.add_block("u2", "u1", a3)
-    system.add_block("u2", "u2", a5 + complex_.m2 / config.dt)
-    system.add_rhs("u2", (complex_.m2 @ state.u.values) / config.dt)
-    return _solve_saddle(complex_, system, harmonic, t_new)
+    return operator.solve(t_new, convection, (complex_.m2 @ state.u.values) / config.dt)
 
 
 def run_transient(
@@ -273,6 +439,9 @@ def run_transient(
     if natural_cache is None:
         natural_cache = NaturalBCCache(complex_, bc)
 
+    operator = _step_operator(
+        complex_, bc, config, state.t + config.dt, f, harmonic, natural_cache
+    )
     t0 = state.t
     to_steady = config.t_end is None
     summary = TrajectorySummary(final=state)
@@ -286,6 +455,7 @@ def run_transient(
             f=f,
             harmonic=harmonic,
             natural_cache=natural_cache,
+            operator=operator,
         )
         new_state.t = t0 + n * config.dt
         u = new_state.u.values
@@ -303,6 +473,8 @@ def run_transient(
             div_max=complex_.divergence_max(new_state.u.values),
             kinetic_energy=0.5 * unorm2,
             update_rel=update_rel,
+            factor_reused=operator.factor.reused,
+            refine_passes=operator.factor.passes,
         )
         summary.history.append(diag)
         state = new_state

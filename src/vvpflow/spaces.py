@@ -198,6 +198,7 @@ class WhitneyTabulation:
 
     psi1 : (T, 6, Q, 3) edge basis vectors, built on first read
     psi2 : (T, 4, Q, 3) face basis vectors
+    convection_tensor : (T, 4, 6, 4), built on first read
     points : (T, Q, 3) physical quadrature points
     weights : (T, Q) physical quadrature weights (sum to |T| per tet)
     """
@@ -213,6 +214,22 @@ class WhitneyTabulation:
     @cached_property
     def psi1(self):
         return whitney_values(self.rule.points, self.geometry.grads, 1)
+
+    @cached_property
+    def convection_tensor(self):
+        """K[t, i, e, j] = integral of (psi1_e x psi2_j) . psi2_i, (T, 4, 6, 4).
+
+        The integrand is cubic, so a rule exact to degree 3 makes K exact.
+        It is skew in (i, j), so only the pairs i < j are integrated.
+        """
+        psi1, psi2 = self.psi1, self.psi2
+        K = np.zeros((len(psi2), 4, 6, 4))
+        for i in range(4):
+            for j in range(i + 1, 4):
+                cross = np.cross(psi2[:, j], psi2[:, i])
+                K[:, i, :, j] = np.einsum("tq,teqx,tqx->te", self.weights, psi1, cross)
+                K[:, j, :, i] = -K[:, i, :, j]
+        return K
 
     def field(self, k, values):
         """The k-form with coefficients ``values`` at the points.

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from vvpflow.assembly import assemble_convection
 from vvpflow.mesh import SimplicialMesh3, build_box_mesh
-from vvpflow.spaces import DeRhamComplex
+from vvpflow.spaces import DeRhamComplex, _scatter
 
 from oracles import REF_VERTS
 
@@ -15,6 +16,16 @@ def jittered_box(n, seed):
     shift = np.random.default_rng(seed).uniform(-0.1, 0.1, (len(inner), 3))
     verts[inner] += shift / n
     return SimplicialMesh3(verts, mesh.tets)
+
+
+def scattered_convection(complex_, omega_values, u_values, theta):
+    """The convection blocks as sparse (F, E) and (F, F) matrices."""
+    mesh = complex_.mesh
+    local3, local5 = assemble_convection(complex_, omega_values, u_values, theta)
+    return (
+        _scatter(local3, mesh.tet_faces, mesh.tet_edges, (mesh.n_faces, mesh.n_edges)),
+        _scatter(local5, mesh.tet_faces, mesh.tet_faces, (mesh.n_faces, mesh.n_faces)),
+    )
 
 
 @pytest.fixture(scope="session")

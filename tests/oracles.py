@@ -163,6 +163,28 @@ def convection_reference(c_w, c_u, theta, m=8):
     return a3, a5
 
 
+def convection_quadrature(complex_, omega_values, u_values, theta):
+    """Per-cell convection blocks (T, 4, 6) and (T, 4, 4) by pointwise
+    quadrature: the fields are evaluated at the points of the complex's
+    volume rule and crossed with the basis there."""
+    tab = complex_.tabulation()
+    u_prev = tab.field(2, u_values)
+    w_prev = tab.field(1, omega_values)
+    local3 = theta * np.einsum(
+        "tq,tjqx,tiqx->tij",
+        tab.weights,
+        np.cross(tab.psi1, u_prev[:, None, :, :]),
+        tab.psi2,
+    )
+    local5 = (1.0 - theta) * np.einsum(
+        "tq,tjqx,tiqx->tij",
+        tab.weights,
+        np.cross(w_prev[:, None, :, :], tab.psi2),
+        tab.psi2,
+    )
+    return local3, local5
+
+
 def parse_vtk(text):
     """Parse a legacy ASCII unstructured-grid VTK file written here.
 

@@ -341,9 +341,9 @@ def test_criterion_7_reference_element_matrices(ref_complex):
     rng = np.random.default_rng(7)
     c_w = rng.normal(size=6)
     c_u = rng.normal(size=4)
-    from vvpflow.assembly import assemble_convection
+    from conftest import scattered_convection
 
-    a3, a5 = assemble_convection(ref_complex, c_w, c_u, theta=0.5)
+    a3, a5 = scattered_convection(ref_complex, c_w, c_u, theta=0.5)
     want3, want5 = oracles.convection_reference(c_w, c_u, 0.5)
     d4 = np.abs(a3.toarray() - want3).max()
     d5 = np.abs(a5.toarray() - want5).max()

@@ -22,6 +22,7 @@ from vvpflow.mesh import SimplicialMesh3, build_box_mesh
 from vvpflow.spaces import DeRhamComplex, interpolate
 
 import oracles
+from conftest import jittered_box, scattered_convection
 from oracles import EDGES, GRADS, REF_VERTS
 
 
@@ -338,10 +339,24 @@ def test_convection_matches_independent_quadrature_oracle(ref_complex):
     c_w = rng.normal(size=6)
     c_u = rng.normal(size=4)
     for theta in (0.5, 0.3):
-        a3, a5 = assemble_convection(ref_complex, c_w, c_u, theta=theta)
+        a3, a5 = scattered_convection(ref_complex, c_w, c_u, theta=theta)
         want3, want5 = oracles.convection_reference(c_w, c_u, theta)
         assert np.abs(a3.toarray() - want3).max() <= 1e-12
         assert np.abs(a5.toarray() - want5).max() <= 1e-12
+
+
+def test_convection_tensor_matches_pointwise_quadrature():
+    """The blocks contracted from the cached tensor K equal the volume-rule
+    quadrature of the cross products of the interpolated fields."""
+    complex_ = DeRhamComplex(jittered_box(2, seed=11))
+    rng = np.random.default_rng(8)
+    c_w = rng.normal(size=complex_.V1.ndof)
+    c_u = rng.normal(size=complex_.V2.ndof)
+    got = assemble_convection(complex_, c_w, c_u, theta=0.3)
+    want = oracles.convection_quadrature(complex_, c_w, c_u, theta=0.3)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-14
 
 
 def test_vorticity_block_is_antisymmetric(complex_n2):
@@ -349,7 +364,7 @@ def test_vorticity_block_is_antisymmetric(complex_n2):
     rng = np.random.default_rng(3)
     c_w = rng.normal(size=complex_n2.V1.ndof)
     c_u = rng.normal(size=complex_n2.V2.ndof)
-    _, a5 = assemble_convection(complex_n2, c_w, c_u, theta=0.0)
+    _, a5 = scattered_convection(complex_n2, c_w, c_u, theta=0.0)
     skew = (a5 + a5.T).toarray()
     assert np.abs(skew).max() < 1e-13
 

@@ -6,7 +6,9 @@ import scipy.sparse as sp
 from vvpflow import linalg
 from vvpflow.linalg import (
     RESIDUAL_TOL,
+    ROUNDOFF_RESIDUAL,
     BlockSystem,
+    FactorHolder,
     SingularSystemError,
     SolverError,
     assemble_blocks,
@@ -202,3 +204,33 @@ def test_solve_reduced_narrows_a_longer_order_to_the_free_unknowns(monkeypatch):
     np.testing.assert_array_equal(reduced.free[seen[0]], kept)
     want, _ = real(reduced.matrix, reduced.rhs)
     np.testing.assert_allclose(full[reduced.free], want, rtol=1e-13)
+
+
+def test_factor_holder_reuses_a_close_factor_and_replaces_a_far_one(monkeypatch):
+    rng = np.random.default_rng(12)
+    a = sp.random(30, 30, density=0.2, random_state=12) + 30 * sp.eye(30)
+    rhs = rng.normal(size=30)
+    order = rng.permutation(30)
+    factors = []
+    real = linalg.spla.splu
+
+    def spy(m, **kwargs):
+        factors.append(m.shape)
+        return real(m, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", spy)
+    holder = FactorHolder()
+    solve(a, rhs, order=order, factor=holder)
+    assert (len(factors), holder.reused) == (1, False)
+
+    near = a + 1e-3 * sp.random(30, 30, density=0.2, random_state=13)
+    x, res = solve(near, rhs, order=order, factor=holder)
+    assert (len(factors), holder.reused) == (1, True)
+    assert holder.passes >= 1
+    assert res <= ROUNDOFF_RESIDUAL
+    np.testing.assert_allclose(x, real(sp.csc_matrix(near)).solve(rhs), rtol=1e-12)
+
+    far = a + 30 * sp.random(30, 30, density=0.2, random_state=14)
+    x, res = solve(far, rhs, order=order, factor=holder)
+    assert (len(factors), holder.reused) == (2, False)
+    assert relative_residual(far, rhs, x) == res <= RESIDUAL_TOL

@@ -9,7 +9,6 @@ from vvpflow.assembly import (
     BoundaryConditionSpec,
     RegionBC,
     assemble_B0,
-    assemble_convection,
     build_harmonic_space,
     essential_constraints,
 )
@@ -27,7 +26,7 @@ from vvpflow.mesh import build_box_mesh
 from vvpflow.spaces import DeRhamComplex, interpolate
 
 import oracles
-from conftest import jittered_box
+from conftest import jittered_box, scattered_convection
 
 
 def both_essential(fields):
@@ -337,7 +336,7 @@ def test_step_eliminates_harmonic_multiplier(complex_j3, monkeypatch):
         monkeypatch, lambda: step(complex_j3, bc, config, state0)
     )
     system = assemble_B0(complex_j3, bc, nu=config.nu, t=state.t)
-    a3, a5 = assemble_convection(
+    a3, a5 = scattered_convection(
         complex_j3, state0.omega.values, state0.u.values, config.theta
     )
     m2 = complex_j3.m2
@@ -508,3 +507,107 @@ def test_outlet_claiming_no_face_keeps_harmonic_form():
     )
     assert info["residual"] <= RESIDUAL_TOL
     assert info["div_max"] <= 1e-12 * (1.0 + complex_.norm(state.u))
+
+
+# ---------------------------------------------------------------------------
+# one operator and one factor per run
+
+
+def _count_factors(monkeypatch):
+    calls = []
+    real = linalg.spla.splu
+
+    def spy(a, **kwargs):
+        calls.append(a.shape)
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", spy)
+    return calls
+
+
+def _check_gates(complex_, state, diag):
+    assert diag.residual <= RESIDUAL_TOL
+    unorm = complex_.norm(state.u)
+    assert diag.div_max <= 1e-12 * (1.0 + unorm)
+
+
+def test_run_reuses_one_factor_and_matches_fresh_steps(complex_j3, monkeypatch):
+    """Ten steps of a run factor once and agree with ten one-shot steps."""
+    bc = ethier_bc(2.0, 1.0)
+    config = SolverConfig(nu=1.0, dt=1e-3, t_end=1e-2)
+    state0 = initialize_state(complex_j3, bc, ethier_velocity(2.0, 1.0))
+    fresh, state = [], state0
+    for n in range(1, 11):
+        state, _ = step(complex_j3, bc, config, state)
+        state.t = state0.t + n * config.dt
+        fresh.append(state)
+
+    calls = _count_factors(monkeypatch)
+    seen = []
+    summary = run_transient(
+        complex_j3,
+        bc,
+        config,
+        state=state0,
+        observers=(lambda st, diag: seen.append((st, diag)),),
+    )
+    monkeypatch.undo()
+    assert summary.n_steps == 10
+    assert len(calls) == 1
+    for (got, diag), want in zip(seen, fresh):
+        assert diag.factor_reused == (diag.step > 1)
+        assert diag.refine_passes >= diag.factor_reused
+        _check_gates(complex_j3, got, diag)
+        for a, b in ((got.u, want.u), (got.omega, want.omega), (got.p, want.p)):
+            assert np.linalg.norm(a.values - b.values) <= 1e-12 * np.linalg.norm(b.values)
+
+
+def test_pseudo_time_run_refactors_when_refinement_stalls(complex_n2, monkeypatch):
+    """Large pseudo-time steps from rest move the convection blocks too far
+    for the held factor: the run refactors and every step keeps the gates."""
+    config = SolverConfig(nu=1.0, dt=0.1, steady_tol=1e-10, max_steps=100)
+    state0 = initialize_state(
+        complex_n2, ethier_bc(2.0, 0.0), lambda p, t=0.0: np.zeros((len(p), 3))
+    )
+    calls = _count_factors(monkeypatch)
+    seen = []
+    summary = run_transient(
+        complex_n2,
+        ethier_bc(2.0, 0.0),
+        config,
+        state=state0,
+        observers=(lambda st, diag: seen.append((st, diag)),),
+    )
+    monkeypatch.undo()
+    assert summary.steady
+    assert 1 < len(calls) < summary.n_steps
+    assert any(not diag.factor_reused for _, diag in seen[1:])
+    for state, diag in seen:
+        _check_gates(complex_n2, state, diag)
+
+
+def test_reused_factor_keeps_divergence_gate_with_natural_outlet(monkeypatch):
+    """With a natural outlet dim H = 0, so no sweep repairs the divergence:
+    the refined solve alone must keep it at roundoff."""
+    complex_ = DeRhamComplex(jittered_box(4, seed=6))
+    fields = stokes_mms_fields(nu=1.0)
+    bc = _outlet_bc(fields)
+    assert build_harmonic_space(complex_, bc).dim == 0
+    config = SolverConfig(nu=1.0, dt=1e-2, t_end=0.1)
+    state0 = initialize_state(complex_, bc, fields["velocity"])
+    calls = _count_factors(monkeypatch)
+    seen = []
+    run_transient(
+        complex_,
+        bc,
+        config,
+        state=state0,
+        f=fields["forcing"],
+        observers=(lambda st, diag: seen.append((st, diag)),),
+    )
+    monkeypatch.undo()
+    assert len(seen) == 10
+    assert len(calls) < len(seen)
+    assert sum(diag.factor_reused for _, diag in seen) >= len(seen) // 2
+    for state, diag in seen:
+        _check_gates(complex_, state, diag)
