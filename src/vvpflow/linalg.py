@@ -5,6 +5,11 @@ owns the contracts: named block layout, essential constraints applied by
 elimination (never by penalties or Lagrange multipliers), and a checked
 relative residual on every solve.
 
+Elimination has one path: :func:`eliminate` reduces the CSR pattern of
+a whole system (explicit zeros keep their slots) to its free unknowns
+once, and :meth:`ReducedSystem.refill` reduces each fill of the pattern,
+with the right-hand side ``(b - A x_fixed)[free]``.
+
 The solver hands :func:`solve` the mesh's nested-dissection order
 (``SimplicialMesh3.elimination_order``), in which every pressure cell
 follows the face it pairs with.  SuperLU factors in that order as
@@ -30,6 +35,10 @@ __all__ = [
     "SolverError",
     "SingularSystemError",
     "assemble_blocks",
+    "eliminate",
+    "group_offsets",
+    "stack",
+    "stack_constraints",
     "solve",
     "solve_reduced",
     "relative_residual",
@@ -107,7 +116,7 @@ class BlockSystem:
         dup = indices[1:] == indices[:-1]
         if np.any(dup) and not np.allclose(values[1:][dup], values[:-1][dup]):
             raise ValueError(f"conflicting constraint values in group {col}")
-        keep = np.concatenate([[True], ~dup])
+        keep = np.diff(indices, prepend=-1) != 0
         self.constraints[col] = (indices[keep], values[keep])
 
     def _check_names(self, *names):
@@ -120,84 +129,111 @@ class BlockSystem:
         return sum(self.groups.values())
 
 
+def group_offsets(groups):
+    """Where each named group starts in the stacked unknowns."""
+    return dict(zip(groups, np.cumsum([0, *groups.values()]).tolist()))
+
+
+def stack(groups, vectors):
+    """One vector of all unknowns from ``{group: vector}``; missing groups are zero."""
+    parts = [np.broadcast_to(vectors.get(g, 0.0), (n,)) for g, n in groups.items()]
+    return np.concatenate(parts)
+
+
+def stack_constraints(groups, constraints):
+    """``{group: (indices, values)}`` -> (indices into the stacked unknowns, values)."""
+    offsets = group_offsets(groups)
+    idx = [np.empty(0, np.int64), *(offsets[g] + i for g, (i, _) in constraints.items())]
+    vals = [np.empty(0), *(v for _, v in constraints.values())]
+    return np.concatenate(idx), np.concatenate(vals)
+
+
 @dataclass
 class ReducedSystem:
-    """Eliminated system plus the bookkeeping to undo the elimination."""
+    """The free x free part of a square CSR system, built by :func:`eliminate`.
 
+    ``positions`` holds where each entry of ``matrix`` sits in the data
+    of ``pattern``, the whole system; :meth:`refill` fills both.
+    """
+
+    pattern: sp.csr_matrix
     matrix: sp.csr_matrix
-    rhs: np.ndarray
+    positions: np.ndarray
     free: np.ndarray
     fixed: np.ndarray
-    fixed_values: np.ndarray
+    groups: dict
     offsets: dict
-    sizes: dict
+    x_fixed: np.ndarray = None
+    eliminated: np.ndarray = None
 
-    def expand(self, x_reduced):
-        full = np.empty(self.rhs_full_size)
-        full[self.free] = x_reduced
-        full[self.fixed] = self.fixed_values
-        return full
+    def refill(self, data, b, fixed_values):
+        """Reduce new pattern ``data``, right-hand side ``b`` and fixed values.
+
+        Returns ``b - A x_fixed`` over all unknowns, where ``x_fixed``
+        holds the fixed values and zeros elsewhere; ``rhs`` is its free
+        part, so a change to the returned vector reaches ``rhs``.
+        """
+        self.pattern.data = data
+        self.matrix.data = data[self.positions]
+        self.x_fixed = np.zeros(len(b))
+        self.x_fixed[self.fixed] = fixed_values
+        self.eliminated = b - self.pattern @ self.x_fixed
+        return self.eliminated
 
     @property
-    def rhs_full_size(self):
-        return sum(self.sizes.values())
+    def rhs(self):
+        return self.eliminated[self.free]
+
+    def expand(self, x_reduced):
+        full = self.x_fixed.copy()
+        full[self.free] = x_reduced
+        return full
 
     def split(self, full):
         return {
-            name: full[off : off + self.sizes[name]]
+            name: full[off : off + self.groups[name]]
             for name, off in self.offsets.items()
         }
+
+
+def eliminate(pattern, groups, fixed):
+    """Reduce a square CSR system to its free unknowns, once per pattern.
+
+    ``pattern`` keeps its explicit zeros as slots, ``groups`` names the
+    sizes of its groups and ``fixed`` holds the stacked indices of its
+    fixed unknowns.  One fancy index of a CSR whose data are the
+    pattern's entry positions plus one (so that none is zero) yields the
+    free x free matrix and where each of its entries comes from.
+    """
+    is_free = np.ones(pattern.shape[0], dtype=bool)
+    is_free[fixed] = False
+    free = np.flatnonzero(is_free)
+    entries = np.arange(1, pattern.nnz + 1)
+    matrix = sp.csr_matrix((entries, pattern.indices, pattern.indptr), shape=pattern.shape)
+    matrix = matrix[free][:, free]
+    positions = matrix.data - 1
+    matrix.data = pattern.data[positions]
+    offsets = group_offsets(groups)
+    return ReducedSystem(pattern, matrix, positions, free, fixed, groups, offsets)
 
 
 def assemble_blocks(system):
     """Stack blocks into one CSR matrix and eliminate constraints.
 
     Constrained columns are moved to the right-hand side and the
-    corresponding rows dropped; the returned ReducedSystem restores the
-    fixed values on expansion.
+    corresponding rows dropped (:func:`eliminate`, filled once); the
+    returned ReducedSystem restores the fixed values on expansion.
     """
     names = list(system.groups)
-    sizes = dict(system.groups)
-    offsets, off = {}, 0
-    for n in names:
-        offsets[n] = off
-        off += sizes[n]
-    total = off
-
     a = sp.bmat(
         [[system.blocks.get((r, c)) for c in names] for r in names], format="csr"
     )
-    if a is None or a.shape != (total, total):
+    if a is None or a.shape != (system.size, system.size):
         raise ValueError("block grid does not cover the system")
-    b = np.zeros(total)
-    for name, vec in system.rhs.items():
-        b[offsets[name] : offsets[name] + sizes[name]] = vec
-
-    fixed_list, value_list = [], []
-    for name, (idx, vals) in system.constraints.items():
-        fixed_list.append(offsets[name] + idx)
-        value_list.append(vals)
-    if fixed_list:
-        fixed = np.concatenate(fixed_list)
-        fixed_values = np.concatenate(value_list)
-    else:
-        fixed = np.empty(0, dtype=np.int64)
-        fixed_values = np.empty(0)
-    mask = np.ones(total, dtype=bool)
-    mask[fixed] = False
-    free = np.flatnonzero(mask)
-
-    a_free = a[free]
-    rhs = b[free] - a_free[:, fixed] @ fixed_values
-    return ReducedSystem(
-        matrix=a_free[:, free].tocsr(),
-        rhs=rhs,
-        free=free,
-        fixed=fixed,
-        fixed_values=fixed_values,
-        offsets=offsets,
-        sizes=sizes,
-    )
+    fixed, values = stack_constraints(system.groups, system.constraints)
+    reduced = eliminate(a, system.groups, fixed)
+    reduced.refill(a.data, stack(system.groups, system.rhs), values)
+    return reduced
 
 
 def relative_residual(matrix, rhs, x):
@@ -314,7 +350,7 @@ def _refine(lu, p, a, rhs):
     return x, res, passes
 
 
-def solve_reduced(reduced, residual_tol=RESIDUAL_TOL, order=None, factor=None):
+def solve_reduced(reduced, order=None, factor=None):
     """Solve a ReducedSystem; returns the full DOF vector and the residual.
 
     ``order`` is an elimination order of the full unknowns (or of a
@@ -328,9 +364,7 @@ def solve_reduced(reduced, residual_tol=RESIDUAL_TOL, order=None, factor=None):
         rank[reduced.free] = np.arange(len(reduced.free))
         order = rank[order]
         order = order[order >= 0]
-    x, res = solve(
-        reduced.matrix, reduced.rhs, residual_tol=residual_tol, order=order, factor=factor
-    )
+    x, res = solve(reduced.matrix, reduced.rhs, order=order, factor=factor)
     return reduced.expand(x), res
 
 

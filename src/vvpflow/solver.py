@@ -20,11 +20,11 @@ saddle matrix.  :func:`run_transient` builds one operator per run, and
 :func:`solve_stokes` and a standalone :func:`step` one per call.  What
 does not change between the steps of a run is built once: the
 :func:`assemble_B0` blocks and ``M2/dt``, the CSR pattern of the whole
-system (which also holds the convection entries), the fixed and free
-unknowns and the maps into the reduced matrix.  A step only adds the
-per-cell convection blocks into that pattern and re-evaluates the
-right-hand side: loads, natural terms, essential values, ``M2 u^n/dt``
-and the multiplier.
+system (which also holds the convection entries) and its reduction to
+the free unknowns by :func:`vvpflow.linalg.eliminate`.  A step only adds
+the per-cell convection blocks into that pattern, re-evaluates the
+right-hand side (loads, natural terms, essential values, ``M2 u^n/dt``
+and the multiplier) and refills the reduction.
 
 The operator keeps one LU factor for its whole life.  Each solve refines
 against it while every pass at least halves the relative residual; the
@@ -52,11 +52,14 @@ from .assembly import (
 from .linalg import (
     BlockSystem,
     FactorHolder,
-    ReducedSystem,
     SolverError,
     assemble_blocks,
+    eliminate,
+    group_offsets,
     m_norm,
     solve_reduced,
+    stack,
+    stack_constraints,
 )
 from .spaces import FormCoefficients
 
@@ -154,10 +157,9 @@ class _SaddleOperator:
       tet-local face x edge and face x face convection entries (as
       explicit zeros), and ``conv_pos``, where each entry of the raveled
       local blocks of :func:`assemble_convection` lands in its data;
-    * the fixed unknowns (essential edges, essential faces, and the
-      pressure pins of ``harmonic``) and the free ones;
-    * the free x free matrix and the free x fixed block, whose data
-      ``picks`` select from the CSR data of each solve.
+    * ``reduced``, the pattern's :class:`vvpflow.linalg.ReducedSystem`
+      without the fixed unknowns (essential edges, essential faces, and
+      the pressure pins of ``harmonic``), which each solve refills.
 
     ``factor`` holds the LU that :func:`vvpflow.linalg.solve` reuses
     across the operator's solves.
@@ -169,14 +171,12 @@ class _SaddleOperator:
         mesh = complex_.mesh
         system = assemble_B0(complex_, bc, nu=nu, t=t, **data_args)
         self.first = (t, system.rhs, system.constraints)
-        self.sizes = dict(system.groups)
-        self.offsets = dict(zip(self.sizes, np.cumsum([0, *self.sizes.values()])))
-        n = sum(self.sizes.values())
+        groups, n = system.groups, system.size
 
         conv = np.empty((2, 0), dtype=np.int64)
         if dt is not None:
             system.add_block("u2", "u2", complex_.m2 / dt)
-            faces = self.offsets["u2"] + mesh.tet_faces
+            faces = group_offsets(groups)["u2"] + mesh.tet_faces
             conv = np.array(
                 [
                     np.concatenate([np.repeat(faces, 6, 1), np.repeat(faces, 4, 1)], None),
@@ -184,47 +184,27 @@ class _SaddleOperator:
                 ],
                 dtype=np.int64,
             )
-        names = list(self.sizes)
         static = sp.bmat(
-            [[system.blocks.get((r, c)) for c in names] for r in names], format="coo"
+            [[system.blocks.get((r, c)) for c in groups] for r in groups], format="coo"
         )
-        full = sp.coo_matrix(
+        pattern = sp.coo_matrix(
             (
                 np.concatenate([static.data, np.zeros(conv.shape[1])]),
                 (np.concatenate([static.row, conv[0]]), np.concatenate([static.col, conv[1]])),
             ),
             shape=(n, n),
         ).tocsr()
-        self.static = full.data
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(full.indptr))
-        self.conv_pos = np.searchsorted(rows * n + full.indices, conv[0] * n + conv[1])
-
-        self.fixed_idx = {g: idx for g, (idx, _) in system.constraints.items()}
-        self.fixed = np.concatenate(
-            [self.offsets[g] + idx for g, idx in self.fixed_idx.items()]
-            + [self.offsets["u3"] + harmonic.pins]
-        ).astype(np.int64)
-        is_free = np.ones(n, dtype=bool)
-        is_free[self.fixed] = False
-        self.free = np.flatnonzero(is_free)
-        rank = np.cumsum(is_free) - 1
-        rank[self.fixed] = np.arange(len(self.fixed))
-        self.picks, self.blocks = [], []
-        for col_mask, width in ((is_free, len(self.free)), (~is_free, len(self.fixed))):
-            pick = np.flatnonzero(is_free[rows] & col_mask[full.indices])
-            counts = np.bincount(rank[rows[pick]], minlength=len(self.free))
-            indptr = np.concatenate([[0], np.cumsum(counts)])
-            self.picks.append(pick)
-            self.blocks.append(
-                sp.csr_matrix(
-                    (self.static[pick], rank[full.indices[pick]], indptr),
-                    shape=(len(self.free), width),
-                )
-            )
-        if harmonic.dim:
-            self.q_fixed = system.blocks[("u3", "u2")][:, self.fixed_idx["u2"]]
-            self.m3h = complex_.m3 @ harmonic.basis
+        self.static = pattern.data
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.indptr))
+        self.conv_pos = np.searchsorted(rows * n + pattern.indices, conv[0] * n + conv[1])
+        fixed, _ = stack_constraints(groups, self._with_pins(system.constraints))
+        self.reduced = eliminate(pattern, groups, fixed)
+        self.m3h = complex_.m3 @ harmonic.basis
         self.factor = FactorHolder()
+
+    def _with_pins(self, constraints):
+        """The essential constraints plus the pressure pins, fixed at zero."""
+        return {**constraints, "u3": (self.harmonic.pins, np.zeros(self.harmonic.dim))}
 
     def _data(self, t):
         """Right-hand side and essential values at t (the build's at its t)."""
@@ -252,41 +232,25 @@ class _SaddleOperator:
         ``mesh.dual_forest`` to the roots through the tree-face fluxes,
         and the pressure is moved to the gauge H^T M3 p = 0.
         """
-        complex_, h = self.complex, self.harmonic.basis
+        complex_, h, reduced = self.complex, self.harmonic.basis, self.reduced
         rhs, constraints = self._data(t)
-        if list(constraints) != list(self.fixed_idx) or not all(
-            np.array_equal(idx, self.fixed_idx[g]) for g, (idx, _) in constraints.items()
-        ):
+        fixed, values = stack_constraints(reduced.groups, self._with_pins(constraints))
+        if not np.array_equal(fixed, reduced.fixed):
             raise SolverError("the essential boundary entities changed between solves")
-        b = np.zeros(sum(self.sizes.values()))
-        for g, vec in rhs.items():
-            b[self.offsets[g] : self.offsets[g] + self.sizes[g]] = vec
-        u2 = slice(self.offsets["u2"], self.offsets["u3"])
-        u3 = slice(self.offsets["u3"], len(b))
+        b = stack(reduced.groups, rhs)
+        offsets = reduced.offsets
+        u2, u3 = slice(offsets["u2"], offsets["u3"]), slice(offsets["u3"], len(b))
         if rhs_u2 is not None:
             b[u2] += rhs_u2
-        if self.harmonic.dim:
-            rhs3 = b[u3] - self.q_fixed @ constraints["u2"][1]
-            b[u3] += -self.m3h @ (h.T @ rhs3)
-        fixed_values = np.concatenate(
-            [vals for _, vals in constraints.values()] + [np.zeros(self.harmonic.dim)]
-        )
 
         data = self.static
         if convection is not None:
             local = np.concatenate([block.ravel() for block in convection])
             data = data + np.bincount(self.conv_pos, local, minlength=len(data))
-        a_free, a_fixed = self.blocks
-        a_free.data, a_fixed.data = (data[pick] for pick in self.picks)
-        reduced = ReducedSystem(
-            matrix=a_free,
-            rhs=b[self.free] - a_fixed @ fixed_values,
-            free=self.free,
-            fixed=self.fixed,
-            fixed_values=fixed_values,
-            offsets=self.offsets,
-            sizes=self.sizes,
-        )
+        eliminated = reduced.refill(data, b, values)
+        shift = self.m3h @ (h.T @ eliminated[u3])  # M3 H phi, to the right-hand side
+        eliminated[u3] -= shift
+        b[u3] -= shift
         full, residual = solve_reduced(
             reduced, order=complex_.mesh.elimination_order, factor=self.factor
         )

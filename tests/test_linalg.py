@@ -12,6 +12,7 @@ from vvpflow.linalg import (
     SingularSystemError,
     SolverError,
     assemble_blocks,
+    eliminate,
     m_norm,
     relative_residual,
     solve,
@@ -81,6 +82,19 @@ def test_duplicate_constraints_must_agree():
         system.constrain("a", [1], [0.0, 1.0])
 
 
+def test_empty_constraint_fixes_nothing():
+    system = BlockSystem({"a": 3, "b": 2})
+    system.add_block("a", "a", np.eye(3))
+    system.add_block("b", "b", 2 * np.eye(2))
+    system.constrain("b", [], [])
+    system.constrain("a", [1], [4.0])
+    system.constrain("a", [], [])
+    np.testing.assert_array_equal(system.constraints["a"][0], [1])
+    assert system.constraints["b"][0].size == 0
+    full, _ = solve_reduced(assemble_blocks(system))
+    np.testing.assert_array_equal(full, [0.0, 4.0, 0.0, 0.0, 0.0])
+
+
 def test_elimination_matches_dense_oracle():
     rng = np.random.default_rng(3)
     system, dense, rhs, fixed_idx, fixed_vals = random_block_system(rng)
@@ -129,6 +143,26 @@ def test_unconstrained_assembly():
     np.testing.assert_allclose(reduced.matrix.toarray(), dense, atol=1e-14)
     np.testing.assert_allclose(reduced.rhs, rhs, atol=1e-14)
     assert reduced.fixed.size == 0
+
+
+def test_explicit_zeros_keep_their_slots_through_elimination():
+    """A zero entry of the pattern keeps its slot in the reduced matrix,
+    and a refill with new data writes into that slot."""
+    data = np.array([2.0, 0.0, 1.0, 3.0, 5.0])
+    pattern = sp.csr_matrix((data, [0, 1, 2, 1, 2], [0, 3, 4, 5]), shape=(3, 3))
+    reduced = eliminate(pattern, {"a": 3}, np.array([2]))
+    np.testing.assert_array_equal(reduced.free, [0, 1])
+    np.testing.assert_array_equal(reduced.positions, [0, 1, 3])
+    assert reduced.matrix.nnz == 3
+    reduced.refill(pattern.data, np.array([1.0, 1.0, 7.0]), np.array([7.0]))
+    np.testing.assert_array_equal(reduced.matrix.toarray(), [[2.0, 0.0], [0.0, 3.0]])
+    np.testing.assert_array_equal(reduced.rhs, [-6.0, 1.0])
+
+    reduced.refill(np.array([2.0, 4.0, 1.0, 3.0, 5.0]), np.ones(3), np.array([0.0]))
+    assert reduced.matrix.nnz == 3
+    np.testing.assert_array_equal(reduced.matrix.toarray(), [[2.0, 4.0], [0.0, 3.0]])
+    np.testing.assert_array_equal(reduced.rhs, [1.0, 1.0])
+    np.testing.assert_array_equal(reduced.expand([5.0, 6.0]), [5.0, 6.0, 0.0])
 
 
 def test_solve_residual_is_tiny():

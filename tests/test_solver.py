@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from vvpflow import linalg
+from vvpflow import linalg, solver
 from vvpflow.assembly import (
     NATURAL,
     BoundaryConditionSpec,
@@ -611,3 +611,41 @@ def test_reused_factor_keeps_divergence_gate_with_natural_outlet(monkeypatch):
     assert sum(diag.factor_reused for _, diag in seen) >= len(seen) // 2
     for state, diag in seen:
         _check_gates(complex_, state, diag)
+
+
+@pytest.mark.parametrize("outlet", [True, False], ids=["outlet", "closed"])
+def test_operator_reduction_matches_assemble_blocks(complex_j3, monkeypatch, outlet):
+    """One step with convection: the operator's refilled reduction equals
+    assemble_blocks on the same system with the pins fixed at zero.  The
+    right-hand sides agree only without the harmonic shift (dim H = 0)."""
+    fields = stokes_mms_fields(nu=1.0)
+    bc = _outlet_bc(fields) if outlet else both_essential(fields)
+    harmonic = build_harmonic_space(complex_j3, bc)
+    assert harmonic.dim == (0 if outlet else 1)
+    config = SolverConfig(nu=1.0, dt=0.01, theta=0.3, t_end=0.01)
+    state0 = initialize_state(complex_j3, bc, fields["velocity"])
+    seen = []
+    real = solver.solve_reduced
+
+    def watch(reduced, **kwargs):
+        seen.append((reduced.matrix.copy(), reduced.rhs))
+        return real(reduced, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_reduced", watch)
+    state, _ = step(complex_j3, bc, config, state0, f=fields["forcing"])
+    monkeypatch.undo()
+
+    system = assemble_B0(complex_j3, bc, nu=config.nu, t=state.t, f2=fields["forcing"])
+    a3, a5 = scattered_convection(
+        complex_j3, state0.omega.values, state0.u.values, config.theta
+    )
+    m2 = complex_j3.m2
+    system.add_block("u2", "u1", a3)
+    system.add_block("u2", "u2", a5 + m2 / config.dt)
+    system.add_rhs("u2", (m2 @ state0.u.values) / config.dt)
+    system.constrain("u3", harmonic.pins, np.zeros(harmonic.dim))
+    want = assemble_blocks(system)
+    ((matrix, rhs),) = seen
+    np.testing.assert_array_equal(matrix.toarray(), want.matrix.toarray())
+    if outlet:
+        assert np.linalg.norm(rhs - want.rhs) <= 1e-14 * np.linalg.norm(want.rhs)
