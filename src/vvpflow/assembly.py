@@ -24,11 +24,15 @@ Boundary conditions come in two independent channels per region: the
 vorticity channel (essential tangential vorticity trace, or natural
 tangential velocity) and the velocity/pressure channel (essential normal
 velocity, or natural pressure trace).  Essential values are canonical
-interpolants of analytic data and are imposed by elimination.
+interpolants of analytic data and are imposed by elimination.  Which
+entities they fix, and the faces of the natural terms, are decided once
+per complex and spec by :class:`ResolvedBoundary`; a function given one
+as ``cache`` only evaluates boundary data.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -143,11 +147,19 @@ class BoundaryConditionSpec:
 
 
 class ResolvedBoundary:
-    """The boundary faces each region of ``bc`` claims on ``mesh``."""
+    """What the boundary spec ``bc`` decides on one complex (alias ``NaturalBCCache``).
 
-    def __init__(self, mesh, bc):
-        self.mesh, self.bc = mesh, bc
-        self.owner = bc.face_region_map(mesh)
+    ``owner``, each boundary face's region, is the only call of the region
+    predicates, made on construction.  The closed components, the
+    essential entities and the natural terms' face tables are built on
+    first use and kept.  A run resolves its boundary once and passes it
+    as ``cache``, so a step evaluates boundary data and nothing else.
+    """
+
+    def __init__(self, complex_, bc):
+        self.complex, self.mesh, self.bc = complex_, complex_.mesh, bc
+        self.owner = bc.face_region_map(self.mesh)
+        self.rule = triangle_rule(TRACE_DEGREE)
 
     def regions(self, channel, mode):
         """(region, faces, outward signs) of each region that claims faces
@@ -160,7 +172,7 @@ class ResolvedBoundary:
             if getattr(region, f"{channel}_mode") == mode and claimed.any():
                 yield region, faces[claimed], signs[claimed]
 
-    @property
+    @cached_property
     def closed(self):
         """Per dual-forest component: True unless a face has natural velocity."""
         labels = self.mesh.dual_forest.labels
@@ -168,6 +180,83 @@ class ResolvedBoundary:
         for _, faces, _ in self.regions("velocity", NATURAL):
             closed[labels[self.mesh.face_tets[faces, 0]]] = False
         return closed
+
+    @cached_property
+    def essential(self):
+        """``{group: (parts, indices, pick)}``: "u1" the edges of the essential
+        vorticity faces, "u2" the essential velocity faces.  ``parts`` holds
+        (data, entities) per region; ``pick`` takes the sorted, read-only
+        ``indices`` from the concatenated entities, so a seam edge is kept
+        by the first region."""
+        mesh, out = self.mesh, {}
+        for group, channel, entities in (
+            ("u1", "vorticity", lambda faces: np.unique(mesh.face_edges[faces])),
+            ("u2", "velocity", lambda faces: faces),
+        ):
+            parts = [
+                (getattr(region, f"{channel}_data"), entities(faces))
+                for region, faces, _ in self.regions(channel, ESSENTIAL)
+            ]
+            if parts:
+                idx, pick = np.unique(np.concatenate([e for _, e in parts]), return_index=True)
+                idx.flags.writeable = False
+                out[group] = (parts, idx, pick)
+        return out
+
+    @cached_property
+    def flux_shift(self):
+        """(positions among the essential faces, outward signs, areas) of
+        each closed component's boundary faces."""
+        mesh = self.mesh
+        idx = self.essential["u2"][1] if "u2" in self.essential else np.empty(0, int)
+        signs = mesh.boundary_face_signs[np.searchsorted(mesh.boundary_faces, idx)]
+        labels = mesh.dual_forest.labels[mesh.face_tets[idx, 0]]
+        return [
+            (on, signs[on].astype(float), mesh.face_areas(idx[on]))
+            for on in (labels == label for label in np.flatnonzero(self.closed))
+        ]
+
+    @cached_property
+    def tangential(self):
+        return self._face_tables("vorticity", 1)
+
+    @cached_property
+    def pressure(self):
+        return self._face_tables("velocity", 2)
+
+    def _face_tables(self, channel, k):
+        """Tables of ``channel``'s natural regions, with the k-form basis only."""
+        complex_, mesh, rule = self.complex, self.mesh, self.rule
+        Q = len(rule)
+        tables = []
+        for region, rf, sign in self.regions(channel, NATURAL):
+            B = len(rf)
+            tets = mesh.face_tets[rf, 0]
+            tri = mesh.faces[rf]
+            points, normal = simplex_rule(mesh.vertices[tri], rule)
+            normal = normal * sign[:, None].astype(float)
+            # Barycentric coordinates of the face points inside the tet.
+            lam = np.zeros((B, Q, 4))
+            for i in range(3):
+                loc = np.argmax(mesh.tets[tets] == tri[:, i : i + 1], axis=1)
+                lam[np.arange(B), :, loc] = rule.points[:, i][None, :]
+            grads = complex_.geometry.grads[tets]
+            tables.append(
+                {
+                    "region": region,
+                    "faces": rf,
+                    "tets": tets,
+                    "points": points,
+                    "normal": normal,
+                    f"psi{k}": whitney_values(lam, grads, k),
+                    "edges": mesh.tet_edges[tets],
+                    "fdofs": mesh.tet_faces[tets],
+                }
+            )
+        return tables
+
+
+NaturalBCCache = ResolvedBoundary
 
 
 @dataclass(frozen=True)
@@ -198,7 +287,7 @@ def build_harmonic_space(complex_, bc):
     essential velocity around a handle (b1 > 0).
     """
     mesh = complex_.mesh
-    boundary = ResolvedBoundary(mesh, bc)
+    boundary = ResolvedBoundary(complex_, bc)
     _reject_singular_pairing(mesh, boundary)
     closed = np.flatnonzero(boundary.closed)
     basis = np.zeros((mesh.n_tets, len(closed)))
@@ -227,11 +316,13 @@ def _reject_singular_pairing(mesh, boundary):
             )
 
 
-def essential_constraints(complex_, bc, t=0.0, f3_given=False):
+def essential_constraints(complex_, bc, t=0.0, f3_given=False, cache=None):
     """Interpolated essential boundary values.
 
     Returns {"u1": (edge_indices, values), "u2": (face_indices, values)}
-    with empty entries dropped.  Unless a 3-form source is given, each
+    with sorted indices and empty entries dropped.  The entities come
+    from ``cache``, the :class:`ResolvedBoundary` of (complex_, bc), built
+    here when None.  Unless a 3-form source is given, each
     closed component's face values (see :class:`HarmonicSpace`) are
     shifted by an area-weighted constant so that its total boundary flux
     vanishes exactly.  The solver computes the harmonic multiplier from
@@ -239,37 +330,16 @@ def essential_constraints(complex_, bc, t=0.0, f3_given=False):
     shift the quadrature-level compatibility defect of the interpolated
     data would become a nonzero phi and a spurious constant divergence.
     """
-    mesh = complex_.mesh
-    boundary = ResolvedBoundary(mesh, bc)
+    boundary = ResolvedBoundary(complex_, bc) if cache is None else cache
     out = {}
-
-    edge_idx_parts, edge_val_parts = [], []
-    for region, faces, _ in boundary.regions("vorticity", ESSENTIAL):
-        edges = np.unique(mesh.face_edges[faces])
-        edge_idx_parts.append(edges)
-        edge_val_parts.append(_interpolant(region.vorticity_data, complex_.V1, edges, t))
-    if edge_idx_parts:
-        idx = np.concatenate(edge_idx_parts)
-        vals = np.concatenate(edge_val_parts)
-        # Seam edges can appear under two regions; keep the first.
-        uniq, first = np.unique(idx, return_index=True)
-        out["u1"] = (uniq, vals[first])
-
-    face_parts = [
-        (faces, signs, _interpolant(region.velocity_data, complex_.V2, faces, t))
-        for region, faces, signs in boundary.regions("velocity", ESSENTIAL)
-    ]
-    if face_parts:
-        idx, signs, vals = (np.concatenate(part) for part in zip(*face_parts))
-        order = np.argsort(idx)
-        idx, signs, vals = idx[order], signs[order].astype(float), vals[order]
-        labels = mesh.dual_forest.labels[mesh.face_tets[idx, 0]]
-        for label in [] if f3_given else np.flatnonzero(boundary.closed):
-            on = labels == label
-            areas = mesh.face_areas(idx[on])
-            defect = float(signs[on] @ vals[on])
-            vals[on] = vals[on] - signs[on] * defect * areas / areas.sum()
-        out["u2"] = (idx, vals)
+    for group, (parts, idx, pick) in boundary.essential.items():
+        space = complex_.V1 if group == "u1" else complex_.V2
+        vals = np.concatenate([_interpolant(data, space, e, t) for data, e in parts])
+        out[group] = (idx, vals[pick])
+    for on, signs, areas in [] if f3_given else boundary.flux_shift:
+        vals = out["u2"][1]
+        defect = float(signs @ vals[on])
+        vals[on] = vals[on] - signs * defect * areas / areas.sum()
     return out
 
 
@@ -278,51 +348,6 @@ def _interpolant(data, space, idx, t):
     if data is None:
         return np.zeros(len(idx))
     return interpolate(data, space, t=t, only=idx).values[idx]
-
-
-class NaturalBCCache:
-    """Face-quadrature tables for the natural boundary terms.
-
-    Built once per (complex, boundary spec); per time level only the
-    data fields are re-evaluated at the cached physical points.
-    """
-
-    def __init__(self, complex_, bc):
-        boundary = ResolvedBoundary(complex_.mesh, bc)
-        self.rule = triangle_rule(TRACE_DEGREE)
-        self.tangential = self._face_tables(complex_, boundary, "vorticity", 1)
-        self.pressure = self._face_tables(complex_, boundary, "velocity", 2)
-
-    def _face_tables(self, complex_, boundary, channel, k):
-        """Tables of ``channel``'s natural regions, with the k-form basis only."""
-        mesh, rule = complex_.mesh, self.rule
-        Q = len(rule)
-        tables = []
-        for region, rf, sign in boundary.regions(channel, NATURAL):
-            B = len(rf)
-            tets = mesh.face_tets[rf, 0]
-            tri = mesh.faces[rf]
-            points, normal = simplex_rule(mesh.vertices[tri], rule)
-            normal = normal * sign[:, None].astype(float)
-            # Barycentric coordinates of the face points inside the tet.
-            lam = np.zeros((B, Q, 4))
-            for i in range(3):
-                loc = np.argmax(mesh.tets[tets] == tri[:, i : i + 1], axis=1)
-                lam[np.arange(B), :, loc] = rule.points[:, i][None, :]
-            grads = complex_.geometry.grads[tets]
-            tables.append(
-                {
-                    "region": region,
-                    "faces": rf,
-                    "tets": tets,
-                    "points": points,
-                    "normal": normal,
-                    f"psi{k}": whitney_values(lam, grads, k),
-                    "edges": mesh.tet_edges[tets],
-                    "fdofs": mesh.tet_faces[tets],
-                }
-            )
-        return tables
 
 
 def assemble_natural_bc(complex_, bc, t=0.0, cache=None):
@@ -335,30 +360,24 @@ def assemble_natural_bc(complex_, bc, t=0.0, cache=None):
     boundary term of the weak gradient; n is the outward unit normal.
     """
     if cache is None:
-        cache = NaturalBCCache(complex_, bc)
+        cache = ResolvedBoundary(complex_, bc)
     mesh = complex_.mesh
     w = cache.rule.weights
     rhs1 = np.zeros(mesh.n_edges)
     rhs2 = np.zeros(mesh.n_faces)
     for tab in cache.tangential:
-        region = tab["region"]
-        pts = tab["points"]
-        B, Q = pts.shape[0], pts.shape[1]
-        if region.vorticity_data is None:
+        data, pts = tab["region"].vorticity_data, tab["points"]
+        if data is None:
             continue
-        uval = np.asarray(region.vorticity_data(pts.reshape(-1, 3), t), dtype=float)
-        uval = uval.reshape(B, Q, 3)
+        uval = np.asarray(data(pts.reshape(-1, 3), t), dtype=float).reshape(pts.shape)
         n_cross_u = np.cross(tab["normal"][:, None, :], uval)
         integrand = np.einsum("q,bqx,beqx->be", w, n_cross_u, tab["psi1"])
         np.add.at(rhs1, tab["edges"], integrand)
     for tab in cache.pressure:
-        region = tab["region"]
-        pts = tab["points"]
-        B, Q = pts.shape[0], pts.shape[1]
-        if region.velocity_data is None:
+        data, pts = tab["region"].velocity_data, tab["points"]
+        if data is None:
             continue
-        h = np.asarray(region.velocity_data(pts.reshape(-1, 3), t), dtype=float)
-        h = h.reshape(B, Q)
+        h = np.asarray(data(pts.reshape(-1, 3), t), dtype=float).reshape(pts.shape[:2])
         integrand = -np.einsum("q,bq,bfqx,bx->bf", w, h, tab["psi2"], tab["normal"])
         np.add.at(rhs2, tab["fdofs"], integrand)
     return {"u1": rhs1, "u2": rhs2}
@@ -463,5 +482,7 @@ def assemble_rhs(
     for group in ("u1", "u2"):
         if np.any(natural[group]):
             rhs[group] = rhs.get(group, 0.0) + natural[group]
-    constraints = essential_constraints(complex_, bc, t=t, f3_given=f3 is not None)
+    constraints = essential_constraints(
+        complex_, bc, t=t, f3_given=f3 is not None, cache=natural_cache
+    )
     return rhs, constraints

@@ -18,7 +18,8 @@ the only code that knows the harmonic multiplier: it computes it before
 the factorization instead of factoring the dense border of the paper's
 saddle matrix.  :func:`run_transient` builds one operator per run, and
 :func:`solve_stokes` and a standalone :func:`step` one per call.  What
-does not change between the steps of a run is built once: the
+does not change between the steps of a run is built once: the harmonic
+space, the resolved boundary (``assembly.ResolvedBoundary``), the
 :func:`assemble_B0` blocks and ``M2/dt``, the CSR pattern of the whole
 system (which also holds the convection entries) and its reduction to
 the free unknowns by :func:`vvpflow.linalg.eliminate`.  A step only adds
@@ -161,15 +162,28 @@ class _SaddleOperator:
       without the fixed unknowns (essential edges, essential faces, and
       the pressure pins of ``harmonic``), which each solve refills.
 
-    ``factor`` holds the LU that :func:`vvpflow.linalg.solve` reuses
-    across the operator's solves.
+    ``harmonic`` and ``natural_cache``, the run's resolved boundary, are
+    built here unless given (a cache of another complex or spec raises);
+    the boundary reaches the build and every right-hand side, so every
+    solve fixes the same entities.  ``factor`` holds the LU that
+    :func:`vvpflow.linalg.solve` reuses across the operator's solves.
     """
 
-    def __init__(self, complex_, bc, harmonic, nu, t, dt=None, **data_args):
+    def __init__(
+        self, complex_, bc, nu, t, dt=None, harmonic=None, natural_cache=None, **loads
+    ):
+        if natural_cache is None:
+            natural_cache = NaturalBCCache(complex_, bc)
+        elif natural_cache.complex is not complex_:
+            raise ValueError("natural_cache was resolved on another complex")
+        elif natural_cache.bc is not bc:
+            raise ValueError("natural_cache was resolved for another boundary spec")
+        if harmonic is None:
+            harmonic = build_harmonic_space(complex_, bc)
         self.complex, self.bc, self.harmonic = complex_, bc, harmonic
-        self.data_args = data_args  # f2, f3, load_degree, natural_cache
+        self.data_args = {**loads, "natural_cache": natural_cache}  # for assemble_rhs
         mesh = complex_.mesh
-        system = assemble_B0(complex_, bc, nu=nu, t=t, **data_args)
+        system = assemble_B0(complex_, bc, nu=nu, t=t, **self.data_args)
         self.first = (t, system.rhs, system.constraints)
         groups, n = system.groups, system.size
 
@@ -234,9 +248,7 @@ class _SaddleOperator:
         """
         complex_, h, reduced = self.complex, self.harmonic.basis, self.reduced
         rhs, constraints = self._data(t)
-        fixed, values = stack_constraints(reduced.groups, self._with_pins(constraints))
-        if not np.array_equal(fixed, reduced.fixed):
-            raise SolverError("the essential boundary entities changed between solves")
+        _, values = stack_constraints(reduced.groups, self._with_pins(constraints))
         b = stack(reduced.groups, rhs)
         offsets = reduced.offsets
         u2, u3 = slice(offsets["u2"], offsets["u3"]), slice(offsets["u3"], len(b))
@@ -291,18 +303,9 @@ def solve_stokes(
     Returns ``(state, diagnostics)`` where diagnostics carries the
     relative linear residual and the max divergence density.
     """
-    if harmonic is None:
-        harmonic = build_harmonic_space(complex_, bc)
+    loads = {"f2": f2, "f3": f3, "load_degree": load_degree}
     operator = _SaddleOperator(
-        complex_,
-        bc,
-        harmonic,
-        nu,
-        t,
-        f2=f2,
-        f3=f3,
-        load_degree=load_degree,
-        natural_cache=natural_cache,
+        complex_, bc, nu, t, harmonic=harmonic, natural_cache=natural_cache, **loads
     )
     state, residual = operator.solve(t)
     diagnostics = {
@@ -325,10 +328,11 @@ def initialize_state(complex_, bc, velocity_data, t=0.0):
     system = BlockSystem({"u1": complex_.mesh.n_edges})
     system.add_block("u1", "u1", complex_.m1)
     system.add_rhs("u1", complex_.d1.T @ (complex_.m2 @ u.values))
-    natural = assemble_natural_bc(complex_, bc, t=t)
+    boundary = NaturalBCCache(complex_, bc)
+    natural = assemble_natural_bc(complex_, bc, t=t, cache=boundary)
     if np.any(natural["u1"]):
         system.add_rhs("u1", natural["u1"])
-    ess = essential_constraints(complex_, bc, t=t)
+    ess = essential_constraints(complex_, bc, t=t, cache=boundary)
     if "u1" in ess:
         system.constrain("u1", *ess["u1"])
     full, _ = solve_reduced(assemble_blocks(system), order=complex_.mesh.elimination_order)
@@ -340,34 +344,23 @@ def initialize_state(complex_, bc, velocity_data, t=0.0):
     )
 
 
-def _step_operator(complex_, bc, config, t, f, harmonic, natural_cache):
+def _step_operator(complex_, bc, config, t, f, harmonic=None, natural_cache=None):
+    loads = {"f2": f, "load_degree": config.load_degree}
     return _SaddleOperator(
-        complex_,
-        bc,
-        harmonic,
-        config.nu,
-        t,
-        dt=config.dt,
-        f2=f,
-        load_degree=config.load_degree,
-        natural_cache=natural_cache,
+        complex_, bc, config.nu, t, config.dt, harmonic, natural_cache, **loads
     )
 
 
-def step(
-    complex_, bc, config, state, f=None, harmonic=None, natural_cache=None, operator=None
-):
+def step(complex_, bc, config, state, f=None, operator=None):
     """Advance one implicit step; returns (new_state, residual).
 
     ``operator`` is the run's saddle operator, which :func:`run_transient`
-    builds once; without it the step builds a one-shot one from the
-    other arguments.
+    builds once with the run's harmonic space and resolved boundary;
+    without it the step builds a one-shot one, which resolves both.
     """
     t_new = state.t + config.dt
     if operator is None:
-        if harmonic is None:
-            harmonic = build_harmonic_space(complex_, bc)
-        operator = _step_operator(complex_, bc, config, t_new, f, harmonic, natural_cache)
+        operator = _step_operator(complex_, bc, config, t_new, f)
     convection = assemble_convection(
         complex_, state.omega.values, state.u.values, config.theta
     )
@@ -398,29 +391,14 @@ def run_transient(
         if velocity_data is None:
             raise ValueError("either an initial state or velocity data is required")
         state = initialize_state(complex_, bc, velocity_data, t=0.0)
-    if harmonic is None:
-        harmonic = build_harmonic_space(complex_, bc)
-    if natural_cache is None:
-        natural_cache = NaturalBCCache(complex_, bc)
-
-    operator = _step_operator(
-        complex_, bc, config, state.t + config.dt, f, harmonic, natural_cache
-    )
+    t1 = state.t + config.dt
+    operator = _step_operator(complex_, bc, config, t1, f, harmonic, natural_cache)
     t0 = state.t
     to_steady = config.t_end is None
     summary = TrajectorySummary(final=state)
     m2 = complex_.m2
     for n in range(1, config.max_steps + 1):
-        new_state, residual = step(
-            complex_,
-            bc,
-            config,
-            state,
-            f=f,
-            harmonic=harmonic,
-            natural_cache=natural_cache,
-            operator=operator,
-        )
+        new_state, residual = step(complex_, bc, config, state, f=f, operator=operator)
         new_state.t = t0 + n * config.dt
         u = new_state.u.values
         unorm2 = float(u @ (m2 @ u))

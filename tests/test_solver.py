@@ -7,6 +7,7 @@ from vvpflow import linalg, solver
 from vvpflow.assembly import (
     NATURAL,
     BoundaryConditionSpec,
+    NaturalBCCache,
     RegionBC,
     assemble_B0,
     build_harmonic_space,
@@ -649,3 +650,43 @@ def test_operator_reduction_matches_assemble_blocks(complex_j3, monkeypatch, out
     np.testing.assert_array_equal(matrix.toarray(), want.matrix.toarray())
     if outlet:
         assert np.linalg.norm(rhs - want.rhs) <= 1e-14 * np.linalg.norm(want.rhs)
+
+
+# ---------------------------------------------------------------------------
+# one resolved boundary per run
+
+
+@pytest.mark.parametrize("other", ["complex", "boundary spec"])
+def test_natural_cache_resolved_for_another_solve_is_rejected(complex_n2, other):
+    """A cache of another complex would scatter its entity indices into
+    this complex's vectors, and one of another spec would disagree with
+    the harmonic space; either raises instead of solving."""
+    fields = stokes_mms_fields(nu=1.0)
+    complex_, bc = DeRhamComplex(build_box_mesh(3, 3, 3)), _outlet_bc(fields)
+    if other == "complex":
+        cache = NaturalBCCache(complex_n2, bc)
+    else:
+        cache = NaturalBCCache(complex_, _outlet_bc(fields))
+    with pytest.raises(ValueError, match=f"another {other}"):
+        solve_stokes(complex_, bc, f2=fields["forcing"], natural_cache=cache)
+
+
+def test_run_resolves_its_boundary_a_fixed_number_of_times(complex_n2, monkeypatch):
+    """The region predicates run while a run is set up, never per step."""
+    real = BoundaryConditionSpec.face_region_map
+    calls = []
+
+    def counting(self, mesh):
+        calls.append(mesh)
+        return real(self, mesh)
+
+    monkeypatch.setattr(BoundaryConditionSpec, "face_region_map", counting)
+    bc, velocity = ethier_bc(2.0, 1.0), ethier_velocity(2.0, 1.0)
+    counts = []
+    for steps in (2, 5):
+        calls.clear()
+        config = SolverConfig(nu=1.0, dt=1e-3, t_end=steps * 1e-3)
+        summary = run_transient(complex_n2, bc, config, velocity_data=velocity)
+        assert summary.n_steps == steps
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

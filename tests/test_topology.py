@@ -10,6 +10,7 @@ from vvpflow.assembly import (
     NATURAL,
     BoundaryConditionSpec,
     RegionBC,
+    ResolvedBoundary,
     assemble_B0,
     build_harmonic_space,
     essential_constraints,
@@ -107,6 +108,67 @@ def test_outlet_box_beside_closed_box_shifts_only_the_closed_flux():
     assert abs(signs[closed] @ vals[closed]) < 1e-13
     np.testing.assert_array_equal(vals[~closed], raw[~closed])
     assert_stokes_gates(complex_, bc)
+
+
+def swirl(points, t=0.0):
+    x, y, z = points.T
+    return np.stack([np.sin(y + t), np.cos(z - t), x * (1.0 + t)], axis=1)
+
+
+def growing(points, t=0.0):
+    return (1.0 + t) * points  # net outflux 3 (1 + t) per unit box
+
+
+@pytest.mark.parametrize("case", ["seam", "outlet", "two-closed"])
+def test_shared_boundary_gives_standalone_essential_values(case, monkeypatch):
+    """One resolved boundary, reused at two times, gives the indices and
+    the bit-identical values of a call that resolves its own, without
+    evaluating a region predicate again."""
+    if case == "seam":
+        mesh = build_box_mesh(2, 2, 2)
+        left = RegionBC(
+            name="left",
+            vorticity_data=expanding,
+            velocity_data=growing,
+            where=lambda c: c[:, 0] < 0.5,
+        )
+        rest = RegionBC(name="rest", vorticity_data=swirl, velocity_data=growing)
+        bc = BoundaryConditionSpec((left, rest))
+    elif case == "outlet":
+        mesh = build_box_mesh(2, 2, 2)
+        bc = outlets([0], RegionBC(name="walls", vorticity_data=swirl, velocity_data=growing))
+    else:
+        mesh = side_by_side([build_box_mesh(2, 2, 2)] * 2)
+        bc = BoundaryConditionSpec(RegionBC(vorticity_data=swirl, velocity_data=growing))
+    complex_ = DeRhamComplex(mesh)
+    boundary = ResolvedBoundary(complex_, bc)
+    times = (0.0, 0.7)
+    standalone = [essential_constraints(complex_, bc, t=t) for t in times]
+
+    def no_predicates(*args):
+        raise AssertionError("region predicates evaluated again")
+
+    monkeypatch.setattr(BoundaryConditionSpec, "face_region_map", no_predicates)
+    for t, want in zip(times, standalone):
+        got = essential_constraints(complex_, bc, t=t, cache=boundary)
+        assert got.keys() == want.keys() == {"u1", "u2"}
+        for group, (idx, vals) in want.items():
+            np.testing.assert_array_equal(got[group][0], idx)
+            assert got[group][1].tobytes() == vals.tobytes()
+
+        if case == "seam":  # a seam edge takes the first region's data
+            edges, values = got["u1"]
+            (_, lf, _), (_, rf, _) = boundary.regions("vorticity", "essential")
+            seam = np.intersect1d(mesh.face_edges[lf], mesh.face_edges[rf])
+            assert len(seam) > 0
+            first = interpolate(expanding, complex_.V1, t=t).values[seam]
+            np.testing.assert_allclose(values[np.searchsorted(edges, seam)], first, atol=1e-14)
+        if case == "two-closed":  # the flux shift ran on each box
+            faces, fluxes = got["u2"]
+            signs = mesh.boundary_face_signs[np.searchsorted(mesh.boundary_faces, faces)]
+            in_first = mesh.face_tets[faces, 0] < 48
+            for box in (in_first, ~in_first):
+                assert abs(signs[box] @ fluxes[box]) < 1e-13
 
 
 @settings(max_examples=12, deadline=None)

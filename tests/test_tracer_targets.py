@@ -1,14 +1,27 @@
-"""The benchmark tracer's targets still name functions of the library.
+"""The benchmark still matches the library it drives.
 
 ``benchmarks/tracer.py`` patches each (module, attribute path) in its
 ``TARGETS`` and only records a missing one, so a renamed or dropped
-function would silently vanish from the per-layer metrics.
+function would silently vanish from the per-layer metrics.  The
+benchmark's workloads are not run here, so a call that no longer binds
+to the library's signature would first show as failed operations.
 """
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+WORKLOAD = TRACER.parent / "workload.py"
+# The names benchmarks/workload.py binds to vvpflow's modules.
+LIBRARY = {
+    "assembly": "vvpflow.assembly",
+    "fields": "vvpflow.fields",
+    "solver": "vvpflow.solver",
+    "spaces": "vvpflow.spaces",
+    "vmesh": "vvpflow.mesh",
+}
 
 
 def test_tracer_targets_resolve():
@@ -24,3 +37,33 @@ def test_tracer_targets_resolve():
             missing.append(f"{module_name}.{path}")
     assert len(tracer.TARGETS) > 20
     assert missing == []
+
+
+def test_workload_calls_bind_to_library_signatures():
+    calls = [
+        node
+        for node in ast.walk(ast.parse(WORKLOAD.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in LIBRARY
+    ]
+    unbound = []
+    for call in calls:
+        name = f"{call.func.value.id}.{call.func.attr}"
+        module = importlib.import_module(LIBRARY[call.func.value.id])
+        target = getattr(module, call.func.attr, None)
+        starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+        keywords = [kw.arg for kw in call.keywords]
+        if target is None:
+            unbound.append(f"line {call.lineno}: {name} is not in the library")
+            continue
+        if starred or None in keywords:
+            unbound.append(f"line {call.lineno}: {name} unpacks its arguments")
+            continue
+        try:
+            inspect.signature(target).bind(*call.args, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"line {call.lineno}: {name}: {exc}")
+    assert len(calls) >= 15
+    assert unbound == []
