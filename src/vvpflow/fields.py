@@ -5,12 +5,13 @@ All field callables follow one convention: ``f(points, t)`` with
 an (n,) array for scalars.  Time-independent fields still accept ``t``.
 
 The exponential-trigonometric family ``ethier_*`` (two parameters a, d,
-decay exp(-d^2 t)) is an exact unforced solution of the incompressible
-flow equations at unit viscosity: it is divergence-free, Beltrami (the
-vorticity is parallel to the velocity, so the rotational convection term
-vanishes pointwise), and the time derivative cancels the viscous term.
-Its total-head (Bernoulli) pressure is identically zero, which the
-symbolic construction below rederives rather than assumes.
+decay exp(-d^2 t); Ethier & Steinman, IJNMF 1994) is an exact unforced
+solution of the incompressible flow equations at unit viscosity: it is
+divergence-free and Beltrami with vorticity d u, so the rotational
+convection term vanishes pointwise and curl(omega) = d^2 u cancels the
+time derivative.  Its total-head (Bernoulli) pressure is therefore
+identically zero.  Every field below is written in closed form; the
+test suite rederives each one symbolically and checks the identities.
 """
 from __future__ import annotations
 
@@ -27,8 +28,18 @@ __all__ = [
     "gradient_of_power",
 ]
 
-_ethier_cache: dict = {}
-_mms_cache: dict = {}
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def _cyclic(component):
+    """The (n, 3) array whose column i is ``component(i, j, k)``, with
+    (i, j, k) a cyclic permutation of (x, y, z)."""
+    return np.stack([component(*ijk) for ijk in _CYCLIC], axis=1)
+
+
+def _coordinates(points):
+    """x, y, z of an (n, 3) array of points as three (n,) arrays."""
+    return np.asarray(points, dtype=float).T
 
 
 def zero_vector_field(points, t=0.0):
@@ -41,106 +52,39 @@ def zero_scalar_field(points, t=0.0):
     return np.zeros(points.shape[0])
 
 
-def _sympy_curl(F, xyz):
-    import sympy as sp
-
-    x, y, z = xyz
-    return sp.Matrix(
-        [
-            sp.diff(F[2], y) - sp.diff(F[1], z),
-            sp.diff(F[0], z) - sp.diff(F[2], x),
-            sp.diff(F[1], x) - sp.diff(F[0], y),
-        ]
-    )
-
-
-def _lambdify_vector(exprs, symbols):
-    import sympy as sp
-
-    funcs = [sp.lambdify(symbols, e, modules="numpy") for e in exprs]
-
-    def field(points, t=0.0):
-        points = np.asarray(points, dtype=float)
-        n = points.shape[0]
-        cols = []
-        for f in funcs:
-            v = np.asarray(f(points[:, 0], points[:, 1], points[:, 2], t), dtype=float)
-            cols.append(np.broadcast_to(v, (n,)))
-        return np.stack(cols, axis=1)
-
-    return field
-
-
-def _lambdify_scalar(expr, symbols):
-    import sympy as sp
-
-    f = sp.lambdify(symbols, expr, modules="numpy")
-
-    def field(points, t=0.0):
-        points = np.asarray(points, dtype=float)
-        v = np.asarray(f(points[:, 0], points[:, 1], points[:, 2], t), dtype=float)
-        return np.broadcast_to(v, (points.shape[0],)).copy()
-
-    return field
-
-
-def _build_ethier(a, d):
-    import sympy as sp
-
-    x, y, z, t = sp.symbols("x y z t", real=True)
-    E, S, C = sp.exp, sp.sin, sp.cos
-    decay = E(-(d**2) * t)
-    u = (
-        sp.Matrix(
-            [
-                -a * (E(a * x) * S(a * y + d * z) + E(a * z) * C(a * x + d * y)),
-                -a * (E(a * y) * S(a * z + d * x) + E(a * x) * C(a * y + d * z)),
-                -a * (E(a * z) * S(a * x + d * y) + E(a * y) * C(a * z + d * x)),
-            ]
-        )
-        * decay
-    )
-    w = _sympy_curl(u, (x, y, z))
-    # Lamb-form momentum misfit at unit viscosity, excluding the pressure
-    # gradient.  For this family it simplifies to zero, so the Bernoulli
-    # pressure is a constant, normalized to zero.
-    misfit = u.diff(t) + w.cross(u) + _sympy_curl(w, (x, y, z))
-    misfit = misfit.applyfunc(lambda e: sp.simplify(sp.expand_trig(sp.expand(e))))
-    syms = (x, y, z, t)
-    entry = {
-        "velocity": _lambdify_vector(list(u), syms),
-        "vorticity": _lambdify_vector(list(w), syms),
-        "momentum_misfit": _lambdify_vector(list(misfit), syms),
-        "misfit_is_zero": misfit == sp.zeros(3, 1),
-    }
-    return entry
-
-
-def _ethier(a, d):
-    key = (float(a), float(d))
-    if key not in _ethier_cache:
-        _ethier_cache[key] = _build_ethier(*key)
-    return _ethier_cache[key]
-
-
 def ethier_velocity(a, d):
-    """Exact velocity; parameters a (amplitude) and d (decay)."""
-    return _ethier(a, d)["velocity"]
+    """Exact velocity; parameters a (amplitude) and d (decay).
+
+    u_i = -a (exp(a x_i) sin(a x_j + d x_k) + exp(a x_k) cos(a x_i + d x_j))
+    exp(-d^2 t), with (i, j, k) cyclic.
+    """
+    a, d = float(a), float(d)
+
+    def velocity(points, t=0.0):
+        x = _coordinates(points)
+        growth = [np.exp(a * xi) for xi in x]
+        phase = [a * x[j] + d * x[k] for _, j, k in _CYCLIC]
+        # The cosine term of component i is the one of component k.
+        cos_term = [g * np.cos(p) for g, p in zip(growth, phase)]
+        u = _cyclic(lambda i, j, k: growth[i] * np.sin(phase[i]) + cos_term[k])
+        return (-a * np.exp(-(d**2) * t)) * u
+
+    return velocity
 
 
 def ethier_vorticity(a, d):
-    """Exact vorticity, the curl of :func:`ethier_velocity`."""
-    return _ethier(a, d)["vorticity"]
+    """Exact vorticity, the curl of :func:`ethier_velocity`, which is d u."""
+    d = float(d)
+    velocity = ethier_velocity(a, d)
+
+    def vorticity(points, t=0.0):
+        return d * velocity(points, t)
+
+    return vorticity
 
 
 def ethier_bernoulli_pressure(a, d):
     """Exact total-head pressure, identically zero for this family."""
-    entry = _ethier(a, d)
-    if not entry["misfit_is_zero"]:
-        raise ValueError(
-            f"momentum balance of the (a={a}, d={d}) field does not close "
-            "with a constant Bernoulli pressure"
-        )
     return zero_scalar_field
 
 
@@ -148,20 +92,17 @@ def ethier_momentum_residual(a, d, nu=1.0):
     """Pointwise residual of the unforced momentum equation.
 
     Returns a field callable giving u_t + omega x u + nu curl(omega)
-    plus grad of the (zero) Bernoulli pressure.  Used as the oracle that
-    the exact solution really solves the equations with no body force.
+    plus grad of the (zero) Bernoulli pressure.  With omega = d u the
+    convection term vanishes and u_t = -d^2 u, curl(omega) = d^2 u, so
+    the residual is (nu - 1) d^2 u: zero at unit viscosity.
     """
-    entry = _ethier(a, d)
-    misfit = entry["momentum_misfit"]
     if nu == 1.0:
-        return misfit
-
-    velocity = entry["velocity"]
+        return zero_vector_field
+    scale = (float(nu) - 1.0) * float(d) ** 2
+    velocity = ethier_velocity(a, d)
 
     def residual(points, t=0.0):
-        # curl(omega) = d^2 u for this family, so viscosities other than
-        # one leave (nu - 1) d^2 u uncancelled.
-        return misfit(points, t) + (nu - 1.0) * float(d) ** 2 * velocity(points, t)
+        return scale * velocity(points, t)
 
     return residual
 
@@ -186,43 +127,52 @@ def gradient_of_power(gamma, domain_volume_moment):
     return field
 
 
+def _sin_cos_pi(points):
+    angle = [np.pi * xi for xi in _coordinates(points)]
+    return [np.sin(q) for q in angle], [np.cos(q) for q in angle]
+
+
 def stokes_mms_fields(nu=1.0):
     """Manufactured steady Stokes solution on the unit box.
 
-    Velocity is the curl of a trigonometric potential (hence exactly
-    divergence-free, with zero normal trace on the unit box), pressure
-    is a mean-zero cosine product, and the forcing
-    ``f = nu curl(curl u) + grad p`` is derived symbolically.
+    Velocity is the curl of the potential (s_j s_k)_i, with
+    s_i = sin(pi x_i), c_i = cos(pi x_i) and (i, j, k) cyclic, hence
+    exactly divergence-free with zero normal trace on the unit box:
+    u_i = pi s_i (c_j - c_k).  Then omega_i = 2 pi^2 s_j s_k,
+    curl(omega) = 2 pi^2 u, the pressure p = c_x c_y c_z has zero mean,
+    and the forcing is f = nu curl(omega) + grad p with
+    (grad p)_i = -pi s_i c_j c_k.
     Returns a dict with velocity, vorticity, vorticity_curl, pressure,
     forcing.
     """
-    key = float(nu)
-    if key in _mms_cache:
-        return _mms_cache[key]
-    import sympy as sp
+    viscous = float(nu) * 2.0 * np.pi**2
 
-    x, y, z, t = sp.symbols("x y z t", real=True)
-    pi = sp.pi
-    potential = sp.Matrix(
-        [
-            sp.sin(pi * y) * sp.sin(pi * z),
-            sp.sin(pi * z) * sp.sin(pi * x),
-            sp.sin(pi * x) * sp.sin(pi * y),
-        ]
-    )
-    u = _sympy_curl(potential, (x, y, z))
-    w = _sympy_curl(u, (x, y, z))
-    p = sp.cos(pi * x) * sp.cos(pi * y) * sp.cos(pi * z)
-    f = key * _sympy_curl(w, (x, y, z)) + sp.Matrix(
-        [sp.diff(p, x), sp.diff(p, y), sp.diff(p, z)]
-    )
-    syms = (x, y, z, t)
-    fields = {
-        "velocity": _lambdify_vector(list(u), syms),
-        "vorticity": _lambdify_vector(list(w), syms),
-        "vorticity_curl": _lambdify_vector(list(_sympy_curl(w, (x, y, z))), syms),
-        "pressure": _lambdify_scalar(p, syms),
-        "forcing": _lambdify_vector(list(f), syms),
+    def velocity(points, t=0.0):
+        s, c = _sin_cos_pi(points)
+        return _cyclic(lambda i, j, k: np.pi * s[i] * (c[j] - c[k]))
+
+    def vorticity(points, t=0.0):
+        s = [np.sin(np.pi * xi) for xi in _coordinates(points)]
+        return _cyclic(lambda i, j, k: 2.0 * np.pi**2 * s[j] * s[k])
+
+    def vorticity_curl(points, t=0.0):
+        return 2.0 * np.pi**2 * velocity(points)
+
+    def pressure(points, t=0.0):
+        cx, cy, cz = (np.cos(np.pi * xi) for xi in _coordinates(points))
+        return cx * cy * cz
+
+    def forcing(points, t=0.0):
+        s, c = _sin_cos_pi(points)
+        return _cyclic(
+            lambda i, j, k: viscous * (np.pi * s[i] * (c[j] - c[k]))
+            - np.pi * s[i] * c[j] * c[k]
+        )
+
+    return {
+        "velocity": velocity,
+        "vorticity": vorticity,
+        "vorticity_curl": vorticity_curl,
+        "pressure": pressure,
+        "forcing": forcing,
     }
-    _mms_cache[key] = fields
-    return fields

@@ -6,13 +6,15 @@ mass matrices, a hand-rolled tensor-product Gauss-Legendre rule on the
 collapsed cube for the convection matrices, literal barycentric-gradient
 formulas for the Whitney bases, a token-level parser for legacy VTK
 output, the paper's bordered saddle system, whose dense harmonic
-multiplier the solver never factors, and a dense rank count of the
-harmonic 3-forms.
+multiplier the solver never factors, a dense rank count of the
+harmonic 3-forms, and a symbolic derivation of the analytic fields.
 """
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import numpy as np
+import sympy as sp
 
 from vvpflow.linalg import BlockSystem
 
@@ -275,3 +277,89 @@ def harmonic_rank(complex_, bc):
     keep = np.ones(mesh.n_faces, dtype=bool)
     keep[mesh.boundary_faces[essential[bc.face_region_map(mesh)]]] = False
     return mesh.n_tets - np.linalg.matrix_rank(complex_.d2[:, keep].toarray())
+
+
+# ---------------------------------------------------------------------------
+# symbolic analytic fields: coordinates x, y, z, time t and the parameters
+# a, d (Ethier-Steinman amplitude and decay) and nu (viscosity)
+
+X, Y, Z, T = sp.symbols("x y z t", real=True)
+A, D, NU = sp.symbols("a d nu", real=True)
+
+
+def sympy_curl(F):
+    return sp.Matrix(
+        [
+            sp.diff(F[2], Y) - sp.diff(F[1], Z),
+            sp.diff(F[0], Z) - sp.diff(F[2], X),
+            sp.diff(F[1], X) - sp.diff(F[0], Y),
+        ]
+    )
+
+
+def simplified(expr):
+    """Entrywise sympy simplification after expanding products and trig sums."""
+    return expr.applyfunc(lambda e: sp.simplify(sp.expand_trig(sp.expand(e))))
+
+
+@cache
+def ethier_expressions():
+    """Ethier-Steinman velocity, its curl, and the momentum residual
+    u_t + omega x u + nu curl(omega) of the unforced flow."""
+    E, S, C = sp.exp, sp.sin, sp.cos
+    u = sp.Matrix(
+        [
+            -A * (E(A * X) * S(A * Y + D * Z) + E(A * Z) * C(A * X + D * Y)),
+            -A * (E(A * Y) * S(A * Z + D * X) + E(A * X) * C(A * Y + D * Z)),
+            -A * (E(A * Z) * S(A * X + D * Y) + E(A * Y) * C(A * Z + D * X)),
+        ]
+    ) * E(-(D**2) * T)
+    w = sympy_curl(u)
+    return {
+        "velocity": u,
+        "vorticity": w,
+        "momentum_residual": u.diff(T) + w.cross(u) + NU * sympy_curl(w),
+    }
+
+
+@cache
+def mms_expressions():
+    """Manufactured Stokes fields: u the curl of a trigonometric potential,
+    p a cosine product and f = nu curl(curl u) + grad p."""
+    S, C, pi = sp.sin, sp.cos, sp.pi
+    potential = sp.Matrix(
+        [S(pi * Y) * S(pi * Z), S(pi * Z) * S(pi * X), S(pi * X) * S(pi * Y)]
+    )
+    u = sympy_curl(potential)
+    w = sympy_curl(u)
+    p = C(pi * X) * C(pi * Y) * C(pi * Z)
+    grad_p = sp.Matrix([sp.diff(p, X), sp.diff(p, Y), sp.diff(p, Z)])
+    return {
+        "velocity": u,
+        "vorticity": w,
+        "vorticity_curl": sympy_curl(w),
+        "pressure": p,
+        "forcing": NU * sympy_curl(w) + grad_p,
+    }
+
+
+def lambdify_field(expr, **params):
+    """A field callable ``f(points, t)`` for a scalar or 3-vector
+    expression in x, y, z, t, with the named parameters (a, d, nu) fixed
+    at the given values."""
+    names = sorted(params)
+    symbols = (X, Y, Z, T) + tuple(sp.Symbol(name, real=True) for name in names)
+    vector = isinstance(expr, sp.MatrixBase)
+    f = sp.lambdify(symbols, list(expr) if vector else expr, modules="numpy")
+    values = [float(params[name]) for name in names]
+
+    def field(points, t=0.0):
+        points = np.asarray(points, dtype=float)
+        n = len(points)
+        out = f(points[:, 0], points[:, 1], points[:, 2], t, *values)
+        if vector:
+            cols = [np.broadcast_to(np.asarray(v, float), (n,)) for v in out]
+            return np.stack(cols, axis=1)
+        return np.broadcast_to(np.asarray(out, float), (n,)).copy()
+
+    return field

@@ -239,6 +239,16 @@ def test_run_experiment_dispatch(tmp_path):
     assert isinstance(report, NoFlowReport)
 
 
+@pytest.mark.parametrize("kind", ["stokes-mms", "ethier"])
+def test_reruns_write_byte_identical_csvs(kind, tmp_path):
+    """Rerunning an experiment sweep reproduces its CSV byte for byte."""
+    written = []
+    for run in ("first", "second"):
+        run_experiment(ExperimentSpec(kind=kind, n=(2, 3), outdir=str(tmp_path / run)))
+        written.append((tmp_path / run / f"{kind}.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 # ---------------------------------------------------------------------------
 # command line
 

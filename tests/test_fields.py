@@ -1,7 +1,15 @@
-"""Analytic solution families checked against finite-difference calculus."""
+"""Analytic solution families checked against finite-difference calculus
+and against their symbolic derivation."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import sympy as sp
 
+import vvpflow
 from vvpflow.fields import (
     ethier_bernoulli_pressure,
     ethier_momentum_residual,
@@ -11,6 +19,15 @@ from vvpflow.fields import (
     stokes_mms_fields,
     zero_scalar_field,
     zero_vector_field,
+)
+
+from oracles import (
+    D,
+    NU,
+    ethier_expressions,
+    lambdify_field,
+    mms_expressions,
+    simplified,
 )
 
 EPS = 1e-6
@@ -166,3 +183,108 @@ def test_manufactured_pressure_has_zero_mean():
     complex_ = DeRhamComplex(build_box_mesh(3, 3, 3))
     coeffs = complex_.interpolate(fields["pressure"], 3)
     assert abs(coeffs.values.sum()) < 1e-10
+
+
+ETHIER_PARAMS = [(2.0, 1.0), (2.0, 0.5), (1.3, 2.0), (2.0, 0.0)]
+VISCOSITIES = [0.5, 1.0, 2.0]
+ULP_TOL = 1e-14  # a few ulps relative to the largest magnitude involved
+
+
+@pytest.fixture
+def samples(rng):
+    """Random points in the unit box and random times."""
+    return rng.uniform(0.0, 1.0, size=(200, 3)), rng.uniform(0.0, 0.5, size=3)
+
+
+@pytest.mark.parametrize("a,d", ETHIER_PARAMS)
+def test_ethier_closed_forms_match_the_symbolic_oracle(a, d, samples):
+    points, times = samples
+    expr = ethier_expressions()
+    for name, closed in (
+        ("velocity", ethier_velocity(a, d)),
+        ("vorticity", ethier_vorticity(a, d)),
+    ):
+        oracle = lambdify_field(expr[name], a=a, d=d)
+        for t in times:
+            want = oracle(points, t)
+            scale = np.abs(want).max()
+            assert np.abs(closed(points, t) - want).max() <= ULP_TOL * scale, (name, t)
+
+
+@pytest.mark.parametrize("nu", VISCOSITIES)
+@pytest.mark.parametrize("a,d", ETHIER_PARAMS)
+def test_ethier_momentum_residual_matches_the_symbolic_oracle(a, d, nu, samples):
+    points, times = samples
+    expr = ethier_expressions()
+    oracle = lambdify_field(expr["momentum_residual"], a=a, d=d, nu=nu)
+    velocity = lambdify_field(expr["velocity"], a=a, d=d)
+    vorticity = lambdify_field(expr["vorticity"], a=a, d=d)
+    closed = ethier_momentum_residual(a, d, nu)
+    for t in times:
+        # The residual cancels terms of size |u_t|, |omega x u| and
+        # nu |curl omega|; its round-off is relative to the largest.
+        u_max = np.abs(velocity(points, t)).max()
+        scale = u_max * (np.abs(vorticity(points, t)).max() + (1.0 + nu) * d**2)
+        assert np.abs(closed(points, t) - oracle(points, t)).max() <= ULP_TOL * scale
+
+
+@pytest.mark.parametrize("nu", VISCOSITIES)
+def test_manufactured_closed_forms_match_the_symbolic_oracle(nu, samples):
+    points, _ = samples
+    fields = stokes_mms_fields(nu)
+    for name, expr in mms_expressions().items():
+        want = lambdify_field(expr, nu=nu)(points)
+        scale = np.abs(want).max()
+        assert np.abs(fields[name](points) - want).max() <= ULP_TOL * scale, name
+
+
+def test_ethier_is_beltrami_and_its_misfit_simplifies_to_zero():
+    """For every amplitude a and decay d, omega = d u and the unit-viscosity
+    momentum misfit vanishes identically, so the Bernoulli pressure is a
+    constant (normalized to zero)."""
+    expr = ethier_expressions()
+    assert simplified(expr["vorticity"] - D * expr["velocity"]) == sp.zeros(3, 1)
+    assert simplified(expr["momentum_residual"].subs(NU, 1)) == sp.zeros(3, 1)
+
+
+_NO_SYMPY_RUN = """
+import sys, tempfile
+import numpy as np
+from vvpflow import fields
+from vvpflow.experiments import ExperimentSpec, run_experiment
+
+built = {
+    "ethier_velocity": fields.ethier_velocity(2.0, 1.0),
+    "ethier_vorticity": fields.ethier_vorticity(2.0, 1.0),
+    "ethier_bernoulli_pressure": fields.ethier_bernoulli_pressure(2.0, 1.0),
+    "ethier_momentum_residual": fields.ethier_momentum_residual(2.0, 1.0, 2.0),
+    "zero_vector_field": fields.zero_vector_field,
+    "zero_scalar_field": fields.zero_scalar_field,
+    "gradient_of_power": fields.gradient_of_power(2, 1.0 / 3.0),
+}
+built.update(
+    ("stokes_mms_fields." + k, f) for k, f in fields.stokes_mms_fields(2.0).items()
+)
+assert {k.split(".")[0] for k in built} == set(fields.__all__), sorted(built)
+points = np.random.default_rng(0).uniform(size=(8, 3))
+for f in built.values():
+    f(points, 0.1)
+with tempfile.TemporaryDirectory() as outdir:
+    run_experiment(ExperimentSpec(kind="ethier", n=(2,), outdir=outdir))
+print("sympy" in sys.modules)
+"""
+
+
+def test_library_runs_without_importing_sympy():
+    """sympy is a test-only dependency: building every analytic field and
+    running a solve must not import it."""
+    src = str(Path(vvpflow.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SYMPY_RUN],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False", "the run imported sympy"
