@@ -3,14 +3,18 @@
 Unknown groups: ``u1`` vorticity (edge circulations), ``u2`` velocity
 (face fluxes), ``u3`` total-head pressure (cell integrals).
 
-:func:`assemble_B0` returns the sparse steady system with rows
+The steady system has rows
 
     tau-row :  M1 u1 - D1^T M2 u2                  = natural tangential term
     v-row   :  nu M2 D1 u1 - D2^T M3 u3            = load(f2) + natural pressure term
     q-row   :  M3 D2 u2                            = load(f3)
 
 and the transient step adds the mass-over-dt and linearized convection
-blocks to the v-row (see :mod:`vvpflow.solver`).
+blocks to the v-row (see :mod:`vvpflow.solver`).  The matrix is fixed
+for a run and the data change with time, so they are built apart:
+:func:`assemble_B0` returns only the sparse blocks of the left side,
+and :func:`assemble_rhs` the right side and the essential values at
+one time.
 
 Each closed component of the mesh's dual forest (no boundary face with
 natural velocity) carries a harmonic 3-form, and the paper's system has
@@ -36,7 +40,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import BlockSystem
 from .quadrature import triangle_rule
 from .spaces import TRACE_DEGREE, interpolate, simplex_rule, whitney_values
 
@@ -160,6 +163,14 @@ class ResolvedBoundary:
         self.complex, self.mesh, self.bc = complex_, complex_.mesh, bc
         self.owner = bc.face_region_map(self.mesh)
         self.rule = triangle_rule(TRACE_DEGREE)
+
+    def essential_values(self, group, t):
+        """(indices, values) of ``group``'s essential entities at time t:
+        each region's data interpolated on its entities (None: zero)."""
+        parts, idx, pick = self.essential[group]
+        space = self.complex.V1 if group == "u1" else self.complex.V2
+        vals = np.concatenate([_interpolant(data, space, e, t) for data, e in parts])
+        return idx, vals[pick]
 
     def regions(self, channel, mode):
         """(region, faces, outward signs) of each region that claims faces
@@ -331,11 +342,7 @@ def essential_constraints(complex_, bc, t=0.0, f3_given=False, cache=None):
     data would become a nonzero phi and a spurious constant divergence.
     """
     boundary = ResolvedBoundary(complex_, bc) if cache is None else cache
-    out = {}
-    for group, (parts, idx, pick) in boundary.essential.items():
-        space = complex_.V1 if group == "u1" else complex_.V2
-        vals = np.concatenate([_interpolant(data, space, e, t) for data, e in parts])
-        out[group] = (idx, vals[pick])
+    out = {group: boundary.essential_values(group, t) for group in boundary.essential}
     for on, signs, areas in [] if f3_given else boundary.flux_shift:
         vals = out["u2"][1]
         defect = float(signs @ vals[on])
@@ -426,52 +433,40 @@ def assemble_convection(complex_, omega_values, u_values, theta=0.5):
     return local3, local5
 
 
-def assemble_B0(
-    complex_,
-    bc,
-    nu=1.0,
-    f2=None,
-    f3=None,
-    t=0.0,
-    load_degree=None,
-    natural_cache=None,
-):
-    """The sparse steady saddle system as a BlockSystem (see module docstring).
+def assemble_B0(complex_, nu=1.0):
+    """The blocks of the steady saddle matrix (see module docstring).
 
-    ``load_degree`` overrides the volume rule for the f2/f3 loads
-    (gradient loads must be integrated exactly for pressure-robustness
-    to hold discretely).  The right-hand side and the essential values
-    are those of :func:`assemble_rhs`.
+    Returns ``(groups, blocks)``: the group sizes in order and
+    ``{(row, col): matrix}`` of the five nonzero blocks.  The right-hand
+    side and the essential values come from :func:`assemble_rhs`.
     """
     if nu <= 0:
         raise ValueError("viscosity must be positive")
     mesh = complex_.mesh
-    system = BlockSystem({"u1": mesh.n_edges, "u2": mesh.n_faces, "u3": mesh.n_tets})
-
     m2d1 = complex_.m2 @ complex_.d1
     m3d2 = complex_.m3 @ complex_.d2
-    system.add_block("u1", "u1", complex_.m1)
-    system.add_block("u1", "u2", -m2d1.T)
-    system.add_block("u2", "u1", nu * m2d1)
-    system.add_block("u2", "u3", -m3d2.T)
-    system.add_block("u3", "u2", m3d2)
-
-    rhs, constraints = assemble_rhs(complex_, bc, f2, f3, t, load_degree, natural_cache)
-    for group, vec in rhs.items():
-        system.add_rhs(group, vec)
-    for group, (idx, vals) in constraints.items():
-        system.constrain(group, idx, vals)
-    return system
+    groups = {"u1": mesh.n_edges, "u2": mesh.n_faces, "u3": mesh.n_tets}
+    blocks = {
+        ("u1", "u1"): complex_.m1,
+        ("u1", "u2"): -m2d1.T,
+        ("u2", "u1"): nu * m2d1,
+        ("u2", "u3"): -m3d2.T,
+        ("u3", "u2"): m3d2,
+    }
+    return groups, blocks
 
 
 def assemble_rhs(
     complex_, bc, f2=None, f3=None, t=0.0, load_degree=None, natural_cache=None
 ):
-    """Right-hand side and essential values of :func:`assemble_B0` at time t.
+    """Right-hand side and essential values of the saddle system at time t.
 
     Returns ``({group: vector}, {group: (indices, values)})``: the loads
     and the nonzero natural terms, and the essential values of
-    :func:`essential_constraints`.  A step re-evaluates only these.
+    :func:`essential_constraints`.  ``load_degree`` overrides the volume
+    rule for the f2/f3 loads (gradient loads must be integrated exactly
+    for pressure-robustness to hold discretely).  Each solve of a run
+    evaluates these; the matrix of :func:`assemble_B0` stays.
     """
     rhs = {}
     if f2 is not None:

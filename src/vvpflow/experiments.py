@@ -112,6 +112,10 @@ class ExperimentSpec:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gamma", tuple(int(g) for g in self.gamma))
         object.__setattr__(self, "dts", tuple(float(v) for v in self.dts))
+        if any(g < 1 for g in self.gamma):
+            raise ValueError("exponents must be positive integers")
+        if any(v <= 0 for v in self.dts):
+            raise ValueError("time steps must be positive")
         if self.kind == "noflow" and not self.gamma:
             raise ValueError("noflow needs a nonempty exponent list")
         if self.kind == "dtsweep":

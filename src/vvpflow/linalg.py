@@ -1,14 +1,16 @@
-"""Block sparse systems, constraint elimination, and direct solves.
+"""Stacked block systems, constraint elimination, and direct solves.
 
 Storage and factorization are delegated to scipy.sparse; this module
-owns the contracts: named block layout, essential constraints applied by
-elimination (never by penalties or Lagrange multipliers), and a checked
-relative residual on every solve.
+owns the contracts: a square system is named groups of unknowns with
+``{(row, col): matrix}`` blocks, essential constraints are applied by
+elimination (never by penalties or Lagrange multipliers), and every
+solve checks its relative residual.
 
 Elimination has one path: :func:`eliminate` reduces the CSR pattern of
 a whole system (explicit zeros keep their slots) to its free unknowns
 once, and :meth:`ReducedSystem.refill` reduces each fill of the pattern,
 with the right-hand side ``(b - A x_fixed)[free]``.
+:func:`assemble_blocks` stacks, eliminates and fills a system once.
 
 The solver hands :func:`solve` the mesh's nested-dissection order
 (``SimplicialMesh3.elimination_order``), in which every pressure cell
@@ -22,14 +24,13 @@ steps of one run, share one factor through iterative refinement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
-    "BlockSystem",
     "ReducedSystem",
     "FactorHolder",
     "SolverError",
@@ -65,68 +66,6 @@ class SolverError(RuntimeError):
 
 class SingularSystemError(SolverError):
     pass
-
-
-@dataclass
-class BlockSystem:
-    """A square system organized by named groups of unknowns.
-
-    groups : ordered mapping name -> size
-    blocks : (row_name, col_name) -> sparse/dense matrix
-    rhs : row_name -> vector (missing rows are zero)
-    constraints : col_name -> (indices, values) eliminated essentially
-    """
-
-    groups: dict
-    blocks: dict = field(default_factory=dict)
-    rhs: dict = field(default_factory=dict)
-    constraints: dict = field(default_factory=dict)
-
-    def add_block(self, row, col, matrix):
-        self._check_names(row, col)
-        m = sp.csr_matrix(matrix)
-        want = (self.groups[row], self.groups[col])
-        if m.shape != want:
-            raise ValueError(f"block ({row},{col}) has shape {m.shape}, want {want}")
-        if (row, col) in self.blocks:
-            self.blocks[(row, col)] = self.blocks[(row, col)] + m
-        else:
-            self.blocks[(row, col)] = m
-
-    def add_rhs(self, row, vector):
-        self._check_names(row)
-        v = np.asarray(vector, dtype=float)
-        if v.shape != (self.groups[row],):
-            raise ValueError(f"rhs for {row} has shape {v.shape}")
-        self.rhs[row] = self.rhs.get(row, 0.0) + v
-
-    def constrain(self, col, indices, values):
-        """Fix DOFs of one group; duplicate constraints must agree."""
-        self._check_names(col)
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=float)
-        if indices.shape != values.shape:
-            raise ValueError("constraint indices and values differ in length")
-        if col in self.constraints:
-            old_i, old_v = self.constraints[col]
-            indices = np.concatenate([old_i, indices])
-            values = np.concatenate([old_v, values])
-        order = np.argsort(indices, kind="stable")
-        indices, values = indices[order], values[order]
-        dup = indices[1:] == indices[:-1]
-        if np.any(dup) and not np.allclose(values[1:][dup], values[:-1][dup]):
-            raise ValueError(f"conflicting constraint values in group {col}")
-        keep = np.diff(indices, prepend=-1) != 0
-        self.constraints[col] = (indices[keep], values[keep])
-
-    def _check_names(self, *names):
-        for n in names:
-            if n not in self.groups:
-                raise KeyError(f"unknown group {n!r}")
-
-    @property
-    def size(self):
-        return sum(self.groups.values())
 
 
 def group_offsets(groups):
@@ -217,22 +156,24 @@ def eliminate(pattern, groups, fixed):
     return ReducedSystem(pattern, matrix, positions, free, fixed, groups, offsets)
 
 
-def assemble_blocks(system):
+def assemble_blocks(groups, blocks, rhs=None, constraints=None):
     """Stack blocks into one CSR matrix and eliminate constraints.
 
-    Constrained columns are moved to the right-hand side and the
-    corresponding rows dropped (:func:`eliminate`, filled once); the
-    returned ReducedSystem restores the fixed values on expansion.
+    ``groups`` maps each group to its size, in order; ``blocks`` maps
+    ``(row, col)`` to a sparse matrix (missing blocks are zero), ``rhs``
+    maps groups to vectors (missing ones are zero) and ``constraints``
+    maps groups to the ``(indices, values)`` they fix.  Constrained
+    columns are moved to the right-hand side and the corresponding rows
+    dropped (:func:`eliminate`, filled once); the returned ReducedSystem
+    restores the fixed values on expansion.
     """
-    names = list(system.groups)
-    a = sp.bmat(
-        [[system.blocks.get((r, c)) for c in names] for r in names], format="csr"
-    )
-    if a is None or a.shape != (system.size, system.size):
+    a = sp.bmat([[blocks.get((r, c)) for c in groups] for r in groups], format="csr")
+    n = sum(groups.values())
+    if a.shape != (n, n):
         raise ValueError("block grid does not cover the system")
-    fixed, values = stack_constraints(system.groups, system.constraints)
-    reduced = eliminate(a, system.groups, fixed)
-    reduced.refill(a.data, stack(system.groups, system.rhs), values)
+    fixed, values = stack_constraints(groups, constraints or {})
+    reduced = eliminate(a, groups, fixed)
+    reduced.refill(a.data, stack(groups, rhs or {}), values)
     return reduced
 
 

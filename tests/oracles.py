@@ -15,8 +15,9 @@ from math import factorial
 
 import numpy as np
 import sympy as sp
+from scipy import sparse
 
-from vvpflow.linalg import BlockSystem
+from vvpflow.assembly import assemble_B0, assemble_rhs
 
 # Reference tetrahedron: vertices (0,0,0), (1,0,0), (0,1,0), (0,0,1).
 REF_VERTS = np.array(
@@ -250,23 +251,25 @@ def parse_vtk(text):
     return out
 
 
-def bordered_system(system, basis, m3):
-    """The paper's saddle system around a system from ``assemble_B0``.
+def saddle_system(complex_, bc, nu=1.0, t=0.0, **loads):
+    """The steady saddle system as ``(groups, blocks, rhs, constraints)``:
+    the blocks of ``assemble_B0`` and the data of ``assemble_rhs`` at t,
+    ready for ``linalg.assemble_blocks``."""
+    groups, blocks = assemble_B0(complex_, nu=nu)
+    rhs, constraints = assemble_rhs(complex_, bc, t=t, **loads)
+    return groups, blocks, rhs, constraints
+
+
+def bordered_system(groups, blocks, rhs, constraints, basis, m3):
+    """The paper's saddle system around one from :func:`saddle_system`.
 
     Adds the harmonic multiplier group ``phi`` with the column M3 H in
     the q-rows and the chi-row H^T M3 u3 = 0, for the harmonic basis H
-    (``basis``, shape (n_tets, dim)).  The input system is not changed.
+    (``basis``, shape (n_tets, dim)).  The given dicts are not changed.
     """
-    bordered = BlockSystem(
-        dict(system.groups, phi=basis.shape[1]),
-        dict(system.blocks),
-        dict(system.rhs),
-        dict(system.constraints),
-    )
-    m3h = m3 @ basis
-    bordered.add_block("u3", "phi", m3h)
-    bordered.add_block("phi", "u3", m3h.T)
-    return bordered
+    m3h = sparse.csr_matrix(m3 @ basis)
+    bordered = {("u3", "phi"): m3h, ("phi", "u3"): m3h.T}
+    return dict(groups, phi=basis.shape[1]), {**blocks, **bordered}, rhs, constraints
 
 
 def harmonic_rank(complex_, bc):

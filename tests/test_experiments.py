@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from vvpflow import experiments
 from vvpflow.assembly import BoundaryConditionSpec, RegionBC
 from vvpflow.cli import main
 from vvpflow.experiments import (
@@ -45,6 +46,10 @@ import oracles
         (dict(kind="dtsweep", dts=(1e-3, 1e-2)), "must decrease"),
         (dict(kind="ethier", d=1.0, n=(2,)), "at least two meshes"),
         (dict(kind="ethier", nu=0.0), "viscosity"),
+        (dict(kind="noflow", gamma=(1, 0)), "exponents must be positive"),
+        (dict(kind="noflow", gamma=(-1,)), "exponents must be positive"),
+        (dict(kind="dtsweep", dts=(1e-2, 0.0)), "time steps must be positive"),
+        (dict(kind="dtsweep", dts=(1e-2, -1e-3)), "time steps must be positive"),
     ],
 )
 def test_spec_validation(kwargs, match):
@@ -296,6 +301,17 @@ def test_cli_bad_set_and_unknown_option(tmp_path):
         main(["noflow", "--set", "bogus=1"])
     with pytest.raises(SystemExit, match="error:"):
         main(["noflow", "--config", str(tmp_path / "missing.cfg")])
+
+
+def test_cli_rejects_bad_exponent_before_building_a_mesh(monkeypatch):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("mesh built for an invalid spec")
+
+    monkeypatch.setattr(experiments, "build_box_mesh", no_mesh)
+    with pytest.raises(SystemExit, match="error: exponents must be positive"):
+        main(["noflow", "--set", "gamma=-1"])
+    with pytest.raises(SystemExit, match="error: exponents must be positive"):
+        main(["noflow", "--set", "gamma=0"])
 
 
 def test_cli_mesh_info_rejects_bad_size():

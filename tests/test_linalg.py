@@ -7,7 +7,6 @@ from vvpflow import linalg
 from vvpflow.linalg import (
     RESIDUAL_TOL,
     ROUNDOFF_RESIDUAL,
-    BlockSystem,
     FactorHolder,
     SingularSystemError,
     SolverError,
@@ -21,84 +20,55 @@ from vvpflow.linalg import (
 
 
 def random_block_system(rng, constrain=True):
-    """A small two-group SPD-ish system with known dense counterpart."""
+    """A small two-group SPD-ish system, as the arguments of assemble_blocks,
+    with its known dense counterpart."""
     na, nb = 5, 3
-    system = BlockSystem({"a": na, "b": nb})
     Aaa = rng.normal(size=(na, na))
     Aaa = Aaa @ Aaa.T + na * np.eye(na)
     Aab = rng.normal(size=(na, nb))
     Abb = rng.normal(size=(nb, nb))
     Abb = Abb @ Abb.T + nb * np.eye(nb)
-    system.add_block("a", "a", Aaa)
-    system.add_block("a", "b", Aab)
-    system.add_block("b", "a", Aab.T)
-    system.add_block("b", "b", Abb)
+    blocks = {("a", "a"): Aaa, ("a", "b"): Aab, ("b", "a"): Aab.T, ("b", "b"): Abb}
+    blocks = {key: sp.csr_matrix(m) for key, m in blocks.items()}
     ra = rng.normal(size=na)
     rb = rng.normal(size=nb)
-    system.add_rhs("a", ra)
-    system.add_rhs("b", rb)
     dense = np.block([[Aaa, Aab], [Aab.T, Abb]])
     rhs = np.concatenate([ra, rb])
     fixed_idx, fixed_vals = np.array([1, 3]), np.array([2.0, -1.0])
-    if constrain:
-        system.constrain("a", fixed_idx, fixed_vals)
+    constraints = {"a": (fixed_idx, fixed_vals)} if constrain else {}
+    system = ({"a": na, "b": nb}, blocks, {"a": ra, "b": rb}, constraints)
     return system, dense, rhs, fixed_idx, fixed_vals
 
 
 def test_block_shape_and_name_validation():
-    system = BlockSystem({"a": 2, "b": 3})
-    with pytest.raises(ValueError, match="shape"):
-        system.add_block("a", "b", np.eye(2))
-    with pytest.raises(KeyError):
-        system.add_block("a", "c", np.eye(2))
-    with pytest.raises(ValueError, match="shape"):
-        system.add_rhs("b", np.zeros(2))
-    with pytest.raises(KeyError):
-        system.add_rhs("z", np.zeros(2))
-    assert system.size == 5
-
-
-def test_blocks_and_rhs_accumulate():
-    system = BlockSystem({"a": 2})
-    system.add_block("a", "a", np.eye(2))
-    system.add_block("a", "a", 2 * np.eye(2))
-    system.add_rhs("a", np.ones(2))
-    system.add_rhs("a", np.full(2, 0.5))
-    reduced = assemble_blocks(system)
-    np.testing.assert_allclose(reduced.matrix.toarray(), 3 * np.eye(2))
-    np.testing.assert_allclose(reduced.rhs, 1.5)
-
-
-def test_duplicate_constraints_must_agree():
-    system = BlockSystem({"a": 4})
-    system.constrain("a", [0, 2], [1.0, 2.0])
-    system.constrain("a", [2, 3], [2.0, 0.0])
-    idx, vals = system.constraints["a"]
-    np.testing.assert_array_equal(idx, [0, 2, 3])
-    np.testing.assert_allclose(vals, [1.0, 2.0, 0.0])
-    with pytest.raises(ValueError, match="conflicting"):
-        system.constrain("a", [0], [5.0])
-    with pytest.raises(ValueError, match="length"):
-        system.constrain("a", [1], [0.0, 1.0])
+    """A block grid that does not cover the groups' sizes is rejected."""
+    groups = {"a": 2, "b": 3}
+    with pytest.raises(ValueError, match="does not cover"):
+        assemble_blocks(groups, {("a", "a"): sp.eye(2), ("b", "b"): sp.eye(2)})
+    with pytest.raises(ValueError, match="does not cover"):
+        assemble_blocks(groups, {("a", "a"): sp.eye(2), ("a", "c"): sp.eye(3)})
+    blocks = {("a", "a"): sp.eye(2), ("b", "b"): sp.eye(3)}
+    with pytest.raises(ValueError, match="incompatible"):
+        assemble_blocks(groups, {**blocks, ("a", "b"): sp.eye(2)})
+    with pytest.raises(ValueError):
+        assemble_blocks(groups, blocks, {"b": np.zeros(2)})
+    assert assemble_blocks(groups, blocks).matrix.shape == (5, 5)
 
 
 def test_empty_constraint_fixes_nothing():
-    system = BlockSystem({"a": 3, "b": 2})
-    system.add_block("a", "a", np.eye(3))
-    system.add_block("b", "b", 2 * np.eye(2))
-    system.constrain("b", [], [])
-    system.constrain("a", [1], [4.0])
-    system.constrain("a", [], [])
-    np.testing.assert_array_equal(system.constraints["a"][0], [1])
-    assert system.constraints["b"][0].size == 0
-    full, _ = solve_reduced(assemble_blocks(system))
+    groups = {"a": 3, "b": 2}
+    blocks = {("a", "a"): sp.eye(3), ("b", "b"): 2 * sp.eye(2)}
+    constraints = {"b": (np.array([], int), np.array([])), "a": (np.array([1]), [4.0])}
+    reduced = assemble_blocks(groups, blocks, constraints=constraints)
+    np.testing.assert_array_equal(reduced.fixed, [1])
+    full, _ = solve_reduced(reduced)
     np.testing.assert_array_equal(full, [0.0, 4.0, 0.0, 0.0, 0.0])
 
 
 def test_elimination_matches_dense_oracle():
     rng = np.random.default_rng(3)
     system, dense, rhs, fixed_idx, fixed_vals = random_block_system(rng)
-    reduced = assemble_blocks(system)
+    reduced = assemble_blocks(*system)
     free = np.setdiff1d(np.arange(8), fixed_idx)
     np.testing.assert_array_equal(reduced.free, free)
     np.testing.assert_allclose(
@@ -112,7 +82,7 @@ def test_solve_reduced_matches_exact_penalty_oracle():
     """Eliminated solve equals the dense solve with constraint rows replaced."""
     rng = np.random.default_rng(4)
     system, dense, rhs, fixed_idx, fixed_vals = random_block_system(rng)
-    full, residual = solve_reduced(assemble_blocks(system))
+    full, residual = solve_reduced(assemble_blocks(*system))
     oracle = dense.copy()
     oracle_rhs = rhs.copy()
     for i, v in zip(fixed_idx, fixed_vals):
@@ -128,7 +98,7 @@ def test_solve_reduced_matches_exact_penalty_oracle():
 def test_reduced_split_restores_groups():
     rng = np.random.default_rng(5)
     system, _, _, fixed_idx, fixed_vals = random_block_system(rng)
-    reduced = assemble_blocks(system)
+    reduced = assemble_blocks(*system)
     full, _ = solve_reduced(reduced)
     parts = reduced.split(full)
     assert parts["a"].shape == (5,)
@@ -139,7 +109,7 @@ def test_reduced_split_restores_groups():
 def test_unconstrained_assembly():
     rng = np.random.default_rng(6)
     system, dense, rhs, _, _ = random_block_system(rng, constrain=False)
-    reduced = assemble_blocks(system)
+    reduced = assemble_blocks(*system)
     np.testing.assert_allclose(reduced.matrix.toarray(), dense, atol=1e-14)
     np.testing.assert_allclose(reduced.rhs, rhs, atol=1e-14)
     assert reduced.fixed.size == 0
@@ -223,7 +193,7 @@ def test_solve_reduced_narrows_a_longer_order_to_the_free_unknowns(monkeypatch):
     their relative order."""
     rng = np.random.default_rng(11)
     system, _, _, fixed_idx, _ = random_block_system(rng)
-    reduced = assemble_blocks(system)
+    reduced = assemble_blocks(*system)
     order = np.array([9, 7, 3, 0, 10, 6, 1, 2, 5, 4, 8])  # 8 unknowns plus 3 others
     seen = []
     real = linalg.solve

@@ -9,7 +9,6 @@ from vvpflow.assembly import (
     BoundaryConditionSpec,
     NaturalBCCache,
     RegionBC,
-    assemble_B0,
     build_harmonic_space,
     essential_constraints,
 )
@@ -41,7 +40,10 @@ def both_essential(fields):
 
 def ethier_bc(a, d):
     """Normal velocity strongly, tangential velocity data weakly."""
-    u = ethier_velocity(a, d)
+    return ethier_bc_of(ethier_velocity(a, d))
+
+
+def ethier_bc_of(u):
     return BoundaryConditionSpec(
         RegionBC(
             vorticity_mode=NATURAL,
@@ -49,6 +51,16 @@ def ethier_bc(a, d):
             velocity_data=u,
         )
     )
+
+
+def counted(field, calls):
+    """``field``, recording the number of points of each call in ``calls``."""
+
+    def wrapper(points, t=0.0):
+        calls.append(len(points))
+        return field(points, t)
+
+    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +164,17 @@ def test_initialize_state_essential_vorticity_rows(complex_n2):
     edges = complex_n2.mesh.boundary_edges
     want = interpolate(ethier_vorticity(2.0, 1.0), complex_n2.V1, t=0.0).values[edges]
     np.testing.assert_allclose(state.omega.values[edges], want, atol=1e-13)
+
+
+def test_initialize_state_interpolates_only_vorticity_essential_values(complex_n2):
+    """The velocity is interpolated on all 120 faces and evaluated once on
+    the 48 boundary faces for the natural term, 16 points each; the
+    essential face values, which the vorticity solve does not use, are
+    not interpolated."""
+    calls = []
+    u = counted(ethier_velocity(2.0, 1.0), calls)
+    initialize_state(complex_n2, ethier_bc_of(u), u)
+    assert calls == [1920, 768]
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +308,7 @@ def complex_j3():
 
 def _bordered_solution(system, harmonic, m3):
     """Direct solve of the paper's system with phi and the chi-row kept."""
-    reduced = assemble_blocks(oracles.bordered_system(system, harmonic.basis, m3))
+    reduced = assemble_blocks(*oracles.bordered_system(*system, harmonic.basis, m3))
     x, _ = linalg.solve(reduced.matrix, reduced.rhs)
     return reduced, reduced.split(reduced.expand(x))
 
@@ -316,7 +339,8 @@ def _check_matches_bordered(complex_, bc, system, state, residual, seen):
     h = harmonic.basis
     assert np.abs(h.T @ (complex_.m3 @ state.p.values)).max() <= 1e-14
     # Every q-row and the chi-row of the bordered system hold.
-    rhs3 = system.rhs.get("u3", 0.0) - system.blocks[("u3", "u2")] @ state.u.values
+    _, blocks, rhs, _ = system
+    rhs3 = rhs.get("u3", 0.0) - blocks[("u3", "u2")] @ state.u.values
     phi = h.T @ rhs3
     full = np.concatenate([state.omega.values, state.u.values, state.p.values, phi])
     assert relative_residual(reduced.matrix, reduced.rhs, full[reduced.free]) <= RESIDUAL_TOL
@@ -336,14 +360,15 @@ def test_step_eliminates_harmonic_multiplier(complex_j3, monkeypatch):
     (state, residual), seen = _solve_watching_matrices(
         monkeypatch, lambda: step(complex_j3, bc, config, state0)
     )
-    system = assemble_B0(complex_j3, bc, nu=config.nu, t=state.t)
+    system = oracles.saddle_system(complex_j3, bc, nu=config.nu, t=state.t)
+    _, blocks, rhs, _ = system
     a3, a5 = scattered_convection(
         complex_j3, state0.omega.values, state0.u.values, config.theta
     )
     m2 = complex_j3.m2
-    system.add_block("u2", "u1", a3)
-    system.add_block("u2", "u2", a5 + m2 / config.dt)
-    system.add_rhs("u2", (m2 @ state0.u.values) / config.dt)
+    blocks[("u2", "u1")] = blocks[("u2", "u1")] + a3
+    blocks[("u2", "u2")] = a5 + m2 / config.dt
+    rhs["u2"] = rhs.get("u2", 0.0) + (m2 @ state0.u.values) / config.dt
     _check_matches_bordered(complex_j3, bc, system, state, residual, seen)
 
 
@@ -354,7 +379,7 @@ def test_stokes_eliminates_harmonic_multiplier(complex_j3, monkeypatch):
     (state, info), seen = _solve_watching_matrices(
         monkeypatch, lambda: solve_stokes(complex_j3, bc, **kwargs)
     )
-    system = assemble_B0(complex_j3, bc, **kwargs)
+    system = oracles.saddle_system(complex_j3, bc, **kwargs)
     phi = _check_matches_bordered(complex_j3, bc, system, state, info["residual"], seen)
     assert np.abs(phi).max() <= 1e-14
 
@@ -371,7 +396,7 @@ def test_stokes_with_net_source_sets_multiplier(complex_j3, monkeypatch):
     (state, info), seen = _solve_watching_matrices(
         monkeypatch, lambda: solve_stokes(complex_j3, bc, **kwargs)
     )
-    system = assemble_B0(complex_j3, bc, **kwargs)
+    system = oracles.saddle_system(complex_j3, bc, **kwargs)
     phi = _check_matches_bordered(complex_j3, bc, system, state, info["residual"], seen)
     assert np.abs(phi).max() > 0.1
 
@@ -636,16 +661,18 @@ def test_operator_reduction_matches_assemble_blocks(complex_j3, monkeypatch, out
     state, _ = step(complex_j3, bc, config, state0, f=fields["forcing"])
     monkeypatch.undo()
 
-    system = assemble_B0(complex_j3, bc, nu=config.nu, t=state.t, f2=fields["forcing"])
+    groups, blocks, rhs, constraints = oracles.saddle_system(
+        complex_j3, bc, nu=config.nu, t=state.t, f2=fields["forcing"]
+    )
     a3, a5 = scattered_convection(
         complex_j3, state0.omega.values, state0.u.values, config.theta
     )
     m2 = complex_j3.m2
-    system.add_block("u2", "u1", a3)
-    system.add_block("u2", "u2", a5 + m2 / config.dt)
-    system.add_rhs("u2", (m2 @ state0.u.values) / config.dt)
-    system.constrain("u3", harmonic.pins, np.zeros(harmonic.dim))
-    want = assemble_blocks(system)
+    blocks[("u2", "u1")] = blocks[("u2", "u1")] + a3
+    blocks[("u2", "u2")] = a5 + m2 / config.dt
+    rhs["u2"] = rhs.get("u2", 0.0) + (m2 @ state0.u.values) / config.dt
+    constraints["u3"] = (harmonic.pins, np.zeros(harmonic.dim))
+    want = assemble_blocks(groups, blocks, rhs, constraints)
     ((matrix, rhs),) = seen
     np.testing.assert_array_equal(matrix.toarray(), want.matrix.toarray())
     if outlet:
@@ -690,3 +717,20 @@ def test_run_resolves_its_boundary_a_fixed_number_of_times(complex_n2, monkeypat
         assert summary.n_steps == steps
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_run_evaluates_its_data_once_per_step(complex_n2):
+    """Building the operator evaluates no data; each step of a run
+    evaluates the forcing once and the boundary velocity twice (for the
+    essential fluxes and for the natural tangential term)."""
+    velocity_calls, forcing_calls = [], []
+    bc = ethier_bc_of(counted(ethier_velocity(2.0, 1.0), velocity_calls))
+    f = counted(lambda p, t=0.0: np.zeros((len(p), 3)), forcing_calls)
+    config = SolverConfig(nu=1.0, dt=1e-3, t_end=5e-3)
+    state0 = initialize_state(complex_n2, bc, ethier_velocity(2.0, 1.0))
+    velocity_calls.clear()
+    solver._SaddleOperator(complex_n2, bc, config.nu, config.dt, f2=f)
+    assert (len(forcing_calls), len(velocity_calls)) == (0, 0)
+    summary = run_transient(complex_n2, bc, config, state=state0, f=f)
+    assert summary.n_steps == 5
+    assert (len(forcing_calls), len(velocity_calls)) == (5, 10)

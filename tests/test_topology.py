@@ -11,7 +11,6 @@ from vvpflow.assembly import (
     BoundaryConditionSpec,
     RegionBC,
     ResolvedBoundary,
-    assemble_B0,
     build_harmonic_space,
     essential_constraints,
 )
@@ -82,9 +81,9 @@ def test_two_closed_boxes_have_two_harmonic_forms(monkeypatch):
     np.testing.assert_allclose(gauge, 0.0, atol=1e-14)
 
     # The paper's bordered system, with both multipliers, has the same solution.
-    system = assemble_B0(complex_, bc, f2=forcing)
-    bordered = oracles.bordered_system(system, harmonic.basis, complex_.m3)
-    reduced = assemble_blocks(bordered)
+    system = oracles.saddle_system(complex_, bc, f2=forcing)
+    bordered = oracles.bordered_system(*system, harmonic.basis, complex_.m3)
+    reduced = assemble_blocks(*bordered)
     x, _ = linalg.solve(reduced.matrix, reduced.rhs)
     want = reduced.split(reduced.expand(x))
     for got, key in ((state.omega, "u1"), (state.u, "u2"), (state.p, "u3")):
