@@ -396,7 +396,11 @@ def assemble_load(complex_, f2, t=0.0, degree=None):
     mesh = complex_.mesh
     T, Q = tab.points.shape[0], tab.points.shape[1]
     vals = np.asarray(f2(tab.points.reshape(-1, 3), t), dtype=float).reshape(T, Q, 3)
-    local = np.einsum("tq,tfqx,tqx->tf", tab.weights, tab.psi2, vals)
+    local = np.einsum(
+        "tfax,tax->tf",
+        complex_.geometry.whitney[2],
+        tab.rule.points.T @ (tab.weights[..., None] * vals),
+    )
     vec = np.zeros(mesh.n_faces)
     np.add.at(vec, mesh.tet_faces, local)
     return vec

@@ -125,8 +125,15 @@ class ExperimentSpec:
                 raise ValueError("time-step list must decrease")
         if self.kind == "ethier" and self.d != 0.0 and len(self.n) < 2:
             raise ValueError("convergence sweeps need at least two meshes")
-        if self.nu <= 0:
-            raise ValueError("viscosity must be positive")
+        # The stepper's own checks, made before any mesh is built.
+        SolverConfig(
+            nu=self.nu,
+            dt=self.resolved_dt(),
+            theta=self.theta,
+            t_end=self.t_end,
+            steady_tol=self.steady_tol,
+            max_steps=self.max_steps,
+        )
 
     def resolved_dt(self):
         if self.dt is not None:

@@ -51,6 +51,7 @@ __all__ = [
     "ErrorNorms",
     "DeRhamComplex",
     "barycentric_gradients",
+    "whitney_coefficients",
     "whitney_values",
     "simplex_rule",
     "derivative_matrix",
@@ -128,54 +129,73 @@ def barycentric_gradients(corners):
     return grads
 
 
+def whitney_coefficients(grads, k):
+    """Affine coefficients of the Whitney k-form basis, k in {1, 2}.
+
+    Every basis function is affine in the barycentric coordinates,
+    ``psi_i = sum_a lambda_a C[i, a]``.  grads : (..., 4, 3) barycentric
+    gradients (see :func:`barycentric_gradients`).  Returns C1
+    (..., 6, 4, 3) for k=1 and C2 (..., 4, 4, 3) for k=2, in the local
+    edge and face order of :mod:`vvpflow.mesh`.
+    """
+    g = np.asarray(grads, dtype=float)
+    if k == 1:
+        C = np.zeros(g.shape[:-2] + (6, 4, 3))
+        for e, (i, j) in enumerate(TET_EDGE_VERTS):
+            C[..., e, i, :] = g[..., j, :]
+            C[..., e, j, :] = -g[..., i, :]
+        return C
+    C = np.zeros(g.shape[:-2] + (4, 4, 3))
+    for f, (a, b, c) in enumerate(TET_FACE_VERTS):
+        C[..., f, a, :] = 2.0 * np.cross(g[..., b, :], g[..., c, :])
+        C[..., f, b, :] = 2.0 * np.cross(g[..., c, :], g[..., a, :])
+        C[..., f, c, :] = 2.0 * np.cross(g[..., a, :], g[..., b, :])
+    return C
+
+
 def whitney_values(lam, grads, k):
     """Whitney k-form basis vectors at barycentric points, k in {1, 2}.
 
     lam : (..., Q, 4) barycentric coordinates; grads : (..., 4, 3)
-    barycentric gradients (see :func:`barycentric_gradients`).  Leading
-    axes broadcast.  Returns psi1 (..., 6, Q, 3) for k=1 and psi2
-    (..., 4, Q, 3) for k=2, in the local edge and face order of
-    :mod:`vvpflow.mesh`.
+    barycentric gradients.  Leading axes broadcast.  Returns
+    ``lam @ C`` (see :func:`whitney_coefficients`): psi1 (..., 6, Q, 3)
+    for k=1 and psi2 (..., 4, Q, 3) for k=2.
     """
-    lam = np.asarray(lam, dtype=float)[..., None]
-    g = np.asarray(grads, dtype=float)[..., None, :, :]
-    lead = np.broadcast_shapes(lam.shape[:-3], g.shape[:-3])
-    Q = lam.shape[-3]
-    if k == 1:
-        psi1 = np.empty(lead + (6, Q, 3))
-        for e, (i, j) in enumerate(TET_EDGE_VERTS):
-            psi1[..., e, :, :] = lam[..., i, :] * g[..., j, :] - lam[..., j, :] * g[..., i, :]
-        return psi1
-    psi2 = np.empty(lead + (4, Q, 3))
-    for f, (a, b, c) in enumerate(TET_FACE_VERTS):
-        psi2[..., f, :, :] = 2.0 * (
-            lam[..., a, :] * np.cross(g[..., b, :], g[..., c, :])
-            + lam[..., b, :] * np.cross(g[..., c, :], g[..., a, :])
-            + lam[..., c, :] * np.cross(g[..., a, :], g[..., b, :])
-        )
-    return psi2
+    lam = np.asarray(lam, dtype=float)[..., None, :, :]
+    return lam @ whitney_coefficients(grads, k)
+
+
+def _lambda_moments(rule, order):
+    """Reference moments of products of barycentric coordinates.
+
+    ``order`` 2 gives the (4, 4) matrix ``sum_q w_q lam_a lam_b`` and 3
+    the (4, 4, 4) tensor ``sum_q w_q lam_a lam_b lam_c``; times 6|T|
+    they are the integrals over a tet.  The rule must be exact to
+    ``order``, which the callers check.
+    """
+    lam = rule.points
+    if order == 2:
+        return np.einsum("q,qa,qb->ab", rule.weights, lam, lam)
+    return np.einsum("q,qa,qb,qc->abc", rule.weights, lam, lam, lam)
 
 
 def simplex_rule(corners, rule):
     """Map a reference rule onto a stack of d-simplices.
 
     corners : (S, d+1, 3) vertex coordinates; ``rule.dim`` must be d.
-    Returns the physical points (S, Q, 3) and the measure that scales
-    the reference weights: the edge vector (S, 3) for d=1, the
-    right-hand face normal of length 2 area (S, 3) for d=2, and 6|T|
-    (S,) for d=3.  The reference weights sum to 1, 1/2 and 1/6, so
-    ``sum_q w_q f(x_q) * measure`` is the circulation, the flux or the
-    cell integral of f.
+    Returns the physical points ``rule.points @ corners`` (S, Q, 3) and
+    the measure that scales the reference weights: the edge vector
+    (S, 3) for d=1, the right-hand face normal of length 2 area (S, 3)
+    for d=2, and 6|T| (S,) for d=3.  The reference weights sum to 1,
+    1/2 and 1/6, so ``sum_q w_q f(x_q) * measure`` is the circulation,
+    the flux or the cell integral of f.
     """
     corners = np.asarray(corners, dtype=float)
     d = corners.shape[1] - 1
     if rule.dim != d:
         raise ValueError(f"a {d}-simplex needs a rule of dimension {d}, got {rule.dim}")
-    base = corners[:, :1, :]
-    spans = corners[:, 1:, :] - base
-    points = base
-    for i in range(d):
-        points = points + rule.points[None, :, i + 1, None] * spans[:, None, i, :]
+    points = rule.points @ corners
+    spans = corners[:, 1:, :] - corners[:, :1, :]
     if d == 1:
         measure = spans[:, 0]
     elif d == 2:
@@ -186,21 +206,31 @@ def simplex_rule(corners, rule):
 
 
 class TetGeometry:
-    """Per-tet barycentric gradients."""
+    """Per-tet barycentric gradients and affine Whitney coefficients.
+
+    grads : (T, 4, 3)
+    whitney : {1: C1 (T, 6, 4, 3), 2: C2 (T, 4, 4, 3)}, see
+    :func:`whitney_coefficients`
+    """
 
     def __init__(self, mesh):
         self.mesh = mesh
         self.grads = barycentric_gradients(mesh.vertices[mesh.tets])
+        self.whitney = {k: whitney_coefficients(self.grads, k) for k in (1, 2)}
 
 
 class WhitneyTabulation:
-    """Whitney basis values at one quadrature rule's points, all tets.
+    """One volume quadrature rule mapped onto all tets.
 
-    psi1 : (T, 6, Q, 3) edge basis vectors, built on first read
-    psi2 : (T, 4, Q, 3) face basis vectors
-    convection_tensor : (T, 4, 6, 4), built on first read
     points : (T, Q, 3) physical quadrature points
     weights : (T, Q) physical quadrature weights (sum to |T| per tet)
+    convection_tensor : (T, 4, 6, 4), built on first read
+
+    The basis is affine in the barycentric coordinates, so sums over
+    the points contract with ``rule.points`` (Q, 4) and the per-tet
+    coefficients of :class:`TetGeometry`; no basis values are stored.
+    ``psi1`` (T, 6, Q, 3) and ``psi2`` (T, 4, Q, 3), the basis at the
+    points, are built on first read for inspection only.
     """
 
     def __init__(self, geometry, rule):
@@ -209,25 +239,35 @@ class WhitneyTabulation:
         self.rule = rule
         self.points, measure = simplex_rule(mesh.vertices[mesh.tets], rule)
         self.weights = measure[:, None] * rule.weights[None, :]
-        self.psi2 = whitney_values(rule.points, geometry.grads, 2)
 
     @cached_property
     def psi1(self):
         return whitney_values(self.rule.points, self.geometry.grads, 1)
 
     @cached_property
+    def psi2(self):
+        return whitney_values(self.rule.points, self.geometry.grads, 2)
+
+    @cached_property
     def convection_tensor(self):
         """K[t, i, e, j] = integral of (psi1_e x psi2_j) . psi2_i, (T, 4, 6, 4).
 
-        The integrand is cubic, so a rule exact to degree 3 makes K exact.
-        It is skew in (i, j), so only the pairs i < j are integrated.
+        The integrand is cubic in lambda, so the rule's third lambda
+        moments make K exact when the rule is exact to degree 3.  It is
+        skew in (i, j), so only the pairs i < j are integrated.
         """
-        psi1, psi2 = self.psi1, self.psi2
-        K = np.zeros((len(psi2), 4, 6, 4))
+        if self.rule.exactness_degree < 3:
+            raise ValueError("convection tensor needs quadrature exact to degree 3")
+        C1, C2 = self.geometry.whitney[1], self.geometry.whitney[2]
+        moments = _lambda_moments(self.rule, 3).reshape(4, 16)
+        vol6 = 6.0 * self.mesh.tet_volumes
+        K = np.zeros((len(C2), 4, 6, 4))
         for i in range(4):
             for j in range(i + 1, 4):
-                cross = np.cross(psi2[:, j], psi2[:, i])
-                K[:, i, :, j] = np.einsum("tq,teqx,tqx->te", self.weights, psi1, cross)
+                # (C2_jb x C2_ic) summed against the moments over b, c.
+                cross = np.cross(C2[:, j, :, None, :], C2[:, i, None, :, :])
+                outer = moments @ cross.reshape(-1, 16, 3)
+                K[:, i, :, j] = vol6[:, None] * np.einsum("teax,tax->te", C1, outer)
                 K[:, j, :, i] = -K[:, i, :, j]
         return K
 
@@ -238,22 +278,26 @@ class WhitneyTabulation:
         densities (cell integral / |T|) for k=3.
         """
         if k == 3:
-            dens = _form_at(self.mesh, 3, values, slice(None), None)
+            dens = _form_at(self.mesh, 3, values, slice(None))
             return np.broadcast_to(dens[:, None, None], self.weights.shape + (1,))
-        psi = self.psi1 if k == 1 else self.psi2
-        return _form_at(self.mesh, k, values, slice(None), psi)
+        return _form_at(
+            self.mesh, k, values, slice(None), self.rule.points, self.geometry.whitney[k]
+        )
 
 
-def _form_at(mesh, k, values, tets, psi):
-    """k-form ``values`` contracted with the basis ``psi`` of cells ``tets``.
+def _form_at(mesh, k, values, tets, lam=None, coeffs=None):
+    """k-form ``values`` of cells ``tets`` at barycentric points ``lam``.
 
-    For k=3 ``psi`` is unused and the result is the density, cell integral / |T|.
+    ``coeffs`` are the cells' Whitney coefficients; the form's own affine
+    coefficients ``U = sum_i values_i C_i`` (..., 4, 3) are contracted
+    with ``lam`` (Q, 4).  For k=3 ``lam`` and ``coeffs`` are unused and
+    the result is the density, cell integral / |T|.
     """
     values = np.asarray(values)
     if k == 3:
         return values[tets] / mesh.tet_volumes[tets]
     dofs = (mesh.tet_edges if k == 1 else mesh.tet_faces)[tets]
-    return np.einsum("...iqx,...i->...qx", psi, values[dofs])
+    return lam @ np.einsum("...iax,...i->...ax", coeffs, values[dofs])
 
 
 def _scatter(local, rows, cols, shape):
@@ -296,11 +340,12 @@ def derivative_matrix(space):
 def mass_matrix(space, tabulation=None):
     """L2 Gram matrix of the Whitney basis.
 
-    For k in {1, 2} the entries are integrals of basis products,
-    evaluated at the points of ``tabulation`` (default: the
-    VOLUME_DEGREE rule; exactness degree >= 2 is required, which makes
-    the result exact since the integrands are quadratics).  For k=3 the
-    matrix is diag(1/|T|) in closed form.
+    For k in {1, 2} the entries are integrals of basis products, the
+    Whitney coefficients contracted with the second lambda moments of
+    ``tabulation``'s rule (default: the VOLUME_DEGREE rule; exactness
+    degree >= 2 is required, which makes the result exact since the
+    integrands are quadratics).  For k=3 the matrix is diag(1/|T|) in
+    closed form.
     """
     mesh = space.mesh
     if space.k == 3:
@@ -309,11 +354,11 @@ def mass_matrix(space, tabulation=None):
         tabulation = WhitneyTabulation(TetGeometry(mesh), tet_rule(VOLUME_DEGREE))
     if tabulation.rule.exactness_degree < 2:
         raise ValueError("mass matrix needs quadrature exact to degree 2")
-    if space.k == 1:
-        psi, idx = tabulation.psi1, mesh.tet_edges
-    else:
-        psi, idx = tabulation.psi2, mesh.tet_faces
-    local = np.einsum("tq,teqx,tfqx->tef", tabulation.weights, psi, psi)
+    C = tabulation.geometry.whitney[space.k]
+    idx = mesh.tet_edges if space.k == 1 else mesh.tet_faces
+    moments = _lambda_moments(tabulation.rule, 2)
+    local = np.einsum("teax,tfax->tef", C, moments @ C)
+    local *= 6.0 * mesh.tet_volumes[:, None, None]
     return _scatter(local, idx, idx, (space.ndof, space.ndof))
 
 
@@ -350,10 +395,10 @@ def evaluate(coeffs, tet, bary):
     space = coeffs.space
     mesh = space.mesh
     if space.k == 3:
-        return _form_at(mesh, 3, coeffs.values, tet, None)
+        return _form_at(mesh, 3, coeffs.values, tet)
     grads = barycentric_gradients(mesh.vertices[mesh.tets[tet]])
-    psi = whitney_values(np.asarray(bary, dtype=float)[None, :], grads, space.k)
-    return _form_at(mesh, space.k, coeffs.values, tet, psi)[0]
+    C = whitney_coefficients(grads, space.k)
+    return _form_at(mesh, space.k, coeffs.values, tet, np.asarray(bary, dtype=float), C)
 
 
 @dataclass(frozen=True)
@@ -429,10 +474,11 @@ def error_norms(
 class DeRhamComplex:
     """The three Whitney spaces plus cached operators for one mesh.
 
-    Builds the incidence matrices D1, D2 and the mass matrices M1, M2,
-    M3 once; tabulations of the basis at volume rules of any degree are
-    cached so repeated assembly (convection, loads, error norms) reuses
-    them.  The default degree is VOLUME_DEGREE.
+    Builds the per-tet Whitney coefficients (``geometry``), the
+    incidence matrices D1, D2 and the mass matrices M1, M2, M3 once;
+    the points and weights of volume rules of any degree are cached so
+    repeated assembly (convection, loads, error norms) reuses them.
+    The default degree is VOLUME_DEGREE.
     """
 
     def __init__(self, mesh):

@@ -3,9 +3,10 @@
 Everything in this module is computed by a different route than the
 library code it checks: exact rational arithmetic for the reference-tet
 mass matrices, a hand-rolled tensor-product Gauss-Legendre rule on the
-collapsed cube for the convection matrices, literal barycentric-gradient
-formulas for the Whitney bases, a token-level parser for legacy VTK
-output, the paper's bordered saddle system, whose dense harmonic
+collapsed cube for the convection and mass matrices, literal
+barycentric-gradient formulas for the Whitney bases, mapped onto
+physical tets by the Piola transforms, a token-level parser for legacy
+VTK output, the paper's bordered saddle system, whose dense harmonic
 multiplier the solver never factors, a dense rank count of the
 harmonic 3-forms, and a symbolic derivation of the analytic fields.
 """
@@ -117,6 +118,41 @@ def whitney_face_values(pts):
             + lam[:, b, None] * np.cross(g[c], g[a])
             + lam[:, c, None] * np.cross(g[a], g[b])
         )
+    return out
+
+
+def piola_whitney_values(corners, pts):
+    """Edge and face basis vectors on a physical tet, by the Piola maps.
+
+    corners : (4, 3) vertices; pts : (Q, 3) Cartesian points of the
+    reference tet.  With x = v0 + J x_ref, edge values map covariantly,
+    J^-T psi1_ref, and face values contravariantly, J psi2_ref / det J.
+    Returns psi1 (6, Q, 3) and psi2 (4, Q, 3).
+    """
+    corners = np.asarray(corners, dtype=float)
+    jac = (corners[1:] - corners[0]).T
+    psi1 = whitney_edge_values(pts) @ np.linalg.inv(jac)
+    psi2 = whitney_face_values(pts) @ jac.T / np.linalg.det(jac)
+    return psi1, psi2
+
+
+def mass_quadrature(mesh, k, m=4):
+    """Dense Whitney mass matrix by pointwise quadrature of psi . psi.
+
+    Each tet's basis comes from :func:`piola_whitney_values` at the
+    points of the Duffy rule (m points per direction; the integrand is
+    quadratic, which m >= 3 integrates exactly).
+    """
+    pts, wts = duffy_points_weights(m)
+    dofs = mesh.tet_edges if k == 1 else mesh.tet_faces
+    ndof = mesh.n_edges if k == 1 else mesh.n_faces
+    out = np.zeros((ndof, ndof))
+    for tet, idx in zip(mesh.tets, dofs):
+        corners = mesh.vertices[tet]
+        psi = piola_whitney_values(corners, pts)[k - 1]
+        volume6 = abs(np.linalg.det(corners[1:] - corners[0]))
+        local = volume6 * np.einsum("q,eqx,fqx->ef", wts, psi, psi)
+        out[np.ix_(idx, idx)] += local
     return out
 
 

@@ -50,6 +50,13 @@ import oracles
         (dict(kind="noflow", gamma=(-1,)), "exponents must be positive"),
         (dict(kind="dtsweep", dts=(1e-2, 0.0)), "time steps must be positive"),
         (dict(kind="dtsweep", dts=(1e-2, -1e-3)), "time steps must be positive"),
+        (dict(kind="noflow", dt=0.0), "time step must be positive"),
+        (dict(kind="ethier", dt=-0.1), "time step must be positive"),
+        (dict(kind="dtsweep", theta=2.0), "theta must lie in"),
+        (dict(kind="ethier", theta=-0.5), "theta must lie in"),
+        (dict(kind="ethier", max_steps=0), "max_steps must be at least 1"),
+        (dict(kind="ethier", d=1.0, t_end=0.0), "t_end must be positive"),
+        (dict(kind="ethier", steady_tol=0.0), "steady tolerance must be positive"),
     ],
 )
 def test_spec_validation(kwargs, match):
@@ -312,6 +319,31 @@ def test_cli_rejects_bad_exponent_before_building_a_mesh(monkeypatch):
         main(["noflow", "--set", "gamma=-1"])
     with pytest.raises(SystemExit, match="error: exponents must be positive"):
         main(["noflow", "--set", "gamma=0"])
+
+
+SOLVER_SETTINGS = [
+    ("noflow", "dt=0", "time step must be positive"),
+    ("dtsweep", "theta=2", "convection weight theta must lie in"),
+    ("ethier", "max_steps=0", "max_steps must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("kind, setting, match", SOLVER_SETTINGS)
+def test_spec_rejects_solver_settings_before_building_a_mesh(
+    monkeypatch, kind, setting, match
+):
+    calls = []
+    monkeypatch.setattr(experiments, "build_box_mesh", lambda *a, **k: calls.append(a))
+    key, value = setting.split("=")
+    with pytest.raises(ValueError, match=match):
+        run_experiment(spec_from_options(kind, {key: value}))
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind, setting, match", SOLVER_SETTINGS)
+def test_cli_reports_bad_solver_settings(kind, setting, match):
+    with pytest.raises(SystemExit, match=f"^error: {match}"):
+        main([kind, "--set", setting])
 
 
 def test_cli_mesh_info_rejects_bad_size():

@@ -236,6 +236,27 @@ def test_unforced_flow_dissipates_energy(complex_n2):
     assert np.all(np.diff(energies) < 0)
 
 
+def test_runs_tabulate_no_basis_values():
+    """Loads, error norms and convection contract the per-tet Whitney
+    coefficients; no run stores the basis at the quadrature points."""
+    complex_ = DeRhamComplex(build_box_mesh(2, 2, 2))
+    fields = stokes_mms_fields(nu=1.0)
+    state, _ = solve_stokes(
+        complex_, both_essential(fields), nu=1.0, f2=fields["forcing"], load_degree=8
+    )
+    complex_.error_norms(state.u, fields["velocity"])
+    complex_.error_norms(state.omega, fields["vorticity"], fields["vorticity_curl"])
+    u = ethier_velocity(2.0, 1.0)
+    config = SolverConfig(nu=1.0, dt=0.01, t_end=0.02, theta=0.5)
+    summary = run_transient(complex_, ethier_bc_of(u), config, velocity_data=u)
+    assert summary.n_steps == 2
+    assert "convection_tensor" in vars(complex_.tabulation())
+    tabs = list(complex_._tabs.values())
+    assert len(tabs) == 3  # the volume, error and degree-8 load rules
+    for tab in tabs:
+        assert "psi1" not in vars(tab) and "psi2" not in vars(tab)
+
+
 def test_pseudo_time_reaches_steady_state(complex_n2):
     config = SolverConfig(nu=1.0, dt=0.1, steady_tol=1e-10, max_steps=100)
     summary = run_transient(

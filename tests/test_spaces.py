@@ -23,6 +23,7 @@ from vvpflow.spaces import (
     interpolate,
     mass_matrix,
     simplex_rule,
+    whitney_coefficients,
     whitney_values,
 )
 
@@ -324,6 +325,22 @@ def test_volume_mass_matrix_is_inverse_volumes():
     np.testing.assert_allclose(m3, np.diag(1.0 / mesh.tet_volumes), rtol=1e-14)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_moment_mass_matrix_matches_pointwise_quadrature(k):
+    """M1 and M2 from the lambda moments equal the pointwise quadrature
+    of psi . psi with Piola-mapped reference bases."""
+    complex_ = DeRhamComplex(jittered_box(3, seed=5))
+    got = complex_.mass(k).toarray()
+    want = oracles.mass_quadrature(complex_.mesh, k)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_convection_tensor_quadrature_guard():
+    coarse = WhitneyTabulation(TetGeometry(build_box_mesh(1, 1, 1)), tet_rule(1))
+    with pytest.raises(ValueError, match="degree 3"):
+        coarse.convection_tensor
+
+
 # ---------------------------------------------------------------------------
 # tabulation
 
@@ -400,6 +417,29 @@ def test_whitney_values_match_oracles_at_shared_points():
         # Dilating the tet by s scales edge values by 1/s, face values by 1/s^2.
         np.testing.assert_allclose(psi1[t], edge / s, atol=1e-14)
         np.testing.assert_allclose(psi2[t], face / s**2, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.integers(1, 4),
+    n_points=st.integers(1, 6),
+)
+def test_whitney_coefficients_match_piola_oracle(seed, batch, n_points):
+    """lam @ C on jittered tets equals the Piola-mapped reference bases."""
+    rng = np.random.default_rng(seed)
+    corners = REF_VERTS + rng.uniform(-0.25, 0.25, (batch, 4, 3))
+    assume(np.all(np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1])) > 0.1))
+    lam = rng.dirichlet(np.ones(4), size=(batch, n_points))
+    grads = barycentric_gradients(corners)
+    for k, n_basis in ((1, 6), (2, 4)):
+        C = whitney_coefficients(grads, k)
+        assert C.shape == (batch, n_basis, 4, 3)
+        got = np.einsum("bqa,biax->biqx", lam, C)
+        np.testing.assert_array_equal(whitney_coefficients(grads[0], k), C[0])
+        for b in range(batch):
+            want = oracles.piola_whitney_values(corners[b], lam[b, :, 1:])[k - 1]
+            np.testing.assert_allclose(got[b], want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 def test_whitney_values_match_oracles_per_batch():
