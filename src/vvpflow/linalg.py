@@ -6,6 +6,8 @@ owns the contracts: a square system is named groups of unknowns with
 elimination (never by penalties or Lagrange multipliers), and every
 solve checks its relative residual.
 
+Blocks become one CSR matrix only in :func:`stack_blocks`, which can
+join explicit-zero slots to the pattern and says where they sit.
 Elimination has one path: :func:`eliminate` reduces the CSR pattern of
 a whole system (explicit zeros keep their slots) to its free unknowns
 once, and :meth:`ReducedSystem.refill` reduces each fill of the pattern,
@@ -156,6 +158,29 @@ def eliminate(pattern, groups, fixed):
     return ReducedSystem(pattern, matrix, positions, free, fixed, groups, offsets)
 
 
+def stack_blocks(groups, blocks, slots=None):
+    """One CSR matrix of all unknowns from ``{(row, col): block}``.
+
+    ``groups`` maps each group to its size, in order; missing blocks are
+    zero.  ``slots``, a pair of stacked row and column index arrays,
+    joins those entries to the pattern, as explicit zeros where no block
+    has one.  Returns the matrix and where each slot sits in its data.
+    """
+    grid = [[blocks.get((r, c)) for c in groups] for r in groups]
+    a = sp.bmat(grid, format="csr" if slots is None else "coo")
+    if a.shape != (sum(groups.values()),) * 2:
+        raise ValueError("block grid does not cover the system")
+    if slots is None:
+        return a, np.empty(0, np.int64)
+    i, j = slots
+    data = np.concatenate([a.data, np.zeros(len(i))])
+    a = sp.coo_matrix(
+        (data, (np.concatenate([a.row, i]), np.concatenate([a.col, j]))), shape=a.shape
+    ).tocsr()
+    entries = sp.csr_matrix((np.arange(1, a.nnz + 1), a.indices, a.indptr), shape=a.shape)
+    return a, np.asarray(entries[i, j]).ravel() - 1
+
+
 def assemble_blocks(groups, blocks, rhs=None, constraints=None):
     """Stack blocks into one CSR matrix and eliminate constraints.
 
@@ -167,10 +192,7 @@ def assemble_blocks(groups, blocks, rhs=None, constraints=None):
     dropped (:func:`eliminate`, filled once); the returned ReducedSystem
     restores the fixed values on expansion.
     """
-    a = sp.bmat([[blocks.get((r, c)) for c in groups] for r in groups], format="csr")
-    n = sum(groups.values())
-    if a.shape != (n, n):
-        raise ValueError("block grid does not cover the system")
+    a, _ = stack_blocks(groups, blocks)
     fixed, values = stack_constraints(groups, constraints or {})
     reduced = eliminate(a, groups, fixed)
     reduced.refill(a.data, stack(groups, rhs or {}), values)

@@ -16,17 +16,16 @@ average used throughout the experiments.
 Steady solves and steps share one operator, :class:`_SaddleOperator`,
 the only code that knows the harmonic multiplier: it computes it before
 the factorization instead of factoring the dense border of the paper's
-saddle matrix.  :func:`run_transient` builds one operator per run, and
-:func:`solve_stokes` and a standalone :func:`step` one per call.  What
-does not change between the steps of a run is built once: the harmonic
+saddle matrix.  It holds only the matrix, built once: the harmonic
 space, the resolved boundary (``assembly.ResolvedBoundary``), the
-:func:`assemble_B0` blocks and ``M2/dt``, the CSR pattern of the whole
-system (which also holds the convection entries) and its reduction to
-the free unknowns by :func:`vvpflow.linalg.eliminate`.  Building it
-evaluates no data.  Each solve adds the per-cell convection blocks into
-that pattern, evaluates the right-hand side (:func:`assemble_rhs`: loads,
-natural terms and essential values; then ``M2 u^n/dt`` and the
-multiplier) and refills the reduction.
+:func:`assemble_B0` blocks and ``M2/dt``, their CSR pattern with the
+convection slots (``linalg.stack_blocks``) and its reduction to the free
+unknowns (``linalg.eliminate``).  Each solve is given its loads, adds the
+per-cell convection blocks into that pattern, evaluates the right-hand
+side (:func:`assemble_rhs`) and refills the reduction.
+:func:`run_transient` builds one operator per run,
+``experiments.run_noflow`` one for all its exponents, and
+:func:`solve_stokes` and a standalone :func:`step` one per call.
 
 The operator keeps one LU factor for its whole life.  Each solve refines
 against it while every pass at least halves the relative residual; the
@@ -40,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import (
     NaturalBCCache,
@@ -60,6 +58,7 @@ from .linalg import (
     m_norm,
     solve_reduced,
     stack,
+    stack_blocks,
 )
 from .spaces import FormCoefficients
 
@@ -111,6 +110,8 @@ class SolverConfig:
             raise ValueError("max_steps must be at least 1")
         if self.t_end is not None and self.t_end <= 0:
             raise ValueError("t_end must be positive when given")
+        if self.load_degree is not None and self.load_degree < 0:
+            raise ValueError("load_degree must be nonnegative when given")
 
 
 @dataclass
@@ -148,15 +149,15 @@ class TrajectorySummary:
 
 
 class _SaddleOperator:
-    """The saddle system of one run, reduced once and solved per time level.
+    """The saddle matrix of one run, reduced once and solved per time level.
 
     Built from the :func:`assemble_B0` blocks, plus ``M2/dt`` and room
     for the convection blocks when ``dt`` is given:
 
-    * the CSR pattern of the whole system, which also holds the
-      tet-local face x edge and face x face convection entries (as
-      explicit zeros), and ``conv_pos``, where each entry of the raveled
-      local blocks of :func:`assemble_convection` lands in its data;
+    * the CSR pattern of the whole system (:func:`vvpflow.linalg.stack_blocks`),
+      whose slots hold the tet-local face x edge and face x face
+      convection entries, and ``conv_pos``, where each entry of the
+      raveled local blocks of :func:`assemble_convection` lands in its data;
     * ``reduced``, the pattern's :class:`vvpflow.linalg.ReducedSystem`
       without the fixed unknowns (the essential edges and faces of
       ``natural_cache.essential`` and the pressure pins of ``harmonic``),
@@ -166,12 +167,11 @@ class _SaddleOperator:
     built here unless given (a cache of another complex or spec raises);
     the boundary fixes the entities here and reaches every right-hand
     side, so every solve fixes the same ones.  ``factor`` holds the LU
-    that :func:`vvpflow.linalg.solve` reuses across the operator's solves.
+    that :func:`vvpflow.linalg.solve` reuses across the operator's solves,
+    which are given their loads: ``experiments.run_noflow`` shares one.
     """
 
-    def __init__(
-        self, complex_, bc, nu, dt=None, harmonic=None, natural_cache=None, **loads
-    ):
+    def __init__(self, complex_, bc, nu, dt=None, harmonic=None, natural_cache=None):
         if natural_cache is None:
             natural_cache = NaturalBCCache(complex_, bc)
         elif natural_cache.complex is not complex_:
@@ -181,34 +181,19 @@ class _SaddleOperator:
         if harmonic is None:
             harmonic = build_harmonic_space(complex_, bc)
         self.complex, self.bc, self.harmonic = complex_, bc, harmonic
-        self.data_args = {**loads, "natural_cache": natural_cache}  # for assemble_rhs
-        mesh = complex_.mesh
+        self.natural_cache, mesh = natural_cache, complex_.mesh
         groups, blocks = assemble_B0(complex_, nu=nu)
-        offsets, n = group_offsets(groups), sum(groups.values())
-
-        conv = np.empty((2, 0), dtype=np.int64)
+        offsets = group_offsets(groups)
+        slots = None
         if dt is not None:
             blocks[("u2", "u2")] = complex_.m2 / dt
             faces = offsets["u2"] + mesh.tet_faces
-            conv = np.array(
-                [
-                    np.concatenate([np.repeat(faces, 6, 1), np.repeat(faces, 4, 1)], None),
-                    np.concatenate([np.tile(mesh.tet_edges, 4), np.tile(faces, 4)], None),
-                ],
-                dtype=np.int64,
+            slots = (
+                np.concatenate([np.repeat(faces, 6, 1), np.repeat(faces, 4, 1)], None),
+                np.concatenate([np.tile(mesh.tet_edges, 4), np.tile(faces, 4)], None),
             )
-        grid = [[blocks.get((r, c)) for c in groups] for r in groups]
-        static = sp.bmat(grid, format="coo")
-        pattern = sp.coo_matrix(
-            (
-                np.concatenate([static.data, np.zeros(conv.shape[1])]),
-                (np.concatenate([static.row, conv[0]]), np.concatenate([static.col, conv[1]])),
-            ),
-            shape=(n, n),
-        ).tocsr()
+        pattern, self.conv_pos = stack_blocks(groups, blocks, slots)
         self.static = pattern.data
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.indptr))
-        self.conv_pos = np.searchsorted(rows * n + pattern.indices, conv[0] * n + conv[1])
         # In the order of assemble_rhs's essential values, then the pins.
         fixed = [offsets[g] + idx for g, (_, idx, _) in natural_cache.essential.items()]
         fixed = np.concatenate([*fixed, offsets["u3"] + harmonic.pins])
@@ -216,11 +201,12 @@ class _SaddleOperator:
         self.m3h = complex_.m3 @ harmonic.basis
         self.factor = FactorHolder()
 
-    def solve(self, t, convection=None, rhs_u2=None):
+    def solve(self, t, loads, convection=None, rhs_u2=None):
         """Solve at time t; returns (state, residual).
 
-        ``convection`` holds the local blocks of :func:`assemble_convection`,
-        added into the v-row; ``rhs_u2`` is added to the v-row's right side.
+        ``loads`` (``f2``, ``f3``, ``load_degree``) go to :func:`assemble_rhs`,
+        ``convection`` (the local blocks of :func:`assemble_convection`) into
+        the v-row and ``rhs_u2`` to the v-row's right side.
 
         With dim H > 0 the paper's bordered system adds M3 H phi to the
         q-rows and the chi-row H^T M3 u3 = 0.  H^T M3 H = I and H^T M3 D2
@@ -236,7 +222,9 @@ class _SaddleOperator:
         and the pressure is moved to the gauge H^T M3 p = 0.
         """
         complex_, h, reduced = self.complex, self.harmonic.basis, self.reduced
-        rhs, constraints = assemble_rhs(complex_, self.bc, t=t, **self.data_args)
+        rhs, constraints = assemble_rhs(
+            complex_, self.bc, t=t, natural_cache=self.natural_cache, **loads
+        )
         pins = np.zeros(self.harmonic.dim)
         values = np.concatenate([*(v for _, v in constraints.values()), pins])
         b = stack(reduced.groups, rhs)
@@ -293,11 +281,8 @@ def solve_stokes(
     Returns ``(state, diagnostics)`` where diagnostics carries the
     relative linear residual and the max divergence density.
     """
-    loads = {"f2": f2, "f3": f3, "load_degree": load_degree}
-    operator = _SaddleOperator(
-        complex_, bc, nu, harmonic=harmonic, natural_cache=natural_cache, **loads
-    )
-    state, residual = operator.solve(t)
+    operator = _SaddleOperator(complex_, bc, nu, None, harmonic, natural_cache)
+    state, residual = operator.solve(t, {"f2": f2, "f3": f3, "load_degree": load_degree})
     diagnostics = {
         "residual": residual,
         "div_max": complex_.divergence_max(state.u.values),
@@ -330,27 +315,21 @@ def initialize_state(complex_, bc, velocity_data, t=0.0):
     )
 
 
-def _step_operator(complex_, bc, config, f, harmonic=None, natural_cache=None):
-    loads = {"f2": f, "load_degree": config.load_degree}
-    return _SaddleOperator(
-        complex_, bc, config.nu, config.dt, harmonic, natural_cache, **loads
-    )
-
-
 def step(complex_, bc, config, state, f=None, operator=None):
     """Advance one implicit step; returns (new_state, residual).
 
-    ``operator`` is the run's saddle operator, which :func:`run_transient`
-    builds once with the run's harmonic space and resolved boundary;
-    without it the step builds a one-shot one, which resolves both.
+    ``operator`` is a saddle operator for this ``config``'s nu and dt, such
+    as the one :func:`run_transient` builds per run; the step gives it its
+    loads.  Without it the step builds a one-shot one.
     """
     t_new = state.t + config.dt
     if operator is None:
-        operator = _step_operator(complex_, bc, config, f)
+        operator = _SaddleOperator(complex_, bc, config.nu, config.dt)
     convection = assemble_convection(
         complex_, state.omega.values, state.u.values, config.theta
     )
-    return operator.solve(t_new, convection, (complex_.m2 @ state.u.values) / config.dt)
+    loads = {"f2": f, "load_degree": config.load_degree}
+    return operator.solve(t_new, loads, convection, complex_.m2 @ state.u.values / config.dt)
 
 
 def run_transient(
@@ -377,7 +356,7 @@ def run_transient(
         if velocity_data is None:
             raise ValueError("either an initial state or velocity data is required")
         state = initialize_state(complex_, bc, velocity_data, t=0.0)
-    operator = _step_operator(complex_, bc, config, f, harmonic, natural_cache)
+    operator = _SaddleOperator(complex_, bc, config.nu, config.dt, harmonic, natural_cache)
     t0 = state.t
     to_steady = config.t_end is None
     summary = TrajectorySummary(final=state)

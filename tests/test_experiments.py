@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from vvpflow import experiments
+from vvpflow import experiments, linalg
 from vvpflow.assembly import BoundaryConditionSpec, RegionBC
 from vvpflow.cli import main
 from vvpflow.experiments import (
@@ -24,7 +24,9 @@ from vvpflow.experiments import (
     write_csv,
 )
 from vvpflow.fields import gradient_of_power
-from vvpflow.solver import initialize_state
+from vvpflow.mesh import build_box_mesh
+from vvpflow.solver import SolverConfig, initialize_state, step
+from vvpflow.spaces import DeRhamComplex
 from vvpflow.vtk_io import cell_fields, write_vtk, write_vtk_fields
 
 import oracles
@@ -192,6 +194,31 @@ def test_run_noflow_produces_tiny_velocity(tmp_path):
     assert (tmp_path / "noflow.csv").read_text() == text
 
 
+def test_run_noflow_factors_once_for_all_exponents(monkeypatch, tmp_path):
+    """Every exponent solves the same matrix, so the run factors it once;
+    its rows are bitwise those of one fresh step per exponent."""
+    factors = []
+    real = linalg.spla.splu
+
+    def spy(a, **kwargs):
+        factors.append(a.shape)
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", spy)
+    gamma = (1, 2, 4, 7)
+    spec = ExperimentSpec(kind="noflow", n=(2,), gamma=gamma, outdir=str(tmp_path))
+    report = run_noflow(spec)
+    assert len(factors) == 1
+    complex_ = DeRhamComplex(build_box_mesh(2, 2, 2))
+    bc = BoundaryConditionSpec(RegionBC())
+    config = SolverConfig(dt=spec.resolved_dt(), load_degree=max(gamma) + 1)
+    for g, row in zip(gamma, report.rows):
+        f = gradient_of_power(g, 1.0 / (g + 1.0))
+        state, _ = step(complex_, bc, config, experiments._rest_state(complex_), f=f)
+        assert row["unorm_m2"] == complex_.norm(state.u)
+        assert row["div_max"] == complex_.divergence_max(state.u.values)
+
+
 def test_run_dt_sweep_bounded(tmp_path):
     spec = ExperimentSpec(
         kind="dtsweep", n=(2,), dts=(1e-1, 1e-2), outdir=str(tmp_path)
@@ -325,6 +352,8 @@ SOLVER_SETTINGS = [
     ("noflow", "dt=0", "time step must be positive"),
     ("dtsweep", "theta=2", "convection weight theta must lie in"),
     ("ethier", "max_steps=0", "max_steps must be at least 1"),
+    ("noflow", "load_degree=-1", "load_degree must be nonnegative"),
+    ("stokes-mms", "load_degree=-1", "load_degree must be nonnegative"),
 ]
 
 

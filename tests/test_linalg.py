@@ -16,6 +16,7 @@ from vvpflow.linalg import (
     relative_residual,
     solve,
     solve_reduced,
+    stack_blocks,
 )
 
 
@@ -53,6 +54,35 @@ def test_block_shape_and_name_validation():
     with pytest.raises(ValueError):
         assemble_blocks(groups, blocks, {"b": np.zeros(2)})
     assert assemble_blocks(groups, blocks).matrix.shape == (5, 5)
+
+
+def test_stacked_slots_hold_their_entries_through_elimination():
+    """Slots join the pattern once each, as explicit zeros where no block
+    has an entry; each returned position holds its (row, col), existing
+    values are unchanged, and eliminate keeps the slots, so a refill
+    writes into them."""
+    groups = {"a": 2, "b": 2}
+    aa = sp.csr_matrix([[1.0, 2.0], [0.0, 3.0]])
+    blocks = {("a", "a"): aa, ("b", "b"): 4 * sp.eye(2)}
+    rows, cols = np.array([0, 1, 2, 2, 1]), np.array([1, 0, 0, 1, 0])  # (1, 0) twice
+    plain, none = stack_blocks(groups, blocks)
+    matrix, positions = stack_blocks(groups, blocks, (rows, cols))
+    assert len(none) == 0
+    assert matrix.nnz == plain.nnz + 3
+    entry_rows = np.repeat(np.arange(4), np.diff(matrix.indptr))
+    np.testing.assert_array_equal(entry_rows[positions], rows)
+    np.testing.assert_array_equal(matrix.indices[positions], cols)
+    np.testing.assert_array_equal(matrix.data[positions], [2.0, 0.0, 0.0, 0.0, 0.0])
+    assert positions[1] == positions[4]
+    np.testing.assert_array_equal(matrix.toarray(), plain.toarray())
+
+    reduced = eliminate(matrix, groups, np.array([3]))
+    assert reduced.matrix.nnz == 7
+    assert np.isin(positions, reduced.positions).all()
+    added = np.bincount(positions, [10.0, 20.0, 30.0, 40.0, 50.0], minlength=matrix.nnz)
+    reduced.refill(matrix.data + added, np.zeros(4), np.zeros(1))
+    want = [[1.0, 12.0, 0.0], [70.0, 3.0, 0.0], [30.0, 40.0, 4.0]]
+    np.testing.assert_array_equal(reduced.matrix.toarray(), want)
 
 
 def test_empty_constraint_fixes_nothing():

@@ -79,6 +79,7 @@ def counted(field, calls):
         (dict(max_steps=0), "max_steps"),
         (dict(t_end=0.0), "t_end"),
         (dict(t_end=-2.0), "t_end"),
+        (dict(load_degree=-1), "load_degree"),
     ],
 )
 def test_config_validation(kwargs, match):
@@ -660,12 +661,14 @@ def test_reused_factor_keeps_divergence_gate_with_natural_outlet(monkeypatch):
         _check_gates(complex_, state, diag)
 
 
-@pytest.mark.parametrize("outlet", [True, False], ids=["outlet", "closed"])
-def test_operator_reduction_matches_assemble_blocks(complex_j3, monkeypatch, outlet):
-    """One step with convection: the operator's refilled reduction equals
+@pytest.mark.parametrize("case", ["outlet", "closed", "steady"])
+def test_operator_reduction_matches_assemble_blocks(complex_j3, monkeypatch, case):
+    """One step with convection, or one steady solve (no dt, so no
+    convection slots): the operator's refilled reduction equals
     assemble_blocks on the same system with the pins fixed at zero.  The
     right-hand sides agree only without the harmonic shift (dim H = 0)."""
     fields = stokes_mms_fields(nu=1.0)
+    outlet = case != "closed"
     bc = _outlet_bc(fields) if outlet else both_essential(fields)
     harmonic = build_harmonic_space(complex_j3, bc)
     assert harmonic.dim == (0 if outlet else 1)
@@ -679,19 +682,23 @@ def test_operator_reduction_matches_assemble_blocks(complex_j3, monkeypatch, out
         return real(reduced, **kwargs)
 
     monkeypatch.setattr(solver, "solve_reduced", watch)
-    state, _ = step(complex_j3, bc, config, state0, f=fields["forcing"])
+    if case == "steady":
+        state, _ = solve_stokes(complex_j3, bc, nu=config.nu, f2=fields["forcing"])
+    else:
+        state, _ = step(complex_j3, bc, config, state0, f=fields["forcing"])
     monkeypatch.undo()
 
     groups, blocks, rhs, constraints = oracles.saddle_system(
         complex_j3, bc, nu=config.nu, t=state.t, f2=fields["forcing"]
     )
-    a3, a5 = scattered_convection(
-        complex_j3, state0.omega.values, state0.u.values, config.theta
-    )
-    m2 = complex_j3.m2
-    blocks[("u2", "u1")] = blocks[("u2", "u1")] + a3
-    blocks[("u2", "u2")] = a5 + m2 / config.dt
-    rhs["u2"] = rhs.get("u2", 0.0) + (m2 @ state0.u.values) / config.dt
+    if case != "steady":
+        a3, a5 = scattered_convection(
+            complex_j3, state0.omega.values, state0.u.values, config.theta
+        )
+        m2 = complex_j3.m2
+        blocks[("u2", "u1")] = blocks[("u2", "u1")] + a3
+        blocks[("u2", "u2")] = a5 + m2 / config.dt
+        rhs["u2"] = rhs.get("u2", 0.0) + (m2 @ state0.u.values) / config.dt
     constraints["u3"] = (harmonic.pins, np.zeros(harmonic.dim))
     want = assemble_blocks(groups, blocks, rhs, constraints)
     ((matrix, rhs),) = seen
@@ -750,8 +757,29 @@ def test_run_evaluates_its_data_once_per_step(complex_n2):
     config = SolverConfig(nu=1.0, dt=1e-3, t_end=5e-3)
     state0 = initialize_state(complex_n2, bc, ethier_velocity(2.0, 1.0))
     velocity_calls.clear()
-    solver._SaddleOperator(complex_n2, bc, config.nu, config.dt, f2=f)
+    solver._SaddleOperator(complex_n2, bc, config.nu, config.dt)
     assert (len(forcing_calls), len(velocity_calls)) == (0, 0)
     summary = run_transient(complex_n2, bc, config, state=state0, f=f)
     assert summary.n_steps == 5
     assert (len(forcing_calls), len(velocity_calls)) == (5, 10)
+
+
+def test_operator_solves_with_the_loads_of_each_step(complex_n2):
+    """An operator holds no data: solving with one forcing and then with
+    another gives what a one-shot step with the second forcing gives."""
+    fields = stokes_mms_fields(nu=1.0)
+    bc = _outlet_bc(fields)
+    config = SolverConfig(nu=1.0, dt=1e-2, t_end=1e-2)
+    state0 = initialize_state(complex_n2, bc, fields["velocity"])
+    f_a = fields["forcing"]
+
+    def f_b(points, t=0.0):
+        return 3.0 * f_a(points, t) + np.array([0.0, 1.0, 0.0])
+
+    operator = solver._SaddleOperator(complex_n2, bc, config.nu, config.dt)
+    step(complex_n2, bc, config, state0, f=f_a, operator=operator)
+    held, _ = step(complex_n2, bc, config, state0, f=f_b, operator=operator)
+    fresh, _ = step(complex_n2, bc, config, state0, f=f_b)
+    for name in ("omega", "u", "p"):
+        got, want = getattr(held, name).values, getattr(fresh, name).values
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
