@@ -19,8 +19,8 @@ one time.
 Each closed component of the mesh's dual forest (no boundary face with
 natural velocity) carries a harmonic 3-form, and the paper's system has
 a multiplier phi per form, which adds M3 H phi to the q-row, and a
-chi-row H^T M3 u3 = 0 (H from :func:`build_harmonic_space`).  Both are
-dense, so neither is assembled here: ``solver._SaddleOperator``
+chi-row H^T M3 u3 = 0 (H from :attr:`ResolvedBoundary.harmonic`).  Both
+are dense, so neither is assembled here: ``solver._SaddleOperator``
 computes phi before the solve, pins each component's root and sweeps
 its divergence roundoff along the forest afterwards.
 
@@ -28,10 +28,13 @@ Boundary conditions come in two independent channels per region: the
 vorticity channel (essential tangential vorticity trace, or natural
 tangential velocity) and the velocity/pressure channel (essential normal
 velocity, or natural pressure trace).  Essential values are canonical
-interpolants of analytic data and are imposed by elimination.  Which
-entities they fix, and the faces of the natural terms, are decided once
-per complex and spec by :class:`ResolvedBoundary`; a function given one
-as ``cache`` only evaluates boundary data.
+interpolants of analytic data (``spaces.dof_values``) and are imposed by
+elimination.  Natural terms are integrated as the loads are: the data's
+rule-weighted barycentric moments on each face, contracted with its
+cell's Whitney coefficients.  The entities, the faces and the rules
+mapped onto them are decided once per complex and spec by
+:class:`ResolvedBoundary`; a function given one as ``cache`` only
+evaluates boundary data and contracts it.
 """
 from __future__ import annotations
 
@@ -40,8 +43,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .quadrature import triangle_rule
-from .spaces import TRACE_DEGREE, interpolate, simplex_rule, whitney_values
+from .quadrature import edge_rule, triangle_rule
+from .spaces import TRACE_DEGREE, dof_values, simplex_rule
+from .spaces import interpolate  # noqa: F401  (a name the benchmark tracer patches)
 
 __all__ = [
     "RegionBC",
@@ -153,10 +157,11 @@ class ResolvedBoundary:
     """What the boundary spec ``bc`` decides on one complex (alias ``NaturalBCCache``).
 
     ``owner``, each boundary face's region, is the only call of the region
-    predicates, made on construction.  The closed components, the
-    essential entities and the natural terms' face tables are built on
-    first use and kept.  A run resolves its boundary once and passes it
-    as ``cache``, so a step evaluates boundary data and nothing else.
+    predicates, made on construction.  The closed components, the harmonic
+    space, the essential entities and the natural terms' face tables, with
+    the TRACE_DEGREE rules mapped onto them, are built on first use and
+    kept.  A run resolves its boundary once and passes it as ``cache``, so
+    a step only evaluates boundary data and contracts it.
     """
 
     def __init__(self, complex_, bc):
@@ -168,9 +173,11 @@ class ResolvedBoundary:
         """(indices, values) of ``group``'s essential entities at time t:
         each region's data interpolated on its entities (None: zero)."""
         parts, idx, pick = self.essential[group]
-        space = self.complex.V1 if group == "u1" else self.complex.V2
-        vals = np.concatenate([_interpolant(data, space, e, t) for data, e in parts])
-        return idx, vals[pick]
+        vals = [
+            np.zeros(len(points)) if data is None else dof_values(data, rule, points, measure, t)
+            for data, rule, points, measure in parts
+        ]
+        return idx, np.concatenate(vals)[pick]
 
     def regions(self, channel, mode):
         """(region, faces, outward signs) of each region that claims faces
@@ -193,23 +200,56 @@ class ResolvedBoundary:
         return closed
 
     @cached_property
+    def harmonic(self):
+        """The :class:`HarmonicSpace` of the closed components.
+
+        Raises ValueError for the two pairings that are singular on the
+        whole boundary of some domains: natural vorticity with natural
+        velocity around a cavity (b2 > 0), and essential vorticity with
+        essential velocity around a handle (b1 > 0).
+        """
+        mesh, claiming = self.mesh, [self.bc.regions[r] for r in np.unique(self.owner)]
+        pairings = {(region.vorticity_mode, region.velocity_mode) for region in claiming}
+        _, b1, b2 = mesh.betti_numbers
+        for mode, count, what, fix in (
+            (NATURAL, b2, "cavity", "essential velocity"),
+            (ESSENTIAL, b1, "handle", "natural vorticity"),
+        ):
+            if pairings == {(mode, mode)} and count > 0:
+                raise ValueError(
+                    f"{mode} vorticity with {mode} velocity on the whole boundary is "
+                    f"singular on a mesh with a {what} (b1 = {b1}, b2 = {b2}); "
+                    f"use {fix} instead"
+                )
+        closed = np.flatnonzero(self.closed)
+        basis = np.zeros((mesh.n_tets, len(closed)))
+        for j, label in enumerate(closed):
+            cells = mesh.dual_forest.labels == label
+            basis[cells, j] = mesh.tet_volumes[cells] / np.sqrt(mesh.tet_volumes[cells].sum())
+        return HarmonicSpace(basis, mesh.dual_forest.roots[closed])
+
+    @cached_property
     def essential(self):
         """``{group: (parts, indices, pick)}``: "u1" the edges of the essential
         vorticity faces, "u2" the essential velocity faces.  ``parts`` holds
-        (data, entities) per region; ``pick`` takes the sorted, read-only
+        (data, rule, points, measure) per region: the TRACE_DEGREE edge or
+        face rule mapped onto its entities by ``simplex_rule``, as
+        ``spaces.interpolate`` maps it.  ``pick`` takes the sorted, read-only
         ``indices`` from the concatenated entities, so a seam edge is kept
         by the first region."""
         mesh, out = self.mesh, {}
-        for group, channel, entities in (
-            ("u1", "vorticity", lambda faces: np.unique(mesh.face_edges[faces])),
-            ("u2", "velocity", lambda faces: faces),
+        for group, channel, simplices, rule in (
+            ("u1", "vorticity", mesh.edges, edge_rule(TRACE_DEGREE)),
+            ("u2", "velocity", mesh.faces, self.rule),
         ):
-            parts = [
-                (getattr(region, f"{channel}_data"), entities(faces))
-                for region, faces, _ in self.regions(channel, ESSENTIAL)
-            ]
+            parts, entities = [], []
+            for region, faces, _ in self.regions(channel, ESSENTIAL):
+                e = np.unique(mesh.face_edges[faces]) if group == "u1" else faces
+                mapped = simplex_rule(mesh.vertices[simplices[e]], rule)
+                parts.append((getattr(region, f"{channel}_data"), rule, *mapped))
+                entities.append(e)
             if parts:
-                idx, pick = np.unique(np.concatenate([e for _, e in parts]), return_index=True)
+                idx, pick = np.unique(np.concatenate(entities), return_index=True)
                 idx.flags.writeable = False
                 out[group] = (parts, idx, pick)
         return out
@@ -228,42 +268,38 @@ class ResolvedBoundary:
         ]
 
     @cached_property
-    def tangential(self):
-        return self._face_tables("vorticity", 1)
-
-    @cached_property
-    def pressure(self):
-        return self._face_tables("velocity", 2)
-
-    def _face_tables(self, channel, k):
-        """Tables of ``channel``'s natural regions, with the k-form basis only."""
-        complex_, mesh, rule = self.complex, self.mesh, self.rule
-        Q = len(rule)
+    def natural(self):
+        """A table per region with natural vorticity (so every natural
+        pressure region): its B ``faces``, their ``cells``, the rule's
+        ``points`` (B, Q, 3), outward ``normal`` (length 2 area), ``lam``
+        (B, 4, Q) the rule weights times the points' barycentric coordinates
+        in the cell, and the cells' ``edges`` with their Whitney coefficients
+        ``C1`` (B, 6, 4, 3); with natural pressure also the cells' ``fdofs``
+        and their face coefficients dotted with the normal, ``C2n`` (B, 4, 4)."""
+        mesh, rule, whitney = self.mesh, self.rule, self.complex.geometry.whitney
         tables = []
-        for region, rf, sign in self.regions(channel, NATURAL):
-            B = len(rf)
-            tets = mesh.face_tets[rf, 0]
-            tri = mesh.faces[rf]
+        for region, faces, sign in self.regions("vorticity", NATURAL):
+            B = len(faces)
+            cells, tri = mesh.face_tets[faces, 0], mesh.faces[faces]
             points, normal = simplex_rule(mesh.vertices[tri], rule)
             normal = normal * sign[:, None].astype(float)
-            # Barycentric coordinates of the face points inside the tet.
-            lam = np.zeros((B, Q, 4))
-            for i in range(3):
-                loc = np.argmax(mesh.tets[tets] == tri[:, i : i + 1], axis=1)
-                lam[np.arange(B), :, loc] = rule.points[:, i][None, :]
-            grads = complex_.geometry.grads[tets]
-            tables.append(
-                {
-                    "region": region,
-                    "faces": rf,
-                    "tets": tets,
-                    "points": points,
-                    "normal": normal,
-                    f"psi{k}": whitney_values(lam, grads, k),
-                    "edges": mesh.tet_edges[tets],
-                    "fdofs": mesh.tet_faces[tets],
-                }
-            )
+            loc = np.argmax(mesh.tets[cells][:, None, :] == tri[:, :, None], axis=2)
+            lam = np.zeros((B, 4, len(rule)))
+            lam[np.arange(B)[:, None], loc] = rule.weights * rule.points[:, :3].T
+            table = {
+                "region": region,
+                "faces": faces,
+                "cells": cells,
+                "points": points,
+                "normal": normal,
+                "lam": lam,
+                "C1": whitney[1][cells],
+                "edges": mesh.tet_edges[cells],
+            }
+            if region.velocity_mode == NATURAL:
+                table["C2n"] = np.einsum("bfax,bx->bfa", whitney[2][cells], normal)
+                table["fdofs"] = mesh.tet_faces[cells]
+            tables.append(table)
         return tables
 
 
@@ -290,41 +326,10 @@ class HarmonicSpace:
 
 
 def build_harmonic_space(complex_, bc):
-    """Harmonic 3-forms for the given boundary conditions.
-
-    Raises ValueError for the two pairings that are singular on the
-    whole boundary of some domains: natural vorticity with natural
-    velocity around a cavity (b2 > 0), and essential vorticity with
-    essential velocity around a handle (b1 > 0).
-    """
-    mesh = complex_.mesh
-    boundary = ResolvedBoundary(complex_, bc)
-    _reject_singular_pairing(mesh, boundary)
-    closed = np.flatnonzero(boundary.closed)
-    basis = np.zeros((mesh.n_tets, len(closed)))
-    for j, label in enumerate(closed):
-        cells = mesh.dual_forest.labels == label
-        basis[cells, j] = mesh.tet_volumes[cells] / np.sqrt(mesh.tet_volumes[cells].sum())
-    return HarmonicSpace(basis, mesh.dual_forest.roots[closed])
-
-
-def _reject_singular_pairing(mesh, boundary):
-    pairings = {
-        (region.vorticity_mode, region.velocity_mode)
-        for r, region in enumerate(boundary.bc.regions)
-        if np.any(boundary.owner == r)
-    }
-    _, b1, b2 = mesh.betti_numbers
-    for mode, count, what, fix in (
-        (NATURAL, b2, "cavity", "essential velocity"),
-        (ESSENTIAL, b1, "handle", "natural vorticity"),
-    ):
-        if pairings == {(mode, mode)} and count > 0:
-            raise ValueError(
-                f"{mode} vorticity with {mode} velocity on the whole boundary is "
-                f"singular on a mesh with a {what} (b1 = {b1}, b2 = {b2}); "
-                f"use {fix} instead"
-            )
+    """Harmonic 3-forms for the given boundary conditions: the
+    :attr:`ResolvedBoundary.harmonic` of a new resolution (which raises
+    for the singular pairings)."""
+    return ResolvedBoundary(complex_, bc).harmonic
 
 
 def essential_constraints(complex_, bc, t=0.0, f3_given=False, cache=None):
@@ -350,13 +355,6 @@ def essential_constraints(complex_, bc, t=0.0, f3_given=False, cache=None):
     return out
 
 
-def _interpolant(data, space, idx, t):
-    """Canonical interpolant of ``data`` on the simplices ``idx`` (None: zero)."""
-    if data is None:
-        return np.zeros(len(idx))
-    return interpolate(data, space, t=t, only=idx).values[idx]
-
-
 def assemble_natural_bc(complex_, bc, t=0.0, cache=None):
     """Right-hand-side contributions of the natural boundary terms.
 
@@ -366,27 +364,22 @@ def assemble_natural_bc(complex_, bc, t=0.0, cache=None):
     the pressure data h enters the v-row as - integral(h psi2 . n), the
     boundary term of the weak gradient; n is the outward unit normal.
     """
-    if cache is None:
-        cache = ResolvedBoundary(complex_, bc)
+    cache = ResolvedBoundary(complex_, bc) if cache is None else cache
     mesh = complex_.mesh
-    w = cache.rule.weights
     rhs1 = np.zeros(mesh.n_edges)
     rhs2 = np.zeros(mesh.n_faces)
-    for tab in cache.tangential:
-        data, pts = tab["region"].vorticity_data, tab["points"]
-        if data is None:
-            continue
-        uval = np.asarray(data(pts.reshape(-1, 3), t), dtype=float).reshape(pts.shape)
-        n_cross_u = np.cross(tab["normal"][:, None, :], uval)
-        integrand = np.einsum("q,bqx,beqx->be", w, n_cross_u, tab["psi1"])
-        np.add.at(rhs1, tab["edges"], integrand)
-    for tab in cache.pressure:
-        data, pts = tab["region"].velocity_data, tab["points"]
-        if data is None:
-            continue
-        h = np.asarray(data(pts.reshape(-1, 3), t), dtype=float).reshape(pts.shape[:2])
-        integrand = -np.einsum("q,bq,bfqx,bx->bf", w, h, tab["psi2"], tab["normal"])
-        np.add.at(rhs2, tab["fdofs"], integrand)
+    for tab in cache.natural:
+        region, pts, lam = tab["region"], tab["points"], tab["lam"]
+        B = len(pts)
+        if region.vorticity_data is not None:
+            u = np.asarray(region.vorticity_data(pts.reshape(-1, 3), t), dtype=float)
+            n_cross_u = np.cross(tab["normal"][:, None, :], u.reshape(pts.shape))
+            moments = (lam @ n_cross_u).reshape(B, 12, 1)
+            np.add.at(rhs1, tab["edges"], (tab["C1"].reshape(B, 6, 12) @ moments)[..., 0])
+        if "C2n" in tab and region.velocity_data is not None:
+            h = np.asarray(region.velocity_data(pts.reshape(-1, 3), t), dtype=float)
+            moments = lam @ h.reshape(B, -1, 1)
+            np.add.at(rhs2, tab["fdofs"], -(tab["C2n"] @ moments)[..., 0])
     return {"u1": rhs1, "u2": rhs2}
 
 

@@ -326,6 +326,18 @@ def run_noflow(spec):
     return report
 
 
+def _ethier_bc(uex):
+    """Exact normal velocity (essential) and tangential velocity (natural)."""
+    return BoundaryConditionSpec(
+        RegionBC(
+            vorticity_mode="natural",
+            vorticity_data=uex,
+            velocity_mode="essential",
+            velocity_data=uex,
+        )
+    )
+
+
 def run_ethier(spec):
     """Convergence sweep against the exact exponential-decay flow.
 
@@ -350,14 +362,7 @@ def run_ethier(spec):
     for n in spec.n:
         mesh = build_box_mesh(n, n, n)
         complex_ = DeRhamComplex(mesh)
-        bc = BoundaryConditionSpec(
-            RegionBC(
-                vorticity_mode="natural",
-                vorticity_data=uex,
-                velocity_mode="essential",
-                velocity_data=uex,
-            )
-        )
+        bc = _ethier_bc(uex)
         config = SolverConfig(
             nu=spec.nu,
             dt=spec.resolved_dt(),
@@ -409,14 +414,7 @@ def run_dt_sweep(spec, f=None):
     n = spec.n[0]
     mesh = build_box_mesh(n, n, n)
     complex_ = DeRhamComplex(mesh)
-    bc = BoundaryConditionSpec(
-        RegionBC(
-            vorticity_mode="natural",
-            vorticity_data=uex,
-            velocity_mode="essential",
-            velocity_data=uex,
-        )
-    )
+    bc = _ethier_bc(uex)
     init = initialize_state(complex_, bc, uex, t=0.0)
     report = DtSweepReport()
     for dt in spec.dts:

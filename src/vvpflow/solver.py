@@ -46,8 +46,8 @@ from .assembly import (
     assemble_convection,
     assemble_natural_bc,
     assemble_rhs,
-    build_harmonic_space,
-    essential_constraints,  # noqa: F401  (a name the benchmark tracer patches)
+    build_harmonic_space,  # noqa: F401  (names the benchmark tracer patches)
+    essential_constraints,  # noqa: F401
 )
 from .linalg import (
     FactorHolder,
@@ -163,12 +163,12 @@ class _SaddleOperator:
       ``natural_cache.essential`` and the pressure pins of ``harmonic``),
       which each solve refills with the data of :func:`assemble_rhs`.
 
-    ``harmonic`` and ``natural_cache``, the run's resolved boundary, are
-    built here unless given (a cache of another complex or spec raises);
-    the boundary fixes the entities here and reaches every right-hand
-    side, so every solve fixes the same ones.  ``factor`` holds the LU
-    that :func:`vvpflow.linalg.solve` reuses across the operator's solves,
-    which are given their loads: ``experiments.run_noflow`` shares one.
+    ``natural_cache``, the run's resolved boundary, and ``harmonic``, its
+    harmonic space, are built here unless given (a cache of another complex
+    or spec raises); the boundary fixes the entities here and reaches every
+    right-hand side, so every solve fixes the same ones.  ``factor`` holds
+    the LU that :func:`vvpflow.linalg.solve` reuses across the operator's
+    solves, which are given their loads: ``experiments.run_noflow`` shares one.
     """
 
     def __init__(self, complex_, bc, nu, dt=None, harmonic=None, natural_cache=None):
@@ -179,7 +179,7 @@ class _SaddleOperator:
         elif natural_cache.bc is not bc:
             raise ValueError("natural_cache was resolved for another boundary spec")
         if harmonic is None:
-            harmonic = build_harmonic_space(complex_, bc)
+            harmonic = natural_cache.harmonic
         self.complex, self.bc, self.harmonic = complex_, bc, harmonic
         self.natural_cache, mesh = natural_cache, complex_.mesh
         groups, blocks = assemble_B0(complex_, nu=nu)

@@ -57,6 +57,7 @@ __all__ = [
     "derivative_matrix",
     "mass_matrix",
     "interpolate",
+    "dof_values",
     "evaluate",
     "error_norms",
 ]
@@ -368,22 +369,28 @@ def interpolate(fielddata, space, t=0.0, only=None):
     ``fielddata(points, t)`` takes an (n, 3) array and returns (n, 3)
     vectors for k in {1, 2} or (n,) scalars for k=3.  Circulations
     along the edges, fluxes through the faces and cell integrals are
-    computed with the TRACE_DEGREE rule on each simplex.  Given
-    ``only``, an index array of simplices, the others are not evaluated
-    and their values are zero.
+    computed with the TRACE_DEGREE rule on each simplex by
+    :func:`dof_values`.  Given ``only``, an index array of simplices,
+    the others are not evaluated and their values are zero.
     """
     mesh = space.mesh
     simplices = (mesh.edges, mesh.faces, mesh.tets)[space.k - 1]
     idx = slice(None) if only is None else only
     rule = (edge_rule, triangle_rule, tet_rule)[space.k - 1](TRACE_DEGREE)
     points, measure = simplex_rule(mesh.vertices[simplices[idx]], rule)
+    values = np.zeros(space.ndof)
+    values[idx] = dof_values(fielddata, rule, points, measure, t)
+    return FormCoefficients(space, values)
+
+
+def dof_values(fielddata, rule, points, measure, t=0.0):
+    """The DOF functional of ``fielddata`` on each simplex that :func:`simplex_rule`
+    mapped ``rule`` onto (``points``, ``measure``), shape (S,)."""
     S, Q = points.shape[:2]
     vals = np.asarray(fielddata(points.reshape(-1, 3), t), dtype=float)
-    values = np.zeros(space.ndof)
-    values[idx] = np.einsum(
+    return np.einsum(
         "q,sqx,sx->s", rule.weights, vals.reshape(S, Q, -1), measure.reshape(S, -1)
     )
-    return FormCoefficients(space, values)
 
 
 def evaluate(coeffs, tet, bary):

@@ -18,7 +18,9 @@ import numpy as np
 import sympy as sp
 from scipy import sparse
 
-from vvpflow.assembly import assemble_B0, assemble_rhs
+from vvpflow.assembly import NATURAL, assemble_B0, assemble_rhs
+from vvpflow.quadrature import triangle_rule
+from vvpflow.spaces import TRACE_DEGREE, simplex_rule, whitney_values
 
 # Reference tetrahedron: vertices (0,0,0), (1,0,0), (0,1,0), (0,0,1).
 REF_VERTS = np.array(
@@ -222,6 +224,43 @@ def convection_quadrature(complex_, omega_values, u_values, theta):
         tab.psi2,
     )
     return local3, local5
+
+
+def tabulated_natural_bc(complex_, bc, t=0.0):
+    """The natural boundary terms with the Whitney basis tabulated at the
+    face points (``whitney_values``) and integrated point by point:
+    + integral((n x u) . psi1) on the tau-rows and - integral(h psi2 . n)
+    on the v-rows, n the outward normal (see ``assemble_natural_bc``)."""
+    mesh = complex_.mesh
+    rule = triangle_rule(TRACE_DEGREE)
+    owner = bc.face_region_map(mesh)
+    rhs = {"u1": np.zeros(mesh.n_edges), "u2": np.zeros(mesh.n_faces)}
+    for r, region in enumerate(bc.regions):
+        on = owner == r
+        if region.vorticity_mode != NATURAL or not on.any():
+            continue
+        faces = mesh.boundary_faces[on]
+        B, tets, tri = len(faces), mesh.face_tets[faces, 0], mesh.faces[faces]
+        points, normal = simplex_rule(mesh.vertices[tri], rule)
+        normal = normal * mesh.boundary_face_signs[on][:, None]
+        lam = np.zeros((B, len(rule), 4))
+        for i in range(3):
+            loc = np.argmax(mesh.tets[tets] == tri[:, i : i + 1], axis=1)
+            lam[np.arange(B), :, loc] = rule.points[:, i][None, :]
+        grads = complex_.geometry.grads[tets]
+        pts = points.reshape(-1, 3)
+        if region.vorticity_data is not None:
+            u = np.asarray(region.vorticity_data(pts, t), dtype=float).reshape(points.shape)
+            n_cross_u = np.cross(normal[:, None, :], u)
+            psi1 = whitney_values(lam, grads, 1)
+            local = np.einsum("q,bqx,beqx->be", rule.weights, n_cross_u, psi1)
+            np.add.at(rhs["u1"], mesh.tet_edges[tets], local)
+        if region.velocity_mode == NATURAL and region.velocity_data is not None:
+            h = np.asarray(region.velocity_data(pts, t), dtype=float).reshape(B, -1)
+            psi2 = whitney_values(lam, grads, 2)
+            local = -np.einsum("q,bq,bfqx,bx->bf", rule.weights, h, psi2, normal)
+            np.add.at(rhs["u2"], mesh.tet_faces[tets], local)
+    return rhs
 
 
 def parse_vtk(text):

@@ -217,9 +217,10 @@ def test_natural_cache_geometry(complex_n2):
         RegionBC(vorticity_mode=NATURAL, vorticity_data=constant_field([1, 0, 0]))
     )
     cache = NaturalBCCache(complex_n2, bc)
-    assert cache.pressure == []
-    (tab,) = cache.tangential
-    assert "psi1" in tab and "psi2" not in tab  # the tangential term reads psi1 only
+    (tab,) = cache.natural
+    # The tangential term reads the edge coefficients only; no basis values.
+    assert "C1" in tab and "C2n" not in tab
+    assert "psi1" not in tab and "psi2" not in tab
     mesh = complex_n2.mesh
     areas = mesh.face_areas(tab["faces"])
     np.testing.assert_allclose(
@@ -228,7 +229,7 @@ def test_natural_cache_geometry(complex_n2):
     nhat = tab["normal"] / np.linalg.norm(tab["normal"], axis=1, keepdims=True)
     for b, face in enumerate(tab["faces"]):
         fc = mesh.vertices[mesh.faces[face]].mean(axis=0)
-        tc = mesh.vertices[mesh.tets[tab["tets"][b]]].mean(axis=0)
+        tc = mesh.vertices[mesh.tets[tab["cells"][b]]].mean(axis=0)
         assert tab["normal"][b] @ (fc - tc) > 0
         # Quadrature points stay on the face plane of the unit box.
         axis = np.argmax(np.abs(nhat[b]))
@@ -244,21 +245,23 @@ def test_natural_cache_face_basis_normal_trace(complex_n2):
     )
     cache = NaturalBCCache(complex_n2, bc)
     mesh = complex_n2.mesh
-    (tab,) = cache.pressure
-    assert "psi1" not in tab  # the pressure term reads psi2 only
+    (tab,) = cache.natural
+    assert "psi1" not in tab and "psi2" not in tab  # no basis values
     signs = mesh.boundary_face_signs[
         np.searchsorted(mesh.boundary_faces, tab["faces"])
     ]
     areas = mesh.face_areas(tab["faces"])
-    nhat = tab["normal"] / np.linalg.norm(tab["normal"], axis=1, keepdims=True)
+    lengths = np.linalg.norm(tab["normal"], axis=1)
+    # psi2 . nhat at the face points: the face coefficients dotted with the
+    # normal, contracted with the unweighted barycentric coordinates.
+    lam = tab["lam"] / cache.rule.weights
     for b, face in enumerate(tab["faces"]):
         local = int(np.flatnonzero(tab["fdofs"][b] == face)[0])
-        trace = tab["psi2"][b, local] @ nhat[b]
-        np.testing.assert_allclose(trace, signs[b] / areas[b], rtol=1e-12)
+        traces = tab["C2n"][b] @ lam[b] / lengths[b]
+        np.testing.assert_allclose(traces[local], signs[b] / areas[b], rtol=1e-12)
         for other in range(4):
             if other != local:
-                off = tab["psi2"][b, other] @ nhat[b]
-                np.testing.assert_allclose(off, 0.0, atol=1e-12)
+                np.testing.assert_allclose(traces[other], 0.0, atol=1e-12)
 
 
 def test_natural_pressure_term_is_signed_indicator(complex_n1):
@@ -307,6 +310,51 @@ def test_natural_tangential_term_matches_rational_oracle(ref_complex):
         want[e] = n_cross_c @ integral
     np.testing.assert_allclose(rhs["u1"], want, atol=1e-14)
     assert not rhs["u2"].any()
+
+
+def test_natural_terms_match_the_tabulated_oracle():
+    """The contracted natural terms equal the ones integrated against the
+    basis tabulated at the face points, on a jittered box with a
+    natural/natural outlet and natural/essential walls split by a seam."""
+
+    def velocity(points, t=0.0):
+        x, y, z = points.T
+        return np.stack([np.sin(y + t), x * z, np.cos(x) - t * y], axis=1)
+
+    def swirl(points, t=0.0):
+        x, y, z = points.T
+        return np.stack([-y, x + z**2, np.exp(x * t)], axis=1)
+
+    def pressure(points, t=0.0):
+        x, y, z = points.T
+        return y**2 + np.sin(z) + t * x
+
+    outlet = RegionBC(
+        name="outlet",
+        vorticity_mode=NATURAL,
+        vorticity_data=velocity,
+        velocity_mode=NATURAL,
+        velocity_data=pressure,
+        where=lambda c: c[:, 0] > 1.0 - 1e-12,
+    )
+    left = RegionBC(
+        name="left",
+        vorticity_mode=NATURAL,
+        vorticity_data=swirl,
+        velocity_data=swirl,
+        where=lambda c: (c[:, 1] < 0.5) & (c[:, 0] < 1.0 - 1e-12),
+    )
+    rest = RegionBC(
+        name="rest", vorticity_mode=NATURAL, vorticity_data=velocity, velocity_data=velocity
+    )
+    bc = BoundaryConditionSpec((outlet, left, rest))
+    complex_ = DeRhamComplex(jittered_box(3, seed=5))
+    got = assemble_natural_bc(complex_, bc, t=0.3)
+    want = oracles.tabulated_natural_bc(complex_, bc, t=0.3)
+    for group in ("u1", "u2"):
+        assert np.linalg.norm(want[group]) > 0.1
+        err = np.linalg.norm(got[group] - want[group])
+        assert err <= 1e-14 * np.linalg.norm(want[group]), group
 
 
 def test_natural_terms_empty_without_natural_regions(complex_n1):

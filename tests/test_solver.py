@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from vvpflow import linalg, solver
+from vvpflow import assembly, linalg, solver, spaces
 from vvpflow.assembly import (
     NATURAL,
     BoundaryConditionSpec,
@@ -248,14 +248,36 @@ def test_runs_tabulate_no_basis_values():
     complex_.error_norms(state.u, fields["velocity"])
     complex_.error_norms(state.omega, fields["vorticity"], fields["vorticity_curl"])
     u = ethier_velocity(2.0, 1.0)
+    bc = ethier_bc_of(u)
+    boundary = NaturalBCCache(complex_, bc)
     config = SolverConfig(nu=1.0, dt=0.01, t_end=0.02, theta=0.5)
-    summary = run_transient(complex_, ethier_bc_of(u), config, velocity_data=u)
+    summary = run_transient(complex_, bc, config, velocity_data=u, natural_cache=boundary)
     assert summary.n_steps == 2
     assert "convection_tensor" in vars(complex_.tabulation())
     tabs = list(complex_._tabs.values())
     assert len(tabs) == 3  # the volume, error and degree-8 load rules
     for tab in tabs:
         assert "psi1" not in vars(tab) and "psi2" not in vars(tab)
+    # Nor does the run's resolved boundary: no table key names a basis,
+    # and no array has the (faces, functions, points, 3) shape of basis values.
+    keys, arrays = [], []
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, dict):
+            keys.extend(value)
+            for item in value.values():
+                walk(item)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                walk(item)
+
+    walk(list(vars(boundary).values()))
+    assert "essential" in vars(boundary) and "points" in keys  # the face tables are built
+    assert not [key for key in keys if str(key).startswith("psi")]
+    points = len(boundary.rule)
+    assert not [a.shape for a in arrays if a.ndim == 4 and a.shape[-2:] == (points, 3)]
 
 
 def test_pseudo_time_reaches_steady_state(complex_n2):
@@ -745,6 +767,62 @@ def test_run_resolves_its_boundary_a_fixed_number_of_times(complex_n2, monkeypat
         assert summary.n_steps == steps
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_steady_solve_resolves_its_boundary_once(complex_n2, monkeypatch):
+    """The operator takes its harmonic space from its resolved boundary
+    instead of resolving the spec a second time."""
+    real = BoundaryConditionSpec.face_region_map
+    calls = []
+
+    def counting(self, mesh):
+        calls.append(mesh)
+        return real(self, mesh)
+
+    monkeypatch.setattr(BoundaryConditionSpec, "face_region_map", counting)
+    fields = stokes_mms_fields(nu=1.0)
+    solve_stokes(complex_n2, _outlet_bc(fields), f2=fields["forcing"])
+    assert len(calls) == 1
+
+
+def test_steps_after_the_first_map_no_rule(complex_n2, monkeypatch):
+    """The trace rules are mapped onto the boundary edges and faces once
+    per run: steps 2 to 4 of a run with essential walls and a natural
+    outlet call ``simplex_rule`` neither in ``assembly`` nor in ``spaces``."""
+    calls, counting = [], []
+    for module in (assembly, spaces):
+        real = module.simplex_rule
+
+        def spy(*args, real=real):
+            if counting:
+                calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, "simplex_rule", spy)
+    u = ethier_velocity(2.0, 1.0)
+    outlet = RegionBC(
+        name="outlet",
+        vorticity_mode=NATURAL,
+        vorticity_data=u,
+        velocity_mode=NATURAL,
+        velocity_data=lambda p, t=0.0: np.zeros(len(p)),
+        where=lambda c: c[:, 0] > 1.0 - 1e-12,
+    )
+    walls = RegionBC(name="walls", vorticity_mode=NATURAL, vorticity_data=u, velocity_data=u)
+    config = SolverConfig(nu=1.0, dt=1e-3, t_end=4e-3)
+
+    def after_the_first_step(state, diag):
+        counting.append(diag.step)
+
+    summary = run_transient(
+        complex_n2,
+        BoundaryConditionSpec((outlet, walls)),
+        config,
+        velocity_data=u,
+        observers=(after_the_first_step,),
+    )
+    assert summary.n_steps == 4
+    assert calls == []
 
 
 def test_run_evaluates_its_data_once_per_step(complex_n2):
