@@ -33,8 +33,8 @@ elimination.  Natural terms are integrated as the loads are: the data's
 rule-weighted barycentric moments on each face, contracted with its
 cell's Whitney coefficients.  The entities, the faces and the rules
 mapped onto them are decided once per complex and spec by
-:class:`ResolvedBoundary`; a function given one as ``cache`` only
-evaluates boundary data and contracts it.
+:class:`ResolvedBoundary`; a function given one as ``bc``
+(:func:`resolve_boundary`) only evaluates boundary data and contracts it.
 """
 from __future__ import annotations
 
@@ -51,6 +51,7 @@ __all__ = [
     "RegionBC",
     "BoundaryConditionSpec",
     "HarmonicSpace",
+    "resolve_boundary",
     "build_harmonic_space",
     "essential_constraints",
     "assemble_B0",
@@ -160,7 +161,7 @@ class ResolvedBoundary:
     predicates, made on construction.  The closed components, the harmonic
     space, the essential entities and the natural terms' face tables, with
     the TRACE_DEGREE rules mapped onto them, are built on first use and
-    kept.  A run resolves its boundary once and passes it as ``cache``, so
+    kept.  A run resolves its boundary once and passes it as ``bc``, so
     a step only evaluates boundary data and contracts it.
     """
 
@@ -303,7 +304,15 @@ class ResolvedBoundary:
         return tables
 
 
-NaturalBCCache = ResolvedBoundary
+NaturalBCCache = ResolvedBoundary  # the old name, kept for the benchmark (ROADMAP item 1)
+
+
+def resolve_boundary(complex_, bc):
+    """``bc`` if it is a :class:`ResolvedBoundary` (of ``complex_``, else
+    ValueError), and otherwise the spec's new resolution on ``complex_``."""
+    if isinstance(bc, ResolvedBoundary) and bc.complex is not complex_:
+        raise ValueError("boundary was resolved on another complex")
+    return bc if isinstance(bc, ResolvedBoundary) else ResolvedBoundary(complex_, bc)
 
 
 @dataclass(frozen=True)
@@ -327,18 +336,17 @@ class HarmonicSpace:
 
 def build_harmonic_space(complex_, bc):
     """Harmonic 3-forms for the given boundary conditions: the
-    :attr:`ResolvedBoundary.harmonic` of a new resolution (which raises
+    :attr:`ResolvedBoundary.harmonic` of their resolution (which raises
     for the singular pairings)."""
-    return ResolvedBoundary(complex_, bc).harmonic
+    return resolve_boundary(complex_, bc).harmonic
 
 
-def essential_constraints(complex_, bc, t=0.0, f3_given=False, cache=None):
+def essential_constraints(complex_, bc, t=0.0, f3_given=False):
     """Interpolated essential boundary values.
 
     Returns {"u1": (edge_indices, values), "u2": (face_indices, values)}
-    with sorted indices and empty entries dropped.  The entities come
-    from ``cache``, the :class:`ResolvedBoundary` of (complex_, bc), built
-    here when None.  Unless a 3-form source is given, each
+    with sorted indices and empty entries dropped, on the entities of
+    ``bc``'s resolution.  Unless a 3-form source is given, each
     closed component's face values (see :class:`HarmonicSpace`) are
     shifted by an area-weighted constant so that its total boundary flux
     vanishes exactly.  The solver computes the harmonic multiplier from
@@ -346,7 +354,7 @@ def essential_constraints(complex_, bc, t=0.0, f3_given=False, cache=None):
     shift the quadrature-level compatibility defect of the interpolated
     data would become a nonzero phi and a spurious constant divergence.
     """
-    boundary = ResolvedBoundary(complex_, bc) if cache is None else cache
+    boundary = resolve_boundary(complex_, bc)
     out = {group: boundary.essential_values(group, t) for group in boundary.essential}
     for on, signs, areas in [] if f3_given else boundary.flux_shift:
         vals = out["u2"][1]
@@ -355,7 +363,7 @@ def essential_constraints(complex_, bc, t=0.0, f3_given=False, cache=None):
     return out
 
 
-def assemble_natural_bc(complex_, bc, t=0.0, cache=None):
+def assemble_natural_bc(complex_, bc, t=0.0):
     """Right-hand-side contributions of the natural boundary terms.
 
     Returns {"u1": vec, "u2": vec} (zero vectors when a channel has no
@@ -364,11 +372,10 @@ def assemble_natural_bc(complex_, bc, t=0.0, cache=None):
     the pressure data h enters the v-row as - integral(h psi2 . n), the
     boundary term of the weak gradient; n is the outward unit normal.
     """
-    cache = ResolvedBoundary(complex_, bc) if cache is None else cache
     mesh = complex_.mesh
     rhs1 = np.zeros(mesh.n_edges)
     rhs2 = np.zeros(mesh.n_faces)
-    for tab in cache.natural:
+    for tab in resolve_boundary(complex_, bc).natural:
         region, pts, lam = tab["region"], tab["points"], tab["lam"]
         B = len(pts)
         if region.vorticity_data is not None:
@@ -453,9 +460,7 @@ def assemble_B0(complex_, nu=1.0):
     return groups, blocks
 
 
-def assemble_rhs(
-    complex_, bc, f2=None, f3=None, t=0.0, load_degree=None, natural_cache=None
-):
+def assemble_rhs(complex_, bc, f2=None, f3=None, t=0.0, load_degree=None):
     """Right-hand side and essential values of the saddle system at time t.
 
     Returns ``({group: vector}, {group: (indices, values)})``: the loads
@@ -470,11 +475,10 @@ def assemble_rhs(
         rhs["u2"] = assemble_load(complex_, f2, t=t, degree=load_degree)
     if f3 is not None:
         rhs["u3"] = assemble_scalar_load(complex_, f3, t=t, degree=load_degree)
-    natural = assemble_natural_bc(complex_, bc, t=t, cache=natural_cache)
+    boundary = resolve_boundary(complex_, bc)
+    natural = assemble_natural_bc(complex_, boundary, t=t)
     for group in ("u1", "u2"):
         if np.any(natural[group]):
             rhs[group] = rhs.get(group, 0.0) + natural[group]
-    constraints = essential_constraints(
-        complex_, bc, t=t, f3_given=f3 is not None, cache=natural_cache
-    )
+    constraints = essential_constraints(complex_, boundary, t=t, f3_given=f3 is not None)
     return rhs, constraints

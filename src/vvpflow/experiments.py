@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import BoundaryConditionSpec, RegionBC
+from .assembly import BoundaryConditionSpec, RegionBC, resolve_boundary
 from .fields import (
     ethier_velocity,
     ethier_vorticity,
@@ -284,12 +284,12 @@ def run_noflow(spec):
     conditions on both channels.  The load quadrature degree defaults
     to one above the largest exponent so the loads are exact discrete
     gradients.  Every step solves the same matrix, so the exponents
-    share one saddle operator and its factor.
+    share one resolved boundary, one saddle operator and its factor.
     """
     _ensure_outdir(spec)
     n = spec.n[0]
     complex_ = DeRhamComplex(build_box_mesh(n, n, n))
-    bc = BoundaryConditionSpec(RegionBC())
+    bc = resolve_boundary(complex_, BoundaryConditionSpec(RegionBC()))
     degree = spec.load_degree if spec.load_degree is not None else max(spec.gamma) + 1
     config = SolverConfig(
         nu=spec.nu, dt=spec.resolved_dt(), theta=spec.theta, load_degree=degree
@@ -326,16 +326,11 @@ def run_noflow(spec):
     return report
 
 
-def _ethier_bc(uex):
-    """Exact normal velocity (essential) and tangential velocity (natural)."""
-    return BoundaryConditionSpec(
-        RegionBC(
-            vorticity_mode="natural",
-            vorticity_data=uex,
-            velocity_mode="essential",
-            velocity_data=uex,
-        )
-    )
+def _ethier_bc(complex_, uex):
+    """Exact normal velocity (essential) and tangential velocity (natural),
+    resolved on ``complex_``."""
+    region = RegionBC(vorticity_mode="natural", vorticity_data=uex, velocity_data=uex)
+    return resolve_boundary(complex_, BoundaryConditionSpec(region))
 
 
 def run_ethier(spec):
@@ -362,7 +357,7 @@ def run_ethier(spec):
     for n in spec.n:
         mesh = build_box_mesh(n, n, n)
         complex_ = DeRhamComplex(mesh)
-        bc = _ethier_bc(uex)
+        bc = _ethier_bc(complex_, uex)
         config = SolverConfig(
             nu=spec.nu,
             dt=spec.resolved_dt(),
@@ -414,7 +409,7 @@ def run_dt_sweep(spec, f=None):
     n = spec.n[0]
     mesh = build_box_mesh(n, n, n)
     complex_ = DeRhamComplex(mesh)
-    bc = _ethier_bc(uex)
+    bc = _ethier_bc(complex_, uex)
     init = initialize_state(complex_, bc, uex, t=0.0)
     report = DtSweepReport()
     for dt in spec.dts:
@@ -457,14 +452,8 @@ def run_stokes_mms(spec):
     for n in spec.n:
         mesh = build_box_mesh(n, n, n)
         complex_ = DeRhamComplex(mesh)
-        bc = BoundaryConditionSpec(
-            RegionBC(
-                vorticity_mode="essential",
-                vorticity_data=fields["vorticity"],
-                velocity_mode="essential",
-                velocity_data=fields["velocity"],
-            )
-        )
+        region = RegionBC(vorticity_data=fields["vorticity"], velocity_data=fields["velocity"])
+        bc = BoundaryConditionSpec(region)
         state, _ = solve_stokes(
             complex_,
             bc,

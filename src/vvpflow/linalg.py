@@ -56,7 +56,7 @@ diag_pivot_thresh = 1e-6
 # Refinement continues while each pass multiplies the relative residual
 # by at most REFINE_RATE, for at most REFINE_MAX_PASSES passes, and stops
 # at ROUNDOFF_RESIDUAL.  A held factor whose refinement ends above
-# ROUNDOFF_RESIDUAL is replaced.
+# ROUNDOFF_RESIDUAL is replaced, unless it is the factor of this matrix.
 REFINE_RATE = 0.5
 REFINE_MAX_PASSES = 10
 ROUNDOFF_RESIDUAL = 1e-15
@@ -200,20 +200,27 @@ def assemble_blocks(groups, blocks, rhs=None, constraints=None):
 
 
 def relative_residual(matrix, rhs, x):
+    return _residual(matrix, rhs, x)[1]
+
+
+def _residual(matrix, rhs, x):
+    """(rhs - matrix @ x, its norm relative to that of rhs)."""
     r = rhs - matrix @ x
     scale = max(float(np.linalg.norm(rhs)), 1e-300)
-    return float(np.linalg.norm(r)) / scale
+    return r, float(np.linalg.norm(r)) / scale
 
 
 @dataclass
 class FactorHolder:
     """One held LU factor, which :func:`solve` reuses while it refines.
 
-    ``reused`` and ``passes`` describe the holder's last solve: whether
-    it kept the factor it found, and its refinement passes.
+    ``matrix`` is a copy of the matrix it factors.  ``reused`` and
+    ``passes`` describe the holder's last solve: whether it kept the
+    factor it found, and its refinement passes.
     """
 
     lu: object = None
+    matrix: sp.csr_matrix = None
     reused: bool = False
     passes: int = 0
 
@@ -238,10 +245,11 @@ def solve(matrix, rhs, residual_tol=RESIDUAL_TOL, order=None, factor=None):
     ``factor``, a :class:`FactorHolder`, lends the factor of an earlier
     matrix of the same size and order.  Refinement against it converges
     while the two matrices are close; the factor is kept if the residual
-    ends at roundoff (at most ``ROUNDOFF_RESIDUAL``), and otherwise this
-    matrix is factored, refined the same way, and its factor held.  A
-    fresh factor runs the same loop, and without a holder every call
-    factors.  Returns the solution and its checked relative residual.
+    ends at roundoff (at most ``ROUNDOFF_RESIDUAL``) or if this matrix
+    equals the one it factors, and otherwise this matrix is factored,
+    refined the same way, and its factor held.  A fresh factor runs the
+    same loop, and without a holder every call factors.  Returns the
+    solution and its checked relative residual.
     Raises SingularSystemError when factorization hits an exactly
     singular pivot, SolverError when the residual contract is violated.
     """
@@ -255,10 +263,10 @@ def solve(matrix, rhs, residual_tol=RESIDUAL_TOL, order=None, factor=None):
     holder.passes = 0
     while True:
         if holder.lu is None:
-            holder.lu = _factor(a, p)
+            holder.lu, holder.matrix = _factor(a, p), a.copy()
         x, res, passes = _refine(holder.lu, p, a, rhs)
         holder.passes += passes
-        if res <= ROUNDOFF_RESIDUAL or not holder.reused:
+        if res <= ROUNDOFF_RESIDUAL or not holder.reused or (a != holder.matrix).nnz == 0:
             break
         holder.lu, holder.reused = None, False
     if not np.all(np.isfinite(x)):
@@ -299,15 +307,15 @@ def _refine(lu, p, a, rhs):
     x = lu_solve(rhs)
     if not np.all(np.isfinite(x)):
         return x, np.inf, 0
-    res = relative_residual(a, rhs, x)
+    r, res = _residual(a, rhs, x)
     passes = 0
     while res > ROUNDOFF_RESIDUAL and passes < REFINE_MAX_PASSES:
-        y = x + lu_solve(rhs - a @ x)
-        res_y = relative_residual(a, rhs, y)
+        y = x + lu_solve(r)
+        r_y, res_y = _residual(a, rhs, y)
         passes += 1
         converging = res_y <= REFINE_RATE * res
         if res_y < res:
-            x, res = y, res_y
+            x, r, res = y, r_y, res_y
         if not converging:
             break
     return x, res, passes

@@ -88,6 +88,9 @@ class SimplicialMesh3:
         tets = np.ascontiguousarray(tets, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise ValueError("vertices must be an (V, 3) array")
+        bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+        if len(bad):
+            raise ValueError(f"non-finite coordinate of vertex {bad[0]}: {vertices[bad[0]]}")
         if tets.ndim != 2 or tets.shape[1] != 4:
             raise ValueError("tets must be a (T, 4) array")
         if tets.size and (tets.min() < 0 or tets.max() >= len(vertices)):
@@ -95,6 +98,10 @@ class SimplicialMesh3:
         tets = np.sort(tets, axis=1)
         if np.any(np.diff(tets, axis=1) == 0):
             raise ValueError("degenerate tet with repeated vertex")
+        rows = tets[np.lexsort(tets.T)]
+        repeated = rows[1:][np.all(rows[1:] == rows[:-1], axis=1)]
+        if len(repeated):
+            raise ValueError(f"duplicate tet: vertices {repeated[0].tolist()} listed twice")
 
         self.vertices = vertices
         self.tets = tets

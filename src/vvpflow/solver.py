@@ -25,7 +25,10 @@ per-cell convection blocks into that pattern, evaluates the right-hand
 side (:func:`assemble_rhs`) and refills the reduction.
 :func:`run_transient` builds one operator per run,
 ``experiments.run_noflow`` one for all its exponents, and
-:func:`solve_stokes` and a standalone :func:`step` one per call.
+:func:`solve_stokes` and a standalone :func:`step` one per call.  ``bc``
+is a spec or its resolution (``assembly.resolve_boundary``), made once
+per run.  The benchmark's ``natural_cache`` and ``harmonic`` keywords
+and the names bound here only for its tracer stay until ROADMAP item 1.
 
 The operator keeps one LU factor for its whole life.  Each solve refines
 against it while every pass at least halves the relative residual; the
@@ -41,13 +44,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (
-    NaturalBCCache,
+    NaturalBCCache,  # noqa: F401  (names the benchmark tracer patches)
     assemble_B0,
     assemble_convection,
     assemble_natural_bc,
     assemble_rhs,
-    build_harmonic_space,  # noqa: F401  (names the benchmark tracer patches)
+    build_harmonic_space,  # noqa: F401
     essential_constraints,  # noqa: F401
+    resolve_boundary,
 )
 from .linalg import (
     FactorHolder,
@@ -160,28 +164,19 @@ class _SaddleOperator:
       raveled local blocks of :func:`assemble_convection` lands in its data;
     * ``reduced``, the pattern's :class:`vvpflow.linalg.ReducedSystem`
       without the fixed unknowns (the essential edges and faces of
-      ``natural_cache.essential`` and the pressure pins of ``harmonic``),
+      ``boundary.essential`` and the pressure pins of ``harmonic``),
       which each solve refills with the data of :func:`assemble_rhs`.
 
-    ``natural_cache``, the run's resolved boundary, and ``harmonic``, its
-    harmonic space, are built here unless given (a cache of another complex
-    or spec raises); the boundary fixes the entities here and reaches every
-    right-hand side, so every solve fixes the same ones.  ``factor`` holds
-    the LU that :func:`vvpflow.linalg.solve` reuses across the operator's
-    solves, which are given their loads: ``experiments.run_noflow`` shares one.
+    ``boundary``, the resolution of ``bc``, fixes the entities here and
+    reaches every right-hand side, so every solve fixes the same ones, and
+    ``harmonic`` is its harmonic space.  ``factor`` holds the LU that
+    :func:`vvpflow.linalg.solve` reuses across the operator's solves, which
+    are given their loads: ``experiments.run_noflow`` shares one.
     """
 
-    def __init__(self, complex_, bc, nu, dt=None, harmonic=None, natural_cache=None):
-        if natural_cache is None:
-            natural_cache = NaturalBCCache(complex_, bc)
-        elif natural_cache.complex is not complex_:
-            raise ValueError("natural_cache was resolved on another complex")
-        elif natural_cache.bc is not bc:
-            raise ValueError("natural_cache was resolved for another boundary spec")
-        if harmonic is None:
-            harmonic = natural_cache.harmonic
-        self.complex, self.bc, self.harmonic = complex_, bc, harmonic
-        self.natural_cache, mesh = natural_cache, complex_.mesh
+    def __init__(self, complex_, bc, nu, dt=None):
+        self.complex, self.boundary = complex_, resolve_boundary(complex_, bc)
+        self.harmonic, mesh = self.boundary.harmonic, complex_.mesh
         groups, blocks = assemble_B0(complex_, nu=nu)
         offsets = group_offsets(groups)
         slots = None
@@ -195,10 +190,10 @@ class _SaddleOperator:
         pattern, self.conv_pos = stack_blocks(groups, blocks, slots)
         self.static = pattern.data
         # In the order of assemble_rhs's essential values, then the pins.
-        fixed = [offsets[g] + idx for g, (_, idx, _) in natural_cache.essential.items()]
-        fixed = np.concatenate([*fixed, offsets["u3"] + harmonic.pins])
+        fixed = [offsets[g] + idx for g, (_, idx, _) in self.boundary.essential.items()]
+        fixed = np.concatenate([*fixed, offsets["u3"] + self.harmonic.pins])
         self.reduced = eliminate(pattern, groups, fixed)
-        self.m3h = complex_.m3 @ harmonic.basis
+        self.m3h = complex_.m3 @ self.harmonic.basis
         self.factor = FactorHolder()
 
     def solve(self, t, loads, convection=None, rhs_u2=None):
@@ -222,9 +217,7 @@ class _SaddleOperator:
         and the pressure is moved to the gauge H^T M3 p = 0.
         """
         complex_, h, reduced = self.complex, self.harmonic.basis, self.reduced
-        rhs, constraints = assemble_rhs(
-            complex_, self.bc, t=t, natural_cache=self.natural_cache, **loads
-        )
+        rhs, constraints = assemble_rhs(complex_, self.boundary, t=t, **loads)
         pins = np.zeros(self.harmonic.dim)
         values = np.concatenate([*(v for _, v in constraints.values()), pins])
         b = stack(reduced.groups, rhs)
@@ -265,6 +258,18 @@ class _SaddleOperator:
         return state, residual
 
 
+def _boundary(complex_, bc, space, resolution):
+    """``bc`` resolved, for which a given ``resolution`` of its spec stands;
+    a given harmonic ``space`` must hold the resolution's basis and pins."""
+    if resolution is not None and resolution.bc is not getattr(bc, "bc", bc):
+        raise ValueError("natural_cache was resolved for another boundary spec")
+    boundary = resolve_boundary(complex_, bc if resolution is None else resolution)
+    own = boundary.harmonic if space is not None else None
+    if own and not all(map(np.array_equal, vars(own).values(), vars(space).values())):
+        raise ValueError("harmonic is not the harmonic space of the boundary")
+    return boundary
+
+
 def solve_stokes(
     complex_,
     bc,
@@ -281,7 +286,7 @@ def solve_stokes(
     Returns ``(state, diagnostics)`` where diagnostics carries the
     relative linear residual and the max divergence density.
     """
-    operator = _SaddleOperator(complex_, bc, nu, None, harmonic, natural_cache)
+    operator = _SaddleOperator(complex_, _boundary(complex_, bc, harmonic, natural_cache), nu)
     state, residual = operator.solve(t, {"f2": f2, "f3": f3, "load_degree": load_degree})
     diagnostics = {
         "residual": residual,
@@ -300,8 +305,8 @@ def initialize_state(complex_, bc, velocity_data, t=0.0):
     Pressure starts at zero (it is recomputed by the first step anyway).
     """
     u = complex_.interpolate(velocity_data, 2, t=t)
-    boundary = NaturalBCCache(complex_, bc)
-    natural = assemble_natural_bc(complex_, bc, t=t, cache=boundary)
+    boundary = resolve_boundary(complex_, bc)
+    natural = assemble_natural_bc(complex_, boundary, t=t)
     rhs = complex_.d1.T @ (complex_.m2 @ u.values) + natural["u1"]
     fixed = {g: boundary.essential_values(g, t) for g in boundary.essential if g == "u1"}
     groups, blocks = {"u1": complex_.mesh.n_edges}, {("u1", "u1"): complex_.m1}
@@ -352,11 +357,12 @@ def run_transient(
     SteadyStateNotReached if max_steps pass first.  Observers are called
     as observer(state, diag) after every step.
     """
+    bc = _boundary(complex_, bc, harmonic, natural_cache)
     if state is None:
         if velocity_data is None:
             raise ValueError("either an initial state or velocity data is required")
         state = initialize_state(complex_, bc, velocity_data, t=0.0)
-    operator = _SaddleOperator(complex_, bc, config.nu, config.dt, harmonic, natural_cache)
+    operator = _SaddleOperator(complex_, bc, config.nu, config.dt)
     t0 = state.t
     to_steady = config.t_end is None
     summary = TrajectorySummary(final=state)

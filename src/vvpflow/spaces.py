@@ -58,7 +58,6 @@ __all__ = [
     "mass_matrix",
     "interpolate",
     "dof_values",
-    "evaluate",
     "error_norms",
 ]
 
@@ -391,21 +390,6 @@ def dof_values(fielddata, rule, points, measure, t=0.0):
     return np.einsum(
         "q,sqx,sx->s", rule.weights, vals.reshape(S, Q, -1), measure.reshape(S, -1)
     )
-
-
-def evaluate(coeffs, tet, bary):
-    """Evaluate a discrete form inside one tet at barycentric ``bary``.
-
-    Returns a 3-vector for k in {1, 2} and the pointwise density
-    (cell integral / |T|) for k=3.
-    """
-    space = coeffs.space
-    mesh = space.mesh
-    if space.k == 3:
-        return _form_at(mesh, 3, coeffs.values, tet)
-    grads = barycentric_gradients(mesh.vertices[mesh.tets[tet]])
-    C = whitney_coefficients(grads, space.k)
-    return _form_at(mesh, space.k, coeffs.values, tet, np.asarray(bary, dtype=float), C)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vvpflow.assembly import assemble_convection
+from vvpflow.assembly import BoundaryConditionSpec, assemble_convection
 from vvpflow.mesh import SimplicialMesh3, build_box_mesh
 from vvpflow.spaces import DeRhamComplex, _scatter
 
@@ -42,6 +42,21 @@ def complex_n1():
 @pytest.fixture(scope="session")
 def complex_n2():
     return DeRhamComplex(build_box_mesh(2, 2, 2))
+
+
+@pytest.fixture
+def region_map_calls(monkeypatch):
+    """The meshes of every ``BoundaryConditionSpec.face_region_map`` call,
+    the one place a boundary spec is resolved, made while the test runs."""
+    real = BoundaryConditionSpec.face_region_map
+    calls = []
+
+    def counting(self, mesh):
+        calls.append(mesh)
+        return real(self, mesh)
+
+    monkeypatch.setattr(BoundaryConditionSpec, "face_region_map", counting)
+    return calls
 
 
 @pytest.fixture

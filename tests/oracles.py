@@ -5,8 +5,9 @@ library code it checks: exact rational arithmetic for the reference-tet
 mass matrices, a hand-rolled tensor-product Gauss-Legendre rule on the
 collapsed cube for the convection and mass matrices, literal
 barycentric-gradient formulas for the Whitney bases, mapped onto
-physical tets by the Piola transforms, a token-level parser for legacy
-VTK output, the paper's bordered saddle system, whose dense harmonic
+physical tets by the Piola transforms (which also evaluate a discrete
+form at a point), a token-level parser for legacy VTK output, the
+paper's bordered saddle system, whose dense harmonic
 multiplier the solver never factors, a dense rank count of the
 harmonic 3-forms, and a symbolic derivation of the analytic fields.
 """
@@ -136,6 +137,19 @@ def piola_whitney_values(corners, pts):
     psi1 = whitney_edge_values(pts) @ np.linalg.inv(jac)
     psi2 = whitney_face_values(pts) @ jac.T / np.linalg.det(jac)
     return psi1, psi2
+
+
+def evaluate(coeffs, tet, bary):
+    """A discrete form inside one tet at barycentric ``bary``, summed over
+    its Piola-mapped basis: a 3-vector for k in {1, 2}, and the density
+    (cell integral / |T|) for k=3."""
+    space, mesh = coeffs.space, coeffs.space.mesh
+    if space.k == 3:
+        return coeffs.values[tet] / mesh.tet_volumes[tet]
+    ref = np.asarray(bary, dtype=float)[None, 1:]  # lam1..lam3 are x, y, z
+    psi = piola_whitney_values(mesh.vertices[mesh.tets[tet]], ref)[space.k - 1]
+    dofs = (mesh.tet_edges if space.k == 1 else mesh.tet_faces)[tet]
+    return coeffs.values[dofs] @ psi[:, 0]
 
 
 def mass_quadrature(mesh, k, m=4):

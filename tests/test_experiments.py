@@ -219,6 +219,23 @@ def test_run_noflow_factors_once_for_all_exponents(monkeypatch, tmp_path):
         assert row["div_max"] == complex_.divergence_max(state.u.values)
 
 
+def test_run_noflow_keeps_the_factor_of_its_unchanged_matrix(monkeypatch, tmp_path):
+    """At n = 6 one exponent's refinement ends just above ROUNDOFF_RESIDUAL;
+    the matrix is bitwise the one the shared factor factors, so no exponent
+    factors it again."""
+    factors = []
+    real = linalg.spla.splu
+
+    def spy(a, **kwargs):
+        factors.append(a.shape)
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", spy)
+    report = run_noflow(ExperimentSpec(kind="noflow", n=(6,), outdir=str(tmp_path)))
+    assert len(factors) == 1
+    assert report.max_velocity_norm <= 1e-10
+
+
 def test_run_dt_sweep_bounded(tmp_path):
     spec = ExperimentSpec(
         kind="dtsweep", n=(2,), dts=(1e-1, 1e-2), outdir=str(tmp_path)
@@ -244,6 +261,23 @@ def test_dt_sweep_velocity_ignores_gradient_forcing(tmp_path):
     for row_a, row_b in zip(base.rows, shifted.rows):
         assert row_b["err_l2_u"] == pytest.approx(row_a["err_l2_u"], abs=1e-9)
         assert row_b["err_hdiv_u"] == pytest.approx(row_a["err_hdiv_u"], abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "kind, kwargs, meshes",
+    [
+        ("noflow", dict(n=(2,), gamma=(1, 2)), 1),
+        ("dtsweep", dict(n=(2,), dts=(1e-1, 1e-2, 1e-3, 1e-4)), 1),
+        ("ethier", dict(n=(2, 3), d=1.0, t_end=2e-3), 2),
+    ],
+)
+def test_runs_resolve_their_boundary_once_per_mesh(
+    tmp_path, region_map_calls, kind, kwargs, meshes
+):
+    """Every step size of a dtsweep, and the initial state and the steps
+    of a transient ethier mesh, share one resolved boundary."""
+    run_experiment(ExperimentSpec(kind=kind, outdir=str(tmp_path), **kwargs))
+    assert len(region_map_calls) == len({id(mesh) for mesh in region_map_calls}) == meshes
 
 
 def test_run_ethier_steady_single_mesh(tmp_path):

@@ -268,3 +268,33 @@ def test_factor_holder_reuses_a_close_factor_and_replaces_a_far_one(monkeypatch)
     x, res = solve(far, rhs, order=order, factor=holder)
     assert (len(factors), holder.reused) == (2, False)
     assert relative_residual(far, rhs, x) == res <= RESIDUAL_TOL
+
+
+def test_factor_holder_keeps_the_factor_of_an_unchanged_matrix(monkeypatch):
+    """A held factor whose refinement ends above ROUNDOFF_RESIDUAL is
+    replaced only when the matrix is not bitwise the one it factors:
+    factoring that one again would give the same factor and residual."""
+    monkeypatch.setattr(linalg, "ROUNDOFF_RESIDUAL", 0.0)  # no solve ends below it
+    rng = np.random.default_rng(12)
+    a = sp.random(30, 30, density=0.2, random_state=12) + 30 * sp.eye(30)
+    rhs = rng.normal(size=30)
+    order = rng.permutation(30)
+    factors = []
+    real = linalg.spla.splu
+
+    def spy(m, **kwargs):
+        factors.append(m.shape)
+        return real(m, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", spy)
+    holder = FactorHolder()
+    x, res = solve(a, rhs, order=order, factor=holder)
+    again, res_again = solve(sp.csr_matrix(a, copy=True), rhs, order=order, factor=holder)
+    assert (len(factors), holder.reused) == (1, True)
+    assert (again.tobytes(), res_again) == (x.tobytes(), res)
+
+    near = a + 1e-3 * sp.random(30, 30, density=0.2, random_state=13)
+    solve(near, rhs, order=order, factor=holder)
+    assert (len(factors), holder.reused) == (2, False)
+    solve(near, rhs, order=order, factor=holder)
+    assert (len(factors), holder.reused) == (2, True)

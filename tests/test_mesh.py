@@ -140,6 +140,29 @@ def test_mesh_validation_errors():
         SimplicialMesh3(flat, [[0, 1, 2, 3]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_is_rejected(bad):
+    """A NaN vertex would give NaN volumes and a system that "solves" with
+    a NaN divergence; the mesh names the vertex instead."""
+    mesh = build_box_mesh(2, 2, 2)
+    verts = mesh.vertices.copy()
+    verts[13, 1] = bad
+    with pytest.raises(ValueError, match="non-finite coordinate of vertex 13"):
+        SimplicialMesh3(verts, mesh.tets)
+
+
+def test_duplicate_tet_is_rejected():
+    """A tet listed twice, in any vertex order, is named as such, also where
+    its copies would make the faces it shares inside a box non-manifold."""
+    with pytest.raises(ValueError, match=r"duplicate tet: vertices \[0, 1, 2, 3\]"):
+        SimplicialMesh3(REF_VERTS, [[0, 1, 2, 3], [3, 1, 0, 2]])
+    mesh = build_box_mesh(2, 2, 2)
+    inner = mesh.face_tets[mesh.face_tets[:, 1] >= 0][0, 0]
+    tets = np.vstack([mesh.tets, mesh.tets[inner][::-1]])
+    with pytest.raises(ValueError, match="duplicate tet"):
+        SimplicialMesh3(mesh.vertices, tets)
+
+
 def test_non_manifold_mesh_rejected():
     verts = np.vstack([REF_VERTS, [[0.0, 0.0, -1.0], [1.0, 1.0, 1.0]]])
     tets = [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]]

@@ -9,6 +9,7 @@ from vvpflow.assembly import (
     BoundaryConditionSpec,
     NaturalBCCache,
     RegionBC,
+    ResolvedBoundary,
     build_harmonic_space,
     essential_constraints,
 )
@@ -748,41 +749,67 @@ def test_natural_cache_resolved_for_another_solve_is_rejected(complex_n2, other)
         solve_stokes(complex_, bc, f2=fields["forcing"], natural_cache=cache)
 
 
-def test_run_resolves_its_boundary_a_fixed_number_of_times(complex_n2, monkeypatch):
-    """The region predicates run while a run is set up, never per step."""
-    real = BoundaryConditionSpec.face_region_map
-    calls = []
+def test_boundary_resolved_on_another_complex_is_rejected(complex_n2):
+    """Given as ``bc``, a resolution of another complex raises wherever a
+    spec is accepted, before any of its indices are used."""
+    fields = stokes_mms_fields(nu=1.0)
+    complex_ = DeRhamComplex(build_box_mesh(3, 3, 3))
+    boundary = ResolvedBoundary(complex_n2, _outlet_bc(fields))
+    config = SolverConfig(nu=1.0, dt=1e-3, t_end=1e-3)
+    for call in (
+        lambda: solve_stokes(complex_, boundary, f2=fields["forcing"]),
+        lambda: run_transient(complex_, boundary, config, velocity_data=fields["velocity"]),
+        lambda: initialize_state(complex_, boundary, fields["velocity"]),
+        lambda: essential_constraints(complex_, boundary),
+        lambda: assembly.assemble_natural_bc(complex_, boundary),
+        lambda: build_harmonic_space(complex_, boundary),
+    ):
+        with pytest.raises(ValueError, match="resolved on another complex"):
+            call()
 
-    def counting(self, mesh):
-        calls.append(mesh)
-        return real(self, mesh)
 
-    monkeypatch.setattr(BoundaryConditionSpec, "face_region_map", counting)
+def test_harmonic_space_of_another_boundary_is_rejected(complex_n2):
+    """A ``harmonic`` given beside ``bc`` must be the boundary's own: the
+    closed box has one harmonic form, an outlet leaves none."""
+    fields = stokes_mms_fields(nu=1.0)
+    closed, outlet = both_essential(fields), _outlet_bc(fields)
+    own = build_harmonic_space(complex_n2, closed)
+    moved = assembly.HarmonicSpace(own.basis, own.pins + 1)
+    config = SolverConfig(nu=1.0, dt=1e-3, t_end=1e-3)
+    for bc, harmonic in (
+        (closed, build_harmonic_space(complex_n2, outlet)),
+        (closed, moved),
+        (outlet, own),
+    ):
+        with pytest.raises(ValueError, match="not the harmonic space"):
+            solve_stokes(complex_n2, bc, f2=fields["forcing"], harmonic=harmonic)
+        with pytest.raises(ValueError, match="not the harmonic space"):
+            run_transient(
+                complex_n2, bc, config, velocity_data=fields["velocity"], harmonic=harmonic
+            )
+    # An equal space resolved apart, as the benchmark passes it, is accepted.
+    _, diag = solve_stokes(complex_n2, closed, f2=fields["forcing"], harmonic=own)
+    assert diag["residual"] <= RESIDUAL_TOL
+
+
+def test_run_resolves_its_boundary_a_fixed_number_of_times(complex_n2, region_map_calls):
+    """The region predicates run once while a run is set up, never per
+    step: initialize_state and the operator share one resolution."""
     bc, velocity = ethier_bc(2.0, 1.0), ethier_velocity(2.0, 1.0)
-    counts = []
     for steps in (2, 5):
-        calls.clear()
+        region_map_calls.clear()
         config = SolverConfig(nu=1.0, dt=1e-3, t_end=steps * 1e-3)
         summary = run_transient(complex_n2, bc, config, velocity_data=velocity)
         assert summary.n_steps == steps
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+        assert len(region_map_calls) == 1
 
 
-def test_steady_solve_resolves_its_boundary_once(complex_n2, monkeypatch):
+def test_steady_solve_resolves_its_boundary_once(complex_n2, region_map_calls):
     """The operator takes its harmonic space from its resolved boundary
     instead of resolving the spec a second time."""
-    real = BoundaryConditionSpec.face_region_map
-    calls = []
-
-    def counting(self, mesh):
-        calls.append(mesh)
-        return real(self, mesh)
-
-    monkeypatch.setattr(BoundaryConditionSpec, "face_region_map", counting)
     fields = stokes_mms_fields(nu=1.0)
     solve_stokes(complex_n2, _outlet_bc(fields), f2=fields["forcing"])
-    assert len(calls) == 1
+    assert len(region_map_calls) == 1
 
 
 def test_steps_after_the_first_map_no_rule(complex_n2, monkeypatch):

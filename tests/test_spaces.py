@@ -18,7 +18,6 @@ from vvpflow.spaces import (
     barycentric_gradients,
     derivative_matrix,
     error_norms,
-    evaluate,
     form_space,
     interpolate,
     mass_matrix,
@@ -29,7 +28,7 @@ from vvpflow.spaces import (
 
 import oracles
 from conftest import jittered_box
-from oracles import REF_VERTS
+from oracles import REF_VERTS, evaluate
 
 
 def single_tet_mesh(perturbation=None):

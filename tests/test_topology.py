@@ -149,7 +149,7 @@ def test_shared_boundary_gives_standalone_essential_values(case, monkeypatch):
 
     monkeypatch.setattr(BoundaryConditionSpec, "face_region_map", no_predicates)
     for t, want in zip(times, standalone):
-        got = essential_constraints(complex_, bc, t=t, cache=boundary)
+        got = essential_constraints(complex_, boundary, t=t)
         assert got.keys() == want.keys() == {"u1", "u2"}
         for group, (idx, vals) in want.items():
             np.testing.assert_array_equal(got[group][0], idx)
