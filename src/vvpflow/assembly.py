@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .quadrature import edge_rule, triangle_rule
-from .spaces import TRACE_DEGREE, dof_values, simplex_rule
+from .spaces import TRACE_DEGREE, dof_values, sample, simplex_rule
 from .spaces import interpolate  # noqa: F401  (a name the benchmark tracer patches)
 
 __all__ = [
@@ -175,8 +175,8 @@ class ResolvedBoundary:
         each region's data interpolated on its entities (None: zero)."""
         parts, idx, pick = self.essential[group]
         vals = [
-            np.zeros(len(points)) if data is None else dof_values(data, rule, points, measure, t)
-            for data, rule, points, measure in parts
+            np.zeros(len(pts)) if data is None else dof_values(data, rule, pts, measure, t, what)
+            for what, data, rule, pts, measure in parts
         ]
         return idx, np.concatenate(vals)[pick]
 
@@ -233,11 +233,12 @@ class ResolvedBoundary:
     def essential(self):
         """``{group: (parts, indices, pick)}``: "u1" the edges of the essential
         vorticity faces, "u2" the essential velocity faces.  ``parts`` holds
-        (data, rule, points, measure) per region: the TRACE_DEGREE edge or
-        face rule mapped onto its entities by ``simplex_rule``, as
-        ``spaces.interpolate`` maps it.  ``pick`` takes the sorted, read-only
-        ``indices`` from the concatenated entities, so a seam edge is kept
-        by the first region."""
+        (what, data, rule, points, measure) per region: the region and
+        channel that name the data in ``spaces.sample``'s errors, and the
+        TRACE_DEGREE edge or face rule mapped onto its entities by
+        ``simplex_rule``, as ``spaces.interpolate`` maps it.  ``pick`` takes
+        the sorted, read-only ``indices`` from the concatenated entities, so
+        a seam edge is kept by the first region."""
         mesh, out = self.mesh, {}
         for group, channel, simplices, rule in (
             ("u1", "vorticity", mesh.edges, edge_rule(TRACE_DEGREE)),
@@ -247,7 +248,8 @@ class ResolvedBoundary:
             for region, faces, _ in self.regions(channel, ESSENTIAL):
                 e = np.unique(mesh.face_edges[faces]) if group == "u1" else faces
                 mapped = simplex_rule(mesh.vertices[simplices[e]], rule)
-                parts.append((getattr(region, f"{channel}_data"), rule, *mapped))
+                what = f"region {region.name!r} {channel} data"
+                parts.append((what, getattr(region, f"{channel}_data"), rule, *mapped))
                 entities.append(e)
             if parts:
                 idx, pick = np.unique(np.concatenate(entities), return_index=True)
@@ -377,15 +379,14 @@ def assemble_natural_bc(complex_, bc, t=0.0):
     rhs2 = np.zeros(mesh.n_faces)
     for tab in resolve_boundary(complex_, bc).natural:
         region, pts, lam = tab["region"], tab["points"], tab["lam"]
-        B = len(pts)
+        B, name = len(pts), f"region {region.name!r}"
         if region.vorticity_data is not None:
-            u = np.asarray(region.vorticity_data(pts.reshape(-1, 3), t), dtype=float)
-            n_cross_u = np.cross(tab["normal"][:, None, :], u.reshape(pts.shape))
-            moments = (lam @ n_cross_u).reshape(B, 12, 1)
+            u = sample(region.vorticity_data, pts, t, True, f"{name} tangential velocity data")
+            moments = (lam @ np.cross(tab["normal"][:, None, :], u)).reshape(B, 12, 1)
             np.add.at(rhs1, tab["edges"], (tab["C1"].reshape(B, 6, 12) @ moments)[..., 0])
         if "C2n" in tab and region.velocity_data is not None:
-            h = np.asarray(region.velocity_data(pts.reshape(-1, 3), t), dtype=float)
-            moments = lam @ h.reshape(B, -1, 1)
+            h = sample(region.velocity_data, pts, t, False, f"{name} pressure data")
+            moments = lam @ h[..., None]
             np.add.at(rhs2, tab["fdofs"], -(tab["C2n"] @ moments)[..., 0])
     return {"u1": rhs1, "u2": rhs2}
 
@@ -394,8 +395,7 @@ def assemble_load(complex_, f2, t=0.0, degree=None):
     """Load vector <f2, psi2> over the velocity test space."""
     tab = complex_.tabulation(degree)
     mesh = complex_.mesh
-    T, Q = tab.points.shape[0], tab.points.shape[1]
-    vals = np.asarray(f2(tab.points.reshape(-1, 3), t), dtype=float).reshape(T, Q, 3)
+    vals = sample(f2, tab.points, t, True, "f2")
     local = np.einsum(
         "tfax,tax->tf",
         complex_.geometry.whitney[2],
@@ -409,10 +409,8 @@ def assemble_load(complex_, f2, t=0.0, degree=None):
 def assemble_scalar_load(complex_, f3, t=0.0, degree=None):
     """Load vector <f3, psi3>, i.e. cell averages of the scalar source."""
     tab = complex_.tabulation(degree)
-    mesh = complex_.mesh
-    T, Q = tab.points.shape[0], tab.points.shape[1]
-    vals = np.asarray(f3(tab.points.reshape(-1, 3), t), dtype=float).reshape(T, Q)
-    return np.sum(tab.weights * vals, axis=1) / mesh.tet_volumes
+    vals = sample(f3, tab.points, t, False, "f3")
+    return np.sum(tab.weights * vals, axis=1) / complex_.mesh.tet_volumes
 
 
 def assemble_convection(complex_, omega_values, u_values, theta=0.5):
@@ -444,8 +442,8 @@ def assemble_B0(complex_, nu=1.0):
     ``{(row, col): matrix}`` of the five nonzero blocks.  The right-hand
     side and the essential values come from :func:`assemble_rhs`.
     """
-    if nu <= 0:
-        raise ValueError("viscosity must be positive")
+    if not 0 < nu < np.inf:
+        raise ValueError("viscosity must be positive and finite")
     mesh = complex_.mesh
     m2d1 = complex_.m2 @ complex_.d1
     m3d2 = complex_.m3 @ complex_.d2

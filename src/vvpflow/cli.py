@@ -56,6 +56,9 @@ def _run_kind(kind, args):
 
 def _mesh_info(args):
     options = _collect_options(args)
+    unknown = sorted(options.keys() - {"mesh", "n"})
+    if unknown:
+        raise ValueError(f"unknown option {unknown[0]!r}")
     if "mesh" in options:
         mesh = read_tetmesh(options["mesh"])
         source = options["mesh"]

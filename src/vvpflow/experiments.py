@@ -21,7 +21,7 @@ each error column is fitted by least squares on (log h, log err).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -115,8 +115,8 @@ class ExperimentSpec:
         object.__setattr__(self, "dts", tuple(float(v) for v in self.dts))
         if any(g < 1 for g in self.gamma):
             raise ValueError("exponents must be positive integers")
-        if any(v <= 0 for v in self.dts):
-            raise ValueError("time steps must be positive")
+        if not all(0 < v < np.inf for v in self.dts):
+            raise ValueError("time steps must be positive and finite")
         if self.kind == "noflow" and not self.gamma:
             raise ValueError("noflow needs a nonempty exponent list")
         if self.kind == "dtsweep":
@@ -126,8 +126,13 @@ class ExperimentSpec:
                 raise ValueError("time-step list must decrease")
         if self.kind == "ethier" and self.d != 0.0 and len(self.n) < 2:
             raise ValueError("convergence sweeps need at least two meshes")
-        # The stepper's own checks, made before any mesh is built.
-        SolverConfig(
+        self.solver_config()  # the stepper's own checks, before any mesh is built
+
+    def solver_config(self):
+        """The stepper settings of this spec; a run that steps differently
+        (noflow's load degree, the sweep's dt, steady ethier's t_end=None)
+        derives its own with ``dataclasses.replace``."""
+        return SolverConfig(
             nu=self.nu,
             dt=self.resolved_dt(),
             theta=self.theta,
@@ -291,9 +296,7 @@ def run_noflow(spec):
     complex_ = DeRhamComplex(build_box_mesh(n, n, n))
     bc = resolve_boundary(complex_, BoundaryConditionSpec(RegionBC()))
     degree = spec.load_degree if spec.load_degree is not None else max(spec.gamma) + 1
-    config = SolverConfig(
-        nu=spec.nu, dt=spec.resolved_dt(), theta=spec.theta, load_degree=degree
-    )
+    config = replace(spec.solver_config(), load_degree=degree)
     report = NoFlowReport()
     operator = _SaddleOperator(complex_, bc, config.nu, config.dt)
     for g in spec.gamma:
@@ -353,20 +356,12 @@ def run_ethier(spec):
         return np.zeros(len(points))
 
     steady = spec.d == 0.0
+    config = replace(spec.solver_config(), t_end=None) if steady else spec.solver_config()
     report = ConvergenceReport()
     for n in spec.n:
         mesh = build_box_mesh(n, n, n)
         complex_ = DeRhamComplex(mesh)
         bc = _ethier_bc(complex_, uex)
-        config = SolverConfig(
-            nu=spec.nu,
-            dt=spec.resolved_dt(),
-            theta=spec.theta,
-            t_end=None if steady else spec.t_end,
-            steady_tol=spec.steady_tol,
-            max_steps=spec.max_steps,
-            load_degree=spec.load_degree,
-        )
         if steady:
             summary = run_transient(
                 complex_, bc, config, state=_rest_state(complex_)
@@ -413,9 +408,7 @@ def run_dt_sweep(spec, f=None):
     init = initialize_state(complex_, bc, uex, t=0.0)
     report = DtSweepReport()
     for dt in spec.dts:
-        config = SolverConfig(
-            nu=spec.nu, dt=dt, theta=spec.theta, load_degree=spec.load_degree
-        )
+        config = replace(spec.solver_config(), dt=dt)
         state, _ = step(complex_, bc, config, init, f=f)
         l2, hdiv = _error_pair(complex_, state.u, uex, None, state.t)
         report.rows.append(

@@ -3,6 +3,9 @@
 All field callables follow one convention: ``f(points, t)`` with
 ``points`` an (n, 3) array returns an (n, 3) array for vector fields or
 an (n,) array for scalars.  Time-independent fields still accept ``t``.
+The solver calls data only through ``spaces.sample``, which enforces the
+convention: a wrong shape or a non-finite value raises a ValueError that
+names the data and t.
 
 The exponential-trigonometric family ``ethier_*`` (two parameters a, d,
 decay exp(-d^2 t); Ethier & Steinman, IJNMF 1994) is an exact unforced

@@ -102,18 +102,19 @@ class SolverConfig:
     load_degree: int | None = None
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("viscosity must be positive")
-        if self.dt <= 0:
-            raise ValueError("time step must be positive")
+        # Chained comparisons, so that NaN fails them too.
+        if not 0 < self.nu < np.inf:
+            raise ValueError("viscosity must be positive and finite")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("time step must be positive and finite")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("convection weight theta must lie in [0, 1]")
-        if self.steady_tol <= 0:
-            raise ValueError("steady tolerance must be positive")
+        if not 0 < self.steady_tol < np.inf:
+            raise ValueError("steady tolerance must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if self.t_end is not None and self.t_end <= 0:
-            raise ValueError("t_end must be positive when given")
+        if self.t_end is not None and not 0 < self.t_end < np.inf:
+            raise ValueError("t_end must be positive and finite when given")
         if self.load_degree is not None and self.load_degree < 0:
             raise ValueError("load_degree must be nonnegative when given")
 

@@ -56,6 +56,7 @@ __all__ = [
     "simplex_rule",
     "derivative_matrix",
     "mass_matrix",
+    "sample",
     "interpolate",
     "dof_values",
     "error_norms",
@@ -362,34 +363,58 @@ def mass_matrix(space, tabulation=None):
     return _scatter(local, idx, idx, (space.ndof, space.ndof))
 
 
-def interpolate(fielddata, space, t=0.0, only=None):
+def sample(data, points, t, vector, what):
+    """Values of the analytic field ``data`` at ``points`` (..., 3), time t.
+
+    The one call of a data callable on points, by the convention of
+    :mod:`vvpflow.fields`: ``data(points, t)`` takes the (n, 3) points and
+    returns (n, 3) vectors if ``vector``, else (n,) scalars.  Returns the
+    values shaped ``points.shape[:-1]``, plus (3,) for vectors.  Raises
+    ValueError, naming ``what`` and t, for any other shape or a value
+    that is not finite.
+    """
+    flat = points.reshape(-1, 3)
+    values = np.asarray(data(flat, t), dtype=float)
+    shape = (len(flat), 3) if vector else (len(flat),)
+    if values.shape != shape:
+        kind = "vector" if vector else "scalar"
+        raise ValueError(
+            f"{what} at t={t:g} has shape {values.shape}, not the {shape} "
+            f"of a {kind} field on {len(flat)} points"
+        )
+    if not np.isfinite(values).all():
+        bad = np.count_nonzero(~np.isfinite(values))
+        raise ValueError(f"{what} at t={t:g} is not finite: {bad} non-finite values")
+    return values.reshape(points.shape[:-1] + shape[1:])
+
+
+def interpolate(fielddata, space, t=0.0):
     """Canonical interpolation: evaluate the defining DOF functionals.
 
     ``fielddata(points, t)`` takes an (n, 3) array and returns (n, 3)
     vectors for k in {1, 2} or (n,) scalars for k=3.  Circulations
     along the edges, fluxes through the faces and cell integrals are
     computed with the TRACE_DEGREE rule on each simplex by
-    :func:`dof_values`.  Given ``only``, an index array of simplices,
-    the others are not evaluated and their values are zero.
+    :func:`dof_values`.
     """
     mesh = space.mesh
     simplices = (mesh.edges, mesh.faces, mesh.tets)[space.k - 1]
-    idx = slice(None) if only is None else only
     rule = (edge_rule, triangle_rule, tet_rule)[space.k - 1](TRACE_DEGREE)
-    points, measure = simplex_rule(mesh.vertices[simplices[idx]], rule)
-    values = np.zeros(space.ndof)
-    values[idx] = dof_values(fielddata, rule, points, measure, t)
+    points, measure = simplex_rule(mesh.vertices[simplices], rule)
+    values = dof_values(fielddata, rule, points, measure, t, f"V{space.k} data")
     return FormCoefficients(space, values)
 
 
-def dof_values(fielddata, rule, points, measure, t=0.0):
+def dof_values(fielddata, rule, points, measure, t=0.0, what="data"):
     """The DOF functional of ``fielddata`` on each simplex that :func:`simplex_rule`
-    mapped ``rule`` onto (``points``, ``measure``), shape (S,)."""
-    S, Q = points.shape[:2]
-    vals = np.asarray(fielddata(points.reshape(-1, 3), t), dtype=float)
-    return np.einsum(
-        "q,sqx,sx->s", rule.weights, vals.reshape(S, Q, -1), measure.reshape(S, -1)
-    )
+    mapped ``rule`` onto (``points``, ``measure``), shape (S,): vector data
+    on edges and faces (measure (S, 3)), scalar data on tets (measure (S,)).
+    ``what`` names the data in :func:`sample`'s errors."""
+    vector = measure.ndim == 2
+    vals = sample(fielddata, points, t, vector, what)
+    if not vector:
+        vals, measure = vals[..., None], measure[:, None]
+    return np.einsum("q,sqx,sx->s", rule.weights, vals, measure)
 
 
 @dataclass(frozen=True)
@@ -431,25 +456,26 @@ def error_norms(
     if tabulation is None:
         tabulation = WhitneyTabulation(TetGeometry(space.mesh), tet_rule(ERROR_DEGREE))
     W = tabulation.weights
-    pts = tabulation.points.reshape(-1, 3)
 
-    def squared(k, values, exact_field):
+    def squared(k, values, exact_field, what):
         """Squared L2 norms of (exact - discrete) and of exact."""
         uh = tabulation.field(k, values)
         if exact_field is None:
             uex = np.zeros(uh.shape)
         else:
-            uex = np.asarray(exact_field(pts, t), dtype=float).reshape(uh.shape)
+            uex = sample(exact_field, tabulation.points, t, k < 3, what).reshape(uh.shape)
         return (
             float(np.sum(W * np.sum((uex - uh) ** 2, axis=-1))),
             float(np.sum(W * np.sum(uex**2, axis=-1))),
         )
 
-    err2, ex2 = squared(space.k, coeffs.values, exact)
+    err2, ex2 = squared(space.k, coeffs.values, exact, "exact")
     derr2 = dex2 = 0.0
     if space.k < 3:
         D = derivative_matrix(space) if derivative is None else derivative
-        derr2, dex2 = squared(space.k + 1, D @ coeffs.values, exact_derivative)
+        derr2, dex2 = squared(
+            space.k + 1, D @ coeffs.values, exact_derivative, "exact_derivative"
+        )
 
     l2 = np.sqrt(err2)
     graph = np.sqrt(err2 + derr2)

@@ -1,4 +1,5 @@
 """Boundary conditions, harmonic space, loads, and the saddle system."""
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from vvpflow.assembly import (
     essential_constraints,
 )
 from vvpflow.mesh import SimplicialMesh3, build_box_mesh
-from vvpflow.spaces import DeRhamComplex, interpolate
+from vvpflow.spaces import DeRhamComplex, FormCoefficients, interpolate
 
 import oracles
 from conftest import jittered_box, scattered_convection
@@ -446,6 +447,8 @@ def test_underdetermined_pairing_rejected(complex_n2):
         RegionBC(name="outlet", vorticity_mode=ESSENTIAL, velocity_mode=NATURAL)
     with pytest.raises(ValueError, match="viscosity"):
         assemble_B0(complex_n2, nu=0.0)
+    with pytest.raises(ValueError, match="viscosity must be positive and finite"):
+        assemble_B0(complex_n2, nu=np.nan)
 
 
 def test_loads_enter_the_right_rows(complex_n2):
@@ -459,3 +462,49 @@ def test_loads_enter_the_right_rows(complex_n2):
     assert "u2" in rhs
     assert "u3" in rhs
     np.testing.assert_allclose(rhs["u3"], 1.0, rtol=1e-12)
+
+
+def nan_field(points, t=0.0):
+    return np.full((len(points), 3), np.nan)
+
+
+def planar_field(points, t=0.0):
+    return np.ones((len(points), 2))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (dict(velocity=unit_scalar), "region 'walls' velocity data at t=0.25 has shape"),
+        (dict(vorticity=unit_scalar), "region 'walls' vorticity data at t=0.25 has shape"),
+        (
+            dict(pressure=constant_field([1.0, 0.0, 0.0])),
+            "region 'outlet' pressure data at t=0.25 has shape",
+        ),
+        (dict(velocity=planar_field), "region 'walls' velocity data at t=0.25 has shape"),
+        (dict(velocity=nan_field), "region 'walls' velocity data at t=0.25 is not finite"),
+        (dict(f2=unit_scalar), "f2 at t=0.25 has shape"),
+        (dict(f2=nan_field), "f2 at t=0.25 is not finite"),
+        (dict(f3=constant_field([1.0, 0.0, 0.0])), "f3 at t=0.25 has shape"),
+        (dict(exact=unit_scalar), "exact at t=0.25 has shape"),
+    ],
+)
+def test_data_of_a_wrong_shape_or_not_finite_is_named(complex_n2, data, message):
+    """Every data callable goes through ``spaces.sample``, which rejects a
+    wrong shape or a non-finite value with the data's name and t; a scalar
+    as essential data must not broadcast to vectors."""
+    outlet = RegionBC(
+        name="outlet",
+        vorticity_mode=NATURAL,
+        velocity_mode=NATURAL,
+        velocity_data=data.get("pressure"),
+        where=lambda c: c[:, 0] > 1.0 - 1e-12,
+    )
+    walls = RegionBC(
+        name="walls", vorticity_data=data.get("vorticity"), velocity_data=data.get("velocity")
+    )
+    bc = BoundaryConditionSpec((outlet, walls))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        assemble_rhs(complex_n2, bc, f2=data.get("f2"), f3=data.get("f3"), t=0.25)
+        u = FormCoefficients.zeros(complex_n2.V2)
+        complex_n2.error_norms(u, data.get("exact"), t=0.25, relative=False)

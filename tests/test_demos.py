@@ -1,0 +1,29 @@
+"""Every script in ``demos/`` runs to completion."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_the_demos_are_found():
+    assert len(DEMOS) == 4
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_exits_cleanly(demo, tmp_path):
+    """The demos call the library with their own data callables, which
+    ``spaces.sample`` checks like any other."""
+    done = subprocess.run(
+        [sys.executable, str(demo)],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -388,6 +388,11 @@ SOLVER_SETTINGS = [
     ("ethier", "max_steps=0", "max_steps must be at least 1"),
     ("noflow", "load_degree=-1", "load_degree must be nonnegative"),
     ("stokes-mms", "load_degree=-1", "load_degree must be nonnegative"),
+    ("noflow", "nu=nan", "viscosity must be positive and finite"),
+    ("ethier", "t_end=inf", "t_end must be positive and finite"),
+    ("ethier", "steady_tol=nan", "steady tolerance must be positive and finite"),
+    ("dtsweep", "dts=nan", "time steps must be positive and finite"),
+    ("dtsweep", "dts=1e-2,inf", "time steps must be positive and finite"),
 ]
 
 
@@ -412,6 +417,12 @@ def test_cli_reports_bad_solver_settings(kind, setting, match):
 def test_cli_mesh_info_rejects_bad_size():
     with pytest.raises(SystemExit, match="error: cell counts must be positive"):
         main(["mesh-info", "--set", "n=0"])
+
+
+def test_cli_mesh_info_rejects_unknown_option(capsys):
+    with pytest.raises(SystemExit, match="error: unknown option 'foo'"):
+        main(["mesh-info", "--set", "n=2", "--set", "foo=1"])
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_mesh_info_rejects_missing_mesh(tmp_path):

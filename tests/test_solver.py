@@ -81,6 +81,13 @@ def counted(field, calls):
         (dict(t_end=0.0), "t_end"),
         (dict(t_end=-2.0), "t_end"),
         (dict(load_degree=-1), "load_degree"),
+        (dict(nu=np.nan), "viscosity"),
+        (dict(nu=np.inf), "viscosity"),
+        (dict(dt=np.nan), "time step"),
+        (dict(dt=np.inf), "time step"),
+        (dict(steady_tol=np.nan), "steady tolerance"),
+        (dict(t_end=np.nan), "t_end"),
+        (dict(t_end=np.inf), "t_end"),
     ],
 )
 def test_config_validation(kwargs, match):

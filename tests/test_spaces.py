@@ -211,26 +211,6 @@ def test_volume_form_convention_is_cell_integral():
     )
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_interpolate_on_boundary_simplices_only(k):
-    """``only`` evaluates the data on the chosen simplices alone, with the
-    same values as the full interpolant there and zeros elsewhere."""
-    mesh = jittered_box(3, 4)
-    space = form_space(mesh, k)
-    idx = (mesh.boundary_edges, mesh.boundary_faces)[k - 1]
-    calls = []
-
-    def field(points, t=0.0):
-        calls.append(len(points))
-        return np.stack([np.sin(points[:, 1]), points[:, 2] ** 2, points[:, 0] * t], axis=1)
-
-    full = interpolate(field, space, t=0.5).values
-    part = interpolate(field, space, t=0.5, only=idx).values
-    np.testing.assert_array_equal(part[idx], full[idx])
-    np.testing.assert_array_equal(np.delete(part, idx), 0.0)
-    assert calls[1] * space.ndof == calls[0] * len(idx)
-
-
 def test_interpolate_rule_dimension_guards():
     """Interpolation maps its rules through simplex_rule, which rejects a
     rule whose dimension differs from the simplices'."""
