@@ -3,11 +3,9 @@
 Integrates the full nonlinear system on a box with boundary data from
 an exact exponentially decaying flow: normal velocity imposed strongly,
 tangential velocity weakly.  Prints a few diagnostics along the way,
-compares against the exact field at the final time, and drops a VTK
-snapshot for a mesh viewer.
+compares against the exact field at the final time, and writes a VTK
+snapshot for a mesh viewer into the current directory.
 """
-import os
-
 import numpy as np
 
 from vvpflow import (
@@ -70,7 +68,7 @@ def main():
     print(f"measured energy ratio E(t_end)/E(dt) = {eT / e0:.4f}, "
           f"exact factor = {np.exp(-2 * d * d * (t_end - config.dt)):.4f}")
 
-    out = os.path.join(os.path.dirname(__file__), "transient_final.vtk")
+    out = "transient_final.vtk"
     write_vtk_fields(out, complex_, final, title="decaying flow, final state")
     print(f"wrote {out}")
 

@@ -15,6 +15,7 @@ import sys
 from .experiments import (
     KINDS,
     parse_config,
+    parse_number,
     run_experiment,
     spec_from_options,
 )
@@ -63,7 +64,7 @@ def _mesh_info(args):
         mesh = read_tetmesh(options["mesh"])
         source = options["mesh"]
     else:
-        n = int(options.get("n", 2))
+        n = parse_number("n", options.get("n", "2"), int)
         mesh = build_box_mesh(n, n, n)
         source = f"unit box, n={n}"
     print(f"mesh: {source}")

@@ -58,6 +58,7 @@ __all__ = [
     "run_stokes_mms",
     "run_experiment",
     "parse_config",
+    "parse_number",
     "spec_from_options",
     "write_csv",
 ]
@@ -111,6 +112,9 @@ class ExperimentSpec:
         if list(n) != sorted(set(n)):
             raise ValueError("mesh subdivision list must be strictly increasing")
         object.__setattr__(self, "n", n)
+        for name in ("a", "d"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"Ethier parameter {name} must be finite")
         object.__setattr__(self, "gamma", tuple(int(g) for g in self.gamma))
         object.__setattr__(self, "dts", tuple(float(v) for v in self.dts))
         if any(g < 1 for g in self.gamma):
@@ -516,18 +520,28 @@ _BOOL_KEYS = {"write_vtk"}
 _STR_KEYS = {"outdir"}
 
 
+def parse_number(key, value, cast):
+    """``cast(value)`` (int or float) for option ``key``, naming the
+    option when the value does not parse."""
+    try:
+        return cast(value)
+    except ValueError:
+        expected = "an integer" if cast is int else "a number"
+        raise ValueError(f"option {key}: expected {expected}, got {value!r}") from None
+
+
 def spec_from_options(kind, options):
     """Typed ExperimentSpec from string options (config file / --set)."""
     kwargs = {}
     for key, value in options.items():
         if key in _INT_TUPLE_KEYS:
-            kwargs[key] = tuple(int(v) for v in value.split(",") if v.strip())
+            kwargs[key] = tuple(parse_number(key, v, int) for v in value.split(",") if v.strip())
         elif key in _FLOAT_TUPLE_KEYS:
-            kwargs[key] = tuple(float(v) for v in value.split(",") if v.strip())
+            kwargs[key] = tuple(parse_number(key, v, float) for v in value.split(",") if v.strip())
         elif key in _FLOAT_KEYS:
-            kwargs[key] = float(value)
+            kwargs[key] = parse_number(key, value, float)
         elif key in _INT_KEYS:
-            kwargs[key] = int(value)
+            kwargs[key] = parse_number(key, value, int)
         elif key in _BOOL_KEYS:
             lowered = value.lower()
             if lowered not in ("true", "false", "1", "0", "yes", "no"):

@@ -17,7 +17,9 @@ def test_the_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_exits_cleanly(demo, tmp_path):
     """The demos call the library with their own data callables, which
-    ``spaces.sample`` checks like any other."""
+    ``spaces.sample`` checks like any other; what they write goes to the
+    current directory, not beside their source."""
+    before = set(demo.parent.iterdir())
     done = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,
@@ -27,3 +29,4 @@ def test_demo_exits_cleanly(demo, tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    assert set(demo.parent.iterdir()) == before

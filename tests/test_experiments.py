@@ -1,5 +1,6 @@
 """Experiment drivers, config parsing, CSV/VTK output, and the CLI."""
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +394,9 @@ SOLVER_SETTINGS = [
     ("ethier", "steady_tol=nan", "steady tolerance must be positive and finite"),
     ("dtsweep", "dts=nan", "time steps must be positive and finite"),
     ("dtsweep", "dts=1e-2,inf", "time steps must be positive and finite"),
+    ("ethier", "a=nan", "Ethier parameter a must be finite"),
+    ("ethier", "d=nan", "Ethier parameter d must be finite"),
+    ("dtsweep", "a=inf", "Ethier parameter a must be finite"),
 ]
 
 
@@ -410,8 +414,23 @@ def test_spec_rejects_solver_settings_before_building_a_mesh(
 
 @pytest.mark.parametrize("kind, setting, match", SOLVER_SETTINGS)
 def test_cli_reports_bad_solver_settings(kind, setting, match):
-    with pytest.raises(SystemExit, match=f"^error: {match}"):
+    with warnings.catch_warnings(), pytest.raises(SystemExit, match=f"^error: {match}"):
+        warnings.simplefilter("error")  # no numpy overflow warning before the error
         main([kind, "--set", setting])
+
+
+@pytest.mark.parametrize(
+    "command, setting, match",
+    [
+        ("noflow", "nu=abc", "option nu: expected a number, got 'abc'"),
+        ("noflow", "n=1.5", "option n: expected an integer, got '1.5'"),
+        ("mesh-info", "nu=abc", "unknown option 'nu'"),
+        ("mesh-info", "n=1.5", "option n: expected an integer, got '1.5'"),
+    ],
+)
+def test_cli_names_the_option_that_does_not_parse(command, setting, match):
+    with pytest.raises(SystemExit, match=f"^error: {match}$"):
+        main([command, "--set", setting])
 
 
 def test_cli_mesh_info_rejects_bad_size():

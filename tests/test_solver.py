@@ -542,6 +542,30 @@ def test_nested_dissection_factor_has_less_fill(mesh, run, monkeypatch):
     assert ours <= 0.7 * default
 
 
+# L+U of one Ethier step's factor on the Kuhn box when every bisection cuts
+# at the exact median of the centroids, which on odd n falls inside the
+# middle layer of cubes.
+MEDIAN_CUT_FILL = {5: 761_354, 7: 3_653_759}
+
+
+@pytest.mark.parametrize("n", sorted(MEDIAN_CUT_FILL))
+def test_cheapest_cut_shrinks_the_factor_on_odd_boxes(n, monkeypatch):
+    """The cut with the fewest cut edges and faces in the balance window
+    lands on a vertex plane, beside the middle layer, not inside it."""
+    real = linalg.spla.splu
+    fills = []
+
+    def spy(a, **kwargs):
+        lu = real(a, **kwargs)
+        fills.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    complex_ = DeRhamComplex(build_box_mesh(n, n, n))
+    monkeypatch.setattr(linalg.spla, "splu", spy)
+    _ns_step(complex_)
+    assert fills[-1] <= 0.8 * MEDIAN_CUT_FILL[n]
+
+
 def test_outlet_claiming_no_face_keeps_harmonic_form():
     """dim H comes from the faces the regions claim, not from their modes.
 

@@ -220,9 +220,11 @@ def test_forest_matches_rank_oracle_on_box_unions(boxes):
     "mesh",
     [
         lambda: jittered_box(4, 7),
+        lambda: jittered_box(5, 3),
         lambda: side_by_side([jittered_box(2, 1), build_box_mesh(3, 2, 2)]),
+        lambda: HANDLE,
     ],
-    ids=["jittered-box", "two-boxes"],
+    ids=["jittered-box", "odd-jittered-box", "two-boxes", "handle"],
 )
 def test_elimination_order_pairs_each_cell_with_its_parent_face(mesh):
     mesh = mesh()
