@@ -13,10 +13,14 @@ Four experiment kinds run on unit-box meshes:
 * ``stokes-mms``: steady manufactured-solution sweep with essential
   conditions on both channels.
 
-Every driver writes ``<kind>.csv`` (stable formatting, deterministic
-reruns) plus ``<kind>_summary.txt`` into the output directory.
-Convergence CSVs share the column layout of CSV_HEADER; the slope of
-each error column is fitted by least squares on (log h, log err).
+Every driver returns through one writer, :func:`_write_outputs`, which
+creates the output directory and writes ``<kind>.csv`` (stable
+formatting, deterministic reruns) and ``<kind>_summary.txt``; optional
+VTK snapshots go to the same directory.  ``ethier`` and ``stokes-mms``
+share one convergence sweep, :func:`_convergence_sweep`, and pass it only
+their per-mesh solve, exact fields, slope columns and title.  Its CSVs
+have the columns of CSV_HEADER; the slope of each error column is fitted
+by least squares on (log h, log err).
 """
 from __future__ import annotations
 
@@ -31,6 +35,7 @@ from .fields import (
     ethier_vorticity,
     gradient_of_power,
     stokes_mms_fields,
+    zero_scalar_field,
 )
 from .mesh import build_box_mesh
 from .solver import (
@@ -41,6 +46,7 @@ from .solver import (
     run_transient,
     solve_stokes,
     step,
+    whole_number,
 )
 from .spaces import DeRhamComplex, FormCoefficients
 from .vtk_io import write_vtk_fields
@@ -106,7 +112,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; pick from {KINDS}")
-        n = tuple(int(v) for v in self.n)
+        n = tuple(whole_number("n", v) for v in self.n)
         if not n or any(v < 1 for v in n):
             raise ValueError("mesh subdivision list must hold positive integers")
         if list(n) != sorted(set(n)):
@@ -115,7 +121,7 @@ class ExperimentSpec:
         for name in ("a", "d"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"Ethier parameter {name} must be finite")
-        object.__setattr__(self, "gamma", tuple(int(g) for g in self.gamma))
+        object.__setattr__(self, "gamma", tuple(whole_number("gamma", g) for g in self.gamma))
         object.__setattr__(self, "dts", tuple(float(v) for v in self.dts))
         if any(g < 1 for g in self.gamma):
             raise ValueError("exponents must be positive integers")
@@ -130,7 +136,9 @@ class ExperimentSpec:
                 raise ValueError("time-step list must decrease")
         if self.kind == "ethier" and self.d != 0.0 and len(self.n) < 2:
             raise ValueError("convergence sweeps need at least two meshes")
-        self.solver_config()  # the stepper's own checks, before any mesh is built
+        config = self.solver_config()  # the stepper's own checks, before any mesh is built
+        object.__setattr__(self, "load_degree", config.load_degree)
+        object.__setattr__(self, "max_steps", config.max_steps)
 
     def solver_config(self):
         """The stepper settings of this spec; a run that steps differently
@@ -229,13 +237,22 @@ def write_csv(path, header, rows):
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_summary(path, lines):
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _ensure_outdir(spec):
+def _output_path(spec, name):
+    """Path of output file ``name``; creates ``spec.outdir`` on first use."""
     os.makedirs(spec.outdir, exist_ok=True)
+    return os.path.join(spec.outdir, name)
+
+
+def _write_outputs(spec, report, header, lines):
+    """Write ``<kind>.csv`` and ``<kind>_summary.txt``; return ``report``."""
+    write_csv(_output_path(spec, f"{spec.kind}.csv"), header, report.rows)
+    with open(_output_path(spec, f"{spec.kind}_summary.txt"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return report
+
+
+def _box_complex(n):
+    return DeRhamComplex(build_box_mesh(n, n, n))
 
 
 def _error_pair(complex_, coeffs, exact, exact_derivative, t):
@@ -254,7 +271,9 @@ def _error_pair(complex_, coeffs, exact, exact_derivative, t):
     return l2, graph
 
 
-def _report_row(complex_, state, exact_u, exact_w, exact_p, exact_wcurl, t):
+def _report_row(complex_, state, exact, t):
+    """One CSV_HEADER row against ``exact`` = (u, omega, p, curl omega)."""
+    exact_u, exact_w, exact_p, exact_wcurl = exact
     ul2, uhdiv = _error_pair(complex_, state.u, exact_u, None, t)
     wl2, whcurl = _error_pair(complex_, state.omega, exact_w, exact_wcurl, t)
     pl2, _ = _error_pair(complex_, state.p, exact_p, None, t)
@@ -271,18 +290,36 @@ def _report_row(complex_, state, exact_u, exact_w, exact_p, exact_wcurl, t):
 
 
 def _rest_state(complex_):
-    return TransientState(
-        t=0.0,
-        omega=FormCoefficients.zeros(complex_.V1),
-        u=FormCoefficients.zeros(complex_.V2),
-        p=FormCoefficients.zeros(complex_.V3),
-    )
+    zeros = FormCoefficients.zeros
+    return TransientState(0.0, zeros(complex_.V1), zeros(complex_.V2), zeros(complex_.V3))
 
 
 def _maybe_vtk(spec, tag, complex_, state):
     if spec.write_vtk:
-        path = os.path.join(spec.outdir, f"{tag}.vtk")
-        write_vtk_fields(path, complex_, state)
+        write_vtk_fields(_output_path(spec, f"{tag}.vtk"), complex_, state)
+
+
+def _convergence_sweep(spec, title, solve, exact, columns):
+    """The mesh loop of the convergence experiments.
+
+    ``solve(complex_)`` returns the final state, the time its errors are
+    measured at and a summary note (or None).  Each mesh of ``spec.n``
+    adds a CSV_HEADER row against ``exact`` (see :func:`_report_row`) and
+    a VTK snapshot when asked; the summary is ``title``, the notes and
+    the fitted slopes of ``columns``.
+    """
+    report = ConvergenceReport()
+    for n in spec.n:
+        complex_ = _box_complex(n)
+        state, t, note = solve(complex_)
+        if note is not None:
+            report.notes.append(f"n={n}: {note}")
+        report.rows.append(_report_row(complex_, state, exact, t))
+        _maybe_vtk(spec, f"{spec.kind.replace('-', '_')}_n{n}", complex_, state)
+    lines = [title, *report.notes]
+    for name, slope in report.fit_slopes(columns).items():
+        lines.append(f"fitted slope of {name}: {slope:.3f}")
+    return _write_outputs(spec, report, CSV_HEADER, lines)
 
 
 def run_noflow(spec):
@@ -295,47 +332,33 @@ def run_noflow(spec):
     gradients.  Every step solves the same matrix, so the exponents
     share one resolved boundary, one saddle operator and its factor.
     """
-    _ensure_outdir(spec)
     n = spec.n[0]
-    complex_ = DeRhamComplex(build_box_mesh(n, n, n))
+    complex_ = _box_complex(n)
     bc = resolve_boundary(complex_, BoundaryConditionSpec(RegionBC()))
     degree = spec.load_degree if spec.load_degree is not None else max(spec.gamma) + 1
     config = replace(spec.solver_config(), load_degree=degree)
     report = NoFlowReport()
     operator = _SaddleOperator(complex_, bc, config.nu, config.dt)
-    for g in spec.gamma:
-        f = gradient_of_power(g, 1.0 / (g + 1.0))
-        state, _ = step(complex_, bc, config, _rest_state(complex_), f=f, operator=operator)
-        unorm = complex_.norm(state.u)
-        report.rows.append(
-            {
-                "gamma": g,
-                "h": complex_.h,
-                "ndof_u": complex_.V2.ndof,
-                "unorm_m2": unorm,
-                "div_max": complex_.divergence_max(state.u.values),
-            }
-        )
-        _maybe_vtk(spec, f"noflow_gamma{g}", complex_, state)
-    header = ("gamma", "h", "ndof_u", "unorm_m2", "div_max")
-    write_csv(os.path.join(spec.outdir, "noflow.csv"), header, report.rows)
     lines = [
         "no-flow test: gradient forcing, velocity should vanish",
         f"mesh n={n}, h={complex_.h:.4f}, velocity dofs={complex_.V2.ndof}",
     ]
-    for row in report.rows:
-        lines.append(
-            f"gamma={row['gamma']}: |u|_M2 = {row['unorm_m2']:.3e}, "
-            f"max divergence = {row['div_max']:.3e}"
+    for g in spec.gamma:
+        f = gradient_of_power(g, 1.0 / (g + 1.0))
+        state, _ = step(complex_, bc, config, _rest_state(complex_), f=f, operator=operator)
+        unorm = complex_.norm(state.u)
+        div_max = complex_.divergence_max(state.u.values)
+        report.rows.append(
+            dict(gamma=g, h=complex_.h, ndof_u=complex_.V2.ndof, unorm_m2=unorm, div_max=div_max)
         )
+        lines.append(f"gamma={g}: |u|_M2 = {unorm:.3e}, max divergence = {div_max:.3e}")
+        _maybe_vtk(spec, f"noflow_gamma{g}", complex_, state)
     lines.append(f"max over gamma: {report.max_velocity_norm:.3e}")
-    _write_summary(os.path.join(spec.outdir, "noflow_summary.txt"), lines)
-    return report
+    return _write_outputs(spec, report, ("gamma", "h", "ndof_u", "unorm_m2", "div_max"), lines)
 
 
 def _ethier_bc(complex_, uex):
-    """Exact normal velocity (essential) and tangential velocity (natural),
-    resolved on ``complex_``."""
+    """Exact normal (essential) and tangential (natural) velocity on ``complex_``."""
     region = RegionBC(vorticity_mode="natural", vorticity_data=uex, velocity_data=uex)
     return resolve_boundary(complex_, BoundaryConditionSpec(region))
 
@@ -348,50 +371,28 @@ def run_ethier(spec):
     pseudo-time from rest to the steady state; d != 0 starts from the
     exact initial fields and integrates to t_end.
     """
-    _ensure_outdir(spec)
     uex = ethier_velocity(spec.a, spec.d)
-    wex = ethier_vorticity(spec.a, spec.d)
     d2 = float(spec.d) ** 2
 
     def wcurl(points, t=0.0):
         return d2 * uex(points, t)
 
-    def pex(points, t=0.0):
-        return np.zeros(len(points))
-
     steady = spec.d == 0.0
     config = replace(spec.solver_config(), t_end=None) if steady else spec.solver_config()
-    report = ConvergenceReport()
-    for n in spec.n:
-        mesh = build_box_mesh(n, n, n)
-        complex_ = DeRhamComplex(mesh)
+
+    def solve(complex_):
         bc = _ethier_bc(complex_, uex)
+        start = _rest_state(complex_) if steady else initialize_state(complex_, bc, uex, t=0.0)
+        summary = run_transient(complex_, bc, config, state=start)
         if steady:
-            summary = run_transient(
-                complex_, bc, config, state=_rest_state(complex_)
-            )
-            report.notes.append(
-                f"n={n}: steady after {summary.n_steps} pseudo-time steps"
-            )
-        else:
-            init = initialize_state(complex_, bc, uex, t=0.0)
-            summary = run_transient(complex_, bc, config, state=init)
-            report.notes.append(f"n={n}: {summary.n_steps} steps to t={summary.final.t:g}")
-        state = summary.final
-        t_eval = 0.0 if steady else state.t
-        report.rows.append(
-            _report_row(complex_, state, uex, wex, pex, wcurl, t_eval)
-        )
-        _maybe_vtk(spec, f"ethier_n{n}", complex_, state)
-    report.fit_slopes(("err_l2_u", "err_hdiv_u"))
-    write_csv(os.path.join(spec.outdir, "ethier.csv"), CSV_HEADER, report.rows)
+            return summary.final, 0.0, f"steady after {summary.n_steps} pseudo-time steps"
+        t = summary.final.t
+        return summary.final, t, f"{summary.n_steps} steps to t={t:g}"
+
     label = "steady" if steady else f"transient to t={spec.t_end:g}"
-    lines = [f"exact-solution sweep: a={spec.a:g}, d={spec.d:g} ({label})"]
-    lines += report.notes
-    for name, slope in report.slopes.items():
-        lines.append(f"fitted slope of {name}: {slope:.3f}")
-    _write_summary(os.path.join(spec.outdir, "ethier_summary.txt"), lines)
-    return report
+    title = f"exact-solution sweep: a={spec.a:g}, d={spec.d:g} ({label})"
+    exact = (uex, ethier_vorticity(spec.a, spec.d), zero_scalar_field, wcurl)
+    return _convergence_sweep(spec, title, solve, exact, ("err_l2_u", "err_hdiv_u"))
 
 
 def run_dt_sweep(spec, f=None):
@@ -402,38 +403,24 @@ def run_dt_sweep(spec, f=None):
     no error in the list may exceed twice the max of the two
     largest-step errors.
     """
-    _ensure_outdir(spec)
-    d = spec.d if spec.d != 0.0 else 1.0
-    uex = ethier_velocity(spec.a, d)
+    uex = ethier_velocity(spec.a, spec.d or 1.0)
     n = spec.n[0]
-    mesh = build_box_mesh(n, n, n)
-    complex_ = DeRhamComplex(mesh)
+    complex_ = _box_complex(n)
     bc = _ethier_bc(complex_, uex)
     init = initialize_state(complex_, bc, uex, t=0.0)
     report = DtSweepReport()
+    lines = [f"time-step sweep: one step from exact data, mesh n={n}"]
     for dt in spec.dts:
         config = replace(spec.solver_config(), dt=dt)
         state, _ = step(complex_, bc, config, init, f=f)
         l2, hdiv = _error_pair(complex_, state.u, uex, None, state.t)
-        report.rows.append(
-            {
-                "dt": dt,
-                "h": complex_.h,
-                "err_l2_u": l2,
-                "err_hdiv_u": hdiv,
-                "div_max": complex_.divergence_max(state.u.values),
-            }
-        )
-    header = ("dt", "h", "err_l2_u", "err_hdiv_u", "div_max")
-    write_csv(os.path.join(spec.outdir, "dtsweep.csv"), header, report.rows)
-    lines = [f"time-step sweep: one step from exact data, mesh n={n}"]
-    for row in report.rows:
-        lines.append(f"dt={row['dt']:.1e}: err_l2_u={row['err_l2_u']:.6e}")
-    lines.append(
-        f"bounded: {report.bounded} (threshold {report.growth_bound:.6e})"
-    )
-    _write_summary(os.path.join(spec.outdir, "dtsweep_summary.txt"), lines)
-    return report
+        div_max = complex_.divergence_max(state.u.values)
+        row = dict(dt=dt, h=complex_.h, err_l2_u=l2, err_hdiv_u=hdiv, div_max=div_max)
+        report.rows.append(row)
+        lines.append(f"dt={dt:.1e}: err_l2_u={l2:.6e}")
+        _maybe_vtk(spec, f"dtsweep_dt{dt:g}", complex_, state)
+    lines.append(f"bounded: {report.bounded} (threshold {report.growth_bound:.6e})")
+    return _write_outputs(spec, report, ("dt", "h", "err_l2_u", "err_hdiv_u", "div_max"), lines)
 
 
 def run_stokes_mms(spec):
@@ -443,40 +430,18 @@ def run_stokes_mms(spec):
     velocity); the forcing comes from the symbolic momentum balance of
     the manufactured fields.
     """
-    _ensure_outdir(spec)
     fields = stokes_mms_fields(spec.nu)
-    report = ConvergenceReport()
-    for n in spec.n:
-        mesh = build_box_mesh(n, n, n)
-        complex_ = DeRhamComplex(mesh)
-        region = RegionBC(vorticity_data=fields["vorticity"], velocity_data=fields["velocity"])
-        bc = BoundaryConditionSpec(region)
-        state, _ = solve_stokes(
-            complex_,
-            bc,
-            nu=spec.nu,
-            f2=fields["forcing"],
-            load_degree=spec.load_degree if spec.load_degree is not None else 8,
-        )
-        report.rows.append(
-            _report_row(
-                complex_,
-                state,
-                fields["velocity"],
-                fields["vorticity"],
-                fields["pressure"],
-                fields["vorticity_curl"],
-                0.0,
-            )
-        )
-        _maybe_vtk(spec, f"stokes_mms_n{n}", complex_, state)
-    report.fit_slopes(("err_l2_u", "err_hdiv_u", "err_l2_w", "err_l2_p"))
-    write_csv(os.path.join(spec.outdir, "stokes-mms.csv"), CSV_HEADER, report.rows)
-    lines = ["steady manufactured-solution sweep"]
-    for name, slope in report.slopes.items():
-        lines.append(f"fitted slope of {name}: {slope:.3f}")
-    _write_summary(os.path.join(spec.outdir, "stokes-mms_summary.txt"), lines)
-    return report
+    region = RegionBC(vorticity_data=fields["vorticity"], velocity_data=fields["velocity"])
+    bc = BoundaryConditionSpec(region)
+    degree = spec.load_degree if spec.load_degree is not None else 8
+
+    def solve(complex_):
+        state, _ = solve_stokes(complex_, bc, nu=spec.nu, f2=fields["forcing"], load_degree=degree)
+        return state, 0.0, None
+
+    exact = tuple(fields[k] for k in ("velocity", "vorticity", "pressure", "vorticity_curl"))
+    columns = ("err_l2_u", "err_hdiv_u", "err_l2_w", "err_l2_p")
+    return _convergence_sweep(spec, "steady manufactured-solution sweep", solve, exact, columns)
 
 
 _RUNNERS = {

@@ -83,6 +83,13 @@ class SteadyStateNotReached(SolverError):
     """Pseudo-time iteration hit max_steps before the update stalled."""
 
 
+def whole_number(name, value):
+    """``value`` as an int; ValueError naming ``name`` if it is not whole (2.5, NaN, inf)."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the implicit stepper.
@@ -102,6 +109,9 @@ class SolverConfig:
     load_degree: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "max_steps", whole_number("max_steps", self.max_steps))
+        if self.load_degree is not None:
+            object.__setattr__(self, "load_degree", whole_number("load_degree", self.load_degree))
         # Chained comparisons, so that NaN fails them too.
         if not 0 < self.nu < np.inf:
             raise ValueError("viscosity must be positive and finite")

@@ -60,11 +60,23 @@ import oracles
         (dict(kind="ethier", max_steps=0), "max_steps must be at least 1"),
         (dict(kind="ethier", d=1.0, t_end=0.0), "t_end must be positive"),
         (dict(kind="ethier", steady_tol=0.0), "steady tolerance must be positive"),
+        (dict(kind="noflow", n=(2.7,)), "n must be a whole number, got 2.7"),
+        (dict(kind="noflow", gamma=(1.5,)), "gamma must be a whole number, got 1.5"),
+        (dict(kind="noflow", n=(1,), load_degree=2.5), "load_degree must be a whole number"),
     ],
 )
 def test_spec_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
         ExperimentSpec(**kwargs)
+
+
+def test_spec_stores_whole_numbers_as_int():
+    spec = ExperimentSpec(
+        kind="noflow", n=(2.0, np.int64(3)), gamma=(1.0,), load_degree=4.0, max_steps=5.0
+    )
+    assert spec.n == (2, 3) and spec.gamma == (1,)
+    assert (spec.load_degree, spec.max_steps) == (4, 5)
+    assert all(type(v) is int for v in (*spec.n, *spec.gamma, spec.load_degree, spec.max_steps))
 
 
 def test_resolved_dt_defaults():
@@ -311,6 +323,26 @@ def test_run_experiment_dispatch(tmp_path):
     spec = ExperimentSpec(kind="noflow", n=(2,), gamma=(1,), outdir=str(tmp_path))
     report = run_experiment(spec)
     assert isinstance(report, NoFlowReport)
+
+
+@pytest.mark.parametrize(
+    "kind, kwargs",
+    [
+        ("noflow", dict(gamma=(1,))),
+        ("ethier", dict()),
+        ("dtsweep", dict(dts=(1e-1,))),
+        ("stokes-mms", dict()),
+    ],
+)
+def test_runs_write_into_a_missing_nested_outdir(tmp_path, kind, kwargs):
+    """Every kind creates its output directory, even a nested one, before
+    its first file, and writes its CSV, summary and VTK snapshots there."""
+    outdir = tmp_path / "a" / "b"
+    spec = ExperimentSpec(kind=kind, n=(1,), outdir=str(outdir), write_vtk=True, **kwargs)
+    run_experiment(spec)
+    assert (outdir / f"{kind}.csv").read_text().count("\n") == 2
+    assert (outdir / f"{kind}_summary.txt").read_text()
+    assert sorted(outdir.glob("*.vtk"))
 
 
 @pytest.mark.parametrize("kind", ["stokes-mms", "ethier"])

@@ -88,6 +88,8 @@ def counted(field, calls):
         (dict(steady_tol=np.nan), "steady tolerance"),
         (dict(t_end=np.nan), "t_end"),
         (dict(t_end=np.inf), "t_end"),
+        (dict(load_degree=2.5), "load_degree must be a whole number, got 2.5"),
+        (dict(max_steps=2.5), "max_steps must be a whole number, got 2.5"),
     ],
 )
 def test_config_validation(kwargs, match):
