@@ -22,10 +22,16 @@ below ``diag_pivot_thresh`` of its column: that threshold, not static
 pivoting, is what keeps the zero pressure and Stokes velocity diagonals
 from breaking the factor, and it keeps the fill of the order.  A
 :class:`FactorHolder` lets a sequence of nearby systems, such as the
-steps of one run, share one factor through iterative refinement.
+steps of one run, share one factor through iterative refinement.  The
+factor may be float32, as the time steps' is: refinement, its residual
+and the residual contract stay float64, so the precision of the factor
+moves how many passes a solve takes, not what it returns (mixed-precision
+refinement: Buttari et al., ACM TOMS 2008; Carson & Higham, SIAM J. Sci.
+Comput. 2018).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,15 +220,19 @@ def _residual(matrix, rhs, x):
 class FactorHolder:
     """One held LU factor, which :func:`solve` reuses while it refines.
 
-    ``matrix`` is a copy of the matrix it factors.  ``reused`` and
-    ``passes`` describe the holder's last solve: whether it kept the
-    factor it found, and its refinement passes.
+    ``matrix`` is a copy of the matrix it factors and ``dtype`` the
+    precision of its factor: float64, or float32 for a factor that only
+    preconditions the float64 refinement.  A float32 factor that breaks
+    down or does not refine to roundoff sets ``dtype`` to float64 for
+    good.  ``reused`` and ``passes`` describe the holder's last solve:
+    whether it kept the factor it found, and its refinement passes.
     """
 
     lu: object = None
     matrix: sp.csr_matrix = None
     reused: bool = False
     passes: int = 0
+    dtype: type = np.float64
 
 
 def solve(matrix, rhs, residual_tol=RESIDUAL_TOL, order=None, factor=None):
@@ -248,26 +258,50 @@ def solve(matrix, rhs, residual_tol=RESIDUAL_TOL, order=None, factor=None):
     ends at roundoff (at most ``ROUNDOFF_RESIDUAL``) or if this matrix
     equals the one it factors, and otherwise this matrix is factored,
     refined the same way, and its factor held.  A fresh factor runs the
-    same loop, and without a holder every call factors.  Returns the
-    solution and its checked relative residual.
+    same loop, and without a holder every call factors, in float64.
+
+    The holder's ``dtype`` sets the precision of the factor
+    (``csc_matrix(a[p][:, p], dtype=...)``); refinement is float64
+    either way, on the right-hand side scaled by a power of two to unit
+    size.  A fresh float32 factor must refine to roundoff, and a
+    held one of this matrix to ``residual_tol``: one that breaks down in
+    SuperLU, gives non-finite values or ends above that is replaced by a
+    float64 factor of this matrix, and the holder stays float64.  The
+    passes of every factor tried count in the holder's ``passes``.
+    Returns the solution and its checked relative residual.
     Raises SingularSystemError when factorization hits an exactly
-    singular pivot, SolverError when the residual contract is violated.
+    singular pivot, SolverError when the residual contract is violated,
+    both only from a float64 factor.
     """
     a = sp.csr_matrix(matrix)
     if a.shape[0] != a.shape[1]:
         raise ValueError("solve needs a square matrix")
     rhs = np.asarray(rhs, dtype=float)
+    # A power of two brings the right-hand side to unit size, exactly: the
+    # residuals of late passes stay inside float32's range, norms inside float64's.
+    scale = math.ldexp(1.0, -math.frexp(float(np.abs(rhs).max(initial=0.0)))[1])
+    rhs = rhs * scale
     p = np.arange(a.shape[0]) if order is None else np.asarray(order)
     holder = FactorHolder() if factor is None else factor
     holder.reused = holder.lu is not None
     holder.passes = 0
     while True:
         if holder.lu is None:
-            holder.lu, holder.matrix = _factor(a, p), a.copy()
-        x, res, passes = _refine(holder.lu, p, a, rhs)
+            try:
+                holder.lu, holder.matrix = _factor(a, p, holder.dtype), a.copy()
+            except SingularSystemError:
+                if holder.dtype == np.float64:
+                    raise
+                holder.dtype = np.float64
+                continue
+        x, res, passes = _refine(holder.lu, p, a, rhs, holder.dtype)
         holder.passes += passes
-        if res <= ROUNDOFF_RESIDUAL or not holder.reused or (a != holder.matrix).nnz == 0:
+        if res <= ROUNDOFF_RESIDUAL:
             break
+        if not holder.reused or (a != holder.matrix).nnz == 0:  # the factor of this matrix
+            if holder.dtype == np.float64 or (holder.reused and res <= residual_tol):
+                break
+            holder.dtype = np.float64
         holder.lu, holder.reused = None, False
     if not np.all(np.isfinite(x)):
         holder.lu = None
@@ -279,13 +313,13 @@ def solve(matrix, rhs, residual_tol=RESIDUAL_TOL, order=None, factor=None):
             f"direct solve violated the residual contract: "
             f"relative residual {res:.3e} > {residual_tol:.1e}"
         )
-    return x, res
+    return x / scale, res
 
 
-def _factor(a, p):
+def _factor(a, p, dtype):
     try:
         return spla.splu(
-            sp.csc_matrix(a[p][:, p]),
+            sp.csc_matrix(a[p][:, p], dtype=dtype),
             permc_spec="NATURAL",
             diag_pivot_thresh=diag_pivot_thresh,
             options={"SymmetricMode": True},
@@ -296,12 +330,17 @@ def _factor(a, p):
         ) from exc
 
 
-def _refine(lu, p, a, rhs):
-    """Back-substitution and refinement; returns (x, residual, passes)."""
+def _refine(lu, p, a, rhs, dtype):
+    """Back-substitution and refinement; returns (x, residual, passes).
+
+    Each right-hand side is cast to the factor's ``dtype`` for its
+    triangular solves; the iterate and its residual against the float64
+    matrix ``a`` stay float64.
+    """
 
     def lu_solve(b):
         x = np.empty_like(b)
-        x[p] = lu.solve(b[p])
+        x[p] = lu.solve(b[p].astype(dtype, copy=False))
         return x
 
     x = lu_solve(rhs)

@@ -131,6 +131,7 @@ class SimplicialMesh3:
         self.face_tets, counts = self._face_incidence()
         if np.any(counts > 2):
             raise ValueError("non-manifold mesh: face shared by > 2 tets")
+        self._check_vertex_stars()
 
         self.boundary_faces = np.flatnonzero(counts == 1)
         self.boundary_edges = np.unique(self.face_edges[self.boundary_faces])
@@ -159,6 +160,34 @@ class SimplicialMesh3:
         interior = counts == 2
         face_tets[interior, 1] = sorted_tets[starts[:-1][interior] + 1]
         return face_tets, counts
+
+    def _check_vertex_stars(self):
+        """Raise unless the cells around each vertex are joined through faces.
+
+        Cells that meet only at a vertex or along an edge would read as
+        separate components in ``dual_forest`` and ``betti_numbers``.  One
+        node per (cell, vertex) pair; each interior face joins the nodes
+        of its two cells at its three vertices, and every vertex must end
+        with one component.
+        """
+        interior = self.face_tets[:, 1] >= 0
+        verts = self.faces[interior]
+
+        def nodes(cells):
+            return 4 * cells[:, None] + np.argmax(self.tets[cells, None] == verts[..., None], 2)
+
+        rows, cols = (nodes(c).ravel() for c in self.face_tets[interior].T)
+        graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(self.tets.size,) * 2)
+        labels = csgraph.connected_components(graph, directed=False)[1]
+        vertex = self.tets.ravel()
+        label_of = np.empty(self.n_vertices, np.int64)
+        label_of[vertex] = labels
+        split = vertex[labels != label_of[vertex]]
+        if len(split):
+            raise ValueError(
+                f"non-manifold mesh: the cells at vertex {split.min()} are not joined "
+                f"through faces (they meet only at that vertex or along an edge)"
+            )
 
     def _face_signs(self, tets, faces):
         """D2[tets, faces]: +1 where the face's normal points out of the tet."""
@@ -194,7 +223,9 @@ class SimplicialMesh3:
 
         b2 counts the boundary surfaces (faces joined by shared edges)
         beyond one per component, and b1 follows from the Euler
-        characteristic b0 - b1 + b2.
+        characteristic b0 - b1 + b2.  The components of ``dual_forest``
+        are the mesh's because the mesh rejects cells that meet only at a
+        vertex or along an edge.
         """
         b0 = len(self.dual_forest.roots)
         B = len(self.boundary_faces)

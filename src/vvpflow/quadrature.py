@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 __all__ = ["QuadratureRule", "edge_rule", "triangle_rule", "tet_rule", "points_per_axis"]
 
@@ -50,9 +49,19 @@ class QuadratureRule:
 
 
 def _jacobi01(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi nodes/weights for integral_0^1 (1-u)^alpha g(u) du."""
-    x, w = roots_jacobi(n, alpha, 0.0)
-    return (1.0 + x) / 2.0, w / 2.0 ** (alpha + 1)
+    """Gauss-Jacobi nodes/weights for integral_0^1 (1-u)^alpha g(u) du.
+
+    Golub-Welsch: the nodes on [-1, 1] are the eigenvalues of the
+    symmetric tridiagonal Jacobi matrix of the weight (1-x)^alpha, and
+    each weight is the squared first component of its eigenvector times
+    the weight's mass (1/(alpha+1) once mapped to [0, 1]).
+    """
+    s = 2.0 * np.arange(n) + alpha  # 2k + alpha + beta, with beta = 0
+    diag = -alpha**2 / (np.maximum(s, 1.0) * (s + 2.0))
+    k, s = np.arange(1, n), s[1:]
+    off = 2.0 * k * (k + alpha) / (s * np.sqrt(s * s - 1.0))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return (1.0 + x) / 2.0, v[0] ** 2 / (alpha + 1)
 
 
 def _reference_moment(alpha: tuple[int, ...]) -> float:

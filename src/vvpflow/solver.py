@@ -35,7 +35,11 @@ against it while every pass at least halves the relative residual; the
 factor is kept if the residual ends at roundoff
 (``linalg.ROUNDOFF_RESIDUAL``), and otherwise the current matrix is
 factored (see :func:`vvpflow.linalg.solve`).  A factor never outlives
-the call that built its operator.
+the call that built its operator.  An operator built with ``dt``
+factors in float32 and refines in float64; a fresh float32 factor that
+does not refine to roundoff is replaced by a float64 one, which the
+operator keeps from then on.  A steady operator factors in float64: the
+steady Stokes system diverges from a float32 factor at n=12.
 """
 from __future__ import annotations
 
@@ -182,7 +186,8 @@ class _SaddleOperator:
     reaches every right-hand side, so every solve fixes the same ones, and
     ``harmonic`` is its harmonic space.  ``factor`` holds the LU that
     :func:`vvpflow.linalg.solve` reuses across the operator's solves, which
-    are given their loads: ``experiments.run_noflow`` shares one.
+    are given their loads: ``experiments.run_noflow`` shares one.  It is
+    float32 when ``dt`` is given (see the module docstring).
     """
 
     def __init__(self, complex_, bc, nu, dt=None):
@@ -205,7 +210,7 @@ class _SaddleOperator:
         fixed = np.concatenate([*fixed, offsets["u3"] + self.harmonic.pins])
         self.reduced = eliminate(pattern, groups, fixed)
         self.m3h = complex_.m3 @ self.harmonic.basis
-        self.factor = FactorHolder()
+        self.factor = FactorHolder(dtype=np.float64 if dt is None else np.float32)
 
     def solve(self, t, loads, convection=None, rhs_u2=None):
         """Solve at time t; returns (state, residual).

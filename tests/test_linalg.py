@@ -240,19 +240,25 @@ def test_solve_reduced_narrows_a_longer_order_to_the_free_unknowns(monkeypatch):
     np.testing.assert_allclose(full[reduced.free], want, rtol=1e-13)
 
 
+def _spy_factors(monkeypatch):
+    """Record the dtype of every matrix SuperLU factors."""
+    dtypes = []
+    real = linalg.spla.splu
+
+    def spy(m, **kwargs):
+        dtypes.append(m.dtype)
+        return real(m, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", spy)
+    return dtypes
+
+
 def test_factor_holder_reuses_a_close_factor_and_replaces_a_far_one(monkeypatch):
     rng = np.random.default_rng(12)
     a = sp.random(30, 30, density=0.2, random_state=12) + 30 * sp.eye(30)
     rhs = rng.normal(size=30)
     order = rng.permutation(30)
-    factors = []
-    real = linalg.spla.splu
-
-    def spy(m, **kwargs):
-        factors.append(m.shape)
-        return real(m, **kwargs)
-
-    monkeypatch.setattr(linalg.spla, "splu", spy)
+    factors = _spy_factors(monkeypatch)
     holder = FactorHolder()
     solve(a, rhs, order=order, factor=holder)
     assert (len(factors), holder.reused) == (1, False)
@@ -262,7 +268,7 @@ def test_factor_holder_reuses_a_close_factor_and_replaces_a_far_one(monkeypatch)
     assert (len(factors), holder.reused) == (1, True)
     assert holder.passes >= 1
     assert res <= ROUNDOFF_RESIDUAL
-    np.testing.assert_allclose(x, real(sp.csc_matrix(near)).solve(rhs), rtol=1e-12)
+    np.testing.assert_allclose(x, np.linalg.solve(near.toarray(), rhs), rtol=1e-12)
 
     far = a + 30 * sp.random(30, 30, density=0.2, random_state=14)
     x, res = solve(far, rhs, order=order, factor=holder)
@@ -279,14 +285,7 @@ def test_factor_holder_keeps_the_factor_of_an_unchanged_matrix(monkeypatch):
     a = sp.random(30, 30, density=0.2, random_state=12) + 30 * sp.eye(30)
     rhs = rng.normal(size=30)
     order = rng.permutation(30)
-    factors = []
-    real = linalg.spla.splu
-
-    def spy(m, **kwargs):
-        factors.append(m.shape)
-        return real(m, **kwargs)
-
-    monkeypatch.setattr(linalg.spla, "splu", spy)
+    factors = _spy_factors(monkeypatch)
     holder = FactorHolder()
     x, res = solve(a, rhs, order=order, factor=holder)
     again, res_again = solve(sp.csr_matrix(a, copy=True), rhs, order=order, factor=holder)
@@ -298,3 +297,90 @@ def test_factor_holder_keeps_the_factor_of_an_unchanged_matrix(monkeypatch):
     assert (len(factors), holder.reused) == (2, False)
     solve(near, rhs, order=order, factor=holder)
     assert (len(factors), holder.reused) == (2, True)
+
+
+# ---------------------------------------------------------------------------
+# float32 factors refined in float64
+
+
+def _spy_passes(monkeypatch):
+    """Record the refinement passes of every factor a solve tries."""
+    passes = []
+    real = linalg._refine
+
+    def spy(*args):
+        out = real(*args)
+        passes.append(out[2])
+        return out
+
+    monkeypatch.setattr(linalg, "_refine", spy)
+    return passes
+
+
+def _conditioned(rng, cond, n=30):
+    """A dense n x n matrix whose singular values run from 1 down to 1/cond."""
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return sp.csr_matrix(q1 @ np.diag(np.logspace(0, -np.log10(cond), n)) @ q2.T)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-40, 1e40, 1e-200, 1e200])
+def test_float32_holder_keeps_a_factor_that_refines_to_roundoff(monkeypatch, scale):
+    """The right-hand side is brought to unit size before the solve, so a
+    float32 factor neither overflows (1e40) nor loses its late residuals
+    to underflow (1e-40), and the norms of the residual check stay finite
+    and nonzero in float64 (1e200 and 1e-200)."""
+    rng = np.random.default_rng(15)
+    a = sp.random(30, 30, density=0.2, random_state=15) + 30 * sp.eye(30)
+    rhs = rng.normal(size=30)
+    want, _ = solve(a, rhs)
+    dtypes = _spy_factors(monkeypatch)
+    holder = FactorHolder(dtype=np.float32)
+    x, res = solve(a, scale * rhs, order=rng.permutation(30), factor=holder)
+    assert dtypes == [np.float32]
+    assert holder.dtype == np.float32
+    assert 0.0 < res <= ROUNDOFF_RESIDUAL
+    np.testing.assert_allclose(x / scale, want, rtol=1e-13)
+
+
+def test_float32_holder_falls_back_to_float64_where_float32_cannot_resolve(monkeypatch):
+    """At condition number 1e10 the float32 factor's first pass does not
+    contract; the same matrix is factored in float64, which meets the
+    contract and stays the holder's precision.  ``passes`` counts the
+    passes of both factors, and the solve did not reuse a factor."""
+    rng = np.random.default_rng(16)
+    a = _conditioned(rng, 1e10)
+    rhs = a @ rng.normal(size=30)
+    dtypes, passes = _spy_factors(monkeypatch), _spy_passes(monkeypatch)
+    holder = FactorHolder(dtype=np.float32)
+    x, res = solve(a, rhs, factor=holder)
+    assert dtypes == [np.float32, np.float64]
+    assert (holder.dtype, holder.reused) == (np.float64, False)
+    assert len(passes) == 2 and passes[0] >= 1
+    assert holder.passes == sum(passes)
+    assert relative_residual(a, rhs, x) == res <= ROUNDOFF_RESIDUAL
+
+    far = _conditioned(rng, 1e10)
+    solve(far, far @ rng.normal(size=30), factor=holder)
+    assert dtypes == [np.float32, np.float64, np.float64]
+
+
+def test_float32_holder_falls_back_when_float32_pivots_break_down(monkeypatch):
+    """1 + 1e-9 rounds to 1 in float32, so its factor is exactly singular."""
+    a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]]))
+    dtypes = _spy_factors(monkeypatch)
+    holder = FactorHolder(dtype=np.float32)
+    x, res = solve(a, np.array([1.0, 2.0]), factor=holder)
+    assert dtypes == [np.float32, np.float64]
+    assert holder.dtype == np.float64
+    assert res <= RESIDUAL_TOL
+    np.testing.assert_allclose(x, [1.0 - 1e9, 1e9], rtol=1e-6)
+
+
+def test_float32_holder_raises_singular_only_from_float64(monkeypatch):
+    dtypes = _spy_factors(monkeypatch)
+    holder = FactorHolder(dtype=np.float32)
+    with pytest.raises(SingularSystemError):
+        solve(sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]])), np.ones(2), factor=holder)
+    assert dtypes == [np.float32, np.float64]
+    assert holder.dtype == np.float64

@@ -170,6 +170,29 @@ def test_non_manifold_mesh_rejected():
         SimplicialMesh3(verts, tets)
 
 
+# Two tets on either side of vertex 0; the second shares vertex 1 with the
+# first too when they are joined along the edge (0, 1).
+JOINED = np.array(
+    [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1], [-1, 0, 0]],
+    dtype=float,
+)
+
+
+def test_tets_joined_only_at_a_vertex_are_rejected():
+    """Their union is contractible, but the dual forest sees two components
+    and betti_numbers read (2, 1, 0): a handle that is not there."""
+    with pytest.raises(ValueError, match="non-manifold mesh: the cells at vertex 0 are not"):
+        SimplicialMesh3(JOINED, [[0, 1, 2, 3], [0, 4, 5, 6]])
+
+
+def test_tets_joined_only_along_an_edge_are_rejected():
+    """betti_numbers read b2 = -1 here; the edge's end vertices show the join."""
+    with pytest.raises(ValueError, match="non-manifold mesh: the cells at vertex 0 are not"):
+        SimplicialMesh3(JOINED, [[0, 1, 2, 3], [0, 1, 4, 5]])
+    with pytest.raises(ValueError, match="the cells at vertex 5 are not"):
+        SimplicialMesh3(JOINED[::-1], [[6, 5, 4, 3], [6, 5, 2, 1]])
+
+
 def test_build_box_mesh_validation():
     with pytest.raises(ValueError):
         build_box_mesh(0, 1, 1)

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vvpflow.quadrature import QuadratureRule, edge_rule, triangle_rule, tet_rule
+from vvpflow.quadrature import (
+    QuadratureRule,
+    _jacobi01,
+    edge_rule,
+    points_per_axis,
+    tet_rule,
+    triangle_rule,
+)
 
 RULES = {1: edge_rule, 2: triangle_rule, 3: tet_rule}
 MEASURES = {1: 1.0, 2: 0.5, 3: 1.0 / 6.0}
@@ -122,3 +129,17 @@ def test_degree_one_tet_rule_is_the_barycenter():
     rule = tet_rule(1)
     np.testing.assert_allclose(rule.points[0], 0.25, atol=1e-14)
     assert rule.weights[0] == pytest.approx(1.0 / 6.0)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+@pytest.mark.parametrize("m", range(1, points_per_axis(15) + 1))
+def test_golub_welsch_matches_scipy_gauss_jacobi(m, alpha):
+    """The eigenvalue construction gives scipy's Gauss-Jacobi nodes and
+    weights on [0, 1] to 1e-14, for every point count up to degree 15
+    (the library asks for degree 8 at most, the tests for 11)."""
+    from scipy.special import roots_jacobi
+
+    x, w = roots_jacobi(m, alpha, 0.0)
+    nodes, weights = _jacobi01(m, alpha)
+    np.testing.assert_allclose(nodes, (1.0 + x) / 2.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(weights, w / 2.0 ** (alpha + 1), rtol=0, atol=1e-14)

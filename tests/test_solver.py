@@ -618,11 +618,12 @@ def test_outlet_claiming_no_face_keeps_harmonic_form():
 
 
 def _count_factors(monkeypatch):
+    """The dtype of every matrix SuperLU factors, in call order."""
     calls = []
     real = linalg.spla.splu
 
     def spy(a, **kwargs):
-        calls.append(a.shape)
+        calls.append(a.dtype)
         return real(a, **kwargs)
 
     monkeypatch.setattr(linalg.spla, "splu", spy)
@@ -664,6 +665,71 @@ def test_run_reuses_one_factor_and_matches_fresh_steps(complex_j3, monkeypatch):
         _check_gates(complex_j3, got, diag)
         for a, b in ((got.u, want.u), (got.omega, want.omega), (got.p, want.p)):
             assert np.linalg.norm(a.values - b.values) <= 1e-12 * np.linalg.norm(b.values)
+
+
+def test_steps_factor_in_float32_and_steady_solves_in_float64(complex_j3, monkeypatch):
+    """A run's operator holds a float32 factor, refined in float64 to the
+    gates.  A steady solve factors in float64: the steady system does
+    not refine from a float32 factor at n = 12."""
+    bc = ethier_bc(2.0, 1.0)
+    config = SolverConfig(nu=1.0, dt=1e-3, t_end=5e-3)
+    state0 = initialize_state(complex_j3, bc, ethier_velocity(2.0, 1.0))
+    calls = _count_factors(monkeypatch)
+    seen = []
+    run_transient(
+        complex_j3,
+        bc,
+        config,
+        state=state0,
+        observers=(lambda st, diag: seen.append((st, diag)),),
+    )
+    assert calls == [np.float32]
+    assert len(seen) == 5
+    for state, diag in seen:
+        _check_gates(complex_j3, state, diag)
+
+    step_operator = solver._SaddleOperator(complex_j3, bc, config.nu, config.dt)
+    assert step_operator.factor.dtype == np.float32
+    assert solver._SaddleOperator(complex_j3, bc, config.nu).factor.dtype == np.float64
+    fields = stokes_mms_fields(nu=1.0)
+    calls.clear()
+    _, info = solve_stokes(complex_j3, both_essential(fields), f2=fields["forcing"])
+    assert calls == [np.float64]
+    assert info["residual"] <= RESIDUAL_TOL
+
+
+def test_run_falls_back_to_one_float64_factor(complex_j3, monkeypatch):
+    """A float32 factor that does not refine to roundoff is replaced by a
+    float64 factor of the same matrix, which the later steps reuse.  The
+    first step reports the passes of both factors and no reuse."""
+    real = linalg._refine
+    passes = []
+
+    def stalled_in_float32(lu, p, a, rhs, dtype):
+        x, res, n = real(lu, p, a, rhs, dtype)
+        passes.append(n)
+        return x, (np.inf if dtype == np.float32 else res), n
+
+    monkeypatch.setattr(linalg, "_refine", stalled_in_float32)
+    bc = ethier_bc(2.0, 1.0)
+    config = SolverConfig(nu=1.0, dt=1e-3, t_end=5e-3)
+    state0 = initialize_state(complex_j3, bc, ethier_velocity(2.0, 1.0))
+    calls = _count_factors(monkeypatch)
+    seen, marks = [], []
+
+    def observe(state, diag):
+        seen.append((state, diag))
+        marks.append(len(passes))
+
+    passes.clear()
+    run_transient(complex_j3, bc, config, state=state0, observers=(observe,))
+    assert calls == [np.float32, np.float64]
+    assert [diag.factor_reused for _, diag in seen] == [False, True, True, True, True]
+    per_step = [sum(passes[a:b]) for a, b in zip([0, *marks], marks)]
+    assert [diag.refine_passes for _, diag in seen] == per_step
+    assert marks[0] == 2 and passes[0] >= 1  # the float32 factor's passes count too
+    for state, diag in seen:
+        _check_gates(complex_j3, state, diag)
 
 
 def test_pseudo_time_run_refactors_when_refinement_stalls(complex_n2, monkeypatch):
