@@ -137,9 +137,12 @@ class BoundaryConditionSpec:
             if region.where is None:
                 catch_all = r
                 continue
-            mask = np.asarray(region.where(centroids), dtype=bool)
-            if mask.shape != (len(bf),):
-                raise ValueError(f"region {region.name!r} predicate returned bad shape")
+            mask = np.asarray(region.where(centroids))
+            if mask.shape != (len(bf),) or mask.dtype != bool:
+                raise ValueError(
+                    f"region {region.name!r} predicate returned bad shape or dtype: "
+                    f"{mask.shape} {mask.dtype}, not ({len(bf)},) bool"
+                )
             if np.any(mask & claimed):
                 raise ValueError(
                     f"region {region.name!r} overlaps another region; "
@@ -279,7 +282,7 @@ class ResolvedBoundary:
         in the cell, and the cells' ``edges`` with their Whitney coefficients
         ``C1`` (B, 6, 4, 3); with natural pressure also the cells' ``fdofs``
         and their face coefficients dotted with the normal, ``C2n`` (B, 4, 4)."""
-        mesh, rule, whitney = self.mesh, self.rule, self.complex.geometry.whitney
+        mesh, rule, whitney = self.mesh, self.rule, self.complex.whitney
         tables = []
         for region, faces, sign in self.regions("vorticity", NATURAL):
             B = len(faces)
@@ -398,7 +401,7 @@ def assemble_load(complex_, f2, t=0.0, degree=None):
     vals = sample(f2, tab.points, t, True, "f2")
     local = np.einsum(
         "tfax,tax->tf",
-        complex_.geometry.whitney[2],
+        complex_.whitney[2],
         tab.rule.points.T @ (tab.weights[..., None] * vals),
     )
     vec = np.zeros(mesh.n_faces)

@@ -23,10 +23,7 @@ import numpy as np
 __all__ = [
     "ethier_velocity",
     "ethier_vorticity",
-    "ethier_bernoulli_pressure",
-    "ethier_momentum_residual",
     "stokes_mms_fields",
-    "zero_vector_field",
     "zero_scalar_field",
     "gradient_of_power",
 ]
@@ -43,11 +40,6 @@ def _cyclic(component):
 def _coordinates(points):
     """x, y, z of an (n, 3) array of points as three (n,) arrays."""
     return np.asarray(points, dtype=float).T
-
-
-def zero_vector_field(points, t=0.0):
-    points = np.asarray(points, dtype=float)
-    return np.zeros_like(points)
 
 
 def zero_scalar_field(points, t=0.0):
@@ -84,30 +76,6 @@ def ethier_vorticity(a, d):
         return d * velocity(points, t)
 
     return vorticity
-
-
-def ethier_bernoulli_pressure(a, d):
-    """Exact total-head pressure, identically zero for this family."""
-    return zero_scalar_field
-
-
-def ethier_momentum_residual(a, d, nu=1.0):
-    """Pointwise residual of the unforced momentum equation.
-
-    Returns a field callable giving u_t + omega x u + nu curl(omega)
-    plus grad of the (zero) Bernoulli pressure.  With omega = d u the
-    convection term vanishes and u_t = -d^2 u, curl(omega) = d^2 u, so
-    the residual is (nu - 1) d^2 u: zero at unit viscosity.
-    """
-    if nu == 1.0:
-        return zero_vector_field
-    scale = (float(nu) - 1.0) * float(d) ** 2
-    velocity = ethier_velocity(a, d)
-
-    def residual(points, t=0.0):
-        return scale * velocity(points, t)
-
-    return residual
 
 
 def gradient_of_power(gamma, domain_volume_moment):

@@ -4,7 +4,7 @@ Storage and factorization are delegated to scipy.sparse; this module
 owns the contracts: a square system is named groups of unknowns with
 ``{(row, col): matrix}`` blocks, essential constraints are applied by
 elimination (never by penalties or Lagrange multipliers), and every
-solve checks its relative residual.
+solve checks its relative residual against ``RESIDUAL_TOL``.
 
 Blocks become one CSR matrix only in :func:`stack_blocks`, which can
 join explicit-zero slots to the pattern and says where they sit.
@@ -50,7 +50,6 @@ __all__ = [
     "stack_constraints",
     "solve",
     "solve_reduced",
-    "relative_residual",
     "m_norm",
 ]
 
@@ -205,10 +204,6 @@ def assemble_blocks(groups, blocks, rhs=None, constraints=None):
     return reduced
 
 
-def relative_residual(matrix, rhs, x):
-    return _residual(matrix, rhs, x)[1]
-
-
 def _residual(matrix, rhs, x):
     """(rhs - matrix @ x, its norm relative to that of rhs)."""
     r = rhs - matrix @ x
@@ -235,7 +230,7 @@ class FactorHolder:
     dtype: type = np.float64
 
 
-def solve(matrix, rhs, residual_tol=RESIDUAL_TOL, order=None, factor=None):
+def solve(matrix, rhs, order=None, factor=None):
     """Sparse LU solve in a given elimination order, with a checked residual.
 
     SuperLU factors the matrix with its rows and columns permuted by
@@ -264,14 +259,14 @@ def solve(matrix, rhs, residual_tol=RESIDUAL_TOL, order=None, factor=None):
     (``csc_matrix(a[p][:, p], dtype=...)``); refinement is float64
     either way, on the right-hand side scaled by a power of two to unit
     size.  A fresh float32 factor must refine to roundoff, and a
-    held one of this matrix to ``residual_tol``: one that breaks down in
+    held one of this matrix to ``RESIDUAL_TOL``: one that breaks down in
     SuperLU, gives non-finite values or ends above that is replaced by a
     float64 factor of this matrix, and the holder stays float64.  The
     passes of every factor tried count in the holder's ``passes``.
-    Returns the solution and its checked relative residual.
-    Raises SingularSystemError when factorization hits an exactly
-    singular pivot, SolverError when the residual contract is violated,
-    both only from a float64 factor.
+    Returns the solution and its relative residual, checked against
+    ``RESIDUAL_TOL``.  Raises SingularSystemError when factorization
+    hits an exactly singular pivot, SolverError when the residual
+    contract is violated, both only from a float64 factor.
     """
     a = sp.csr_matrix(matrix)
     if a.shape[0] != a.shape[1]:
@@ -299,7 +294,7 @@ def solve(matrix, rhs, residual_tol=RESIDUAL_TOL, order=None, factor=None):
         if res <= ROUNDOFF_RESIDUAL:
             break
         if not holder.reused or (a != holder.matrix).nnz == 0:  # the factor of this matrix
-            if holder.dtype == np.float64 or (holder.reused and res <= residual_tol):
+            if holder.dtype == np.float64 or (holder.reused and res <= RESIDUAL_TOL):
                 break
             holder.dtype = np.float64
         holder.lu, holder.reused = None, False
@@ -308,10 +303,10 @@ def solve(matrix, rhs, residual_tol=RESIDUAL_TOL, order=None, factor=None):
         raise SingularSystemError(
             "sparse LU produced non-finite values in the back-substitution stage"
         )
-    if res > residual_tol:
+    if res > RESIDUAL_TOL:
         raise SolverError(
             f"direct solve violated the residual contract: "
-            f"relative residual {res:.3e} > {residual_tol:.1e}"
+            f"relative residual {res:.3e} > {RESIDUAL_TOL:.1e}"
         )
     return x / scale, res
 

@@ -366,21 +366,32 @@ def run_transient(
 ):
     """March the implicit stepper from an initial state.
 
-    Either ``state`` or analytic ``velocity_data`` must be given.  With
-    ``config.t_end`` set the run covers [t0, t_end]; otherwise it is a
+    Either ``state`` or analytic ``velocity_data`` (at t0 = 0) must be
+    given.  With ``config.t_end`` set the run covers [t0, t_end], which
+    must be a whole number of steps long (within 1e-9 relative), or
+    ValueError is raised before any work; otherwise it is a
     pseudo-time iteration that stops once the relative update per unit
     time falls below ``config.steady_tol`` and raises
     SteadyStateNotReached if max_steps pass first.  Observers are called
     as observer(state, diag) after every step.
     """
+    if state is None and velocity_data is None:
+        raise ValueError("either an initial state or velocity data is required")
+    t0 = 0.0 if state is None else state.t
+    to_steady = config.t_end is None
+    if not to_steady:
+        steps = (config.t_end - t0) / config.dt
+        if not steps > 0:
+            raise ValueError(f"t_end={config.t_end:g} is not after the initial time {t0:g}")
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(
+                f"t_end={config.t_end:g} is not a whole number of steps "
+                f"dt={config.dt:g} after the initial time {t0:g}"
+            )
     bc = _boundary(complex_, bc, harmonic, natural_cache)
     if state is None:
-        if velocity_data is None:
-            raise ValueError("either an initial state or velocity data is required")
         state = initialize_state(complex_, bc, velocity_data, t=0.0)
     operator = _SaddleOperator(complex_, bc, config.nu, config.dt)
-    t0 = state.t
-    to_steady = config.t_end is None
     summary = TrajectorySummary(final=state)
     m2 = complex_.m2
     for n in range(1, config.max_steps + 1):

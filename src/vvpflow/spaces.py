@@ -22,6 +22,11 @@ incidence matrices: ``D1`` maps circulations to fluxes of the curl
 (Stokes), ``D2`` maps fluxes to cell integrals of the divergence
 (divergence theorem), and ``D2 @ D1 = 0`` holds exactly in integer
 arithmetic.
+
+Every basis function is affine in the barycentric coordinates.  A
+:class:`DeRhamComplex` holds each tet's affine coefficients once, and
+its :class:`WhitneyTabulation` of a volume rule contracts them with the
+rule's points and lambda moments, so no basis values are stored.
 """
 from __future__ import annotations
 
@@ -52,7 +57,6 @@ __all__ = [
     "DeRhamComplex",
     "barycentric_gradients",
     "whitney_coefficients",
-    "whitney_values",
     "simplex_rule",
     "derivative_matrix",
     "mass_matrix",
@@ -154,18 +158,6 @@ def whitney_coefficients(grads, k):
     return C
 
 
-def whitney_values(lam, grads, k):
-    """Whitney k-form basis vectors at barycentric points, k in {1, 2}.
-
-    lam : (..., Q, 4) barycentric coordinates; grads : (..., 4, 3)
-    barycentric gradients.  Leading axes broadcast.  Returns
-    ``lam @ C`` (see :func:`whitney_coefficients`): psi1 (..., 6, Q, 3)
-    for k=1 and psi2 (..., 4, Q, 3) for k=2.
-    """
-    lam = np.asarray(lam, dtype=float)[..., None, :, :]
-    return lam @ whitney_coefficients(grads, k)
-
-
 def _lambda_moments(rule, order):
     """Reference moments of products of barycentric coordinates.
 
@@ -206,48 +198,24 @@ def simplex_rule(corners, rule):
     return points, measure
 
 
-class TetGeometry:
-    """Per-tet barycentric gradients and affine Whitney coefficients.
-
-    grads : (T, 4, 3)
-    whitney : {1: C1 (T, 6, 4, 3), 2: C2 (T, 4, 4, 3)}, see
-    :func:`whitney_coefficients`
-    """
-
-    def __init__(self, mesh):
-        self.mesh = mesh
-        self.grads = barycentric_gradients(mesh.vertices[mesh.tets])
-        self.whitney = {k: whitney_coefficients(self.grads, k) for k in (1, 2)}
-
-
 class WhitneyTabulation:
-    """One volume quadrature rule mapped onto all tets.
+    """One volume quadrature rule mapped onto all tets of a complex.
 
     points : (T, Q, 3) physical quadrature points
     weights : (T, Q) physical quadrature weights (sum to |T| per tet)
     convection_tensor : (T, 4, 6, 4), built on first read
 
     The basis is affine in the barycentric coordinates, so sums over
-    the points contract with ``rule.points`` (Q, 4) and the per-tet
-    coefficients of :class:`TetGeometry`; no basis values are stored.
-    ``psi1`` (T, 6, Q, 3) and ``psi2`` (T, 4, Q, 3), the basis at the
-    points, are built on first read for inspection only.
+    the points contract with ``rule.points`` (Q, 4) and the complex's
+    per-tet Whitney coefficients; no basis values are stored.
     """
 
-    def __init__(self, geometry, rule):
-        self.geometry = geometry
-        self.mesh = mesh = geometry.mesh
+    def __init__(self, complex_, rule):
+        self.complex = complex_
         self.rule = rule
+        mesh = complex_.mesh
         self.points, measure = simplex_rule(mesh.vertices[mesh.tets], rule)
         self.weights = measure[:, None] * rule.weights[None, :]
-
-    @cached_property
-    def psi1(self):
-        return whitney_values(self.rule.points, self.geometry.grads, 1)
-
-    @cached_property
-    def psi2(self):
-        return whitney_values(self.rule.points, self.geometry.grads, 2)
 
     @cached_property
     def convection_tensor(self):
@@ -259,9 +227,9 @@ class WhitneyTabulation:
         """
         if self.rule.exactness_degree < 3:
             raise ValueError("convection tensor needs quadrature exact to degree 3")
-        C1, C2 = self.geometry.whitney[1], self.geometry.whitney[2]
+        C1, C2 = self.complex.whitney[1], self.complex.whitney[2]
         moments = _lambda_moments(self.rule, 3).reshape(4, 16)
-        vol6 = 6.0 * self.mesh.tet_volumes
+        vol6 = 6.0 * self.complex.mesh.tet_volumes
         K = np.zeros((len(C2), 4, 6, 4))
         for i in range(4):
             for j in range(i + 1, 4):
@@ -275,30 +243,18 @@ class WhitneyTabulation:
     def field(self, k, values):
         """The k-form with coefficients ``values`` at the points.
 
-        Returns (T, Q, 3) vectors for k in {1, 2} and (T, Q, 1)
-        densities (cell integral / |T|) for k=3.
+        Returns (T, Q, 3) vectors for k in {1, 2}: the form's own affine
+        coefficients ``U = sum_i values_i C_i`` (T, 4, 3) contracted with
+        ``rule.points``.  For k=3 it returns (T, Q, 1) densities (cell
+        integral / |T|).
         """
+        values, mesh = np.asarray(values), self.complex.mesh
         if k == 3:
-            dens = _form_at(self.mesh, 3, values, slice(None))
+            dens = values / mesh.tet_volumes
             return np.broadcast_to(dens[:, None, None], self.weights.shape + (1,))
-        return _form_at(
-            self.mesh, k, values, slice(None), self.rule.points, self.geometry.whitney[k]
-        )
-
-
-def _form_at(mesh, k, values, tets, lam=None, coeffs=None):
-    """k-form ``values`` of cells ``tets`` at barycentric points ``lam``.
-
-    ``coeffs`` are the cells' Whitney coefficients; the form's own affine
-    coefficients ``U = sum_i values_i C_i`` (..., 4, 3) are contracted
-    with ``lam`` (Q, 4).  For k=3 ``lam`` and ``coeffs`` are unused and
-    the result is the density, cell integral / |T|.
-    """
-    values = np.asarray(values)
-    if k == 3:
-        return values[tets] / mesh.tet_volumes[tets]
-    dofs = (mesh.tet_edges if k == 1 else mesh.tet_faces)[tets]
-    return lam @ np.einsum("...iax,...i->...ax", coeffs, values[dofs])
+        dofs = mesh.tet_edges if k == 1 else mesh.tet_faces
+        U = np.einsum("...iax,...i->...ax", self.complex.whitney[k], values[dofs])
+        return self.rule.points @ U
 
 
 def _scatter(local, rows, cols, shape):
@@ -342,20 +298,18 @@ def mass_matrix(space, tabulation=None):
     """L2 Gram matrix of the Whitney basis.
 
     For k in {1, 2} the entries are integrals of basis products, the
-    Whitney coefficients contracted with the second lambda moments of
-    ``tabulation``'s rule (default: the VOLUME_DEGREE rule; exactness
-    degree >= 2 is required, which makes the result exact since the
-    integrands are quadratics).  For k=3 the matrix is diag(1/|T|) in
-    closed form.
+    Whitney coefficients of ``tabulation``'s complex contracted with the
+    second lambda moments of its rule.  The rule must be exact to degree
+    2, which makes the result exact since the integrands are quadratics.
+    For k=3 the matrix is diag(1/|T|) in closed form, and ``tabulation``
+    is not needed.
     """
     mesh = space.mesh
     if space.k == 3:
         return sp.diags(1.0 / mesh.tet_volumes).tocsr()
-    if tabulation is None:
-        tabulation = WhitneyTabulation(TetGeometry(mesh), tet_rule(VOLUME_DEGREE))
-    if tabulation.rule.exactness_degree < 2:
-        raise ValueError("mass matrix needs quadrature exact to degree 2")
-    C = tabulation.geometry.whitney[space.k]
+    if tabulation is None or tabulation.rule.exactness_degree < 2:
+        raise ValueError("mass matrix needs a tabulation exact to degree 2")
+    C = tabulation.complex.whitney[space.k]
     idx = mesh.tet_edges if space.k == 1 else mesh.tet_faces
     moments = _lambda_moments(tabulation.rule, 2)
     local = np.einsum("teax,tfax->tef", C, moments @ C)
@@ -434,27 +388,16 @@ class ErrorNorms:
     rel_graph: float | None = None
 
 
-def error_norms(
-    coeffs,
-    exact,
-    exact_derivative=None,
-    t=0.0,
-    relative=True,
-    tabulation=None,
-    derivative=None,
-):
+def error_norms(tabulation, coeffs, exact, exact_derivative=None, t=0.0, relative=True):
     """L2 and graph-norm errors of a discrete form against analytic fields.
 
     ``exact(points, t)`` gives the field itself; ``exact_derivative`` the
     curl (k=1) or divergence (k=2).  A missing derivative field is
-    treated as zero.  The norms use ``tabulation`` (default: the
-    ERROR_DEGREE rule).  ``derivative`` may pass a precomputed incidence
-    matrix; otherwise it is rebuilt.  Relative norms divide by the norms
-    of the exact field and raise if those vanish.
+    treated as zero.  The norms use the points of ``tabulation`` and the
+    incidence matrices of its complex.  Relative norms divide by the
+    norms of the exact field and raise if those vanish.
     """
     space = coeffs.space
-    if tabulation is None:
-        tabulation = WhitneyTabulation(TetGeometry(space.mesh), tet_rule(ERROR_DEGREE))
     W = tabulation.weights
 
     def squared(k, values, exact_field, what):
@@ -472,7 +415,7 @@ def error_norms(
     err2, ex2 = squared(space.k, coeffs.values, exact, "exact")
     derr2 = dex2 = 0.0
     if space.k < 3:
-        D = derivative_matrix(space) if derivative is None else derivative
+        D = tabulation.complex.d1 if space.k == 1 else tabulation.complex.d2
         derr2, dex2 = squared(
             space.k + 1, D @ coeffs.values, exact_derivative, "exact_derivative"
         )
@@ -491,16 +434,19 @@ def error_norms(
 class DeRhamComplex:
     """The three Whitney spaces plus cached operators for one mesh.
 
-    Builds the per-tet Whitney coefficients (``geometry``), the
-    incidence matrices D1, D2 and the mass matrices M1, M2, M3 once;
-    the points and weights of volume rules of any degree are cached so
-    repeated assembly (convection, loads, error norms) reuses them.
-    The default degree is VOLUME_DEGREE.
+    Builds the per-tet barycentric gradients ``grads`` (T, 4, 3) and
+    Whitney coefficients ``whitney`` ({1: C1 (T, 6, 4, 3), 2: C2
+    (T, 4, 4, 3)}, see :func:`whitney_coefficients`), the incidence
+    matrices D1, D2 and the mass matrices M1, M2, M3 once; the
+    tabulations of volume rules of any degree are cached so repeated
+    assembly (convection, loads, error norms) reuses them.  The default
+    degree is VOLUME_DEGREE.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
-        self.geometry = TetGeometry(mesh)
+        self.grads = barycentric_gradients(mesh.vertices[mesh.tets])
+        self.whitney = {k: whitney_coefficients(self.grads, k) for k in (1, 2)}
         self.V1 = form_space(mesh, 1)
         self.V2 = form_space(mesh, 2)
         self.V3 = form_space(mesh, 3)
@@ -519,22 +465,15 @@ class DeRhamComplex:
         # Keyed like the rules, so degrees sharing a rule share a table.
         m = points_per_axis(degree)
         if m not in self._tabs:
-            self._tabs[m] = WhitneyTabulation(self.geometry, tet_rule(degree))
+            self._tabs[m] = WhitneyTabulation(self, tet_rule(degree))
         return self._tabs[m]
 
     def interpolate(self, fielddata, k, t=0.0):
         return interpolate(fielddata, self.space(k), t=t)
 
     def error_norms(self, coeffs, exact, exact_derivative=None, t=0.0, relative=True):
-        return error_norms(
-            coeffs,
-            exact,
-            exact_derivative,
-            t=t,
-            relative=relative,
-            tabulation=self.tabulation(ERROR_DEGREE),
-            derivative={1: self.d1, 2: self.d2, 3: None}[coeffs.space.k],
-        )
+        tabulation = self.tabulation(ERROR_DEGREE)
+        return error_norms(tabulation, coeffs, exact, exact_derivative, t, relative)
 
     def divergence_max(self, u_values):
         """Sup norm of the pointwise divergence density of a 2-form."""

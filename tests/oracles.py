@@ -21,7 +21,7 @@ from scipy import sparse
 
 from vvpflow.assembly import NATURAL, assemble_B0, assemble_rhs
 from vvpflow.quadrature import triangle_rule
-from vvpflow.spaces import TRACE_DEGREE, simplex_rule, whitney_values
+from vvpflow.spaces import TRACE_DEGREE, simplex_rule, whitney_coefficients
 
 # Reference tetrahedron: vertices (0,0,0), (1,0,0), (0,1,0), (0,0,1).
 REF_VERTS = np.array(
@@ -139,6 +139,23 @@ def piola_whitney_values(corners, pts):
     return psi1, psi2
 
 
+def relative_residual(matrix, rhs, x):
+    """||rhs - matrix @ x|| / ||rhs||, the residual that linalg.solve checks."""
+    return float(np.linalg.norm(rhs - matrix @ x)) / float(np.linalg.norm(rhs))
+
+
+def whitney_values(lam, grads, k):
+    """The library's Whitney k-form basis at barycentric points, lam @ C.
+
+    lam : (..., Q, 4) barycentric coordinates; grads : (..., 4, 3)
+    barycentric gradients, leading axes broadcast.  Returns psi1
+    (..., 6, Q, 3) for k=1 and psi2 (..., 4, Q, 3) for k=2.  Not an
+    independent route: the pointwise quadratures below use it to check
+    the library's moment contractions of the same coefficients.
+    """
+    return np.asarray(lam, dtype=float)[..., None, :, :] @ whitney_coefficients(grads, k)
+
+
 def evaluate(coeffs, tet, bary):
     """A discrete form inside one tet at barycentric ``bary``, summed over
     its Piola-mapped basis: a 3-vector for k in {1, 2}, and the density
@@ -225,24 +242,20 @@ def convection_quadrature(complex_, omega_values, u_values, theta):
     tab = complex_.tabulation()
     u_prev = tab.field(2, u_values)
     w_prev = tab.field(1, omega_values)
+    psi1 = whitney_values(tab.rule.points, complex_.grads, 1)
+    psi2 = whitney_values(tab.rule.points, complex_.grads, 2)
     local3 = theta * np.einsum(
-        "tq,tjqx,tiqx->tij",
-        tab.weights,
-        np.cross(tab.psi1, u_prev[:, None, :, :]),
-        tab.psi2,
+        "tq,tjqx,tiqx->tij", tab.weights, np.cross(psi1, u_prev[:, None, :, :]), psi2
     )
     local5 = (1.0 - theta) * np.einsum(
-        "tq,tjqx,tiqx->tij",
-        tab.weights,
-        np.cross(w_prev[:, None, :, :], tab.psi2),
-        tab.psi2,
+        "tq,tjqx,tiqx->tij", tab.weights, np.cross(w_prev[:, None, :, :], psi2), psi2
     )
     return local3, local5
 
 
 def tabulated_natural_bc(complex_, bc, t=0.0):
     """The natural boundary terms with the Whitney basis tabulated at the
-    face points (``whitney_values``) and integrated point by point:
+    face points (:func:`whitney_values`) and integrated point by point:
     + integral((n x u) . psi1) on the tau-rows and - integral(h psi2 . n)
     on the v-rows, n the outward normal (see ``assemble_natural_bc``)."""
     mesh = complex_.mesh
@@ -261,7 +274,7 @@ def tabulated_natural_bc(complex_, bc, t=0.0):
         for i in range(3):
             loc = np.argmax(mesh.tets[tets] == tri[:, i : i + 1], axis=1)
             lam[np.arange(B), :, loc] = rule.points[:, i][None, :]
-        grads = complex_.geometry.grads[tets]
+        grads = complex_.grads[tets]
         pts = points.reshape(-1, 3)
         if region.vorticity_data is not None:
             u = np.asarray(region.vorticity_data(pts, t), dtype=float).reshape(points.shape)

@@ -95,6 +95,14 @@ def test_face_region_map_rejects_overlap_and_gaps():
     bad = RegionBC(name="bad", where=lambda c: np.ones(3, dtype=bool))
     with pytest.raises(ValueError, match="bad shape"):
         BoundaryConditionSpec((bad, RegionBC())).face_region_map(mesh)
+    # A float mask is not cast: on the n=2 box it would claim 40 of 48 faces.
+    box = build_box_mesh(2, 2, 2)
+    signed = RegionBC(name="signed", where=lambda c: c[:, 0] - 1.0)
+    with pytest.raises(ValueError, match="'signed' predicate .* float64, not"):
+        BoundaryConditionSpec((signed, RegionBC())).face_region_map(box)
+    count = RegionBC(name="count", where=lambda c: (c[:, 0] > 0.99).astype(int))
+    with pytest.raises(ValueError, match=r"'count' predicate .* int\d+, not"):
+        BoundaryConditionSpec((count, RegionBC())).face_region_map(box)
 
 
 # ---------------------------------------------------------------------------

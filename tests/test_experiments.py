@@ -345,9 +345,10 @@ def test_runs_write_into_a_missing_nested_outdir(tmp_path, kind, kwargs):
     assert sorted(outdir.glob("*.vtk"))
 
 
-@pytest.mark.parametrize("kind", ["stokes-mms", "ethier"])
+@pytest.mark.parametrize("kind", ["stokes-mms", "ethier", "noflow", "dtsweep"])
 def test_reruns_write_byte_identical_csvs(kind, tmp_path):
-    """Rerunning an experiment sweep reproduces its CSV byte for byte."""
+    """Rerunning an experiment reproduces its CSV byte for byte (noflow
+    and dtsweep run on the first mesh, n=2)."""
     written = []
     for run in ("first", "second"):
         run_experiment(ExperimentSpec(kind=kind, n=(2, 3), outdir=str(tmp_path / run)))

@@ -13,11 +13,12 @@ from vvpflow.linalg import (
     assemble_blocks,
     eliminate,
     m_norm,
-    relative_residual,
     solve,
     solve_reduced,
     stack_blocks,
 )
+
+from oracles import relative_residual
 
 
 def random_block_system(rng, constrain=True):
@@ -180,11 +181,12 @@ def test_solve_rejects_singular_matrix():
         solve(a, np.array([1.0, 1.0]))
 
 
-def test_solve_enforces_residual_contract():
+def test_solve_enforces_residual_contract(monkeypatch):
     rng = np.random.default_rng(9)
     a = sp.csc_matrix(rng.normal(size=(20, 20)) + 20 * np.eye(20))
+    monkeypatch.setattr(linalg, "RESIDUAL_TOL", 0.0)
     with pytest.raises(SolverError, match="residual contract"):
-        solve(a, rng.normal(size=20), residual_tol=0.0)
+        solve(a, rng.normal(size=20))
 
 
 def test_solve_requires_square():
@@ -204,7 +206,9 @@ def test_m_norm_matches_dense_quadratic_form():
 
 def test_relative_residual_zero_rhs_guard():
     a = sp.eye(2, format="csc")
-    assert relative_residual(a, np.zeros(2), np.zeros(2)) == 0.0
+    x, res = solve(a, np.zeros(2))
+    assert res == 0.0
+    np.testing.assert_array_equal(x, np.zeros(2))
 
 
 def test_solve_in_a_given_order_matches_natural_order():

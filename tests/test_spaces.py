@@ -13,7 +13,6 @@ from vvpflow.spaces import (
     VOLUME_DEGREE,
     DeRhamComplex,
     FormCoefficients,
-    TetGeometry,
     WhitneyTabulation,
     barycentric_gradients,
     derivative_matrix,
@@ -23,12 +22,11 @@ from vvpflow.spaces import (
     mass_matrix,
     simplex_rule,
     whitney_coefficients,
-    whitney_values,
 )
 
 import oracles
 from conftest import jittered_box
-from oracles import REF_VERTS, evaluate
+from oracles import REF_VERTS, evaluate, whitney_values
 
 
 def single_tet_mesh(perturbation=None):
@@ -277,10 +275,13 @@ def test_mass_matrices_are_spd(k, complex_n2):
 
 
 def test_mass_matrix_quadrature_guard():
-    mesh = build_box_mesh(1, 1, 1)
-    coarse = WhitneyTabulation(TetGeometry(mesh), tet_rule(1))
+    complex_ = DeRhamComplex(build_box_mesh(1, 1, 1))
+    coarse = complex_.tabulation(1)
+    assert coarse.rule.exactness_degree < 2
     with pytest.raises(ValueError, match="degree 2"):
-        mass_matrix(form_space(mesh, 1), tabulation=coarse)
+        mass_matrix(complex_.V1, tabulation=coarse)
+    with pytest.raises(ValueError, match="degree 2"):
+        mass_matrix(complex_.V2)
 
 
 def test_mass_matrix_scaling_under_dilation():
@@ -315,7 +316,7 @@ def test_moment_mass_matrix_matches_pointwise_quadrature(k):
 
 
 def test_convection_tensor_quadrature_guard():
-    coarse = WhitneyTabulation(TetGeometry(build_box_mesh(1, 1, 1)), tet_rule(1))
+    coarse = DeRhamComplex(build_box_mesh(1, 1, 1)).tabulation(1)
     with pytest.raises(ValueError, match="degree 3"):
         coarse.convection_tensor
 
@@ -336,9 +337,9 @@ def test_tabulation_weights_and_points(complex_n2):
 
 
 def test_tabulation_needs_volume_rule():
-    geometry = TetGeometry(build_box_mesh(1, 1, 1))
+    complex_ = DeRhamComplex(build_box_mesh(1, 1, 1))
     with pytest.raises(ValueError):
-        WhitneyTabulation(geometry, triangle_rule(3))
+        WhitneyTabulation(complex_, triangle_rule(3))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -355,15 +356,6 @@ def test_tabulation_field_matches_evaluate(k):
         for q, bary in enumerate(tab.rule.points):
             want = evaluate(coeffs, tet, bary)
             np.testing.assert_allclose(got[tet, q], want, rtol=1e-13, atol=1e-13)
-
-
-def test_tabulation_builds_edge_basis_on_first_read(complex_n1):
-    """Load and error tabulations never read psi1, so it is not built eagerly."""
-    tab = WhitneyTabulation(complex_n1.geometry, tet_rule(8))
-    assert "psi1" not in vars(tab)
-    want = whitney_values(tab.rule.points, complex_n1.geometry.grads, 1)
-    np.testing.assert_array_equal(tab.psi1, want)
-    assert tab.psi1 is tab.psi1
 
 
 def test_tabulations_shared_per_rule(complex_n1):
@@ -484,9 +476,8 @@ def test_error_norms_graph_includes_derivative_mismatch(complex_n1):
     values = np.zeros(complex_n1.V2.ndof)
     values[complex_n1.mesh.tet_faces[0]] = [1.0, 0.5, -0.25, 0.75]
     coeffs = FormCoefficients(complex_n1.V2, values)
-    err = error_norms(
-        coeffs, lambda p, t=0.0: np.zeros_like(p), relative=False
-    )
+    tab = complex_n1.tabulation(ERROR_DEGREE)
+    err = error_norms(tab, coeffs, lambda p, t=0.0: np.zeros_like(p), relative=False)
     div = derivative_matrix(complex_n1.V2) @ values
     dens = div / complex_n1.mesh.tet_volumes
     want_dl2 = float(np.sqrt(np.sum(div * dens)))
