@@ -34,7 +34,8 @@ rule-weighted barycentric moments on each face, contracted with its
 cell's Whitney coefficients.  The entities, the faces and the rules
 mapped onto them are decided once per complex and spec by
 :class:`ResolvedBoundary`; a function given one as ``bc``
-(:func:`resolve_boundary`) only evaluates boundary data and contracts it.
+(:func:`resolve_boundary`) only evaluates boundary data and contracts it,
+each callable once per solve and set of points (:func:`assemble_rhs`).
 """
 from __future__ import annotations
 
@@ -164,24 +165,40 @@ class ResolvedBoundary:
     predicates, made on construction.  The closed components, the harmonic
     space, the essential entities and the natural terms' face tables, with
     the TRACE_DEGREE rules mapped onto them, are built on first use and
-    kept.  A run resolves its boundary once and passes it as ``bc``, so
-    a step only evaluates boundary data and contracts it.
+    kept.  The face rule is mapped once per region (:meth:`_face_rule`),
+    so a region's essential velocity part and its natural table hold the
+    same points, and :func:`assemble_rhs` samples a callable given for
+    both once.  A run resolves its boundary once and passes it as ``bc``,
+    so a step only evaluates boundary data and contracts it.
     """
 
     def __init__(self, complex_, bc):
         self.complex, self.mesh, self.bc = complex_, complex_.mesh, bc
         self.owner = bc.face_region_map(self.mesh)
         self.rule = triangle_rule(TRACE_DEGREE)
+        self._face_rules = {}
 
-    def essential_values(self, group, t):
+    def essential_values(self, group, t, *, _sample=sample):
         """(indices, values) of ``group``'s essential entities at time t:
-        each region's data interpolated on its entities (None: zero)."""
+        each region's data interpolated on its entities (None: zero).
+        ``_sample`` stands in for ``spaces.sample`` (see :func:`assemble_rhs`)."""
         parts, idx, pick = self.essential[group]
         vals = [
-            np.zeros(len(pts)) if data is None else dof_values(data, rule, pts, measure, t, what)
+            np.zeros(len(pts)) if data is None
+            else dof_values(_sample(data, pts, t, True, what), rule, measure)
             for what, data, rule, pts, measure in parts
         ]
         return idx, np.concatenate(vals)[pick]
+
+    def _face_rule(self, region, faces):
+        """(points, right-hand normal of length 2 area): the face rule mapped
+        by ``simplex_rule`` onto ``region``'s ``faces``, once per region, so
+        that its essential velocity part and its natural table hold the
+        same points."""
+        if id(region) not in self._face_rules:
+            tri = self.mesh.vertices[self.mesh.faces[faces]]
+            self._face_rules[id(region)] = simplex_rule(tri, self.rule)
+        return self._face_rules[id(region)]
 
     def regions(self, channel, mode):
         """(region, faces, outward signs) of each region that claims faces
@@ -239,18 +256,22 @@ class ResolvedBoundary:
         (what, data, rule, points, measure) per region: the region and
         channel that name the data in ``spaces.sample``'s errors, and the
         TRACE_DEGREE edge or face rule mapped onto its entities by
-        ``simplex_rule``, as ``spaces.interpolate`` maps it.  ``pick`` takes
-        the sorted, read-only ``indices`` from the concatenated entities, so
-        a seam edge is kept by the first region."""
+        ``simplex_rule``, as ``spaces.interpolate`` maps it (the faces by
+        :meth:`_face_rule`).  ``pick`` takes the sorted, read-only
+        ``indices`` from the concatenated entities, so a seam edge is kept
+        by the first region."""
         mesh, out = self.mesh, {}
-        for group, channel, simplices, rule in (
-            ("u1", "vorticity", mesh.edges, edge_rule(TRACE_DEGREE)),
-            ("u2", "velocity", mesh.faces, self.rule),
+        for group, channel, rule in (
+            ("u1", "vorticity", edge_rule(TRACE_DEGREE)),
+            ("u2", "velocity", self.rule),
         ):
             parts, entities = [], []
             for region, faces, _ in self.regions(channel, ESSENTIAL):
-                e = np.unique(mesh.face_edges[faces]) if group == "u1" else faces
-                mapped = simplex_rule(mesh.vertices[simplices[e]], rule)
+                if group == "u1":
+                    e = np.unique(mesh.face_edges[faces])
+                    mapped = simplex_rule(mesh.vertices[mesh.edges[e]], rule)
+                else:
+                    e, mapped = faces, self._face_rule(region, faces)
                 what = f"region {region.name!r} {channel} data"
                 parts.append((what, getattr(region, f"{channel}_data"), rule, *mapped))
                 entities.append(e)
@@ -277,7 +298,8 @@ class ResolvedBoundary:
     def natural(self):
         """A table per region with natural vorticity (so every natural
         pressure region): its B ``faces``, their ``cells``, the rule's
-        ``points`` (B, Q, 3), outward ``normal`` (length 2 area), ``lam``
+        ``points`` (B, Q, 3) of :meth:`_face_rule`, outward ``normal``
+        (length 2 area), ``lam``
         (B, 4, Q) the rule weights times the points' barycentric coordinates
         in the cell, and the cells' ``edges`` with their Whitney coefficients
         ``C1`` (B, 6, 4, 3); with natural pressure also the cells' ``fdofs``
@@ -287,7 +309,7 @@ class ResolvedBoundary:
         for region, faces, sign in self.regions("vorticity", NATURAL):
             B = len(faces)
             cells, tri = mesh.face_tets[faces, 0], mesh.faces[faces]
-            points, normal = simplex_rule(mesh.vertices[tri], rule)
+            points, normal = self._face_rule(region, faces)
             normal = normal * sign[:, None].astype(float)
             loc = np.argmax(mesh.tets[cells][:, None, :] == tri[:, :, None], axis=2)
             lam = np.zeros((B, 4, len(rule)))
@@ -346,7 +368,7 @@ def build_harmonic_space(complex_, bc):
     return resolve_boundary(complex_, bc).harmonic
 
 
-def essential_constraints(complex_, bc, t=0.0, f3_given=False):
+def essential_constraints(complex_, bc, t=0.0, f3_given=False, *, _sample=sample):
     """Interpolated essential boundary values.
 
     Returns {"u1": (edge_indices, values), "u2": (face_indices, values)}
@@ -358,9 +380,10 @@ def essential_constraints(complex_, bc, t=0.0, f3_given=False):
     that flux (phi = H^T (load(f3) - M3 D2 u2_fixed)), so without the
     shift the quadrature-level compatibility defect of the interpolated
     data would become a nonzero phi and a spurious constant divergence.
+    ``_sample`` stands in for ``spaces.sample`` (see :func:`assemble_rhs`).
     """
     boundary = resolve_boundary(complex_, bc)
-    out = {group: boundary.essential_values(group, t) for group in boundary.essential}
+    out = {g: boundary.essential_values(g, t, _sample=_sample) for g in boundary.essential}
     for on, signs, areas in [] if f3_given else boundary.flux_shift:
         vals = out["u2"][1]
         defect = float(signs @ vals[on])
@@ -368,7 +391,7 @@ def essential_constraints(complex_, bc, t=0.0, f3_given=False):
     return out
 
 
-def assemble_natural_bc(complex_, bc, t=0.0):
+def assemble_natural_bc(complex_, bc, t=0.0, *, _sample=sample):
     """Right-hand-side contributions of the natural boundary terms.
 
     Returns {"u1": vec, "u2": vec} (zero vectors when a channel has no
@@ -376,6 +399,7 @@ def assemble_natural_bc(complex_, bc, t=0.0):
     as + integral((n x u) . psi1), the boundary term of the weak curl;
     the pressure data h enters the v-row as - integral(h psi2 . n), the
     boundary term of the weak gradient; n is the outward unit normal.
+    ``_sample`` stands in for ``spaces.sample`` (see :func:`assemble_rhs`).
     """
     mesh = complex_.mesh
     rhs1 = np.zeros(mesh.n_edges)
@@ -384,11 +408,11 @@ def assemble_natural_bc(complex_, bc, t=0.0):
         region, pts, lam = tab["region"], tab["points"], tab["lam"]
         B, name = len(pts), f"region {region.name!r}"
         if region.vorticity_data is not None:
-            u = sample(region.vorticity_data, pts, t, True, f"{name} tangential velocity data")
+            u = _sample(region.vorticity_data, pts, t, True, f"{name} tangential velocity data")
             moments = (lam @ np.cross(tab["normal"][:, None, :], u)).reshape(B, 12, 1)
             np.add.at(rhs1, tab["edges"], (tab["C1"].reshape(B, 6, 12) @ moments)[..., 0])
         if "C2n" in tab and region.velocity_data is not None:
-            h = sample(region.velocity_data, pts, t, False, f"{name} pressure data")
+            h = _sample(region.velocity_data, pts, t, False, f"{name} pressure data")
             moments = lam @ h[..., None]
             np.add.at(rhs2, tab["fdofs"], -(tab["C2n"] @ moments)[..., 0])
     return {"u1": rhs1, "u2": rhs2}
@@ -470,16 +494,32 @@ def assemble_rhs(complex_, bc, f2=None, f3=None, t=0.0, load_degree=None):
     rule for the f2/f3 loads (gradient loads must be integrated exactly
     for pressure-robustness to hold discretely).  Each solve of a run
     evaluates these; the matrix of :func:`assemble_B0` stays.
+
+    The boundary terms sample their data through one memo of this call,
+    so a callable given for both channels of a region (the Ethier
+    velocity, essential fluxes and natural tangential term) is evaluated
+    once on the region's face points (:meth:`ResolvedBoundary._face_rule`).
+    The values are not kept past the call: the next solve is at another
+    t, or repeats one whose data it must evaluate again.
     """
+    values = {}
+
+    def sample_once(data, points, t, vector, what):
+        key = (id(data), id(points), vector)
+        if key not in values:
+            values[key] = sample(data, points, t, vector, what)
+        return values[key]
+
     rhs = {}
     if f2 is not None:
         rhs["u2"] = assemble_load(complex_, f2, t=t, degree=load_degree)
     if f3 is not None:
         rhs["u3"] = assemble_scalar_load(complex_, f3, t=t, degree=load_degree)
     boundary = resolve_boundary(complex_, bc)
-    natural = assemble_natural_bc(complex_, boundary, t=t)
+    natural = assemble_natural_bc(complex_, boundary, t=t, _sample=sample_once)
     for group in ("u1", "u2"):
         if np.any(natural[group]):
             rhs[group] = rhs.get(group, 0.0) + natural[group]
-    constraints = essential_constraints(complex_, boundary, t=t, f3_given=f3 is not None)
+    f3_given = f3 is not None
+    constraints = essential_constraints(complex_, boundary, t, f3_given, _sample=sample_once)
     return rhs, constraints

@@ -42,6 +42,7 @@ from .solver import (
     SolverConfig,
     TransientState,
     _SaddleOperator,
+    check_t_end,
     initialize_state,
     run_transient,
     solve_stokes,
@@ -137,6 +138,8 @@ class ExperimentSpec:
         if self.kind == "ethier" and self.d != 0.0 and len(self.n) < 2:
             raise ValueError("convergence sweeps need at least two meshes")
         config = self.solver_config()  # the stepper's own checks, before any mesh is built
+        if self.kind == "ethier" and self.d != 0.0:
+            check_t_end(config)  # run_transient's end-time check, from t = 0
         object.__setattr__(self, "load_degree", config.load_degree)
         object.__setattr__(self, "max_steps", config.max_steps)
 

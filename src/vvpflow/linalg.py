@@ -22,7 +22,8 @@ below ``diag_pivot_thresh`` of its column: that threshold, not static
 pivoting, is what keeps the zero pressure and Stokes velocity diagonals
 from breaking the factor, and it keeps the fill of the order.  A
 :class:`FactorHolder` lets a sequence of nearby systems, such as the
-steps of one run, share one factor through iterative refinement.  The
+steps of one run, share one factor through iterative refinement, and
+each refinement may start from the previous system's solution.  The
 factor may be float32, as the time steps' is: refinement, its residual
 and the residual contract stay float64, so the precision of the factor
 moves how many passes a solve takes, not what it returns (mixed-precision
@@ -230,7 +231,7 @@ class FactorHolder:
     dtype: type = np.float64
 
 
-def solve(matrix, rhs, order=None, factor=None):
+def solve(matrix, rhs, order=None, factor=None, x0=None):
     """Sparse LU solve in a given elimination order, with a checked residual.
 
     SuperLU factors the matrix with its rows and columns permuted by
@@ -245,7 +246,13 @@ def solve(matrix, rhs, order=None, factor=None):
     Iterative refinement on the unpermuted system follows the
     back-substitution while the relative residual is above
     ``ROUNDOFF_RESIDUAL`` and each pass at least halves it
-    (``REFINE_RATE``), for at most ``REFINE_MAX_PASSES`` passes.
+    (``REFINE_RATE``), for at most ``REFINE_MAX_PASSES`` passes.  Given
+    ``x0``, an initial iterate such as the solution of the previous
+    step, refinement starts from it instead of from the
+    back-substitution.  A pass is one correction: a solve from LU^-1 b
+    makes passes + 1 triangular solves, one from ``x0`` makes passes,
+    and an ``x0`` already at ``ROUNDOFF_RESIDUAL`` makes 0 passes and
+    none.
 
     ``factor``, a :class:`FactorHolder`, lends the factor of an earlier
     matrix of the same size and order.  Refinement against it converges
@@ -257,8 +264,9 @@ def solve(matrix, rhs, order=None, factor=None):
 
     The holder's ``dtype`` sets the precision of the factor
     (``csc_matrix(a[p][:, p], dtype=...)``); refinement is float64
-    either way, on the right-hand side scaled by a power of two to unit
-    size.  A fresh float32 factor must refine to roundoff, and a
+    either way, on the right-hand side (and ``x0``) scaled by a power of
+    two that brings the right-hand side to unit size.  A fresh float32
+    factor must refine to roundoff, and a
     held one of this matrix to ``RESIDUAL_TOL``: one that breaks down in
     SuperLU, gives non-finite values or ends above that is replaced by a
     float64 factor of this matrix, and the holder stays float64.  The
@@ -276,6 +284,8 @@ def solve(matrix, rhs, order=None, factor=None):
     # residuals of late passes stay inside float32's range, norms inside float64's.
     scale = math.ldexp(1.0, -math.frexp(float(np.abs(rhs).max(initial=0.0)))[1])
     rhs = rhs * scale
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float) * scale
     p = np.arange(a.shape[0]) if order is None else np.asarray(order)
     holder = FactorHolder() if factor is None else factor
     holder.reused = holder.lu is not None
@@ -289,7 +299,7 @@ def solve(matrix, rhs, order=None, factor=None):
                     raise
                 holder.dtype = np.float64
                 continue
-        x, res, passes = _refine(holder.lu, p, a, rhs, holder.dtype)
+        x, res, passes = _refine(holder.lu, p, a, rhs, holder.dtype, x0)
         holder.passes += passes
         if res <= ROUNDOFF_RESIDUAL:
             break
@@ -325,8 +335,9 @@ def _factor(a, p, dtype):
         ) from exc
 
 
-def _refine(lu, p, a, rhs, dtype):
-    """Back-substitution and refinement; returns (x, residual, passes).
+def _refine(lu, p, a, rhs, dtype, x0):
+    """Refinement from ``x0``, or from the back-substitution when it is
+    None; returns (x, residual, passes).
 
     Each right-hand side is cast to the factor's ``dtype`` for its
     triangular solves; the iterate and its residual against the float64
@@ -338,7 +349,7 @@ def _refine(lu, p, a, rhs, dtype):
         x[p] = lu.solve(b[p].astype(dtype, copy=False))
         return x
 
-    x = lu_solve(rhs)
+    x = lu_solve(rhs) if x0 is None else x0
     if not np.all(np.isfinite(x)):
         return x, np.inf, 0
     r, res = _residual(a, rhs, x)
@@ -355,21 +366,22 @@ def _refine(lu, p, a, rhs, dtype):
     return x, res, passes
 
 
-def solve_reduced(reduced, order=None, factor=None):
+def solve_reduced(reduced, order=None, factor=None, x0=None):
     """Solve a ReducedSystem; returns the full DOF vector and the residual.
 
     ``order`` is an elimination order of the full unknowns (or of a
     leading part of them, such as ``mesh.elimination_order``, which also
     lists the faces and cells of an edge-only system); it is narrowed to
-    the free unknowns with their relative order kept.  ``factor`` is
-    passed on to :func:`solve`.
+    the free unknowns with their relative order kept.  ``factor`` and
+    ``x0``, an initial iterate of the free unknowns, are passed on to
+    :func:`solve`.
     """
     if order is not None:
         rank = np.full(len(order), -1)
         rank[reduced.free] = np.arange(len(reduced.free))
         order = rank[order]
         order = order[order >= 0]
-    x, res = solve(reduced.matrix, reduced.rhs, order=order, factor=factor)
+    x, res = solve(reduced.matrix, reduced.rhs, order=order, factor=factor, x0=x0)
     return reduced.expand(x), res
 
 

@@ -34,8 +34,13 @@ The operator keeps one LU factor for its whole life.  Each solve refines
 against it while every pass at least halves the relative residual; the
 factor is kept if the residual ends at roundoff
 (``linalg.ROUNDOFF_RESIDUAL``), and otherwise the current matrix is
-factored (see :func:`vvpflow.linalg.solve`).  A factor never outlives
-the call that built its operator.  An operator built with ``dt``
+factored (see :func:`vvpflow.linalg.solve`).  A solve that continues
+from the state the operator last returned (``step`` passes its state)
+starts its refinement from that solve's reduced solution, so the steps
+of a run after the first make one triangular solve fewer; any other
+state, such as ``run_noflow``'s rest state for each exponent, starts
+from LU^-1 b.  A factor never outlives the call that built its
+operator.  An operator built with ``dt``
 factors in float32 and refines in float64; a fresh float32 factor that
 does not refine to roundoff is replaced by a float64 one, which the
 operator keeps from then on.  A steady operator factors in float64: the
@@ -94,6 +99,19 @@ def whole_number(name, value):
     return int(value)
 
 
+def check_t_end(config, t0=0.0):
+    """ValueError unless ``config.t_end`` is a positive, whole number of
+    steps ``config.dt`` after t0 (within 1e-9 relative)."""
+    steps = (config.t_end - t0) / config.dt
+    if not steps > 0:
+        raise ValueError(f"t_end={config.t_end:g} is not after the initial time {t0:g}")
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValueError(
+            f"t_end={config.t_end:g} is not a whole number of steps "
+            f"dt={config.dt:g} after the initial time {t0:g}"
+        )
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the implicit stepper.
@@ -147,7 +165,10 @@ class TransientState:
 class StepDiagnostics:
     """One step's health.  ``factor_reused`` is True when the step's solve
     kept the run's LU factor, ``refine_passes`` counts its refinement
-    passes (see :func:`vvpflow.linalg.solve`)."""
+    corrections (see :func:`vvpflow.linalg.solve`): the run's first step
+    starts from LU^-1 b and makes passes + 1 triangular solves, a later
+    one starts from the previous solution and makes passes, and 0 passes
+    mean the start was already at roundoff."""
 
     step: int
     t: float
@@ -187,7 +208,9 @@ class _SaddleOperator:
     ``harmonic`` is its harmonic space.  ``factor`` holds the LU that
     :func:`vvpflow.linalg.solve` reuses across the operator's solves, which
     are given their loads: ``experiments.run_noflow`` shares one.  It is
-    float32 when ``dt`` is given (see the module docstring).
+    float32 when ``dt`` is given (see the module docstring).  ``last``
+    holds the state its last solve returned and that solve's reduced
+    solution, the start of a solve that continues from that state.
     """
 
     def __init__(self, complex_, bc, nu, dt=None):
@@ -211,13 +234,17 @@ class _SaddleOperator:
         self.reduced = eliminate(pattern, groups, fixed)
         self.m3h = complex_.m3 @ self.harmonic.basis
         self.factor = FactorHolder(dtype=np.float64 if dt is None else np.float32)
+        self.last = (None, None)
 
-    def solve(self, t, loads, convection=None, rhs_u2=None):
+    def solve(self, t, loads, convection=None, rhs_u2=None, previous=None):
         """Solve at time t; returns (state, residual).
 
         ``loads`` (``f2``, ``f3``, ``load_degree``) go to :func:`assemble_rhs`,
         ``convection`` (the local blocks of :func:`assemble_convection`) into
-        the v-row and ``rhs_u2`` to the v-row's right side.
+        the v-row and ``rhs_u2`` to the v-row's right side.  When
+        ``previous``, the state the step continues from, is the state this
+        operator's last solve returned, refinement starts from that solve's
+        reduced solution; any other state starts from LU^-1 b.
 
         With dim H > 0 the paper's bordered system adds M3 H phi to the
         q-rows and the chi-row H^T M3 u3 = 0.  H^T M3 H = I and H^T M3 D2
@@ -250,8 +277,10 @@ class _SaddleOperator:
         shift = self.m3h @ (h.T @ eliminated[u3])  # M3 H phi, to the right-hand side
         eliminated[u3] -= shift
         b[u3] -= shift
+        returned, x0 = self.last
+        x0 = x0 if previous is returned else None  # both None before a first solve
         full, residual = solve_reduced(
-            reduced, order=complex_.mesh.elimination_order, factor=self.factor
+            reduced, order=complex_.mesh.elimination_order, factor=self.factor, x0=x0
         )
         parts = reduced.split(full)
         u = parts["u2"].copy()
@@ -271,6 +300,7 @@ class _SaddleOperator:
             u=FormCoefficients(complex_.V2, u),
             p=FormCoefficients(complex_.V3, p),
         )
+        self.last = (state, full[reduced.free])
         return state, residual
 
 
@@ -341,7 +371,9 @@ def step(complex_, bc, config, state, f=None, operator=None):
 
     ``operator`` is a saddle operator for this ``config``'s nu and dt, such
     as the one :func:`run_transient` builds per run; the step gives it its
-    loads.  Without it the step builds a one-shot one.
+    loads and ``state``, so a step from the state the operator last
+    returned refines from that solution.  Without it the step builds a
+    one-shot one.
     """
     t_new = state.t + config.dt
     if operator is None:
@@ -350,7 +382,8 @@ def step(complex_, bc, config, state, f=None, operator=None):
         complex_, state.omega.values, state.u.values, config.theta
     )
     loads = {"f2": f, "load_degree": config.load_degree}
-    return operator.solve(t_new, loads, convection, complex_.m2 @ state.u.values / config.dt)
+    rhs_u2 = complex_.m2 @ state.u.values / config.dt
+    return operator.solve(t_new, loads, convection, rhs_u2, previous=state)
 
 
 def run_transient(
@@ -380,14 +413,7 @@ def run_transient(
     t0 = 0.0 if state is None else state.t
     to_steady = config.t_end is None
     if not to_steady:
-        steps = (config.t_end - t0) / config.dt
-        if not steps > 0:
-            raise ValueError(f"t_end={config.t_end:g} is not after the initial time {t0:g}")
-        if abs(steps - round(steps)) > 1e-9 * steps:
-            raise ValueError(
-                f"t_end={config.t_end:g} is not a whole number of steps "
-                f"dt={config.dt:g} after the initial time {t0:g}"
-            )
+        check_t_end(config, t0)
     bc = _boundary(complex_, bc, harmonic, natural_cache)
     if state is None:
         state = initialize_state(complex_, bc, velocity_data, t=0.0)

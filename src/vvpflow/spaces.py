@@ -355,18 +355,16 @@ def interpolate(fielddata, space, t=0.0):
     simplices = (mesh.edges, mesh.faces, mesh.tets)[space.k - 1]
     rule = (edge_rule, triangle_rule, tet_rule)[space.k - 1](TRACE_DEGREE)
     points, measure = simplex_rule(mesh.vertices[simplices], rule)
-    values = dof_values(fielddata, rule, points, measure, t, f"V{space.k} data")
-    return FormCoefficients(space, values)
+    vals = sample(fielddata, points, t, space.k != 3, f"V{space.k} data")
+    return FormCoefficients(space, dof_values(vals, rule, measure))
 
 
-def dof_values(fielddata, rule, points, measure, t=0.0, what="data"):
-    """The DOF functional of ``fielddata`` on each simplex that :func:`simplex_rule`
-    mapped ``rule`` onto (``points``, ``measure``), shape (S,): vector data
-    on edges and faces (measure (S, 3)), scalar data on tets (measure (S,)).
-    ``what`` names the data in :func:`sample`'s errors."""
-    vector = measure.ndim == 2
-    vals = sample(fielddata, points, t, vector, what)
-    if not vector:
+def dof_values(vals, rule, measure):
+    """The DOF functional on each simplex that :func:`simplex_rule` mapped
+    ``rule`` onto, shape (S,), from the data's :func:`sample` at its points:
+    vectors (S, Q, 3) on edges and faces (``measure`` (S, 3)), scalars
+    (S, Q) on tets (``measure`` (S,))."""
+    if measure.ndim == 1:
         vals, measure = vals[..., None], measure[:, None]
     return np.einsum("q,sqx,sx->s", rule.weights, vals, measure)
 

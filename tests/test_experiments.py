@@ -63,6 +63,7 @@ import oracles
         (dict(kind="noflow", n=(2.7,)), "n must be a whole number, got 2.7"),
         (dict(kind="noflow", gamma=(1.5,)), "gamma must be a whole number, got 1.5"),
         (dict(kind="noflow", n=(1,), load_degree=2.5), "load_degree must be a whole number"),
+        (dict(kind="ethier", d=1.0, t_end=0.0025), "not a whole number of steps dt=0.001"),
     ],
 )
 def test_spec_validation(kwargs, match):
@@ -443,6 +444,21 @@ def test_spec_rejects_solver_settings_before_building_a_mesh(
     with pytest.raises(ValueError, match=match):
         run_experiment(spec_from_options(kind, {key: value}))
     assert calls == []
+
+
+def test_transient_end_time_is_checked_before_building_a_mesh(monkeypatch):
+    """A transient ``ethier`` whose t_end is not a whole number of steps is
+    refused by the spec, as run_transient would refuse it, but before the
+    first mesh, its complex and the initial state are built.  The steady
+    case marches to a steady state and takes no t_end."""
+    calls = []
+    monkeypatch.setattr(experiments, "_box_complex", lambda n: calls.append(n))
+    with pytest.raises(ValueError, match="t_end=0.0025 is not a whole number of steps"):
+        run_experiment(spec_from_options("ethier", {"d": "1", "t_end": "0.0025"}))
+    with pytest.raises(SystemExit, match="^error: t_end=0.0025 is not a whole number"):
+        main(["ethier", "--set", "d=1", "--set", "t_end=0.0025"])
+    assert calls == []
+    assert ExperimentSpec(kind="ethier", t_end=0.0025).d == 0.0
 
 
 @pytest.mark.parametrize("kind, setting, match", SOLVER_SETTINGS)

@@ -1,4 +1,6 @@
 """Steady solves, state initialization, and the implicit time stepper."""
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -730,8 +732,8 @@ def test_run_falls_back_to_one_float64_factor(complex_j3, monkeypatch):
     real = linalg._refine
     passes = []
 
-    def stalled_in_float32(lu, p, a, rhs, dtype):
-        x, res, n = real(lu, p, a, rhs, dtype)
+    def stalled_in_float32(lu, p, a, rhs, dtype, x0):
+        x, res, n = real(lu, p, a, rhs, dtype, x0)
         passes.append(n)
         return x, (np.inf if dtype == np.float32 else res), n
 
@@ -978,8 +980,9 @@ def test_steps_after_the_first_map_no_rule(complex_n2, monkeypatch):
 
 def test_run_evaluates_its_data_once_per_step(complex_n2):
     """Building the operator evaluates no data; each step of a run
-    evaluates the forcing once and the boundary velocity twice (for the
-    essential fluxes and for the natural tangential term)."""
+    evaluates the forcing once and the boundary velocity once: the
+    essential fluxes and the natural tangential term read the same values,
+    sampled at the same points of the same faces."""
     velocity_calls, forcing_calls = [], []
     bc = ethier_bc_of(counted(ethier_velocity(2.0, 1.0), velocity_calls))
     f = counted(lambda p, t=0.0: np.zeros((len(p), 3)), forcing_calls)
@@ -990,7 +993,31 @@ def test_run_evaluates_its_data_once_per_step(complex_n2):
     assert (len(forcing_calls), len(velocity_calls)) == (0, 0)
     summary = run_transient(complex_n2, bc, config, state=state0, f=f)
     assert summary.n_steps == 5
-    assert (len(forcing_calls), len(velocity_calls)) == (5, 10)
+    assert (len(forcing_calls), len(velocity_calls)) == (5, 5)
+
+
+def test_each_callable_is_sampled_once_per_face_set_and_solve(complex_n2):
+    """With essential walls and a natural outlet the velocity is the walls'
+    essential data and the outlet's tangential data: two face sets, so two
+    evaluations per solve, one on each.  Every other callable is sampled
+    once per solve, and building the operator samples nothing."""
+    fields = stokes_mms_fields(nu=1.0)
+    calls = {name: [] for name in ("velocity", "vorticity", "pressure")}
+    counted_fields = {**fields, **{k: counted(fields[k], v) for k, v in calls.items()}}
+    bc = ResolvedBoundary(complex_n2, _outlet_bc(counted_fields))
+    config = SolverConfig(nu=1.0, dt=1e-2, t_end=3e-2)
+    state0 = initialize_state(complex_n2, bc, fields["velocity"])
+    for v in calls.values():
+        v.clear()
+    solver._SaddleOperator(complex_n2, bc, config.nu, config.dt)
+    assert all(v == [] for v in calls.values())
+    run_transient(complex_n2, bc, config, state=state0)
+    ((_, outlet, _),) = bc.regions("velocity", NATURAL)
+    ((_, walls, _),) = bc.regions("velocity", assembly.ESSENTIAL)
+    outlet, walls = len(outlet) * len(bc.rule), len(walls) * len(bc.rule)
+    assert sorted(calls["velocity"]) == sorted([outlet, walls] * 3)
+    assert calls["pressure"] == [outlet] * 3
+    assert len(calls["vorticity"]) == 3
 
 
 def test_operator_solves_with_the_loads_of_each_step(complex_n2):
@@ -1012,3 +1039,117 @@ def test_operator_solves_with_the_loads_of_each_step(complex_n2):
     for name in ("omega", "u", "p"):
         got, want = getattr(held, name).values, getattr(fresh, name).values
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+# ---------------------------------------------------------------------------
+# refinement from the previous step's solution
+
+
+def _count_trisolves(monkeypatch):
+    """A list whose length is the number of SuperLU triangular solves."""
+    calls = []
+    real = linalg.spla.splu
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            calls.append(len(b))
+            return self.lu.solve(b)
+
+    monkeypatch.setattr(linalg.spla, "splu", lambda *a, **k: Counted(real(*a, **k)))
+    return calls
+
+
+def _copy(state):
+    """The same state in a new object, which no operator returned."""
+    return dataclasses.replace(state)
+
+
+def _full(state):
+    return np.concatenate([state.omega.values, state.u.values, state.p.values])
+
+
+def test_steps_after_the_first_refine_from_the_previous_solution(complex_j3, monkeypatch):
+    """Two operators step in lockstep from the same states: one from its own
+    last state, so from its solution, the other from a copy, so from LU^-1 b.
+    After the first step the warm solve makes one triangular solve per pass
+    and the cold one a pass more; both agree to 1e-14 relative."""
+    bc = ethier_bc(2.0, 1.0)
+    config = SolverConfig(nu=1.0, dt=1e-3, t_end=1e-2)
+    state = initialize_state(complex_j3, bc, ethier_velocity(2.0, 1.0))
+    warm, cold = (solver._SaddleOperator(complex_j3, bc, config.nu, config.dt) for _ in "ab")
+    calls = _count_trisolves(monkeypatch)
+    fewer = 0
+    for n in range(1, 11):
+        calls.clear()
+        got, _ = step(complex_j3, bc, config, state, operator=warm)
+        warm_solves = len(calls)
+        calls.clear()
+        want, _ = step(complex_j3, bc, config, _copy(state), operator=cold)
+        assert len(calls) == cold.factor.passes + 1
+        assert warm_solves == warm.factor.passes + (n == 1)
+        fewer += warm.factor.passes == cold.factor.passes and warm_solves == len(calls) - 1
+        assert np.linalg.norm(_full(got) - _full(want)) <= 1e-14 * np.linalg.norm(_full(want))
+        state = got
+    assert fewer >= 8
+
+
+def test_a_state_the_operator_did_not_return_starts_cold(complex_j3):
+    """Stepping from an equal copy of the operator's last state, or from a
+    state another operator returned, is bitwise the solve from LU^-1 b."""
+    bc = ethier_bc(2.0, 1.0)
+    config = SolverConfig(nu=1.0, dt=1e-3, t_end=1e-2)
+    state0 = initialize_state(complex_j3, bc, ethier_velocity(2.0, 1.0))
+    ops = [solver._SaddleOperator(complex_j3, bc, config.nu, config.dt) for _ in range(3)]
+    first = [step(complex_j3, bc, config, state0, operator=op)[0] for op in ops]
+    omega, u = first[0].omega.values, first[0].u.values
+    reference, _ = ops[0].solve(
+        first[0].t + config.dt,
+        {"f2": None, "load_degree": None},
+        solver.assemble_convection(complex_j3, omega, u, config.theta),
+        complex_j3.m2 @ u / config.dt,
+    )
+    for op, start in ((ops[1], _copy(first[1])), (ops[2], first[0])):
+        got, _ = step(complex_j3, bc, config, start, operator=op)
+        assert _full(got).tobytes() == _full(reference).tobytes()
+
+
+def test_warm_started_run_keeps_the_gates_at_roundoff(monkeypatch):
+    """Twenty steps at n = 4 from the previous solutions: every residual and
+    every divergence stays at roundoff."""
+    complex_ = DeRhamComplex(build_box_mesh(4, 4, 4))
+    bc = ethier_bc(2.0, 1.0)
+    config = SolverConfig(nu=1.0, dt=1e-3, t_end=2e-2)
+    calls = _count_trisolves(monkeypatch)
+    seen = []
+    summary = run_transient(
+        complex_,
+        bc,
+        config,
+        velocity_data=ethier_velocity(2.0, 1.0),
+        observers=(lambda st, diag: seen.append((st, diag, len(calls))),),
+    )
+    assert summary.n_steps == 20
+    for (state, diag, solves), before in zip(seen, [0, *(s for _, _, s in seen)]):
+        assert diag.residual <= linalg.ROUNDOFF_RESIDUAL
+        assert diag.div_max <= 1e-13 * (1.0 + complex_.norm(state.u))
+        if diag.step > 1 and diag.factor_reused:
+            assert solves - before == diag.refine_passes
+
+
+def test_a_start_at_roundoff_makes_no_pass_and_no_trisolve(complex_n2, monkeypatch):
+    """The same steady system solved twice by one operator, the second time
+    from the first solve's state: the start is already the solution, so the
+    second solve makes 0 passes and no triangular solve, and returns it."""
+    fields = stokes_mms_fields(nu=1.0)
+    operator = solver._SaddleOperator(complex_n2, _outlet_bc(fields), nu=1.0)
+    loads = {"f2": fields["forcing"], "load_degree": None}
+    first, residual = operator.solve(0.0, loads)
+    assert residual <= linalg.ROUNDOFF_RESIDUAL
+    calls = _count_trisolves(monkeypatch)
+    again, residual_again = operator.solve(0.0, loads, previous=first)
+    assert (calls, operator.factor.passes, operator.factor.reused) == ([], 0, True)
+    assert residual_again == residual
+    assert _full(again).tobytes() == _full(first).tobytes()
