@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands ``noflow``, ``ethier``, ``dtsweep``, ``stokes-mms`` run the
-packaged experiments; ``mesh-info`` prints mesh statistics.  Each
+packaged experiments; ``mesh-info`` prints mesh statistics, with the
+Betti numbers (components, handles, cavities) that decide which
+boundary pairings a mesh can carry.  Each
 experiment subcommand reads an optional ``--config <path>`` file of
 flat ``key = value`` lines and applies ``--set key=value`` overrides on
 top (repeatable, highest precedence).  Every subcommand turns bad input
@@ -76,6 +78,7 @@ def _mesh_info(args):
     print(f"mesh size h: {mesh_size(mesh):.6g}")
     print(f"total volume: {mesh.tet_volumes.sum():.6g}")
     print(f"euler characteristic: {euler_characteristic(mesh)}")
+    print("betti numbers (b0, b1, b2): {}, {}, {}".format(*mesh.betti_numbers))
 
 
 def main(argv=None):

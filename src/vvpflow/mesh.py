@@ -42,9 +42,16 @@ TET_FACE_VERTS = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 TET_FACE_PARITY = (-1, 1, -1, 1)
 FACE_EDGE_VERTS = ((1, 2), (0, 2), (0, 1))
 FACE_EDGE_SIGN = (1, -1, 1)
+# Local edge of each local face edge: [[3, 1, 0], [4, 2, 0], [5, 2, 1], [5, 4, 3]].
+TET_FACE_EDGES = tuple(
+    tuple(TET_EDGE_VERTS.index((face[i], face[j])) for i, j in FACE_EDGE_VERTS)
+    for face in TET_FACE_VERTS
+)
 # Cells per leaf of the bisection behind SimplicialMesh3.elimination_order,
 # and the least share of a node's cells that each side of its cut keeps.
-LEAF_CELLS = 16
+# Three is the smallest leaf for this balance: a node of 3 cells has no cut
+# that leaves ceil(0.4 * 3) = 2 cells on each side, and every larger node has one.
+LEAF_CELLS = 3
 CUT_BALANCE = 0.4
 
 
@@ -95,15 +102,17 @@ class SimplicialMesh3:
             raise ValueError(f"non-finite coordinate of vertex {bad[0]}: {vertices[bad[0]]}")
         if tets.ndim != 2 or tets.shape[1] != 4:
             raise ValueError("tets must be a (T, 4) array")
-        if tets.size and (tets.min() < 0 or tets.max() >= len(vertices)):
+        if not len(tets):
+            raise ValueError("a mesh needs at least one tet")
+        if tets.min() < 0 or tets.max() >= len(vertices):
             raise ValueError("tet vertex index out of range")
         tets = np.sort(tets, axis=1)
         if np.any(np.diff(tets, axis=1) == 0):
             raise ValueError("degenerate tet with repeated vertex")
-        rows = tets[np.lexsort(tets.T)]
-        repeated = rows[1:][np.all(rows[1:] == rows[:-1], axis=1)]
-        if len(repeated):
-            raise ValueError(f"duplicate tet: vertices {repeated[0].tolist()} listed twice")
+        first, inverse = _unique_rows(tets)
+        if len(first) < len(tets):
+            repeated = first[np.argmax(np.bincount(inverse) > 1)]
+            raise ValueError(f"duplicate tet: vertices {tets[repeated].tolist()} listed twice")
 
         self.vertices = vertices
         self.tets = tets
@@ -118,16 +127,18 @@ class SimplicialMesh3:
         self.tet_orientations = np.sign(dets).astype(np.int64)
 
         edge_rows = tets[:, TET_EDGE_VERTS].reshape(-1, 2)
-        self.edges, edge_inv = np.unique(edge_rows, axis=0, return_inverse=True)
+        first, edge_inv = _unique_rows(edge_rows)
+        self.edges = edge_rows[first]
         self.tet_edges = edge_inv.reshape(self.n_tets, 6)
         self.n_edges = len(self.edges)
 
         face_rows = tets[:, TET_FACE_VERTS].reshape(-1, 3)
-        self.faces, face_inv = np.unique(face_rows, axis=0, return_inverse=True)
+        first, face_inv = _unique_rows(face_rows)
+        self.faces = face_rows[first]
         self.tet_faces = face_inv.reshape(self.n_tets, 4)
         self.n_faces = len(self.faces)
 
-        self.face_edges = self._lookup_edges(self.faces[:, FACE_EDGE_VERTS])
+        self.face_edges = self.tet_edges[:, TET_FACE_EDGES].reshape(-1, 3)[first]
         self.face_tets, counts = self._face_incidence()
         if np.any(counts > 2):
             raise ValueError("non-manifold mesh: face shared by > 2 tets")
@@ -138,15 +149,6 @@ class SimplicialMesh3:
         self.boundary_vertices = np.unique(self.faces[self.boundary_faces])
         bf = self.boundary_faces
         self.boundary_face_signs = self._face_signs(self.face_tets[bf, 0], bf)
-
-    def _lookup_edges(self, pairs):
-        """Map ascending vertex pairs to global edge indices."""
-        key = self.edges[:, 0] * self.n_vertices + self.edges[:, 1]
-        want = pairs[..., 0] * self.n_vertices + pairs[..., 1]
-        idx = np.searchsorted(key, want)
-        if np.any(key[idx] != want):
-            raise ValueError("face edge missing from edge table")
-        return idx
 
     def _face_incidence(self):
         flat_faces = self.tet_faces.ravel()
@@ -240,18 +242,22 @@ class SimplicialMesh3:
 
         Entities are numbered edges, then faces, then cells, as the
         unknowns u1, u2, u3 of ``assembly.assemble_B0``.  The cells are
-        bisected recursively down to leaves of at most LEAF_CELLS cells.
-        Each node sorts its cells by centroid along its longest extent
-        (ties by the next longest) and cuts that sequence where the
-        fewest of its edges and faces (those whose cells all lie in the
-        node) have cells on both sides, among the cuts that leave at
-        least CUT_BALANCE of its cells on each side; ties go to the
-        median.  On a Kuhn box of odd n the exact median falls inside the
-        middle layer of cubes, while this cut lands on a vertex plane: the
-        L+U of an Ethier step's factor falls from 3.65M to 1.92M at n=7,
-        and from 18.66M to 18.61M at n=12, whose top cuts were already
-        planes.  The tree is built a level at a time, with work linear
-        in the cells and entities per level.
+        bisected recursively.  Each node sorts its cells by centroid along
+        its longest extent (ties by the next longest) and cuts that
+        sequence where the fewest of its edges and faces (those whose
+        cells all lie in the node) have cells on both sides, among the
+        cuts that leave at least CUT_BALANCE of its cells on each side;
+        ties go to the median.  On a Kuhn box of odd n the exact median
+        falls inside the middle layer of cubes, while this cut lands on a
+        vertex plane: the L+U of an Ethier step's factor falls from 3.65M
+        to 1.92M at n=7, and from 18.66M to 18.61M at n=12, whose top cuts
+        were already planes (with 16-cell leaves).  Bisection stops at
+        leaves of at most LEAF_CELLS = 3 cells, the smallest leaf that
+        window allows: a node of 3 cells has no cut that leaves 2 on each
+        side.  Against 16-cell leaves, whose edges and faces were listed
+        undissected, the step's L+U falls from 3.38M to 3.05M at n=8 and
+        from 18.61M to 17.80M at n=12.  The tree is built a level at a
+        time, with work linear in the cells and entities per level.
         Each edge and face goes to the lowest tree node that holds all of
         its cells, and the nodes follow in postorder.  Inside a node come
         its edges, then its faces, each non-root cell of ``dual_forest``
@@ -343,6 +349,17 @@ class SimplicialMesh3:
         )
 
 
+def _unique_rows(rows):
+    """The distinct rows of an int array in lexicographic order, as (first,
+    inverse): ``rows[first]`` lists them and ``rows[first][inverse]`` equals ``rows``."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.r_[True, np.any(ranked[1:] != ranked[:-1], axis=1)]
+    inverse = np.empty(len(rows), np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 def build_box_mesh(nx, ny, nz, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
     """Kuhn triangulation of an axis-aligned box.
 
@@ -391,7 +408,9 @@ def mesh_size(mesh):
 
 
 def euler_characteristic(mesh):
-    return mesh.n_vertices - mesh.n_edges + mesh.n_faces - mesh.n_tets
+    """V - E + F - T, counting only the vertices that some tet uses."""
+    used = np.unique(mesh.tets).size
+    return used - mesh.n_edges + mesh.n_faces - mesh.n_tets
 
 
 def write_tetmesh(path, mesh):

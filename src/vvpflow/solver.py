@@ -45,6 +45,8 @@ factors in float32 and refines in float64; a fresh float32 factor that
 does not refine to roundoff is replaced by a float64 one, which the
 operator keeps from then on.  A steady operator factors in float64: the
 steady Stokes system diverges from a float32 factor at n=12.
+:func:`initialize_state` builds no factor: its edge mass-matrix system
+is solved by conjugate gradients (:func:`vvpflow.linalg.solve_spd`).
 """
 from __future__ import annotations
 
@@ -70,6 +72,7 @@ from .linalg import (
     group_offsets,
     m_norm,
     solve_reduced,
+    solve_spd,
     stack,
     stack_blocks,
 )
@@ -347,8 +350,11 @@ def initialize_state(complex_, bc, velocity_data, t=0.0):
     The velocity is the canonical face interpolant; the vorticity is its
     weak-curl partner, recovered from the same constitutive row the
     stepper uses (M1 w = D1^T M2 u plus the natural tangential boundary
-    term) with any essential tangential-vorticity values imposed.
-    Pressure starts at zero (it is recomputed by the first step anyway).
+    term) with any essential tangential-vorticity values imposed.  The
+    reduced M1 is a principal submatrix of the SPD edge mass matrix, so
+    conjugate gradients solve it (:func:`vvpflow.linalg.solve_spd`) and
+    no LU factor is built.  Pressure starts at zero (it is recomputed by
+    the first step anyway).
     """
     u = complex_.interpolate(velocity_data, 2, t=t)
     boundary = resolve_boundary(complex_, bc)
@@ -357,10 +363,10 @@ def initialize_state(complex_, bc, velocity_data, t=0.0):
     fixed = {g: boundary.essential_values(g, t) for g in boundary.essential if g == "u1"}
     groups, blocks = {"u1": complex_.mesh.n_edges}, {("u1", "u1"): complex_.m1}
     reduced = assemble_blocks(groups, blocks, {"u1": rhs}, fixed)
-    full, _ = solve_reduced(reduced, order=complex_.mesh.elimination_order)
+    omega, _ = solve_spd(reduced.matrix, reduced.rhs)
     return TransientState(
         t=t,
-        omega=FormCoefficients(complex_.V1, full),
+        omega=FormCoefficients(complex_.V1, reduced.expand(omega)),
         u=u,
         p=FormCoefficients.zeros(complex_.V3),
     )

@@ -18,6 +18,24 @@ def jittered_box(n, seed):
     return SimplicialMesh3(verts, mesh.tets)
 
 
+def side_by_side(meshes):
+    """One mesh of unit boxes, box i shifted by 2i in x so that none touch."""
+    verts, tets, offset = [], [], 0
+    for i, mesh in enumerate(meshes):
+        verts.append(mesh.vertices + [2.0 * i, 0.0, 0.0])
+        tets.append(mesh.tets + offset)
+        offset += mesh.n_vertices
+    return SimplicialMesh3(np.concatenate(verts), np.concatenate(tets))
+
+
+def carved_box(cubes):
+    """3x3x3 Kuhn box of side 3 without the unit cubes at the given (i, j, k)."""
+    box = build_box_mesh(3, 3, 3, hi=(3.0, 3.0, 3.0))
+    cube = np.floor(box.vertices[box.tets].mean(axis=1)).astype(int)
+    drop = np.any([np.all(cube == c, axis=1) for c in cubes], axis=0)
+    return SimplicialMesh3(box.vertices, box.tets[~drop])
+
+
 def scattered_convection(complex_, omega_values, u_values, theta):
     """The convection blocks as sparse (F, E) and (F, F) matrices."""
     mesh = complex_.mesh

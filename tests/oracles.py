@@ -9,7 +9,9 @@ physical tets by the Piola transforms (which also evaluate a discrete
 form at a point), a token-level parser for legacy VTK output, the
 paper's bordered saddle system, whose dense harmonic
 multiplier the solver never factors, a dense rank count of the
-harmonic 3-forms, and a symbolic derivation of the analytic fields.
+harmonic 3-forms, the mesh skeleton by ``np.unique`` of its rows and a
+key lookup, the initial vorticity by a sparse LU instead of conjugate
+gradients, and a symbolic derivation of the analytic fields.
 """
 from fractions import Fraction
 from functools import cache
@@ -19,7 +21,14 @@ import numpy as np
 import sympy as sp
 from scipy import sparse
 
-from vvpflow.assembly import NATURAL, assemble_B0, assemble_rhs
+from vvpflow.assembly import (
+    NATURAL,
+    assemble_B0,
+    assemble_natural_bc,
+    assemble_rhs,
+    resolve_boundary,
+)
+from vvpflow.linalg import assemble_blocks, solve_reduced
 from vvpflow.quadrature import triangle_rule
 from vvpflow.spaces import TRACE_DEGREE, simplex_rule, whitney_coefficients
 
@@ -382,6 +391,44 @@ def harmonic_rank(complex_, bc):
     keep = np.ones(mesh.n_faces, dtype=bool)
     keep[mesh.boundary_faces[essential[bc.face_region_map(mesh)]]] = False
     return mesh.n_tets - np.linalg.matrix_rank(complex_.d2[:, keep].toarray())
+
+
+def skeleton(tets):
+    """The skeleton arrays of ``SimplicialMesh3`` for row-sorted ``tets``,
+    built the direct way: ``np.unique(axis=0)`` of the edge and face rows,
+    face edges looked up by vertex-pair key, and each face's tets in
+    ascending order."""
+    edges, edge_inv = np.unique(tets[:, EDGES].reshape(-1, 2), axis=0, return_inverse=True)
+    faces, face_inv = np.unique(tets[:, FACES].reshape(-1, 3), axis=0, return_inverse=True)
+    n = tets.max() + 1
+    pairs = faces[:, [(1, 2), (0, 2), (0, 1)]]
+    face_edges = np.searchsorted(edges[:, 0] * n + edges[:, 1], pairs[..., 0] * n + pairs[..., 1])
+    tet_faces = face_inv.reshape(-1, 4)
+    face_tets = np.full((len(faces), 2), -1)
+    for tet, row in enumerate(tet_faces):
+        for face in row:
+            face_tets[face, int(face_tets[face, 0] >= 0)] = tet
+    return {
+        "edges": edges,
+        "faces": faces,
+        "tet_edges": edge_inv.reshape(-1, 6),
+        "tet_faces": tet_faces,
+        "face_edges": face_edges,
+        "face_tets": face_tets,
+    }
+
+
+def initial_vorticity_lu(complex_, bc, u_values, t=0.0):
+    """The vorticity of ``initialize_state`` by a sparse LU in the mesh's
+    elimination order: M1 w = D1^T M2 u plus the natural tangential term,
+    with the essential vorticity values fixed."""
+    boundary = resolve_boundary(complex_, bc)
+    natural = assemble_natural_bc(complex_, boundary, t=t)["u1"]
+    rhs = complex_.d1.T @ (complex_.m2 @ u_values) + natural
+    fixed = {g: boundary.essential_values(g, t) for g in boundary.essential if g == "u1"}
+    groups, blocks = {"u1": complex_.mesh.n_edges}, {("u1", "u1"): complex_.m1}
+    reduced = assemble_blocks(groups, blocks, {"u1": rhs}, fixed)
+    return solve_reduced(reduced, order=complex_.mesh.elimination_order)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,13 @@ from vvpflow.experiments import (
     write_csv,
 )
 from vvpflow.fields import gradient_of_power
-from vvpflow.mesh import build_box_mesh
+from vvpflow.mesh import build_box_mesh, write_tetmesh
 from vvpflow.solver import SolverConfig, initialize_state, step
 from vvpflow.spaces import DeRhamComplex
 from vvpflow.vtk_io import cell_fields, write_vtk, write_vtk_fields
 
 import oracles
+from conftest import carved_box
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +375,17 @@ def test_cli_mesh_info(capsys):
     assert counts["faces"] == "120"
     assert counts["tets"] == "48"
     assert counts["boundary faces"] == "48"
+
+
+def test_cli_mesh_info_prints_betti_numbers(tmp_path, capsys):
+    main(["mesh-info", "--set", "n=2"])
+    assert "betti numbers (b0, b1, b2): 1, 0, 0\n" in capsys.readouterr().out
+    path = tmp_path / "handle.mesh"
+    write_tetmesh(path, carved_box([(1, 1, k) for k in range(3)]))
+    main(["mesh-info", "--set", f"mesh={path}"])
+    out = capsys.readouterr().out
+    assert "euler characteristic: 0\n" in out
+    assert "betti numbers (b0, b1, b2): 1, 1, 0\n" in out
 
 
 def test_cli_runs_noflow_with_config_and_override(tmp_path, capsys):

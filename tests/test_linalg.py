@@ -15,6 +15,7 @@ from vvpflow.linalg import (
     m_norm,
     solve,
     solve_reduced,
+    solve_spd,
     stack_blocks,
 )
 
@@ -242,6 +243,26 @@ def test_solve_reduced_narrows_a_longer_order_to_the_free_unknowns(monkeypatch):
     np.testing.assert_array_equal(reduced.free[seen[0]], kept)
     want, _ = real(reduced.matrix, reduced.rhs)
     np.testing.assert_allclose(full[reduced.free], want, rtol=1e-13)
+
+
+def test_solve_spd_solves_without_a_factor(monkeypatch):
+    rng = np.random.default_rng(5)
+    b = sp.random(40, 40, density=0.1, random_state=5)
+    a = b @ b.T + 40 * sp.eye(40)
+    rhs = rng.normal(size=40)
+    factors = _spy_factors(monkeypatch)
+    x, res = solve_spd(a, rhs)
+    assert factors == []
+    assert res <= RESIDUAL_TOL
+    np.testing.assert_allclose(x, np.linalg.solve(a.toarray(), rhs), rtol=1e-13)
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+def test_solve_spd_enforces_the_residual_contract():
+    """A singular system with no solution: CG cannot meet RESIDUAL_TOL."""
+    a = sp.csr_matrix([[1.0, -1.0], [-1.0, 1.0]])
+    with pytest.raises(SolverError, match="conjugate gradients violated the residual contract"):
+        solve_spd(a, np.array([1.0, 0.0]))
 
 
 def _spy_factors(monkeypatch):

@@ -15,6 +15,8 @@ from vvpflow.mesh import (
     write_tetmesh,
 )
 
+import oracles
+from conftest import carved_box, jittered_box, side_by_side
 from oracles import REF_VERTS
 
 
@@ -161,6 +163,58 @@ def test_duplicate_tet_is_rejected():
     tets = np.vstack([mesh.tets, mesh.tets[inner][::-1]])
     with pytest.raises(ValueError, match="duplicate tet"):
         SimplicialMesh3(mesh.vertices, tets)
+
+
+def test_mesh_without_tets_is_rejected():
+    """It built with no edges and no faces, and any solve on it then died in
+    betti_numbers on scipy's "cannot infer dimensions" error."""
+    with pytest.raises(ValueError, match="at least one tet"):
+        SimplicialMesh3(np.zeros((4, 3)), np.zeros((0, 4)))
+
+
+def test_unused_vertex_is_not_counted_by_euler_characteristic():
+    """The n=2 box with one vertex that no tet uses read chi = 2 and Betti
+    numbers (1, -1, 0)."""
+    box = build_box_mesh(2, 2, 2)
+    mesh = SimplicialMesh3(np.vstack([box.vertices, [[5.0, 5.0, 5.0]]]), box.tets)
+    assert euler_characteristic(mesh) == 1
+    assert mesh.betti_numbers == (1, 0, 0)
+
+
+CARVINGS = ([(1, 1, 1)], [(1, 1, k) for k in range(3)], [(0, 0, 0)], [(2, 1, 0), (2, 1, 1)])
+
+
+@st.composite
+def meshes(draw):
+    """A Kuhn box, a jittered box, a carved box or two of them side by side."""
+    sizes = st.integers(1, 3)
+    kind = draw(st.sampled_from(["box", "jittered", "carved", "union"]))
+    if kind == "box":
+        return build_box_mesh(draw(sizes), draw(sizes), draw(sizes))
+    if kind == "jittered":
+        return jittered_box(draw(sizes), draw(st.integers(0, 50)))
+    if kind == "carved":
+        return carved_box(draw(st.sampled_from(CARVINGS)))
+    carved = carved_box(draw(st.sampled_from(CARVINGS)))
+    return side_by_side([jittered_box(draw(sizes), draw(st.integers(0, 50))), carved])
+
+
+@settings(max_examples=25, deadline=None)
+@given(meshes(), st.integers(0, 2**32 - 1))
+def test_skeleton_matches_row_unique_oracle(mesh, seed):
+    """Every skeleton array is bitwise the one of np.unique(axis=0) and a
+    key lookup, whatever the vertex numbering, tet order and vertex order
+    within each tet."""
+    rng = np.random.default_rng(seed)
+    relabel = rng.permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[relabel] = mesh.vertices
+    tets = rng.permuted(relabel[mesh.tets][rng.permutation(mesh.n_tets)], axis=1)
+    shuffled = SimplicialMesh3(vertices, tets)
+    for name, want in oracles.skeleton(shuffled.tets).items():
+        got = getattr(shuffled, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 def test_non_manifold_mesh_rejected():

@@ -190,6 +190,25 @@ def test_initialize_state_interpolates_only_vorticity_essential_values(complex_n
     assert calls == [1920, 768]
 
 
+@pytest.mark.parametrize("vorticity", ["natural", "essential"])
+def test_initial_vorticity_by_cg_matches_lu(complex_j3, vorticity, monkeypatch):
+    """initialize_state builds no LU factor, and its conjugate-gradient
+    vorticity is the LU solution's to roundoff."""
+    u = ethier_velocity(2.0, 1.0)
+    bc = ethier_bc(2.0, 1.0)
+    if vorticity == "essential":
+        vorticity = ethier_vorticity(2.0, 1.0)
+        bc = BoundaryConditionSpec(RegionBC(vorticity_data=vorticity, velocity_data=u))
+    factors = []
+    real = linalg.spla.splu
+    monkeypatch.setattr(linalg.spla, "splu", lambda *a, **k: factors.append(a) or real(*a, **k))
+    state = initialize_state(complex_j3, bc, u)
+    assert factors == []
+    want = oracles.initial_vorticity_lu(complex_j3, bc, state.u.values)
+    assert len(factors) == 1
+    assert np.linalg.norm(state.omega.values - want) <= 1e-14 * np.linalg.norm(want)
+
+
 # ---------------------------------------------------------------------------
 # stepping
 
@@ -575,12 +594,12 @@ def test_nested_dissection_factor_has_less_fill(mesh, run, monkeypatch):
 # at the exact median of the centroids, which on odd n falls inside the
 # middle layer of cubes.
 MEDIAN_CUT_FILL = {5: 761_354, 7: 3_653_759}
+# The same when the bisection stops at leaves of 16 cells, not 3.
+LEAF16_FILL = {4: 211_753, 5: 554_194, 7: 1_921_857}
 
 
-@pytest.mark.parametrize("n", sorted(MEDIAN_CUT_FILL))
-def test_cheapest_cut_shrinks_the_factor_on_odd_boxes(n, monkeypatch):
-    """The cut with the fewest cut edges and faces in the balance window
-    lands on a vertex plane, beside the middle layer, not inside it."""
+def _step_fill(n, monkeypatch):
+    """L+U of one Ethier step's factor on the n x n x n Kuhn box."""
     real = linalg.spla.splu
     fills = []
 
@@ -592,7 +611,21 @@ def test_cheapest_cut_shrinks_the_factor_on_odd_boxes(n, monkeypatch):
     complex_ = DeRhamComplex(build_box_mesh(n, n, n))
     monkeypatch.setattr(linalg.spla, "splu", spy)
     _ns_step(complex_)
-    assert fills[-1] <= 0.8 * MEDIAN_CUT_FILL[n]
+    return fills[-1]
+
+
+@pytest.mark.parametrize("n", sorted(MEDIAN_CUT_FILL))
+def test_cheapest_cut_shrinks_the_factor_on_odd_boxes(n, monkeypatch):
+    """The cut with the fewest cut edges and faces in the balance window
+    lands on a vertex plane, beside the middle layer, not inside it."""
+    assert _step_fill(n, monkeypatch) <= 0.8 * MEDIAN_CUT_FILL[n]
+
+
+@pytest.mark.parametrize("n", sorted(LEAF16_FILL))
+def test_three_cell_leaves_shrink_the_factor(n, monkeypatch):
+    """Bisecting down to 3 cells dissects the edges and faces that a
+    16-cell leaf listed whole."""
+    assert _step_fill(n, monkeypatch) <= 0.9 * LEAF16_FILL[n]
 
 
 def test_outlet_claiming_no_face_keeps_harmonic_form():

@@ -20,17 +20,7 @@ from vvpflow.solver import solve_stokes
 from vvpflow.spaces import DeRhamComplex, interpolate
 
 import oracles
-from conftest import jittered_box
-
-
-def side_by_side(meshes):
-    """One mesh of unit boxes, box i shifted by 2i in x so that none touch."""
-    verts, tets, offset = [], [], 0
-    for i, mesh in enumerate(meshes):
-        verts.append(mesh.vertices + [2.0 * i, 0.0, 0.0])
-        tets.append(mesh.tets + offset)
-        offset += mesh.n_vertices
-    return SimplicialMesh3(np.concatenate(verts), np.concatenate(tets))
+from conftest import carved_box, jittered_box, side_by_side
 
 
 def outlets(open_boxes, walls):
@@ -242,14 +232,6 @@ def test_elimination_order_pairs_each_cell_with_its_parent_face(mesh):
     np.testing.assert_array_equal(np.sort(roots), np.sort(forest.roots))
 
 
-def carved_box(cubes):
-    """3x3x3 Kuhn box of side 3 without the unit cubes at the given (i, j, k)."""
-    box = build_box_mesh(3, 3, 3, hi=(3.0, 3.0, 3.0))
-    cube = np.floor(box.vertices[box.tets].mean(axis=1)).astype(int)
-    drop = np.any([np.all(cube == c, axis=1) for c in cubes], axis=0)
-    return SimplicialMesh3(box.vertices, box.tets[~drop])
-
-
 CAVITY = carved_box([(1, 1, 1)])
 HANDLE = carved_box([(1, 1, k) for k in range(3)])
 
@@ -273,6 +255,16 @@ def test_carved_boxes_have_their_betti_numbers():
     assert HANDLE.betti_numbers == (1, 1, 0)
     assert build_box_mesh(2, 2, 2).betti_numbers == (1, 0, 0)
     assert side_by_side([CAVITY, HANDLE]).betti_numbers == (2, 1, 1)
+
+
+def test_unused_vertex_keeps_the_handle_check():
+    """With a vertex that no tet uses, the handle read b1 = 0, the check was
+    skipped, and essential vorticity with essential velocity failed deep in
+    the solver on the residual contract."""
+    mesh = SimplicialMesh3(np.vstack([HANDLE.vertices, [[9.0, 9.0, 9.0]]]), HANDLE.tets)
+    assert mesh.betti_numbers == (1, 1, 0)
+    with pytest.raises(ValueError, match="singular on a mesh with a handle"):
+        solve_stokes(DeRhamComplex(mesh), carved_bc("essential", "essential", False), f2=forcing)
 
 
 @pytest.mark.parametrize(
