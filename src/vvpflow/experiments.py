@@ -20,12 +20,20 @@ VTK snapshots go to the same directory.  ``ethier`` and ``stokes-mms``
 share one convergence sweep, :func:`_convergence_sweep`, and pass it only
 their per-mesh solve, exact fields, slope columns and title.  Its CSVs
 have the columns of CSV_HEADER; the slope of each error column is fitted
-by least squares on (log h, log err).
+by least squares on (log h, log err).  Every error column is a
+``rel_l2`` or ``rel_graph`` of :class:`vvpflow.spaces.ErrorNorms`:
+relative, or absolute for an identically zero exact field.
+
+An :class:`ExperimentSpec` states each option once, as a typed field.
+:func:`spec_from_options` parses the string options of a config file or
+``--set`` by those types, and :meth:`ExperimentSpec.solver_config` hands
+every :class:`vvpflow.solver.SolverConfig` field to the stepper by name.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -95,19 +103,19 @@ class ExperimentSpec:
     """
 
     kind: str
-    n: tuple = (2, 3, 4)
-    nu: float = 1.0
-    theta: float = 0.5
+    n: tuple[int, ...] = (2, 3, 4)
+    nu: float = SolverConfig.nu
+    theta: float = SolverConfig.theta
     dt: float | None = None
     t_end: float = 0.25
     a: float = 2.0
     d: float = 0.0
-    gamma: tuple = (1, 2, 4, 7)
-    dts: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
+    gamma: tuple[int, ...] = (1, 2, 4, 7)
+    dts: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4)
     outdir: str = "results"
-    load_degree: int | None = None
-    steady_tol: float = 1e-10
-    max_steps: int = 10000
+    load_degree: int | None = SolverConfig.load_degree
+    steady_tol: float = SolverConfig.steady_tol
+    max_steps: int = SolverConfig.max_steps
     write_vtk: bool = False
 
     def __post_init__(self):
@@ -140,22 +148,17 @@ class ExperimentSpec:
         config = self.solver_config()  # the stepper's own checks, before any mesh is built
         if self.kind == "ethier" and self.d != 0.0:
             check_t_end(config)  # run_transient's end-time check, from t = 0
-        object.__setattr__(self, "load_degree", config.load_degree)
-        object.__setattr__(self, "max_steps", config.max_steps)
+        for f in fields(SolverConfig):  # the stepper's normalized values (whole-number ints)
+            if f.name != "dt":
+                object.__setattr__(self, f.name, getattr(config, f.name))
 
     def solver_config(self):
-        """The stepper settings of this spec; a run that steps differently
-        (noflow's load degree, the sweep's dt, steady ethier's t_end=None)
-        derives its own with ``dataclasses.replace``."""
-        return SolverConfig(
-            nu=self.nu,
-            dt=self.resolved_dt(),
-            theta=self.theta,
-            t_end=self.t_end,
-            steady_tol=self.steady_tol,
-            max_steps=self.max_steps,
-            load_degree=self.load_degree,
-        )
+        """The stepper settings of this spec: every SolverConfig field
+        by name, with dt resolved.  A run that steps differently (noflow's
+        load degree, the sweep's dt, steady ethier's t_end=None) derives
+        its own with ``dataclasses.replace``."""
+        settings = {f.name: getattr(self, f.name) for f in fields(SolverConfig)}
+        return SolverConfig(**{**settings, "dt": self.resolved_dt()})
 
     def resolved_dt(self):
         if self.dt is not None:
@@ -217,11 +220,20 @@ class DtSweepReport:
 
 
 def least_squares_slope(h, err):
-    """Least-squares slope of log(err) against log(h)."""
+    """Least-squares slope of log(err) against log(h).
+
+    Every h and err must be positive and finite; ValueError names the
+    first entry that is not.
+    """
     h = np.asarray(h, dtype=float)
     err = np.asarray(err, dtype=float)
     if len(h) < 2:
         raise ValueError("slope fit needs at least two points")
+    for name, values in (("h", h), ("err", err)):
+        bad = np.flatnonzero(~((values > 0) & (values < np.inf)))
+        if len(bad):
+            i = bad[0]
+            raise ValueError(f"slope fit needs positive, finite {name}; {name}[{i}] = {values[i]}")
     return float(np.polyfit(np.log(h), np.log(err), 1)[0])
 
 
@@ -258,36 +270,20 @@ def _box_complex(n):
     return DeRhamComplex(build_box_mesh(n, n, n))
 
 
-def _error_pair(complex_, coeffs, exact, exact_derivative, t):
-    """(L2, graph) errors, relative when the exact norm is nonzero.
-
-    Fields that are identically zero (the irrotational steady case, the
-    zero total-head pressure of the exact flow family) get absolute
-    norms instead; mixing the two in one CSV column is the documented
-    convention for those columns.
-    """
-    err = complex_.error_norms(
-        coeffs, exact, exact_derivative=exact_derivative, t=t, relative=False
-    )
-    l2 = err.l2 / err.exact_l2 if err.exact_l2 > 1e-14 else err.l2
-    graph = err.graph / err.exact_graph if err.exact_graph > 1e-14 else err.graph
-    return l2, graph
-
-
 def _report_row(complex_, state, exact, t):
     """One CSV_HEADER row against ``exact`` = (u, omega, p, curl omega)."""
     exact_u, exact_w, exact_p, exact_wcurl = exact
-    ul2, uhdiv = _error_pair(complex_, state.u, exact_u, None, t)
-    wl2, whcurl = _error_pair(complex_, state.omega, exact_w, exact_wcurl, t)
-    pl2, _ = _error_pair(complex_, state.p, exact_p, None, t)
+    u = complex_.error_norms(state.u, exact_u, t=t)
+    w = complex_.error_norms(state.omega, exact_w, exact_wcurl, t=t)
+    p = complex_.error_norms(state.p, exact_p, t=t)
     return {
         "h": complex_.h,
         "ndof_u": complex_.V2.ndof,
-        "err_l2_u": ul2,
-        "err_hdiv_u": uhdiv,
-        "err_l2_w": wl2,
-        "err_hcurl_w": whcurl,
-        "err_l2_p": pl2,
+        "err_l2_u": u.rel_l2,
+        "err_hdiv_u": u.rel_graph,
+        "err_l2_w": w.rel_l2,
+        "err_hcurl_w": w.rel_graph,
+        "err_l2_p": p.rel_l2,
         "div_max": complex_.divergence_max(state.u.values),
     }
 
@@ -416,11 +412,17 @@ def run_dt_sweep(spec, f=None):
     for dt in spec.dts:
         config = replace(spec.solver_config(), dt=dt)
         state, _ = step(complex_, bc, config, init, f=f)
-        l2, hdiv = _error_pair(complex_, state.u, uex, None, state.t)
-        div_max = complex_.divergence_max(state.u.values)
-        row = dict(dt=dt, h=complex_.h, err_l2_u=l2, err_hdiv_u=hdiv, div_max=div_max)
-        report.rows.append(row)
-        lines.append(f"dt={dt:.1e}: err_l2_u={l2:.6e}")
+        err = complex_.error_norms(state.u, uex, t=state.t)
+        report.rows.append(
+            {
+                "dt": dt,
+                "h": complex_.h,
+                "err_l2_u": err.rel_l2,
+                "err_hdiv_u": err.rel_graph,
+                "div_max": complex_.divergence_max(state.u.values),
+            }
+        )
+        lines.append(f"dt={dt:.1e}: err_l2_u={err.rel_l2:.6e}")
         _maybe_vtk(spec, f"dtsweep_dt{dt:g}", complex_, state)
     lines.append(f"bounded: {report.bounded} (threshold {report.growth_bound:.6e})")
     return _write_outputs(spec, report, ("dt", "h", "err_l2_u", "err_hdiv_u", "div_max"), lines)
@@ -480,14 +482,6 @@ def parse_config(text):
     return options
 
 
-_INT_TUPLE_KEYS = {"n", "gamma"}
-_FLOAT_TUPLE_KEYS = {"dts"}
-_FLOAT_KEYS = {"nu", "theta", "dt", "t_end", "a", "d", "steady_tol"}
-_INT_KEYS = {"load_degree", "max_steps"}
-_BOOL_KEYS = {"write_vtk"}
-_STR_KEYS = {"outdir"}
-
-
 def parse_number(key, value, cast):
     """``cast(value)`` (int or float) for option ``key``, naming the
     option when the value does not parse."""
@@ -498,25 +492,29 @@ def parse_number(key, value, cast):
         raise ValueError(f"option {key}: expected {expected}, got {value!r}") from None
 
 
+def _parse_option(key, value, hint):
+    """One string option as the type ``hint`` of its ExperimentSpec field."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...]: comma-separated
+        return tuple(parse_number(key, v, args[0]) for v in value.split(",") if v.strip())
+    cast = args[0] if args else hint  # X | None parses as X
+    if cast is bool:
+        lowered = value.lower()
+        if lowered not in ("true", "false", "1", "0", "yes", "no"):
+            raise ValueError(f"option {key}: expected a boolean, got {value!r}")
+        return lowered in ("true", "1", "yes")
+    if cast is str:
+        return value
+    return parse_number(key, value, cast)
+
+
 def spec_from_options(kind, options):
-    """Typed ExperimentSpec from string options (config file / --set)."""
+    """Typed ExperimentSpec from string options (config file / --set);
+    each option parses as the type of the ExperimentSpec field it names."""
+    hints = typing.get_type_hints(ExperimentSpec)
     kwargs = {}
     for key, value in options.items():
-        if key in _INT_TUPLE_KEYS:
-            kwargs[key] = tuple(parse_number(key, v, int) for v in value.split(",") if v.strip())
-        elif key in _FLOAT_TUPLE_KEYS:
-            kwargs[key] = tuple(parse_number(key, v, float) for v in value.split(",") if v.strip())
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = parse_number(key, value, float)
-        elif key in _INT_KEYS:
-            kwargs[key] = parse_number(key, value, int)
-        elif key in _BOOL_KEYS:
-            lowered = value.lower()
-            if lowered not in ("true", "false", "1", "0", "yes", "no"):
-                raise ValueError(f"option {key}: expected a boolean, got {value!r}")
-            kwargs[key] = lowered in ("true", "1", "yes")
-        elif key in _STR_KEYS:
-            kwargs[key] = value
-        else:
+        if key == "kind" or key not in hints:
             raise ValueError(f"unknown option {key!r}")
+        kwargs[key] = _parse_option(key, value, hints[key])
     return ExperimentSpec(kind=kind, **kwargs)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .solver import whole_number
+
 __all__ = [
     "ethier_velocity",
     "ethier_vorticity",
@@ -83,8 +85,9 @@ def gradient_of_power(gamma, domain_volume_moment):
 
     ``domain_volume_moment`` is the integral of z**gamma over the
     domain; the returned field is grad(z**gamma) / that integral.
+    ``gamma`` must be a whole number of at least 1 (ValueError).
     """
-    gamma = int(gamma)
+    gamma = whole_number("gamma", gamma)
     if gamma < 1:
         raise ValueError("gamma must be a positive integer")
     c = float(domain_volume_moment)

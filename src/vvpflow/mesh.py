@@ -446,14 +446,15 @@ def read_tetmesh(path):
             f"found {len(lines)}"
         )
     try:
-        verts = np.array([[float(v) for v in ln.split()] for ln in lines[1 : 1 + nv]])
-        tets = np.array(
-            [[int(v) for v in ln.split()] for ln in lines[1 + nv :]], dtype=np.int64
-        )
+        verts = [[float(v) for v in ln.split()] for ln in lines[1 : 1 + nv]]
+        tets = [[int(v) for v in ln.split()] for ln in lines[1 + nv :]]
     except ValueError as exc:
         raise ValueError(f"{path}: malformed vertex or tet line") from exc
-    if nv and verts.shape != (nv, 3):
+    if any(len(row) != 3 for row in verts):
         raise ValueError(f"{path}: vertex lines must hold 3 coordinates")
-    if nt and tets.shape != (nt, 4):
+    if any(len(row) != 4 for row in tets):
         raise ValueError(f"{path}: tet lines must hold 4 vertex indices")
+    # Shaped even when empty, so that the mesh itself reports a file without tets.
+    verts = np.array(verts, dtype=float).reshape(nv, 3)
+    tets = np.array(tets, dtype=np.int64).reshape(nt, 4)
     return SimplicialMesh3(verts, tets)

@@ -405,10 +405,10 @@ def run_transient(
 ):
     """March the implicit stepper from an initial state.
 
-    Either ``state`` or analytic ``velocity_data`` (at t0 = 0) must be
-    given.  With ``config.t_end`` set the run covers [t0, t_end], which
-    must be a whole number of steps long (within 1e-9 relative), or
-    ValueError is raised before any work; otherwise it is a
+    Exactly one of ``state`` or analytic ``velocity_data`` (at t0 = 0)
+    must be given.  With ``config.t_end`` set the run covers [t0,
+    t_end], which must be a whole number of steps long (within 1e-9
+    relative), or ValueError is raised before any work; otherwise it is a
     pseudo-time iteration that stops once the relative update per unit
     time falls below ``config.steady_tol`` and raises
     SteadyStateNotReached if max_steps pass first.  Observers are called
@@ -416,6 +416,8 @@ def run_transient(
     """
     if state is None and velocity_data is None:
         raise ValueError("either an initial state or velocity data is required")
+    if state is not None and velocity_data is not None:
+        raise ValueError("give an initial state or velocity data, not both")
     t0 = 0.0 if state is None else state.t
     to_steady = config.t_end is None
     if not to_steady:

@@ -27,6 +27,11 @@ Every basis function is affine in the barycentric coordinates.  A
 :class:`DeRhamComplex` holds each tet's affine coefficients once, and
 its :class:`WhitneyTabulation` of a volume rule contracts them with the
 rule's points and lambda moments, so no basis values are stored.
+
+:func:`error_norms` measures a discrete form against analytic fields
+with the rule of degree ERROR_DEGREE.  Its :class:`ErrorNorms` holds one
+relative-error rule: the error over the exact norm, or the absolute
+error where the exact field is identically zero.
 """
 from __future__ import annotations
 
@@ -376,24 +381,33 @@ class ErrorNorms:
     graph is the H(curl) norm for k=1, H(div) for k=2, and equals the
     L2 norm for k=3 (the derivative of a 3-form vanishes).  ``exact_l2``
     and ``exact_graph`` are the same norms of the exact field itself.
+    ``rel_l2`` and ``rel_graph`` divide each error by its exact norm,
+    or are the absolute error where that norm is exactly 0 (an
+    identically zero exact field, such as the zero total-head pressure
+    of the Ethier-Steinman family).
     """
 
     l2: float
     graph: float
     exact_l2: float
     exact_graph: float
-    rel_l2: float | None = None
-    rel_graph: float | None = None
+
+    @property
+    def rel_l2(self):
+        return self.l2 / self.exact_l2 if self.exact_l2 != 0 else self.l2
+
+    @property
+    def rel_graph(self):
+        return self.graph / self.exact_graph if self.exact_graph != 0 else self.graph
 
 
-def error_norms(tabulation, coeffs, exact, exact_derivative=None, t=0.0, relative=True):
+def error_norms(tabulation, coeffs, exact, exact_derivative=None, t=0.0):
     """L2 and graph-norm errors of a discrete form against analytic fields.
 
     ``exact(points, t)`` gives the field itself; ``exact_derivative`` the
     curl (k=1) or divergence (k=2).  A missing derivative field is
     treated as zero.  The norms use the points of ``tabulation`` and the
-    incidence matrices of its complex.  Relative norms divide by the
-    norms of the exact field and raise if those vanish.
+    incidence matrices of its complex.
     """
     space = coeffs.space
     W = tabulation.weights
@@ -422,11 +436,7 @@ def error_norms(tabulation, coeffs, exact, exact_derivative=None, t=0.0, relativ
     graph = np.sqrt(err2 + derr2)
     ex_l2 = np.sqrt(ex2)
     ex_graph = np.sqrt(ex2 + dex2)
-    if not relative:
-        return ErrorNorms(l2, graph, ex_l2, ex_graph)
-    if ex_l2 < 1e-300 or ex_graph < 1e-300:
-        raise ValueError("relative error undefined: exact field has zero norm")
-    return ErrorNorms(l2, graph, ex_l2, ex_graph, l2 / ex_l2, graph / ex_graph)
+    return ErrorNorms(l2, graph, ex_l2, ex_graph)
 
 
 class DeRhamComplex:
@@ -469,9 +479,9 @@ class DeRhamComplex:
     def interpolate(self, fielddata, k, t=0.0):
         return interpolate(fielddata, self.space(k), t=t)
 
-    def error_norms(self, coeffs, exact, exact_derivative=None, t=0.0, relative=True):
+    def error_norms(self, coeffs, exact, exact_derivative=None, t=0.0):
         tabulation = self.tabulation(ERROR_DEGREE)
-        return error_norms(tabulation, coeffs, exact, exact_derivative, t, relative)
+        return error_norms(tabulation, coeffs, exact, exact_derivative, t)
 
     def divergence_max(self, u_values):
         """Sup norm of the pointwise divergence density of a 2-form."""

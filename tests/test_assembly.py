@@ -515,4 +515,4 @@ def test_data_of_a_wrong_shape_or_not_finite_is_named(complex_n2, data, message)
     with pytest.raises(ValueError, match=re.escape(message)):
         assemble_rhs(complex_n2, bc, f2=data.get("f2"), f3=data.get("f3"), t=0.25)
         u = FormCoefficients.zeros(complex_n2.V2)
-        complex_n2.error_norms(u, data.get("exact"), t=0.25, relative=False)
+        complex_n2.error_norms(u, data.get("exact"), t=0.25)

@@ -1,4 +1,5 @@
 """Experiment drivers, config parsing, CSV/VTK output, and the CLI."""
+import dataclasses
 import os
 import warnings
 
@@ -28,7 +29,7 @@ from vvpflow.fields import gradient_of_power
 from vvpflow.mesh import build_box_mesh, write_tetmesh
 from vvpflow.solver import SolverConfig, initialize_state, step
 from vvpflow.spaces import DeRhamComplex
-from vvpflow.vtk_io import cell_fields, write_vtk, write_vtk_fields
+from vvpflow.vtk_io import write_vtk_fields
 
 import oracles
 from conftest import carved_box
@@ -95,6 +96,18 @@ def test_least_squares_slope_recovers_exact_power():
     assert least_squares_slope(h, 3.0 * h**2) == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ValueError, match="two points"):
         least_squares_slope([0.5], [1.0])
+    # A zero, negative or non-finite entry has no logarithm: the fit names
+    # it instead of returning nan with a numpy warning.
+    bad = [
+        ([0.5, 0.25], [0.1, 0.0], r"err\[1\] = 0.0"),
+        ([0.5, 0.25], [-0.1, 0.05], r"err\[0\] = -0.1"),
+        ([0.5, np.nan], [0.1, 0.05], r"h\[1\] = nan"),
+        ([np.inf, 0.25], [0.1, 0.05], r"h\[0\] = inf"),
+    ]
+    for h, err, match in bad:
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=match):
+            warnings.simplefilter("error")
+            least_squares_slope(h, err)
 
 
 def test_convergence_report_helpers():
@@ -170,6 +183,24 @@ def test_spec_from_options_typing():
     assert spec.write_vtk is True
     assert spec.outdir == "out"
     assert spec.dts == (0.1, 0.01)
+
+
+def test_every_spec_field_round_trips_through_options():
+    """Each ExperimentSpec field but ``kind`` parses from the string of
+    its value, with its type kept, so no field can be left unparseable."""
+    base = ExperimentSpec(kind="ethier", dt=0.05, load_degree=5, write_vtk=True)
+    for f in dataclasses.fields(ExperimentSpec):
+        if f.name == "kind":
+            continue
+        value = getattr(base, f.name)
+        text = ",".join(map(repr, value)) if isinstance(value, tuple) else str(value)
+        parsed = getattr(spec_from_options("ethier", {f.name: text}), f.name)
+        assert parsed == value, f.name
+        assert type(parsed) is type(value), f.name
+        if isinstance(value, tuple):
+            assert [type(v) for v in parsed] == [type(v) for v in value], f.name
+    with pytest.raises(ValueError, match="unknown option 'kind'"):
+        spec_from_options("ethier", {"kind": "noflow"})
 
 
 def test_spec_from_options_rejects_unknown_and_bad_bool():
@@ -505,6 +536,17 @@ def test_cli_mesh_info_rejects_unknown_option(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("nv", [4, 0])
+def test_cli_mesh_info_names_a_mesh_file_without_tets(tmp_path, nv):
+    """A file with no tet lines (with or without vertices) is reported as
+    a mesh without tets, not as an array of the wrong shape."""
+    path = tmp_path / "empty.mesh"
+    vertices = ["0 0 0", "1 0 0", "0 1 0", "0 0 1"][:nv]
+    path.write_text("\n".join([f"tetmesh {nv} 0", *vertices]) + "\n")
+    with pytest.raises(SystemExit, match="^error: a mesh needs at least one tet$"):
+        main(["mesh-info", "--set", f"mesh={path}"])
+
+
 def test_cli_mesh_info_rejects_missing_mesh(tmp_path):
     with pytest.raises(SystemExit, match="error: .*No such file"):
         main(["mesh-info", "--set", f"mesh={tmp_path / 'missing.mesh'}"])
@@ -548,24 +590,25 @@ def test_vtk_round_trip(tmp_path, complex_n1):
     )
 
 
-def test_cell_fields_evaluates_at_barycenters(complex_n1):
+def test_cell_fields_evaluates_at_barycenters(tmp_path, complex_n1):
+    """The written velocity and vorticity are the fields at each tet's
+    barycenter; the scalars and vectors come in a fixed order."""
     state = make_uniform_state(complex_n1)
-    scalars, vectors = cell_fields(complex_n1, state)
-    np.testing.assert_allclose(
-        vectors["velocity"],
-        np.broadcast_to([1.0, 0.0, 0.0], (complex_n1.mesh.n_tets, 3)),
-        atol=1e-13,
-    )
-    assert set(scalars) == {"pressure", "divergence"}
-    assert set(vectors) == {"velocity", "vorticity"}
-
-
-def test_vtk_writer_validation(tmp_path, complex_n1):
+    path = tmp_path / "fields.vtk"
+    write_vtk_fields(path, complex_n1, state)
+    data = oracles.parse_vtk(path.read_text())
     mesh = complex_n1.mesh
-    with pytest.raises(ValueError, match="must not contain spaces"):
-        write_vtk(tmp_path / "x.vtk", mesh, cell_scalars={"a b": np.zeros(mesh.n_tets)})
-    with pytest.raises(ValueError, match="wrong shape"):
-        write_vtk(tmp_path / "x.vtk", mesh, cell_vectors={"v": np.zeros((3, 3))})
+    center = [0.25] * 4
+    for name, coeffs in (("velocity", state.u), ("vorticity", state.omega)):
+        want = [oracles.evaluate(coeffs, tet, center) for tet in range(mesh.n_tets)]
+        np.testing.assert_allclose(data["cell_vectors"][name], want, rtol=1e-8, atol=1e-12)
+    np.testing.assert_allclose(
+        data["cell_vectors"]["velocity"],
+        np.broadcast_to([1.0, 0.0, 0.0], (mesh.n_tets, 3)),
+        atol=1e-9,
+    )
+    assert list(data["cell_scalars"]) == ["divergence", "pressure"]
+    assert list(data["cell_vectors"]) == ["velocity", "vorticity"]
 
 
 def test_experiment_writes_vtk_when_asked(tmp_path):

@@ -150,6 +150,9 @@ def test_gradient_of_power(points):
     np.testing.assert_array_equal(vals[:, :2], np.zeros((len(points), 2)))
     with pytest.raises(ValueError):
         gradient_of_power(0, 1.0)
+    # A fractional exponent is refused, not truncated to the integer below.
+    with pytest.raises(ValueError, match="gamma must be a whole number, got 2.5"):
+        gradient_of_power(2.5, c)
 
 
 def test_manufactured_stokes_fields(points):

@@ -343,8 +343,14 @@ def test_steady_failure_raises(complex_n2):
 
 def test_run_requires_state_or_data(complex_n2):
     config = SolverConfig(t_end=0.01)
+    bc = BoundaryConditionSpec(RegionBC())
     with pytest.raises(ValueError, match="initial state or velocity data"):
-        run_transient(complex_n2, BoundaryConditionSpec(RegionBC()), config)
+        run_transient(complex_n2, bc, config)
+    # Velocity data next to a state would be ignored: refused before any step.
+    rest = lambda p, t=0.0: np.zeros((len(p), 3))  # noqa: E731
+    state = initialize_state(complex_n2, bc, rest)
+    with pytest.raises(ValueError, match="not both"):
+        run_transient(complex_n2, bc, config, state=state, velocity_data=rest)
 
 
 def test_t_end_beyond_max_steps_raises(complex_n2):

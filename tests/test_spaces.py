@@ -460,15 +460,24 @@ def test_error_norms_of_zero_against_constant(complex_n1):
     assert err.exact_l2 == err.exact_graph == err.l2
 
 
-def test_error_norms_relative_rejects_zero_exact(complex_n1):
-    zero = FormCoefficients.zeros(complex_n1.V2)
-    with pytest.raises(ValueError, match="zero norm"):
-        complex_n1.error_norms(zero, lambda p, t=0.0: np.zeros_like(p))
-    abs_err = complex_n1.error_norms(
-        zero, lambda p, t=0.0: np.zeros_like(p), relative=False
+def test_error_norms_relative_is_absolute_for_zero_exact(complex_n1):
+    """Against an identically zero exact field the relative errors are
+    the absolute ones, for the L2 and the graph norm alike."""
+    values = np.zeros(complex_n1.V2.ndof)
+    values[complex_n1.mesh.tet_faces[0]] = [1.0, 0.5, -0.25, 0.75]
+    coeffs = FormCoefficients(complex_n1.V2, values)
+    err = complex_n1.error_norms(coeffs, lambda p, t=0.0: np.zeros_like(p))
+    assert err.exact_l2 == err.exact_graph == 0.0
+    assert err.l2 > 0 and err.graph > err.l2
+    assert (err.rel_l2, err.rel_graph) == (err.l2, err.graph)
+    # Only the zero exact norm switches to absolute: the derivative alone
+    # makes the graph norm nonzero and relative, while the L2 stays absolute.
+    err = complex_n1.error_norms(
+        coeffs, lambda p, t=0.0: np.zeros_like(p), lambda p, t=0.0: np.ones(len(p))
     )
-    assert abs_err.l2 == 0.0
-    assert abs_err.rel_l2 is None
+    assert err.exact_l2 == 0.0 < err.exact_graph
+    assert err.rel_l2 == err.l2
+    assert err.rel_graph == err.graph / err.exact_graph
 
 
 def test_error_norms_graph_includes_derivative_mismatch(complex_n1):
@@ -477,7 +486,7 @@ def test_error_norms_graph_includes_derivative_mismatch(complex_n1):
     values[complex_n1.mesh.tet_faces[0]] = [1.0, 0.5, -0.25, 0.75]
     coeffs = FormCoefficients(complex_n1.V2, values)
     tab = complex_n1.tabulation(ERROR_DEGREE)
-    err = error_norms(tab, coeffs, lambda p, t=0.0: np.zeros_like(p), relative=False)
+    err = error_norms(tab, coeffs, lambda p, t=0.0: np.zeros_like(p))
     div = derivative_matrix(complex_n1.V2) @ values
     dens = div / complex_n1.mesh.tet_volumes
     want_dl2 = float(np.sqrt(np.sum(div * dens)))
@@ -486,7 +495,7 @@ def test_error_norms_graph_includes_derivative_mismatch(complex_n1):
 
 def test_volume_form_graph_norm_equals_l2(complex_n1):
     coeffs = complex_n1.interpolate(lambda p, t=0.0: p[:, 2], 3)
-    err = complex_n1.error_norms(coeffs, lambda p, t=0.0: np.zeros(len(p)), relative=False)
+    err = complex_n1.error_norms(coeffs, lambda p, t=0.0: np.zeros(len(p)))
     assert err.graph == err.l2
 
 
