@@ -31,7 +31,7 @@ def _collect_options(args):
             options.update(parse_config(fh.read()))
     for item in args.set or []:
         if "=" not in item:
-            raise SystemExit(f"--set expects key=value, got {item!r}")
+            raise ValueError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         options[key.strip()] = value.strip()
     return options

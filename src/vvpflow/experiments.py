@@ -141,8 +141,8 @@ class ExperimentSpec:
         if self.kind == "dtsweep":
             if not self.dts:
                 raise ValueError("dtsweep needs a nonempty time-step list")
-            if list(self.dts) != sorted(self.dts, reverse=True):
-                raise ValueError("time-step list must decrease")
+            if list(self.dts) != sorted(set(self.dts), reverse=True):
+                raise ValueError("time-step list must decrease strictly")
         if self.kind == "ethier" and self.d != 0.0 and len(self.n) < 2:
             raise ValueError("convergence sweeps need at least two meshes")
         config = self.solver_config()  # the stepper's own checks, before any mesh is built

@@ -10,21 +10,23 @@ Blocks become one CSR matrix only in :func:`stack_blocks`, which can
 join explicit-zero slots to the pattern and says where they sit.
 Elimination has one path: :func:`eliminate` reduces the CSR pattern of
 a whole system (explicit zeros keep their slots) to its free unknowns
-once, and :meth:`ReducedSystem.refill` reduces each fill of the pattern,
-with the right-hand side ``(b - A x_fixed)[free]``.
-:func:`assemble_blocks` stacks, eliminates and fills a system once.
+once, listed in an elimination order, and :meth:`ReducedSystem.refill`
+reduces each fill of the pattern, with the right-hand side
+``(b - A x_fixed)[free]``.  :func:`assemble_blocks` stacks, eliminates
+and fills a system once.
 
-The solver hands :func:`solve` the mesh's nested-dissection order
+The order is applied there and nowhere else.  The solver reduces its
+system in the mesh's nested-dissection order
 (``SimplicialMesh3.elimination_order``), in which every pressure cell
-follows the face it pairs with.  SuperLU factors in that order as
-given, in symmetric mode, and leaves the diagonal only for a pivot
-below ``diag_pivot_thresh`` of its column: that threshold, not static
-pivoting, is what keeps the zero pressure and Stokes velocity diagonals
-from breaking the factor, and it keeps the fill of the order.  A
-:class:`FactorHolder` lets a sequence of nearby systems, such as the
-steps of one run, share one factor through iterative refinement, and
-each refinement may start from the previous system's solution.  The
-factor may be float32, as the time steps' is: refinement, its residual
+follows the face it pairs with, and :func:`solve` factors the reduced
+matrix as given: SuperLU eliminates in index order, in symmetric mode,
+and leaves the diagonal only for a pivot below ``diag_pivot_thresh`` of
+its column.  That threshold, not static pivoting, is what keeps the zero
+pressure and Stokes velocity diagonals from breaking the factor, and it
+keeps the fill of the order.  A :class:`FactorHolder` lets a sequence of
+nearby systems, such as the steps of one run, share one factor through
+iterative refinement, and each refinement may start from the previous
+system's solution.  The factor may be float32, as the time steps' is: refinement, its residual
 and the residual contract stay float64, so the precision of the factor
 moves how many passes a solve takes, not what it returns (mixed-precision
 refinement: Buttari et al., ACM TOMS 2008; Carson & Higham, SIAM J. Sci.
@@ -50,7 +52,6 @@ __all__ = [
     "eliminate",
     "group_offsets",
     "stack",
-    "stack_constraints",
     "solve",
     "solve_reduced",
     "solve_spd",
@@ -88,14 +89,6 @@ def stack(groups, vectors):
     """One vector of all unknowns from ``{group: vector}``; missing groups are zero."""
     parts = [np.broadcast_to(vectors.get(g, 0.0), (n,)) for g, n in groups.items()]
     return np.concatenate(parts)
-
-
-def stack_constraints(groups, constraints):
-    """``{group: (indices, values)}`` -> (indices into the stacked unknowns, values)."""
-    offsets = group_offsets(groups)
-    idx = [np.empty(0, np.int64), *(offsets[g] + i for g, (i, _) in constraints.items())]
-    vals = [np.empty(0), *(v for _, v in constraints.values())]
-    return np.concatenate(idx), np.concatenate(vals)
 
 
 @dataclass
@@ -146,18 +139,26 @@ class ReducedSystem:
         }
 
 
-def eliminate(pattern, groups, fixed):
+def eliminate(pattern, groups, fixed, order=None):
     """Reduce a square CSR system to its free unknowns, once per pattern.
 
     ``pattern`` keeps its explicit zeros as slots, ``groups`` names the
     sizes of its groups and ``fixed`` holds the stacked indices of its
-    fixed unknowns.  One fancy index of a CSR whose data are the
-    pattern's entry positions plus one (so that none is zero) yields the
-    free x free matrix and where each of its entries comes from.
+    fixed unknowns.  ``order``, which lists every unknown exactly once
+    (index order when None), is the elimination order: ``free`` lists the
+    free unknowns in it, and the reduced matrix, its right-hand side and
+    solution follow ``free``.  One fancy index of a CSR whose data are
+    the pattern's entry positions plus one (so that none is zero) yields
+    the free x free matrix and where each of its entries comes from;
+    within each row the entries keep the pattern's order.
     """
-    is_free = np.ones(pattern.shape[0], dtype=bool)
+    n = pattern.shape[0]
+    order = np.arange(n) if order is None else np.asarray(order)
+    if not np.array_equal(np.sort(order), np.arange(n)):
+        raise ValueError(f"order must list each of the {n} unknowns exactly once")
+    is_free = np.ones(n, dtype=bool)
     is_free[fixed] = False
-    free = np.flatnonzero(is_free)
+    free = order[is_free[order]]
     entries = np.arange(1, pattern.nnz + 1)
     matrix = sp.csr_matrix((entries, pattern.indices, pattern.indptr), shape=pattern.shape)
     matrix = matrix[free][:, free]
@@ -202,9 +203,11 @@ def assemble_blocks(groups, blocks, rhs=None, constraints=None):
     restores the fixed values on expansion.
     """
     a, _ = stack_blocks(groups, blocks)
-    fixed, values = stack_constraints(groups, constraints or {})
-    reduced = eliminate(a, groups, fixed)
-    reduced.refill(a.data, stack(groups, rhs or {}), values)
+    constraints, offsets = constraints or {}, group_offsets(groups)
+    fixed = [np.empty(0, np.int64), *(offsets[g] + i for g, (i, _) in constraints.items())]
+    values = [np.empty(0), *(v for _, v in constraints.values())]
+    reduced = eliminate(a, groups, np.concatenate(fixed))
+    reduced.refill(a.data, stack(groups, rhs or {}), np.concatenate(values))
     return reduced
 
 
@@ -234,19 +237,18 @@ class FactorHolder:
     dtype: type = np.float64
 
 
-def solve(matrix, rhs, order=None, factor=None, x0=None):
-    """Sparse LU solve in a given elimination order, with a checked residual.
+def solve(matrix, rhs, factor=None, x0=None):
+    """Sparse LU solve in the matrix's own order, with a checked residual.
 
-    SuperLU factors the matrix with its rows and columns permuted by
-    ``order`` (identity when omitted), in that order (NATURAL, symmetric
-    mode): each pivot stays on the diagonal unless it is below
-    ``diag_pivot_thresh`` times its column's largest entry.  Static
-    pivots (threshold 0) are not used: the pressure diagonal of the
-    saddle systems is structurally zero, and so is the velocity diagonal
-    of a Stokes system, so a factor that never leaves the diagonal
-    breaks down there (relative residual 1e25 at n=8).
+    SuperLU factors the matrix as given, eliminating its unknowns in
+    index order (NATURAL, symmetric mode): each pivot stays on the
+    diagonal unless it is below ``diag_pivot_thresh`` times its column's
+    largest entry.  Static pivots (threshold 0) are not used: the
+    pressure diagonal of the saddle systems is structurally zero, and so
+    is the velocity diagonal of a Stokes system, so a factor that never
+    leaves the diagonal breaks down there (relative residual 1e25 at n=8).
 
-    Iterative refinement on the unpermuted system follows the
+    Iterative refinement on the same system follows the
     back-substitution while the relative residual is above
     ``ROUNDOFF_RESIDUAL`` and each pass at least halves it
     (``REFINE_RATE``), for at most ``REFINE_MAX_PASSES`` passes.  Given
@@ -266,14 +268,14 @@ def solve(matrix, rhs, order=None, factor=None, x0=None):
     same loop, and without a holder every call factors, in float64.
 
     The holder's ``dtype`` sets the precision of the factor
-    (``csc_matrix(a[p][:, p], dtype=...)``); refinement is float64
-    either way, on the right-hand side (and ``x0``) scaled by a power of
-    two that brings the right-hand side to unit size.  A fresh float32
-    factor must refine to roundoff, and a
-    held one of this matrix to ``RESIDUAL_TOL``: one that breaks down in
-    SuperLU, gives non-finite values or ends above that is replaced by a
-    float64 factor of this matrix, and the holder stays float64.  The
-    passes of every factor tried count in the holder's ``passes``.
+    (``csc_matrix(a, dtype=...)``); refinement is float64 either way, on
+    the right-hand side (and ``x0``) scaled by a power of two that brings
+    the right-hand side to unit size.  A fresh float32 factor must refine
+    to roundoff, and a held one of this matrix to ``RESIDUAL_TOL``: one
+    that breaks down in SuperLU, gives non-finite values or ends above
+    that is replaced by a float64 factor of this matrix, and the holder
+    stays float64.  The passes of every factor tried count in the
+    holder's ``passes``.
     Returns the solution and its relative residual, checked against
     ``RESIDUAL_TOL``.  Raises SingularSystemError when factorization
     hits an exactly singular pivot, SolverError when the residual
@@ -289,20 +291,19 @@ def solve(matrix, rhs, order=None, factor=None, x0=None):
     rhs = rhs * scale
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float) * scale
-    p = np.arange(a.shape[0]) if order is None else np.asarray(order)
     holder = FactorHolder() if factor is None else factor
     holder.reused = holder.lu is not None
     holder.passes = 0
     while True:
         if holder.lu is None:
             try:
-                holder.lu, holder.matrix = _factor(a, p, holder.dtype), a.copy()
+                holder.lu, holder.matrix = _factor(a, holder.dtype), a.copy()
             except SingularSystemError:
                 if holder.dtype == np.float64:
                     raise
                 holder.dtype = np.float64
                 continue
-        x, res, passes = _refine(holder.lu, p, a, rhs, holder.dtype, x0)
+        x, res, passes = _refine(holder.lu, a, rhs, holder.dtype, x0)
         holder.passes += passes
         if res <= ROUNDOFF_RESIDUAL:
             break
@@ -324,10 +325,10 @@ def solve(matrix, rhs, order=None, factor=None, x0=None):
     return x / scale, res
 
 
-def _factor(a, p, dtype):
+def _factor(a, dtype):
     try:
         return spla.splu(
-            sp.csc_matrix(a[p][:, p], dtype=dtype),
+            sp.csc_matrix(a, dtype=dtype),
             permc_spec="NATURAL",
             diag_pivot_thresh=diag_pivot_thresh,
             options={"SymmetricMode": True},
@@ -338,7 +339,7 @@ def _factor(a, p, dtype):
         ) from exc
 
 
-def _refine(lu, p, a, rhs, dtype, x0):
+def _refine(lu, a, rhs, dtype, x0):
     """Refinement from ``x0``, or from the back-substitution when it is
     None; returns (x, residual, passes).
 
@@ -348,9 +349,7 @@ def _refine(lu, p, a, rhs, dtype, x0):
     """
 
     def lu_solve(b):
-        x = np.empty_like(b)
-        x[p] = lu.solve(b[p].astype(dtype, copy=False))
-        return x
+        return lu.solve(b.astype(dtype, copy=False)).astype(float, copy=False)
 
     x = lu_solve(rhs) if x0 is None else x0
     if not np.all(np.isfinite(x)):
@@ -369,22 +368,14 @@ def _refine(lu, p, a, rhs, dtype, x0):
     return x, res, passes
 
 
-def solve_reduced(reduced, order=None, factor=None, x0=None):
+def solve_reduced(reduced, factor=None, x0=None):
     """Solve a ReducedSystem; returns the full DOF vector and the residual.
 
-    ``order`` is an elimination order of the full unknowns (or of a
-    leading part of them, such as ``mesh.elimination_order``, which also
-    lists the faces and cells of an edge-only system); it is narrowed to
-    the free unknowns with their relative order kept.  ``factor`` and
-    ``x0``, an initial iterate of the free unknowns, are passed on to
-    :func:`solve`.
+    The reduced matrix is factored in the order :func:`eliminate` gave
+    it.  ``factor`` and ``x0``, an initial iterate of the free unknowns
+    in that order (``full[reduced.free]``), are passed on to :func:`solve`.
     """
-    if order is not None:
-        rank = np.full(len(order), -1)
-        rank[reduced.free] = np.arange(len(reduced.free))
-        order = rank[order]
-        order = order[order >= 0]
-    x, res = solve(reduced.matrix, reduced.rhs, order=order, factor=factor, x0=x0)
+    x, res = solve(reduced.matrix, reduced.rhs, factor=factor, x0=x0)
     return reduced.expand(x), res
 
 

@@ -1,14 +1,16 @@
 """Quadrature rules on reference simplices.
 
-Rules are conical products of Gauss-Jacobi lines (Stroud), so all weights
-are positive at every exactness degree.  Points are stored in barycentric
-coordinates and weights sum to the reference-simplex measure: 1 for the
-segment, 1/2 for the unit triangle, 1/6 for the unit tetrahedron.
+Rules are conical products of Gauss-Jacobi lines (Stroud, *Approximate
+Calculation of Multiple Integrals*, 1971), so all weights are positive at
+every exactness degree; one function builds them for the segment, the
+triangle and the tetrahedron.  Points are stored in barycentric coordinates and
+weights sum to the reference-simplex measure: 1 for the segment, 1/2 for
+the unit triangle, 1/6 for the unit tetrahedron.
 
 A rule with m points per axis is exact to degree 2m - 1, so the degrees
 2m - 2 and 2m - 1 ask for the same rule.  Each rule is built, and
 checked for monomial exactness against closed-form moments, once per
-point count; the cached rule is shared, so its arrays are read-only.
+dimension and point count; the cached rule is shared, so its arrays are read-only.
 A rule object can be trusted to integrate any polynomial up to
 ``exactness_degree`` exactly.
 """
@@ -106,52 +108,41 @@ def points_per_axis(degree: int) -> int:
 
 def edge_rule(degree: int) -> QuadratureRule:
     """Gauss-Legendre rule on the reference segment, barycentric storage."""
-    return _edge_rule(points_per_axis(degree))
+    return _conical_rule(1, points_per_axis(degree))
 
 
 def triangle_rule(degree: int) -> QuadratureRule:
     """Conical-product rule on the unit triangle, exact to ``degree``."""
-    return _triangle_rule(points_per_axis(degree))
+    return _conical_rule(2, points_per_axis(degree))
 
 
 def tet_rule(degree: int) -> QuadratureRule:
     """Conical-product rule on the unit tetrahedron, exact to ``degree``."""
-    return _tet_rule(points_per_axis(degree))
+    return _conical_rule(3, points_per_axis(degree))
 
 
 @functools.cache
-def _edge_rule(m: int) -> QuadratureRule:
-    u, w = _jacobi01(m, 0)
-    pts = np.column_stack([1.0 - u, u])
-    rule = QuadratureRule(pts, w, 2 * m - 1)
-    _verify(rule)
-    return rule
+def _conical_rule(d: int, m: int) -> QuadratureRule:
+    """Stroud's conical product of m Gauss-Jacobi points per axis on the
+    unit d-simplex.
 
-
-@functools.cache
-def _triangle_rule(m: int) -> QuadratureRule:
-    u1, w1 = _jacobi01(m, 1)
-    u2, w2 = _jacobi01(m, 0)
-    x = np.repeat(u1, m)
-    y = np.tile(u2, m) * (1.0 - x)
-    w = np.repeat(w1, m) * np.tile(w2, m)
-    pts = np.column_stack([1.0 - x - y, x, y])
-    rule = QuadratureRule(pts, w, 2 * m - 1)
-    _verify(rule)
-    return rule
-
-
-@functools.cache
-def _tet_rule(m: int) -> QuadratureRule:
-    u1, w1 = _jacobi01(m, 2)
-    u2, w2 = _jacobi01(m, 1)
-    u3, w3 = _jacobi01(m, 0)
-    x = np.repeat(u1, m * m)
-    eta = np.tile(np.repeat(u2, m), m)
-    y = eta * (1.0 - x)
-    z = np.tile(u3, m * m) * (1.0 - x) * (1.0 - eta)
-    w = np.repeat(w1, m * m) * np.tile(np.repeat(w2, m), m) * np.tile(w3, m * m)
-    pts = np.column_stack([1.0 - x - y - z, x, y, z])
-    rule = QuadratureRule(pts, w, 2 * m - 1)
+    Axis i = 0..d-1 carries the weight (1-u)^(d-1-i), the Jacobian of
+    collapsing the later axes, and the first axis varies slowest.  The
+    Cartesian coordinate x_{i+1} is u_i (1-u_0) ... (1-u_{i-1}) and
+    lambda_0 is 1 - x_1 - ... - x_d, both evaluated left to right.
+    """
+    axes = [_jacobi01(m, d - 1 - i) for i in range(d)]
+    u = [g.ravel() for g in np.meshgrid(*(x for x, _ in axes), indexing="ij")]
+    w = [g.ravel() for g in np.meshgrid(*(w for _, w in axes), indexing="ij")]
+    coords = []
+    for i, c in enumerate(u):
+        for earlier in u[:i]:
+            c = c * (1.0 - earlier)
+        coords.append(c)
+    lambda0 = 1.0 - coords[0]
+    for c in coords[1:]:
+        lambda0 = lambda0 - c
+    weights = functools.reduce(np.multiply, w)
+    rule = QuadratureRule(np.column_stack([lambda0, *coords]), weights, 2 * m - 1)
     _verify(rule)
     return rule

@@ -20,9 +20,11 @@ saddle matrix.  It holds only the matrix, built once: the harmonic
 space, the resolved boundary (``assembly.ResolvedBoundary``), the
 :func:`assemble_B0` blocks and ``M2/dt``, their CSR pattern with the
 convection slots (``linalg.stack_blocks``) and its reduction to the free
-unknowns (``linalg.eliminate``).  Each solve is given its loads, adds the
-per-cell convection blocks into that pattern, evaluates the right-hand
-side (:func:`assemble_rhs`) and refills the reduction.
+unknowns, listed in the mesh's nested-dissection order
+(``linalg.eliminate``), which every factor keeps.  Each solve is given
+its loads, adds the per-cell convection blocks into that pattern,
+evaluates the right-hand side (:func:`assemble_rhs`) and refills the
+reduction.
 :func:`run_transient` builds one operator per run,
 ``experiments.run_noflow`` one for all its exponents, and
 :func:`solve_stokes` and a standalone :func:`step` one per call.  ``bc``
@@ -204,7 +206,8 @@ class _SaddleOperator:
     * ``reduced``, the pattern's :class:`vvpflow.linalg.ReducedSystem`
       without the fixed unknowns (the essential edges and faces of
       ``boundary.essential`` and the pressure pins of ``harmonic``),
-      which each solve refills with the data of :func:`assemble_rhs`.
+      listed in ``mesh.elimination_order``, which each solve refills
+      with the data of :func:`assemble_rhs`.
 
     ``boundary``, the resolution of ``bc``, fixes the entities here and
     reaches every right-hand side, so every solve fixes the same ones, and
@@ -234,7 +237,7 @@ class _SaddleOperator:
         # In the order of assemble_rhs's essential values, then the pins.
         fixed = [offsets[g] + idx for g, (_, idx, _) in self.boundary.essential.items()]
         fixed = np.concatenate([*fixed, offsets["u3"] + self.harmonic.pins])
-        self.reduced = eliminate(pattern, groups, fixed)
+        self.reduced = eliminate(pattern, groups, fixed, mesh.elimination_order)
         self.m3h = complex_.m3 @ self.harmonic.basis
         self.factor = FactorHolder(dtype=np.float64 if dt is None else np.float32)
         self.last = (None, None)
@@ -282,9 +285,7 @@ class _SaddleOperator:
         b[u3] -= shift
         returned, x0 = self.last
         x0 = x0 if previous is returned else None  # both None before a first solve
-        full, residual = solve_reduced(
-            reduced, order=complex_.mesh.elimination_order, factor=self.factor, x0=x0
-        )
+        full, residual = solve_reduced(reduced, factor=self.factor, x0=x0)
         parts = reduced.split(full)
         u = parts["u2"].copy()
         if self.harmonic.dim:

@@ -281,21 +281,15 @@ def derivative_matrix(space):
     """
     mesh = space.mesh
     if space.k == 1:
-        rows = np.repeat(np.arange(mesh.n_faces), 3)
-        cols = mesh.face_edges.ravel()
-        data = np.tile(np.array(FACE_EDGE_SIGN, dtype=np.int64), mesh.n_faces)
-        return sp.coo_matrix(
-            (data, (rows, cols)), shape=(mesh.n_faces, mesh.n_edges)
-        ).tocsr()
+        signs = np.array(FACE_EDGE_SIGN, dtype=np.int64)
+        local = np.broadcast_to(signs, (mesh.n_faces, 1, 3))
+        rows = np.arange(mesh.n_faces)[:, None]
+        return _scatter(local, rows, mesh.face_edges, (mesh.n_faces, mesh.n_edges))
     if space.k == 2:
-        rows = np.repeat(np.arange(mesh.n_tets), 4)
-        cols = mesh.tet_faces.ravel()
-        data = np.outer(
-            mesh.tet_orientations, np.array(TET_FACE_PARITY, dtype=np.int64)
-        ).ravel()
-        return sp.coo_matrix(
-            (data, (rows, cols)), shape=(mesh.n_tets, mesh.n_faces)
-        ).tocsr()
+        parity = np.array(TET_FACE_PARITY, dtype=np.int64)
+        local = np.outer(mesh.tet_orientations, parity)[:, None, :]
+        rows = np.arange(mesh.n_tets)[:, None]
+        return _scatter(local, rows, mesh.tet_faces, (mesh.n_tets, mesh.n_faces))
     raise ValueError("exterior derivative of a 3-form is zero; no matrix")
 
 

@@ -28,7 +28,7 @@ from vvpflow.assembly import (
     assemble_rhs,
     resolve_boundary,
 )
-from vvpflow.linalg import assemble_blocks, solve_reduced
+from vvpflow.linalg import eliminate, solve_reduced
 from vvpflow.quadrature import triangle_rule
 from vvpflow.spaces import TRACE_DEGREE, simplex_rule, whitney_coefficients
 
@@ -425,10 +425,12 @@ def initial_vorticity_lu(complex_, bc, u_values, t=0.0):
     boundary = resolve_boundary(complex_, bc)
     natural = assemble_natural_bc(complex_, boundary, t=t)["u1"]
     rhs = complex_.d1.T @ (complex_.m2 @ u_values) + natural
-    fixed = {g: boundary.essential_values(g, t) for g in boundary.essential if g == "u1"}
-    groups, blocks = {"u1": complex_.mesh.n_edges}, {("u1", "u1"): complex_.m1}
-    reduced = assemble_blocks(groups, blocks, {"u1": rhs}, fixed)
-    return solve_reduced(reduced, order=complex_.mesh.elimination_order)[0]
+    idx, values = boundary.essential_values("u1", t) if "u1" in boundary.essential else ([], [])
+    mesh, m1 = complex_.mesh, complex_.m1.copy()
+    order = mesh.elimination_order[mesh.elimination_order < mesh.n_edges]
+    reduced = eliminate(m1, {"u1": mesh.n_edges}, idx, order)
+    reduced.refill(m1.data, rhs, values)
+    return solve_reduced(reduced)[0]
 
 
 # ---------------------------------------------------------------------------

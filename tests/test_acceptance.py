@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import jittered_box
+from vvpflow import linalg
 from vvpflow.assembly import (
+    NATURAL,
     BoundaryConditionSpec,
     RegionBC,
     build_harmonic_space,
@@ -181,6 +184,51 @@ def test_criterion_1_complex_identity():
         worst == 0 and elapsed < 1.0,
         f"max |D2 D1| entry = {worst} over n=1..4 in {elapsed:.2f}s",
     )
+
+
+# L+U of the step factor at n = 10 below, as measured when the test was
+# written: an elimination order that grows the fill fails here.
+N10_STEP_FILL = 7_225_383
+
+
+def test_structure_guarantees_at_n10(tmp_path, monkeypatch):
+    """Beyond the sizes of the other tests: on a jittered n = 10 box the
+    curl of the divergence is exactly zero, 3 transient Ethier steps keep
+    the velocity divergence-free and meet the residual contract with a
+    step factor no fuller than ``N10_STEP_FILL``, and the n = 10 no-flow
+    test keeps the velocity at roundoff."""
+    complex_ = DeRhamComplex(jittered_box(10, 0))
+    assert (complex_.d2 @ complex_.d1).nnz == 0
+
+    fills = []
+    real = linalg.spla.splu
+
+    def spy(a, **kwargs):
+        lu = real(a, **kwargs)
+        fills.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    monkeypatch.setattr(linalg.spla, "splu", spy)
+    u = ethier_velocity(2.0, 1.0)
+    bc = BoundaryConditionSpec(RegionBC(vorticity_mode=NATURAL, vorticity_data=u, velocity_data=u))
+    config = SolverConfig(nu=1.0, dt=1e-3, t_end=3e-3)
+    seen = []
+    run_transient(
+        complex_,
+        bc,
+        config,
+        state=initialize_state(complex_, bc, u),
+        observers=(lambda state, diag: seen.append((state, diag)),),
+    )
+    monkeypatch.undo()
+    assert len(seen) == 3
+    for state, diag in seen:
+        assert diag.residual <= RESIDUAL_TOL
+        assert diag.div_max <= 1e-12 * (1.0 + complex_.norm(state.u))
+    assert fills and max(fills) <= N10_STEP_FILL
+
+    report = run_experiment(ExperimentSpec(kind="noflow", n=(10,), outdir=str(tmp_path)))
+    assert report.max_velocity_norm <= 1e-15
 
 
 def test_criterion_2_divergence_free(instrumented_solves, noflow_run, dtsweep_run):

@@ -49,6 +49,7 @@ from conftest import carved_box
         (dict(kind="noflow", gamma=()), "nonempty exponent"),
         (dict(kind="dtsweep", dts=()), "nonempty time-step"),
         (dict(kind="dtsweep", dts=(1e-3, 1e-2)), "must decrease"),
+        (dict(kind="dtsweep", dts=(0.1, 0.1)), "must decrease strictly"),
         (dict(kind="ethier", d=1.0, n=(2,)), "at least two meshes"),
         (dict(kind="ethier", nu=0.0), "viscosity"),
         (dict(kind="noflow", gamma=(1, 0)), "exponents must be positive"),
@@ -518,6 +519,8 @@ def test_cli_reports_bad_solver_settings(kind, setting, match):
         ("noflow", "n=1.5", "option n: expected an integer, got '1.5'"),
         ("mesh-info", "nu=abc", "unknown option 'nu'"),
         ("mesh-info", "n=1.5", "option n: expected an integer, got '1.5'"),
+        ("noflow", "foo", "--set expects key=value, got 'foo'"),
+        ("mesh-info", "foo", "--set expects key=value, got 'foo'"),
     ],
 )
 def test_cli_names_the_option_that_does_not_parse(command, setting, match):

@@ -212,37 +212,37 @@ def test_relative_residual_zero_rhs_guard():
     np.testing.assert_array_equal(x, np.zeros(2))
 
 
-def test_solve_in_a_given_order_matches_natural_order():
-    rng = np.random.default_rng(10)
-    a = sp.random(30, 30, density=0.2, random_state=10) + 30 * sp.eye(30)
-    rhs = rng.normal(size=30)
-    x, _ = solve(a, rhs)
-    y, res = solve(a, rhs, order=rng.permutation(30))
-    np.testing.assert_allclose(y, x, rtol=1e-13)
+def test_eliminate_lists_the_free_unknowns_in_a_given_order():
+    """``free`` lists the free unknowns in the order, the fixed ones
+    dropped and the rest in their relative order; the reduced matrix is
+    the index-order one permuted, and so is the solution."""
+    rng = np.random.default_rng(11)
+    system, _, _, fixed_idx, fixed_vals = random_block_system(rng)
+    groups, blocks, rhs, _ = system
+    natural = assemble_blocks(*system)
+    pattern, _ = stack_blocks(groups, blocks)
+    order = np.array([7, 3, 0, 6, 1, 2, 5, 4])
+    reduced = eliminate(pattern, groups, fixed_idx, order)
+    reduced.refill(pattern.data, linalg.stack(groups, rhs), fixed_vals)
+    kept = [i for i in order if i not in fixed_idx]
+    np.testing.assert_array_equal(reduced.free, kept)
+    rank = np.searchsorted(natural.free, kept)
+    np.testing.assert_array_equal(
+        reduced.matrix.toarray(), natural.matrix.toarray()[rank][:, rank]
+    )
+    full, res = solve_reduced(reduced)
+    want, _ = solve_reduced(natural)
+    np.testing.assert_allclose(full, want, rtol=1e-13)
     assert res <= RESIDUAL_TOL
 
 
-def test_solve_reduced_narrows_a_longer_order_to_the_free_unknowns(monkeypatch):
-    """The order may list more entities than the system (the faces and
-    cells of an edge-only system); fixed ones drop out, the rest keep
-    their relative order."""
-    rng = np.random.default_rng(11)
-    system, _, _, fixed_idx, _ = random_block_system(rng)
-    reduced = assemble_blocks(*system)
-    order = np.array([9, 7, 3, 0, 10, 6, 1, 2, 5, 4, 8])  # 8 unknowns plus 3 others
-    seen = []
-    real = linalg.solve
-
-    def watch(matrix, rhs, **kwargs):
-        seen.append(kwargs["order"])
-        return real(matrix, rhs, **kwargs)
-
-    monkeypatch.setattr(linalg, "solve", watch)
-    full, _ = solve_reduced(reduced, order=order)
-    kept = [i for i in order if i < 8 and i not in fixed_idx]
-    np.testing.assert_array_equal(reduced.free[seen[0]], kept)
-    want, _ = real(reduced.matrix, reduced.rhs)
-    np.testing.assert_allclose(full[reduced.free], want, rtol=1e-13)
+@pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5, 6, 6], [0, 1, 2, 3, 4, 5, 6]])
+def test_eliminate_needs_an_order_that_lists_each_unknown_once(order):
+    """A repeated index or a short order is refused."""
+    system, _, _, fixed_idx, _ = random_block_system(np.random.default_rng(11))
+    pattern, _ = stack_blocks(*system[:2])
+    with pytest.raises(ValueError, match="order must list each of the 8 unknowns exactly once"):
+        eliminate(pattern, system[0], fixed_idx, order)
 
 
 def test_solve_spd_solves_without_a_factor(monkeypatch):
@@ -282,21 +282,20 @@ def test_factor_holder_reuses_a_close_factor_and_replaces_a_far_one(monkeypatch)
     rng = np.random.default_rng(12)
     a = sp.random(30, 30, density=0.2, random_state=12) + 30 * sp.eye(30)
     rhs = rng.normal(size=30)
-    order = rng.permutation(30)
     factors = _spy_factors(monkeypatch)
     holder = FactorHolder()
-    solve(a, rhs, order=order, factor=holder)
+    solve(a, rhs, factor=holder)
     assert (len(factors), holder.reused) == (1, False)
 
     near = a + 1e-3 * sp.random(30, 30, density=0.2, random_state=13)
-    x, res = solve(near, rhs, order=order, factor=holder)
+    x, res = solve(near, rhs, factor=holder)
     assert (len(factors), holder.reused) == (1, True)
     assert holder.passes >= 1
     assert res <= ROUNDOFF_RESIDUAL
     np.testing.assert_allclose(x, np.linalg.solve(near.toarray(), rhs), rtol=1e-12)
 
     far = a + 30 * sp.random(30, 30, density=0.2, random_state=14)
-    x, res = solve(far, rhs, order=order, factor=holder)
+    x, res = solve(far, rhs, factor=holder)
     assert (len(factors), holder.reused) == (2, False)
     assert relative_residual(far, rhs, x) == res <= RESIDUAL_TOL
 
@@ -309,18 +308,17 @@ def test_factor_holder_keeps_the_factor_of_an_unchanged_matrix(monkeypatch):
     rng = np.random.default_rng(12)
     a = sp.random(30, 30, density=0.2, random_state=12) + 30 * sp.eye(30)
     rhs = rng.normal(size=30)
-    order = rng.permutation(30)
     factors = _spy_factors(monkeypatch)
     holder = FactorHolder()
-    x, res = solve(a, rhs, order=order, factor=holder)
-    again, res_again = solve(sp.csr_matrix(a, copy=True), rhs, order=order, factor=holder)
+    x, res = solve(a, rhs, factor=holder)
+    again, res_again = solve(sp.csr_matrix(a, copy=True), rhs, factor=holder)
     assert (len(factors), holder.reused) == (1, True)
     assert (again.tobytes(), res_again) == (x.tobytes(), res)
 
     near = a + 1e-3 * sp.random(30, 30, density=0.2, random_state=13)
-    solve(near, rhs, order=order, factor=holder)
+    solve(near, rhs, factor=holder)
     assert (len(factors), holder.reused) == (2, False)
-    solve(near, rhs, order=order, factor=holder)
+    solve(near, rhs, factor=holder)
     assert (len(factors), holder.reused) == (2, True)
 
 
@@ -361,7 +359,7 @@ def test_float32_holder_keeps_a_factor_that_refines_to_roundoff(monkeypatch, sca
     want, _ = solve(a, rhs)
     dtypes = _spy_factors(monkeypatch)
     holder = FactorHolder(dtype=np.float32)
-    x, res = solve(a, scale * rhs, order=rng.permutation(30), factor=holder)
+    x, res = solve(a, scale * rhs, factor=holder)
     assert dtypes == [np.float32]
     assert holder.dtype == np.float32
     assert 0.0 < res <= ROUNDOFF_RESIDUAL

@@ -771,8 +771,8 @@ def test_run_falls_back_to_one_float64_factor(complex_j3, monkeypatch):
     real = linalg._refine
     passes = []
 
-    def stalled_in_float32(lu, p, a, rhs, dtype, x0):
-        x, res, n = real(lu, p, a, rhs, dtype, x0)
+    def stalled_in_float32(lu, a, rhs, dtype, x0):
+        x, res, n = real(lu, a, rhs, dtype, x0)
         passes.append(n)
         return x, (np.inf if dtype == np.float32 else res), n
 
@@ -852,7 +852,8 @@ def test_reused_factor_keeps_divergence_gate_with_natural_outlet(monkeypatch):
 @pytest.mark.parametrize("case", ["outlet", "closed", "steady"])
 def test_operator_reduction_matches_assemble_blocks(complex_j3, monkeypatch, case):
     """One step with convection, or one steady solve (no dt, so no
-    convection slots): the operator's refilled reduction equals
+    convection slots): the operator's refilled reduction, taken from its
+    elimination order back to index order through ``free``, equals
     assemble_blocks on the same system with the pins fixed at zero.  The
     right-hand sides agree only without the harmonic shift (dim H = 0)."""
     fields = stokes_mms_fields(nu=1.0)
@@ -866,7 +867,7 @@ def test_operator_reduction_matches_assemble_blocks(complex_j3, monkeypatch, cas
     real = solver.solve_reduced
 
     def watch(reduced, **kwargs):
-        seen.append((reduced.matrix.copy(), reduced.rhs))
+        seen.append((reduced.free, reduced.matrix.copy(), reduced.rhs))
         return real(reduced, **kwargs)
 
     monkeypatch.setattr(solver, "solve_reduced", watch)
@@ -889,10 +890,12 @@ def test_operator_reduction_matches_assemble_blocks(complex_j3, monkeypatch, cas
         rhs["u2"] = rhs.get("u2", 0.0) + (m2 @ state0.u.values) / config.dt
     constraints["u3"] = (harmonic.pins, np.zeros(harmonic.dim))
     want = assemble_blocks(groups, blocks, rhs, constraints)
-    ((matrix, rhs),) = seen
-    np.testing.assert_array_equal(matrix.toarray(), want.matrix.toarray())
+    ((free, matrix, rhs),) = seen
+    back = np.argsort(free)  # the operator's elimination order back to index order
+    np.testing.assert_array_equal(free[back], want.free)
+    np.testing.assert_array_equal(matrix[back][:, back].toarray(), want.matrix.toarray())
     if outlet:
-        assert np.linalg.norm(rhs - want.rhs) <= 1e-14 * np.linalg.norm(want.rhs)
+        assert np.linalg.norm(rhs[back] - want.rhs) <= 1e-14 * np.linalg.norm(want.rhs)
 
 
 # ---------------------------------------------------------------------------
