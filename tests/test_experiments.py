@@ -49,7 +49,6 @@ from conftest import carved_box
         (dict(kind="noflow", gamma=()), "nonempty exponent"),
         (dict(kind="dtsweep", dts=()), "nonempty time-step"),
         (dict(kind="dtsweep", dts=(1e-3, 1e-2)), "must decrease"),
-        (dict(kind="dtsweep", dts=(0.1, 0.1)), "must decrease strictly"),
         (dict(kind="ethier", d=1.0, n=(2,)), "at least two meshes"),
         (dict(kind="ethier", nu=0.0), "viscosity"),
         (dict(kind="noflow", gamma=(1, 0)), "exponents must be positive"),
@@ -67,6 +66,7 @@ from conftest import carved_box
         (dict(kind="noflow", gamma=(1.5,)), "gamma must be a whole number, got 1.5"),
         (dict(kind="noflow", n=(1,), load_degree=2.5), "load_degree must be a whole number"),
         (dict(kind="ethier", d=1.0, t_end=0.0025), "not a whole number of steps dt=0.001"),
+        (dict(kind="dtsweep", dts=(0.1, 0.1)), "must decrease strictly"),
     ],
 )
 def test_spec_validation(kwargs, match):

@@ -212,10 +212,27 @@ def test_relative_residual_zero_rhs_guard():
     np.testing.assert_array_equal(x, np.zeros(2))
 
 
-def test_eliminate_lists_the_free_unknowns_in_a_given_order():
-    """``free`` lists the free unknowns in the order, the fixed ones
-    dropped and the rest in their relative order; the reduced matrix is
-    the index-order one permuted, and so is the solution."""
+def test_solve_in_a_given_order_matches_natural_order():
+    """A system eliminated in a permuted order solves to the index-order
+    solution."""
+    rng = np.random.default_rng(10)
+    system, _, _, fixed_idx, fixed_vals = random_block_system(rng)
+    groups, blocks, rhs, _ = system
+    natural = assemble_blocks(*system)
+    pattern, _ = stack_blocks(groups, blocks)
+    reduced = eliminate(pattern, groups, fixed_idx, rng.permutation(8))
+    reduced.refill(pattern.data, linalg.stack(groups, rhs), fixed_vals)
+    full, res = solve_reduced(reduced)
+    want, _ = solve_reduced(natural)
+    np.testing.assert_allclose(full, want, rtol=1e-13)
+    assert res <= RESIDUAL_TOL
+
+
+def test_solve_reduced_narrows_a_longer_order_to_the_free_unknowns():
+    """The order lists the fixed unknowns too; ``free`` lists the free
+    ones in the order, the fixed ones dropped and the rest in their
+    relative order, and the reduced matrix is the index-order one
+    permuted."""
     rng = np.random.default_rng(11)
     system, _, _, fixed_idx, fixed_vals = random_block_system(rng)
     groups, blocks, rhs, _ = system
