@@ -33,9 +33,9 @@ elimination.  Natural terms are integrated as the loads are: the data's
 rule-weighted barycentric moments on each face, contracted with its
 cell's Whitney coefficients.  The entities, the faces and the rules
 mapped onto them are decided once per complex and spec by
-:class:`ResolvedBoundary`; a function given one as ``bc``
-(:func:`resolve_boundary`) only evaluates boundary data and contracts it,
-each callable once per solve and set of points (:func:`assemble_rhs`).
+:class:`ResolvedBoundary`, one record per region that claims faces
+(:attr:`ResolvedBoundary.claims`), and all of one solve's boundary data
+are evaluated by :meth:`ResolvedBoundary.evaluate` in one pass over them.
 """
 from __future__ import annotations
 
@@ -162,61 +162,45 @@ class ResolvedBoundary:
     """What the boundary spec ``bc`` decides on one complex (alias ``NaturalBCCache``).
 
     ``owner``, each boundary face's region, is the only call of the region
-    predicates, made on construction.  The closed components, the harmonic
-    space, the essential entities and the natural terms' face tables, with
-    the TRACE_DEGREE rules mapped onto them, are built on first use and
-    kept.  The face rule is mapped once per region (:meth:`_face_rule`),
-    so a region's essential velocity part and its natural table hold the
-    same points, and :func:`assemble_rhs` samples a callable given for
-    both once.  A run resolves its boundary once and passes it as ``bc``,
-    so a step only evaluates boundary data and contracts it.
+    predicates, made on construction.  The claims (one record per region
+    that claims faces, with the TRACE_DEGREE face rule mapped onto its
+    faces), the closed components, the harmonic space, the essential
+    entities and the natural terms' face tables are built on first use and
+    kept.  :meth:`evaluate` is the only code that samples boundary data: a run
+    resolves its boundary once and passes it as ``bc``, so a solve only
+    evaluates boundary data and contracts it.
     """
 
     def __init__(self, complex_, bc):
         self.complex, self.mesh, self.bc = complex_, complex_.mesh, bc
         self.owner = bc.face_region_map(self.mesh)
         self.rule = triangle_rule(TRACE_DEGREE)
-        self._face_rules = {}
 
-    def essential_values(self, group, t, *, _sample=sample):
-        """(indices, values) of ``group``'s essential entities at time t:
-        each region's data interpolated on its entities (None: zero).
-        ``_sample`` stands in for ``spaces.sample`` (see :func:`assemble_rhs`)."""
-        parts, idx, pick = self.essential[group]
-        vals = [
-            np.zeros(len(pts)) if data is None
-            else dof_values(_sample(data, pts, t, True, what), rule, measure)
-            for what, data, rule, pts, measure in parts
-        ]
-        return idx, np.concatenate(vals)[pick]
-
-    def _face_rule(self, region, faces):
-        """(points, right-hand normal of length 2 area): the face rule mapped
-        by ``simplex_rule`` onto ``region``'s ``faces``, once per region, so
-        that its essential velocity part and its natural table hold the
-        same points."""
-        if id(region) not in self._face_rules:
-            tri = self.mesh.vertices[self.mesh.faces[faces]]
-            self._face_rules[id(region)] = simplex_rule(tri, self.rule)
-        return self._face_rules[id(region)]
-
-    def regions(self, channel, mode):
-        """(region, faces, outward signs) of each region that claims faces
-        and whose ``channel`` ("vorticity" or "velocity") has ``mode``;
-        a sign is +1 where the face's right-hand normal points outward.
-        """
-        faces, signs = self.mesh.boundary_faces, self.mesh.boundary_face_signs
+    @cached_property
+    def claims(self):
+        """(region, faces, outward signs, points, right-hand normals) of each
+        region that claims faces, in the spec's order: a sign is +1 where the
+        face's right-hand normal points outward, and the points (B, Q, 3) and
+        normals (length 2 area) are the face rule mapped by ``simplex_rule``."""
+        mesh, out = self.mesh, []
+        faces, signs = mesh.boundary_faces, mesh.boundary_face_signs
         for r, region in enumerate(self.bc.regions):
             claimed = self.owner == r
-            if getattr(region, f"{channel}_mode") == mode and claimed.any():
-                yield region, faces[claimed], signs[claimed]
+            if claimed.any():
+                mapped = simplex_rule(mesh.vertices[mesh.faces[faces[claimed]]], self.rule)
+                out.append((region, faces[claimed], signs[claimed], *mapped))
+        return out
+
+    def regions(self, channel, mode):
+        """The :attr:`claims` whose ``channel`` ("vorticity" or "velocity") has ``mode``."""
+        return [c for c in self.claims if getattr(c[0], f"{channel}_mode") == mode]
 
     @cached_property
     def closed(self):
         """Per dual-forest component: True unless a face has natural velocity."""
         labels = self.mesh.dual_forest.labels
         closed = np.ones(labels.max() + 1, dtype=bool)
-        for _, faces, _ in self.regions("velocity", NATURAL):
+        for _, faces, *_ in self.regions("velocity", NATURAL):
             closed[labels[self.mesh.face_tets[faces, 0]]] = False
         return closed
 
@@ -229,8 +213,8 @@ class ResolvedBoundary:
         velocity around a cavity (b2 > 0), and essential vorticity with
         essential velocity around a handle (b1 > 0).
         """
-        mesh, claiming = self.mesh, [self.bc.regions[r] for r in np.unique(self.owner)]
-        pairings = {(region.vorticity_mode, region.velocity_mode) for region in claiming}
+        mesh = self.mesh
+        pairings = {(region.vorticity_mode, region.velocity_mode) for region, *_ in self.claims}
         _, b1, b2 = mesh.betti_numbers
         for mode, count, what, fix in (
             (NATURAL, b2, "cavity", "essential velocity"),
@@ -253,11 +237,10 @@ class ResolvedBoundary:
     def essential(self):
         """``{group: (parts, indices, pick)}``: "u1" the edges of the essential
         vorticity faces, "u2" the essential velocity faces.  ``parts`` holds
-        (what, data, rule, points, measure) per region: the region and
-        channel that name the data in ``spaces.sample``'s errors, and the
-        TRACE_DEGREE edge or face rule mapped onto its entities by
-        ``simplex_rule``, as ``spaces.interpolate`` maps it (the faces by
-        :meth:`_face_rule`).  ``pick`` takes the sorted, read-only
+        (rule, points, measure) per region, in the order of :attr:`claims`:
+        the TRACE_DEGREE edge or face rule mapped onto its entities by
+        ``simplex_rule``, as ``spaces.interpolate`` maps it (the faces'
+        are their claim's).  ``pick`` takes the sorted, read-only
         ``indices`` from the concatenated entities, so a seam edge is kept
         by the first region."""
         mesh, out = self.mesh, {}
@@ -266,14 +249,13 @@ class ResolvedBoundary:
             ("u2", "velocity", self.rule),
         ):
             parts, entities = [], []
-            for region, faces, _ in self.regions(channel, ESSENTIAL):
+            for _, faces, _, points, normal in self.regions(channel, ESSENTIAL):
                 if group == "u1":
                     e = np.unique(mesh.face_edges[faces])
                     mapped = simplex_rule(mesh.vertices[mesh.edges[e]], rule)
                 else:
-                    e, mapped = faces, self._face_rule(region, faces)
-                what = f"region {region.name!r} {channel} data"
-                parts.append((what, getattr(region, f"{channel}_data"), rule, *mapped))
+                    e, mapped = faces, (points, normal)
+                parts.append((rule, *mapped))
                 entities.append(e)
             if parts:
                 idx, pick = np.unique(np.concatenate(entities), return_index=True)
@@ -297,8 +279,8 @@ class ResolvedBoundary:
     @cached_property
     def natural(self):
         """A table per region with natural vorticity (so every natural
-        pressure region): its B ``faces``, their ``cells``, the rule's
-        ``points`` (B, Q, 3) of :meth:`_face_rule`, outward ``normal``
+        pressure region), in the order of :attr:`claims`: its B ``faces``,
+        their ``cells``, the claim's ``points`` (B, Q, 3), outward ``normal``
         (length 2 area), ``lam``
         (B, 4, Q) the rule weights times the points' barycentric coordinates
         in the cell, and the cells' ``edges`` with their Whitney coefficients
@@ -306,16 +288,14 @@ class ResolvedBoundary:
         and their face coefficients dotted with the normal, ``C2n`` (B, 4, 4)."""
         mesh, rule, whitney = self.mesh, self.rule, self.complex.whitney
         tables = []
-        for region, faces, sign in self.regions("vorticity", NATURAL):
+        for region, faces, sign, points, normal in self.regions("vorticity", NATURAL):
             B = len(faces)
             cells, tri = mesh.face_tets[faces, 0], mesh.faces[faces]
-            points, normal = self._face_rule(region, faces)
             normal = normal * sign[:, None].astype(float)
             loc = np.argmax(mesh.tets[cells][:, None, :] == tri[:, :, None], axis=2)
             lam = np.zeros((B, 4, len(rule)))
             lam[np.arange(B)[:, None], loc] = rule.weights * rule.points[:, :3].T
             table = {
-                "region": region,
                 "faces": faces,
                 "cells": cells,
                 "points": points,
@@ -329,6 +309,67 @@ class ResolvedBoundary:
                 table["fdofs"] = mesh.tet_faces[cells]
             tables.append(table)
         return tables
+
+    def evaluate(self, t, f3_given=False):
+        """All of one solve's boundary data at time t, in one pass over
+        :attr:`claims`: ``({"u1": rhs1, "u2": rhs2}, {group: (indices, values)})``.
+
+        The natural terms are zero vectors where no region is natural.  The
+        tangential-velocity data u enters the tau-row as + integral((n x u) .
+        psi1), the boundary term of the weak curl, and the pressure data h the
+        v-row as - integral(h psi2 . n), that of the weak gradient (n the
+        outward unit normal).  The essential values are each region's data
+        interpolated on its entities (None: zero), a seam edge taking the
+        first region's.  Unless ``f3_given``, each closed component's face
+        values are shifted by an area-weighted constant so that its boundary
+        flux vanishes exactly: the solver computes the harmonic multiplier
+        from that flux (phi = H^T (load(f3) - M3 D2 u2_fixed)), so the
+        quadrature-level defect of the interpolated data would otherwise
+        become a nonzero phi and a spurious constant divergence.
+
+        Each callable is sampled once per set of points: a region's fluxes
+        read its natural tangential term's samples where one callable gives
+        both (the Ethier velocity).  Nothing sampled outlives the call.
+        """
+        mesh = self.mesh
+        rhs1, rhs2 = np.zeros(mesh.n_edges), np.zeros(mesh.n_faces)
+        # The tables and the parts list their regions in the order of the claims.
+        tables, values = iter(self.natural), {g: [] for g in self.essential}
+        parts = {g: iter(p) for g, (p, _, _) in self.essential.items()}
+        for region, _, _, points, _ in self.claims:
+            name, u = f"region {region.name!r}", None
+            if region.vorticity_mode == NATURAL:
+                tab = next(tables)
+                B, lam = len(points), tab["lam"]
+                if region.vorticity_data is not None:
+                    what = f"{name} tangential velocity data"
+                    u = sample(region.vorticity_data, points, t, True, what)
+                    moments = (lam @ np.cross(tab["normal"][:, None, :], u)).reshape(B, 12, 1)
+                    np.add.at(rhs1, tab["edges"], (tab["C1"].reshape(B, 6, 12) @ moments)[..., 0])
+                if "C2n" in tab and region.velocity_data is not None:
+                    h = sample(region.velocity_data, points, t, False, f"{name} pressure data")
+                    moments = lam @ h[..., None]
+                    np.add.at(rhs2, tab["fdofs"], -(tab["C2n"] @ moments)[..., 0])
+            for group, channel in (("u1", "vorticity"), ("u2", "velocity")):
+                if getattr(region, f"{channel}_mode") != ESSENTIAL:
+                    continue
+                rule, pts, measure = next(parts[group])
+                data = getattr(region, f"{channel}_data")
+                if data is None:
+                    values[group].append(np.zeros(len(pts)))
+                    continue
+                shared = u is not None and data is region.vorticity_data
+                vals = u if shared else sample(data, pts, t, True, f"{name} {channel} data")
+                values[group].append(dof_values(vals, rule, measure))
+        essential = {
+            g: (idx, np.concatenate(values[g])[pick])
+            for g, (_, idx, pick) in self.essential.items()
+        }
+        for on, signs, areas in [] if f3_given else self.flux_shift:
+            vals = essential["u2"][1]
+            defect = float(signs @ vals[on])
+            vals[on] = vals[on] - signs * defect * areas / areas.sum()
+        return {"u1": rhs1, "u2": rhs2}, essential
 
 
 NaturalBCCache = ResolvedBoundary  # the old name, kept for the benchmark (ROADMAP item 1)
@@ -368,54 +409,19 @@ def build_harmonic_space(complex_, bc):
     return resolve_boundary(complex_, bc).harmonic
 
 
-def essential_constraints(complex_, bc, t=0.0, f3_given=False, *, _sample=sample):
-    """Interpolated essential boundary values.
-
-    Returns {"u1": (edge_indices, values), "u2": (face_indices, values)}
-    with sorted indices and empty entries dropped, on the entities of
-    ``bc``'s resolution.  Unless a 3-form source is given, each
-    closed component's face values (see :class:`HarmonicSpace`) are
-    shifted by an area-weighted constant so that its total boundary flux
-    vanishes exactly.  The solver computes the harmonic multiplier from
-    that flux (phi = H^T (load(f3) - M3 D2 u2_fixed)), so without the
-    shift the quadrature-level compatibility defect of the interpolated
-    data would become a nonzero phi and a spurious constant divergence.
-    ``_sample`` stands in for ``spaces.sample`` (see :func:`assemble_rhs`).
-    """
-    boundary = resolve_boundary(complex_, bc)
-    out = {g: boundary.essential_values(g, t, _sample=_sample) for g in boundary.essential}
-    for on, signs, areas in [] if f3_given else boundary.flux_shift:
-        vals = out["u2"][1]
-        defect = float(signs @ vals[on])
-        vals[on] = vals[on] - signs * defect * areas / areas.sum()
-    return out
+def essential_constraints(complex_, bc, t=0.0, f3_given=False):
+    """Interpolated essential boundary values, {"u1": (edge_indices, values),
+    "u2": (face_indices, values)} with sorted indices and empty entries
+    dropped: the second half of :meth:`ResolvedBoundary.evaluate` on ``bc``'s
+    resolution (see :class:`HarmonicSpace` for the closed components)."""
+    return resolve_boundary(complex_, bc).evaluate(t, f3_given)[1]
 
 
-def assemble_natural_bc(complex_, bc, t=0.0, *, _sample=sample):
-    """Right-hand-side contributions of the natural boundary terms.
-
-    Returns {"u1": vec, "u2": vec} (zero vectors when a channel has no
-    natural regions).  The tangential-velocity data u enters the tau-row
-    as + integral((n x u) . psi1), the boundary term of the weak curl;
-    the pressure data h enters the v-row as - integral(h psi2 . n), the
-    boundary term of the weak gradient; n is the outward unit normal.
-    ``_sample`` stands in for ``spaces.sample`` (see :func:`assemble_rhs`).
-    """
-    mesh = complex_.mesh
-    rhs1 = np.zeros(mesh.n_edges)
-    rhs2 = np.zeros(mesh.n_faces)
-    for tab in resolve_boundary(complex_, bc).natural:
-        region, pts, lam = tab["region"], tab["points"], tab["lam"]
-        B, name = len(pts), f"region {region.name!r}"
-        if region.vorticity_data is not None:
-            u = _sample(region.vorticity_data, pts, t, True, f"{name} tangential velocity data")
-            moments = (lam @ np.cross(tab["normal"][:, None, :], u)).reshape(B, 12, 1)
-            np.add.at(rhs1, tab["edges"], (tab["C1"].reshape(B, 6, 12) @ moments)[..., 0])
-        if "C2n" in tab and region.velocity_data is not None:
-            h = _sample(region.velocity_data, pts, t, False, f"{name} pressure data")
-            moments = lam @ h[..., None]
-            np.add.at(rhs2, tab["fdofs"], -(tab["C2n"] @ moments)[..., 0])
-    return {"u1": rhs1, "u2": rhs2}
+def assemble_natural_bc(complex_, bc, t=0.0):
+    """Right-hand-side contributions of the natural boundary terms,
+    {"u1": vec, "u2": vec}: the first half of :meth:`ResolvedBoundary.evaluate`
+    on ``bc``'s resolution."""
+    return resolve_boundary(complex_, bc).evaluate(t)[0]
 
 
 def assemble_load(complex_, f2, t=0.0, degree=None):
@@ -495,31 +501,16 @@ def assemble_rhs(complex_, bc, f2=None, f3=None, t=0.0, load_degree=None):
     for pressure-robustness to hold discretely).  Each solve of a run
     evaluates these; the matrix of :func:`assemble_B0` stays.
 
-    The boundary terms sample their data through one memo of this call,
-    so a callable given for both channels of a region (the Ethier
-    velocity, essential fluxes and natural tangential term) is evaluated
-    once on the region's face points (:meth:`ResolvedBoundary._face_rule`).
-    The values are not kept past the call: the next solve is at another
-    t, or repeats one whose data it must evaluate again.
+    The boundary data come from one :meth:`ResolvedBoundary.evaluate`,
+    which samples each callable once per set of points.
     """
-    values = {}
-
-    def sample_once(data, points, t, vector, what):
-        key = (id(data), id(points), vector)
-        if key not in values:
-            values[key] = sample(data, points, t, vector, what)
-        return values[key]
-
     rhs = {}
     if f2 is not None:
         rhs["u2"] = assemble_load(complex_, f2, t=t, degree=load_degree)
     if f3 is not None:
         rhs["u3"] = assemble_scalar_load(complex_, f3, t=t, degree=load_degree)
-    boundary = resolve_boundary(complex_, bc)
-    natural = assemble_natural_bc(complex_, boundary, t=t, _sample=sample_once)
+    natural, constraints = resolve_boundary(complex_, bc).evaluate(t, f3 is not None)
     for group in ("u1", "u2"):
         if np.any(natural[group]):
             rhs[group] = rhs.get(group, 0.0) + natural[group]
-    f3_given = f3 is not None
-    constraints = essential_constraints(complex_, boundary, t, f3_given, _sample=sample_once)
     return rhs, constraints

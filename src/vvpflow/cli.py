@@ -6,8 +6,9 @@ Betti numbers (components, handles, cavities) that decide which
 boundary pairings a mesh can carry.  Each
 experiment subcommand reads an optional ``--config <path>`` file of
 flat ``key = value`` lines and applies ``--set key=value`` overrides on
-top (repeatable, highest precedence).  Every subcommand turns bad input
-into ``error: ...`` and a non-zero exit status.
+top (repeatable, highest precedence).  Every subcommand turns bad input,
+and a solver failure (``linalg.SolverError``: a singular system, no
+steady state), into ``error: ...`` and a non-zero exit status.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from .experiments import (
     run_experiment,
     spec_from_options,
 )
+from .linalg import SolverError
 from .mesh import build_box_mesh, euler_characteristic, mesh_size, read_tetmesh
 
 
@@ -103,7 +105,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, SolverError) as exc:
         raise SystemExit(f"error: {exc}")
     return 0
 

@@ -109,9 +109,9 @@ class SimplicialMesh3:
         tets = np.sort(tets, axis=1)
         if np.any(np.diff(tets, axis=1) == 0):
             raise ValueError("degenerate tet with repeated vertex")
-        first, inverse = _unique_rows(tets)
-        if len(first) < len(tets):
-            repeated = first[np.argmax(np.bincount(inverse) > 1)]
+        order, starts, _ = _unique_rows(tets)
+        if len(starts) <= len(tets):
+            repeated = order[starts[np.argmax(np.diff(starts) > 1)]]
             raise ValueError(f"duplicate tet: vertices {tets[repeated].tolist()} listed twice")
 
         self.vertices = vertices
@@ -127,19 +127,24 @@ class SimplicialMesh3:
         self.tet_orientations = np.sign(dets).astype(np.int64)
 
         edge_rows = tets[:, TET_EDGE_VERTS].reshape(-1, 2)
-        first, edge_inv = _unique_rows(edge_rows)
-        self.edges = edge_rows[first]
+        order, starts, edge_inv = _unique_rows(edge_rows)
+        self.edges = edge_rows[order[starts[:-1]]]
         self.tet_edges = edge_inv.reshape(self.n_tets, 6)
         self.n_edges = len(self.edges)
 
         face_rows = tets[:, TET_FACE_VERTS].reshape(-1, 3)
-        first, face_inv = _unique_rows(face_rows)
+        order, starts, face_inv = _unique_rows(face_rows)
+        first, counts = order[starts[:-1]], np.diff(starts)
         self.faces = face_rows[first]
         self.tet_faces = face_inv.reshape(self.n_tets, 4)
         self.n_faces = len(self.faces)
 
         self.face_edges = self.tet_edges[:, TET_FACE_EDGES].reshape(-1, 3)[first]
-        self.face_tets, counts = self._face_incidence()
+        # A face's rows are its cells' (4 per cell), listed in cell order.
+        self.face_tets = np.full((self.n_faces, 2), -1, dtype=np.int64)
+        self.face_tets[:, 0] = first // 4
+        interior = counts == 2
+        self.face_tets[interior, 1] = order[starts[:-1][interior] + 1] // 4
         if np.any(counts > 2):
             raise ValueError("non-manifold mesh: face shared by > 2 tets")
         self._check_vertex_stars()
@@ -149,19 +154,6 @@ class SimplicialMesh3:
         self.boundary_vertices = np.unique(self.faces[self.boundary_faces])
         bf = self.boundary_faces
         self.boundary_face_signs = self._face_signs(self.face_tets[bf, 0], bf)
-
-    def _face_incidence(self):
-        flat_faces = self.tet_faces.ravel()
-        flat_tets = np.repeat(np.arange(self.n_tets), 4)
-        order = np.argsort(flat_faces, kind="stable")
-        counts = np.bincount(flat_faces, minlength=self.n_faces)
-        starts = np.concatenate([[0], np.cumsum(counts)])
-        face_tets = np.full((self.n_faces, 2), -1, dtype=np.int64)
-        sorted_tets = flat_tets[order]
-        face_tets[:, 0] = sorted_tets[starts[:-1]]
-        interior = counts == 2
-        face_tets[interior, 1] = sorted_tets[starts[:-1][interior] + 1]
-        return face_tets, counts
 
     def _check_vertex_stars(self):
         """Raise unless the cells around each vertex are joined through faces.
@@ -350,14 +342,17 @@ class SimplicialMesh3:
 
 
 def _unique_rows(rows):
-    """The distinct rows of an int array in lexicographic order, as (first,
-    inverse): ``rows[first]`` lists them and ``rows[first][inverse]`` equals ``rows``."""
+    """The distinct rows of an int array in lexicographic order, from one
+    stable sort, as (order, starts, inverse): ``rows[order]`` is sorted,
+    the copies of distinct row i are ``order[starts[i]:starts[i + 1]]`` in
+    their input order (``starts`` ends with ``len(rows)``), and
+    ``rows[order[starts[:-1]]][inverse]`` equals ``rows``."""
     order = np.lexsort(rows.T[::-1])
     ranked = rows[order]
     new = np.r_[True, np.any(ranked[1:] != ranked[:-1], axis=1)]
     inverse = np.empty(len(rows), np.int64)
     inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
+    return order, np.flatnonzero(np.r_[new, True]), inverse
 
 
 def build_box_mesh(nx, ny, nz, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):

@@ -23,8 +23,8 @@ convection slots (``linalg.stack_blocks``) and its reduction to the free
 unknowns, listed in the mesh's nested-dissection order
 (``linalg.eliminate``), which every factor keeps.  Each solve is given
 its loads, adds the per-cell convection blocks into that pattern,
-evaluates the right-hand side (:func:`assemble_rhs`) and refills the
-reduction.
+evaluates the right-hand side (:func:`assemble_rhs`, whose boundary data
+come from one ``ResolvedBoundary.evaluate``) and refills the reduction.
 :func:`run_transient` builds one operator per run,
 ``experiments.run_noflow`` one for all its exponents, and
 :func:`solve_stokes` and a standalone :func:`step` one per call.  ``bc``
@@ -60,7 +60,7 @@ from .assembly import (
     NaturalBCCache,  # noqa: F401  (names the benchmark tracer patches)
     assemble_B0,
     assemble_convection,
-    assemble_natural_bc,
+    assemble_natural_bc,  # noqa: F401
     assemble_rhs,
     build_harmonic_space,  # noqa: F401
     essential_constraints,  # noqa: F401
@@ -106,7 +106,8 @@ def whole_number(name, value):
 
 def check_t_end(config, t0=0.0):
     """ValueError unless ``config.t_end`` is a positive, whole number of
-    steps ``config.dt`` after t0 (within 1e-9 relative)."""
+    steps ``config.dt`` after t0 (within 1e-9 relative), and at most
+    ``config.max_steps`` of them."""
     steps = (config.t_end - t0) / config.dt
     if not steps > 0:
         raise ValueError(f"t_end={config.t_end:g} is not after the initial time {t0:g}")
@@ -114,6 +115,11 @@ def check_t_end(config, t0=0.0):
         raise ValueError(
             f"t_end={config.t_end:g} is not a whole number of steps "
             f"dt={config.dt:g} after the initial time {t0:g}"
+        )
+    if round(steps) > config.max_steps:
+        raise ValueError(
+            f"t_end={config.t_end:g} is {round(steps)} steps dt={config.dt:g} after "
+            f"the initial time {t0:g}, more than max_steps={config.max_steps}"
         )
 
 
@@ -351,17 +357,17 @@ def initialize_state(complex_, bc, velocity_data, t=0.0):
     The velocity is the canonical face interpolant; the vorticity is its
     weak-curl partner, recovered from the same constitutive row the
     stepper uses (M1 w = D1^T M2 u plus the natural tangential boundary
-    term) with any essential tangential-vorticity values imposed.  The
+    term) with any essential tangential-vorticity values imposed, both
+    from one ``ResolvedBoundary.evaluate``.  The
     reduced M1 is a principal submatrix of the SPD edge mass matrix, so
     conjugate gradients solve it (:func:`vvpflow.linalg.solve_spd`) and
     no LU factor is built.  Pressure starts at zero (it is recomputed by
     the first step anyway).
     """
     u = complex_.interpolate(velocity_data, 2, t=t)
-    boundary = resolve_boundary(complex_, bc)
-    natural = assemble_natural_bc(complex_, boundary, t=t)
+    natural, essential = resolve_boundary(complex_, bc).evaluate(t)
     rhs = complex_.d1.T @ (complex_.m2 @ u.values) + natural["u1"]
-    fixed = {g: boundary.essential_values(g, t) for g in boundary.essential if g == "u1"}
+    fixed = {g: essential[g] for g in essential if g == "u1"}
     groups, blocks = {"u1": complex_.mesh.n_edges}, {("u1", "u1"): complex_.m1}
     reduced = assemble_blocks(groups, blocks, {"u1": rhs}, fixed)
     omega, _ = solve_spd(reduced.matrix, reduced.rhs)
@@ -409,7 +415,8 @@ def run_transient(
     Exactly one of ``state`` or analytic ``velocity_data`` (at t0 = 0)
     must be given.  With ``config.t_end`` set the run covers [t0,
     t_end], which must be a whole number of steps long (within 1e-9
-    relative), or ValueError is raised before any work; otherwise it is a
+    relative) and at most max_steps of them, or ValueError is raised
+    before any work (:func:`check_t_end`); otherwise it is a
     pseudo-time iteration that stops once the relative update per unit
     time falls below ``config.steady_tol`` and raises
     SteadyStateNotReached if max_steps pass first.  Observers are called
@@ -459,15 +466,11 @@ def run_transient(
             break
         if not to_steady and state.t >= config.t_end - 0.5 * config.dt:
             break
-    else:
-        if to_steady:
-            last = summary.history[-1].update_rel if summary.history else np.inf
-            raise SteadyStateNotReached(
-                f"no steady state within {config.max_steps} steps: relative "
-                f"update {last:.3e} has not dropped below {config.steady_tol:.3e}"
-            )
-        raise SolverError(
-            f"t_end={config.t_end} not reached within max_steps={config.max_steps}"
+    else:  # only a pseudo-time run ends here: check_t_end bounds a timed run's steps
+        last = summary.history[-1].update_rel if summary.history else np.inf
+        raise SteadyStateNotReached(
+            f"no steady state within {config.max_steps} steps: relative "
+            f"update {last:.3e} has not dropped below {config.steady_tol:.3e}"
         )
     summary.final = state
     summary.n_steps = len(summary.history)

@@ -24,7 +24,6 @@ from scipy import sparse
 from vvpflow.assembly import (
     NATURAL,
     assemble_B0,
-    assemble_natural_bc,
     assemble_rhs,
     resolve_boundary,
 )
@@ -422,10 +421,9 @@ def initial_vorticity_lu(complex_, bc, u_values, t=0.0):
     """The vorticity of ``initialize_state`` by a sparse LU in the mesh's
     elimination order: M1 w = D1^T M2 u plus the natural tangential term,
     with the essential vorticity values fixed."""
-    boundary = resolve_boundary(complex_, bc)
-    natural = assemble_natural_bc(complex_, boundary, t=t)["u1"]
-    rhs = complex_.d1.T @ (complex_.m2 @ u_values) + natural
-    idx, values = boundary.essential_values("u1", t) if "u1" in boundary.essential else ([], [])
+    natural, essential = resolve_boundary(complex_, bc).evaluate(t)
+    rhs = complex_.d1.T @ (complex_.m2 @ u_values) + natural["u1"]
+    idx, values = essential.get("u1", ([], []))
     mesh, m1 = complex_.mesh, complex_.m1.copy()
     order = mesh.elimination_order[mesh.elimination_order < mesh.n_edges]
     reduced = eliminate(m1, {"u1": mesh.n_edges}, idx, order)

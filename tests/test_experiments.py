@@ -491,18 +491,29 @@ def test_spec_rejects_solver_settings_before_building_a_mesh(
 
 
 def test_transient_end_time_is_checked_before_building_a_mesh(monkeypatch):
-    """A transient ``ethier`` whose t_end is not a whole number of steps is
-    refused by the spec, as run_transient would refuse it, but before the
-    first mesh, its complex and the initial state are built.  The steady
-    case marches to a steady state and takes no t_end."""
+    """A transient ``ethier`` whose t_end is not a whole number of steps, or
+    is more than max_steps of them, is refused by the spec, as
+    run_transient would refuse it, but before the first mesh, its complex
+    and the initial state are built.  The steady case marches to a steady
+    state and takes no t_end."""
     calls = []
     monkeypatch.setattr(experiments, "_box_complex", lambda n: calls.append(n))
     with pytest.raises(ValueError, match="t_end=0.0025 is not a whole number of steps"):
         run_experiment(spec_from_options("ethier", {"d": "1", "t_end": "0.0025"}))
     with pytest.raises(SystemExit, match="^error: t_end=0.0025 is not a whole number"):
         main(["ethier", "--set", "d=1", "--set", "t_end=0.0025"])
+    with pytest.raises(SystemExit, match="^error: t_end=1 is 1000 steps .* max_steps=5$"):
+        main(["ethier", "--set", "d=1", "--set", "t_end=1", "--set", "max_steps=5"])
     assert calls == []
     assert ExperimentSpec(kind="ethier", t_end=0.0025).d == 0.0
+
+
+def test_cli_reports_a_solver_failure(tmp_path):
+    """A run that fails in the solver (here no steady state within
+    max_steps) ends in ``error: ...`` and exit status 1, not a traceback."""
+    argv = ["ethier", "--set", "n=2,3", "--set", "max_steps=2", "--set", f"outdir={tmp_path}"]
+    with pytest.raises(SystemExit, match="^error: no steady state within 2 steps: "):
+        main(argv)
 
 
 @pytest.mark.parametrize("kind, setting, match", SOLVER_SETTINGS)

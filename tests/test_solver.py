@@ -182,8 +182,8 @@ def test_initialize_state_essential_vorticity_rows(complex_n2):
 def test_initialize_state_interpolates_only_vorticity_essential_values(complex_n2):
     """The velocity is interpolated on all 120 faces and evaluated once on
     the 48 boundary faces for the natural term, 16 points each; the
-    essential face values, which the vorticity solve does not use, are
-    not interpolated."""
+    essential face values, which the vorticity solve does not use, read
+    those samples and evaluate it no more."""
     calls = []
     u = counted(ethier_velocity(2.0, 1.0), calls)
     initialize_state(complex_n2, ethier_bc_of(u), u)
@@ -354,14 +354,18 @@ def test_run_requires_state_or_data(complex_n2):
 
 
 def test_t_end_beyond_max_steps_raises(complex_n2):
+    """A t_end more than max_steps steps away is refused before any step."""
     config = SolverConfig(dt=0.01, t_end=1.0, max_steps=3)
-    with pytest.raises(Exception, match="t_end"):
+    calls = []
+    with pytest.raises(ValueError, match="t_end=1 is 100 steps .* more than max_steps=3"):
         run_transient(
             complex_n2,
             BoundaryConditionSpec(RegionBC()),
             config,
             velocity_data=lambda p, t=0.0: np.zeros((len(p), 3)),
+            observers=(lambda state, diag: calls.append(diag.step),),
         )
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -1054,8 +1058,8 @@ def test_each_callable_is_sampled_once_per_face_set_and_solve(complex_n2):
     solver._SaddleOperator(complex_n2, bc, config.nu, config.dt)
     assert all(v == [] for v in calls.values())
     run_transient(complex_n2, bc, config, state=state0)
-    ((_, outlet, _),) = bc.regions("velocity", NATURAL)
-    ((_, walls, _),) = bc.regions("velocity", assembly.ESSENTIAL)
+    ((_, outlet, *_),) = bc.regions("velocity", NATURAL)
+    ((_, walls, *_),) = bc.regions("velocity", assembly.ESSENTIAL)
     outlet, walls = len(outlet) * len(bc.rule), len(walls) * len(bc.rule)
     assert sorted(calls["velocity"]) == sorted([outlet, walls] * 3)
     assert calls["pressure"] == [outlet] * 3

@@ -147,7 +147,7 @@ def test_shared_boundary_gives_standalone_essential_values(case, monkeypatch):
 
         if case == "seam":  # a seam edge takes the first region's data
             edges, values = got["u1"]
-            (_, lf, _), (_, rf, _) = boundary.regions("vorticity", "essential")
+            (_, lf, *_), (_, rf, *_) = boundary.regions("vorticity", "essential")
             seam = np.intersect1d(mesh.face_edges[lf], mesh.face_edges[rf])
             assert len(seam) > 0
             first = interpolate(expanding, complex_.V1, t=t).values[seam]
