@@ -49,9 +49,9 @@ from .mesh import build_box_mesh
 from .solver import (
     SolverConfig,
     TransientState,
-    _SaddleOperator,
     check_t_end,
     initialize_state,
+    make_operator,
     run_transient,
     solve_stokes,
     step,
@@ -337,7 +337,7 @@ def run_noflow(spec):
     degree = spec.load_degree if spec.load_degree is not None else max(spec.gamma) + 1
     config = replace(spec.solver_config(), load_degree=degree)
     report = NoFlowReport()
-    operator = _SaddleOperator(complex_, bc, config.nu, config.dt)
+    operator = make_operator(complex_, bc, config.nu, config.dt)
     lines = [
         "no-flow test: gradient forcing, velocity should vanish",
         f"mesh n={n}, h={complex_.h:.4f}, velocity dofs={complex_.V2.ndof}",

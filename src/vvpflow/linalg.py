@@ -120,7 +120,7 @@ class ReducedSystem:
         self.matrix.data = data[self.positions]
         self.x_fixed = np.zeros(len(b))
         self.x_fixed[self.fixed] = fixed_values
-        self.eliminated = b - self.pattern @ self.x_fixed
+        self.eliminated = b - self.pattern @ self.x_fixed if len(self.fixed) else b.copy()
         return self.eliminated
 
     @property

@@ -67,6 +67,32 @@ class DualForest:
     parent_face: np.ndarray  # (T,) face shared with the parent, -1 at roots
     parent_sign: np.ndarray  # (T,) its divergence-matrix entry D2[cell, face], 0 at roots
 
+    @functools.cached_property
+    def tree(self):
+        """The non-root cells, each the child of its ``parent_face``."""
+        return np.flatnonzero(self.parent >= 0)
+
+    @functools.cached_property
+    def subtree(self):
+        """(T, T) CSR 0/1 map, built on first use: row c of a non-root cell
+        holds c and its descendants, and a root's row is empty.
+
+        ``subtree @ x`` sums x over each subtree, leaves to roots, and
+        ``subtree.T @ y`` sums y along each cell's path below its root, roots
+        to leaves.  One walk up from every cell at once, a level per pass.
+        """
+        T = len(self.parent)
+        rows, cols = [], []
+        above, cell = np.arange(T), np.arange(T)
+        while len(cell):
+            inner = self.parent[above] >= 0
+            above, cell = above[inner], cell[inner]
+            rows.append(above)
+            cols.append(cell)
+            above = self.parent[above]
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        return coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(T, T)).tocsr()
+
 
 class SimplicialMesh3:
     """Tetrahedral mesh with deduplicated edge/face skeletons.
@@ -210,6 +236,37 @@ class SimplicialMesh3:
         parent[child], face[child] = pred[child], self.tet_faces[child, local]
         sign[child] = self._face_signs(child, face[child])
         return DualForest(labels, roots, levels, parent, face, sign)
+
+    @functools.cached_property
+    def cotree(self):
+        """Sorted interior edges off a breadth-first spanning tree of the
+        interior vertices plus one node that stands for the whole boundary,
+        built on first use.
+
+        The tree holds one edge per interior vertex, the one it was reached
+        through from the boundary (the lowest-indexed of parallel edges to
+        the boundary node), so the cotree has interior edges - interior
+        vertices entries.  When b2 = 0 the interior-edge gradients of the
+        interior vertices are the whole kernel of the curl on interior
+        edges, so the curls of the cotree edges are independent, and when
+        b1 = 0 they span every face flux with zero divergence and zero
+        boundary flux.  The boundary node joins every component, so one
+        search covers a disconnected mesh.
+        """
+        V = self.n_vertices
+        interior = np.setdiff1d(np.arange(self.n_edges), self.boundary_edges)
+        node = np.arange(V)
+        node[self.boundary_vertices] = V
+        ends = np.sort(node[self.edges[interior]], axis=1)
+        link = ends[:, 0] != ends[:, 1]  # an edge between two boundary vertices is a loop
+        graph = coo_matrix((np.ones(link.sum()), tuple(ends[link].T)), shape=(V + 1, V + 1))
+        order, pred = csgraph.breadth_first_order(graph, V, directed=False)
+        key = ends[:, 0] * (V + 1) + ends[:, 1]
+        keys, first = np.unique(key, return_index=True)
+        child = order[1:]
+        reached = np.minimum(child, pred[child]) * (V + 1) + np.maximum(child, pred[child])
+        tree = first[np.searchsorted(keys, reached)]
+        return np.delete(interior, tree)
 
     @functools.cached_property
     def betti_numbers(self):

@@ -1,4 +1,4 @@
-"""Steady solves and implicit time stepping for the saddle system.
+"""Steady solves and implicit time stepping of the vorticity-velocity-pressure system.
 
 One implicit step from state (omega^n, u^n) to time t^{n+1} solves the
 steady system (the blocks of :func:`vvpflow.assembly.assemble_B0`, the
@@ -13,16 +13,31 @@ splitting weight theta interpolates between the two equivalent forms of
 the rotational convection term; theta = 1/2 gives the symmetric
 average used throughout the experiments.
 
-Steady solves and steps share one operator, :class:`_SaddleOperator`,
-the only code that knows the harmonic multiplier: it computes it before
-the factorization instead of factoring the dense border of the paper's
-saddle matrix.  It holds only the matrix, built once: the harmonic
-space, the resolved boundary (``assembly.ResolvedBoundary``), the
-:func:`assemble_B0` blocks and ``M2/dt``, their CSR pattern with the
-convection slots (``linalg.stack_blocks``) and its reduction to the free
-unknowns, listed in the mesh's nested-dissection order
-(``linalg.eliminate``), which every factor keeps.  Each solve is given
-its loads, adds the per-cell convection blocks into that pattern,
+Steady solves and steps build their operator through one function,
+:func:`make_operator`, which picks one of two from the resolved spec and
+the mesh's Betti numbers alone:
+
+* :class:`_StreamOperator`, when every boundary face has essential
+  velocity and the mesh has b1 = b2 = 0.  It solves in the exactly
+  divergence-free subspace that D2 D1 = 0 provides: the vorticity and a
+  stream function on the cotree of the interior edges
+  (``SimplicialMesh3.cotree``), about half the saddle system's unknowns.
+  Its matrix is the congruence of the :func:`assemble_B0` blocks with
+  Z = diag(I, D1[:, cotree]), so the pressure leaves the solve; the
+  divergence and the pressure are recovered on the tree faces of
+  ``mesh.dual_forest``.
+* :class:`_SaddleOperator`, for every other spec (natural outlets,
+  handles, cavities), and the reference the stream operator is tested
+  against.  It is the only code that knows the harmonic multiplier of
+  the saddle system: it computes it before the factorization instead of
+  factoring the dense border of the paper's saddle matrix.
+
+Each holds only its matrix, built once: the harmonic space, the resolved
+boundary (``assembly.ResolvedBoundary``), the :func:`assemble_B0` blocks
+and ``M2/dt``, their CSR pattern with the convection slots and its
+reduction to the free unknowns, listed in the mesh's nested-dissection
+order (``linalg.eliminate``), which every factor keeps.  Each solve is
+given its loads, adds the per-cell convection blocks into that pattern,
 evaluates the right-hand side (:func:`assemble_rhs`, whose boundary data
 come from one ``ResolvedBoundary.evaluate``) and refills the reduction.
 :func:`run_transient` builds one operator per run,
@@ -52,11 +67,14 @@ is solved by conjugate gradients (:func:`vvpflow.linalg.solve_spd`).
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import (
+    ESSENTIAL,
     NaturalBCCache,  # noqa: F401  (names the benchmark tracer patches)
     assemble_B0,
     assemble_convection,
@@ -78,6 +96,7 @@ from .linalg import (
     stack,
     stack_blocks,
 )
+from .mesh import FACE_EDGE_SIGN, TET_FACE_EDGES
 from .spaces import FormCoefficients
 
 __all__ = [
@@ -90,6 +109,7 @@ __all__ = [
     "initialize_state",
     "step",
     "run_transient",
+    "make_operator",
 ]
 
 
@@ -179,7 +199,10 @@ class StepDiagnostics:
     corrections (see :func:`vvpflow.linalg.solve`): the run's first step
     starts from LU^-1 b and makes passes + 1 triangular solves, a later
     one starts from the previous solution and makes passes, and 0 passes
-    mean the start was already at roundoff."""
+    mean the start was already at roundoff.  ``unknowns`` is the size of
+    the factored system (the stream or the saddle system, see
+    :func:`make_operator`) and ``factor_dtype`` the precision of the
+    factor held after the step (``linalg.FactorHolder.dtype``)."""
 
     step: int
     t: float
@@ -189,6 +212,8 @@ class StepDiagnostics:
     update_rel: float
     factor_reused: bool
     refine_passes: int
+    unknowns: int
+    factor_dtype: type
 
 
 @dataclass
@@ -295,14 +320,8 @@ class _SaddleOperator:
         parts = reduced.split(full)
         u = parts["u2"].copy()
         if self.harmonic.dim:
-            forest = complex_.mesh.dual_forest
             defect = complex_.mesh.tet_volumes * b[u3] - complex_.d2 @ u
-            acc = np.where(h.any(axis=1), defect, 0.0)  # closed components only
-            acc -= h @ (h.T @ (complex_.m3 @ acc))
-            for cells in forest.levels[:0:-1]:
-                np.add.at(acc, forest.parent[cells], acc[cells])
-            tree = forest.parent >= 0
-            u[forest.parent_face[tree]] += forest.parent_sign[tree] * acc[tree]
+            _sweep(complex_, self.harmonic, u, defect)
         p = parts["u3"] - h @ (h.T @ (complex_.m3 @ parts["u3"]))
         state = TransientState(
             t=t,
@@ -312,6 +331,288 @@ class _SaddleOperator:
         )
         self.last = (state, full[reduced.free])
         return state, residual
+
+
+# D1 of one tet: row a is its local face a, column e its local edge e
+# (``mesh.TET_FACE_EDGES``); the ascending vertex order makes it the same
+# in every tet.
+_TET_D1 = np.zeros((4, 6))
+for _face, _edges in enumerate(TET_FACE_EDGES):
+    _TET_D1[_face, list(_edges)] = FACE_EDGE_SIGN
+# The raveled (4, 6) and (4, 4) convection blocks of one tet, side by side, times
+# _STREAM_CONVECTION are the raveled (6, 6) blocks D1^T A3 and D1^T A5 D1, side by side.
+_STREAM_CONVECTION = np.zeros((40, 72))
+_STREAM_CONVECTION[:24, :36] = np.kron(_TET_D1, np.eye(6))
+_STREAM_CONVECTION[24:, 36:] = np.kron(_TET_D1, _TET_D1)
+
+
+@dataclass(frozen=True)
+class _StreamLayout:
+    """What the stream system keeps on one complex whatever its nu, dt and
+    boundary: built once per complex by :func:`_stream_layout`.
+
+    The unknowns are omega on every edge, then psi on ``mesh.cotree``.
+    ``d1c`` is D1[:, cotree] and ``zt`` the transpose of Z = diag(I, d1c).
+    ``pattern`` (CSR with sorted indices; its data are zeros) holds every
+    pair of unknowns on the edges of one tet, which covers Z^T A Z and the
+    convection slots whatever cancels; ``convection`` maps the raveled
+    local blocks of :func:`assemble_convection`, (T, 4, 6) then (T, 4, 4),
+    through ``_STREAM_CONVECTION`` onto the pattern's entries.  ``order`` is the
+    elimination order, ``mesh.elimination_order``'s edges with each psi_e
+    right after omega_e, and ``paths`` the transpose of
+    ``DualForest.subtree``, which sums along the tree from the roots down.
+    ``tree_cells`` holds the two cells of each tree face of the dual forest
+    (child, then parent) and the face's local index in each.
+    """
+
+    d1c: sp.csr_matrix
+    zt: sp.csr_matrix
+    pattern: sp.csr_matrix
+    convection: sp.csr_matrix
+    order: np.ndarray
+    paths: sp.csr_matrix
+    tree_cells: tuple
+
+    @classmethod
+    def build(cls, complex_):
+        mesh = complex_.mesh
+        E, T, cotree = mesh.n_edges, mesh.n_tets, mesh.cotree
+        n = E + len(cotree)
+        d1c = complex_.d1[:, cotree].tocsr()
+        zt = sp.block_diag((sp.identity(E), d1c), format="csr").T.tocsr()
+        # Every ordered pair of edges of one tet, once; pair[36 t + 6 a + b] is
+        # the pair of its local edges a and b.
+        edges = mesh.tet_edges
+        keys, pair = np.unique(np.repeat(edges, 6, 1) * E + np.tile(edges, 6), return_inverse=True)
+        first, second = np.divmod(keys, E)
+        # Each pair as omega-omega, omega-psi, psi-omega and psi-psi entries, -1
+        # where an edge is off the cotree; the pattern lists them in row order.
+        psi = np.full(E, -1)
+        psi[cotree] = E + np.arange(len(cotree))
+        rows = np.concatenate([first, first, psi[first], psi[first]])
+        cols = np.concatenate([second, psi[second], second, psi[second]])
+        on = (rows >= 0) & (cols >= 0)
+        sorted_keys = np.sort(rows[on] * n + cols[on])
+        position = np.full(len(rows), -1, np.int32)
+        position[on] = np.searchsorted(sorted_keys, rows[on] * n + cols[on])
+        counts = np.bincount(sorted_keys // n, minlength=n)
+        pattern = sp.csr_matrix(
+            (np.zeros(len(sorted_keys)), sorted_keys % n, np.r_[0, np.cumsum(counts)]),
+            shape=(n, n),
+        )
+        # Column m of a tet's map holds the entries k of row m of _STREAM_CONVECTION,
+        # 3 of A3's (psi-omega) and 9 of A5's (psi-psi), k = 36 block + 6 i + j: local
+        # psi row i and column j.  Rows off the cotree hold nothing.  The map is
+        # built an A3 then an A5 part at a time, each by column.
+        m, k = np.nonzero(_STREAM_CONVECTION)  # by m, then k
+        pair = pair.reshape(T, 36)
+        parts = []
+        for part, per in ((m < 24, 3), (m >= 24, 9)):
+            block, local = k[part] // 36, k[part] % 36
+            target = position[(2 + block) * len(keys) + pair[:, local]].ravel()
+            on = target >= 0
+            parts.append(
+                (
+                    np.tile(_STREAM_CONVECTION[m[part], k[part]], T)[on],
+                    target[on],
+                    on.reshape(-1, per).sum(1),
+                )
+            )
+        data, indices, counts = (np.concatenate(x) for x in zip(*parts))
+        del parts
+        convection = sp.csc_matrix(
+            (data, indices, np.r_[0, np.cumsum(counts)]), shape=(len(sorted_keys), 40 * T)
+        ).tocsr()
+        order = mesh.elimination_order
+        rank = np.empty(E, np.int64)
+        rank[order[order < E]] = np.arange(E)
+        order = np.argsort(np.concatenate([2 * rank, 2 * rank[cotree] + 1]))
+        forest = mesh.dual_forest
+        paths = forest.subtree.T.tocsr()
+        cells = np.stack([forest.tree, forest.parent[forest.tree]], axis=1)
+        at = np.argmax(mesh.tet_faces[cells] == forest.parent_face[forest.tree, None, None], 2)
+        return cls(d1c, zt, pattern, convection, order, paths, (cells, at))
+
+    def position(self, rows, cols):
+        """Where the entries (rows, cols) sit in the pattern's data."""
+        pattern = self.pattern
+        n = pattern.shape[1]
+        keys = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr)) * n
+        return np.searchsorted(keys + pattern.indices, rows * n + cols)
+
+
+# The layout of each complex alive, shared by the operators built on it: a run
+# builds one operator, and the layout would otherwise be rebuilt for every run.
+_STREAM_LAYOUTS = weakref.WeakKeyDictionary()
+
+
+def _stream_layout(complex_):
+    """The :class:`_StreamLayout` of ``complex_``, built on first use."""
+    if complex_ not in _STREAM_LAYOUTS:
+        _STREAM_LAYOUTS[complex_] = _StreamLayout.build(complex_)
+    return _STREAM_LAYOUTS[complex_]
+
+
+class _StreamOperator:
+    """The system of one run in the divergence-free subspace, for specs in
+    which every boundary face has essential velocity, on meshes with
+    b1 = b2 = 0 (see :func:`make_operator`).
+
+    Every velocity with the essential fluxes and the divergence the q-rows
+    ask for is u = u_g + D1 psi with psi on ``mesh.cotree``: D2 D1 = 0
+    exactly, and the cotree's curls span the rest.  The unknowns are the
+    free vorticity and psi, and the matrix is the congruence Z^T A Z, with
+    ``a`` = A the tau- and v-rows' vorticity and velocity blocks of
+    :func:`assemble_B0` (plus ``M2/dt`` when ``dt`` is given) and
+    Z = diag(I, D1[:, cotree]): the v-rows are tested with the curls of
+    the cotree edges only, so the pressure drops out ((D2 D1)^T = 0), and
+    the q-rows hold by construction.  The per-cell convection blocks enter
+    as D1_loc^T A3_loc and D1_loc^T A5_loc D1_loc (``_TET_D1``), in fixed
+    slots of the pattern (``_StreamLayout.convection``).  ``reduced`` is
+    the pattern without the essential vorticity edges, reduced once in
+    the layout's order; ``factor`` and ``last`` work as in
+    :class:`_SaddleOperator`.
+
+    A solve is made about the state it continues from (zero without one):
+    the unknowns are the change of the vorticity and psi, so that the
+    velocity is not the small difference of a large lift and a large
+    curl.  The lift u_g is that state's velocity with the new essential
+    fluxes, whose divergence defect (against the particular divergence of
+    ``f3``, less its harmonic part) is carried from the leaves of
+    ``mesh.dual_forest`` to its roots through the tree faces
+    (:func:`_sweep`); the same sweep takes the roundoff divergence off
+    u_g + D1 psi.  The pressure is then recovered from the v-rows on the
+    tree faces, where D2^T M3 p is the residual of the other terms, from
+    the roots down (``DualForest.subtree``), and moved to the gauge
+    H^T M3 p = 0.
+    """
+
+    def __init__(self, complex_, bc, nu, dt=None):
+        self.complex, self.boundary = complex_, resolve_boundary(complex_, bc)
+        self.harmonic, mesh = self.boundary.harmonic, complex_.mesh
+        self.layout = layout = _stream_layout(complex_)
+        groups, blocks = assemble_B0(complex_, nu=nu)
+        if dt is not None:
+            blocks[("u2", "u2")] = complex_.m2 / dt
+        del groups["u3"]
+        self.a, _ = stack_blocks(groups, {k: v for k, v in blocks.items() if "u3" not in k})
+        congruence = (layout.zt @ self.a @ layout.zt.T).tocoo()
+        pattern = layout.pattern
+        self.static = np.zeros(pattern.nnz)
+        self.static[layout.position(congruence.row, congruence.col)] = congruence.data
+        pattern = sp.csr_matrix((self.static, pattern.indices, pattern.indptr), pattern.shape)
+        essential = self.boundary.essential
+        fixed = essential["u1"][1] if "u1" in essential else np.empty(0, np.int64)
+        groups = {"u1": mesh.n_edges, "psi": pattern.shape[0] - mesh.n_edges}
+        self.reduced = eliminate(pattern, groups, fixed, layout.order)
+        self.m3h = complex_.m3 @ self.harmonic.basis
+        self.tree_faces = mesh.dual_forest.parent_face[mesh.dual_forest.tree]
+        self.tree_rows = self.a[mesh.n_edges + self.tree_faces]
+        self.factor = FactorHolder(dtype=np.float64 if dt is None else np.float32)
+        self.last = (None, None)
+
+    def _rows(self, convection, omega, u):
+        """A (omega, u) plus the convection A3 omega + A5 u on the v-rows."""
+        mesh = self.complex.mesh
+        out = self.a @ np.concatenate([omega, u])
+        if convection is not None:
+            local3, local5 = convection
+            local = np.einsum("tfe,te->tf", local3, omega[mesh.tet_edges])
+            local += np.einsum("tfg,tg->tf", local5, u[mesh.tet_faces])
+            out[mesh.n_edges :] += np.bincount(
+                mesh.tet_faces.ravel(), local.ravel(), minlength=mesh.n_faces
+            )
+        return out
+
+    def solve(self, t, loads, convection=None, rhs_u2=None, previous=None):
+        """Solve at time t; returns (state, residual).  The arguments are
+        those of :meth:`_SaddleOperator.solve`; ``previous``, when given, is
+        also the state the solve is made about."""
+        complex_, h, reduced = self.complex, self.harmonic.basis, self.reduced
+        mesh = complex_.mesh
+        E, vol = mesh.n_edges, mesh.tet_volumes
+        rhs, constraints = assemble_rhs(complex_, self.boundary, t=t, **loads)
+        b = stack({"u1": E, "u2": mesh.n_faces}, rhs)
+        if rhs_u2 is not None:
+            b[E:] += rhs_u2
+        b3 = rhs.get("u3", np.zeros(mesh.n_tets))
+        if previous is None:
+            omega, u = np.zeros(E), np.zeros(mesh.n_faces)
+        else:
+            omega, u = previous.omega.values, previous.u.values.copy()
+        faces, fluxes = constraints["u2"]
+        u[faces] = fluxes
+        d2u = complex_.d2 @ u
+        target = vol * (b3 - self.m3h @ (h.T @ (b3 - d2u / vol)))  # D2 u as the q-rows ask
+        _sweep(complex_, self.harmonic, u, target - d2u)  # u is now u_g
+
+        data = self.static
+        if convection is not None:
+            local = np.concatenate([block.ravel() for block in convection])
+            data = data + self.layout.convection @ local
+        if "u1" in constraints:
+            edges, values = constraints["u1"]
+            values = values - omega[edges]
+        else:
+            values = np.empty(0)
+        reduced.refill(data, self.layout.zt @ (b - self._rows(convection, omega, u)), values)
+        returned, x0 = self.last
+        x0 = x0 if previous is returned else None  # both None before a first solve
+        full, residual = solve_reduced(reduced, factor=self.factor, x0=x0)
+        parts = reduced.split(full)
+        omega = omega + parts["u1"]
+        u += self.layout.d1c @ parts["psi"]
+        _sweep(complex_, self.harmonic, u, target - complex_.d2 @ u)
+        # The v-rows on the tree faces give D2^T (M3 p), from the roots down.
+        g = self.tree_rows @ np.concatenate([omega, u]) - b[E + self.tree_faces]
+        if convection is not None:
+            cells, at = self.layout.tree_cells
+            g += np.einsum("kce,kce->k", convection[0][cells, at], omega[mesh.tet_edges[cells]])
+            g += np.einsum("kcf,kcf->k", convection[1][cells, at], u[mesh.tet_faces[cells]])
+        tree = mesh.dual_forest.tree
+        jumps = np.zeros(mesh.n_tets)
+        jumps[tree] = mesh.dual_forest.parent_sign[tree] * g
+        p = vol * (self.layout.paths @ jumps)
+        p -= h @ (h.T @ (p / vol))
+        state = TransientState(
+            t=t,
+            omega=FormCoefficients(complex_.V1, omega),
+            u=FormCoefficients(complex_.V2, u),
+            p=FormCoefficients(complex_.V3, p),
+        )
+        self.last = (state, full[reduced.free])
+        return state, residual
+
+
+def _sweep(complex_, harmonic, u, defect):
+    """Add to ``u``, in place, the fluxes on the tree faces of
+    ``mesh.dual_forest`` that carry the divergence ``defect`` of each
+    closed component, less its harmonic part, from the leaves to the root.
+    D2 u then gains ``defect`` on every cell of a closed component but its
+    root, which is left with the component's total, zero up to roundoff.
+    One product with ``DualForest.subtree`` sums every subtree at once."""
+    h, forest = harmonic.basis, complex_.mesh.dual_forest
+    defect = np.where(h.any(axis=1), defect, 0.0)  # closed components only
+    defect -= h @ (h.T @ (defect / complex_.mesh.tet_volumes))
+    tree = forest.tree
+    u[forest.parent_face[tree]] += forest.parent_sign[tree] * (forest.subtree @ defect)[tree]
+
+
+def make_operator(complex_, bc, nu, dt=None):
+    """The operator of a run: a steady one without ``dt``, a time-step one
+    with it.
+
+    A spec in which every boundary face has essential velocity, on a mesh
+    with b1 = b2 = 0, is solved in the divergence-free subspace
+    (:class:`_StreamOperator`, about half the saddle system's unknowns);
+    every other spec by the saddle system (:class:`_SaddleOperator`).  The
+    choice rests only on the resolution of ``bc`` and ``mesh.betti_numbers``.
+    """
+    boundary = resolve_boundary(complex_, bc)
+    _, b1, b2 = complex_.mesh.betti_numbers
+    essential = all(region.velocity_mode == ESSENTIAL for region, *_ in boundary.claims)
+    kind = _StreamOperator if essential and b1 == b2 == 0 else _SaddleOperator
+    return kind(complex_, boundary, nu, dt)
 
 
 def _boundary(complex_, bc, space, resolution):
@@ -342,7 +643,7 @@ def solve_stokes(
     Returns ``(state, diagnostics)`` where diagnostics carries the
     relative linear residual and the max divergence density.
     """
-    operator = _SaddleOperator(complex_, _boundary(complex_, bc, harmonic, natural_cache), nu)
+    operator = make_operator(complex_, _boundary(complex_, bc, harmonic, natural_cache), nu)
     state, residual = operator.solve(t, {"f2": f2, "f3": f3, "load_degree": load_degree})
     diagnostics = {
         "residual": residual,
@@ -382,15 +683,15 @@ def initialize_state(complex_, bc, velocity_data, t=0.0):
 def step(complex_, bc, config, state, f=None, operator=None):
     """Advance one implicit step; returns (new_state, residual).
 
-    ``operator`` is a saddle operator for this ``config``'s nu and dt, such
-    as the one :func:`run_transient` builds per run; the step gives it its
-    loads and ``state``, so a step from the state the operator last
-    returned refines from that solution.  Without it the step builds a
-    one-shot one.
+    ``operator`` is an operator for this ``config``'s nu and dt
+    (:func:`make_operator`), such as the one :func:`run_transient` builds
+    per run; the step gives it its loads and ``state``, so a step from the
+    state the operator last returned refines from that solution.  Without
+    it the step builds a one-shot one.
     """
     t_new = state.t + config.dt
     if operator is None:
-        operator = _SaddleOperator(complex_, bc, config.nu, config.dt)
+        operator = make_operator(complex_, bc, config.nu, config.dt)
     convection = assemble_convection(
         complex_, state.omega.values, state.u.values, config.theta
     )
@@ -433,7 +734,7 @@ def run_transient(
     bc = _boundary(complex_, bc, harmonic, natural_cache)
     if state is None:
         state = initialize_state(complex_, bc, velocity_data, t=0.0)
-    operator = _SaddleOperator(complex_, bc, config.nu, config.dt)
+    operator = make_operator(complex_, bc, config.nu, config.dt)
     summary = TrajectorySummary(final=state)
     m2 = complex_.m2
     for n in range(1, config.max_steps + 1):
@@ -456,6 +757,8 @@ def run_transient(
             update_rel=update_rel,
             factor_reused=operator.factor.reused,
             refine_passes=operator.factor.passes,
+            unknowns=operator.reduced.matrix.shape[0],
+            factor_dtype=operator.factor.dtype,
         )
         summary.history.append(diag)
         state = new_state

@@ -189,14 +189,19 @@ def test_criterion_1_complex_identity():
 # L+U of the step factor at n = 10 below, as measured when the test was
 # written: an elimination order that grows the fill fails here.
 N10_STEP_FILL = 7_225_383
+# The same for the stream system the step factors since it replaced the saddle
+# system there (13,331 unknowns, omega_e and psi_e interleaved in the
+# nested-dissection order): an interleaving that grows the fill fails here.
+N10_STREAM_STEP_FILL = 5_794_446
 
 
 def test_structure_guarantees_at_n10(tmp_path, monkeypatch):
     """Beyond the sizes of the other tests: on a jittered n = 10 box the
     curl of the divergence is exactly zero, 3 transient Ethier steps keep
     the velocity divergence-free and meet the residual contract with a
-    step factor no fuller than ``N10_STEP_FILL``, and the n = 10 no-flow
-    test keeps the velocity at roundoff."""
+    step factor no fuller than ``N10_STEP_FILL`` and
+    ``N10_STREAM_STEP_FILL``, and the n = 10 no-flow test keeps the
+    velocity at roundoff."""
     complex_ = DeRhamComplex(jittered_box(10, 0))
     assert (complex_.d2 @ complex_.d1).nnz == 0
 
@@ -226,6 +231,7 @@ def test_structure_guarantees_at_n10(tmp_path, monkeypatch):
         assert diag.residual <= RESIDUAL_TOL
         assert diag.div_max <= 1e-12 * (1.0 + complex_.norm(state.u))
     assert fills and max(fills) <= N10_STEP_FILL
+    assert max(fills) <= N10_STREAM_STEP_FILL
 
     report = run_experiment(ExperimentSpec(kind="noflow", n=(10,), outdir=str(tmp_path)))
     assert report.max_velocity_norm <= 1e-15

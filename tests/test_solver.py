@@ -29,7 +29,7 @@ from vvpflow.mesh import build_box_mesh
 from vvpflow.spaces import DeRhamComplex, interpolate
 
 import oracles
-from conftest import jittered_box, scattered_convection
+from conftest import jittered_box, scattered_convection, side_by_side
 
 
 def both_essential(fields):
@@ -437,8 +437,17 @@ def _solve_watching_matrices(monkeypatch, run):
     return out, seen
 
 
-def _check_matches_bordered(complex_, bc, system, state, residual, seen):
-    """The eliminated solve reproduces the bordered one; returns phi."""
+def _stream_unknowns(complex_, bc):
+    """The free edges plus the cotree: the size of the stream system."""
+    essential = assembly.resolve_boundary(complex_, bc).essential
+    fixed = len(essential["u1"][1]) if "u1" in essential else 0
+    return complex_.mesh.n_edges - fixed + len(complex_.mesh.cotree)
+
+
+def _check_matches_bordered(complex_, bc, system, state, residual, seen, saddle):
+    """The eliminated solve reproduces the bordered one; returns phi.  The
+    saddle operator factors the bordered system without phi and the pins,
+    the stream operator the smaller system of :func:`_stream_unknowns`."""
     harmonic = build_harmonic_space(complex_, bc)
     assert harmonic.dim == 1
     reduced, want = _bordered_solution(system, harmonic, complex_.m3)
@@ -457,41 +466,63 @@ def _check_matches_bordered(complex_, bc, system, state, residual, seen):
     assert residual <= RESIDUAL_TOL
     # No dense row or column reaches the factorization.
     (matrix,) = seen
-    assert matrix.shape[0] == reduced.matrix.shape[0] - 2
+    want = reduced.matrix.shape[0] - 2 if saddle else _stream_unknowns(complex_, bc)
+    assert matrix.shape[0] == want
     assert np.diff(matrix.indptr).max() <= 64
     assert np.diff(matrix.tocsc().indptr).max() <= 64
     return phi
 
 
 def test_step_eliminates_harmonic_multiplier(complex_j3, monkeypatch):
+    """The step of the closed box, by the stream operator it builds and by
+    an explicit saddle operator, reproduces the bordered system."""
     bc = ethier_bc(2.0, 1.0)
     config = SolverConfig(nu=1.0, dt=0.01, t_end=0.01)
     state0 = initialize_state(complex_j3, bc, ethier_velocity(2.0, 1.0))
-    (state, residual), seen = _solve_watching_matrices(
-        monkeypatch, lambda: step(complex_j3, bc, config, state0)
-    )
-    system = oracles.saddle_system(complex_j3, bc, nu=config.nu, t=state.t)
-    _, blocks, rhs, _ = system
-    a3, a5 = scattered_convection(
-        complex_j3, state0.omega.values, state0.u.values, config.theta
-    )
-    m2 = complex_j3.m2
-    blocks[("u2", "u1")] = blocks[("u2", "u1")] + a3
-    blocks[("u2", "u2")] = a5 + m2 / config.dt
-    rhs["u2"] = rhs.get("u2", 0.0) + (m2 @ state0.u.values) / config.dt
-    _check_matches_bordered(complex_j3, bc, system, state, residual, seen)
+    for saddle in (False, True):
+        operator = solver._SaddleOperator(complex_j3, bc, config.nu, config.dt) if saddle else None
+        (state, residual), seen = _solve_watching_matrices(
+            monkeypatch, lambda: step(complex_j3, bc, config, state0, operator=operator)
+        )
+        system = oracles.saddle_system(complex_j3, bc, nu=config.nu, t=state.t)
+        _, blocks, rhs, _ = system
+        a3, a5 = scattered_convection(
+            complex_j3, state0.omega.values, state0.u.values, config.theta
+        )
+        m2 = complex_j3.m2
+        blocks[("u2", "u1")] = blocks[("u2", "u1")] + a3
+        blocks[("u2", "u2")] = a5 + m2 / config.dt
+        rhs["u2"] = rhs.get("u2", 0.0) + (m2 @ state0.u.values) / config.dt
+        _check_matches_bordered(complex_j3, bc, system, state, residual, seen, saddle)
+
+
+def _steady_by_both_operators(monkeypatch, complex_, bc, **kwargs):
+    """``solve_stokes`` (the stream operator on a closed box) and an explicit
+    saddle operator on the same data: [(saddle, (state, residual), seen)]."""
+    loads = {k: kwargs.get(k) for k in ("f2", "f3", "load_degree")}
+    runs = []
+    for saddle in (False, True):
+        if saddle:
+            operator = solver._SaddleOperator(complex_, bc, kwargs["nu"])
+            run = lambda: operator.solve(0.0, loads)  # noqa: E731
+        else:
+            run = lambda: solve_stokes(complex_, bc, **kwargs)  # noqa: E731
+        (state, info), seen = _solve_watching_matrices(monkeypatch, run)
+        residual = info if saddle else info["residual"]
+        runs.append((saddle, (state, residual), seen))
+    return runs
 
 
 def test_stokes_eliminates_harmonic_multiplier(complex_j3, monkeypatch):
     fields = stokes_mms_fields(nu=1.0)
     bc = both_essential(fields)
     kwargs = dict(nu=1.0, f2=fields["forcing"], load_degree=8)
-    (state, info), seen = _solve_watching_matrices(
-        monkeypatch, lambda: solve_stokes(complex_j3, bc, **kwargs)
-    )
-    system = oracles.saddle_system(complex_j3, bc, **kwargs)
-    phi = _check_matches_bordered(complex_j3, bc, system, state, info["residual"], seen)
-    assert np.abs(phi).max() <= 1e-14
+    for saddle, (state, residual), seen in _steady_by_both_operators(
+        monkeypatch, complex_j3, bc, **kwargs
+    ):
+        system = oracles.saddle_system(complex_j3, bc, **kwargs)
+        phi = _check_matches_bordered(complex_j3, bc, system, state, residual, seen, saddle)
+        assert np.abs(phi).max() <= 1e-14
 
 
 def test_stokes_with_net_source_sets_multiplier(complex_j3, monkeypatch):
@@ -503,12 +534,12 @@ def test_stokes_with_net_source_sets_multiplier(complex_j3, monkeypatch):
         return 1.0 + p[:, 0]
 
     kwargs = dict(nu=1.0, f2=fields["forcing"], f3=source, load_degree=8)
-    (state, info), seen = _solve_watching_matrices(
-        monkeypatch, lambda: solve_stokes(complex_j3, bc, **kwargs)
-    )
-    system = oracles.saddle_system(complex_j3, bc, **kwargs)
-    phi = _check_matches_bordered(complex_j3, bc, system, state, info["residual"], seen)
-    assert np.abs(phi).max() > 0.1
+    for saddle, (state, residual), seen in _steady_by_both_operators(
+        monkeypatch, complex_j3, bc, **kwargs
+    ):
+        system = oracles.saddle_system(complex_j3, bc, **kwargs)
+        phi = _check_matches_bordered(complex_j3, bc, system, state, residual, seen, saddle)
+        assert np.abs(phi).max() > 0.1
 
 
 def test_step_on_small_box_keeps_divergence_gate():
@@ -557,11 +588,13 @@ def _outlet_bc(fields):
     )
 
 
-def _ns_step(complex_):
+def _ns_step(complex_, saddle=False):
+    """One Ethier step: by the stream operator it builds, or by an explicit saddle one."""
     bc = ethier_bc(2.0, 1.0)
     config = SolverConfig(nu=1.0, dt=1e-3, t_end=1e-3)
     state0 = initialize_state(complex_, bc, ethier_velocity(2.0, 1.0))
-    state, residual = step(complex_, bc, config, state0)
+    operator = solver._SaddleOperator(complex_, bc, config.nu, config.dt) if saddle else None
+    state, residual = step(complex_, bc, config, state0, operator=operator)
     return state, residual
 
 
@@ -609,7 +642,8 @@ LEAF16_FILL = {4: 211_753, 5: 554_194, 7: 1_921_857}
 
 
 def _step_fill(n, monkeypatch):
-    """L+U of one Ethier step's factor on the n x n x n Kuhn box."""
+    """L+U of one Ethier step's saddle factor on the n x n x n Kuhn box, the
+    system whose orders the fills above were measured on."""
     real = linalg.spla.splu
     fills = []
 
@@ -620,7 +654,7 @@ def _step_fill(n, monkeypatch):
 
     complex_ = DeRhamComplex(build_box_mesh(n, n, n))
     monkeypatch.setattr(linalg.spla, "splu", spy)
-    _ns_step(complex_)
+    _ns_step(complex_, saddle=True)
     return fills[-1]
 
 
@@ -878,7 +912,9 @@ def test_operator_reduction_matches_assemble_blocks(complex_j3, monkeypatch, cas
     if case == "steady":
         state, _ = solve_stokes(complex_j3, bc, nu=config.nu, f2=fields["forcing"])
     else:
-        state, _ = step(complex_j3, bc, config, state0, f=fields["forcing"])
+        # The closed box would get the stream operator; this checks the saddle's.
+        operator = solver._SaddleOperator(complex_j3, bc, config.nu, config.dt)
+        state, _ = step(complex_j3, bc, config, state0, f=fields["forcing"], operator=operator)
     monkeypatch.undo()
 
     groups, blocks, rhs, constraints = oracles.saddle_system(
@@ -1199,3 +1235,170 @@ def test_a_start_at_roundoff_makes_no_pass_and_no_trisolve(complex_n2, monkeypat
     assert (calls, operator.factor.passes, operator.factor.reused) == ([], 0, True)
     assert residual_again == residual
     assert _full(again).tobytes() == _full(first).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the stream operator against the saddle reference
+
+
+def _net_source(points, t=0.0):
+    return 1.0 + points[:, 0]
+
+
+WITH_F3 = {"f2": "forcing", "f3": _net_source}
+
+
+def _noflow_load(points, t=0.0):
+    """grad(x z^2): a gradient, which the no-flow spec turns into pressure."""
+    x, _, z = points.T
+    return np.stack([z**2, 0.0 * x, 2.0 * x * z], axis=1)
+
+
+def _two_boxes():
+    """A disconnected mesh: two boxes that do not touch."""
+    return side_by_side([jittered_box(2, 1), build_box_mesh(3, 2, 2)])
+
+
+STREAM_CASES = {
+    # (mesh, spec, loads, transient)
+    "step-n2": (lambda: jittered_box(2, 3), "ethier", {}, True),
+    "step-n3": (lambda: jittered_box(3, 5), "ethier", {}, True),
+    "step-n4": (lambda: jittered_box(4, 1), "ethier", {}, True),
+    "steady-n2": (lambda: jittered_box(2, 3), "mms", {"f2": "forcing"}, False),
+    "steady-n3": (lambda: jittered_box(3, 5), "mms", {"f2": "forcing"}, False),
+    "steady-n4": (lambda: jittered_box(4, 1), "mms", {"f2": "forcing"}, False),
+    "step-f2-f3": (lambda: jittered_box(3, 2), "ethier", WITH_F3, True),
+    "steady-f3": (lambda: jittered_box(3, 2), "mms", WITH_F3, False),
+    "noflow-step": (lambda: jittered_box(3, 6), "noflow", {"f2": _noflow_load}, True),
+    "noflow-steady": (lambda: jittered_box(3, 6), "noflow", {"f2": _noflow_load}, False),
+    "two-boxes-step": (lambda: _two_boxes(), "ethier", {}, True),
+    "two-boxes-steady": (lambda: _two_boxes(), "mms", {"f2": "forcing"}, False),
+}
+
+
+@pytest.mark.parametrize("case", STREAM_CASES.values(), ids=STREAM_CASES.keys())
+def test_stream_operator_matches_the_saddle_reference(case):
+    """Every all-essential-velocity spec on a mesh with b1 = b2 = 0 gets the
+    stream operator, whose omega, u and p match an explicitly built saddle
+    operator's to 1e-12 relative, with the divergence at roundoff."""
+    mesh, spec, loads, transient = case
+    complex_ = DeRhamComplex(mesh())
+    fields = stokes_mms_fields(nu=1.0)
+    bc = {
+        "ethier": ethier_bc(2.0, 1.0),
+        "mms": both_essential(fields),
+        "noflow": BoundaryConditionSpec(RegionBC()),
+    }[spec]
+    loads = {k: fields[v] if isinstance(v, str) else v for k, v in loads.items()}
+    loads = {"f2": None, **loads, "load_degree": 4}
+    config = SolverConfig(nu=1.0, dt=1e-3, t_end=1e-3)
+    dt = config.dt if transient else None
+    stream = solver.make_operator(complex_, bc, config.nu, dt)
+    assert isinstance(stream, solver._StreamOperator)
+    saddle = solver._SaddleOperator(complex_, bc, config.nu, dt)
+    if spec == "noflow":  # from rest, as experiments.run_noflow steps
+        state0 = solver.TransientState(
+            0.0, *(spaces.FormCoefficients.zeros(complex_.space(k)) for k in (1, 2, 3))
+        )
+    else:
+        state0 = initialize_state(complex_, bc, ethier_velocity(2.0, 1.0))
+    states = []
+    for operator in (stream, saddle):
+        if transient:
+            convection = solver.assemble_convection(
+                complex_, state0.omega.values, state0.u.values, config.theta
+            )
+            rhs_u2 = complex_.m2 @ state0.u.values / config.dt
+            state, residual = operator.solve(config.dt, loads, convection, rhs_u2, previous=state0)
+        else:
+            state, residual = operator.solve(0.0, loads)
+        assert residual <= RESIDUAL_TOL
+        states.append(state)
+    got, want = states
+    # A gradient load leaves no flow: omega and u are roundoff, p carries the load.
+    compared = ("p",) if spec == "noflow" else ("omega", "u", "p")
+    for name in compared:
+        a, b = getattr(got, name).values, getattr(want, name).values
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), name
+    if spec == "noflow":
+        assert complex_.norm(got.u) <= 1e-15 and complex_.norm(want.u) <= 1e-15
+        assert np.linalg.norm(got.omega.values) <= 1e-13
+    unorm = complex_.norm(got.u)
+    d2u = complex_.d2 @ got.u.values
+    target = complex_.d2 @ want.u.values  # the divergence the q-rows ask for
+    assert np.max(np.abs(d2u - target) / complex_.mesh.tet_volumes) <= 1e-12 * (1.0 + unorm)
+    if "f3" not in loads:
+        assert complex_.divergence_max(got.u.values) <= 1e-12 * (1.0 + unorm)
+
+
+@pytest.mark.parametrize("transient", [True, False], ids=["step", "steady"])
+def test_stream_matrix_is_the_congruence_of_the_saddle_blocks(complex_j3, monkeypatch, transient):
+    """The refilled stream matrix, taken back to index order, is Z^T A Z on
+    the free unknowns: A the tau- and v-rows' vorticity and velocity blocks
+    with the step's mass and convection, Z = diag(I, D1[:, cotree])."""
+    fields = stokes_mms_fields(nu=1.0)
+    bc = both_essential(fields)
+    config = SolverConfig(nu=1.0, dt=0.01, theta=0.3, t_end=0.01)
+    state0 = initialize_state(complex_j3, bc, fields["velocity"])
+    seen = []
+    real = solver.solve_reduced
+
+    def watch(reduced, **kwargs):
+        seen.append((reduced.free, reduced.matrix.copy()))
+        return real(reduced, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_reduced", watch)
+    if transient:
+        step(complex_j3, bc, config, state0, f=fields["forcing"])
+    else:
+        solve_stokes(complex_j3, bc, nu=config.nu, f2=fields["forcing"])
+    monkeypatch.undo()
+    ((free, matrix),) = seen
+
+    groups, blocks, _, constraints = oracles.saddle_system(complex_j3, bc, nu=config.nu)
+    if transient:
+        a3, a5 = scattered_convection(
+            complex_j3, state0.omega.values, state0.u.values, config.theta
+        )
+        blocks[("u2", "u1")] = blocks[("u2", "u1")] + a3
+        blocks[("u2", "u2")] = a5 + complex_j3.m2 / config.dt
+    a = sp.bmat([[blocks.get((r, c)) for c in ("u1", "u2")] for r in ("u1", "u2")])
+    mesh = complex_j3.mesh
+    z = sp.block_diag((sp.identity(mesh.n_edges), complex_j3.d1[:, mesh.cotree]))
+    want = (z.T @ a @ z).tocsr()
+    fixed = constraints["u1"][0]
+    keep = np.setdiff1d(np.arange(want.shape[0]), fixed)
+    back = np.argsort(free)  # the elimination order back to index order
+    np.testing.assert_array_equal(free[back], keep)
+    got = matrix[back][:, back].toarray()
+    expected = want[keep][:, keep].toarray()
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_step_diagnostics_report_the_factored_system(complex_j3):
+    """An Ethier run factors the stream system in float32 on every step, an
+    outlet run the saddle system: ``unknowns`` and ``factor_dtype`` say so."""
+    mesh = complex_j3.mesh
+    config = SolverConfig(nu=1.0, dt=1e-3, t_end=3e-3)
+    seen = []
+    run_transient(
+        complex_j3,
+        ethier_bc(2.0, 1.0),
+        config,
+        velocity_data=ethier_velocity(2.0, 1.0),
+        observers=(lambda st, diag: seen.append(diag),),
+    )
+    stream = mesh.n_edges + len(mesh.cotree)  # natural vorticity: every edge is free
+    assert [(d.unknowns, d.factor_dtype) for d in seen] == [(stream, np.float32)] * 3
+
+    fields = stokes_mms_fields(nu=1.0)
+    bc = _outlet_bc(fields)
+    seen.clear()
+    run_transient(
+        complex_j3, bc, config, velocity_data=fields["velocity"],
+        observers=(lambda st, diag: seen.append(diag),),
+    )
+    operator = solver._SaddleOperator(complex_j3, bc, config.nu, config.dt)
+    saddle = operator.reduced.matrix.shape[0]
+    assert saddle > stream
+    assert [d.unknowns for d in seen] == [saddle] * 3

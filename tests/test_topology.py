@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vvpflow import linalg
+from vvpflow import linalg, solver
 from vvpflow.assembly import (
     NATURAL,
     BoundaryConditionSpec,
@@ -59,7 +59,10 @@ def test_two_closed_boxes_have_two_harmonic_forms(monkeypatch):
     assert harmonic.dim == 2 == oracles.harmonic_rank(complex_, bc)
     np.testing.assert_array_equal(harmonic.pins // 48, [0, 1])
 
-    # The forest now exists; solving must not search the graph again.
+    # The forest now exists, and so does the cotree the stream operator
+    # gauges with; solving must not search a graph again.
+    assert len(complex_.mesh.cotree) > 0
+
     def no_graph_work(*args, **kwargs):
         raise AssertionError("graph search after the forest was built")
 
@@ -302,3 +305,103 @@ def test_singular_pairing_on_the_whole_boundary_is_rejected(mesh, mode, what):
 )
 def test_other_pairings_on_carved_boxes_solve(mesh, vorticity_mode, velocity_mode, outlet):
     assert_stokes_gates(DeRhamComplex(mesh), carved_bc(vorticity_mode, velocity_mode, outlet))
+
+
+# ---------------------------------------------------------------------------
+# the cotree of the stream operator, and the subtree sums of the forest
+
+
+def _interior_counts(mesh):
+    """(interior edges, interior vertices), counting only vertices a tet uses."""
+    used = np.unique(mesh.tets)
+    return mesh.n_edges - len(mesh.boundary_edges), len(used) - len(mesh.boundary_vertices)
+
+
+COTREE_MESHES = {
+    "box": lambda: build_box_mesh(3, 3, 3),
+    "jittered-box": lambda: jittered_box(3, 4),
+    "odd-jittered-box": lambda: jittered_box(5, 1),
+    "two-boxes": lambda: side_by_side([jittered_box(2, 1), build_box_mesh(3, 2, 2)]),
+    "unused-vertex": lambda: SimplicialMesh3(
+        np.vstack([build_box_mesh(2, 2, 2).vertices, [[5.0, 5.0, 5.0]]]),
+        build_box_mesh(2, 2, 2).tets,
+    ),
+}
+
+
+@pytest.mark.parametrize("mesh", COTREE_MESHES.values(), ids=COTREE_MESHES.keys())
+def test_cotree_gauges_one_interior_edge_per_interior_vertex(mesh):
+    mesh = mesh()
+    cotree = mesh.cotree
+    edges, vertices = _interior_counts(mesh)
+    assert len(cotree) == edges - vertices
+    assert np.all(np.diff(cotree) > 0)
+    assert not np.isin(cotree, mesh.boundary_edges).any()
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [COTREE_MESHES[k] for k in ("box", "jittered-box", "two-boxes")],
+    ids=["box", "jittered-box", "two-boxes"],
+)
+def test_cotree_curls_are_independent_and_divergence_free(mesh):
+    """D2 D1 = 0 holds on the cotree's columns, and their curls on the
+    interior faces have full column rank (dense rank, n <= 3)."""
+    complex_ = DeRhamComplex(mesh())
+    mesh, cotree = complex_.mesh, complex_.mesh.cotree
+    d1c = complex_.d1[:, cotree]
+    assert (complex_.d2 @ d1c).nnz == 0
+    interior = np.setdiff1d(np.arange(mesh.n_faces), mesh.boundary_faces)
+    assert np.linalg.matrix_rank(d1c[interior].toarray()) == len(cotree)
+
+
+@pytest.mark.parametrize(
+    "mesh", [lambda: jittered_box(4, 7), lambda: HANDLE, lambda: side_by_side([CAVITY, HANDLE])],
+    ids=["jittered-box", "handle", "two-carved-boxes"],
+)
+def test_subtree_map_sums_each_subtree(mesh):
+    """``subtree @ x`` is the leaves-to-roots sum of x over each non-root
+    cell's subtree, level by level, and a root's row is empty."""
+    forest = mesh().dual_forest
+    x = np.random.default_rng(3).standard_normal(len(forest.parent))
+    acc = x.copy()
+    for cells in forest.levels[:0:-1]:
+        np.add.at(acc, forest.parent[cells], acc[cells])
+    want = np.where(forest.parent >= 0, acc, 0.0)
+    np.testing.assert_allclose(forest.subtree @ x, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(forest.tree, np.flatnonzero(forest.parent >= 0))
+
+
+CLOSED = BoundaryConditionSpec(RegionBC())
+
+
+@pytest.mark.parametrize(
+    "mesh, bc, stream",
+    [
+        (lambda: build_box_mesh(2, 2, 2), CLOSED, True),
+        (lambda: jittered_box(2, 3), carved_bc(NATURAL, "essential", False), True),
+        (lambda: side_by_side([build_box_mesh(2, 2, 2)] * 2), CLOSED, True),
+        (
+            lambda: build_box_mesh(3, 3, 3, hi=(3.0,) * 3),
+            carved_bc(NATURAL, "essential", True),
+            False,
+        ),
+        (lambda: CAVITY, carved_bc("essential", "essential", False), False),
+        (lambda: CAVITY, carved_bc(NATURAL, "essential", False), False),
+        (lambda: HANDLE, carved_bc(NATURAL, "essential", False), False),
+        (lambda: side_by_side([CAVITY, build_box_mesh(2, 2, 2)]), CLOSED, False),
+    ],
+    ids=[
+        "box", "jittered-box", "two-boxes", "box-with-outlet",
+        "cavity", "cavity-natural-vorticity", "handle", "cavity-beside-box",
+    ],
+)
+def test_specs_route_to_their_operator(mesh, bc, stream):
+    """The stream operator takes exactly the specs whose every boundary face
+    has essential velocity on meshes with b1 = b2 = 0; a natural-velocity
+    face, a handle or a cavity keeps the saddle operator."""
+    complex_ = DeRhamComplex(mesh())
+    for dt in (None, 1e-3):
+        operator = solver.make_operator(complex_, bc, nu=1.0, dt=dt)
+        assert isinstance(operator, solver._StreamOperator) == stream
+        assert isinstance(operator, (solver._StreamOperator, solver._SaddleOperator))
