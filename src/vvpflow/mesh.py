@@ -78,7 +78,7 @@ class DualForest:
         holds c and its descendants, and a root's row is empty.
 
         ``subtree @ x`` sums x over each subtree, leaves to roots, and
-        ``subtree.T @ y`` sums y along each cell's path below its root, roots
+        ``paths @ y`` sums y along each cell's path below its root, roots
         to leaves.  One walk up from every cell at once, a level per pass.
         """
         T = len(self.parent)
@@ -92,6 +92,11 @@ class DualForest:
             above = self.parent[above]
         rows, cols = np.concatenate(rows), np.concatenate(cols)
         return coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(T, T)).tocsr()
+
+    @functools.cached_property
+    def paths(self):
+        """``subtree.T`` as CSR, built on first use."""
+        return self.subtree.T.tocsr()
 
 
 class SimplicialMesh3:

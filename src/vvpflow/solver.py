@@ -67,11 +67,9 @@ is solved by conjugate gradients (:func:`vvpflow.linalg.solve_spd`).
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import (
     ESSENTIAL,
@@ -339,118 +337,6 @@ class _SaddleOperator:
 _TET_D1 = np.zeros((4, 6))
 for _face, _edges in enumerate(TET_FACE_EDGES):
     _TET_D1[_face, list(_edges)] = FACE_EDGE_SIGN
-# The raveled (4, 6) and (4, 4) convection blocks of one tet, side by side, times
-# _STREAM_CONVECTION are the raveled (6, 6) blocks D1^T A3 and D1^T A5 D1, side by side.
-_STREAM_CONVECTION = np.zeros((40, 72))
-_STREAM_CONVECTION[:24, :36] = np.kron(_TET_D1, np.eye(6))
-_STREAM_CONVECTION[24:, 36:] = np.kron(_TET_D1, _TET_D1)
-
-
-@dataclass(frozen=True)
-class _StreamLayout:
-    """What the stream system keeps on one complex whatever its nu, dt and
-    boundary: built once per complex by :func:`_stream_layout`.
-
-    The unknowns are omega on every edge, then psi on ``mesh.cotree``.
-    ``d1c`` is D1[:, cotree] and ``zt`` the transpose of Z = diag(I, d1c).
-    ``pattern`` (CSR with sorted indices; its data are zeros) holds every
-    pair of unknowns on the edges of one tet, which covers Z^T A Z and the
-    convection slots whatever cancels; ``convection`` maps the raveled
-    local blocks of :func:`assemble_convection`, (T, 4, 6) then (T, 4, 4),
-    through ``_STREAM_CONVECTION`` onto the pattern's entries.  ``order`` is the
-    elimination order, ``mesh.elimination_order``'s edges with each psi_e
-    right after omega_e, and ``paths`` the transpose of
-    ``DualForest.subtree``, which sums along the tree from the roots down.
-    ``tree_cells`` holds the two cells of each tree face of the dual forest
-    (child, then parent) and the face's local index in each.
-    """
-
-    d1c: sp.csr_matrix
-    zt: sp.csr_matrix
-    pattern: sp.csr_matrix
-    convection: sp.csr_matrix
-    order: np.ndarray
-    paths: sp.csr_matrix
-    tree_cells: tuple
-
-    @classmethod
-    def build(cls, complex_):
-        mesh = complex_.mesh
-        E, T, cotree = mesh.n_edges, mesh.n_tets, mesh.cotree
-        n = E + len(cotree)
-        d1c = complex_.d1[:, cotree].tocsr()
-        zt = sp.block_diag((sp.identity(E), d1c), format="csr").T.tocsr()
-        # Every ordered pair of edges of one tet, once; pair[36 t + 6 a + b] is
-        # the pair of its local edges a and b.
-        edges = mesh.tet_edges
-        keys, pair = np.unique(np.repeat(edges, 6, 1) * E + np.tile(edges, 6), return_inverse=True)
-        first, second = np.divmod(keys, E)
-        # Each pair as omega-omega, omega-psi, psi-omega and psi-psi entries, -1
-        # where an edge is off the cotree; the pattern lists them in row order.
-        psi = np.full(E, -1)
-        psi[cotree] = E + np.arange(len(cotree))
-        rows = np.concatenate([first, first, psi[first], psi[first]])
-        cols = np.concatenate([second, psi[second], second, psi[second]])
-        on = (rows >= 0) & (cols >= 0)
-        sorted_keys = np.sort(rows[on] * n + cols[on])
-        position = np.full(len(rows), -1, np.int32)
-        position[on] = np.searchsorted(sorted_keys, rows[on] * n + cols[on])
-        counts = np.bincount(sorted_keys // n, minlength=n)
-        pattern = sp.csr_matrix(
-            (np.zeros(len(sorted_keys)), sorted_keys % n, np.r_[0, np.cumsum(counts)]),
-            shape=(n, n),
-        )
-        # Column m of a tet's map holds the entries k of row m of _STREAM_CONVECTION,
-        # 3 of A3's (psi-omega) and 9 of A5's (psi-psi), k = 36 block + 6 i + j: local
-        # psi row i and column j.  Rows off the cotree hold nothing.  The map is
-        # built an A3 then an A5 part at a time, each by column.
-        m, k = np.nonzero(_STREAM_CONVECTION)  # by m, then k
-        pair = pair.reshape(T, 36)
-        parts = []
-        for part, per in ((m < 24, 3), (m >= 24, 9)):
-            block, local = k[part] // 36, k[part] % 36
-            target = position[(2 + block) * len(keys) + pair[:, local]].ravel()
-            on = target >= 0
-            parts.append(
-                (
-                    np.tile(_STREAM_CONVECTION[m[part], k[part]], T)[on],
-                    target[on],
-                    on.reshape(-1, per).sum(1),
-                )
-            )
-        data, indices, counts = (np.concatenate(x) for x in zip(*parts))
-        del parts
-        convection = sp.csc_matrix(
-            (data, indices, np.r_[0, np.cumsum(counts)]), shape=(len(sorted_keys), 40 * T)
-        ).tocsr()
-        order = mesh.elimination_order
-        rank = np.empty(E, np.int64)
-        rank[order[order < E]] = np.arange(E)
-        order = np.argsort(np.concatenate([2 * rank, 2 * rank[cotree] + 1]))
-        forest = mesh.dual_forest
-        paths = forest.subtree.T.tocsr()
-        cells = np.stack([forest.tree, forest.parent[forest.tree]], axis=1)
-        at = np.argmax(mesh.tet_faces[cells] == forest.parent_face[forest.tree, None, None], 2)
-        return cls(d1c, zt, pattern, convection, order, paths, (cells, at))
-
-    def position(self, rows, cols):
-        """Where the entries (rows, cols) sit in the pattern's data."""
-        pattern = self.pattern
-        n = pattern.shape[1]
-        keys = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr)) * n
-        return np.searchsorted(keys + pattern.indices, rows * n + cols)
-
-
-# The layout of each complex alive, shared by the operators built on it: a run
-# builds one operator, and the layout would otherwise be rebuilt for every run.
-_STREAM_LAYOUTS = weakref.WeakKeyDictionary()
-
-
-def _stream_layout(complex_):
-    """The :class:`_StreamLayout` of ``complex_``, built on first use."""
-    if complex_ not in _STREAM_LAYOUTS:
-        _STREAM_LAYOUTS[complex_] = _StreamLayout.build(complex_)
-    return _STREAM_LAYOUTS[complex_]
 
 
 class _StreamOperator:
@@ -462,15 +348,16 @@ class _StreamOperator:
     ask for is u = u_g + D1 psi with psi on ``mesh.cotree``: D2 D1 = 0
     exactly, and the cotree's curls span the rest.  The unknowns are the
     free vorticity and psi, and the matrix is the congruence Z^T A Z, with
-    ``a`` = A the tau- and v-rows' vorticity and velocity blocks of
-    :func:`assemble_B0` (plus ``M2/dt`` when ``dt`` is given) and
-    Z = diag(I, D1[:, cotree]): the v-rows are tested with the curls of
+    A the tau- and v-rows' vorticity and velocity blocks of
+    :func:`assemble_B0` (``a``, plus ``M2/dt`` when ``dt`` is given) and
+    Z = diag(I, D1[:, cotree]), formed block by block: the v-rows are tested with the curls of
     the cotree edges only, so the pressure drops out ((D2 D1)^T = 0), and
     the q-rows hold by construction.  The per-cell convection blocks enter
     as D1_loc^T A3_loc and D1_loc^T A5_loc D1_loc (``_TET_D1``), in fixed
-    slots of the pattern (``_StreamLayout.convection``).  ``reduced`` is
-    the pattern without the essential vorticity edges, reduced once in
-    the layout's order; ``factor`` and ``last`` work as in
+    slots of the pattern (``conv_pos``, as in :class:`_SaddleOperator`).
+    ``reduced`` is the pattern without the essential vorticity edges,
+    reduced once in ``mesh.elimination_order``'s edge order with each
+    psi_e right after omega_e; ``factor`` and ``last`` work as in
     :class:`_SaddleOperator`.
 
     A solve is made about the state it continues from (zero without one):
@@ -483,31 +370,53 @@ class _StreamOperator:
     (:func:`_sweep`); the same sweep takes the roundoff divergence off
     u_g + D1 psi.  The pressure is then recovered from the v-rows on the
     tree faces, where D2^T M3 p is the residual of the other terms, from
-    the roots down (``DualForest.subtree``), and moved to the gauge
+    the roots down (``DualForest.paths``), and moved to the gauge
     H^T M3 p = 0.
     """
 
     def __init__(self, complex_, bc, nu, dt=None):
         self.complex, self.boundary = complex_, resolve_boundary(complex_, bc)
         self.harmonic, mesh = self.boundary.harmonic, complex_.mesh
-        self.layout = layout = _stream_layout(complex_)
-        groups, blocks = assemble_B0(complex_, nu=nu)
+        E, cotree = mesh.n_edges, mesh.cotree
+        _, blocks = assemble_B0(complex_, nu=nu)
         if dt is not None:
             blocks[("u2", "u2")] = complex_.m2 / dt
-        del groups["u3"]
-        self.a, _ = stack_blocks(groups, {k: v for k, v in blocks.items() if "u3" not in k})
-        congruence = (layout.zt @ self.a @ layout.zt.T).tocoo()
-        pattern = layout.pattern
-        self.static = np.zeros(pattern.nnz)
-        self.static[layout.position(congruence.row, congruence.col)] = congruence.data
-        pattern = sp.csr_matrix((self.static, pattern.indices, pattern.indptr), pattern.shape)
+        a = {k: v for k, v in blocks.items() if "u3" not in k}
+        self.a, _ = stack_blocks({"u1": E, "u2": mesh.n_faces}, a)
+        self.d1c = d1c = complex_.d1[:, cotree].tocsr()
+        self.d1ct = d1c.T.tocsr()
+        stream = {  # Z^T A Z block by block
+            ("u1", "u1"): a["u1", "u1"],
+            ("u1", "psi"): a["u1", "u2"] @ d1c,
+            ("psi", "u1"): self.d1ct @ a["u2", "u1"],
+        }
+        if ("u2", "u2") in a:
+            stream["psi", "psi"] = self.d1ct @ a["u2", "u2"] @ d1c
+        slots = None
+        if dt is not None:
+            # The rows and columns of a tet's (6, 6) blocks D1_loc^T A3_loc
+            # (psi x omega) and D1_loc^T A5_loc D1_loc (psi x psi), raveled
+            # side by side; ``conv_on`` drops the entries off the cotree.
+            psi = np.full(E, -1)
+            psi[cotree] = E + np.arange(len(cotree))
+            rows = np.repeat(psi[mesh.tet_edges], 6, 1)
+            cols = (np.tile(mesh.tet_edges, 6), np.tile(psi[mesh.tet_edges], 6))
+            rows, cols = np.concatenate([rows, rows], None), np.concatenate(cols, None)
+            self.conv_on = (rows >= 0) & (cols >= 0)
+            slots = (rows[self.conv_on], cols[self.conv_on])
+        groups = {"u1": E, "psi": len(cotree)}
+        pattern, self.conv_pos = stack_blocks(groups, stream, slots)
+        self.static = pattern.data
         essential = self.boundary.essential
         fixed = essential["u1"][1] if "u1" in essential else np.empty(0, np.int64)
-        groups = {"u1": mesh.n_edges, "psi": pattern.shape[0] - mesh.n_edges}
-        self.reduced = eliminate(pattern, groups, fixed, layout.order)
+        # mesh.elimination_order's edges, each psi_e right after omega_e.
+        order = mesh.elimination_order
+        rank = np.empty(E, np.int64)
+        rank[order[order < E]] = np.arange(E)
+        order = np.argsort(np.concatenate([2 * rank, 2 * rank[cotree] + 1]))
+        self.reduced = eliminate(pattern, groups, fixed, order)
         self.m3h = complex_.m3 @ self.harmonic.basis
         self.tree_faces = mesh.dual_forest.parent_face[mesh.dual_forest.tree]
-        self.tree_rows = self.a[mesh.n_edges + self.tree_faces]
         self.factor = FactorHolder(dtype=np.float64 if dt is None else np.float32)
         self.last = (None, None)
 
@@ -548,31 +457,29 @@ class _StreamOperator:
 
         data = self.static
         if convection is not None:
-            local = np.concatenate([block.ravel() for block in convection])
-            data = data + self.layout.convection @ local
+            local3, local5 = convection
+            local = np.concatenate([_TET_D1.T @ local3, _TET_D1.T @ local5 @ _TET_D1], None)
+            data = data + np.bincount(self.conv_pos, local[self.conv_on], minlength=len(data))
         if "u1" in constraints:
             edges, values = constraints["u1"]
             values = values - omega[edges]
         else:
             values = np.empty(0)
-        reduced.refill(data, self.layout.zt @ (b - self._rows(convection, omega, u)), values)
+        r = b - self._rows(convection, omega, u)
+        reduced.refill(data, np.concatenate([r[:E], self.d1ct @ r[E:]]), values)
         returned, x0 = self.last
         x0 = x0 if previous is returned else None  # both None before a first solve
         full, residual = solve_reduced(reduced, factor=self.factor, x0=x0)
         parts = reduced.split(full)
         omega = omega + parts["u1"]
-        u += self.layout.d1c @ parts["psi"]
+        u += self.d1c @ parts["psi"]
         _sweep(complex_, self.harmonic, u, target - complex_.d2 @ u)
         # The v-rows on the tree faces give D2^T (M3 p), from the roots down.
-        g = self.tree_rows @ np.concatenate([omega, u]) - b[E + self.tree_faces]
-        if convection is not None:
-            cells, at = self.layout.tree_cells
-            g += np.einsum("kce,kce->k", convection[0][cells, at], omega[mesh.tet_edges[cells]])
-            g += np.einsum("kcf,kcf->k", convection[1][cells, at], u[mesh.tet_faces[cells]])
-        tree = mesh.dual_forest.tree
+        g = (self._rows(convection, omega, u) - b)[E + self.tree_faces]
+        forest = mesh.dual_forest
         jumps = np.zeros(mesh.n_tets)
-        jumps[tree] = mesh.dual_forest.parent_sign[tree] * g
-        p = vol * (self.layout.paths @ jumps)
+        jumps[forest.tree] = forest.parent_sign[forest.tree] * g
+        p = vol * (forest.paths @ jumps)
         p -= h @ (h.T @ (p / vol))
         state = TransientState(
             t=t,

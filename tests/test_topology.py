@@ -361,7 +361,9 @@ def test_cotree_curls_are_independent_and_divergence_free(mesh):
 )
 def test_subtree_map_sums_each_subtree(mesh):
     """``subtree @ x`` is the leaves-to-roots sum of x over each non-root
-    cell's subtree, level by level, and a root's row is empty."""
+    cell's subtree, level by level, and a root's row is empty; ``paths @ x``
+    is the roots-to-leaves sum of x over each cell's non-root ancestors and
+    itself."""
     forest = mesh().dual_forest
     x = np.random.default_rng(3).standard_normal(len(forest.parent))
     acc = x.copy()
@@ -369,6 +371,10 @@ def test_subtree_map_sums_each_subtree(mesh):
         np.add.at(acc, forest.parent[cells], acc[cells])
     want = np.where(forest.parent >= 0, acc, 0.0)
     np.testing.assert_allclose(forest.subtree @ x, want, rtol=1e-12, atol=1e-12)
+    acc = np.where(forest.parent >= 0, x, 0.0)
+    for cells in forest.levels[1:]:
+        acc[cells] += acc[forest.parent[cells]]
+    np.testing.assert_allclose(forest.paths @ x, acc, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(forest.tree, np.flatnonzero(forest.parent >= 0))
 
 
