@@ -22,7 +22,7 @@ a multiplier phi per form, which adds M3 H phi to the q-row, and a
 chi-row H^T M3 u3 = 0 (H from :attr:`ResolvedBoundary.harmonic`).  Both
 are dense, so neither is assembled here: ``solver._SaddleOperator``
 computes phi before the solve, pins each component's root and sweeps
-its divergence roundoff along the forest afterwards.
+its divergence roundoff along :attr:`ResolvedBoundary.forest` afterwards.
 
 Boundary conditions come in two independent channels per region: the
 vorticity channel (essential tangential vorticity trace, or natural
@@ -164,11 +164,13 @@ class ResolvedBoundary:
     ``owner``, each boundary face's region, is the only call of the region
     predicates, made on construction.  The claims (one record per region
     that claims faces, with the TRACE_DEGREE face rule mapped onto its
-    faces), the closed components, the harmonic space, the essential
-    entities and the natural terms' face tables are built on first use and
-    kept.  :meth:`evaluate` is the only code that samples boundary data: a run
-    resolves its boundary once and passes it as ``bc``, so a solve only
-    evaluates boundary data and contracts it.
+    faces), the outlet faces, the closed components, the harmonic space,
+    the outlet pieces, the stream function's cotree and the forest that
+    carries divergence, the essential entities and the natural terms' face
+    tables are built on first use and kept.  :meth:`evaluate` is the only
+    code that samples boundary data: a run resolves its boundary once and
+    passes it as ``bc``, so a solve only evaluates boundary data and
+    contracts it.
     """
 
     def __init__(self, complex_, bc):
@@ -196,13 +198,84 @@ class ResolvedBoundary:
         return [c for c in self.claims if getattr(c[0], f"{channel}_mode") == mode]
 
     @cached_property
+    def outlet_faces(self):
+        """The sorted boundary faces with natural velocity (the outlets)."""
+        faces = [faces for _, faces, *_ in self.regions("velocity", NATURAL)]
+        return np.sort(np.concatenate(faces)) if faces else np.empty(0, np.int64)
+
+    @cached_property
     def closed(self):
         """Per dual-forest component: True unless a face has natural velocity."""
         labels = self.mesh.dual_forest.labels
         closed = np.ones(labels.max() + 1, dtype=bool)
-        for _, faces, *_ in self.regions("velocity", NATURAL):
-            closed[labels[self.mesh.face_tets[faces, 0]]] = False
+        closed[labels[self.mesh.face_tets[self.outlet_faces, 0]]] = False
         return closed
+
+    @cached_property
+    def pieces(self):
+        """Per piece of the outlet faces (faces joined by shared edges,
+        ``SimplicialMesh3.surface_pieces``): (its component in
+        ``mesh.dual_forest``, whether its closure is a disk, V - E + F = 1)."""
+        mesh, faces = self.mesh, self.outlet_faces
+        if not len(faces):
+            return np.empty(0, np.int64), np.empty(0, dtype=bool)
+        piece, euler = mesh.surface_pieces(faces)
+        component = np.empty(len(euler), np.int64)
+        component[piece] = mesh.dual_forest.labels[mesh.face_tets[faces, 0]]
+        return component, euler == 1
+
+    @cached_property
+    def cotree(self):
+        """The edges of the stream function: ``mesh.cotree`` when no face has
+        natural velocity, and otherwise the cotree relative to the
+        essential-velocity faces (``SimplicialMesh3.relative_cotree``), whose
+        curls leave the essential fluxes alone and reach the outlets."""
+        mesh = self.mesh
+        if not len(self.outlet_faces):
+            return mesh.cotree
+        return mesh.relative_cotree(np.setdiff1d(mesh.boundary_faces, self.outlet_faces))
+
+    @cached_property
+    def forest(self):
+        """The dual forest that carries divergence: ``mesh.dual_forest`` when
+        no face has natural velocity, and otherwise the forest rooted at the
+        outlets (``SimplicialMesh3.forest_through``), in which every cell of
+        a component with an outlet reaches the outside through the tree."""
+        if not len(self.outlet_faces):
+            return self.mesh.dual_forest
+        return self.mesh.forest_through(self.outlet_faces)
+
+    def check_steady(self):
+        """Raise ValueError where a steady solve cannot determine the flux.
+
+        On a component with b1 = 0 and no face of natural vorticity with
+        essential velocity, whose outlet pieces are all disks, the steady
+        rows miss one potential flow per piece beyond the first (u = grad
+        phi, phi constant on each piece; ROADMAP item 2).  b1 is known per
+        component only when the mesh's is 0; handles are not checked.
+        """
+        if self.mesh.betti_numbers[1]:
+            return
+        component, disk = self.pieces
+        labels, face_tets = self.mesh.dual_forest.labels, self.mesh.face_tets
+        held = np.zeros(len(self.closed), dtype=bool)  # a tangential-velocity wall
+        for region, faces, *_ in self.regions("velocity", ESSENTIAL):
+            if region.vorticity_mode == NATURAL:
+                held[labels[face_tets[faces, 0]]] = True
+        count = np.bincount(component, minlength=len(held))
+        every_disk = np.bincount(component, disk, minlength=len(held)) == count
+        for c in np.flatnonzero((count > 1) & every_disk & ~held):
+            names = [
+                region.name
+                for region, faces, *_ in self.regions("velocity", NATURAL)
+                if np.any(labels[face_tets[faces, 0]] == c)
+            ]
+            raise ValueError(
+                f"component {c} has {count[c]} separate natural-velocity pieces "
+                f"(regions {', '.join(map(repr, names))}) and no handle: the flux "
+                "between the pieces is not determined by a steady solve; give all "
+                "but one piece essential velocity, or march in time with t_end"
+            )
 
     @cached_property
     def harmonic(self):

@@ -237,7 +237,7 @@ class FactorHolder:
     dtype: type = np.float64
 
 
-def solve(matrix, rhs, factor=None, x0=None):
+def solve(matrix, rhs, factor=None, x0=None, whole_norm=None):
     """Sparse LU solve in the matrix's own order, with a checked residual.
 
     SuperLU factors the matrix as given, eliminating its unknowns in
@@ -276,6 +276,14 @@ def solve(matrix, rhs, factor=None, x0=None):
     that is replaced by a float64 factor of this matrix, and the holder
     stays float64.  The passes of every factor tried count in the
     holder's ``passes``.
+
+    ``whole_norm``, when ``rhs`` is only the residual that an earlier
+    state leaves of a larger right-hand side (the stream operator's
+    increments), is that right-hand side's norm.  Roundoff is then
+    judged against it: a factor counts as at roundoff where the residual
+    is at most ``ROUNDOFF_RESIDUAL`` of the larger norm, as it would for
+    the whole system.  Refinement still runs while it halves the residual,
+    and the residual returned and checked stays relative to ``rhs``.
     Returns the solution and its relative residual, checked against
     ``RESIDUAL_TOL``.  Raises SingularSystemError when factorization
     hits an exactly singular pivot, SolverError when the residual
@@ -285,6 +293,9 @@ def solve(matrix, rhs, factor=None, x0=None):
     if a.shape[0] != a.shape[1]:
         raise ValueError("solve needs a square matrix")
     rhs = np.asarray(rhs, dtype=float)
+    roundoff = ROUNDOFF_RESIDUAL
+    if whole_norm is not None:
+        roundoff *= max(1.0, whole_norm / max(float(np.linalg.norm(rhs)), 1e-300))
     # A power of two brings the right-hand side to unit size, exactly: the
     # residuals of late passes stay inside float32's range, norms inside float64's.
     scale = math.ldexp(1.0, -math.frexp(float(np.abs(rhs).max(initial=0.0)))[1])
@@ -305,7 +316,7 @@ def solve(matrix, rhs, factor=None, x0=None):
                 continue
         x, res, passes = _refine(holder.lu, a, rhs, holder.dtype, x0)
         holder.passes += passes
-        if res <= ROUNDOFF_RESIDUAL:
+        if res <= roundoff:
             break
         if not holder.reused or (a != holder.matrix).nnz == 0:  # the factor of this matrix
             if holder.dtype == np.float64 or (holder.reused and res <= RESIDUAL_TOL):
@@ -368,14 +379,15 @@ def _refine(lu, a, rhs, dtype, x0):
     return x, res, passes
 
 
-def solve_reduced(reduced, factor=None, x0=None):
+def solve_reduced(reduced, factor=None, x0=None, whole_norm=None):
     """Solve a ReducedSystem; returns the full DOF vector and the residual.
 
     The reduced matrix is factored in the order :func:`eliminate` gave
-    it.  ``factor`` and ``x0``, an initial iterate of the free unknowns
-    in that order (``full[reduced.free]``), are passed on to :func:`solve`.
+    it.  ``factor``, ``x0``, an initial iterate of the free unknowns in
+    that order (``full[reduced.free]``), and ``whole_norm`` are passed on
+    to :func:`solve`.
     """
-    x, res = solve(reduced.matrix, reduced.rhs, factor=factor, x0=x0)
+    x, res = solve(reduced.matrix, reduced.rhs, factor=factor, x0=x0, whole_norm=whole_norm)
     return reduced.expand(x), res
 
 

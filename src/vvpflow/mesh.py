@@ -58,19 +58,28 @@ CUT_BALANCE = 0.4
 @dataclass(frozen=True)
 class DualForest:
     """Breadth-first spanning forest of the dual graph (cells joined by
-    interior faces), one tree per connected component of cells."""
+    interior faces), from one search out of a virtual cell
+    (:meth:`SimplicialMesh3.forest_through`).
+
+    The virtual cell is joined to the root of each component without an
+    outlet face, and through each outlet face to its cell.  A cell
+    reached through an outlet face has that face as its ``parent_face``
+    and no parent cell, so a component with outlet faces has no root.
+    Without outlet faces (``SimplicialMesh3.dual_forest``) there is one
+    tree per component, each hung from its root."""
 
     labels: np.ndarray  # (T,) component of each cell
     roots: np.ndarray  # (C,) largest cell of each component, lowest index on ties
-    levels: list  # the cells in breadth-first order split by depth, roots first
-    parent: np.ndarray  # (T,) parent cell, -1 at roots
-    parent_face: np.ndarray  # (T,) face shared with the parent, -1 at roots
+    levels: list  # the cells in breadth-first order split by depth, roots and outlet cells first
+    parent: np.ndarray  # (T,) parent cell, -1 at roots and outlet cells
+    parent_face: np.ndarray  # (T,) face shared with the parent or the outlet face, -1 at roots
     parent_sign: np.ndarray  # (T,) its divergence-matrix entry D2[cell, face], 0 at roots
 
     @functools.cached_property
     def tree(self):
-        """The non-root cells, each the child of its ``parent_face``."""
-        return np.flatnonzero(self.parent >= 0)
+        """The non-root cells, each joined to its parent or the outside by
+        its ``parent_face``."""
+        return np.flatnonzero(self.parent_face >= 0)
 
     @functools.cached_property
     def subtree(self):
@@ -78,18 +87,21 @@ class DualForest:
         holds c and its descendants, and a root's row is empty.
 
         ``subtree @ x`` sums x over each subtree, leaves to roots, and
-        ``paths @ y`` sums y along each cell's path below its root, roots
-        to leaves.  One walk up from every cell at once, a level per pass.
+        ``paths @ y`` sums y along each cell's path below its root (or
+        from its outlet cell), roots to leaves.  One walk up from every
+        cell at once, a level per pass.
         """
         T = len(self.parent)
         rows, cols = [], []
         above, cell = np.arange(T), np.arange(T)
         while len(cell):
-            inner = self.parent[above] >= 0
+            inner = self.parent_face[above] >= 0
             above, cell = above[inner], cell[inner]
             rows.append(above)
             cols.append(cell)
             above = self.parent[above]
+            inner = above >= 0  # an outlet cell's walk ends at the outside
+            above, cell = above[inner], cell[inner]
         rows, cols = np.concatenate(rows), np.concatenate(cols)
         return coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(T, T)).tocsr()
 
@@ -221,49 +233,73 @@ class SimplicialMesh3:
 
     @functools.cached_property
     def dual_forest(self):
-        """The mesh's :class:`DualForest`, built on first use."""
+        """The mesh's :class:`DualForest`, built on first use: the forest
+        through no outlet face (:meth:`forest_through`)."""
+        return self.forest_through(np.empty(0, np.int64))
+
+    def forest_through(self, faces):
+        """The :class:`DualForest` whose outlet faces are the boundary
+        ``faces`` (sorted): one breadth-first search from a virtual cell
+        joined to the root of each component that holds none of them, and
+        through each of them to its cell.  A cell with several outlet
+        faces is reached through the lowest-indexed one."""
         T = self.n_tets
         a, b = self.face_tets[self.face_tets[:, 1] >= 0].T
         adjacency = coo_matrix((np.ones(len(a)), (a, b)), shape=(T, T))
         n_comp, labels = csgraph.connected_components(adjacency, directed=False)
         by_size = np.lexsort((-self.tet_volumes, labels))
         roots = by_size[np.searchsorted(labels[by_size], np.arange(n_comp))]
-        # A virtual cell T joined to every root: one search spans the forest.
-        rows, cols = np.r_[a, np.full(n_comp, T)], np.r_[b, roots]
+        outlet, first = np.unique(self.face_tets[faces, 0], return_index=True)
+        closed = np.ones(n_comp, dtype=bool)
+        closed[labels[outlet]] = False
+        # A virtual cell T joined to every start: one search spans the forest.
+        start = np.r_[roots[closed], outlet]
+        rows, cols = np.r_[a, np.full(len(start), T)], np.r_[b, start]
         graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(T + 1, T + 1))
         order, pred = csgraph.breadth_first_order(graph, T, directed=False)
         depth = csgraph.shortest_path(graph, directed=False, unweighted=True, indices=T)
         levels = np.split(order[1:], np.flatnonzero(np.diff(depth[order[1:]])) + 1)
-        child = order[1 + n_comp :]
+        child = order[1 + len(start) :]
         shared = self.tet_faces[child][:, :, None] == self.tet_faces[pred[child]][:, None]
         local = np.argmax(shared.any(axis=2), axis=1)
         parent, face, sign = np.full((3, T), [[-1], [-1], [0]], dtype=np.int64)
         parent[child], face[child] = pred[child], self.tet_faces[child, local]
-        sign[child] = self._face_signs(child, face[child])
+        face[outlet] = faces[first]
+        reached = np.flatnonzero(face >= 0)
+        sign[reached] = self._face_signs(reached, face[reached])
         return DualForest(labels, roots, levels, parent, face, sign)
 
     @functools.cached_property
     def cotree(self):
-        """Sorted interior edges off a breadth-first spanning tree of the
-        interior vertices plus one node that stands for the whole boundary,
-        built on first use.
+        """The cotree relative to the whole boundary, built on first use:
+        the sorted interior edges off a breadth-first spanning tree of the
+        interior vertices plus one node that stands for the boundary
+        (:meth:`relative_cotree`)."""
+        return self.relative_cotree(self.boundary_faces)
 
-        The tree holds one edge per interior vertex, the one it was reached
-        through from the boundary (the lowest-indexed of parallel edges to
-        the boundary node), so the cotree has interior edges - interior
-        vertices entries.  When b2 = 0 the interior-edge gradients of the
-        interior vertices are the whole kernel of the curl on interior
-        edges, so the curls of the cotree edges are independent, and when
-        b1 = 0 they span every face flux with zero divergence and zero
-        boundary flux.  The boundary node joins every component, so one
-        search covers a disconnected mesh.
+    def relative_cotree(self, faces):
+        """Sorted edges off the closure of the boundary ``faces`` and off a
+        breadth-first spanning tree of the vertices off that closure plus
+        one node that stands for it.
+
+        The tree holds one edge per free vertex (one off the closure), the
+        one it was reached through (the lowest-indexed of parallel edges to
+        the closure's node), so the cotree has free edges - free vertices
+        entries, and the curls of its edges vanish on ``faces``.  When the
+        closure's node joins every component and the free-edge gradients of
+        the free vertices are the whole kernel of the curl on the free edges
+        (b2 = 0 with ``faces`` the whole boundary; a single disk, or none,
+        of the other boundary faces per component of a mesh with
+        b1 = b2 = 0), the cotree's curls are independent, and when b1 = 0
+        they also span every face flux with zero divergence that vanishes
+        on ``faces``.  One search covers a disconnected mesh.
         """
         V = self.n_vertices
-        interior = np.setdiff1d(np.arange(self.n_edges), self.boundary_edges)
+        free = np.setdiff1d(np.arange(self.n_edges), self.face_edges[faces])
         node = np.arange(V)
-        node[self.boundary_vertices] = V
-        ends = np.sort(node[self.edges[interior]], axis=1)
-        link = ends[:, 0] != ends[:, 1]  # an edge between two boundary vertices is a loop
+        node[self.faces[faces]] = V
+        ends = np.sort(node[self.edges[free]], axis=1)
+        link = ends[:, 0] != ends[:, 1]  # an edge between two closure vertices is a loop
         graph = coo_matrix((np.ones(link.sum()), tuple(ends[link].T)), shape=(V + 1, V + 1))
         order, pred = csgraph.breadth_first_order(graph, V, directed=False)
         key = ends[:, 0] * (V + 1) + ends[:, 1]
@@ -271,7 +307,7 @@ class SimplicialMesh3:
         child = order[1:]
         reached = np.minimum(child, pred[child]) * (V + 1) + np.maximum(child, pred[child])
         tree = first[np.searchsorted(keys, reached)]
-        return np.delete(interior, tree)
+        return np.delete(free, tree)
 
     @functools.cached_property
     def betti_numbers(self):
@@ -284,11 +320,24 @@ class SimplicialMesh3:
         vertex or along an edge.
         """
         b0 = len(self.dual_forest.roots)
-        B = len(self.boundary_faces)
-        edges = self.face_edges[self.boundary_faces].ravel()
-        incidence = coo_matrix((np.ones(3 * B), (np.repeat(np.arange(B), 3), edges)))
-        b2 = csgraph.connected_components(incidence @ incidence.T)[0] - b0
+        b2 = len(self.surface_pieces(self.boundary_faces)[1]) - b0
         return b0, b0 + b2 - euler_characteristic(self), b2
+
+    def surface_pieces(self, faces):
+        """The pieces of the boundary ``faces`` (a nonempty array), faces
+        joined by shared edges: (piece of each face, V - E + F of each
+        piece's closure).  On the boundary of a mesh the second is 1 exactly
+        on the disks."""
+        B = len(faces)
+        edges = self.face_edges[faces]
+        incidence = coo_matrix((np.ones(3 * B), (np.repeat(np.arange(B), 3), edges.ravel())))
+        n, piece = csgraph.connected_components(incidence @ incidence.T)
+
+        def count(entities):  # the distinct entities of each piece's closure
+            base = entities.max() + 1
+            return np.bincount(np.unique(piece[:, None] * base + entities) // base, minlength=n)
+
+        return piece, count(self.faces[faces]) - count(edges) + np.bincount(piece, minlength=n)
 
     @functools.cached_property
     def elimination_order(self):

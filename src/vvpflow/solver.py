@@ -17,20 +17,25 @@ Steady solves and steps build their operator through one function,
 :func:`make_operator`, which picks one of two from the resolved spec and
 the mesh's Betti numbers alone:
 
-* :class:`_StreamOperator`, when every boundary face has essential
-  velocity and the mesh has b1 = b2 = 0.  It solves in the exactly
-  divergence-free subspace that D2 D1 = 0 provides: the vorticity and a
-  stream function on the cotree of the interior edges
-  (``SimplicialMesh3.cotree``), about half the saddle system's unknowns.
-  Its matrix is the congruence of the :func:`assemble_B0` blocks with
-  Z = diag(I, D1[:, cotree]), so the pressure leaves the solve; the
-  divergence and the pressure are recovered on the tree faces of
-  ``mesh.dual_forest``.
-* :class:`_SaddleOperator`, for every other spec (natural outlets,
-  handles, cavities), and the reference the stream operator is tested
-  against.  It is the only code that knows the harmonic multiplier of
-  the saddle system: it computes it before the factorization instead of
-  factoring the dense border of the paper's saddle matrix.
+* :class:`_StreamOperator`, when the mesh has b1 = b2 = 0 and the
+  natural-velocity faces of each component form at most one piece, a
+  disk.  It solves in the exactly divergence-free subspace that
+  D2 D1 = 0 provides: the vorticity and a stream function on the cotree
+  relative to the essential-velocity faces
+  (``ResolvedBoundary.cotree``), about half the saddle system's
+  unknowns.  Its matrix is the congruence of the :func:`assemble_B0`
+  blocks with Z = diag(I, D1[:, cotree]), so the pressure leaves the
+  solve; the divergence and the pressure are recovered on the tree faces
+  of the forest rooted at the outlets (``ResolvedBoundary.forest``).
+* :class:`_SaddleOperator`, for every other spec (two or more outlets on
+  a component, an outlet that is not a disk, handles, cavities), and the
+  reference the stream operator is tested against.  It is the only code
+  that knows the harmonic multiplier of the saddle system: it computes it
+  before the factorization instead of factoring the dense border of the
+  paper's saddle matrix.
+
+A steady solve whose flux between two natural-velocity pieces is not
+determined fails at setup (``ResolvedBoundary.check_steady``).
 
 Each holds only its matrix, built once: the harmonic space, the resolved
 boundary (``assembly.ResolvedBoundary``), the :func:`assemble_B0` blocks
@@ -72,7 +77,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (
-    ESSENTIAL,
     NaturalBCCache,  # noqa: F401  (names the benchmark tracer patches)
     assemble_B0,
     assemble_convection,
@@ -291,8 +295,9 @@ class _SaddleOperator:
         root collects its component's divergence roundoff, the q-row
         defects, less their harmonic part (which phi absorbs in the
         bordered system), are then swept from the leaves of
-        ``mesh.dual_forest`` to the roots through the tree-face fluxes,
-        and the pressure is moved to the gauge H^T M3 p = 0.
+        ``boundary.forest`` to the roots and the outlets through the
+        tree-face fluxes, and the pressure is moved to the gauge
+        H^T M3 p = 0.
         """
         complex_, h, reduced = self.complex, self.harmonic.basis, self.reduced
         rhs, constraints = assemble_rhs(complex_, self.boundary, t=t, **loads)
@@ -318,8 +323,8 @@ class _SaddleOperator:
         parts = reduced.split(full)
         u = parts["u2"].copy()
         if self.harmonic.dim:
-            defect = complex_.mesh.tet_volumes * b[u3] - complex_.d2 @ u
-            _sweep(complex_, self.harmonic, u, defect)
+            vol = complex_.mesh.tet_volumes
+            _sweep(self.boundary.forest, self.harmonic, vol, u, vol * b[u3] - complex_.d2 @ u)
         p = parts["u3"] - h @ (h.T @ (complex_.m3 @ parts["u3"]))
         state = TransientState(
             t=t,
@@ -340,19 +345,23 @@ for _face, _edges in enumerate(TET_FACE_EDGES):
 
 
 class _StreamOperator:
-    """The system of one run in the divergence-free subspace, for specs in
-    which every boundary face has essential velocity, on meshes with
-    b1 = b2 = 0 (see :func:`make_operator`).
+    """The system of one run in the divergence-free subspace, for specs on
+    meshes with b1 = b2 = 0 whose natural-velocity faces form at most one
+    disk per component (see :func:`make_operator`).
 
     Every velocity with the essential fluxes and the divergence the q-rows
-    ask for is u = u_g + D1 psi with psi on ``mesh.cotree``: D2 D1 = 0
-    exactly, and the cotree's curls span the rest.  The unknowns are the
-    free vorticity and psi, and the matrix is the congruence Z^T A Z, with
-    A the tau- and v-rows' vorticity and velocity blocks of
+    ask for is u = u_g + D1 psi with psi on ``boundary.cotree``, the edges
+    off the closure of the essential-velocity faces less a tree: D2 D1 = 0
+    exactly, the curls leave the essential fluxes alone, and the cotree's
+    curls span the rest, outlet fluxes included (no harmonic field is
+    left: b1 + pieces - 1 = 0 per component).  The unknowns are the free
+    vorticity and psi, and the matrix is the congruence Z^T A Z, with A
+    the tau- and v-rows' vorticity and velocity blocks of
     :func:`assemble_B0` (``a``, plus ``M2/dt`` when ``dt`` is given) and
-    Z = diag(I, D1[:, cotree]), formed block by block: the v-rows are tested with the curls of
-    the cotree edges only, so the pressure drops out ((D2 D1)^T = 0), and
-    the q-rows hold by construction.  The per-cell convection blocks enter
+    Z = diag(I, D1[:, cotree]), formed block by block: the v-rows are
+    tested with the curls of the cotree edges only, so the pressure drops
+    out ((D2 D1)^T = 0) and the natural pressure data enter through the
+    outlet rows, and the q-rows hold by construction.  The per-cell convection blocks enter
     as D1_loc^T A3_loc and D1_loc^T A5_loc D1_loc (``_TET_D1``), in fixed
     slots of the pattern (``conv_pos``, as in :class:`_SaddleOperator`).
     ``reduced`` is the pattern without the essential vorticity edges,
@@ -363,21 +372,25 @@ class _StreamOperator:
     A solve is made about the state it continues from (zero without one):
     the unknowns are the change of the vorticity and psi, so that the
     velocity is not the small difference of a large lift and a large
-    curl.  The lift u_g is that state's velocity with the new essential
-    fluxes, whose divergence defect (against the particular divergence of
-    ``f3``, less its harmonic part) is carried from the leaves of
-    ``mesh.dual_forest`` to its roots through the tree faces
-    (:func:`_sweep`); the same sweep takes the roundoff divergence off
-    u_g + D1 psi.  The pressure is then recovered from the v-rows on the
-    tree faces, where D2^T M3 p is the residual of the other terms, from
-    the roots down (``DualForest.paths``), and moved to the gauge
-    H^T M3 p = 0.
+    curl.  Roundoff is judged against the right-hand side before that
+    state's rows are taken off (``whole_norm`` of :func:`linalg.solve`),
+    as the saddle operator's is.  The lift u_g is that state's velocity
+    with the new essential fluxes, whose divergence defect (against the
+    particular divergence of ``f3``, less its harmonic part) is carried
+    from the leaves of ``boundary.forest`` to the roots of the closed
+    components and out through the outlet faces (:func:`_sweep`); the same
+    sweep takes the roundoff divergence off u_g + D1 psi.  The pressure is
+    then recovered from the v-rows on the tree faces, where D2^T M3 p is
+    the residual of the other terms, from the roots and the outlets down
+    (``DualForest.paths``): on an outlet face that residual holds the
+    pressure data, so an open component's pressure needs no gauge, and a
+    closed one's is moved to H^T M3 p = 0.
     """
 
     def __init__(self, complex_, bc, nu, dt=None):
         self.complex, self.boundary = complex_, resolve_boundary(complex_, bc)
         self.harmonic, mesh = self.boundary.harmonic, complex_.mesh
-        E, cotree = mesh.n_edges, mesh.cotree
+        E, cotree = mesh.n_edges, self.boundary.cotree
         _, blocks = assemble_B0(complex_, nu=nu)
         if dt is not None:
             blocks[("u2", "u2")] = complex_.m2 / dt
@@ -416,7 +429,8 @@ class _StreamOperator:
         order = np.argsort(np.concatenate([2 * rank, 2 * rank[cotree] + 1]))
         self.reduced = eliminate(pattern, groups, fixed, order)
         self.m3h = complex_.m3 @ self.harmonic.basis
-        self.tree_faces = mesh.dual_forest.parent_face[mesh.dual_forest.tree]
+        self.forest = forest = self.boundary.forest
+        self.tree_faces = forest.parent_face[forest.tree]
         self.factor = FactorHolder(dtype=np.float64 if dt is None else np.float32)
         self.last = (None, None)
 
@@ -453,7 +467,7 @@ class _StreamOperator:
         u[faces] = fluxes
         d2u = complex_.d2 @ u
         target = vol * (b3 - self.m3h @ (h.T @ (b3 - d2u / vol)))  # D2 u as the q-rows ask
-        _sweep(complex_, self.harmonic, u, target - d2u)  # u is now u_g
+        _sweep(self.forest, self.harmonic, vol, u, target - d2u)  # u is now u_g
 
         data = self.static
         if convection is not None:
@@ -467,16 +481,17 @@ class _StreamOperator:
             values = np.empty(0)
         r = b - self._rows(convection, omega, u)
         reduced.refill(data, np.concatenate([r[:E], self.d1ct @ r[E:]]), values)
+        whole = np.linalg.norm(np.concatenate([b[:E], self.d1ct @ b[E:]])[reduced.free])
         returned, x0 = self.last
         x0 = x0 if previous is returned else None  # both None before a first solve
-        full, residual = solve_reduced(reduced, factor=self.factor, x0=x0)
+        full, residual = solve_reduced(reduced, factor=self.factor, x0=x0, whole_norm=whole)
         parts = reduced.split(full)
         omega = omega + parts["u1"]
         u += self.d1c @ parts["psi"]
-        _sweep(complex_, self.harmonic, u, target - complex_.d2 @ u)
+        _sweep(self.forest, self.harmonic, vol, u, target - complex_.d2 @ u)
         # The v-rows on the tree faces give D2^T (M3 p), from the roots down.
         g = (self._rows(convection, omega, u) - b)[E + self.tree_faces]
-        forest = mesh.dual_forest
+        forest = self.forest
         jumps = np.zeros(mesh.n_tets)
         jumps[forest.tree] = forest.parent_sign[forest.tree] * g
         p = vol * (forest.paths @ jumps)
@@ -491,16 +506,16 @@ class _StreamOperator:
         return state, residual
 
 
-def _sweep(complex_, harmonic, u, defect):
-    """Add to ``u``, in place, the fluxes on the tree faces of
-    ``mesh.dual_forest`` that carry the divergence ``defect`` of each
-    closed component, less its harmonic part, from the leaves to the root.
-    D2 u then gains ``defect`` on every cell of a closed component but its
-    root, which is left with the component's total, zero up to roundoff.
+def _sweep(forest, harmonic, volumes, u, defect):
+    """Add to ``u``, in place, the fluxes on the tree faces of ``forest``
+    (``ResolvedBoundary.forest``) that carry the divergence ``defect``, less
+    its harmonic part, from the leaves to the roots and the outlets.  D2 u
+    then gains ``defect`` on every cell but the root of each closed
+    component, which is left with the component's total, zero up to
+    roundoff; a component with an outlet passes its total out through it.
     One product with ``DualForest.subtree`` sums every subtree at once."""
-    h, forest = harmonic.basis, complex_.mesh.dual_forest
-    defect = np.where(h.any(axis=1), defect, 0.0)  # closed components only
-    defect -= h @ (h.T @ (defect / complex_.mesh.tet_volumes))
+    h = harmonic.basis
+    defect = defect - h @ (h.T @ (defect / volumes))
     tree = forest.tree
     u[forest.parent_face[tree]] += forest.parent_sign[tree] * (forest.subtree @ defect)[tree]
 
@@ -509,16 +524,23 @@ def make_operator(complex_, bc, nu, dt=None):
     """The operator of a run: a steady one without ``dt``, a time-step one
     with it.
 
-    A spec in which every boundary face has essential velocity, on a mesh
-    with b1 = b2 = 0, is solved in the divergence-free subspace
-    (:class:`_StreamOperator`, about half the saddle system's unknowns);
-    every other spec by the saddle system (:class:`_SaddleOperator`).  The
-    choice rests only on the resolution of ``bc`` and ``mesh.betti_numbers``.
+    A spec on a mesh with b1 = b2 = 0 whose natural-velocity faces form at
+    most one piece per component, a disk (``ResolvedBoundary.pieces``), is
+    solved in the divergence-free subspace (:class:`_StreamOperator`,
+    about half the saddle system's unknowns): no harmonic velocity field
+    is left (b1 + pieces - 1 = 0).  Every other spec (two or more outlets
+    on a component, an annulus, handles, cavities) is solved by the saddle
+    system (:class:`_SaddleOperator`).  The choice rests only on the
+    resolution of ``bc`` and ``mesh.betti_numbers``.  Without ``dt`` the
+    spec must determine every flux (``ResolvedBoundary.check_steady``).
     """
     boundary = resolve_boundary(complex_, bc)
+    if dt is None:
+        boundary.check_steady()
     _, b1, b2 = complex_.mesh.betti_numbers
-    essential = all(region.velocity_mode == ESSENTIAL for region, *_ in boundary.claims)
-    kind = _StreamOperator if essential and b1 == b2 == 0 else _SaddleOperator
+    component, disk = boundary.pieces
+    single = np.bincount(component, minlength=len(boundary.closed)).max() <= 1
+    kind = _StreamOperator if b1 == b2 == 0 and single and disk.all() else _SaddleOperator
     return kind(complex_, boundary, nu, dt)
 
 
@@ -548,13 +570,16 @@ def solve_stokes(
     """One linear steady solve (no convection, no time derivative).
 
     Returns ``(state, diagnostics)`` where diagnostics carries the
-    relative linear residual and the max divergence density.
+    relative linear residual, the max divergence density and
+    ``unknowns``, the size of the factored system (the stream or the
+    saddle system, see :func:`make_operator`).
     """
     operator = make_operator(complex_, _boundary(complex_, bc, harmonic, natural_cache), nu)
     state, residual = operator.solve(t, {"f2": f2, "f3": f3, "load_degree": load_degree})
     diagnostics = {
         "residual": residual,
         "div_max": complex_.divergence_max(state.u.values),
+        "unknowns": operator.reduced.matrix.shape[0],
     }
     return state, diagnostics
 

@@ -424,3 +424,26 @@ def test_float32_holder_raises_singular_only_from_float64(monkeypatch):
         solve(sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]])), np.ones(2), factor=holder)
     assert dtypes == [np.float32, np.float64]
     assert holder.dtype == np.float64
+
+
+def test_a_held_factor_is_judged_against_the_whole_right_hand_side(monkeypatch):
+    """The right-hand side of an increment is what an earlier state leaves of
+    a larger one.  Where the increment lies along the smallest singular
+    direction, its relative residual floors far above ROUNDOFF_RESIDUAL
+    (3.5e-13 here, even from a fresh factor), so the held factor of a
+    nearby matrix is replaced; judged against the whole right-hand side's
+    norm it is at roundoff and kept.  The residual returned stays relative
+    to ``rhs``."""
+    rng = np.random.default_rng(17)
+    a = _conditioned(rng, 1e4)
+    near = a + 1e-7 * sp.csr_matrix(rng.normal(size=a.shape))
+    rhs = near @ np.linalg.svd(near.toarray())[2][-1]
+    factors = _spy_factors(monkeypatch)
+    for whole_norm, kept in ((None, False), (1e4 * np.linalg.norm(rhs), True)):
+        holder = FactorHolder()
+        solve(a, rng.normal(size=a.shape[0]), factor=holder)
+        factors.clear()
+        x, res = solve(near, rhs, factor=holder, whole_norm=whole_norm)
+        assert (holder.reused, len(factors)) == (kept, 0 if kept else 1)
+        assert relative_residual(near, rhs, x) == res
+        assert 1e2 * ROUNDOFF_RESIDUAL < res <= RESIDUAL_TOL

@@ -16,7 +16,7 @@ from vvpflow.assembly import (
     essential_constraints,
 )
 from vvpflow.fields import ethier_velocity, ethier_vorticity, stokes_mms_fields
-from vvpflow.linalg import RESIDUAL_TOL, assemble_blocks
+from vvpflow.linalg import RESIDUAL_TOL, ROUNDOFF_RESIDUAL, assemble_blocks
 from vvpflow.solver import (
     SolverConfig,
     SteadyStateNotReached,
@@ -439,9 +439,10 @@ def _solve_watching_matrices(monkeypatch, run):
 
 def _stream_unknowns(complex_, bc):
     """The free edges plus the cotree: the size of the stream system."""
-    essential = assembly.resolve_boundary(complex_, bc).essential
+    boundary = assembly.resolve_boundary(complex_, bc)
+    essential = boundary.essential
     fixed = len(essential["u1"][1]) if "u1" in essential else 0
-    return complex_.mesh.n_edges - fixed + len(complex_.mesh.cotree)
+    return complex_.mesh.n_edges - fixed + len(boundary.cotree)
 
 
 def _check_matches_bordered(complex_, bc, system, state, residual, seen, saddle):
@@ -567,8 +568,13 @@ def test_step_keeps_structure_at_n6():
     assert complex_.divergence_max(state.u.values) <= 1e-12 * (1.0 + unorm)
 
 
-def _outlet_bc(fields):
-    """Essential walls, natural outlet at x=1: the stokes-outlet benchmark."""
+def _at_x1(c):
+    return c[:, 0] > 1.0 - 1e-12
+
+
+def _outlet_bc(fields, where=_at_x1):
+    """Essential walls, natural outlet where ``where`` (at x = 1: the
+    stokes-outlet benchmark)."""
     return BoundaryConditionSpec(
         (
             RegionBC(
@@ -577,7 +583,7 @@ def _outlet_bc(fields):
                 vorticity_data=fields["velocity"],
                 velocity_mode=NATURAL,
                 velocity_data=fields["pressure"],
-                where=lambda c: c[:, 0] > 1.0 - 1e-12,
+                where=where,
             ),
             RegionBC(
                 name="walls",
@@ -887,6 +893,33 @@ def test_reused_factor_keeps_divergence_gate_with_natural_outlet(monkeypatch):
         _check_gates(complex_, state, diag)
 
 
+@pytest.mark.parametrize("outlet", [False, True], ids=["closed", "outlet"])
+def test_stream_run_keeps_its_float32_factor_near_steady_state(monkeypatch, outlet):
+    """The stream operator solves for the change from the previous state.
+    As a run nears the steady state that change shrinks faster than the
+    terms that cancel in it, and its relative residual floors above
+    ROUNDOFF_RESIDUAL (2.6e-15 by the tenth step here).  Judged against the
+    whole right-hand side, as the saddle operator's is, the run keeps its
+    first float32 factor; judged against the change alone, it fell back to
+    float64 and refactored every step from the third (outlet) or the
+    seventh (closed box) on."""
+    complex_ = DeRhamComplex(jittered_box(4, seed=6))
+    fields = stokes_mms_fields(nu=1.0)
+    bc = _outlet_bc(fields) if outlet else both_essential(fields)
+    config = SolverConfig(nu=1.0, dt=1e-2, t_end=0.1)
+    calls = _count_factors(monkeypatch)
+    seen = []
+    run_transient(
+        complex_, bc, config, velocity_data=fields["velocity"], f=fields["forcing"],
+        observers=(lambda st, diag: seen.append((st, diag)),),
+    )
+    monkeypatch.undo()
+    assert calls == [np.float32]
+    assert max(diag.residual for _, diag in seen) > ROUNDOFF_RESIDUAL
+    for state, diag in seen:
+        _check_gates(complex_, state, diag)
+
+
 @pytest.mark.parametrize("case", ["outlet", "closed", "steady"])
 def test_operator_reduction_matches_assemble_blocks(complex_j3, monkeypatch, case):
     """One step with convection, or one steady solve (no dt, so no
@@ -909,10 +942,12 @@ def test_operator_reduction_matches_assemble_blocks(complex_j3, monkeypatch, cas
         return real(reduced, **kwargs)
 
     monkeypatch.setattr(solver, "solve_reduced", watch)
+    # Both boxes would get the stream operator; this checks the saddle's.
     if case == "steady":
-        state, _ = solve_stokes(complex_j3, bc, nu=config.nu, f2=fields["forcing"])
+        operator = solver._SaddleOperator(complex_j3, bc, config.nu)
+        loads = {"f2": fields["forcing"], "f3": None, "load_degree": None}
+        state, _ = operator.solve(0.0, loads)
     else:
-        # The closed box would get the stream operator; this checks the saddle's.
         operator = solver._SaddleOperator(complex_j3, bc, config.nu, config.dt)
         state, _ = step(complex_j3, bc, config, state0, f=fields["forcing"], operator=operator)
     monkeypatch.undo()
@@ -1273,14 +1308,26 @@ STREAM_CASES = {
     "noflow-steady": (lambda: jittered_box(3, 6), "noflow", {"f2": _noflow_load}, False),
     "two-boxes-step": (lambda: _two_boxes(), "ethier", {}, True),
     "two-boxes-steady": (lambda: _two_boxes(), "mms", {"f2": "forcing"}, False),
+    # A natural outlet: the cotree relative to the walls, the forest rooted at the outlet.
+    "outlet-step-n2": (lambda: jittered_box(2, 3), "outlet", {"f2": "forcing"}, True),
+    "outlet-step-n3": (lambda: jittered_box(3, 5), "outlet", {"f2": "forcing"}, True),
+    "outlet-step-n4": (lambda: jittered_box(4, 1), "outlet", {"f2": "forcing"}, True),
+    "outlet-steady-n2": (lambda: jittered_box(2, 3), "outlet", {"f2": "forcing"}, False),
+    "outlet-steady-n3": (lambda: jittered_box(3, 5), "outlet", {"f2": "forcing"}, False),
+    "outlet-steady-n4": (lambda: jittered_box(4, 1), "outlet", {"f2": "forcing"}, False),
+    "outlet-f3-step": (lambda: jittered_box(3, 2), "outlet", WITH_F3, True),
+    # The closed box keeps its root and harmonic form beside the open one.
+    "outlet-beside-closed-step": (lambda: _two_boxes(), "outlet-x3", {"f2": "forcing"}, True),
+    "outlet-beside-closed-steady": (lambda: _two_boxes(), "outlet-x3", WITH_F3, False),
 }
 
 
 @pytest.mark.parametrize("case", STREAM_CASES.values(), ids=STREAM_CASES.keys())
 def test_stream_operator_matches_the_saddle_reference(case):
-    """Every all-essential-velocity spec on a mesh with b1 = b2 = 0 gets the
-    stream operator, whose omega, u and p match an explicitly built saddle
-    operator's to 1e-12 relative, with the divergence at roundoff."""
+    """Every spec on a mesh with b1 = b2 = 0 whose natural-velocity faces
+    form at most one disk per component gets the stream operator, whose
+    omega, u and p match an explicitly built saddle operator's to 1e-12
+    relative, with the divergence at roundoff."""
     mesh, spec, loads, transient = case
     complex_ = DeRhamComplex(mesh())
     fields = stokes_mms_fields(nu=1.0)
@@ -1288,6 +1335,8 @@ def test_stream_operator_matches_the_saddle_reference(case):
         "ethier": ethier_bc(2.0, 1.0),
         "mms": both_essential(fields),
         "noflow": BoundaryConditionSpec(RegionBC()),
+        "outlet": _outlet_bc(fields),
+        "outlet-x3": _outlet_bc(fields, lambda c: c[:, 0] > 3.0 - 1e-12),
     }[spec]
     loads = {k: fields[v] if isinstance(v, str) else v for k, v in loads.items()}
     loads = {"f2": None, **loads, "load_degree": 4}
@@ -1395,8 +1444,10 @@ def test_stream_matrix_is_the_congruence_of_the_saddle_blocks(complex_j3, monkey
 
 
 def test_step_diagnostics_report_the_factored_system(complex_j3):
-    """An Ethier run factors the stream system in float32 on every step, an
-    outlet run the saddle system: ``unknowns`` and ``factor_dtype`` say so."""
+    """An Ethier run and an outlet run factor the stream system in float32
+    on every step, a run with natural ends at x = 0 and x = 1 the saddle
+    system: ``unknowns`` and ``factor_dtype`` say so, and so does
+    ``solve_stokes``'s ``unknowns``."""
     mesh = complex_j3.mesh
     config = SolverConfig(nu=1.0, dt=1e-3, t_end=3e-3)
     seen = []
@@ -1411,13 +1462,20 @@ def test_step_diagnostics_report_the_factored_system(complex_j3):
     assert [(d.unknowns, d.factor_dtype) for d in seen] == [(stream, np.float32)] * 3
 
     fields = stokes_mms_fields(nu=1.0)
-    bc = _outlet_bc(fields)
-    seen.clear()
-    run_transient(
-        complex_j3, bc, config, velocity_data=fields["velocity"],
-        observers=(lambda st, diag: seen.append(diag),),
-    )
-    operator = solver._SaddleOperator(complex_j3, bc, config.nu, config.dt)
-    saddle = operator.reduced.matrix.shape[0]
-    assert saddle > stream
-    assert [d.unknowns for d in seen] == [saddle] * 3
+    two_ended = _outlet_bc(fields, lambda c: np.abs(c[:, 0] - 0.5) > 0.5 - 1e-12)
+    for bc in (_outlet_bc(fields), two_ended):
+        boundary = ResolvedBoundary(complex_j3, bc)
+        if bc is two_ended:
+            want = solver._SaddleOperator(complex_j3, boundary, 1.0, config.dt)
+            want = want.reduced.matrix.shape[0]
+        else:
+            want = _stream_unknowns(complex_j3, boundary)
+            _, info = solve_stokes(complex_j3, boundary, f2=fields["forcing"])
+            assert info["unknowns"] == want
+        seen.clear()
+        run_transient(
+            complex_j3, boundary, config, velocity_data=fields["velocity"],
+            observers=(lambda st, diag: seen.append(diag),),
+        )
+        assert [(d.unknowns, d.factor_dtype) for d in seen] == [(want, np.float32)] * 3
+    assert want > stream

@@ -381,6 +381,30 @@ def test_subtree_map_sums_each_subtree(mesh):
 CLOSED = BoundaryConditionSpec(RegionBC())
 
 
+def natural_where(where, walls="essential"):
+    """Natural vorticity and velocity where ``where``, ``walls`` vorticity with
+    essential velocity elsewhere; pressure data 1 - x."""
+    ends = RegionBC(
+        name="ends",
+        vorticity_mode=NATURAL,
+        velocity_mode=NATURAL,
+        velocity_data=lambda points, t=0.0: 1.0 - points[:, 0],
+        where=where,
+    )
+    return BoundaryConditionSpec((ends, RegionBC(name="walls", vorticity_mode=walls)))
+
+
+def two_ended(walls="essential"):
+    """The unit box natural at both ends, x = 0 and x = 1: two disks."""
+    return natural_where(lambda c: np.abs(c[:, 0] - 0.5) > 0.5 - 1e-9, walls)
+
+
+# The x = 3 face of the side-3 box natural but for its middle unit square: an annulus.
+ANNULUS = natural_where(
+    lambda c: (c[:, 0] > 3.0 - 1e-9) & ~(np.all(np.abs(c[:, 1:] - 1.5) < 0.5, axis=1)), NATURAL
+)
+
+
 @pytest.mark.parametrize(
     "mesh, bc, stream",
     [
@@ -390,24 +414,136 @@ CLOSED = BoundaryConditionSpec(RegionBC())
         (
             lambda: build_box_mesh(3, 3, 3, hi=(3.0,) * 3),
             carved_bc(NATURAL, "essential", True),
-            False,
+            True,
         ),
+        (lambda: side_by_side([build_box_mesh(2, 2, 2)] * 2), outlets([1], RegionBC()), True),
         (lambda: CAVITY, carved_bc("essential", "essential", False), False),
         (lambda: CAVITY, carved_bc(NATURAL, "essential", False), False),
         (lambda: HANDLE, carved_bc(NATURAL, "essential", False), False),
         (lambda: side_by_side([CAVITY, build_box_mesh(2, 2, 2)]), CLOSED, False),
+        (lambda: build_box_mesh(2, 2, 2), two_ended(NATURAL), False),
+        (lambda: HANDLE, carved_bc(NATURAL, "essential", True), False),
+        (lambda: build_box_mesh(3, 3, 3, hi=(3.0,) * 3), ANNULUS, False),
     ],
     ids=[
-        "box", "jittered-box", "two-boxes", "box-with-outlet",
+        "box", "jittered-box", "two-boxes", "box-with-outlet", "outlet-beside-closed-box",
         "cavity", "cavity-natural-vorticity", "handle", "cavity-beside-box",
+        "two-ended-box", "handle-with-outlet", "annulus-outlet",
     ],
 )
 def test_specs_route_to_their_operator(mesh, bc, stream):
-    """The stream operator takes exactly the specs whose every boundary face
-    has essential velocity on meshes with b1 = b2 = 0; a natural-velocity
-    face, a handle or a cavity keeps the saddle operator."""
+    """The stream operator takes exactly the specs on meshes with
+    b1 = b2 = 0 whose natural-velocity faces form at most one piece per
+    component, a disk; two pieces, an annulus, a handle or a cavity keeps
+    the saddle operator."""
     complex_ = DeRhamComplex(mesh())
     for dt in (None, 1e-3):
         operator = solver.make_operator(complex_, bc, nu=1.0, dt=dt)
         assert isinstance(operator, solver._StreamOperator) == stream
         assert isinstance(operator, (solver._StreamOperator, solver._SaddleOperator))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_steady_flux_between_two_natural_ends_is_rejected(n):
+    """Essential walls with natural ends at x = 0 and x = 1 leave the
+    potential flow from one end to the other out of the steady rows; the
+    solve used to fail in linalg.solve on the residual contract (relative
+    residual 10, 2.6 and 45 at n = 2, 3, 4).  It now fails at setup, while
+    a time step, natural-vorticity walls and one natural end still solve."""
+    complex_ = DeRhamComplex(build_box_mesh(n, n, n))
+    message = "component 0 has 2 separate natural-velocity pieces .*'ends'.* not determined"
+    with pytest.raises(ValueError, match=message):
+        solve_stokes(complex_, two_ended(), f2=forcing)
+    config = solver.SolverConfig(dt=1e-2, t_end=1e-2)
+    state0 = solver.initialize_state(complex_, two_ended(), expanding)
+    state, residual = solver.step(complex_, two_ended(), config, state0, f=forcing)
+    assert residual <= RESIDUAL_TOL
+    assert complex_.divergence_max(state.u.values) <= 1e-12 * (1.0 + complex_.norm(state.u))
+    assert_stokes_gates(complex_, two_ended(NATURAL))
+    assert_stokes_gates(complex_, natural_where(lambda c: c[:, 0] > 1.0 - 1e-9))
+
+
+# The outlet specs of the relative cotree and the outlet forest.
+OUTLET_CASES = {
+    "outlet-box": (lambda: jittered_box(3, 4), natural_where(lambda c: c[:, 0] > 1.0 - 1e-9)),
+    "outlet-beside-closed-box": (
+        lambda: side_by_side([jittered_box(2, 1), build_box_mesh(3, 2, 2)]),
+        outlets([1], RegionBC(name="walls")),
+    ),
+    "corner-outlet": (  # a disk of three faces of the box, about a corner
+        lambda: build_box_mesh(2, 2, 2),
+        natural_where(lambda c: np.all(c < 0.5, axis=1) & np.any(c < 1e-9, axis=1), NATURAL),
+    ),
+}
+
+
+@pytest.mark.parametrize("mesh, bc", OUTLET_CASES.values(), ids=OUTLET_CASES.keys())
+def test_relative_cotree_gauges_one_free_edge_per_free_vertex(mesh, bc):
+    """Relative to the essential-velocity faces Γe: one free edge (off the
+    closure of Γe) per free vertex is in the tree; D2 D1 = 0 on the
+    cotree's columns, their curls vanish on Γe and have full column rank
+    on the other faces (dense rank, n <= 3)."""
+    complex_ = DeRhamComplex(mesh())
+    mesh, boundary = complex_.mesh, ResolvedBoundary(complex_, bc)
+    walls = np.setdiff1d(mesh.boundary_faces, boundary.outlet_faces)
+    cotree = boundary.cotree
+    free_edges = np.setdiff1d(np.arange(mesh.n_edges), mesh.face_edges[walls])
+    free_vertices = np.setdiff1d(np.unique(mesh.tets), mesh.faces[walls])
+    assert len(cotree) == len(free_edges) - len(free_vertices)
+    assert np.all(np.diff(cotree) > 0) and np.isin(cotree, free_edges).all()
+    assert np.isin(cotree, mesh.boundary_edges).any()  # edges inside the outlet carry psi
+    d1c = complex_.d1[:, cotree]
+    assert (complex_.d2 @ d1c).nnz == 0
+    assert d1c[walls].nnz == 0
+    other = np.setdiff1d(np.arange(mesh.n_faces), walls)
+    assert np.linalg.matrix_rank(d1c[other].toarray()) == len(cotree)
+
+
+@pytest.mark.parametrize(
+    "mesh, bc",
+    [*OUTLET_CASES.values(), (lambda: HANDLE, carved_bc(NATURAL, "essential", True)),
+     (lambda: build_box_mesh(3, 3, 3), two_ended())],
+    ids=[*OUTLET_CASES.keys(), "handle-with-outlet", "two-ended-box"],
+)
+def test_outlet_forest_carries_each_subtree_out(mesh, bc):
+    """In the forest of ``ResolvedBoundary.forest`` every cell of a component
+    with an outlet reaches the outside: the first level holds the closed
+    components' roots, as in ``mesh.dual_forest``, and the outlet cells, each
+    through an outlet face.  ``subtree`` and ``paths`` are the level loop's
+    sums, and the sweep puts any divergence on an open component's cells."""
+    complex_ = DeRhamComplex(mesh())
+    mesh, boundary = complex_.mesh, ResolvedBoundary(complex_, bc)
+    forest = boundary.forest
+    closed = boundary.closed[forest.labels]
+    roots = np.flatnonzero(forest.parent_face < 0)
+    np.testing.assert_array_equal(roots, np.sort(mesh.dual_forest.roots[boundary.closed]))
+    outlet = np.flatnonzero((forest.parent < 0) & (forest.parent_face >= 0))
+    assert not closed[outlet].any()
+    assert np.isin(forest.parent_face[outlet], boundary.outlet_faces).all()
+    np.testing.assert_array_equal(np.sort(forest.levels[0]), np.sort(np.r_[roots, outlet]))
+    tree = forest.tree
+    d2 = complex_.d2[tree, forest.parent_face[tree]]
+    np.testing.assert_array_equal(np.asarray(d2).ravel(), forest.parent_sign[tree])
+
+    x = np.random.default_rng(5).standard_normal(mesh.n_tets)
+    acc = x.copy()
+    for cells in forest.levels[:0:-1]:
+        np.add.at(acc, forest.parent[cells], acc[cells])
+    want = np.where(forest.parent_face >= 0, acc, 0.0)
+    np.testing.assert_allclose(forest.subtree @ x, want, rtol=1e-12, atol=1e-12)
+    acc = np.where(forest.parent_face >= 0, x, 0.0)
+    for cells in forest.levels[1:]:
+        acc[cells] += acc[forest.parent[cells]]
+    np.testing.assert_allclose(forest.paths @ x, acc, rtol=1e-12, atol=1e-12)
+
+    defect = np.where(closed, 0.0, x)
+    u = np.zeros(mesh.n_faces)
+    solver._sweep(forest, boundary.harmonic, mesh.tet_volumes, u, defect)
+    np.testing.assert_allclose(complex_.d2 @ u, defect, atol=1e-12)
+
+
+def test_outlet_objects_are_the_mesh_ones_without_a_natural_face():
+    complex_ = DeRhamComplex(jittered_box(3, 4))
+    boundary = ResolvedBoundary(complex_, carved_bc(NATURAL, "essential", False))
+    assert boundary.forest is complex_.mesh.dual_forest
+    assert boundary.cotree is complex_.mesh.cotree
