@@ -279,7 +279,8 @@ def solve(matrix, rhs, factor=None, x0=None, whole_norm=None):
 
     ``whole_norm``, when ``rhs`` is only the residual that an earlier
     state leaves of a larger right-hand side (the stream operator's
-    increments), is that right-hand side's norm.  Roundoff is then
+    increments), returns that right-hand side's norm; it is called only
+    when a refinement ends above ``ROUNDOFF_RESIDUAL``.  Roundoff is then
     judged against it: a factor counts as at roundoff where the residual
     is at most ``ROUNDOFF_RESIDUAL`` of the larger norm, as it would for
     the whole system.  Refinement still runs while it halves the residual,
@@ -292,10 +293,15 @@ def solve(matrix, rhs, factor=None, x0=None, whole_norm=None):
     a = sp.csr_matrix(matrix)
     if a.shape[0] != a.shape[1]:
         raise ValueError("solve needs a square matrix")
-    rhs = np.asarray(rhs, dtype=float)
-    roundoff = ROUNDOFF_RESIDUAL
-    if whole_norm is not None:
-        roundoff *= max(1.0, whole_norm / max(float(np.linalg.norm(rhs)), 1e-300))
+    rhs = given = np.asarray(rhs, dtype=float)
+
+    def at_roundoff(res):
+        if res <= ROUNDOFF_RESIDUAL:
+            return True
+        if whole_norm is None:
+            return False
+        return res * np.linalg.norm(given) <= ROUNDOFF_RESIDUAL * whole_norm()
+
     # A power of two brings the right-hand side to unit size, exactly: the
     # residuals of late passes stay inside float32's range, norms inside float64's.
     scale = math.ldexp(1.0, -math.frexp(float(np.abs(rhs).max(initial=0.0)))[1])
@@ -316,7 +322,7 @@ def solve(matrix, rhs, factor=None, x0=None, whole_norm=None):
                 continue
         x, res, passes = _refine(holder.lu, a, rhs, holder.dtype, x0)
         holder.passes += passes
-        if res <= roundoff:
+        if at_roundoff(res):
             break
         if not holder.reused or (a != holder.matrix).nnz == 0:  # the factor of this matrix
             if holder.dtype == np.float64 or (holder.reused and res <= RESIDUAL_TOL):

@@ -481,10 +481,16 @@ class _StreamOperator:
             values = np.empty(0)
         r = b - self._rows(convection, omega, u)
         reduced.refill(data, np.concatenate([r[:E], self.d1ct @ r[E:]]), values)
-        whole = np.linalg.norm(np.concatenate([b[:E], self.d1ct @ b[E:]])[reduced.free])
         returned, x0 = self.last
         x0 = x0 if previous is returned else None  # both None before a first solve
-        full, residual = solve_reduced(reduced, factor=self.factor, x0=x0, whole_norm=whole)
+        full, residual = solve_reduced(
+            reduced,
+            factor=self.factor,
+            x0=x0,
+            whole_norm=lambda: np.linalg.norm(
+                np.concatenate([b[:E], self.d1ct @ b[E:]])[reduced.free]
+            ),
+        )
         parts = reduced.split(full)
         omega = omega + parts["u1"]
         u += self.d1c @ parts["psi"]

@@ -433,13 +433,14 @@ def test_a_held_factor_is_judged_against_the_whole_right_hand_side(monkeypatch):
     (3.5e-13 here, even from a fresh factor), so the held factor of a
     nearby matrix is replaced; judged against the whole right-hand side's
     norm it is at roundoff and kept.  The residual returned stays relative
-    to ``rhs``."""
+    to ``rhs``, and a solve that ends at ROUNDOFF_RESIDUAL never asks for
+    the whole norm."""
     rng = np.random.default_rng(17)
     a = _conditioned(rng, 1e4)
     near = a + 1e-7 * sp.csr_matrix(rng.normal(size=a.shape))
     rhs = near @ np.linalg.svd(near.toarray())[2][-1]
     factors = _spy_factors(monkeypatch)
-    for whole_norm, kept in ((None, False), (1e4 * np.linalg.norm(rhs), True)):
+    for whole_norm, kept in ((None, False), (lambda: 1e4 * np.linalg.norm(rhs), True)):
         holder = FactorHolder()
         solve(a, rng.normal(size=a.shape[0]), factor=holder)
         factors.clear()
@@ -447,3 +448,10 @@ def test_a_held_factor_is_judged_against_the_whole_right_hand_side(monkeypatch):
         assert (holder.reused, len(factors)) == (kept, 0 if kept else 1)
         assert relative_residual(near, rhs, x) == res
         assert 1e2 * ROUNDOFF_RESIDUAL < res <= RESIDUAL_TOL
+
+    def unused():
+        raise AssertionError("whole norm asked for at roundoff")
+
+    a = sp.random(30, 30, density=0.2, random_state=12) + 30 * sp.eye(30)
+    _, res = solve(a, rng.normal(size=30), whole_norm=unused)
+    assert res <= ROUNDOFF_RESIDUAL
