@@ -361,9 +361,10 @@ class _StreamOperator:
     Z = diag(I, D1[:, cotree]), formed block by block: the v-rows are
     tested with the curls of the cotree edges only, so the pressure drops
     out ((D2 D1)^T = 0) and the natural pressure data enter through the
-    outlet rows, and the q-rows hold by construction.  The per-cell convection blocks enter
-    as D1_loc^T A3_loc and D1_loc^T A5_loc D1_loc (``_TET_D1``), in fixed
-    slots of the pattern (``conv_pos``, as in :class:`_SaddleOperator`).
+    outlet rows, and the q-rows hold by construction.  The per-cell
+    convection blocks enter as D1_loc^T A3_loc and D1_loc^T A5_loc D1_loc
+    (``_TET_D1``), in fixed slots of the pattern (``conv_pos``, as in
+    :class:`_SaddleOperator`).
     ``reduced`` is the pattern without the essential vorticity edges,
     reduced once in ``mesh.elimination_order``'s edge order with each
     psi_e right after omega_e; ``factor`` and ``last`` work as in
