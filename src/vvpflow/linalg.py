@@ -33,10 +33,20 @@ refinement: Buttari et al., ACM TOMS 2008; Carson & Higham, SIAM J. Sci.
 Comput. 2018).  :func:`solve_spd` solves a symmetric positive definite
 system, such as the edge mass matrix of the initial vorticity, by
 conjugate gradients under the same residual contract, with no factor.
+
+:meth:`FactorHolder.factor_now` factors a matrix ahead of its solve, and
+:func:`on_worker` runs a function on the package's one worker thread,
+made on first use: the solver overlaps a steady solve's factor with the
+assembly of its right-hand side that way.  Every SuperLU factor is built,
+and so freed, on the calling thread, never on the worker: in scipy
+1.17.1 a factor built on one thread and freed on another is never freed.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +80,32 @@ diag_pivot_thresh = 1e-6
 REFINE_RATE = 0.5
 REFINE_MAX_PASSES = 10
 ROUNDOFF_RESIDUAL = 1e-15
+
+
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def on_worker(fn, *args, **kwargs):
+    """Start ``fn(*args, **kwargs)`` on the package's one worker thread,
+    made on first use and named ``vvpflow-worker_0``; returns its Future.
+
+    The solver runs only SuperLU-free work there (see the module
+    docstring).  A forked child makes its own worker.
+    """
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="vvpflow-worker")
+        return _worker.submit(fn, *args, **kwargs)
+
+
+def _forget_worker():
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
 
 
 class SolverError(RuntimeError):
@@ -228,6 +264,8 @@ class FactorHolder:
     down or does not refine to roundoff sets ``dtype`` to float64 for
     good.  ``reused`` and ``passes`` describe the holder's last solve:
     whether it kept the factor it found, and its refinement passes.
+    ``fresh`` marks a factor of :meth:`factor_now` that no solve has used
+    yet; the solve that uses it counts it as its own, not as reused.
     """
 
     lu: object = None
@@ -235,6 +273,28 @@ class FactorHolder:
     reused: bool = False
     passes: int = 0
     dtype: type = np.float64
+    fresh: bool = False
+
+    def factor_now(self, matrix):
+        """Factor ``matrix`` now, for the next :func:`solve`, which is given
+        the same matrix and counts this factor as its own fresh one.
+
+        It breaks down as :func:`solve`'s fresh factors do: a float32
+        factor that SuperLU finds singular is replaced by a float64 one,
+        and SingularSystemError is raised only from float64.
+        """
+        self._factor(sp.csr_matrix(matrix))
+        self.fresh = True
+
+    def _factor(self, a):
+        while True:
+            try:
+                self.lu, self.matrix = _factor(a, self.dtype), a.copy()
+                return
+            except SingularSystemError:
+                if self.dtype == np.float64:
+                    raise
+                self.dtype = np.float64
 
 
 def solve(matrix, rhs, factor=None, x0=None, whole_norm=None):
@@ -309,17 +369,11 @@ def solve(matrix, rhs, factor=None, x0=None, whole_norm=None):
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float) * scale
     holder = FactorHolder() if factor is None else factor
-    holder.reused = holder.lu is not None
+    holder.reused, holder.fresh = holder.lu is not None and not holder.fresh, False
     holder.passes = 0
     while True:
         if holder.lu is None:
-            try:
-                holder.lu, holder.matrix = _factor(a, holder.dtype), a.copy()
-            except SingularSystemError:
-                if holder.dtype == np.float64:
-                    raise
-                holder.dtype = np.float64
-                continue
+            holder._factor(a)
         x, res, passes = _refine(holder.lu, a, rhs, holder.dtype, x0)
         holder.passes += passes
         if at_roundoff(res):

@@ -69,6 +69,21 @@ operator keeps from then on.  A steady operator factors in float64: the
 steady Stokes system diverges from a float32 factor at n=12.
 :func:`initialize_state` builds no factor: its edge mass-matrix system
 is solved by conjugate gradients (:func:`vvpflow.linalg.solve_spd`).
+
+A steady operator's first solve, which holds no factor, runs its two
+independent jobs side by side: :func:`assemble_rhs` (the loads, mostly
+the sampling of the forcing, and the boundary data) on the package's one
+worker thread (``linalg.on_worker``), while the calling thread factors
+the reduced matrix, whose data are final once the operator is built
+(``FactorHolder.factor_now``); SuperLU releases the GIL while it factors.
+The worker is joined before the lift, the refill and the refinement.
+The data callables run on the worker, each once as before, and an error
+they raise reaches the caller as before.  The factor stays on the
+calling thread: in scipy 1.17.1 a SuperLU factor built on one thread and
+freed on another is never freed (30 factors of a 16^3 Laplacian took the
+peak RSS from 75 to 440 MB).  Time-step operators assemble on the
+calling thread, where overlapping the first step's factor hid only one
+step's boundary data.
 """
 from __future__ import annotations
 
@@ -93,6 +108,7 @@ from .linalg import (
     eliminate,
     group_offsets,
     m_norm,
+    on_worker,
     solve_reduced,
     solve_spd,
     stack,
@@ -272,7 +288,8 @@ class _SaddleOperator:
         fixed = np.concatenate([*fixed, offsets["u3"] + self.harmonic.pins])
         self.reduced = eliminate(pattern, groups, fixed, mesh.elimination_order)
         self.m3h = complex_.m3 @ self.harmonic.basis
-        self.factor = FactorHolder(dtype=np.float64 if dt is None else np.float32)
+        self.steady = dt is None
+        self.factor = FactorHolder(dtype=np.float64 if self.steady else np.float32)
         self.last = (None, None)
 
     def solve(self, t, loads, convection=None, rhs_u2=None, previous=None):
@@ -300,7 +317,7 @@ class _SaddleOperator:
         H^T M3 p = 0.
         """
         complex_, h, reduced = self.complex, self.harmonic.basis, self.reduced
-        rhs, constraints = assemble_rhs(complex_, self.boundary, t=t, **loads)
+        rhs, constraints = _assemble_rhs(self, t, loads)
         pins = np.zeros(self.harmonic.dim)
         values = np.concatenate([*(v for _, v in constraints.values()), pins])
         b = stack(reduced.groups, rhs)
@@ -432,7 +449,8 @@ class _StreamOperator:
         self.m3h = complex_.m3 @ self.harmonic.basis
         self.forest = forest = self.boundary.forest
         self.tree_faces = forest.parent_face[forest.tree]
-        self.factor = FactorHolder(dtype=np.float64 if dt is None else np.float32)
+        self.steady = dt is None
+        self.factor = FactorHolder(dtype=np.float64 if self.steady else np.float32)
         self.last = (None, None)
 
     def _rows(self, convection, omega, u):
@@ -455,7 +473,7 @@ class _StreamOperator:
         complex_, h, reduced = self.complex, self.harmonic.basis, self.reduced
         mesh = complex_.mesh
         E, vol = mesh.n_edges, mesh.tet_volumes
-        rhs, constraints = assemble_rhs(complex_, self.boundary, t=t, **loads)
+        rhs, constraints = _assemble_rhs(self, t, loads)
         b = stack({"u1": E, "u2": mesh.n_faces}, rhs)
         if rhs_u2 is not None:
             b[E:] += rhs_u2
@@ -511,6 +529,28 @@ class _StreamOperator:
         )
         self.last = (state, full[reduced.free])
         return state, residual
+
+
+def _assemble_rhs(operator, t, loads):
+    """:func:`assemble_rhs` of an operator's solve at t.
+
+    A steady operator that holds no factor runs it on the worker thread
+    (``linalg.on_worker``) while this thread factors its reduced matrix,
+    which holds its final data once the operator is built
+    (``FactorHolder.factor_now``); the worker is joined, and an error
+    of the right-hand side raised before one of the factor, before this
+    returns.  The factor is never made on the worker (see the module
+    docstring).  Every other solve assembles here, on this thread.
+    """
+    args = (operator.complex, operator.boundary)
+    if not operator.steady or operator.factor.lu is not None:
+        return assemble_rhs(*args, t=t, **loads)
+    pending = on_worker(assemble_rhs, *args, t=t, **loads)
+    try:
+        operator.factor.factor_now(operator.reduced.matrix)
+    finally:
+        rhs = pending.result()
+    return rhs
 
 
 def _sweep(forest, harmonic, volumes, u, defect):

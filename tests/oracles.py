@@ -11,7 +11,9 @@ paper's bordered saddle system, whose dense harmonic
 multiplier the solver never factors, a dense rank count of the
 harmonic 3-forms, the mesh skeleton by ``np.unique`` of its rows and a
 key lookup, the initial vorticity by a sparse LU instead of conjugate
-gradients, and a symbolic derivation of the analytic fields.
+gradients, a symbolic derivation of the analytic fields, and the
+manufactured velocity and forcing as one expression per component, the
+floating-point operations the library's in-place evaluation must repeat.
 """
 from fractions import Fraction
 from functools import cache
@@ -515,3 +517,31 @@ def lambdify_field(expr, **params):
         return np.broadcast_to(np.asarray(out, float), (n,)).copy()
 
     return field
+
+
+def mms_closed_forms(nu):
+    """The manufactured velocity and forcing of ``stokes_mms_fields(nu)``,
+    one numpy expression per component: u_i = pi s_i (c_j - c_k) and
+    f_i = nu 2 pi^2 u_i - pi s_i c_j c_k, (i, j, k) cyclic."""
+    viscous = float(nu) * 2.0 * np.pi**2
+    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+    def sin_cos(points):
+        angle = [np.pi * xi for xi in np.asarray(points, dtype=float).T]
+        return [np.sin(q) for q in angle], [np.cos(q) for q in angle]
+
+    def velocity(points, t=0.0):
+        s, c = sin_cos(points)
+        return np.stack([np.pi * s[i] * (c[j] - c[k]) for i, j, k in cyclic], axis=1)
+
+    def forcing(points, t=0.0):
+        s, c = sin_cos(points)
+        return np.stack(
+            [
+                viscous * (np.pi * s[i] * (c[j] - c[k])) - np.pi * s[i] * c[j] * c[k]
+                for i, j, k in cyclic
+            ],
+            axis=1,
+        )
+
+    return {"velocity": velocity, "forcing": forcing}

@@ -23,6 +23,7 @@ from oracles import (
     NU,
     ethier_expressions,
     lambdify_field,
+    mms_closed_forms,
     mms_expressions,
     simplified,
 )
@@ -169,6 +170,22 @@ def test_manufactured_stokes_fields(points):
     want_f = 2.0 * fields["vorticity_curl"](points) + fd_gradient(p, points)
     assert np.abs(f(points) - want_f).max() < 1e-3
     assert np.abs(fields["vorticity_curl"](points) - fd_curl(w, points)).max() < 1e-3
+
+
+@pytest.mark.parametrize("nu", [1.0, 0.37])
+@pytest.mark.parametrize("count", [0, 1, 1000])
+def test_manufactured_fields_repeat_the_closed_forms_bit_for_bit(nu, count, rng):
+    """The in-place velocity and forcing make the closed forms' floating-point
+    operations in their order: the values are equal, not just close."""
+    points = rng.uniform(-0.5, 1.5, size=(count, 3))
+    fields, want = stokes_mms_fields(nu), mms_closed_forms(nu)
+    for name in ("velocity", "forcing"):
+        got = fields[name](points, 0.3)
+        assert got.shape == (count, 3) and got.flags.c_contiguous
+        assert np.array_equal(got, want[name](points, 0.3))
+    np.testing.assert_array_equal(
+        fields["vorticity_curl"](points), 2.0 * np.pi**2 * want["velocity"](points)
+    )
 
 
 def test_manufactured_velocity_has_zero_normal_trace(rng):

@@ -317,6 +317,36 @@ def test_factor_holder_reuses_a_close_factor_and_replaces_a_far_one(monkeypatch)
     assert relative_residual(far, rhs, x) == res <= RESIDUAL_TOL
 
 
+def test_a_factor_made_ahead_counts_as_the_solves_own(monkeypatch):
+    """``factor_now`` factors before the solve, which makes no factor of its
+    own, reports it fresh and returns the bits of a solve that factors for
+    itself; the next solve reuses it.  It breaks down as a solve's fresh
+    factor does."""
+    rng = np.random.default_rng(12)
+    a = sp.random(30, 30, density=0.2, random_state=12) + 30 * sp.eye(30)
+    rhs = rng.normal(size=30)
+    factors = _spy_factors(monkeypatch)
+    own = FactorHolder()
+    want, want_res = solve(a, rhs, factor=own)
+    holder = FactorHolder()
+    holder.factor_now(a)
+    assert (len(factors), holder.fresh) == (2, True)
+    x, res = solve(a, rhs, factor=holder)
+    assert (len(factors), holder.reused, holder.fresh) == (2, False, False)
+    assert (x.tobytes(), res, holder.passes) == (want.tobytes(), want_res, own.passes)
+    solve(a, rhs, factor=holder)
+    assert (len(factors), holder.reused) == (2, True)
+
+    factors.clear()
+    holder = FactorHolder(dtype=np.float32)
+    holder.factor_now(sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])))
+    assert (factors, holder.dtype) == ([np.float32, np.float64], np.float64)
+    holder = FactorHolder()
+    with pytest.raises(SingularSystemError):
+        holder.factor_now(sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]])))
+    assert (holder.lu, holder.fresh) == (None, False)
+
+
 def test_factor_holder_keeps_the_factor_of_an_unchanged_matrix(monkeypatch):
     """A held factor whose refinement ends above ROUNDOFF_RESIDUAL is
     replaced only when the matrix is not bitwise the one it factors:

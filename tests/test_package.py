@@ -1,7 +1,11 @@
 """The package's public names."""
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +64,52 @@ def test_every_exported_name_has_a_reader():
         if n not in read
     }
     assert unread == UNREAD_EXPORTS
+
+
+_THREADS_RUN = """
+import json, os, signal, threading
+names = lambda: sorted(t.name for t in threading.enumerate() if t is not threading.main_thread())
+import vvpflow, vvpflow.cli, vvpflow.experiments, vvpflow.vtk_io
+from vvpflow import fields, mesh, solver, spaces
+seen = {"import": names()}
+complex_ = spaces.DeRhamComplex(mesh.build_box_mesh(1, 1, 1))
+mms = fields.stokes_mms_fields()
+bc = vvpflow.assembly.BoundaryConditionSpec(
+    vvpflow.assembly.RegionBC(vorticity_data=mms["vorticity"], velocity_data=mms["velocity"])
+)
+config = solver.SolverConfig(dt=1e-2, t_end=2e-2)
+solver.run_transient(complex_, bc, config, velocity_data=mms["velocity"], f=mms["forcing"])
+seen["steps"] = names()
+solver.solve_stokes(complex_, bc, f2=mms["forcing"])
+seen["first"] = names()
+for _ in range(19):
+    solver.solve_stokes(complex_, bc, f2=mms["forcing"])
+seen["twenty"] = names()
+pid = os.fork()
+if pid == 0:  # the child has no worker thread and must make its own
+    signal.alarm(30)
+    solver.solve_stokes(complex_, bc, f2=mms["forcing"])
+    os._exit(0 if len(names()) == 1 else 1)
+seen["forked"] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+print(json.dumps(seen))
+"""
+
+
+def test_the_worker_thread_starts_with_the_first_steady_solve():
+    """Importing the package starts no thread, nor do time steps; the first
+    steady solve makes the one worker, named ``vvpflow-...``, and twenty
+    solves still leave that one.  A child forked after them solves too,
+    with a worker of its own."""
+    done = subprocess.run(
+        [sys.executable, "-c", _THREADS_RUN],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen["import"] == seen["steps"] == []
+    assert len(seen["first"]) == 1 and seen["first"][0].startswith("vvpflow-")
+    assert seen["twenty"] == seen["first"]
+    assert seen["forked"] == 0

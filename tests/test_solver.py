@@ -1,5 +1,8 @@
 """Steady solves, state initialization, and the implicit time stepper."""
 import dataclasses
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from vvpflow.assembly import (
     essential_constraints,
 )
 from vvpflow.fields import ethier_velocity, ethier_vorticity, stokes_mms_fields
-from vvpflow.linalg import RESIDUAL_TOL, ROUNDOFF_RESIDUAL, assemble_blocks
+from vvpflow.linalg import RESIDUAL_TOL, ROUNDOFF_RESIDUAL, SolverError, assemble_blocks
 from vvpflow.solver import (
     SolverConfig,
     SteadyStateNotReached,
@@ -1479,3 +1482,183 @@ def test_step_diagnostics_report_the_factored_system(complex_j3):
         )
         assert [(d.unknowns, d.factor_dtype) for d in seen] == [(want, np.float32)] * 3
     assert want > stream
+
+
+# ---------------------------------------------------------------------------
+# the steady solve's right-hand side on the worker thread
+
+
+def _two_ends(fields):
+    """Natural ends at x = 0 and x = 1 with natural-vorticity walls: a steady
+    spec that only the saddle operator solves."""
+    return BoundaryConditionSpec(
+        (
+            RegionBC(
+                name="ends",
+                vorticity_mode=NATURAL,
+                velocity_mode=NATURAL,
+                velocity_data=fields["pressure"],
+                where=lambda c: np.abs(c[:, 0] - 0.5) > 0.5 - 1e-9,
+            ),
+            RegionBC(name="walls", vorticity_mode=NATURAL, velocity_data=fields["velocity"]),
+        )
+    )
+
+
+STEADY_SPECS = {"stream": _outlet_bc, "saddle": _two_ends}
+
+
+def _threads_of(monkeypatch):
+    """Record the thread of every SuperLU factor and every right-hand side,
+    and every call into the worker."""
+    seen = {"factor": [], "rhs": [], "worker": []}
+    factor, rhs, on_worker = linalg.spla.splu, solver.assemble_rhs, solver.on_worker
+
+    def spy_factor(*args, **kwargs):
+        seen["factor"].append(threading.get_ident())
+        return factor(*args, **kwargs)
+
+    def spy_rhs(*args, **kwargs):
+        seen["rhs"].append(threading.current_thread().name)
+        return rhs(*args, **kwargs)
+
+    def spy_worker(*args, **kwargs):
+        seen["worker"].append(args[0])
+        return on_worker(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", spy_factor)
+    monkeypatch.setattr(solver, "assemble_rhs", spy_rhs)
+    monkeypatch.setattr(solver, "on_worker", spy_worker)
+    return seen
+
+
+@pytest.mark.parametrize("kind", STEADY_SPECS)
+def test_a_steady_solve_factors_on_the_calling_thread(complex_n2, kind, monkeypatch):
+    """SuperLU factors are made (and so freed) only on the caller's thread;
+    the first solve of a steady operator assembles its right-hand side on
+    the worker, and once, as before."""
+    fields = stokes_mms_fields(nu=1.0)
+    bc = STEADY_SPECS[kind](fields)
+    operator = solver.make_operator(complex_n2, bc, 1.0)
+    assert isinstance(operator, solver._StreamOperator) == (kind == "stream")
+    seen = _threads_of(monkeypatch)
+    state, info = solve_stokes(complex_n2, bc, f2=fields["forcing"])
+    assert info["residual"] <= RESIDUAL_TOL
+    assert seen["factor"] == [threading.get_ident()]
+    assert len(seen["rhs"]) == 1 and seen["rhs"][0].startswith("vvpflow-")
+    assert seen["worker"] == [solver.assemble_rhs]
+
+
+def test_a_held_factor_and_time_steps_keep_to_one_thread(complex_n2, monkeypatch):
+    """A steady operator's solve with a factor held, and every step of a
+    run, assemble on the calling thread and make no call into the worker."""
+    fields = stokes_mms_fields(nu=1.0)
+    operator = solver._SaddleOperator(complex_n2, _outlet_bc(fields), nu=1.0)
+    loads = {"f2": fields["forcing"], "load_degree": None}
+    operator.solve(0.0, loads)
+    seen = _threads_of(monkeypatch)
+    operator.solve(0.0, loads)
+    config = SolverConfig(nu=1.0, dt=1e-3, t_end=3e-3)
+    for bc in (_outlet_bc(fields), ethier_bc(2.0, 1.0)):
+        run_transient(complex_n2, bc, config, velocity_data=fields["velocity"], f=fields["forcing"])
+    caller = threading.current_thread().name
+    assert seen["worker"] == []
+    assert seen["rhs"] == [caller] * 7
+    assert set(seen["factor"]) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("kind", STEADY_SPECS)
+def test_non_finite_data_on_the_worker_raises_as_before(complex_n2, kind):
+    """The sampling error of a load assembled on the worker reaches the
+    caller unchanged, and the next solve succeeds."""
+    fields = stokes_mms_fields(nu=1.0)
+    bc = STEADY_SPECS[kind](fields)
+
+    def broken(points, t=0.0):
+        return np.full((len(points), 3), np.nan)
+
+    with pytest.raises(ValueError, match=r"f2 at t=0.25 is not finite"):
+        solve_stokes(complex_n2, bc, f2=broken, t=0.25)
+    _, info = solve_stokes(complex_n2, bc, f2=fields["forcing"])
+    assert info["residual"] <= RESIDUAL_TOL
+
+
+def _slow_rhs(monkeypatch):
+    """assemble_rhs that takes 50 ms longer; returns the times it ended."""
+    ended, real = [], solver.assemble_rhs
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        out = real(*args, **kwargs)
+        ended.append(time.perf_counter())
+        return out
+
+    monkeypatch.setattr(solver, "assemble_rhs", slow)
+    return ended
+
+
+def test_a_singular_steady_system_still_raises(complex_n2, monkeypatch):
+    """Static pivots (threshold 0) break the saddle Stokes system, whose
+    pressure diagonal is zero; the steady solve still raises SolverError,
+    after the right-hand side is in, and the next solve succeeds."""
+    fields = stokes_mms_fields(nu=1.0)
+    bc = _two_ends(fields)
+    ended = _slow_rhs(monkeypatch)
+    monkeypatch.setattr(linalg, "diag_pivot_thresh", 0.0)
+    with pytest.raises(SolverError):
+        solve_stokes(complex_n2, bc, f2=fields["forcing"])
+    assert len(ended) == 1
+    monkeypatch.setattr(linalg, "diag_pivot_thresh", 1e-6)
+    _, info = solve_stokes(complex_n2, bc, f2=fields["forcing"])
+    assert info["residual"] <= RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("kind", STEADY_SPECS)
+def test_a_factor_failing_during_the_overlap_waits_for_the_worker(complex_n2, kind, monkeypatch):
+    """SuperLU's error on an exactly singular pivot, raised while the worker
+    still assembles, surfaces as SingularSystemError only once the worker is
+    done; the next solve succeeds and factors afresh."""
+    fields = stokes_mms_fields(nu=1.0)
+    bc = STEADY_SPECS[kind](fields)
+    ended = _slow_rhs(monkeypatch)
+    real = linalg.spla.splu
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(linalg.spla, "splu", singular)
+    with pytest.raises(linalg.SingularSystemError, match="exactly singular"):
+        solve_stokes(complex_n2, bc, f2=fields["forcing"])
+    raised = time.perf_counter()
+    assert len(ended) == 1 and ended[0] <= raised
+    monkeypatch.setattr(linalg.spla, "splu", real)
+    _, info = solve_stokes(complex_n2, bc, f2=fields["forcing"])
+    assert info["residual"] <= RESIDUAL_TOL
+
+
+def test_steady_solves_from_many_threads_share_one_worker(complex_n2):
+    """Six threads solve at once, with the interpreter switching threads
+    every microsecond: each gets the bits of a serial solve, and the lazily
+    made worker is made once."""
+    fields = stokes_mms_fields(nu=1.0)
+    specs = [STEADY_SPECS[kind](fields) for kind in sorted(STEADY_SPECS)] * 3
+    want = [_full(solve_stokes(complex_n2, bc, f2=fields["forcing"])[0]) for bc in specs]
+    got = [None] * len(specs)
+
+    def run(i):
+        got[i] = _full(solve_stokes(complex_n2, specs[i], f2=fields["forcing"])[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(specs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(g is not None and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    workers = [t for t in threading.enumerate() if t.name.startswith("vvpflow-")]
+    assert len(workers) == 1
