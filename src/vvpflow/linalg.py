@@ -26,9 +26,11 @@ pressure and Stokes velocity diagonals from breaking the factor, and it
 keeps the fill of the order.  A :class:`FactorHolder` lets a sequence of
 nearby systems, such as the steps of one run, share one factor through
 iterative refinement, and each refinement may start from the previous
-system's solution.  The factor may be float32, as the time steps' is: refinement, its residual
-and the residual contract stay float64, so the precision of the factor
-moves how many passes a solve takes, not what it returns (mixed-precision
+system's solution.  The factor may be float32, as the stream systems'
+and the time steps' are: refinement, its residual and the residual
+contract stay float64, and a solve may count as at roundoff by its
+componentwise backward error, so the precision of the factor moves how
+many passes a solve takes, not what it returns (mixed-precision
 refinement: Buttari et al., ACM TOMS 2008; Carson & Higham, SIAM J. Sci.
 Comput. 2018).  :func:`solve_spd` solves a symmetric positive definite
 system, such as the edge mass matrix of the initial vorticity, by
@@ -76,10 +78,14 @@ diag_pivot_thresh = 1e-6
 # Refinement continues while each pass multiplies the relative residual
 # by at most REFINE_RATE, for at most REFINE_MAX_PASSES passes, and stops
 # at ROUNDOFF_RESIDUAL.  A held factor whose refinement ends above
-# ROUNDOFF_RESIDUAL is replaced, unless it is the factor of this matrix.
+# ROUNDOFF_RESIDUAL is replaced, unless it is the factor of this matrix
+# or the componentwise backward error is at most ROUNDOFF_BACKWARD_ERROR
+# (see solve): on the steady outlet stream systems of n = 3..8, jittered
+# or not, it ends at 1.3-2.2e-16 from a float32 or a float64 factor.
 REFINE_RATE = 0.5
 REFINE_MAX_PASSES = 10
 ROUNDOFF_RESIDUAL = 1e-15
+ROUNDOFF_BACKWARD_ERROR = 4 * np.finfo(np.float64).eps
 
 
 _worker = None
@@ -254,6 +260,29 @@ def _residual(matrix, rhs, x):
     return r, float(np.linalg.norm(r)) / scale
 
 
+def _backward_error(matrix, rhs, x):
+    """The componentwise backward error max_i |r_i| / (|A||x| + |b|)_i of x,
+    with r = b - A x: the smallest relative change of each entry of A and
+    b for which x is exact (Oettli & Prager 1964; Arioli, Demmel & Duff
+    1989).  A row whose denominator is 0 counts 0 if its residual is 0 and
+    inf otherwise; inf unless r and |A||x| are finite.
+
+    |A| is built from ``np.abs`` of the CSR data on the matrix's own
+    index arrays, so that the caller's matrix, which may share them, is
+    left as it was (``abs()`` of a CSR matrix sorts unsorted indices in
+    place).
+    """
+    r = np.abs(rhs - matrix @ x)
+    magnitude = sp.csr_matrix((np.abs(matrix.data), matrix.indices, matrix.indptr), matrix.shape)
+    ax = magnitude @ np.abs(x)
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(ax))):
+        return np.inf
+    denominator = ax + np.abs(rhs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(r == 0.0, 0.0, r / denominator)
+    return float(ratio.max(initial=0.0))
+
+
 @dataclass
 class FactorHolder:
     """One held LU factor, which :func:`solve` reuses while it refines.
@@ -321,11 +350,30 @@ def solve(matrix, rhs, factor=None, x0=None, whole_norm=None):
 
     ``factor``, a :class:`FactorHolder`, lends the factor of an earlier
     matrix of the same size and order.  Refinement against it converges
-    while the two matrices are close; the factor is kept if the residual
-    ends at roundoff (at most ``ROUNDOFF_RESIDUAL``) or if this matrix
-    equals the one it factors, and otherwise this matrix is factored,
-    refined the same way, and its factor held.  A fresh factor runs the
-    same loop, and without a holder every call factors, in float64.
+    while the two matrices are close; the factor is kept if the solve
+    ends at roundoff (below) or if this matrix equals the one it
+    factors, and otherwise this matrix is factored, refined the same
+    way, and its factor held.  A fresh factor runs the same loop, and
+    without a holder every call factors, in float64.
+
+    A solve is at roundoff when one of three tests holds, tried in this
+    order, each only when those before it fail:
+
+    1. the relative residual is at most ``ROUNDOFF_RESIDUAL``;
+    2. ``whole_norm`` (below) is given and the residual is at most
+       ``ROUNDOFF_RESIDUAL`` of the norm it returns;
+    3. the relative residual is within ``RESIDUAL_TOL``, the residual and
+       |A||x| are finite, and the componentwise backward error
+       max_i |r_i| / (|A||x| + |b|)_i is at most
+       ``ROUNDOFF_BACKWARD_ERROR``: x then solves exactly a system whose
+       every entry is within a few roundoffs of this one's, as a float64
+       factor's solution does (Arioli, Demmel & Duff, SIAM J. Matrix
+       Anal. Appl. 1989).  The normwise floor of a float64 factor grows
+       with the mesh (8e-15 on the steady outlet stream system at n=8);
+       this one does not.  Its ``RESIDUAL_TOL`` condition refuses an
+       iterate of a stale factor that is large along a near-null
+       direction of the matrix: its |A||x| makes every row's ratio small
+       while its residual is not.
 
     The holder's ``dtype`` sets the precision of the factor
     (``csc_matrix(a, dtype=...)``); refinement is float64 either way, on
@@ -335,16 +383,18 @@ def solve(matrix, rhs, factor=None, x0=None, whole_norm=None):
     that breaks down in SuperLU, gives non-finite values or ends above
     that is replaced by a float64 factor of this matrix, and the holder
     stays float64.  The passes of every factor tried count in the
-    holder's ``passes``.
+    holder's ``passes``.  ``matrix`` is read, never written: |A| is
+    built on its own index arrays (:func:`_backward_error`).
 
     ``whole_norm``, when ``rhs`` is only the residual that an earlier
     state leaves of a larger right-hand side (the stream operator's
     increments), returns that right-hand side's norm; it is called only
     when a refinement ends above ``ROUNDOFF_RESIDUAL``.  Roundoff is then
-    judged against it: a factor counts as at roundoff where the residual
-    is at most ``ROUNDOFF_RESIDUAL`` of the larger norm, as it would for
-    the whole system.  Refinement still runs while it halves the residual,
-    and the residual returned and checked stays relative to ``rhs``.
+    judged against it too (test 2): a factor counts as at roundoff where
+    the residual is at most ``ROUNDOFF_RESIDUAL`` of the larger norm, as
+    it would for the whole system.  Refinement still runs while it halves
+    the residual, and the residual returned and checked stays relative to
+    ``rhs``.
     Returns the solution and its relative residual, checked against
     ``RESIDUAL_TOL``.  Raises SingularSystemError when factorization
     hits an exactly singular pivot, SolverError when the residual
@@ -355,12 +405,14 @@ def solve(matrix, rhs, factor=None, x0=None, whole_norm=None):
         raise ValueError("solve needs a square matrix")
     rhs = given = np.asarray(rhs, dtype=float)
 
-    def at_roundoff(res):
+    def at_roundoff(x, res):
         if res <= ROUNDOFF_RESIDUAL:
             return True
-        if whole_norm is None:
-            return False
-        return res * np.linalg.norm(given) <= ROUNDOFF_RESIDUAL * whole_norm()
+        if whole_norm is not None and (
+            res * np.linalg.norm(given) <= ROUNDOFF_RESIDUAL * whole_norm()
+        ):
+            return True
+        return res <= RESIDUAL_TOL and _backward_error(a, rhs, x) <= ROUNDOFF_BACKWARD_ERROR
 
     # A power of two brings the right-hand side to unit size, exactly: the
     # residuals of late passes stay inside float32's range, norms inside float64's.
@@ -376,7 +428,7 @@ def solve(matrix, rhs, factor=None, x0=None, whole_norm=None):
             holder._factor(a)
         x, res, passes = _refine(holder.lu, a, rhs, holder.dtype, x0)
         holder.passes += passes
-        if at_roundoff(res):
+        if at_roundoff(x, res):
             break
         if not holder.reused or (a != holder.matrix).nnz == 0:  # the factor of this matrix
             if holder.dtype == np.float64 or (holder.reused and res <= RESIDUAL_TOL):

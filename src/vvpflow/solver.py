@@ -54,19 +54,22 @@ and the names bound here only for its tracer stay until ROADMAP item 1.
 
 The operator keeps one LU factor for its whole life.  Each solve refines
 against it while every pass at least halves the relative residual; the
-factor is kept if the residual ends at roundoff
-(``linalg.ROUNDOFF_RESIDUAL``), and otherwise the current matrix is
-factored (see :func:`vvpflow.linalg.solve`).  A solve that continues
+factor is kept if the solve ends at roundoff (``linalg.ROUNDOFF_RESIDUAL``,
+or the componentwise backward error ``linalg.ROUNDOFF_BACKWARD_ERROR``),
+and otherwise the current matrix is factored (see
+:func:`vvpflow.linalg.solve`).  A solve that continues
 from the state the operator last returned (``step`` passes its state)
 starts its refinement from that solve's reduced solution, so the steps
 of a run after the first make one triangular solve fewer; any other
 state, such as ``run_noflow``'s rest state for each exponent, starts
 from LU^-1 b.  A factor never outlives the call that built its
-operator.  An operator built with ``dt``
-factors in float32 and refines in float64; a fresh float32 factor that
-does not refine to roundoff is replaced by a float64 one, which the
-operator keeps from then on.  A steady operator factors in float64: the
-steady Stokes system diverges from a float32 factor at n=12.
+operator.  The stream operator, and the saddle operator when built with
+``dt``, factor in float32 and refine in float64; a fresh float32 factor
+that does not refine to roundoff is replaced by a float64 one, which the
+operator keeps from then on.  A steady stream solve refines from its
+float32 factor to the componentwise roundoff of a float64 one in 3-5
+passes (n = 3..10).  A steady saddle operator factors in float64: its
+system diverges from a float32 factor at n=12 (backward error 1).
 :func:`initialize_state` builds no factor: its edge mass-matrix system
 is solved by conjugate gradients (:func:`vvpflow.linalg.solve_spd`).
 
@@ -263,7 +266,8 @@ class _SaddleOperator:
     ``harmonic`` is its harmonic space.  ``factor`` holds the LU that
     :func:`vvpflow.linalg.solve` reuses across the operator's solves, which
     are given their loads: ``experiments.run_noflow`` shares one.  It is
-    float32 when ``dt`` is given (see the module docstring).  ``last``
+    float32 when ``dt`` is given and float64 when steady (see the module
+    docstring).  ``last``
     holds the state its last solve returned and that solve's reduced
     solution, the start of a solve that continues from that state.
     """
@@ -385,7 +389,8 @@ class _StreamOperator:
     ``reduced`` is the pattern without the essential vorticity edges,
     reduced once in ``mesh.elimination_order``'s edge order with each
     psi_e right after omega_e; ``factor`` and ``last`` work as in
-    :class:`_SaddleOperator`.
+    :class:`_SaddleOperator`, but ``factor`` is float32 whether or not
+    ``dt`` is given.
 
     A solve is made about the state it continues from (zero without one):
     the unknowns are the change of the vorticity and psi, so that the
@@ -450,7 +455,7 @@ class _StreamOperator:
         self.forest = forest = self.boundary.forest
         self.tree_faces = forest.parent_face[forest.tree]
         self.steady = dt is None
-        self.factor = FactorHolder(dtype=np.float64 if self.steady else np.float32)
+        self.factor = FactorHolder(dtype=np.float32)
         self.last = (None, None)
 
     def _rows(self, convection, omega, u):
@@ -617,9 +622,14 @@ def solve_stokes(
     """One linear steady solve (no convection, no time derivative).
 
     Returns ``(state, diagnostics)`` where diagnostics carries the
-    relative linear residual, the max divergence density and
+    relative linear residual, the max divergence density,
     ``unknowns``, the size of the factored system (the stream or the
-    saddle system, see :func:`make_operator`).
+    saddle system, see :func:`make_operator`), ``factor_dtype``, the
+    precision of the factor that solved it (float32 for the stream
+    system unless it fell back, float64 for the saddle system), and
+    ``refine_passes``, its refinement corrections, as in
+    :class:`StepDiagnostics`: the solve starts from LU^-1 b and makes
+    passes + 1 triangular solves.
     """
     operator = make_operator(complex_, _boundary(complex_, bc, harmonic, natural_cache), nu)
     state, residual = operator.solve(t, {"f2": f2, "f3": f3, "load_degree": load_degree})
@@ -627,6 +637,8 @@ def solve_stokes(
         "residual": residual,
         "div_max": complex_.divergence_max(state.u.values),
         "unknowns": operator.reduced.matrix.shape[0],
+        "factor_dtype": operator.factor.dtype,
+        "refine_passes": operator.factor.passes,
     }
     return state, diagnostics
 

@@ -352,6 +352,7 @@ def test_factor_holder_keeps_the_factor_of_an_unchanged_matrix(monkeypatch):
     replaced only when the matrix is not bitwise the one it factors:
     factoring that one again would give the same factor and residual."""
     monkeypatch.setattr(linalg, "ROUNDOFF_RESIDUAL", 0.0)  # no solve ends below it
+    monkeypatch.setattr(linalg, "ROUNDOFF_BACKWARD_ERROR", 0.0)  # nor below this
     rng = np.random.default_rng(12)
     a = sp.random(30, 30, density=0.2, random_state=12) + 30 * sp.eye(30)
     rhs = rng.normal(size=30)
@@ -456,32 +457,109 @@ def test_float32_holder_raises_singular_only_from_float64(monkeypatch):
     assert holder.dtype == np.float64
 
 
+def _spy_backward_errors(monkeypatch):
+    """Record every componentwise backward error a solve evaluates."""
+    seen = []
+    real = linalg._backward_error
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(linalg, "_backward_error", spy)
+    return seen
+
+
 def test_a_held_factor_is_judged_against_the_whole_right_hand_side(monkeypatch):
     """The right-hand side of an increment is what an earlier state leaves of
     a larger one.  Where the increment lies along the smallest singular
     direction, its relative residual floors far above ROUNDOFF_RESIDUAL
-    (3.5e-13 here, even from a fresh factor), so the held factor of a
-    nearby matrix is replaced; judged against the whole right-hand side's
-    norm it is at roundoff and kept.  The residual returned stays relative
-    to ``rhs``, and a solve that ends at ROUNDOFF_RESIDUAL never asks for
-    the whole norm."""
+    (3.5e-13 here, even from a fresh factor).  Each roundoff test accepts
+    on its own.  The held factor of a nearby matrix is kept by the second
+    (judged against the whole right-hand side's norm, before any backward
+    error is evaluated) or by the third (the componentwise backward error)
+    alone, and replaced without both.  The residual returned stays
+    relative to ``rhs``.  A solve that the first accepts, ending at
+    ROUNDOFF_RESIDUAL, asks for neither the whole norm nor the backward
+    error."""
     rng = np.random.default_rng(17)
     a = _conditioned(rng, 1e4)
     near = a + 1e-7 * sp.csr_matrix(rng.normal(size=a.shape))
     rhs = near @ np.linalg.svd(near.toarray())[2][-1]
     factors = _spy_factors(monkeypatch)
-    for whole_norm, kept in ((None, False), (lambda: 1e4 * np.linalg.norm(rhs), True)):
+    errors = _spy_backward_errors(monkeypatch)
+    whole = lambda: 1e4 * np.linalg.norm(rhs)  # noqa: E731
+    floor = linalg.ROUNDOFF_BACKWARD_ERROR
+    for whole_norm, componentwise, kept in (
+        (None, False, False),
+        (whole, False, True),
+        (None, True, True),
+    ):
+        monkeypatch.setattr(linalg, "ROUNDOFF_BACKWARD_ERROR", floor if componentwise else 0.0)
         holder = FactorHolder()
         solve(a, rng.normal(size=a.shape[0]), factor=holder)
         factors.clear()
+        errors.clear()
         x, res = solve(near, rhs, factor=holder, whole_norm=whole_norm)
         assert (holder.reused, len(factors)) == (kept, 0 if kept else 1)
         assert relative_residual(near, rhs, x) == res
         assert 1e2 * ROUNDOFF_RESIDUAL < res <= RESIDUAL_TOL
+        if whole_norm is None:
+            assert 0.0 < errors[0] <= floor
+        else:  # the whole norm keeps it before the backward error is asked for
+            assert errors == []
+    monkeypatch.undo()
 
-    def unused():
-        raise AssertionError("whole norm asked for at roundoff")
+    def unused(*args):
+        raise AssertionError("whole norm or backward error asked for at roundoff")
 
+    monkeypatch.setattr(linalg, "_backward_error", unused)
     a = sp.random(30, 30, density=0.2, random_state=12) + 30 * sp.eye(30)
     _, res = solve(a, rng.normal(size=30), whole_norm=unused)
     assert res <= ROUNDOFF_RESIDUAL
+
+
+def test_backward_error_refuses_a_non_finite_magnitude():
+    """x = (1.5e308, -1.5e308) solves [[1, 1], [0, 1]] x = b exactly, but
+    |A||x| overflows: with r = 0 every row's ratio would read 0.  Such an
+    x, and one whose residual is NaN, count as inf."""
+    a = sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    x = np.array([1.5e308, -1.5e308])
+    b = a @ x
+    assert np.all(np.isfinite(b)) and not np.all(np.isfinite(abs(a) @ np.abs(x)))
+    assert linalg._backward_error(a, b, x) == np.inf
+    assert linalg._backward_error(a, b, np.array([np.nan, 0.0])) == np.inf
+    assert linalg._backward_error(a, b, np.array([0.0, 1.0])) == 1.0  # r = b
+
+
+def test_a_near_null_iterate_is_refused_above_the_residual_tolerance(monkeypatch):
+    """An iterate far along a near-null direction v of the matrix (A v is
+    2^-51 of |A||v|) has a componentwise backward error below
+    ROUNDOFF_BACKWARD_ERROR while its relative residual is above
+    RESIDUAL_TOL.  A stale factor that ends there is replaced, and the
+    matrix's own factor meets the contract."""
+    delta = 2.0**-51
+    a = sp.csr_matrix(np.array([[1.0, -1.0], [1.0, -1.0 + delta]]))
+    stale = sp.csr_matrix(np.array([[1.0, -1.0], [1.0, -1.0 + 2 * delta]]))
+    rhs = a @ np.array([1.0, 2.0])
+    real = linalg._refine
+    iterates = []
+
+    def near_null_first(lu, matrix, b, dtype, x0):
+        x, res, passes = real(lu, matrix, b, dtype, x0)
+        if not iterates:
+            x = x + 1e8
+            res = np.linalg.norm(b - matrix @ x) / np.linalg.norm(b)
+        iterates.append((x, b))
+        return x, res, passes
+
+    holder = FactorHolder()
+    solve(stale, rhs, factor=holder)
+    factors = _spy_factors(monkeypatch)
+    monkeypatch.setattr(linalg, "_refine", near_null_first)
+    x, res = solve(a, rhs, factor=holder)
+    far, b = iterates[0]
+    assert linalg._backward_error(a, b, far) <= linalg.ROUNDOFF_BACKWARD_ERROR
+    assert relative_residual(a, b, far) > RESIDUAL_TOL
+    assert (len(factors), holder.reused) == (1, False)
+    assert relative_residual(a, rhs, x) == res <= RESIDUAL_TOL

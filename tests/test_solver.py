@@ -780,9 +780,12 @@ def test_run_reuses_one_factor_and_matches_fresh_steps(complex_j3, monkeypatch):
             assert np.linalg.norm(a.values - b.values) <= 1e-12 * np.linalg.norm(b.values)
 
 
-def test_steps_factor_in_float32_and_steady_solves_in_float64(complex_j3, monkeypatch):
+def test_steps_and_steady_stream_solves_factor_in_float32_steady_saddle_ones_in_float64(
+    complex_j3, monkeypatch
+):
     """A run's operator holds a float32 factor, refined in float64 to the
-    gates.  A steady solve factors in float64: the steady system does
+    gates, and so does a steady stream solve, which factors once.  A
+    steady saddle solve factors in float64: the steady saddle system does
     not refine from a float32 factor at n = 12."""
     bc = ethier_bc(2.0, 1.0)
     config = SolverConfig(nu=1.0, dt=1e-3, t_end=5e-3)
@@ -805,10 +808,87 @@ def test_steps_factor_in_float32_and_steady_solves_in_float64(complex_j3, monkey
     assert step_operator.factor.dtype == np.float32
     assert solver._SaddleOperator(complex_j3, bc, config.nu).factor.dtype == np.float64
     fields = stokes_mms_fields(nu=1.0)
-    calls.clear()
-    _, info = solve_stokes(complex_j3, both_essential(fields), f2=fields["forcing"])
-    assert calls == [np.float64]
+    for bc, dtype in ((both_essential(fields), np.float32), (_two_ends(fields), np.float64)):
+        calls.clear()
+        state, info = solve_stokes(complex_j3, bc, f2=fields["forcing"])
+        assert calls == [dtype]
+        assert info["factor_dtype"] == dtype
+        assert info["residual"] <= RESIDUAL_TOL
+        assert info["div_max"] <= 1e-12 * (1.0 + complex_j3.norm(state.u))
+
+
+def test_a_steady_outlet_solve_keeps_one_float32_factor_at_n10(monkeypatch):
+    """On the jittered n = 10 outlet box a steady solve makes one float32
+    factor and refines it to the componentwise roundoff of a float64 one:
+    the gates hold, and the state matches a float64 factor's to 1e-12."""
+    complex_ = DeRhamComplex(jittered_box(10, seed=3))
+    fields = stokes_mms_fields(nu=1.0)
+    bc, loads = _outlet_bc(fields), {"f2": fields["forcing"], "load_degree": 8}
+    calls = _count_factors(monkeypatch)
+    state, info = solve_stokes(complex_, bc, **loads)
+    assert calls == [np.float32]
+    assert info["factor_dtype"] == np.float32
     assert info["residual"] <= RESIDUAL_TOL
+    assert info["div_max"] <= 1e-13 * (1.0 + complex_.norm(state.u))
+    operator = solver.make_operator(complex_, bc, 1.0)
+    operator.factor = linalg.FactorHolder(dtype=np.float64)
+    want, _ = operator.solve(0.0, loads)
+    assert calls == [np.float32, np.float64]
+    for got, ref in ((state.omega, want.omega), (state.u, want.u), (state.p, want.p)):
+        assert np.linalg.norm(got.values - ref.values) <= 1e-12 * np.linalg.norm(ref.values)
+
+
+@pytest.mark.parametrize("kind", ["steady", "step"])
+def test_a_solve_leaves_the_operators_matrix_as_it_was(complex_j3, kind, monkeypatch):
+    """``linalg.solve`` reads the reduced matrix, whose CSR indices are not
+    sorted, and writes none of its three arrays: sorting them in place
+    (as ``abs()`` of the matrix does) would break the operator's next
+    solve.  The steady solve evaluates the componentwise backward error."""
+    fields = stokes_mms_fields(nu=1.0)
+    bc, dt = _outlet_bc(fields), (None if kind == "steady" else 1e-3)
+    operator = solver.make_operator(complex_j3, bc, 1.0, dt)
+    matrix = operator.reduced.matrix
+    assert not matrix.has_sorted_indices
+    errors = []
+    real_solve, real_error = linalg.solve, linalg._backward_error
+
+    def watched(a, rhs, **kwargs):
+        before = [v.copy() for v in (a.data, a.indices, a.indptr)]
+        out = real_solve(a, rhs, **kwargs)
+        after = (a.data, a.indices, a.indptr)
+        assert all(u.tobytes() == v.tobytes() for u, v in zip(before, after))
+        return out
+
+    def counted_error(*args):
+        errors.append(real_error(*args))
+        return errors[-1]
+
+    monkeypatch.setattr(linalg, "solve", watched)
+    monkeypatch.setattr(linalg, "_backward_error", counted_error)
+    state = initialize_state(complex_j3, bc, fields["velocity"])
+    config = SolverConfig(nu=1.0, dt=1e-3)
+    for _ in range(3):
+        if dt is None:
+            _, residual = operator.solve(0.0, {"f2": fields["forcing"], "load_degree": None})
+        else:
+            state, residual = step(complex_j3, bc, config, state, operator=operator)
+        assert residual <= RESIDUAL_TOL
+    if kind == "steady":
+        assert errors
+
+
+def test_steady_diagnostics_report_the_factor_and_its_passes(complex_j3, monkeypatch):
+    """``solve_stokes`` reports the precision of the factor that solved and
+    its refinement passes, one fewer than its triangular solves: float32
+    for the stream system, which needs passes, float64 for the saddle one."""
+    fields = stokes_mms_fields(nu=1.0)
+    for kind, dtype in (("stream", np.float32), ("saddle", np.float64)):
+        calls = _count_trisolves(monkeypatch)
+        _, info = solve_stokes(complex_j3, STEADY_SPECS[kind](fields), f2=fields["forcing"])
+        monkeypatch.undo()
+        assert info["factor_dtype"] == dtype
+        assert info["refine_passes"] == len(calls) - 1
+        assert info["refine_passes"] >= (dtype == np.float32)
 
 
 def test_run_falls_back_to_one_float64_factor(complex_j3, monkeypatch):
