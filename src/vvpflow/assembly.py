@@ -20,9 +20,11 @@ Each closed component of the mesh's dual forest (no boundary face with
 natural velocity) carries a harmonic 3-form, and the paper's system has
 a multiplier phi per form, which adds M3 H phi to the q-row, and a
 chi-row H^T M3 u3 = 0 (H from :attr:`ResolvedBoundary.harmonic`).  Both
-are dense, so neither is assembled here: ``solver._SaddleOperator``
-computes phi before the solve, pins each component's root and sweeps
-its divergence roundoff along :attr:`ResolvedBoundary.forest` afterwards.
+are dense, so neither is assembled here.  The solver never factors this
+system: it solves in the divergence-free subspace, spanned by the curls
+of :attr:`ResolvedBoundary.cotree` and the fields of
+:attr:`ResolvedBoundary.generators` (see :mod:`vvpflow.solver`); the
+test suite keeps the saddle system as its reference.
 
 Boundary conditions come in two independent channels per region: the
 vorticity channel (essential tangential vorticity trace, or natural
@@ -44,6 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .linalg import peel
 from .quadrature import edge_rule, triangle_rule
 from .spaces import TRACE_DEGREE, dof_values, sample, simplex_rule
 from .spaces import interpolate  # noqa: F401  (a name the benchmark tracer patches)
@@ -165,11 +168,11 @@ class ResolvedBoundary:
     predicates, made on construction.  The claims (one record per region
     that claims faces, with the TRACE_DEGREE face rule mapped onto its
     faces), the outlet faces, the closed components, the harmonic space,
-    the outlet pieces, the stream function's cotree and the forest that
-    carries divergence, the essential entities and the natural terms' face
-    tables are built on first use and kept.  :meth:`evaluate` is the only
-    code that samples boundary data: a run resolves its boundary once and
-    passes it as ``bc``, so a solve only evaluates boundary data and
+    the forest that carries divergence, the stream function's cotree and
+    the generator faces, the essential entities and the natural terms'
+    face tables are built on first use and kept.  :meth:`evaluate` is the
+    only code that samples boundary data: a run resolves its boundary once
+    and passes it as ``bc``, so a solve only evaluates boundary data and
     contracts it.
     """
 
@@ -212,30 +215,6 @@ class ResolvedBoundary:
         return closed
 
     @cached_property
-    def pieces(self):
-        """Per piece of the outlet faces (faces joined by shared edges,
-        ``SimplicialMesh3.surface_pieces``): (its component in
-        ``mesh.dual_forest``, whether its closure is a disk, V - E + F = 1)."""
-        mesh, faces = self.mesh, self.outlet_faces
-        if not len(faces):
-            return np.empty(0, np.int64), np.empty(0, dtype=bool)
-        piece, euler = mesh.surface_pieces(faces)
-        component = np.empty(len(euler), np.int64)
-        component[piece] = mesh.dual_forest.labels[mesh.face_tets[faces, 0]]
-        return component, euler == 1
-
-    @cached_property
-    def cotree(self):
-        """The edges of the stream function: ``mesh.cotree`` when no face has
-        natural velocity, and otherwise the cotree relative to the
-        essential-velocity faces (``SimplicialMesh3.relative_cotree``), whose
-        curls leave the essential fluxes alone and reach the outlets."""
-        mesh = self.mesh
-        if not len(self.outlet_faces):
-            return mesh.cotree
-        return mesh.relative_cotree(np.setdiff1d(mesh.boundary_faces, self.outlet_faces))
-
-    @cached_property
     def forest(self):
         """The dual forest that carries divergence: ``mesh.dual_forest`` when
         no face has natural velocity, and otherwise the forest rooted at the
@@ -245,36 +224,73 @@ class ResolvedBoundary:
             return self.mesh.dual_forest
         return self.mesh.forest_through(self.outlet_faces)
 
-    def check_steady(self):
-        """Raise ValueError where a steady solve cannot determine the flux.
+    @cached_property
+    def _peeled(self):
+        """(cotree, generators), from one :func:`vvpflow.linalg.peel`."""
+        mesh = self.mesh
+        walls = np.setdiff1d(mesh.boundary_faces, self.outlet_faces)
+        cotree = mesh.relative_cotree(walls) if len(self.outlet_faces) else mesh.cotree
+        free = np.ones(mesh.n_faces, dtype=bool)
+        free[walls] = False
+        free[self.forest.parent_face[self.forest.tree]] = False
+        faces = np.flatnonzero(free)
+        rows, dependent = peel(self.complex.d1[faces][:, cotree])
+        return (np.delete(cotree, dependent) if len(dependent) else cotree), faces[rows]
 
-        On a component with b1 = 0 and no face of natural vorticity with
-        essential velocity, whose outlet pieces are all disks, the steady
-        rows miss one potential flow per piece beyond the first (u = grad
-        phi, phi constant on each piece; ROADMAP item 2).  b1 is known per
-        component only when the mesh's is 0; handles are not checked.
+    @property
+    def cotree(self):
+        """The edges of the stream function: the cotree relative to the
+        essential-velocity faces (``SimplicialMesh3.relative_cotree``;
+        ``mesh.cotree`` itself when every boundary face is one), less the
+        edges whose curls depend on the others (:attr:`generators`).  Their
+        curls are independent, leave the essential fluxes alone and reach
+        the outlets."""
+        return self._peeled[0]
+
+    @property
+    def generators(self):
+        """The sorted generator faces: the divergence-free face fluxes that
+        vanish on the essential-velocity faces are the curls of
+        :attr:`cotree` plus one field per generator face, its unit flux
+        with its divergence carried along :attr:`forest`.
+
+        Such a flux is fixed by its values on the faces off the walls and
+        off the forest's tree, N, so with A = D1[N][:, relative cotree] the
+        missing directions number |N| - rank A and the dependent curls
+        |cotree| - rank A.  :func:`vvpflow.linalg.peel` pairs rows of A
+        with columns: its unpaired rows are the generator faces and its
+        unpaired columns the dependent curls, which :attr:`cotree` drops.
+        On a box with one outlet disk, or none, both are empty; the flow
+        from one natural-velocity piece to another, or around a handle,
+        is a generator.  Peeling that leaves a core raises ValueError.
         """
-        if self.mesh.betti_numbers[1]:
-            return
-        component, disk = self.pieces
+        return self._peeled[1]
+
+    def check_steady(self):
+        """Raise ValueError where a steady solve cannot determine the flux:
+        on a component with :attr:`generators` and no face of natural
+        vorticity with essential velocity to hold them, the steady rows
+        miss the generators' fluxes (the flow from one natural-velocity
+        piece to another, or around a handle), and the system is singular."""
         labels, face_tets = self.mesh.dual_forest.labels, self.mesh.face_tets
         held = np.zeros(len(self.closed), dtype=bool)  # a tangential-velocity wall
         for region, faces, *_ in self.regions("velocity", ESSENTIAL):
             if region.vorticity_mode == NATURAL:
                 held[labels[face_tets[faces, 0]]] = True
-        count = np.bincount(component, minlength=len(held))
-        every_disk = np.bincount(component, disk, minlength=len(held)) == count
-        for c in np.flatnonzero((count > 1) & every_disk & ~held):
+        count = np.bincount(labels[face_tets[self.generators, 0]], minlength=len(held))
+        for c in np.flatnonzero((count > 0) & ~held):
             names = [
                 region.name
                 for region, faces, *_ in self.regions("velocity", NATURAL)
                 if np.any(labels[face_tets[faces, 0]] == c)
             ]
             raise ValueError(
-                f"component {c} has {count[c]} separate natural-velocity pieces "
-                f"(regions {', '.join(map(repr, names))}) and no handle: the flux "
-                "between the pieces is not determined by a steady solve; give all "
-                "but one piece essential velocity, or march in time with t_end"
+                f"component {c} has {count[c]} divergence-free flux direction(s) that no "
+                f"curl reaches (between its natural-velocity regions "
+                f"{', '.join(map(repr, names)) or 'none'}, or around a handle) and no wall "
+                "of natural vorticity with essential velocity: the flux is not determined "
+                "by a steady solve; give natural vorticity on a wall, give all but one "
+                "natural-velocity piece essential velocity, or march in time with t_end"
             )
 
     @cached_property
@@ -304,7 +320,7 @@ class ResolvedBoundary:
         for j, label in enumerate(closed):
             cells = mesh.dual_forest.labels == label
             basis[cells, j] = mesh.tet_volumes[cells] / np.sqrt(mesh.tet_volumes[cells].sum())
-        return HarmonicSpace(basis, mesh.dual_forest.roots[closed])
+        return HarmonicSpace(basis)
 
     @cached_property
     def essential(self):
@@ -461,14 +477,12 @@ class HarmonicSpace:
     """M3-orthonormal basis of the harmonic 3-form space.
 
     One column per closed component (:attr:`ResolvedBoundary.closed`):
-    its volume indicator scaled so that H^T M3 H = I.  H^T M3 D2 vanishes
-    on unconstrained faces, so the solver computes the multiplier phi
-    from the q-rows before the solve and pins the pressure at ``pins``,
-    the components' roots in ``mesh.dual_forest``.
+    its volume indicator scaled so that H^T M3 H = I.  The solver takes
+    the harmonic part off each divergence it sweeps and gauges the
+    pressure to H^T M3 p = 0.
     """
 
     basis: np.ndarray
-    pins: np.ndarray
 
     @property
     def dim(self):

@@ -329,7 +329,7 @@ def run_noflow(spec):
     conditions on both channels.  The load quadrature degree defaults
     to one above the largest exponent so the loads are exact discrete
     gradients.  Every step solves the same matrix, so the exponents
-    share one resolved boundary, one saddle operator and its factor.
+    share one resolved boundary, one operator and its factor.
     """
     n = spec.n[0]
     complex_ = _box_complex(n)

@@ -16,23 +16,23 @@ reduces each fill of the pattern, with the right-hand side
 and fills a system once.
 
 The order is applied there and nowhere else.  The solver reduces its
-system in the mesh's nested-dissection order
-(``SimplicialMesh3.elimination_order``), in which every pressure cell
-follows the face it pairs with, and :func:`solve` factors the reduced
-matrix as given: SuperLU eliminates in index order, in symmetric mode,
-and leaves the diagonal only for a pivot below ``diag_pivot_thresh`` of
-its column.  That threshold, not static pivoting, is what keeps the zero
-pressure and Stokes velocity diagonals from breaking the factor, and it
-keeps the fill of the order.  A :class:`FactorHolder` lets a sequence of
-nearby systems, such as the steps of one run, share one factor through
-iterative refinement, and each refinement may start from the previous
-system's solution.  The factor may be float32, as the stream systems'
-and the time steps' are: refinement, its residual and the residual
-contract stay float64, and a solve may count as at roundoff by its
-componentwise backward error, so the precision of the factor moves how
-many passes a solve takes, not what it returns (mixed-precision
-refinement: Buttari et al., ACM TOMS 2008; Carson & Higham, SIAM J. Sci.
-Comput. 2018).  :func:`solve_spd` solves a symmetric positive definite
+system in the edge order of the mesh's nested dissection
+(``SimplicialMesh3.elimination_order``, in which every pressure cell
+follows the face it pairs with, for the tests' saddle reference), and
+:func:`solve` factors the reduced matrix as given: SuperLU eliminates in
+index order, in symmetric mode, and leaves the diagonal only for a pivot
+below ``diag_pivot_thresh`` of its column.  That threshold, not static
+pivoting, is what keeps the zero diagonals of Stokes systems from
+breaking the factor, and it keeps the fill of the order.  A
+:class:`FactorHolder` lets a sequence of nearby systems, such as the
+steps of one run, share one factor through iterative refinement, and
+each refinement may start from the previous system's solution.  The
+factor may be float32, as the solver's is: refinement, its residual and
+the residual contract stay float64, and a solve may count as at roundoff
+by its componentwise backward error, so the precision of the factor
+moves how many passes a solve takes, not what it returns
+(mixed-precision refinement: Buttari et al., ACM TOMS 2008; Carson &
+Higham, SIAM J. Sci. Comput. 2018).  :func:`solve_spd` solves a symmetric positive definite
 system, such as the edge mass matrix of the initial vorticity, by
 conjugate gradients under the same residual contract, with no factor.
 
@@ -64,6 +64,7 @@ __all__ = [
     "eliminate",
     "group_offsets",
     "stack",
+    "peel",
     "solve",
     "solve_reduced",
     "solve_spd",
@@ -233,6 +234,48 @@ def stack_blocks(groups, blocks, slots=None):
     return a, np.asarray(entries[i, j]).ravel() - 1
 
 
+def peel(matrix):
+    """The rows and columns of a sparse matrix that peeling leaves unpaired:
+    ``(rows, columns)``, sorted.
+
+    A live row with exactly one entry among the live columns pairs with
+    that column, and a live column with exactly one among the live rows
+    with that row; both retire.  Each pairing lowers the rank of the live
+    part by exactly one, so no pairing is ever wrong: the pairs are a
+    nonsingular square submatrix, and the rank is their number.  Each
+    round pairs every such row, then every such column whose row is still
+    live, the first of any that share a partner.  ValueError if live rows
+    with live entries remain (a core), whose rank peeling cannot tell.
+    """
+    a = sp.csr_matrix(matrix, copy=True)
+    a.eliminate_zeros()
+    a.data[:] = 1.0
+    sides = (a, a.T.tocsr())  # the rows, then the columns
+    live = [np.ones(side.shape[0], dtype=bool) for side in sides]
+    count = [np.diff(side.indptr) for side in sides]  # live entries of each
+    while True:
+        retired = [np.zeros_like(v) for v in live]
+        for k in (0, 1):
+            one = np.flatnonzero(live[k] & (count[k] == 1))
+            cols = sides[k][one].indices
+            partner = cols[live[1 - k][cols]]
+            keep = ~retired[k][one] & ~retired[1 - k][partner]
+            partner, first = np.unique(partner[keep], return_index=True)
+            retired[k][one[keep][first]] = True
+            retired[1 - k][partner] = True
+        if not retired[0].any():
+            break
+        for k in (0, 1):
+            live[k] &= ~retired[k]
+            count[k] = count[k] - (sides[k] @ retired[1 - k].astype(float)).astype(np.int64)
+    if (count[0][live[0]] > 0).any():
+        raise ValueError(
+            f"peeling left a core of {np.count_nonzero(count[0][live[0]])} rows and "
+            f"{np.count_nonzero(count[1][live[1]])} columns of {a.shape[0]} x {a.shape[1]}"
+        )
+    return np.flatnonzero(live[0]), np.flatnonzero(live[1])
+
+
 def assemble_blocks(groups, blocks, rhs=None, constraints=None):
     """Stack blocks into one CSR matrix and eliminate constraints.
 
@@ -333,9 +376,10 @@ def solve(matrix, rhs, factor=None, x0=None, whole_norm=None):
     index order (NATURAL, symmetric mode): each pivot stays on the
     diagonal unless it is below ``diag_pivot_thresh`` times its column's
     largest entry.  Static pivots (threshold 0) are not used: the
-    pressure diagonal of the saddle systems is structurally zero, and so
-    is the velocity diagonal of a Stokes system, so a factor that never
-    leaves the diagonal breaks down there (relative residual 1e25 at n=8).
+    stream function's diagonal of a steady stream system is structurally
+    zero, and so are the pressure and velocity diagonals of the tests'
+    saddle reference, where a factor that never leaves the diagonal breaks
+    down (relative residual 1e25 at n=8).
 
     Iterative refinement on the same system follows the
     back-substitution while the relative residual is above

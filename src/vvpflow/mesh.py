@@ -272,40 +272,52 @@ class SimplicialMesh3:
     @functools.cached_property
     def cotree(self):
         """The cotree relative to the whole boundary, built on first use:
-        the sorted interior edges off a breadth-first spanning tree of the
-        interior vertices plus one node that stands for the boundary
+        the sorted interior edges off a breadth-first spanning forest of the
+        interior vertices plus one node per boundary surface
         (:meth:`relative_cotree`)."""
         return self.relative_cotree(self.boundary_faces)
 
     def relative_cotree(self, faces):
         """Sorted edges off the closure of the boundary ``faces`` and off a
-        breadth-first spanning tree of the vertices off that closure plus
-        one node that stands for it.
+        breadth-first spanning forest of a graph: its nodes are the vertices
+        off that closure and one node per piece of the closure (closure
+        vertices joined by closure edges), its links the other edges.
 
-        The tree holds one edge per free vertex (one off the closure), the
-        one it was reached through (the lowest-indexed of parallel edges to
-        the closure's node), so the cotree has free edges - free vertices
-        entries, and the curls of its edges vanish on ``faces``.  When the
-        closure's node joins every component and the free-edge gradients of
-        the free vertices are the whole kernel of the curl on the free edges
-        (b2 = 0 with ``faces`` the whole boundary; a single disk, or none,
-        of the other boundary faces per component of a mesh with
-        b1 = b2 = 0), the cotree's curls are independent, and when b1 = 0
-        they also span every face flux with zero divergence that vanishes
-        on ``faces``.  One search covers a disconnected mesh.
+        Each component of the graph is searched from its lowest piece node,
+        or from its lowest vertex when it holds no piece; one search from a
+        virtual node joined to every start covers them all.  The forest
+        holds, for each node but the starts, the edge it was reached
+        through (the lowest-indexed of parallel edges to a piece node).  The
+        curls of the cotree's edges vanish on ``faces``, and the forest has
+        as many edges as there are gradients of functions constant on each
+        piece, which the curl maps to zero.  So the cotree's curls are
+        independent unless a loop of free edges that is no such gradient
+        has zero curl (a handle that ``faces`` do not cut), and they span
+        the fluxes with zero divergence that vanish on ``faces`` but those
+        around a handle or from one piece of the other boundary faces to
+        another: ``assembly.ResolvedBoundary.generators`` finds both.
         """
-        V = self.n_vertices
+        V, closure = self.n_vertices, self.faces[faces]
         free = np.setdiff1d(np.arange(self.n_edges), self.face_edges[faces])
-        node = np.arange(V)
-        node[self.faces[faces]] = V
+        joins = self.edges[np.unique(self.face_edges[faces])]
+        joined = coo_matrix((np.ones(len(joins)), tuple(joins.T)), shape=(V, V))
+        piece = np.unique(csgraph.connected_components(joined)[1][closure], return_inverse=True)[1]
+        node, P = np.arange(V), piece.max(initial=-1) + 1
+        node[closure] = V + piece.reshape(closure.shape)
         ends = np.sort(node[self.edges[free]], axis=1)
-        link = ends[:, 0] != ends[:, 1]  # an edge between two closure vertices is a loop
-        graph = coo_matrix((np.ones(link.sum()), tuple(ends[link].T)), shape=(V + 1, V + 1))
-        order, pred = csgraph.breadth_first_order(graph, V, directed=False)
-        key = ends[:, 0] * (V + 1) + ends[:, 1]
+        link = ends[:, 0] != ends[:, 1]  # an edge within one piece is a loop
+        links = coo_matrix((np.ones(link.sum()), tuple(ends[link].T)), shape=(V + P,) * 2)
+        n, component = csgraph.connected_components(links, directed=False)
+        lowest = np.full(n, V + P)
+        np.minimum.at(lowest, component, np.r_[P + np.arange(V), np.arange(P)])  # pieces first
+        start, virtual = np.where(lowest < P, V + lowest, lowest - P), V + P
+        rows, cols = np.r_[ends[link, 0], np.full(n, virtual)], np.r_[ends[link, 1], start]
+        graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(V + P + 1,) * 2)
+        order, pred = csgraph.breadth_first_order(graph, virtual, directed=False)
+        key = ends[:, 0] * (V + P) + ends[:, 1]
         keys, first = np.unique(key, return_index=True)
-        child = order[1:]
-        reached = np.minimum(child, pred[child]) * (V + 1) + np.maximum(child, pred[child])
+        child = order[1 + n :]
+        reached = np.minimum(child, pred[child]) * (V + P) + np.maximum(child, pred[child])
         tree = first[np.searchsorted(keys, reached)]
         return np.delete(free, tree)
 

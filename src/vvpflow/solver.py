@@ -14,38 +14,34 @@ the rotational convection term; theta = 1/2 gives the symmetric
 average used throughout the experiments.
 
 Steady solves and steps build their operator through one function,
-:func:`make_operator`, which picks one of two from the resolved spec and
-the mesh's Betti numbers alone:
+:func:`make_operator`, and there is one operator, :class:`_StreamOperator`.
+It solves in the exactly divergence-free subspace that D2 D1 = 0
+provides: the vorticity, a stream function on the cotree relative to the
+essential-velocity faces (``ResolvedBoundary.cotree``) and one
+coefficient per generator (``ResolvedBoundary.generators``), a
+divergence-free flux that no curl reaches, such as the flow around a
+handle or from one outlet to another; about half the saddle system's
+unknowns.  Its matrix is the congruence of the :func:`assemble_B0`
+blocks with Z = diag(I, [D1[:, cotree] | H]), H the generators' fields,
+so the pressure leaves the solve; the divergence and the pressure are
+recovered on the tree faces of the forest rooted at the outlets
+(``ResolvedBoundary.forest``).  The saddle system with its harmonic
+multiplier stays in the test suite as the reference the operator is
+checked against.
 
-* :class:`_StreamOperator`, when the mesh has b1 = b2 = 0 and the
-  natural-velocity faces of each component form at most one piece, a
-  disk.  It solves in the exactly divergence-free subspace that
-  D2 D1 = 0 provides: the vorticity and a stream function on the cotree
-  relative to the essential-velocity faces
-  (``ResolvedBoundary.cotree``), about half the saddle system's
-  unknowns.  Its matrix is the congruence of the :func:`assemble_B0`
-  blocks with Z = diag(I, D1[:, cotree]), so the pressure leaves the
-  solve; the divergence and the pressure are recovered on the tree faces
-  of the forest rooted at the outlets (``ResolvedBoundary.forest``).
-* :class:`_SaddleOperator`, for every other spec (two or more outlets on
-  a component, an outlet that is not a disk, handles, cavities), and the
-  reference the stream operator is tested against.  It is the only code
-  that knows the harmonic multiplier of the saddle system: it computes it
-  before the factorization instead of factoring the dense border of the
-  paper's saddle matrix.
+A steady solve whose generators no wall of natural vorticity with
+essential velocity holds fails at setup
+(``ResolvedBoundary.check_steady``).
 
-A steady solve whose flux between two natural-velocity pieces is not
-determined fails at setup (``ResolvedBoundary.check_steady``).
-
-Each holds only its matrix, built once: the harmonic space, the resolved
-boundary (``assembly.ResolvedBoundary``), the :func:`assemble_B0` blocks
-and ``M2/dt``, their CSR pattern with the convection slots and its
-reduction to the free unknowns, listed in the mesh's nested-dissection
-order (``linalg.eliminate``), which every factor keeps.  Each solve is
-given its loads, adds the per-cell convection blocks into that pattern,
-evaluates the right-hand side (:func:`assemble_rhs`, whose boundary data
-come from one ``ResolvedBoundary.evaluate``) and refills the reduction.
-:func:`run_transient` builds one operator per run,
+The operator holds only its matrix, built once: the harmonic space, the
+resolved boundary (``assembly.ResolvedBoundary``), the :func:`assemble_B0`
+blocks and ``M2/dt``, their congruence's CSR pattern with the convection
+slots and its reduction to the free unknowns, listed in the mesh's
+nested-dissection order (``linalg.eliminate``), which every factor keeps.
+Each solve is given its loads, adds the per-cell convection blocks into
+that pattern, evaluates the right-hand side (:func:`assemble_rhs`, whose
+boundary data come from one ``ResolvedBoundary.evaluate``) and refills
+the reduction.  :func:`run_transient` builds one operator per run,
 ``experiments.run_noflow`` one for all its exponents, and
 :func:`solve_stokes` and a standalone :func:`step` one per call.  ``bc``
 is a spec or its resolution (``assembly.resolve_boundary``), made once
@@ -63,13 +59,11 @@ starts its refinement from that solve's reduced solution, so the steps
 of a run after the first make one triangular solve fewer; any other
 state, such as ``run_noflow``'s rest state for each exponent, starts
 from LU^-1 b.  A factor never outlives the call that built its
-operator.  The stream operator, and the saddle operator when built with
-``dt``, factor in float32 and refine in float64; a fresh float32 factor
-that does not refine to roundoff is replaced by a float64 one, which the
-operator keeps from then on.  A steady stream solve refines from its
-float32 factor to the componentwise roundoff of a float64 one in 3-5
-passes (n = 3..10).  A steady saddle operator factors in float64: its
-system diverges from a float32 factor at n=12 (backward error 1).
+operator.  The operator factors in float32 and refines in float64; a
+fresh float32 factor that does not refine to roundoff is replaced by a
+float64 one, which the operator keeps from then on.  A steady solve
+refines from its float32 factor to the componentwise roundoff of a
+float64 one in 3-5 passes (n = 3..10).
 :func:`initialize_state` builds no factor: its edge mass-matrix system
 is solved by conjugate gradients (:func:`vvpflow.linalg.solve_spd`).
 
@@ -93,6 +87,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import (
     NaturalBCCache,  # noqa: F401  (names the benchmark tracer patches)
@@ -109,7 +104,6 @@ from .linalg import (
     SolverError,
     assemble_blocks,
     eliminate,
-    group_offsets,
     m_norm,
     on_worker,
     solve_reduced,
@@ -221,9 +215,9 @@ class StepDiagnostics:
     starts from LU^-1 b and makes passes + 1 triangular solves, a later
     one starts from the previous solution and makes passes, and 0 passes
     mean the start was already at roundoff.  ``unknowns`` is the size of
-    the factored system (the stream or the saddle system, see
-    :func:`make_operator`) and ``factor_dtype`` the precision of the
-    factor held after the step (``linalg.FactorHolder.dtype``)."""
+    the factored stream system (see :func:`make_operator`) and
+    ``factor_dtype`` the precision of the factor held after the step
+    (``linalg.FactorHolder.dtype``)."""
 
     step: int
     t: float
@@ -245,118 +239,6 @@ class TrajectorySummary:
     n_steps: int = 0
 
 
-class _SaddleOperator:
-    """The saddle matrix of one run, reduced once and solved per time level.
-
-    Built from the :func:`assemble_B0` blocks, plus ``M2/dt`` and room
-    for the convection blocks when ``dt`` is given:
-
-    * the CSR pattern of the whole system (:func:`vvpflow.linalg.stack_blocks`),
-      whose slots hold the tet-local face x edge and face x face
-      convection entries, and ``conv_pos``, where each entry of the
-      raveled local blocks of :func:`assemble_convection` lands in its data;
-    * ``reduced``, the pattern's :class:`vvpflow.linalg.ReducedSystem`
-      without the fixed unknowns (the essential edges and faces of
-      ``boundary.essential`` and the pressure pins of ``harmonic``),
-      listed in ``mesh.elimination_order``, which each solve refills
-      with the data of :func:`assemble_rhs`.
-
-    ``boundary``, the resolution of ``bc``, fixes the entities here and
-    reaches every right-hand side, so every solve fixes the same ones, and
-    ``harmonic`` is its harmonic space.  ``factor`` holds the LU that
-    :func:`vvpflow.linalg.solve` reuses across the operator's solves, which
-    are given their loads: ``experiments.run_noflow`` shares one.  It is
-    float32 when ``dt`` is given and float64 when steady (see the module
-    docstring).  ``last``
-    holds the state its last solve returned and that solve's reduced
-    solution, the start of a solve that continues from that state.
-    """
-
-    def __init__(self, complex_, bc, nu, dt=None):
-        self.complex, self.boundary = complex_, resolve_boundary(complex_, bc)
-        self.harmonic, mesh = self.boundary.harmonic, complex_.mesh
-        groups, blocks = assemble_B0(complex_, nu=nu)
-        offsets = group_offsets(groups)
-        slots = None
-        if dt is not None:
-            blocks[("u2", "u2")] = complex_.m2 / dt
-            faces = offsets["u2"] + mesh.tet_faces
-            slots = (
-                np.concatenate([np.repeat(faces, 6, 1), np.repeat(faces, 4, 1)], None),
-                np.concatenate([np.tile(mesh.tet_edges, 4), np.tile(faces, 4)], None),
-            )
-        pattern, self.conv_pos = stack_blocks(groups, blocks, slots)
-        self.static = pattern.data
-        # In the order of assemble_rhs's essential values, then the pins.
-        fixed = [offsets[g] + idx for g, (_, idx, _) in self.boundary.essential.items()]
-        fixed = np.concatenate([*fixed, offsets["u3"] + self.harmonic.pins])
-        self.reduced = eliminate(pattern, groups, fixed, mesh.elimination_order)
-        self.m3h = complex_.m3 @ self.harmonic.basis
-        self.steady = dt is None
-        self.factor = FactorHolder(dtype=np.float64 if self.steady else np.float32)
-        self.last = (None, None)
-
-    def solve(self, t, loads, convection=None, rhs_u2=None, previous=None):
-        """Solve at time t; returns (state, residual).
-
-        ``loads`` (``f2``, ``f3``, ``load_degree``) go to :func:`assemble_rhs`,
-        ``convection`` (the local blocks of :func:`assemble_convection`) into
-        the v-row and ``rhs_u2`` to the v-row's right side.  When
-        ``previous``, the state the step continues from, is the state this
-        operator's last solve returned, refinement starts from that solve's
-        reduced solution; any other state starts from LU^-1 b.
-
-        With dim H > 0 the paper's bordered system adds M3 H phi to the
-        q-rows and the chi-row H^T M3 u3 = 0.  H^T M3 H = I and H^T M3 D2
-        vanishes on the free faces, so the q-rows summed against H give
-        phi = H^T (rhs_u3 - M3 D2 u2_fixed) before the solve, and M3 H phi
-        moves to the right-hand side.  Pinning the pressure at each closed
-        component's root (``harmonic.pins``) removes the null modes and
-        the q-rows that the phi equations make redundant.  So that no
-        root collects its component's divergence roundoff, the q-row
-        defects, less their harmonic part (which phi absorbs in the
-        bordered system), are then swept from the leaves of
-        ``boundary.forest`` to the roots and the outlets through the
-        tree-face fluxes, and the pressure is moved to the gauge
-        H^T M3 p = 0.
-        """
-        complex_, h, reduced = self.complex, self.harmonic.basis, self.reduced
-        rhs, constraints = _assemble_rhs(self, t, loads)
-        pins = np.zeros(self.harmonic.dim)
-        values = np.concatenate([*(v for _, v in constraints.values()), pins])
-        b = stack(reduced.groups, rhs)
-        offsets = reduced.offsets
-        u2, u3 = slice(offsets["u2"], offsets["u3"]), slice(offsets["u3"], len(b))
-        if rhs_u2 is not None:
-            b[u2] += rhs_u2
-
-        data = self.static
-        if convection is not None:
-            local = np.concatenate([block.ravel() for block in convection])
-            data = data + np.bincount(self.conv_pos, local, minlength=len(data))
-        eliminated = reduced.refill(data, b, values)
-        shift = self.m3h @ (h.T @ eliminated[u3])  # M3 H phi, to the right-hand side
-        eliminated[u3] -= shift
-        b[u3] -= shift
-        returned, x0 = self.last
-        x0 = x0 if previous is returned else None  # both None before a first solve
-        full, residual = solve_reduced(reduced, factor=self.factor, x0=x0)
-        parts = reduced.split(full)
-        u = parts["u2"].copy()
-        if self.harmonic.dim:
-            vol = complex_.mesh.tet_volumes
-            _sweep(self.boundary.forest, self.harmonic, vol, u, vol * b[u3] - complex_.d2 @ u)
-        p = parts["u3"] - h @ (h.T @ (complex_.m3 @ parts["u3"]))
-        state = TransientState(
-            t=t,
-            omega=FormCoefficients(complex_.V1, parts["u1"].copy()),
-            u=FormCoefficients(complex_.V2, u),
-            p=FormCoefficients(complex_.V3, p),
-        )
-        self.last = (state, full[reduced.free])
-        return state, residual
-
-
 # D1 of one tet: row a is its local face a, column e its local edge e
 # (``mesh.TET_FACE_EDGES``); the ascending vertex order makes it the same
 # in every tet.
@@ -366,93 +248,119 @@ for _face, _edges in enumerate(TET_FACE_EDGES):
 
 
 class _StreamOperator:
-    """The system of one run in the divergence-free subspace, for specs on
-    meshes with b1 = b2 = 0 whose natural-velocity faces form at most one
-    disk per component (see :func:`make_operator`).
+    """The system of one run in the divergence-free subspace (see
+    :func:`make_operator`).
 
     Every velocity with the essential fluxes and the divergence the q-rows
-    ask for is u = u_g + D1 psi with psi on ``boundary.cotree``, the edges
-    off the closure of the essential-velocity faces less a tree: D2 D1 = 0
-    exactly, the curls leave the essential fluxes alone, and the cotree's
-    curls span the rest, outlet fluxes included (no harmonic field is
-    left: b1 + pieces - 1 = 0 per component).  The unknowns are the free
-    vorticity and psi, and the matrix is the congruence Z^T A Z, with A
-    the tau- and v-rows' vorticity and velocity blocks of
-    :func:`assemble_B0` (``a``, plus ``M2/dt`` when ``dt`` is given) and
-    Z = diag(I, D1[:, cotree]), formed block by block: the v-rows are
-    tested with the curls of the cotree edges only, so the pressure drops
-    out ((D2 D1)^T = 0) and the natural pressure data enter through the
-    outlet rows, and the q-rows hold by construction.  The per-cell
-    convection blocks enter as D1_loc^T A3_loc and D1_loc^T A5_loc D1_loc
-    (``_TET_D1``), in fixed slots of the pattern (``conv_pos``, as in
-    :class:`_SaddleOperator`).
-    ``reduced`` is the pattern without the essential vorticity edges,
-    reduced once in ``mesh.elimination_order``'s edge order with each
-    psi_e right after omega_e; ``factor`` and ``last`` work as in
-    :class:`_SaddleOperator`, but ``factor`` is float32 whether or not
-    ``dt`` is given.
+    ask for is u = u_g + D1 psi + H alpha, with psi on ``boundary.cotree``,
+    the edges off the closure of the essential-velocity faces less a
+    forest and less the dependent curls, and alpha one coefficient per
+    generator face (``boundary.generators``).  H holds the generators'
+    fields: each face's unit flux with its divergence carried along
+    ``boundary.forest`` (:func:`_sweep`).  D2 D1 = 0 exactly, the curls and
+    H leave the essential fluxes alone, and together they span the rest,
+    outlet fluxes included.  With W = [D1[:, cotree] | H] (``w``) the
+    unknowns are the free vorticity and (psi, alpha), alpha last, and the
+    matrix is the congruence Z^T A Z, with A the tau- and v-rows'
+    vorticity and velocity blocks of :func:`assemble_B0` (``a``, plus
+    ``M2/dt`` when ``dt`` is given) and Z = diag(I, W), formed block by
+    block: the v-rows are tested with the columns of W only, so the
+    pressure drops out ((D2 W)^T = 0) and the natural pressure data enter
+    through the outlet rows, and the q-rows hold by construction.  The
+    per-cell convection blocks enter as W_loc^T A3_loc and
+    W_loc^T A5_loc W_loc, with W_loc the tet's D1 (``_TET_D1``) and the
+    values of H on its faces (``h_loc``), in fixed slots of the pattern:
+    ``conv_pos``, where each kept entry (``conv_on``) of the raveled local
+    blocks lands in its data.  ``reduced`` is the pattern without the
+    essential vorticity edges, reduced once in ``mesh.elimination_order``'s
+    edge order with each psi_e right after omega_e and alpha last, so one
+    sparse factor holds all.  ``factor`` holds the LU that
+    :func:`vvpflow.linalg.solve` reuses across the operator's solves,
+    float32 with the float64 fallback, and ``last`` the state its last
+    solve returned with that solve's reduced solution.
 
     A solve is made about the state it continues from (zero without one):
-    the unknowns are the change of the vorticity and psi, so that the
-    velocity is not the small difference of a large lift and a large
-    curl.  Roundoff is judged against the right-hand side before that
-    state's rows are taken off (``whole_norm`` of :func:`linalg.solve`),
-    as the saddle operator's is.  The lift u_g is that state's velocity
-    with the new essential fluxes, whose divergence defect (against the
-    particular divergence of ``f3``, less its harmonic part) is carried
-    from the leaves of ``boundary.forest`` to the roots of the closed
-    components and out through the outlet faces (:func:`_sweep`); the same
-    sweep takes the roundoff divergence off u_g + D1 psi.  The pressure is
-    then recovered from the v-rows on the tree faces, where D2^T M3 p is
-    the residual of the other terms, from the roots and the outlets down
+    the unknowns are the change of the vorticity, psi and alpha, so that
+    the velocity is not the small difference of a large lift and a large
+    curl.  Roundoff is judged against the whole right-hand side before that
+    state's rows are taken off (``whole_norm`` of :func:`linalg.solve`).
+    The lift u_g is that state's velocity with the new essential fluxes,
+    whose divergence defect (against the particular divergence of ``f3``,
+    less its harmonic part) is carried from the leaves of
+    ``boundary.forest`` to the roots of the closed components and out
+    through the outlet faces (:func:`_sweep`); the same sweep takes the
+    roundoff divergence off u_g + W (psi, alpha).  The pressure is then
+    recovered from the v-rows on the tree faces, where D2^T M3 p is the
+    residual of the other terms, from the roots and the outlets down
     (``DualForest.paths``): on an outlet face that residual holds the
     pressure data, so an open component's pressure needs no gauge, and a
-    closed one's is moved to H^T M3 p = 0.
+    closed one's is moved to the harmonic 3-forms' gauge (``harmonic``,
+    basis^T M3 p = 0).
     """
 
     def __init__(self, complex_, bc, nu, dt=None):
         self.complex, self.boundary = complex_, resolve_boundary(complex_, bc)
         self.harmonic, mesh = self.boundary.harmonic, complex_.mesh
-        E, cotree = mesh.n_edges, self.boundary.cotree
+        if dt is None:
+            self.boundary.check_steady()
+        E, cotree, generators = mesh.n_edges, self.boundary.cotree, self.boundary.generators
+        self.forest = forest = self.boundary.forest
+        k = len(generators)
+        self.w = complex_.d1[:, cotree].tocsr()
+        if k:
+            h = np.zeros((mesh.n_faces, k))
+            h[generators, np.arange(k)] = 1.0
+            for column in h.T:
+                _sweep(forest, self.harmonic, mesh.tet_volumes, column, -(complex_.d2 @ column))
+            self.w = sp.hstack([self.w, sp.csr_matrix(h)], format="csr")
+            self.h_loc = h[mesh.tet_faces]  # (T, 4, k)
+        self.wt = self.w.T.tocsr()
         _, blocks = assemble_B0(complex_, nu=nu)
         if dt is not None:
             blocks[("u2", "u2")] = complex_.m2 / dt
-        a = {k: v for k, v in blocks.items() if "u3" not in k}
+        a = {key: v for key, v in blocks.items() if "u3" not in key}
         self.a, _ = stack_blocks({"u1": E, "u2": mesh.n_faces}, a)
-        self.d1c = d1c = complex_.d1[:, cotree].tocsr()
-        self.d1ct = d1c.T.tocsr()
         stream = {  # Z^T A Z block by block
             ("u1", "u1"): a["u1", "u1"],
-            ("u1", "psi"): a["u1", "u2"] @ d1c,
-            ("psi", "u1"): self.d1ct @ a["u2", "u1"],
+            ("u1", "psi"): a["u1", "u2"] @ self.w,
+            ("psi", "u1"): self.wt @ a["u2", "u1"],
         }
         if ("u2", "u2") in a:
-            stream["psi", "psi"] = self.d1ct @ a["u2", "u2"] @ d1c
+            stream["psi", "psi"] = self.wt @ a["u2", "u2"] @ self.w
         slots = None
         if dt is not None:
-            # The rows and columns of a tet's (6, 6) blocks D1_loc^T A3_loc
-            # (psi x omega) and D1_loc^T A5_loc D1_loc (psi x psi), raveled
-            # side by side; ``conv_on`` drops the entries off the cotree.
+            # The rows and columns of a tet's local blocks, raveled side by
+            # side: D1_loc^T A3_loc (psi x omega) and D1_loc^T A5_loc D1_loc
+            # (psi x psi), then with H the alpha x omega, alpha x psi,
+            # psi x alpha and alpha x alpha ones; ``conv_on`` drops the
+            # entries off the cotree and those of generators off the tet.
             psi = np.full(E, -1)
             psi[cotree] = E + np.arange(len(cotree))
-            rows = np.repeat(psi[mesh.tet_edges], 6, 1)
-            cols = (np.tile(mesh.tet_edges, 6), np.tile(psi[mesh.tet_edges], 6))
-            rows, cols = np.concatenate([rows, rows], None), np.concatenate(cols, None)
+            edges, psi = mesh.tet_edges, psi[mesh.tet_edges]
+            rows = [np.repeat(psi, 6, 1)] * 2
+            cols = [np.tile(edges, 6), np.tile(psi, 6)]
+            if k:
+                touched = np.abs(self.h_loc).sum(axis=1) > 0
+                alpha = np.where(touched, E + len(cotree) + np.arange(k), -1)  # (T, k)
+                rows += [np.repeat(alpha, 6, 1)] * 2
+                cols += [np.tile(edges, k), np.tile(psi, k)]
+                rows += [np.repeat(psi, k, 1), np.repeat(alpha, k, 1)]
+                cols += [np.tile(alpha, 6), np.tile(alpha, k)]
+            rows, cols = np.concatenate(rows, None), np.concatenate(cols, None)
             self.conv_on = (rows >= 0) & (cols >= 0)
             slots = (rows[self.conv_on], cols[self.conv_on])
-        groups = {"u1": E, "psi": len(cotree)}
+        groups = {"u1": E, "psi": len(cotree) + k}
         pattern, self.conv_pos = stack_blocks(groups, stream, slots)
         self.static = pattern.data
         essential = self.boundary.essential
         fixed = essential["u1"][1] if "u1" in essential else np.empty(0, np.int64)
-        # mesh.elimination_order's edges, each psi_e right after omega_e.
+        # mesh.elimination_order's edges, each psi_e right after omega_e, alpha last.
         order = mesh.elimination_order
         rank = np.empty(E, np.int64)
         rank[order[order < E]] = np.arange(E)
-        order = np.argsort(np.concatenate([2 * rank, 2 * rank[cotree] + 1]))
+        order = np.argsort(np.concatenate([2 * rank, 2 * rank[cotree] + 1, 2 * E + np.arange(k)]))
         self.reduced = eliminate(pattern, groups, fixed, order)
         self.m3h = complex_.m3 @ self.harmonic.basis
-        self.forest = forest = self.boundary.forest
         self.tree_faces = forest.parent_face[forest.tree]
         self.steady = dt is None
         self.factor = FactorHolder(dtype=np.float32)
@@ -472,9 +380,16 @@ class _StreamOperator:
         return out
 
     def solve(self, t, loads, convection=None, rhs_u2=None, previous=None):
-        """Solve at time t; returns (state, residual).  The arguments are
-        those of :meth:`_SaddleOperator.solve`; ``previous``, when given, is
-        also the state the solve is made about."""
+        """Solve at time t; returns (state, residual).
+
+        ``loads`` (``f2``, ``f3``, ``load_degree``) go to :func:`assemble_rhs`,
+        ``convection`` (the local blocks of :func:`assemble_convection`) into
+        the v-rows and ``rhs_u2`` to the v-rows' right side.  ``previous``,
+        when given, is the state the solve is made about; when it is the
+        state this operator's last solve returned, refinement starts from
+        that solve's reduced solution, and any other state starts from
+        LU^-1 b.
+        """
         complex_, h, reduced = self.complex, self.harmonic.basis, self.reduced
         mesh = complex_.mesh
         E, vol = mesh.n_edges, mesh.tet_volumes
@@ -487,8 +402,9 @@ class _StreamOperator:
             omega, u = np.zeros(E), np.zeros(mesh.n_faces)
         else:
             omega, u = previous.omega.values, previous.u.values.copy()
-        faces, fluxes = constraints["u2"]
-        u[faces] = fluxes
+        if "u2" in constraints:
+            faces, fluxes = constraints["u2"]
+            u[faces] = fluxes
         d2u = complex_.d2 @ u
         target = vol * (b3 - self.m3h @ (h.T @ (b3 - d2u / vol)))  # D2 u as the q-rows ask
         _sweep(self.forest, self.harmonic, vol, u, target - d2u)  # u is now u_g
@@ -496,7 +412,12 @@ class _StreamOperator:
         data = self.static
         if convection is not None:
             local3, local5 = convection
-            local = np.concatenate([_TET_D1.T @ local3, _TET_D1.T @ local5 @ _TET_D1], None)
+            local = [_TET_D1.T @ local3, _TET_D1.T @ local5 @ _TET_D1]
+            if len(self.boundary.generators):
+                w, wt = self.h_loc, np.swapaxes(self.h_loc, 1, 2)
+                w5 = wt @ local5
+                local += [wt @ local3, w5 @ _TET_D1, _TET_D1.T @ local5 @ w, w5 @ w]
+            local = np.concatenate(local, None)
             data = data + np.bincount(self.conv_pos, local[self.conv_on], minlength=len(data))
         if "u1" in constraints:
             edges, values = constraints["u1"]
@@ -504,7 +425,7 @@ class _StreamOperator:
         else:
             values = np.empty(0)
         r = b - self._rows(convection, omega, u)
-        reduced.refill(data, np.concatenate([r[:E], self.d1ct @ r[E:]]), values)
+        reduced.refill(data, np.concatenate([r[:E], self.wt @ r[E:]]), values)
         returned, x0 = self.last
         x0 = x0 if previous is returned else None  # both None before a first solve
         full, residual = solve_reduced(
@@ -512,12 +433,12 @@ class _StreamOperator:
             factor=self.factor,
             x0=x0,
             whole_norm=lambda: np.linalg.norm(
-                np.concatenate([b[:E], self.d1ct @ b[E:]])[reduced.free]
+                np.concatenate([b[:E], self.wt @ b[E:]])[reduced.free]
             ),
         )
         parts = reduced.split(full)
         omega = omega + parts["u1"]
-        u += self.d1c @ parts["psi"]
+        u += self.w @ parts["psi"]
         _sweep(self.forest, self.harmonic, vol, u, target - complex_.d2 @ u)
         # The v-rows on the tree faces give D2^T (M3 p), from the roots down.
         g = (self._rows(convection, omega, u) - b)[E + self.tree_faces]
@@ -573,32 +494,16 @@ def _sweep(forest, harmonic, volumes, u, defect):
 
 
 def make_operator(complex_, bc, nu, dt=None):
-    """The operator of a run: a steady one without ``dt``, a time-step one
-    with it.
-
-    A spec on a mesh with b1 = b2 = 0 whose natural-velocity faces form at
-    most one piece per component, a disk (``ResolvedBoundary.pieces``), is
-    solved in the divergence-free subspace (:class:`_StreamOperator`,
-    about half the saddle system's unknowns): no harmonic velocity field
-    is left (b1 + pieces - 1 = 0).  Every other spec (two or more outlets
-    on a component, an annulus, handles, cavities) is solved by the saddle
-    system (:class:`_SaddleOperator`).  The choice rests only on the
-    resolution of ``bc`` and ``mesh.betti_numbers``.  Without ``dt`` the
-    spec must determine every flux (``ResolvedBoundary.check_steady``).
-    """
-    boundary = resolve_boundary(complex_, bc)
-    if dt is None:
-        boundary.check_steady()
-    _, b1, b2 = complex_.mesh.betti_numbers
-    component, disk = boundary.pieces
-    single = np.bincount(component, minlength=len(boundary.closed)).max() <= 1
-    kind = _StreamOperator if b1 == b2 == 0 and single and disk.all() else _SaddleOperator
-    return kind(complex_, boundary, nu, dt)
+    """The operator of a run, :class:`_StreamOperator`: a steady one without
+    ``dt``, a time-step one with it.  Without ``dt`` the spec must
+    determine every flux (``ResolvedBoundary.check_steady``, checked after
+    the singular pairings of ``ResolvedBoundary.harmonic``)."""
+    return _StreamOperator(complex_, bc, nu, dt)
 
 
 def _boundary(complex_, bc, space, resolution):
     """``bc`` resolved, for which a given ``resolution`` of its spec stands;
-    a given harmonic ``space`` must hold the resolution's basis and pins."""
+    a given harmonic ``space`` must hold the resolution's basis."""
     if resolution is not None and resolution.bc is not getattr(bc, "bc", bc):
         raise ValueError("natural_cache was resolved for another boundary spec")
     boundary = resolve_boundary(complex_, bc if resolution is None else resolution)
@@ -623,10 +528,9 @@ def solve_stokes(
 
     Returns ``(state, diagnostics)`` where diagnostics carries the
     relative linear residual, the max divergence density,
-    ``unknowns``, the size of the factored system (the stream or the
-    saddle system, see :func:`make_operator`), ``factor_dtype``, the
-    precision of the factor that solved it (float32 for the stream
-    system unless it fell back, float64 for the saddle system), and
+    ``unknowns``, the size of the factored stream system (see
+    :func:`make_operator`), ``factor_dtype``, the precision of the factor
+    that solved it (float32 unless it fell back to float64), and
     ``refine_passes``, its refinement corrections, as in
     :class:`StepDiagnostics`: the solve starts from LU^-1 b and makes
     passes + 1 triangular solves.

@@ -7,8 +7,9 @@ collapsed cube for the convection and mass matrices, literal
 barycentric-gradient formulas for the Whitney bases, mapped onto
 physical tets by the Piola transforms (which also evaluate a discrete
 form at a point), a token-level parser for legacy VTK output, the
-paper's bordered saddle system, whose dense harmonic
-multiplier the solver never factors, a dense rank count of the
+paper's saddle system (bordered, and as the reference operator that
+the solver's stream operator must match, which computes the dense
+harmonic multiplier before its factor), a dense rank count of the
 harmonic 3-forms, the mesh skeleton by ``np.unique`` of its rows and a
 key lookup, the initial vorticity by a sparse LU instead of conjugate
 gradients, a symbolic derivation of the analytic fields, and the
@@ -29,7 +30,16 @@ from vvpflow.assembly import (
     assemble_rhs,
     resolve_boundary,
 )
-from vvpflow.linalg import eliminate, solve_reduced
+from vvpflow.linalg import (
+    FactorHolder,
+    eliminate,
+    group_offsets,
+    solve_reduced,
+    stack,
+    stack_blocks,
+)
+from vvpflow.solver import TransientState, _sweep
+from vvpflow.spaces import FormCoefficients
 from vvpflow.quadrature import triangle_rule
 from vvpflow.spaces import TRACE_DEGREE, simplex_rule, whitney_coefficients
 
@@ -384,14 +394,133 @@ def bordered_system(groups, blocks, rhs, constraints, basis, m3):
     return dict(groups, phi=basis.shape[1]), {**blocks, **bordered}, rhs, constraints
 
 
-def harmonic_rank(complex_, bc):
-    """dim H by dense linear algebra: the number of cells minus the rank
-    of the divergence matrix without its essential-normal columns."""
+class SaddleOperator:
+    """The paper's saddle system, the reference of the solver's stream
+    operator, with that operator's interface: ``solve(t, loads,
+    convection, rhs_u2, previous)`` returns (state, residual).
+
+    Built from the ``assemble_B0`` blocks, plus ``M2/dt`` and room for the
+    convection blocks when ``dt`` is given: the CSR pattern of the whole
+    system (``linalg.stack_blocks``), whose slots hold the tet-local face x
+    edge and face x face convection entries, and ``conv_pos``, where each
+    entry of the raveled local blocks of ``assemble_convection`` lands in
+    its data; ``reduced``, the pattern without the essential edges and
+    faces and the pressure pins (``pins``, the closed components' roots
+    in ``mesh.dual_forest``), listed in ``mesh.elimination_order``.  The
+    harmonic multiplier is computed before the factorization instead of
+    factoring the dense border (see :meth:`solve`).  ``factor`` is float32
+    when ``dt`` is given and float64 when steady: the steady saddle system
+    does not refine from a float32 factor at n = 12 (backward error 1).
+    ``last`` holds the state its last solve returned and that solve's
+    reduced solution, the start of a solve that continues from that state.
+    """
+
+    def __init__(self, complex_, bc, nu, dt=None):
+        self.complex, self.boundary = complex_, resolve_boundary(complex_, bc)
+        self.harmonic, mesh = self.boundary.harmonic, complex_.mesh
+        groups, blocks = assemble_B0(complex_, nu=nu)
+        offsets = group_offsets(groups)
+        slots = None
+        if dt is not None:
+            blocks[("u2", "u2")] = complex_.m2 / dt
+            faces = offsets["u2"] + mesh.tet_faces
+            slots = (
+                np.concatenate([np.repeat(faces, 6, 1), np.repeat(faces, 4, 1)], None),
+                np.concatenate([np.tile(mesh.tet_edges, 4), np.tile(faces, 4)], None),
+            )
+        pattern, self.conv_pos = stack_blocks(groups, blocks, slots)
+        self.static = pattern.data
+        # In the order of assemble_rhs's essential values, then the pins.
+        fixed = [offsets[g] + idx for g, (_, idx, _) in self.boundary.essential.items()]
+        self.pins = mesh.dual_forest.roots[self.boundary.closed]
+        fixed = np.concatenate([*fixed, offsets["u3"] + self.pins])
+        self.reduced = eliminate(pattern, groups, fixed, mesh.elimination_order)
+        self.m3h = complex_.m3 @ self.harmonic.basis
+        self.steady = dt is None
+        self.factor = FactorHolder(dtype=np.float64 if self.steady else np.float32)
+        self.last = (None, None)
+
+    def solve(self, t, loads, convection=None, rhs_u2=None, previous=None):
+        """Solve at time t; returns (state, residual).
+
+        ``loads`` (``f2``, ``f3``, ``load_degree``) go to :func:`assemble_rhs`,
+        ``convection`` (the local blocks of :func:`assemble_convection`) into
+        the v-row and ``rhs_u2`` to the v-row's right side.  When
+        ``previous``, the state the step continues from, is the state this
+        operator's last solve returned, refinement starts from that solve's
+        reduced solution; any other state starts from LU^-1 b.
+
+        With dim H > 0 the paper's bordered system adds M3 H phi to the
+        q-rows and the chi-row H^T M3 u3 = 0.  H^T M3 H = I and H^T M3 D2
+        vanishes on the free faces, so the q-rows summed against H give
+        phi = H^T (rhs_u3 - M3 D2 u2_fixed) before the solve, and M3 H phi
+        moves to the right-hand side.  Pinning the pressure at each closed
+        component's root (``pins``) removes the null modes and
+        the q-rows that the phi equations make redundant.  So that no
+        root collects its component's divergence roundoff, the q-row
+        defects, less their harmonic part (which phi absorbs in the
+        bordered system), are then swept from the leaves of
+        ``boundary.forest`` to the roots and the outlets through the
+        tree-face fluxes, and the pressure is moved to the gauge
+        H^T M3 p = 0.
+        """
+        complex_, h, reduced = self.complex, self.harmonic.basis, self.reduced
+        rhs, constraints = assemble_rhs(complex_, self.boundary, t=t, **loads)
+        pins = np.zeros(self.harmonic.dim)
+        values = np.concatenate([*(v for _, v in constraints.values()), pins])
+        b = stack(reduced.groups, rhs)
+        offsets = reduced.offsets
+        u2, u3 = slice(offsets["u2"], offsets["u3"]), slice(offsets["u3"], len(b))
+        if rhs_u2 is not None:
+            b[u2] += rhs_u2
+
+        data = self.static
+        if convection is not None:
+            local = np.concatenate([block.ravel() for block in convection])
+            data = data + np.bincount(self.conv_pos, local, minlength=len(data))
+        eliminated = reduced.refill(data, b, values)
+        shift = self.m3h @ (h.T @ eliminated[u3])  # M3 H phi, to the right-hand side
+        eliminated[u3] -= shift
+        b[u3] -= shift
+        returned, x0 = self.last
+        x0 = x0 if previous is returned else None  # both None before a first solve
+        full, residual = solve_reduced(reduced, factor=self.factor, x0=x0)
+        parts = reduced.split(full)
+        u = parts["u2"].copy()
+        if self.harmonic.dim:
+            vol = complex_.mesh.tet_volumes
+            _sweep(self.boundary.forest, self.harmonic, vol, u, vol * b[u3] - complex_.d2 @ u)
+        p = parts["u3"] - h @ (h.T @ (complex_.m3 @ parts["u3"]))
+        state = TransientState(
+            t=t,
+            omega=FormCoefficients(complex_.V1, parts["u1"].copy()),
+            u=FormCoefficients(complex_.V2, u),
+            p=FormCoefficients(complex_.V3, p),
+        )
+        self.last = (state, full[reduced.free])
+        return state, residual
+
+
+def harmonic_rank(complex_, bc, k=3):
+    """The dimension of the harmonic k-forms of the saddle system, by dense
+    linear algebra, with F the faces off the essential-normal ones.
+
+    k = 3, dim H: the number of cells minus the rank of the divergence
+    matrix on F.  k = 2, the velocity nullity that no curl reaches (the
+    number of generators): the fluxes on F with zero divergence, less the
+    rank of the curls of the edges off F's complement's closure on F.
+    """
     mesh = complex_.mesh
     essential = np.array([r.velocity_mode == "essential" for r in bc.regions])
+    walls = mesh.boundary_faces[essential[bc.face_region_map(mesh)]]
     keep = np.ones(mesh.n_faces, dtype=bool)
-    keep[mesh.boundary_faces[essential[bc.face_region_map(mesh)]]] = False
-    return mesh.n_tets - np.linalg.matrix_rank(complex_.d2[:, keep].toarray())
+    keep[walls] = False
+    rank = np.linalg.matrix_rank(complex_.d2[:, keep].toarray())
+    if k == 3:
+        return mesh.n_tets - rank
+    edges = np.setdiff1d(np.arange(mesh.n_edges), mesh.face_edges[walls])
+    curls = np.linalg.matrix_rank(complex_.d1[keep][:, edges].toarray())
+    return keep.sum() - rank - curls
 
 
 def skeleton(tets):

@@ -262,6 +262,33 @@ def test_eliminate_needs_an_order_that_lists_each_unknown_once(order):
         eliminate(pattern, system[0], fixed_idx, order)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_peel_leaves_as_many_rows_and_columns_as_the_rank_misses(seed):
+    """A random matrix built to peel (unit lower triangular in shuffled
+    rows and columns, with empty rows, empty columns and copies of a
+    column appended): the unpaired rows and columns are as many as the
+    rank misses, and the paired ones are a nonsingular submatrix."""
+    rng = np.random.default_rng(seed)
+    n = 30
+    a = np.tril(rng.integers(-1, 2, (n, n)) * (rng.random((n, n)) < 0.2), -1) + np.eye(n)
+    a = np.vstack([a, np.zeros((3, n))])  # rows that no column reaches
+    a = np.hstack([a, np.zeros((n + 3, 2)), a[:, :4] * 2.0])  # and dependent columns
+    a = a[rng.permutation(len(a))][:, rng.permutation(a.shape[1])]
+    rows, cols = linalg.peel(sp.csr_matrix(a))
+    rank = np.linalg.matrix_rank(a)
+    assert (len(rows), len(cols)) == (a.shape[0] - rank, a.shape[1] - rank)
+    paired = np.delete(np.delete(a, rows, axis=0), cols, axis=1)
+    assert np.linalg.matrix_rank(paired) == rank == len(paired)
+
+
+def test_peel_names_a_core_it_cannot_rank():
+    """A 2 x 2 block of ones beside a peelable entry: no live row or column
+    of the block has one entry, so peeling raises instead of guessing."""
+    a = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
+    with pytest.raises(ValueError, match="peeling left a core of 2 rows and 2 columns"):
+        linalg.peel(a)
+
+
 def test_solve_spd_solves_without_a_factor(monkeypatch):
     rng = np.random.default_rng(5)
     b = sp.random(40, 40, density=0.1, random_state=5)

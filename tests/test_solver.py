@@ -49,6 +49,21 @@ def ethier_bc(a, d):
     return ethier_bc_of(ethier_velocity(a, d))
 
 
+def ethier_two_ends(u):
+    """Natural ends at x = 0 and x = 1 (zero pressure, the tangential part
+    of the velocity ``u`` weakly) and natural-vorticity walls: one
+    generator, the flow from end to end."""
+    ends = RegionBC(
+        name="ends",
+        vorticity_mode=NATURAL,
+        velocity_mode=NATURAL,
+        vorticity_data=u,
+        where=lambda c: np.abs(c[:, 0] - 0.5) > 0.5 - 1e-9,
+    )
+    walls = RegionBC(name="walls", vorticity_mode=NATURAL, vorticity_data=u, velocity_data=u)
+    return BoundaryConditionSpec((ends, walls))
+
+
 def ethier_bc_of(u):
     return BoundaryConditionSpec(
         RegionBC(
@@ -441,17 +456,18 @@ def _solve_watching_matrices(monkeypatch, run):
 
 
 def _stream_unknowns(complex_, bc):
-    """The free edges plus the cotree: the size of the stream system."""
+    """The free edges, the cotree and the generators: the size of the
+    stream system."""
     boundary = assembly.resolve_boundary(complex_, bc)
     essential = boundary.essential
     fixed = len(essential["u1"][1]) if "u1" in essential else 0
-    return complex_.mesh.n_edges - fixed + len(boundary.cotree)
+    return complex_.mesh.n_edges - fixed + len(boundary.cotree) + len(boundary.generators)
 
 
 def _check_matches_bordered(complex_, bc, system, state, residual, seen, saddle):
     """The eliminated solve reproduces the bordered one; returns phi.  The
-    saddle operator factors the bordered system without phi and the pins,
-    the stream operator the smaller system of :func:`_stream_unknowns`."""
+    saddle reference factors the bordered system without phi and the
+    pins, the stream operator the smaller system of :func:`_stream_unknowns`."""
     harmonic = build_harmonic_space(complex_, bc)
     assert harmonic.dim == 1
     reduced, want = _bordered_solution(system, harmonic, complex_.m3)
@@ -479,12 +495,12 @@ def _check_matches_bordered(complex_, bc, system, state, residual, seen, saddle)
 
 def test_step_eliminates_harmonic_multiplier(complex_j3, monkeypatch):
     """The step of the closed box, by the stream operator it builds and by
-    an explicit saddle operator, reproduces the bordered system."""
+    the saddle reference, reproduces the bordered system."""
     bc = ethier_bc(2.0, 1.0)
     config = SolverConfig(nu=1.0, dt=0.01, t_end=0.01)
     state0 = initialize_state(complex_j3, bc, ethier_velocity(2.0, 1.0))
     for saddle in (False, True):
-        operator = solver._SaddleOperator(complex_j3, bc, config.nu, config.dt) if saddle else None
+        operator = oracles.SaddleOperator(complex_j3, bc, config.nu, config.dt) if saddle else None
         (state, residual), seen = _solve_watching_matrices(
             monkeypatch, lambda: step(complex_j3, bc, config, state0, operator=operator)
         )
@@ -501,13 +517,13 @@ def test_step_eliminates_harmonic_multiplier(complex_j3, monkeypatch):
 
 
 def _steady_by_both_operators(monkeypatch, complex_, bc, **kwargs):
-    """``solve_stokes`` (the stream operator on a closed box) and an explicit
-    saddle operator on the same data: [(saddle, (state, residual), seen)]."""
+    """``solve_stokes`` (the stream operator on a closed box) and the saddle
+    reference on the same data: [(saddle, (state, residual), seen)]."""
     loads = {k: kwargs.get(k) for k in ("f2", "f3", "load_degree")}
     runs = []
     for saddle in (False, True):
         if saddle:
-            operator = solver._SaddleOperator(complex_, bc, kwargs["nu"])
+            operator = oracles.SaddleOperator(complex_, bc, kwargs["nu"])
             run = lambda: operator.solve(0.0, loads)  # noqa: E731
         else:
             run = lambda: solve_stokes(complex_, bc, **kwargs)  # noqa: E731
@@ -598,11 +614,11 @@ def _outlet_bc(fields, where=_at_x1):
 
 
 def _ns_step(complex_, saddle=False):
-    """One Ethier step: by the stream operator it builds, or by an explicit saddle one."""
+    """One Ethier step: by the stream operator it builds, or by the saddle reference."""
     bc = ethier_bc(2.0, 1.0)
     config = SolverConfig(nu=1.0, dt=1e-3, t_end=1e-3)
     state0 = initialize_state(complex_, bc, ethier_velocity(2.0, 1.0))
-    operator = solver._SaddleOperator(complex_, bc, config.nu, config.dt) if saddle else None
+    operator = oracles.SaddleOperator(complex_, bc, config.nu, config.dt) if saddle else None
     state, residual = step(complex_, bc, config, state0, operator=operator)
     return state, residual
 
@@ -651,8 +667,9 @@ LEAF16_FILL = {4: 211_753, 5: 554_194, 7: 1_921_857}
 
 
 def _step_fill(n, monkeypatch):
-    """L+U of one Ethier step's saddle factor on the n x n x n Kuhn box, the
-    system whose orders the fills above were measured on."""
+    """L+U of one Ethier step's factor of the saddle reference on the
+    n x n x n Kuhn box, the system whose orders the fills above were
+    measured on."""
     real = linalg.spla.splu
     fills = []
 
@@ -780,13 +797,10 @@ def test_run_reuses_one_factor_and_matches_fresh_steps(complex_j3, monkeypatch):
             assert np.linalg.norm(a.values - b.values) <= 1e-12 * np.linalg.norm(b.values)
 
 
-def test_steps_and_steady_stream_solves_factor_in_float32_steady_saddle_ones_in_float64(
-    complex_j3, monkeypatch
-):
+def test_steps_and_steady_solves_factor_in_float32(complex_j3, monkeypatch):
     """A run's operator holds a float32 factor, refined in float64 to the
-    gates, and so does a steady stream solve, which factors once.  A
-    steady saddle solve factors in float64: the steady saddle system does
-    not refine from a float32 factor at n = 12."""
+    gates, and so does a steady solve, which factors once: with no
+    generator (the closed box) and with one (two natural ends)."""
     bc = ethier_bc(2.0, 1.0)
     config = SolverConfig(nu=1.0, dt=1e-3, t_end=5e-3)
     state0 = initialize_state(complex_j3, bc, ethier_velocity(2.0, 1.0))
@@ -804,15 +818,12 @@ def test_steps_and_steady_stream_solves_factor_in_float32_steady_saddle_ones_in_
     for state, diag in seen:
         _check_gates(complex_j3, state, diag)
 
-    step_operator = solver._SaddleOperator(complex_j3, bc, config.nu, config.dt)
-    assert step_operator.factor.dtype == np.float32
-    assert solver._SaddleOperator(complex_j3, bc, config.nu).factor.dtype == np.float64
     fields = stokes_mms_fields(nu=1.0)
-    for bc, dtype in ((both_essential(fields), np.float32), (_two_ends(fields), np.float64)):
+    for bc in (both_essential(fields), _two_ends(fields)):
         calls.clear()
         state, info = solve_stokes(complex_j3, bc, f2=fields["forcing"])
-        assert calls == [dtype]
-        assert info["factor_dtype"] == dtype
+        assert calls == [np.float32]
+        assert info["factor_dtype"] == np.float32
         assert info["residual"] <= RESIDUAL_TOL
         assert info["div_max"] <= 1e-12 * (1.0 + complex_j3.norm(state.u))
 
@@ -879,16 +890,16 @@ def test_a_solve_leaves_the_operators_matrix_as_it_was(complex_j3, kind, monkeyp
 
 def test_steady_diagnostics_report_the_factor_and_its_passes(complex_j3, monkeypatch):
     """``solve_stokes`` reports the precision of the factor that solved and
-    its refinement passes, one fewer than its triangular solves: float32
-    for the stream system, which needs passes, float64 for the saddle one."""
+    its refinement passes, one fewer than its triangular solves: float32,
+    which needs passes, with and without a generator."""
     fields = stokes_mms_fields(nu=1.0)
-    for kind, dtype in (("stream", np.float32), ("saddle", np.float64)):
+    for kind in STEADY_SPECS:
         calls = _count_trisolves(monkeypatch)
         _, info = solve_stokes(complex_j3, STEADY_SPECS[kind](fields), f2=fields["forcing"])
         monkeypatch.undo()
-        assert info["factor_dtype"] == dtype
+        assert info["factor_dtype"] == np.float32
         assert info["refine_passes"] == len(calls) - 1
-        assert info["refine_passes"] >= (dtype == np.float32)
+        assert info["refine_passes"] >= 1
 
 
 def test_run_falls_back_to_one_float64_factor(complex_j3, monkeypatch):
@@ -982,7 +993,7 @@ def test_stream_run_keeps_its_float32_factor_near_steady_state(monkeypatch, outl
     As a run nears the steady state that change shrinks faster than the
     terms that cancel in it, and its relative residual floors above
     ROUNDOFF_RESIDUAL (2.6e-15 by the tenth step here).  Judged against the
-    whole right-hand side, as the saddle operator's is, the run keeps its
+    whole right-hand side, as the saddle reference's is, the run keeps its
     first float32 factor; judged against the change alone, it fell back to
     float64 and refactored every step from the third (outlet) or the
     seventh (closed box) on."""
@@ -1006,10 +1017,10 @@ def test_stream_run_keeps_its_float32_factor_near_steady_state(monkeypatch, outl
 @pytest.mark.parametrize("case", ["outlet", "closed", "steady"])
 def test_operator_reduction_matches_assemble_blocks(complex_j3, monkeypatch, case):
     """One step with convection, or one steady solve (no dt, so no
-    convection slots): the operator's refilled reduction, taken from its
-    elimination order back to index order through ``free``, equals
-    assemble_blocks on the same system with the pins fixed at zero.  The
-    right-hand sides agree only without the harmonic shift (dim H = 0)."""
+    convection slots): the saddle reference's refilled reduction, taken
+    from its elimination order back to index order through ``free``,
+    equals assemble_blocks on the same system with the pins fixed at zero.
+    The right-hand sides agree only without the harmonic shift (dim H = 0)."""
     fields = stokes_mms_fields(nu=1.0)
     outlet = case != "closed"
     bc = _outlet_bc(fields) if outlet else both_essential(fields)
@@ -1018,20 +1029,19 @@ def test_operator_reduction_matches_assemble_blocks(complex_j3, monkeypatch, cas
     config = SolverConfig(nu=1.0, dt=0.01, theta=0.3, t_end=0.01)
     state0 = initialize_state(complex_j3, bc, fields["velocity"])
     seen = []
-    real = solver.solve_reduced
+    real = oracles.solve_reduced
 
     def watch(reduced, **kwargs):
         seen.append((reduced.free, reduced.matrix.copy(), reduced.rhs))
         return real(reduced, **kwargs)
 
-    monkeypatch.setattr(solver, "solve_reduced", watch)
-    # Both boxes would get the stream operator; this checks the saddle's.
+    monkeypatch.setattr(oracles, "solve_reduced", watch)
     if case == "steady":
-        operator = solver._SaddleOperator(complex_j3, bc, config.nu)
+        operator = oracles.SaddleOperator(complex_j3, bc, config.nu)
         loads = {"f2": fields["forcing"], "f3": None, "load_degree": None}
         state, _ = operator.solve(0.0, loads)
     else:
-        operator = solver._SaddleOperator(complex_j3, bc, config.nu, config.dt)
+        operator = oracles.SaddleOperator(complex_j3, bc, config.nu, config.dt)
         state, _ = step(complex_j3, bc, config, state0, f=fields["forcing"], operator=operator)
     monkeypatch.undo()
 
@@ -1046,7 +1056,7 @@ def test_operator_reduction_matches_assemble_blocks(complex_j3, monkeypatch, cas
         blocks[("u2", "u1")] = blocks[("u2", "u1")] + a3
         blocks[("u2", "u2")] = a5 + m2 / config.dt
         rhs["u2"] = rhs.get("u2", 0.0) + (m2 @ state0.u.values) / config.dt
-    constraints["u3"] = (harmonic.pins, np.zeros(harmonic.dim))
+    constraints["u3"] = (operator.pins, np.zeros(harmonic.dim))
     want = assemble_blocks(groups, blocks, rhs, constraints)
     ((free, matrix, rhs),) = seen
     back = np.argsort(free)  # the operator's elimination order back to index order
@@ -1100,11 +1110,11 @@ def test_harmonic_space_of_another_boundary_is_rejected(complex_n2):
     fields = stokes_mms_fields(nu=1.0)
     closed, outlet = both_essential(fields), _outlet_bc(fields)
     own = build_harmonic_space(complex_n2, closed)
-    moved = assembly.HarmonicSpace(own.basis, own.pins + 1)
+    scaled = assembly.HarmonicSpace(2.0 * own.basis)
     config = SolverConfig(nu=1.0, dt=1e-3, t_end=1e-3)
     for bc, harmonic in (
         (closed, build_harmonic_space(complex_n2, outlet)),
-        (closed, moved),
+        (closed, scaled),
         (outlet, own),
     ):
         with pytest.raises(ValueError, match="not the harmonic space"):
@@ -1180,20 +1190,23 @@ def test_steps_after_the_first_map_no_rule(complex_n2, monkeypatch):
 
 def test_run_evaluates_its_data_once_per_step(complex_n2):
     """Building the operator evaluates no data; each step of a run
-    evaluates the forcing once and the boundary velocity once: the
-    essential fluxes and the natural tangential term read the same values,
-    sampled at the same points of the same faces."""
-    velocity_calls, forcing_calls = [], []
-    bc = ethier_bc_of(counted(ethier_velocity(2.0, 1.0), velocity_calls))
-    f = counted(lambda p, t=0.0: np.zeros((len(p), 3)), forcing_calls)
-    config = SolverConfig(nu=1.0, dt=1e-3, t_end=5e-3)
-    state0 = initialize_state(complex_n2, bc, ethier_velocity(2.0, 1.0))
-    velocity_calls.clear()
-    solver._SaddleOperator(complex_n2, bc, config.nu, config.dt)
-    assert (len(forcing_calls), len(velocity_calls)) == (0, 0)
-    summary = run_transient(complex_n2, bc, config, state=state0, f=f)
-    assert summary.n_steps == 5
-    assert (len(forcing_calls), len(velocity_calls)) == (5, 5)
+    evaluates the forcing once and the boundary velocity once per face
+    set: on the walls the essential fluxes and the natural tangential term
+    read the same values, sampled at the same points of the same faces,
+    and natural ends (a generator) are a second set."""
+    for spec, sets in ((ethier_bc_of, 1), (ethier_two_ends, 2)):
+        velocity_calls, forcing_calls = [], []
+        bc = spec(counted(ethier_velocity(2.0, 1.0), velocity_calls))
+        f = counted(lambda p, t=0.0: np.zeros((len(p), 3)), forcing_calls)
+        config = SolverConfig(nu=1.0, dt=1e-3, t_end=5e-3)
+        state0 = initialize_state(complex_n2, bc, ethier_velocity(2.0, 1.0))
+        velocity_calls.clear()
+        operator = solver.make_operator(complex_n2, bc, config.nu, config.dt)
+        assert len(operator.boundary.generators) == sets - 1
+        assert (len(forcing_calls), len(velocity_calls)) == (0, 0)
+        summary = run_transient(complex_n2, bc, config, state=state0, f=f)
+        assert summary.n_steps == 5
+        assert (len(forcing_calls), len(velocity_calls)) == (5, 5 * sets)
 
 
 def test_each_callable_is_sampled_once_per_face_set_and_solve(complex_n2):
@@ -1209,7 +1222,7 @@ def test_each_callable_is_sampled_once_per_face_set_and_solve(complex_n2):
     state0 = initialize_state(complex_n2, bc, fields["velocity"])
     for v in calls.values():
         v.clear()
-    solver._SaddleOperator(complex_n2, bc, config.nu, config.dt)
+    solver.make_operator(complex_n2, bc, config.nu, config.dt)
     assert all(v == [] for v in calls.values())
     run_transient(complex_n2, bc, config, state=state0)
     ((_, outlet, *_),) = bc.regions("velocity", NATURAL)
@@ -1222,9 +1235,10 @@ def test_each_callable_is_sampled_once_per_face_set_and_solve(complex_n2):
 
 def test_operator_solves_with_the_loads_of_each_step(complex_n2):
     """An operator holds no data: solving with one forcing and then with
-    another gives what a one-shot step with the second forcing gives."""
+    another gives what a one-shot step with the second forcing gives
+    (natural ends, so with a generator)."""
     fields = stokes_mms_fields(nu=1.0)
-    bc = _outlet_bc(fields)
+    bc = _two_ends(fields)
     config = SolverConfig(nu=1.0, dt=1e-2, t_end=1e-2)
     state0 = initialize_state(complex_n2, bc, fields["velocity"])
     f_a = fields["forcing"]
@@ -1232,7 +1246,8 @@ def test_operator_solves_with_the_loads_of_each_step(complex_n2):
     def f_b(points, t=0.0):
         return 3.0 * f_a(points, t) + np.array([0.0, 1.0, 0.0])
 
-    operator = solver._SaddleOperator(complex_n2, bc, config.nu, config.dt)
+    operator = solver.make_operator(complex_n2, bc, config.nu, config.dt)
+    assert len(operator.boundary.generators) == 1
     step(complex_n2, bc, config, state0, f=f_a, operator=operator)
     held, _ = step(complex_n2, bc, config, state0, f=f_b, operator=operator)
     fresh, _ = step(complex_n2, bc, config, state0, f=f_b)
@@ -1273,36 +1288,46 @@ def _full(state):
 
 def test_steps_after_the_first_refine_from_the_previous_solution(complex_j3, monkeypatch):
     """Two operators step in lockstep from the same states: one from its own
-    last state, so from its solution, the other from a copy, so from LU^-1 b.
-    After the first step the warm solve makes one triangular solve per pass
-    and the cold one a pass more; both agree to 1e-14 relative."""
-    bc = ethier_bc(2.0, 1.0)
+    last state, so from its last reduced solution, the other from a copy,
+    so from LU^-1 b.  After the first step the warm solve makes one
+    triangular solve per pass and the cold one a pass more; both agree to
+    1e-14 relative.  The ends are natural, so the stream system carries a
+    generator.  The saddle reference's unknowns are the solution, which
+    its warm steps start from, so they make as many passes as its cold
+    ones and one triangular solve fewer; the stream operator's are the
+    change from the previous state, and its warm steps start from the
+    previous change."""
+    bc = ethier_two_ends(ethier_velocity(2.0, 1.0))
     config = SolverConfig(nu=1.0, dt=1e-3, t_end=1e-2)
-    state = initialize_state(complex_j3, bc, ethier_velocity(2.0, 1.0))
-    warm, cold = (solver._SaddleOperator(complex_j3, bc, config.nu, config.dt) for _ in "ab")
     calls = _count_trisolves(monkeypatch)
-    fewer = 0
-    for n in range(1, 11):
-        calls.clear()
-        got, _ = step(complex_j3, bc, config, state, operator=warm)
-        warm_solves = len(calls)
-        calls.clear()
-        want, _ = step(complex_j3, bc, config, _copy(state), operator=cold)
-        assert len(calls) == cold.factor.passes + 1
-        assert warm_solves == warm.factor.passes + (n == 1)
-        fewer += warm.factor.passes == cold.factor.passes and warm_solves == len(calls) - 1
-        assert np.linalg.norm(_full(got) - _full(want)) <= 1e-14 * np.linalg.norm(_full(want))
-        state = got
-    assert fewer >= 8
+    for kind in (oracles.SaddleOperator, solver.make_operator):
+        state = initialize_state(complex_j3, bc, ethier_velocity(2.0, 1.0))
+        warm, cold = (kind(complex_j3, bc, config.nu, config.dt) for _ in "ab")
+        assert len(warm.boundary.generators) == 1
+        fewer = 0
+        for n in range(1, 11):
+            calls.clear()
+            got, _ = step(complex_j3, bc, config, state, operator=warm)
+            warm_solves = len(calls)
+            calls.clear()
+            want, _ = step(complex_j3, bc, config, _copy(state), operator=cold)
+            assert len(calls) == cold.factor.passes + 1
+            assert warm_solves == warm.factor.passes + (n == 1)
+            fewer += warm.factor.passes == cold.factor.passes and warm_solves == len(calls) - 1
+            assert np.linalg.norm(_full(got) - _full(want)) <= 1e-14 * np.linalg.norm(_full(want))
+            state = got
+        if kind is oracles.SaddleOperator:
+            assert fewer >= 8
 
 
 def test_a_state_the_operator_did_not_return_starts_cold(complex_j3):
     """Stepping from an equal copy of the operator's last state, or from a
-    state another operator returned, is bitwise the solve from LU^-1 b."""
-    bc = ethier_bc(2.0, 1.0)
+    state another operator returned, is bitwise the solve about that state
+    from LU^-1 b (with a generator)."""
+    bc = ethier_two_ends(ethier_velocity(2.0, 1.0))
     config = SolverConfig(nu=1.0, dt=1e-3, t_end=1e-2)
     state0 = initialize_state(complex_j3, bc, ethier_velocity(2.0, 1.0))
-    ops = [solver._SaddleOperator(complex_j3, bc, config.nu, config.dt) for _ in range(3)]
+    ops = [solver.make_operator(complex_j3, bc, config.nu, config.dt) for _ in range(3)]
     first = [step(complex_j3, bc, config, state0, operator=op)[0] for op in ops]
     omega, u = first[0].omega.values, first[0].u.values
     reference, _ = ops[0].solve(
@@ -1310,6 +1335,7 @@ def test_a_state_the_operator_did_not_return_starts_cold(complex_j3):
         {"f2": None, "load_degree": None},
         solver.assemble_convection(complex_j3, omega, u, config.theta),
         complex_j3.m2 @ u / config.dt,
+        previous=_copy(first[0]),
     )
     for op, start in ((ops[1], _copy(first[1])), (ops[2], first[0])):
         got, _ = step(complex_j3, bc, config, start, operator=op)
@@ -1342,9 +1368,10 @@ def test_warm_started_run_keeps_the_gates_at_roundoff(monkeypatch):
 def test_a_start_at_roundoff_makes_no_pass_and_no_trisolve(complex_n2, monkeypatch):
     """The same steady system solved twice by one operator, the second time
     from the first solve's state: the start is already the solution, so the
-    second solve makes 0 passes and no triangular solve, and returns it."""
+    second solve makes 0 passes and no triangular solve, and returns it
+    (the saddle reference, whose unknowns are the solution itself)."""
     fields = stokes_mms_fields(nu=1.0)
-    operator = solver._SaddleOperator(complex_n2, _outlet_bc(fields), nu=1.0)
+    operator = oracles.SaddleOperator(complex_n2, _outlet_bc(fields), nu=1.0)
     loads = {"f2": fields["forcing"], "load_degree": None}
     first, residual = operator.solve(0.0, loads)
     assert residual <= linalg.ROUNDOFF_RESIDUAL
@@ -1409,7 +1436,7 @@ STREAM_CASES = {
 def test_stream_operator_matches_the_saddle_reference(case):
     """Every spec on a mesh with b1 = b2 = 0 whose natural-velocity faces
     form at most one disk per component gets the stream operator, whose
-    omega, u and p match an explicitly built saddle operator's to 1e-12
+    omega, u and p match the saddle reference's to 1e-12
     relative, with the divergence at roundoff."""
     mesh, spec, loads, transient = case
     complex_ = DeRhamComplex(mesh())
@@ -1426,8 +1453,8 @@ def test_stream_operator_matches_the_saddle_reference(case):
     config = SolverConfig(nu=1.0, dt=1e-3, t_end=1e-3)
     dt = config.dt if transient else None
     stream = solver.make_operator(complex_, bc, config.nu, dt)
-    assert isinstance(stream, solver._StreamOperator)
-    saddle = solver._SaddleOperator(complex_, bc, config.nu, dt)
+    assert not len(stream.boundary.generators)
+    saddle = oracles.SaddleOperator(complex_, bc, config.nu, dt)
     if spec == "noflow":  # from rest, as experiments.run_noflow steps
         state0 = solver.TransientState(
             0.0, *(spaces.FormCoefficients.zeros(complex_.space(k)) for k in (1, 2, 3))
@@ -1527,10 +1554,10 @@ def test_stream_matrix_is_the_congruence_of_the_saddle_blocks(complex_j3, monkey
 
 
 def test_step_diagnostics_report_the_factored_system(complex_j3):
-    """An Ethier run and an outlet run factor the stream system in float32
-    on every step, a run with natural ends at x = 0 and x = 1 the saddle
-    system: ``unknowns`` and ``factor_dtype`` say so, and so does
-    ``solve_stokes``'s ``unknowns``."""
+    """An Ethier run, an outlet run and a run with natural ends at x = 0 and
+    x = 1 factor the stream system in float32 on every step, with one
+    unknown more for the generator of the two ends: ``unknowns`` and
+    ``factor_dtype`` say so, and so does ``solve_stokes``'s ``unknowns``."""
     mesh = complex_j3.mesh
     config = SolverConfig(nu=1.0, dt=1e-3, t_end=3e-3)
     seen = []
@@ -1548,11 +1575,9 @@ def test_step_diagnostics_report_the_factored_system(complex_j3):
     two_ended = _outlet_bc(fields, lambda c: np.abs(c[:, 0] - 0.5) > 0.5 - 1e-12)
     for bc in (_outlet_bc(fields), two_ended):
         boundary = ResolvedBoundary(complex_j3, bc)
-        if bc is two_ended:
-            want = solver._SaddleOperator(complex_j3, boundary, 1.0, config.dt)
-            want = want.reduced.matrix.shape[0]
-        else:
-            want = _stream_unknowns(complex_j3, boundary)
+        want = _stream_unknowns(complex_j3, boundary)
+        assert len(boundary.generators) == (bc is two_ended)
+        if bc is not two_ended:  # steady, two natural ends need natural-vorticity walls
             _, info = solve_stokes(complex_j3, boundary, f2=fields["forcing"])
             assert info["unknowns"] == want
         seen.clear()
@@ -1561,7 +1586,6 @@ def test_step_diagnostics_report_the_factored_system(complex_j3):
             observers=(lambda st, diag: seen.append(diag),),
         )
         assert [(d.unknowns, d.factor_dtype) for d in seen] == [(want, np.float32)] * 3
-    assert want > stream
 
 
 # ---------------------------------------------------------------------------
@@ -1570,7 +1594,10 @@ def test_step_diagnostics_report_the_factored_system(complex_j3):
 
 def _two_ends(fields):
     """Natural ends at x = 0 and x = 1 with natural-vorticity walls: a steady
-    spec that only the saddle operator solves."""
+    spec with one generator, the flow from end to end, which the walls
+    hold.  ``STEADY_SPECS`` keys it "saddle": the saddle reference was the
+    only system that solved such specs before the stream system carried
+    generators."""
     return BoundaryConditionSpec(
         (
             RegionBC(
@@ -1620,7 +1647,7 @@ def test_a_steady_solve_factors_on_the_calling_thread(complex_n2, kind, monkeypa
     fields = stokes_mms_fields(nu=1.0)
     bc = STEADY_SPECS[kind](fields)
     operator = solver.make_operator(complex_n2, bc, 1.0)
-    assert isinstance(operator, solver._StreamOperator) == (kind == "stream")
+    assert len(operator.boundary.generators) == (kind == "saddle")
     seen = _threads_of(monkeypatch)
     state, info = solve_stokes(complex_n2, bc, f2=fields["forcing"])
     assert info["residual"] <= RESIDUAL_TOL
@@ -1633,7 +1660,7 @@ def test_a_held_factor_and_time_steps_keep_to_one_thread(complex_n2, monkeypatch
     """A steady operator's solve with a factor held, and every step of a
     run, assemble on the calling thread and make no call into the worker."""
     fields = stokes_mms_fields(nu=1.0)
-    operator = solver._SaddleOperator(complex_n2, _outlet_bc(fields), nu=1.0)
+    operator = solver.make_operator(complex_n2, _two_ends(fields), nu=1.0)
     loads = {"f2": fields["forcing"], "load_degree": None}
     operator.solve(0.0, loads)
     seen = _threads_of(monkeypatch)
@@ -1678,17 +1705,24 @@ def _slow_rhs(monkeypatch):
 
 
 def test_a_singular_steady_system_still_raises(complex_n2, monkeypatch):
-    """Static pivots (threshold 0) break the saddle Stokes system, whose
-    pressure diagonal is zero; the steady solve still raises SolverError,
-    after the right-hand side is in, and the next solve succeeds."""
+    """A factor that cannot meet the residual contract (refinement ends at
+    relative residual 1, from the float32 factor and from its float64
+    fallback): the steady solve still raises SolverError, after the
+    right-hand side is in, and the next solve succeeds."""
     fields = stokes_mms_fields(nu=1.0)
     bc = _two_ends(fields)
     ended = _slow_rhs(monkeypatch)
-    monkeypatch.setattr(linalg, "diag_pivot_thresh", 0.0)
-    with pytest.raises(SolverError):
+    real = linalg._refine
+
+    def stalled(*args):
+        x, _, passes = real(*args)
+        return x, 1.0, passes
+
+    monkeypatch.setattr(linalg, "_refine", stalled)
+    with pytest.raises(SolverError, match="residual contract"):
         solve_stokes(complex_n2, bc, f2=fields["forcing"])
     assert len(ended) == 1
-    monkeypatch.setattr(linalg, "diag_pivot_thresh", 1e-6)
+    monkeypatch.setattr(linalg, "_refine", real)
     _, info = solve_stokes(complex_n2, bc, f2=fields["forcing"])
     assert info["residual"] <= RESIDUAL_TOL
 

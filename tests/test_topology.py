@@ -1,5 +1,7 @@
 """The mesh's dual spanning forest and what it decides: the harmonic
-3-forms and their pins, the flux shift, and the divergence sweep."""
+3-forms (and the saddle reference's pins), the flux shift and the
+divergence sweep; the stream function's cotree, the generators, and the
+specs of every topology on the one operator."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,7 +59,7 @@ def test_two_closed_boxes_have_two_harmonic_forms(monkeypatch):
     bc = BoundaryConditionSpec(RegionBC())
     harmonic = build_harmonic_space(complex_, bc)
     assert harmonic.dim == 2 == oracles.harmonic_rank(complex_, bc)
-    np.testing.assert_array_equal(harmonic.pins // 48, [0, 1])
+    np.testing.assert_array_equal(oracles.SaddleOperator(complex_, bc, 1.0).pins // 48, [0, 1])
 
     # The forest now exists, and so does the cotree the stream operator
     # gauges with; solving must not search a graph again.
@@ -89,7 +91,7 @@ def test_outlet_box_beside_closed_box_shifts_only_the_closed_flux():
     bc = outlets([1], RegionBC(name="walls", velocity_data=expanding))
     harmonic = build_harmonic_space(complex_, bc)
     assert harmonic.dim == 1 == oracles.harmonic_rank(complex_, bc)
-    np.testing.assert_array_equal(harmonic.pins // 48, [0])
+    np.testing.assert_array_equal(oracles.SaddleOperator(complex_, bc, 1.0).pins // 48, [0])
 
     idx, vals = essential_constraints(complex_, bc)["u2"]
     mesh = complex_.mesh
@@ -183,9 +185,10 @@ def test_forest_matches_rank_oracle_on_box_unions(boxes):
 
     forest = mesh.dual_forest
     starts = np.cumsum([0] + [m.n_tets for m in meshes])
+    all_pins = oracles.SaddleOperator(complex_, bc, 1.0).pins
     for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
         assert len(np.unique(forest.labels[lo:hi])) == 1
-        pins = harmonic.pins[(harmonic.pins >= lo) & (harmonic.pins < hi)]
+        pins = all_pins[(all_pins >= lo) & (all_pins < hi)]
         if i in open_boxes:
             assert len(pins) == 0
         else:
@@ -405,42 +408,154 @@ ANNULUS = natural_where(
 )
 
 
+def _step_inputs(complex_, bc, dt):
+    """(state, convection, rhs_u2) of a step of ``dt`` from
+    ``initialize_state``'s state of the swirling velocity."""
+    state0 = solver.initialize_state(complex_, bc, swirl)
+    convection = solver.assemble_convection(complex_, state0.omega.values, state0.u.values, 0.5)
+    return state0, convection, complex_.m2 @ state0.u.values / dt
+
+
+def stream_and_saddle(complex_, bc, dt):
+    """The states and residuals of one solve by the stream operator and by
+    the saddle reference (``oracles.SaddleOperator``) on the same data:
+    steady without ``dt``, else one step from the swirling velocity."""
+    out = []
+    for kind in (solver.make_operator, oracles.SaddleOperator):
+        operator = kind(complex_, bc, 1.0, dt)
+        loads = {"f2": forcing, "load_degree": None}
+        if dt is None:
+            out.append((operator, *operator.solve(0.0, loads)))
+        else:
+            state0, convection, rhs_u2 = _step_inputs(complex_, bc, dt)
+            out.append((operator, *operator.solve(dt, loads, convection, rhs_u2, state0)))
+    return out
+
+
 @pytest.mark.parametrize(
-    "mesh, bc, stream",
+    "mesh, bc, generators, dropped",
     [
-        (lambda: build_box_mesh(2, 2, 2), CLOSED, True),
-        (lambda: jittered_box(2, 3), carved_bc(NATURAL, "essential", False), True),
-        (lambda: side_by_side([build_box_mesh(2, 2, 2)] * 2), CLOSED, True),
-        (
-            lambda: build_box_mesh(3, 3, 3, hi=(3.0,) * 3),
-            carved_bc(NATURAL, "essential", True),
-            True,
-        ),
-        (lambda: side_by_side([build_box_mesh(2, 2, 2)] * 2), outlets([1], RegionBC()), True),
-        (lambda: CAVITY, carved_bc("essential", "essential", False), False),
-        (lambda: CAVITY, carved_bc(NATURAL, "essential", False), False),
-        (lambda: HANDLE, carved_bc(NATURAL, "essential", False), False),
-        (lambda: side_by_side([CAVITY, build_box_mesh(2, 2, 2)]), CLOSED, False),
-        (lambda: build_box_mesh(2, 2, 2), two_ended(NATURAL), False),
-        (lambda: HANDLE, carved_bc(NATURAL, "essential", True), False),
-        (lambda: build_box_mesh(3, 3, 3, hi=(3.0,) * 3), ANNULUS, False),
+        (lambda: build_box_mesh(2, 2, 2), CLOSED, 0, 0),
+        (lambda: jittered_box(2, 3), carved_bc(NATURAL, "essential", False), 0, 0),
+        (lambda: side_by_side([build_box_mesh(2, 2, 2)] * 2), CLOSED, 0, 0),
+        (lambda: build_box_mesh(3, 3, 3, hi=(3.0,) * 3), carved_bc(NATURAL, "essential", True),
+         0, 0),
+        (lambda: side_by_side([build_box_mesh(2, 2, 2)] * 2), outlets([1], RegionBC()), 0, 0),
+        (lambda: CAVITY, carved_bc("essential", "essential", False), 0, 0),
+        (lambda: CAVITY, carved_bc(NATURAL, "essential", False), 0, 0),
+        (lambda: HANDLE, carved_bc(NATURAL, "essential", False), 1, 0),
+        (lambda: side_by_side([CAVITY, build_box_mesh(2, 2, 2)]), CLOSED, 0, 0),
+        (lambda: build_box_mesh(2, 2, 2), two_ended(NATURAL), 1, 0),
+        (lambda: HANDLE, carved_bc(NATURAL, "essential", True), 1, 0),
+        (lambda: build_box_mesh(3, 3, 3, hi=(3.0,) * 3), ANNULUS, 0, 0),
+        (lambda: HANDLE, carved_bc(NATURAL, NATURAL, False), 0, 1),
+        (lambda: side_by_side([CAVITY, HANDLE]), carved_bc(NATURAL, "essential", False), 1, 0),
     ],
     ids=[
         "box", "jittered-box", "two-boxes", "box-with-outlet", "outlet-beside-closed-box",
         "cavity", "cavity-natural-vorticity", "handle", "cavity-beside-box",
-        "two-ended-box", "handle-with-outlet", "annulus-outlet",
+        "two-ended-box", "handle-with-outlet", "annulus-outlet", "handle-natural",
+        "cavity-beside-handle",
     ],
 )
-def test_specs_route_to_their_operator(mesh, bc, stream):
-    """The stream operator takes exactly the specs on meshes with
-    b1 = b2 = 0 whose natural-velocity faces form at most one piece per
-    component, a disk; two pieces, an annulus, a handle or a cavity keeps
-    the saddle operator."""
+def test_specs_route_to_their_operator(mesh, bc, generators, dropped):
+    """Every spec gets the stream operator: a handle, or natural ends that
+    are two pieces, add one generator field to the curls of the cotree
+    (as many as the oracle's velocity nullity), a handle under natural
+    velocity drops one dependent curl, and a cavity or an annulus needs
+    neither.  Steady and at dt = 1e-3 its omega, u and p match the saddle
+    reference to 1e-12 relative, from one float32 factor, with the
+    divergence at roundoff."""
     complex_ = DeRhamComplex(mesh())
+    mesh, boundary = complex_.mesh, ResolvedBoundary(complex_, bc)
+    assert len(boundary.generators) == generators == oracles.harmonic_rank(complex_, bc, k=2)
+    walls = np.setdiff1d(mesh.boundary_faces, boundary.outlet_faces)
+    assert len(mesh.relative_cotree(walls)) - len(boundary.cotree) == dropped
     for dt in (None, 1e-3):
-        operator = solver.make_operator(complex_, bc, nu=1.0, dt=dt)
-        assert isinstance(operator, solver._StreamOperator) == stream
-        assert isinstance(operator, (solver._StreamOperator, solver._SaddleOperator))
+        (stream, got, residual), (_, want, _) = stream_and_saddle(complex_, boundary, dt)
+        assert type(stream) is solver._StreamOperator
+        assert stream.factor.dtype == np.float32
+        assert residual <= RESIDUAL_TOL
+        for name in ("omega", "u", "p"):
+            a, b = getattr(got, name).values, getattr(want, name).values
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), (dt, name)
+        assert complex_.divergence_max(got.u.values) <= 1e-13 * (1.0 + complex_.norm(got.u))
+
+
+UNHELD = {
+    # Essential walls: nothing holds the flow around the handle, or from end to end.
+    "handle-with-outlet": (lambda: HANDLE, carved_bc("essential", "essential", True)),
+    "two-ended-box": (lambda: build_box_mesh(3, 3, 3), natural_where(
+        lambda c: np.abs(c[:, 0] - 0.5) > 0.5 - 1e-9)),
+}
+
+
+@pytest.mark.parametrize("mesh, bc", UNHELD.values(), ids=UNHELD.keys())
+def test_steady_specs_with_unheld_generators_are_rejected_at_setup(mesh, bc, monkeypatch):
+    """A handle beside an outlet and a box with two natural ends, both with
+    essential walls, have a generator that no steady row holds: the steady
+    solve raises the same named ValueError before SuperLU is reached (the
+    handle failed on the residual contract, relative residual 1.0), and a
+    time step still solves."""
+    complex_ = DeRhamComplex(mesh())
+    assert len(ResolvedBoundary(complex_, bc).generators) == 1
+    real = linalg.spla.splu
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("SuperLU reached")
+
+    monkeypatch.setattr(linalg.spla, "splu", no_factor)
+    message = "component 0 has 1 divergence-free flux direction.* not determined by a steady"
+    with pytest.raises(ValueError, match=message):
+        solve_stokes(complex_, bc, f2=forcing)
+    monkeypatch.setattr(linalg.spla, "splu", real)
+    config = solver.SolverConfig(dt=1e-2, t_end=1e-2)
+    state0 = solver.initialize_state(complex_, bc, expanding)
+    state, residual = solver.step(complex_, bc, config, state0, f=forcing)
+    assert residual <= RESIDUAL_TOL
+    assert complex_.divergence_max(state.u.values) <= 1e-13 * (1.0 + complex_.norm(state.u))
+
+
+def _unit(mesh):
+    """``mesh`` scaled into the unit box."""
+    return SimplicialMesh3(mesh.vertices / mesh.vertices.max(), mesh.tets)
+
+
+UNION_PARTS = {
+    "box": lambda: build_box_mesh(1, 1, 1),
+    "jittered-box": lambda: jittered_box(2, 4),
+    "cavity": lambda: _unit(CAVITY),
+    "handle": lambda: _unit(HANDLE),
+}
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(sorted(UNION_PARTS)), st.integers(0, 2)),
+        min_size=1,
+        max_size=2,
+    )
+)
+def test_generator_count_matches_the_velocity_nullity_on_unions(parts):
+    """On unions of boxes and carved boxes, each natural at none, one or
+    both of its x ends (with natural-vorticity walls), peeling's generator
+    count is the oracle's dense velocity nullity, and the steady stream
+    system solves to the residual contract with the divergence at
+    roundoff, its matrix of full rank."""
+    complex_ = DeRhamComplex(side_by_side([UNION_PARTS[name]() for name, _ in parts]))
+    ends = [x for i, (_, n) in enumerate(parts) for x in (2.0 * i + 1.0, 2.0 * i)[:n]]
+    bc = natural_where(
+        lambda c: np.any(np.abs(c[:, :1] - np.array(ends)[None, :]) < 1e-9, axis=1), NATURAL
+    )
+    boundary = ResolvedBoundary(complex_, bc)
+    assert len(boundary.generators) == oracles.harmonic_rank(complex_, bc, k=2)
+    operator = solver.make_operator(complex_, boundary, 1.0)
+    matrix = operator.reduced.matrix.toarray()
+    assert np.linalg.matrix_rank(matrix) == len(matrix)
+    state, residual = operator.solve(0.0, {"f2": forcing, "load_degree": None})
+    assert residual <= RESIDUAL_TOL
+    assert complex_.divergence_max(state.u.values) <= 1e-13 * (1.0 + complex_.norm(state.u))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -451,7 +566,7 @@ def test_steady_flux_between_two_natural_ends_is_rejected(n):
     residual 10, 2.6 and 45 at n = 2, 3, 4).  It now fails at setup, while
     a time step, natural-vorticity walls and one natural end still solve."""
     complex_ = DeRhamComplex(build_box_mesh(n, n, n))
-    message = "component 0 has 2 separate natural-velocity pieces .*'ends'.* not determined"
+    message = "component 0 has 1 divergence-free flux .*'ends'.* not determined"
     with pytest.raises(ValueError, match=message):
         solve_stokes(complex_, two_ended(), f2=forcing)
     config = solver.SolverConfig(dt=1e-2, t_end=1e-2)
