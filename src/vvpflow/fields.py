@@ -5,7 +5,10 @@ All field callables follow one convention: ``f(points, t)`` with
 an (n,) array for scalars.  Time-independent fields still accept ``t``.
 The solver calls data only through ``spaces.sample``, which enforces the
 convention: a wrong shape or a non-finite value raises a ValueError that
-names the data and t.
+names the data and t.  A callable may be called on two threads at once,
+on disjoint blocks of points (``spaces.error_norms`` on large meshes), so
+it must be a pure function of ``(points, t)``: no state it writes, no
+result that depends on earlier calls.
 
 The exponential-trigonometric family ``ethier_*`` (two parameters a, d,
 decay exp(-d^2 t); Ethier & Steinman, IJNMF 1994) is an exact unforced

@@ -38,17 +38,21 @@ conjugate gradients under the same residual contract, with no factor.
 
 :meth:`FactorHolder.factor_now` factors a matrix ahead of its solve, and
 :func:`on_worker` runs a function on the package's one worker thread,
-made on first use: the solver overlaps a steady solve's factor with the
-assembly of its right-hand side that way.  Every SuperLU factor is built,
-and so freed, on the calling thread, never on the worker: in scipy
-1.17.1 a factor built on one thread and freed on another is never freed.
+made on first use.  Two jobs run there: the right-hand side of a steady
+operator's first solve, while the calling thread factors its matrix
+(``solver``), and every other block of the error norms of a mesh with at
+least ``spaces._SHARED_POINTS`` quadrature points, while the calling
+thread sums the rest.  Time steps never use it.  Every SuperLU factor is
+built, and so freed, on the calling thread, never on the worker: in
+scipy 1.17.1 a factor built on one thread and freed on another is never
+freed.
 """
 from __future__ import annotations
 
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,26 +94,43 @@ ROUNDOFF_BACKWARD_ERROR = 4 * np.finfo(np.float64).eps
 
 
 _worker = None
+_worker_ident = None
 _worker_lock = threading.Lock()
+
+
+def _mark_worker():
+    global _worker_ident
+    _worker_ident = threading.get_ident()
 
 
 def on_worker(fn, *args, **kwargs):
     """Start ``fn(*args, **kwargs)`` on the package's one worker thread,
     made on first use and named ``vvpflow-worker_0``; returns its Future.
 
-    The solver runs only SuperLU-free work there (see the module
+    Called on the worker itself, it runs ``fn`` there at once and returns
+    the done Future, so work that hands more work on never waits for
+    itself.  The package runs only SuperLU-free work there (see the module
     docstring).  A forked child makes its own worker.
     """
     global _worker
+    if threading.get_ident() == _worker_ident:
+        done = Future()
+        try:
+            done.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            done.set_exception(exc)
+        return done
     with _worker_lock:
         if _worker is None:
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="vvpflow-worker")
+            _worker = ThreadPoolExecutor(
+                1, thread_name_prefix="vvpflow-worker", initializer=_mark_worker
+            )
         return _worker.submit(fn, *args, **kwargs)
 
 
 def _forget_worker():
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
+    global _worker, _worker_ident, _worker_lock
+    _worker, _worker_ident, _worker_lock = None, None, threading.Lock()
 
 
 os.register_at_fork(after_in_child=_forget_worker)

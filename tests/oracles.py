@@ -11,7 +11,8 @@ paper's saddle system (bordered, and as the reference operator that
 the solver's stream operator must match, which computes the dense
 harmonic multiplier before its factor), a dense rank count of the
 harmonic 3-forms, the mesh skeleton by ``np.unique`` of its rows and a
-key lookup, the initial vorticity by a sparse LU instead of conjugate
+key lookup, the error norms in one pass over every tet with whole-mesh
+temporaries, the initial vorticity by a sparse LU instead of conjugate
 gradients, a symbolic derivation of the analytic fields, and the
 manufactured velocity and forcing as one expression per component, the
 floating-point operations the library's in-place evaluation must repeat.
@@ -39,7 +40,7 @@ from vvpflow.linalg import (
     stack_blocks,
 )
 from vvpflow.solver import TransientState, _sweep
-from vvpflow.spaces import FormCoefficients
+from vvpflow.spaces import ErrorNorms, FormCoefficients, sample
 from vvpflow.quadrature import triangle_rule
 from vvpflow.spaces import TRACE_DEGREE, simplex_rule, whitney_coefficients
 
@@ -187,6 +188,37 @@ def evaluate(coeffs, tet, bary):
     psi = piola_whitney_values(mesh.vertices[mesh.tets[tet]], ref)[space.k - 1]
     dofs = (mesh.tet_edges if space.k == 1 else mesh.tet_faces)[tet]
     return coeffs.values[dofs] @ psi[:, 0]
+
+
+def error_norms_single_pass(tabulation, coeffs, exact, exact_derivative=None, t=0.0):
+    """``spaces.error_norms`` in one pass: the discrete field and the
+    sampled exact field at every point of the mesh at once, reduced by
+    whole-mesh sums."""
+    space = coeffs.space
+    W = tabulation.weights
+
+    def squared(k, values, exact_field, what):
+        """Squared L2 norms of (exact - discrete) and of exact."""
+        uh = tabulation.field(k, values)
+        if exact_field is None:
+            uex = np.zeros(uh.shape)
+        else:
+            uex = sample(exact_field, tabulation.points, t, k < 3, what).reshape(uh.shape)
+        return (
+            float(np.sum(W * np.sum((uex - uh) ** 2, axis=-1))),
+            float(np.sum(W * np.sum(uex**2, axis=-1))),
+        )
+
+    err2, ex2 = squared(space.k, coeffs.values, exact, "exact")
+    derr2 = dex2 = 0.0
+    if space.k < 3:
+        D = tabulation.complex.d1 if space.k == 1 else tabulation.complex.d2
+        derr2, dex2 = squared(
+            space.k + 1, D @ coeffs.values, exact_derivative, "exact_derivative"
+        )
+    return ErrorNorms(
+        np.sqrt(err2), np.sqrt(err2 + derr2), np.sqrt(ex2), np.sqrt(ex2 + dex2)
+    )
 
 
 def mass_quadrature(mesh, k, m=4):

@@ -1,4 +1,6 @@
 """Block system assembly, constraint elimination, and the solve contract."""
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -590,3 +592,25 @@ def test_a_near_null_iterate_is_refused_above_the_residual_tolerance(monkeypatch
     assert relative_residual(a, b, far) > RESIDUAL_TOL
     assert (len(factors), holder.reused) == (1, False)
     assert relative_residual(a, rhs, x) == res <= RESIDUAL_TOL
+
+
+def test_work_handed_on_from_the_worker_runs_there_at_once():
+    """``on_worker`` called on the worker runs its function inline and
+    returns the done Future, with its value or its error, instead of
+    queueing behind itself."""
+
+    def name():
+        return threading.current_thread().name
+
+    def fails():
+        raise ValueError("inline")
+
+    def nested():
+        inner = linalg.on_worker(name)
+        assert inner.done()
+        with pytest.raises(ValueError, match="inline"):
+            linalg.on_worker(fails).result()
+        return name(), inner.result()
+
+    outer, inner = linalg.on_worker(nested).result(timeout=60)
+    assert outer == inner and outer.startswith("vvpflow-worker")

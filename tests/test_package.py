@@ -78,28 +78,40 @@ bc = vvpflow.assembly.BoundaryConditionSpec(
     vvpflow.assembly.RegionBC(vorticity_data=mms["vorticity"], velocity_data=mms["velocity"])
 )
 config = solver.SolverConfig(dt=1e-2, t_end=2e-2)
-solver.run_transient(complex_, bc, config, velocity_data=mms["velocity"], f=mms["forcing"])
+run = solver.run_transient(complex_, bc, config, velocity_data=mms["velocity"], f=mms["forcing"])
+complex_.error_norms(run.final.u, mms["velocity"])  # 384 points: below the sharing size
 seen["steps"] = names()
 solver.solve_stokes(complex_, bc, f2=mms["forcing"])
 seen["first"] = names()
 for _ in range(19):
     solver.solve_stokes(complex_, bc, f2=mms["forcing"])
 seen["twenty"] = names()
+large = spaces.DeRhamComplex(mesh.build_box_mesh(5, 5, 5))  # 48,000 error points
+u = large.interpolate(mms["velocity"], 2)
+read, write = os.pipe()
 pid = os.fork()
 if pid == 0:  # the child has no worker thread and must make its own
     signal.alarm(30)
+    child = [names()]
+    large.error_norms(u, mms["velocity"])
+    child.append(names())
     solver.solve_stokes(complex_, bc, f2=mms["forcing"])
-    os._exit(0 if len(names()) == 1 else 1)
+    child.append(names())
+    os.write(write, json.dumps(child).encode())
+    os._exit(0)
+os.close(write)
 seen["forked"] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+seen["child"] = json.loads(os.read(read, 4096))
 print(json.dumps(seen))
 """
 
 
 def test_the_worker_thread_starts_with_the_first_steady_solve():
-    """Importing the package starts no thread, nor do time steps; the first
-    steady solve makes the one worker, named ``vvpflow-...``, and twenty
-    solves still leave that one.  A child forked after them solves too,
-    with a worker of its own."""
+    """Importing the package starts no thread, nor do time steps or error
+    norms below the size that shares their blocks; the first steady solve
+    makes the one worker, named ``vvpflow-...``, and twenty solves still
+    leave that one.  A child forked after them makes a worker of its own,
+    here with error norms above that size, and its steady solve uses it."""
     done = subprocess.run(
         [sys.executable, "-c", _THREADS_RUN],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1"),
@@ -113,3 +125,4 @@ def test_the_worker_thread_starts_with_the_first_steady_solve():
     assert len(seen["first"]) == 1 and seen["first"][0].startswith("vvpflow-")
     assert seen["twenty"] == seen["first"]
     assert seen["forked"] == 0
+    assert seen["child"] == [[], ["vvpflow-worker_0"], ["vvpflow-worker_0"]]

@@ -1,9 +1,13 @@
 """Whitney spaces: duality, incidence, mass matrices, interpolation."""
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from vvpflow import linalg, spaces
+from vvpflow.fields import stokes_mms_fields
 from vvpflow.linalg import m_norm
 from vvpflow.mesh import SimplicialMesh3, build_box_mesh
 from vvpflow.quadrature import edge_rule, tet_rule, triangle_rule
@@ -497,6 +501,102 @@ def test_volume_form_graph_norm_equals_l2(complex_n1):
     coeffs = complex_n1.interpolate(lambda p, t=0.0: p[:, 2], 3)
     err = complex_n1.error_norms(coeffs, lambda p, t=0.0: np.zeros(len(p)))
     assert err.graph == err.l2
+
+
+@pytest.fixture(scope="module", params=[6, 3], ids=["shared", "serial"])
+def error_complex(request):
+    """A jittered box whose error tabulation is above (n=6, 82,944 points)
+    or below (n=3, 10,368 points) the size that shares its blocks with the
+    worker."""
+    complex_ = DeRhamComplex(jittered_box(request.param, 0))
+    size = complex_.tabulation(ERROR_DEGREE).weights.size
+    assert (size >= spaces._SHARED_POINTS) == (request.param == 6)
+    return complex_
+
+
+def _mms_cases(complex_):
+    """(coefficients, exact, exact_derivative) for k = 1, 2, 3."""
+    mms = stokes_mms_fields()
+    return {
+        1: (complex_.interpolate(mms["vorticity"], 1), mms["vorticity"], mms["vorticity_curl"]),
+        2: (complex_.interpolate(mms["velocity"], 2), mms["velocity"], None),
+        3: (complex_.interpolate(mms["pressure"], 3), mms["pressure"], None),
+    }
+
+
+def _within(seconds, fn, *args):
+    """fn(*args) on a daemon thread; fails the test if it takes longer
+    than ``seconds``, as a deadlock would."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn(*args)
+        except Exception as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no result within {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_blocked_error_norms_match_the_single_pass(error_complex, k, monkeypatch):
+    """The blocked norms equal the one-pass reference to 1e-14, repeat bit
+    for bit, and use the worker only above the sharing size."""
+    workers = []
+
+    def spy(*args, **kwargs):
+        workers.append(threading.current_thread().name)
+        return linalg.on_worker(*args, **kwargs)
+
+    monkeypatch.setattr(spaces, "on_worker", spy)
+    tab = error_complex.tabulation(ERROR_DEGREE)
+    coeffs, exact, derivative = _mms_cases(error_complex)[k]
+    got = error_norms(tab, coeffs, exact, derivative)
+    want = oracles.error_norms_single_pass(tab, coeffs, exact, derivative)
+    for name in ("l2", "graph", "exact_l2", "exact_graph"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-14, abs=0)
+    assert error_norms(tab, coeffs, exact, derivative) == got
+    shared = tab.weights.size >= spaces._SHARED_POINTS
+    assert workers == [threading.current_thread().name] * 2 * shared
+
+
+def test_error_norms_on_the_worker_run_inline(error_complex):
+    """Called on the worker itself, the norms run every block there and
+    return what the calling thread gets, bit for bit."""
+    coeffs, exact, derivative = _mms_cases(error_complex)[1]
+    want = error_complex.error_norms(coeffs, exact, derivative)
+
+    def on_the_worker():
+        return linalg.on_worker(error_complex.error_norms, coeffs, exact, derivative).result()
+
+    assert _within(60, on_the_worker) == want
+
+
+def test_non_finite_exact_values_in_a_worker_block_raise(error_complex):
+    """A non-finite exact value met on the worker raises the sampler's
+    ValueError naming ``exact`` and t, and the next call succeeds."""
+    coeffs, exact, _ = _mms_cases(error_complex)[2]
+
+    def broken(points, t=0.0):
+        values = exact(points, t)
+        if threading.current_thread().name.startswith("vvpflow-worker"):
+            values[0, 1] = np.nan
+        return values
+
+    shared = error_complex.tabulation(ERROR_DEGREE).weights.size >= spaces._SHARED_POINTS
+    if shared:
+        with pytest.raises(ValueError, match=r"exact at t=0.25 is not finite: 1 non-finite"):
+            _within(60, error_complex.error_norms, coeffs, broken, None, 0.25)
+    else:  # no block reaches the worker
+        _within(60, error_complex.error_norms, coeffs, broken, None, 0.25)
+    got = _within(60, error_complex.error_norms, coeffs, exact)
+    assert got == error_complex.error_norms(coeffs, exact)
 
 
 # ---------------------------------------------------------------------------
