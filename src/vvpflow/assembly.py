@@ -33,7 +33,8 @@ velocity, or natural pressure trace).  Essential values are canonical
 interpolants of analytic data (``spaces.dof_values``) and are imposed by
 elimination.  Natural terms are integrated as the loads are: the data's
 rule-weighted barycentric moments on each face, contracted with its
-cell's Whitney coefficients.  The entities, the faces and the rules
+cell's Whitney coefficients, into which the face's outward normal is
+folded once per resolution.  The entities, the faces and the rules
 mapped onto them are decided once per complex and spec by
 :class:`ResolvedBoundary`, one record per region that claims faces
 (:attr:`ResolvedBoundary.claims`), and all of one solve's boundary data
@@ -373,8 +374,12 @@ class ResolvedBoundary:
         (length 2 area), ``lam``
         (B, 4, Q) the rule weights times the points' barycentric coordinates
         in the cell, and the cells' ``edges`` with their Whitney coefficients
-        ``C1`` (B, 6, 4, 3); with natural pressure also the cells' ``fdofs``
-        and their face coefficients dotted with the normal, ``C2n`` (B, 4, 4)."""
+        crossed with the normal, ``C1xn`` (B, 6, 12), rows the edges and
+        columns (vertex, component): since C1 . (n x u) = u . (C1 x n), the
+        tangential term is this table times the moments ``lam @ u``, with
+        no cross product per solve; with natural pressure also the cells'
+        ``fdofs`` and their face coefficients dotted with the normal, ``C2n``
+        (B, 4, 4)."""
         mesh, rule, whitney = self.mesh, self.rule, self.complex.whitney
         tables = []
         for region, faces, sign, points, normal in self.regions("vorticity", NATURAL):
@@ -390,7 +395,7 @@ class ResolvedBoundary:
                 "points": points,
                 "normal": normal,
                 "lam": lam,
-                "C1": whitney[1][cells],
+                "C1xn": np.cross(whitney[1][cells], normal[:, None, None, :]).reshape(B, 6, 12),
                 "edges": mesh.tet_edges[cells],
             }
             if region.velocity_mode == NATURAL:
@@ -407,9 +412,10 @@ class ResolvedBoundary:
         tangential-velocity data u enters the tau-row as + integral((n x u) .
         psi1), the boundary term of the weak curl, and the pressure data h the
         v-row as - integral(h psi2 . n), that of the weak gradient (n the
-        outward unit normal).  The essential values are each region's data
-        interpolated on its entities (None: zero), a seam edge taking the
-        first region's.  Unless ``f3_given``, each closed component's face
+        outward unit normal), both contracted with the tables of
+        :attr:`natural`, which hold the normal.  The essential values are
+        each region's data interpolated on its entities (None: zero), a seam
+        edge taking the first region's.  Unless ``f3_given``, each closed component's face
         values are shifted by an area-weighted constant so that its boundary
         flux vanishes exactly: the solver computes the harmonic multiplier
         from that flux (phi = H^T (load(f3) - M3 D2 u2_fixed)), so the
@@ -433,8 +439,8 @@ class ResolvedBoundary:
                 if region.vorticity_data is not None:
                     what = f"{name} tangential velocity data"
                     u = sample(region.vorticity_data, points, t, True, what)
-                    moments = (lam @ np.cross(tab["normal"][:, None, :], u)).reshape(B, 12, 1)
-                    np.add.at(rhs1, tab["edges"], (tab["C1"].reshape(B, 6, 12) @ moments)[..., 0])
+                    moments = (lam @ u).reshape(B, 12, 1)
+                    np.add.at(rhs1, tab["edges"], (tab["C1xn"] @ moments)[..., 0])
                 if "C2n" in tab and region.velocity_data is not None:
                     h = sample(region.velocity_data, points, t, False, f"{name} pressure data")
                     moments = lam @ h[..., None]

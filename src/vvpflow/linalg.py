@@ -317,11 +317,16 @@ def assemble_blocks(groups, blocks, rhs=None, constraints=None):
     return reduced
 
 
-def _residual(matrix, rhs, x):
-    """(rhs - matrix @ x, its norm relative to that of rhs)."""
+def _rhs_norm(rhs):
+    """The norm of ``rhs`` that :func:`_residual` divides by, kept from 0."""
+    return max(float(np.linalg.norm(rhs)), 1e-300)
+
+
+def _residual(matrix, rhs, x, rhs_norm):
+    """(rhs - matrix @ x, its norm relative to ``rhs_norm``, that of rhs
+    from :func:`_rhs_norm`)."""
     r = rhs - matrix @ x
-    scale = max(float(np.linalg.norm(rhs)), 1e-300)
-    return r, float(np.linalg.norm(r)) / scale
+    return r, float(np.linalg.norm(r)) / rhs_norm
 
 
 def _backward_error(matrix, rhs, x):
@@ -542,11 +547,12 @@ def _refine(lu, a, rhs, dtype, x0):
     x = lu_solve(rhs) if x0 is None else x0
     if not np.all(np.isfinite(x)):
         return x, np.inf, 0
-    r, res = _residual(a, rhs, x)
+    rhs_norm = _rhs_norm(rhs)
+    r, res = _residual(a, rhs, x, rhs_norm)
     passes = 0
     while res > ROUNDOFF_RESIDUAL and passes < REFINE_MAX_PASSES:
         y = x + lu_solve(r)
-        r_y, res_y = _residual(a, rhs, y)
+        r_y, res_y = _residual(a, rhs, y, rhs_norm)
         passes += 1
         converging = res_y <= REFINE_RATE * res
         if res_y < res:
@@ -584,7 +590,7 @@ def solve_spd(matrix, rhs):
     a = sp.csr_matrix(matrix)
     rhs = np.asarray(rhs, dtype=float)
     x, _ = spla.cg(a, rhs, rtol=ROUNDOFF_RESIDUAL, M=sp.diags(1.0 / a.diagonal()))
-    _, res = _residual(a, rhs, x)
+    _, res = _residual(a, rhs, x, _rhs_norm(rhs))
     if not res <= RESIDUAL_TOL:
         raise SolverError(
             f"conjugate gradients violated the residual contract: "

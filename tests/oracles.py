@@ -14,8 +14,11 @@ harmonic 3-forms, the mesh skeleton by ``np.unique`` of its rows and a
 key lookup, the error norms in one pass over every tet with whole-mesh
 temporaries, the initial vorticity by a sparse LU instead of conjugate
 gradients, a symbolic derivation of the analytic fields, and the
-manufactured velocity and forcing as one expression per component, the
-floating-point operations the library's in-place evaluation must repeat.
+manufactured velocity and forcing and the Ethier velocity and vorticity
+as one expression per component, the floating-point operations the
+library's in-place evaluation must repeat, and the natural tangential
+term with the cross product n x u taken at every sample, as the library
+took it before folding the normal into its face tables.
 """
 from fractions import Fraction
 from functools import cache
@@ -340,6 +343,24 @@ def tabulated_natural_bc(complex_, bc, t=0.0):
             local = -np.einsum("q,bq,bfqx,bx->bf", rule.weights, h, psi2, normal)
             np.add.at(rhs["u2"], mesh.tet_faces[tets], local)
     return rhs
+
+
+def crossed_tangential_term(boundary, t=0.0):
+    """The tau-row natural term of the resolved ``boundary`` at time t,
+    + integral((n x u) . psi1): each region's samples u crossed with its
+    faces' outward normals n, their rule-weighted barycentric moments
+    contracted with the cells' Whitney edge coefficients C1."""
+    rhs1 = np.zeros(boundary.mesh.n_edges)
+    whitney = boundary.complex.whitney[1]
+    for (region, *_), tab in zip(boundary.regions("vorticity", NATURAL), boundary.natural):
+        if region.vorticity_data is None:
+            continue
+        B = len(tab["faces"])
+        u = sample(region.vorticity_data, tab["points"], t, True, region.name)
+        moments = (tab["lam"] @ np.cross(tab["normal"][:, None, :], u)).reshape(B, 12, 1)
+        C1 = whitney[tab["cells"]].reshape(B, 6, 12)
+        np.add.at(rhs1, tab["edges"], (C1 @ moments)[..., 0])
+    return rhs1
 
 
 def parse_vtk(text):
@@ -706,3 +727,27 @@ def mms_closed_forms(nu):
         )
 
     return {"velocity": velocity, "forcing": forcing}
+
+
+def ethier_closed_forms(a, d):
+    """The velocity and vorticity of ``ethier_velocity(a, d)`` and
+    ``ethier_vorticity(a, d)``, one numpy expression per component:
+    u_i = -a (exp(a x_i) sin(a x_j + d x_k) + exp(a x_k) cos(a x_i + d x_j))
+    exp(-d^2 t) and omega = d u, (i, j, k) cyclic."""
+    a, d = float(a), float(d)
+    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+    def velocity(points, t=0.0):
+        x = np.asarray(points, dtype=float).T
+        growth = [np.exp(a * xi) for xi in x]
+        phase = [a * x[j] + d * x[k] for _, j, k in cyclic]
+        cos_term = [g * np.cos(p) for g, p in zip(growth, phase)]
+        u = np.stack(
+            [growth[i] * np.sin(phase[i]) + cos_term[k] for i, _, k in cyclic], axis=1
+        )
+        return (-a * np.exp(-(d**2) * t)) * u
+
+    def vorticity(points, t=0.0):
+        return d * velocity(points, t)
+
+    return {"velocity": velocity, "vorticity": vorticity}

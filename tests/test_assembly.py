@@ -11,6 +11,7 @@ from vvpflow.assembly import (
     BoundaryConditionSpec,
     NaturalBCCache,
     RegionBC,
+    ResolvedBoundary,
     assemble_B0,
     assemble_convection,
     assemble_load,
@@ -20,7 +21,10 @@ from vvpflow.assembly import (
     build_harmonic_space,
     essential_constraints,
 )
+from vvpflow import solver
+from vvpflow.fields import ethier_velocity, stokes_mms_fields
 from vvpflow.mesh import SimplicialMesh3, build_box_mesh
+from vvpflow.solver import SolverConfig, run_transient
 from vvpflow.spaces import DeRhamComplex, FormCoefficients, interpolate
 
 import oracles
@@ -227,10 +231,15 @@ def test_natural_cache_geometry(complex_n2):
     )
     cache = NaturalBCCache(complex_n2, bc)
     (tab,) = cache.natural
-    # The tangential term reads the edge coefficients only; no basis values.
-    assert "C1" in tab and "C2n" not in tab
+    # The tangential term reads the edge coefficients only, crossed with
+    # the normal once per resolution; no basis values.
+    assert "C1xn" in tab and "C2n" not in tab
     assert "psi1" not in tab and "psi2" not in tab
     mesh = complex_n2.mesh
+    B = len(tab["faces"])
+    C1 = complex_n2.whitney[1][tab["cells"]]
+    want = np.cross(C1, tab["normal"][:, None, None, :]).reshape(B, 6, 12)
+    assert np.array_equal(tab["C1xn"], want)
     areas = mesh.face_areas(tab["faces"])
     np.testing.assert_allclose(
         np.linalg.norm(tab["normal"], axis=1), 2.0 * areas, rtol=1e-13
@@ -364,6 +373,84 @@ def test_natural_terms_match_the_tabulated_oracle():
         assert np.linalg.norm(want[group]) > 0.1
         err = np.linalg.norm(got[group] - want[group])
         assert err <= 1e-14 * np.linalg.norm(want[group]), group
+
+
+def _ethier_everywhere():
+    u = ethier_velocity(2.0, 1.0)
+    return BoundaryConditionSpec(
+        RegionBC(vorticity_mode=NATURAL, vorticity_data=u, velocity_data=u)
+    )
+
+
+def _mms_outlet():
+    """Essential walls and a natural outlet at x = 1 (the stokes-outlet spec)."""
+    fields = stokes_mms_fields(nu=1.0)
+    outlet = RegionBC(
+        name="outlet",
+        vorticity_mode=NATURAL,
+        vorticity_data=fields["velocity"],
+        velocity_mode=NATURAL,
+        velocity_data=fields["pressure"],
+        where=lambda c: c[:, 0] > 1.0 - 1e-12,
+    )
+    walls = RegionBC(
+        name="walls", vorticity_data=fields["vorticity"], velocity_data=fields["velocity"]
+    )
+    return BoundaryConditionSpec((outlet, walls))
+
+
+@pytest.mark.parametrize("spec", [_ethier_everywhere, _mms_outlet])
+def test_folded_tangential_term_matches_the_crossed_one(spec):
+    """The tau-row term contracted against the folded table C1 x n equals
+    the one that crosses n with every sample, to roundoff."""
+    boundary = ResolvedBoundary(DeRhamComplex(jittered_box(3, seed=5)), spec())
+    for t in (0.0, 0.3):
+        got = boundary.evaluate(t)[0]["u1"]
+        want = oracles.crossed_tangential_term(boundary, t)
+        assert np.linalg.norm(want) > 0.1
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), t
+
+
+@pytest.fixture
+def cross_calls(monkeypatch):
+    """A list that ``numpy.cross`` appends to on every call while the test runs."""
+    calls, real = [], np.cross
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cross", counting)
+    return calls
+
+
+def test_no_cross_product_while_boundary_data_are_evaluated(cross_calls, monkeypatch):
+    """A resolution crosses its normals once, when the first evaluation
+    builds its tables; later evaluations, and the steps of a run, take no
+    cross product."""
+    complex_ = DeRhamComplex(jittered_box(3, seed=5))
+    for spec in (_ethier_everywhere(), _mms_outlet()):
+        boundary = ResolvedBoundary(complex_, spec)
+        cross_calls.clear()
+        boundary.evaluate(0.0)
+        assert cross_calls  # the spy sees the tables' cross products
+        cross_calls.clear()
+        boundary.evaluate(0.3)
+        assert cross_calls == []
+    stepping = []
+    real_step = solver.step
+
+    def spied_step(*args, **kwargs):
+        stepping.append(len(cross_calls))
+        out = real_step(*args, **kwargs)
+        stepping.append(len(cross_calls))
+        return out
+
+    monkeypatch.setattr(solver, "step", spied_step)
+    complex_.tabulation().convection_tensor  # cached per complex, built with cross products
+    config = SolverConfig(nu=1.0, dt=1e-3, t_end=3e-3)
+    run_transient(complex_, _ethier_everywhere(), config, velocity_data=ethier_velocity(2.0, 1.0))
+    assert len(stepping) == 6 and len(set(stepping)) == 1
 
 
 def test_natural_terms_empty_without_natural_regions(complex_n1):

@@ -21,6 +21,7 @@ from vvpflow.fields import (
 from oracles import (
     D,
     NU,
+    ethier_closed_forms,
     ethier_expressions,
     lambdify_field,
     mms_closed_forms,
@@ -186,6 +187,22 @@ def test_manufactured_fields_repeat_the_closed_forms_bit_for_bit(nu, count, rng)
     np.testing.assert_array_equal(
         fields["vorticity_curl"](points), 2.0 * np.pi**2 * want["velocity"](points)
     )
+
+
+@pytest.mark.parametrize("a,d", [(2.0, 1.0), (1.3, 2.0), (2.0, 0.0)])
+@pytest.mark.parametrize("count", [0, 1, 1000])
+def test_ethier_fields_repeat_the_closed_forms_bit_for_bit(a, d, count, rng):
+    """The in-place Ethier velocity and vorticity make the closed forms'
+    floating-point operations in their order: the values are equal, not
+    just close."""
+    points = rng.uniform(-0.5, 1.5, size=(count, 3))
+    want = ethier_closed_forms(a, d)
+    fields = {"velocity": ethier_velocity(a, d), "vorticity": ethier_vorticity(a, d)}
+    for name, field in fields.items():
+        for t in (0.0, 0.3):
+            got = field(points, t)
+            assert got.shape == (count, 3) and got.flags.c_contiguous
+            assert np.array_equal(got, want[name](points, t)), (name, t)
 
 
 def test_manufactured_velocity_has_zero_normal_trace(rng):
