@@ -49,7 +49,7 @@ import numpy as np
 
 from .linalg import peel
 from .quadrature import edge_rule, triangle_rule
-from .spaces import TRACE_DEGREE, dof_values, sample, simplex_rule
+from .spaces import FACE_PAIRS, TRACE_DEGREE, dof_values, sample, simplex_rule
 from .spaces import interpolate  # noqa: F401  (a name the benchmark tracer patches)
 
 __all__ = [
@@ -539,6 +539,17 @@ def assemble_scalar_load(complex_, f3, t=0.0, degree=None):
     return np.sum(tab.weights * vals, axis=1) / complex_.mesh.tet_volumes
 
 
+# The face pairs p = (i, j) of ``FACE_PAIRS`` spread to a tet's faces:
+# ``_PAIR_SKEW`` puts pair p at (i, j) and its negative at (j, i) of the
+# raveled 4x4 block, ``_PAIR_SPREAD`` u_j at row i and -u_i at row j of
+# the raveled (4, 6) face-by-pair block.
+_PAIR_SKEW = np.zeros((6, 16))
+_PAIR_SPREAD = np.zeros((4, 24))
+for _p, (_i, _j) in enumerate(FACE_PAIRS):
+    _PAIR_SKEW[_p, [4 * _i + _j, 4 * _j + _i]] = 1.0, -1.0
+    _PAIR_SPREAD[[_j, _i], [6 * _i + _p, 6 * _j + _p]] = 1.0, -1.0
+
+
 def assemble_convection(complex_, omega_values, u_values, theta=0.5):
     """Per-cell linearized convection blocks of the v-row.
 
@@ -547,18 +558,22 @@ def assemble_convection(complex_, omega_values, u_values, theta=0.5):
 
     where u_prev / omega_prev are the discrete fields given by the
     coefficient vectors.  Both contract the cell's coefficients with
-    the cached tensor ``K`` of the volume tabulation
-    (``WhitneyTabulation.convection_tensor``): A3 sums u_prev over its
-    faces j, A5 sums omega_prev over its edges e.  Returns the local
-    blocks, (T, 4, 6) rows ``mesh.tet_faces`` by columns
-    ``mesh.tet_edges``, and (T, 4, 4) rows and columns
+    the cached skew half ``K`` (face pairs p = (i < j) by edges) of the
+    volume tabulation (``WhitneyTabulation.convection_tensor``): A5's
+    pairs are one batched ``K @ omega_loc``, spread to the skew 4x4
+    block by ``_PAIR_SKEW``; A3 is ``u_loc @ _PAIR_SPREAD`` (face i's
+    row holds u_j at its pairs (i, j) and -u_j at (j, i)) times ``K``.
+    Returns the local blocks, (T, 4, 6) rows ``mesh.tet_faces`` by
+    columns ``mesh.tet_edges``, and (T, 4, 4) rows and columns
     ``mesh.tet_faces``.
     """
     K = complex_.tabulation().convection_tensor
     mesh = complex_.mesh
-    local3 = theta * np.einsum("tiej,tj->tie", K, u_values[mesh.tet_faces])
-    local5 = (1.0 - theta) * np.einsum("tiej,te->tij", K, omega_values[mesh.tet_edges])
-    return local3, local5
+    spread = (u_values[mesh.tet_faces] @ _PAIR_SPREAD).reshape(-1, 4, 6)
+    local3 = theta * (spread @ K)
+    pairs = (K @ omega_values[mesh.tet_edges][:, :, None])[:, :, 0]
+    local5 = ((1.0 - theta) * pairs) @ _PAIR_SKEW
+    return local3, local5.reshape(-1, 4, 4)
 
 
 def assemble_B0(complex_, nu=1.0):

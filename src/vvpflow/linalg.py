@@ -430,8 +430,10 @@ def solve(matrix, rhs, factor=None, x0=None, whole_norm=None):
     order, each only when those before it fail:
 
     1. the relative residual is at most ``ROUNDOFF_RESIDUAL``;
-    2. ``whole_norm`` (below) is given and the residual is at most
-       ``ROUNDOFF_RESIDUAL`` of the norm it returns;
+    2. ``whole_norm`` (below) is given, the relative residual is within
+       ``RESIDUAL_TOL`` and the residual is at most ``ROUNDOFF_RESIDUAL``
+       of the norm it returns: a huge whole norm cannot keep a stale
+       factor that does not converge, which is refactored instead;
     3. the relative residual is within ``RESIDUAL_TOL``, the residual and
        |A||x| are finite, and the componentwise backward error
        max_i |r_i| / (|A||x| + |b|)_i is at most
@@ -459,12 +461,12 @@ def solve(matrix, rhs, factor=None, x0=None, whole_norm=None):
     ``whole_norm``, when ``rhs`` is only the residual that an earlier
     state leaves of a larger right-hand side (the stream operator's
     increments), returns that right-hand side's norm; it is called only
-    when a refinement ends above ``ROUNDOFF_RESIDUAL``.  Roundoff is then
-    judged against it too (test 2): a factor counts as at roundoff where
-    the residual is at most ``ROUNDOFF_RESIDUAL`` of the larger norm, as
-    it would for the whole system.  Refinement still runs while it halves
-    the residual, and the residual returned and checked stays relative to
-    ``rhs``.
+    when a refinement ends above ``ROUNDOFF_RESIDUAL`` and within
+    ``RESIDUAL_TOL``.  Roundoff is then judged against it too (test 2): a
+    factor counts as at roundoff where the residual is at most
+    ``ROUNDOFF_RESIDUAL`` of the larger norm, as it would for the whole
+    system.  Refinement still runs while it halves the residual, and the
+    residual returned and checked stays relative to ``rhs``.
     Returns the solution and its relative residual, checked against
     ``RESIDUAL_TOL``.  Raises SingularSystemError when factorization
     hits an exactly singular pivot, SolverError when the residual
@@ -478,8 +480,10 @@ def solve(matrix, rhs, factor=None, x0=None, whole_norm=None):
     def at_roundoff(x, res):
         if res <= ROUNDOFF_RESIDUAL:
             return True
-        if whole_norm is not None and (
-            res * np.linalg.norm(given) <= ROUNDOFF_RESIDUAL * whole_norm()
+        if (
+            whole_norm is not None
+            and res <= RESIDUAL_TOL
+            and res * np.linalg.norm(given) <= ROUNDOFF_RESIDUAL * whole_norm()
         ):
             return True
         return res <= RESIDUAL_TOL and _backward_error(a, rhs, x) <= ROUNDOFF_BACKWARD_ERROR

@@ -114,7 +114,7 @@ from .linalg import (
     stack_blocks,
 )
 from .mesh import FACE_EDGE_SIGN, TET_FACE_EDGES
-from .spaces import FormCoefficients
+from .spaces import FACE_PAIRS, FormCoefficients
 
 __all__ = [
     "SolverConfig",
@@ -247,6 +247,14 @@ class TrajectorySummary:
 _TET_D1 = np.zeros((4, 6))
 for _face, _edges in enumerate(TET_FACE_EDGES):
     _TET_D1[_face, list(_edges)] = FACE_EDGE_SIGN
+# A skew local block A5 is its face pairs p = (i < j) of ``FACE_PAIRS``,
+# at ``_PAIR_INDEX`` of the raveled 4x4 block; row p of ``_PAIR_D1`` is
+# D1_i (x) D1_j - D1_j (x) D1_i, raveled, so pairs @ _PAIR_D1 is the
+# raveled D1^T A5 D1.
+_PAIR_INDEX = np.array([4 * i + j for i, j in FACE_PAIRS])
+_PAIR_D1 = np.array(
+    [np.outer(_TET_D1[i], _TET_D1[j]) - np.outer(_TET_D1[j], _TET_D1[i]) for i, j in FACE_PAIRS]
+).reshape(6, 36)
 
 
 class _StreamOperator:
@@ -272,11 +280,13 @@ class _StreamOperator:
     per-cell convection blocks enter as W_loc^T A3_loc and
     W_loc^T A5_loc W_loc, with W_loc the tet's D1 (``_TET_D1``) and the
     values of H on its faces (``h_loc``), in fixed slots of the pattern:
-    ``conv_pos``, where each kept entry (``conv_on``) of the raveled local
-    blocks lands in its data.  ``reduced`` is the pattern without the
-    essential vorticity edges, reduced once in ``mesh.elimination_order``'s
-    edge order with each psi_e right after omega_e and alpha last, so one
-    sparse factor holds all.  ``factor`` holds the LU that
+    ``conv_pos``, where each kept entry (at ``conv_take``) of the raveled
+    local blocks lands in its data; the psi x psi block is taken from
+    A5's face pairs (``_PAIR_D1``).  A solve's pattern data are those
+    slots' sums plus the convection-free ``static`` data.  ``reduced`` is
+    the pattern without the essential vorticity edges, reduced once in
+    ``mesh.elimination_order``'s edge order with each psi_e right after
+    omega_e and alpha last, so one sparse factor holds all.  ``factor`` holds the LU that
     :func:`vvpflow.linalg.solve` reuses across the operator's solves,
     float32 with the float64 fallback, and ``last`` the state its last
     solve returned with that solve's reduced solution.
@@ -334,7 +344,7 @@ class _StreamOperator:
             # The rows and columns of a tet's local blocks, raveled side by
             # side: D1_loc^T A3_loc (psi x omega) and D1_loc^T A5_loc D1_loc
             # (psi x psi), then with H the alpha x omega, alpha x psi,
-            # psi x alpha and alpha x alpha ones; ``conv_on`` drops the
+            # psi x alpha and alpha x alpha ones; ``conv_take`` drops the
             # entries off the cotree and those of generators off the tet.
             psi = np.full(E, -1)
             psi[cotree] = E + np.arange(len(cotree))
@@ -349,8 +359,8 @@ class _StreamOperator:
                 rows += [np.repeat(psi, k, 1), np.repeat(alpha, k, 1)]
                 cols += [np.tile(alpha, 6), np.tile(alpha, k)]
             rows, cols = np.concatenate(rows, None), np.concatenate(cols, None)
-            self.conv_on = (rows >= 0) & (cols >= 0)
-            slots = (rows[self.conv_on], cols[self.conv_on])
+            self.conv_take = np.flatnonzero((rows >= 0) & (cols >= 0))
+            slots = (rows[self.conv_take], cols[self.conv_take])
         groups = {"u1": E, "psi": len(cotree) + k}
         pattern, self.conv_pos = stack_blocks(groups, stream, slots)
         self.static = pattern.data
@@ -414,13 +424,15 @@ class _StreamOperator:
         data = self.static
         if convection is not None:
             local3, local5 = convection
-            local = [_TET_D1.T @ local3, _TET_D1.T @ local5 @ _TET_D1]
+            pairs = local5.reshape(-1, 16)[:, _PAIR_INDEX]
+            local = [_TET_D1.T @ local3, pairs @ _PAIR_D1]
             if len(self.boundary.generators):
                 w, wt = self.h_loc, np.swapaxes(self.h_loc, 1, 2)
                 w5 = wt @ local5
                 local += [wt @ local3, w5 @ _TET_D1, _TET_D1.T @ local5 @ w, w5 @ w]
-            local = np.concatenate(local, None)
-            data = data + np.bincount(self.conv_pos, local[self.conv_on], minlength=len(data))
+            local = np.concatenate(local, None).take(self.conv_take)
+            data = np.bincount(self.conv_pos, local, minlength=len(data))
+            data += self.static
         if "u1" in constraints:
             edges, values = constraints["u1"]
             values = values - omega[edges]

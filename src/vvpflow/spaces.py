@@ -74,6 +74,10 @@ __all__ = [
     "error_norms",
 ]
 
+# The pairs i < j of a tet's local faces, the rows of
+# ``WhitneyTabulation.convection_tensor``.
+FACE_PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
+
 # Exactness degrees of the quadrature rules, fixed here for the package.
 # The volume rule behind the mass matrices, the convection blocks and
 # the default loads must be exact to degree 3 (cubic integrands).
@@ -220,7 +224,7 @@ class WhitneyTabulation:
 
     points : (T, Q, 3) physical quadrature points
     weights : (T, Q) physical quadrature weights (sum to |T| per tet)
-    convection_tensor : (T, 4, 6, 4), built on first read
+    convection_tensor : (T, 6, 6), face pairs i < j by edges, built on first read
 
     The basis is affine in the barycentric coordinates, so sums over
     the points contract with ``rule.points`` (Q, 4) and the complex's
@@ -236,25 +240,26 @@ class WhitneyTabulation:
 
     @cached_property
     def convection_tensor(self):
-        """K[t, i, e, j] = integral of (psi1_e x psi2_j) . psi2_i, (T, 4, 6, 4).
+        """K[t, p, e] = integral of (psi1_e x psi2_j) . psi2_i, (T, 6, 6),
+        for the face pairs p = (i, j), i < j, of ``FACE_PAIRS``.
 
         The integrand is cubic in lambda, so the rule's third lambda
         moments make K exact when the rule is exact to degree 3.  It is
-        skew in (i, j), so only the pairs i < j are integrated.
+        skew in (i, j), the discrete (omega x u) . u = 0, so the pairs
+        i < j hold all of it: 36 entries a tet, where the whole (4, 6, 4)
+        tensor would hold 96.
         """
         if self.rule.exactness_degree < 3:
             raise ValueError("convection tensor needs quadrature exact to degree 3")
         C1, C2 = self.complex.whitney[1], self.complex.whitney[2]
         moments = _lambda_moments(self.rule, 3).reshape(4, 16)
         vol6 = 6.0 * self.complex.mesh.tet_volumes
-        K = np.zeros((len(C2), 4, 6, 4))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                # (C2_jb x C2_ic) summed against the moments over b, c.
-                cross = np.cross(C2[:, j, :, None, :], C2[:, i, None, :, :])
-                outer = moments @ cross.reshape(-1, 16, 3)
-                K[:, i, :, j] = vol6[:, None] * np.einsum("teax,tax->te", C1, outer)
-                K[:, j, :, i] = -K[:, i, :, j]
+        K = np.empty((len(C2), 6, 6))
+        for p, (i, j) in enumerate(FACE_PAIRS):
+            # (C2_jb x C2_ic) summed against the moments over b, c.
+            cross = np.cross(C2[:, j, :, None, :], C2[:, i, None, :, :])
+            outer = moments @ cross.reshape(-1, 16, 3)
+            K[:, p] = vol6[:, None] * np.einsum("teax,tax->te", C1, outer)
         return K
 
     def field(self, k, values, tets=slice(None)):

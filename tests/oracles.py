@@ -18,7 +18,9 @@ manufactured velocity and forcing and the Ethier velocity and vorticity
 as one expression per component, the floating-point operations the
 library's in-place evaluation must repeat, and the natural tangential
 term with the cross product n x u taken at every sample, as the library
-took it before folding the normal into its face tables.
+took it before folding the normal into its face tables, and the whole
+(T, 4, 6, 4) convection tensor with its two ``einsum`` contractions, as
+the library held and contracted it before keeping only its skew half.
 """
 from fractions import Fraction
 from functools import cache
@@ -45,7 +47,7 @@ from vvpflow.linalg import (
 from vvpflow.solver import TransientState, _sweep
 from vvpflow.spaces import ErrorNorms, FormCoefficients, sample
 from vvpflow.quadrature import triangle_rule
-from vvpflow.spaces import TRACE_DEGREE, simplex_rule, whitney_coefficients
+from vvpflow.spaces import TRACE_DEGREE, _lambda_moments, simplex_rule, whitney_coefficients
 
 # Reference tetrahedron: vertices (0,0,0), (1,0,0), (0,1,0), (0,0,1).
 REF_VERTS = np.array(
@@ -305,6 +307,35 @@ def convection_quadrature(complex_, omega_values, u_values, theta):
     local5 = (1.0 - theta) * np.einsum(
         "tq,tjqx,tiqx->tij", tab.weights, np.cross(w_prev[:, None, :, :], psi2), psi2
     )
+    return local3, local5
+
+
+def full_convection_tensor(tabulation):
+    """K[t, i, e, j] = integral of (psi1_e x psi2_j) . psi2_i, (T, 4, 6, 4):
+    the whole tensor, as the library stored it before it kept only the
+    pairs i < j.  Each pair is integrated by the library's cross-product
+    loop and its negative stored at (j, i); the diagonal stays 0."""
+    complex_ = tabulation.complex
+    C1, C2 = complex_.whitney[1], complex_.whitney[2]
+    moments = _lambda_moments(tabulation.rule, 3).reshape(4, 16)
+    vol6 = 6.0 * complex_.mesh.tet_volumes
+    K = np.zeros((len(C2), 4, 6, 4))
+    for i in range(4):
+        for j in range(i + 1, 4):
+            cross = np.cross(C2[:, j, :, None, :], C2[:, i, None, :, :])
+            outer = moments @ cross.reshape(-1, 16, 3)
+            K[:, i, :, j] = vol6[:, None] * np.einsum("teax,tax->te", C1, outer)
+            K[:, j, :, i] = -K[:, i, :, j]
+    return K
+
+
+def convection_by_einsum(complex_, omega_values, u_values, theta):
+    """The convection blocks (T, 4, 6) and (T, 4, 4) contracted from the
+    whole tensor by two ``einsum`` calls, as the library contracted them
+    before it kept only the skew half."""
+    K, mesh = full_convection_tensor(complex_.tabulation()), complex_.mesh
+    local3 = theta * np.einsum("tiej,tj->tie", K, u_values[mesh.tet_faces])
+    local5 = (1.0 - theta) * np.einsum("tiej,te->tij", K, omega_values[mesh.tet_edges])
     return local3, local5
 
 

@@ -21,14 +21,14 @@ from vvpflow.assembly import (
     build_harmonic_space,
     essential_constraints,
 )
-from vvpflow import solver
+from vvpflow import solver, spaces
 from vvpflow.fields import ethier_velocity, stokes_mms_fields
 from vvpflow.mesh import SimplicialMesh3, build_box_mesh
 from vvpflow.solver import SolverConfig, run_transient
 from vvpflow.spaces import DeRhamComplex, FormCoefficients, interpolate
 
 import oracles
-from conftest import jittered_box, scattered_convection
+from conftest import carved_box, jittered_box, scattered_convection
 from oracles import EDGES, GRADS, REF_VERTS
 
 
@@ -502,6 +502,42 @@ def test_convection_tensor_matches_pointwise_quadrature():
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.abs(g - w).max() <= 1e-14
+
+
+def test_convection_tensor_is_the_skew_half_of_the_whole_tensor():
+    """The stored (T, 6, 6) tensor is the whole tensor's slices (i, :, j),
+    i < j, bit for bit, in the order of ``FACE_PAIRS``."""
+    complex_ = DeRhamComplex(jittered_box(3, seed=5))
+    half = complex_.tabulation().convection_tensor
+    whole = oracles.full_convection_tensor(complex_.tabulation())
+    assert half.shape == (complex_.mesh.n_tets, 6, 6)
+    assert spaces.FACE_PAIRS == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    for p, (i, j) in enumerate(spaces.FACE_PAIRS):
+        assert half[:, p].tobytes() == whole[:, i, :, j].tobytes()
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        lambda: jittered_box(3, seed=5),
+        lambda: build_box_mesh(4, 4, 4),
+        lambda: carved_box([(1, 1, k) for k in range(3)]),
+    ],
+    ids=["jittered-n3", "kuhn-n4", "handle"],
+)
+def test_convection_from_the_half_tensor_matches_the_einsum_contraction(mesh):
+    """Both blocks contracted from the skew half are within 1e-15 relative of
+    the two ``einsum`` contractions of the whole tensor, for every theta."""
+    complex_ = DeRhamComplex(mesh())
+    rng = np.random.default_rng(35)
+    c_w = rng.normal(size=complex_.V1.ndof)
+    c_u = rng.normal(size=complex_.V2.ndof)
+    for theta in (0.0, 0.3, 0.5, 1.0):
+        got = assemble_convection(complex_, c_w, c_u, theta)
+        want = oracles.convection_by_einsum(complex_, c_w, c_u, theta)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-15 * max(np.abs(w).max(), 1e-300)
 
 
 def test_vorticity_block_is_antisymmetric(complex_n2):

@@ -548,6 +548,26 @@ def test_a_held_factor_is_judged_against_the_whole_right_hand_side(monkeypatch):
     assert res <= ROUNDOFF_RESIDUAL
 
 
+def test_a_huge_whole_norm_does_not_keep_a_factor_that_fails_to_converge(monkeypatch):
+    """The whole-norm roundoff test holds only within RESIDUAL_TOL: the held
+    float64 factor of a far matrix leaves a relative residual near 1, which
+    no whole norm, however large, may declare at roundoff.  The solve
+    refactors and ends at roundoff, as it does without a whole norm."""
+    rng = np.random.default_rng(35)
+    a = sp.random(50, 50, density=0.2, random_state=35) + 50 * sp.eye(50)
+    far = sp.random(50, 50, density=0.2, random_state=36) - 50 * sp.eye(50)
+    rhs = rng.normal(size=50)
+    factors = _spy_factors(monkeypatch)
+    for whole_norm in (None, lambda: 1e20 * np.linalg.norm(rhs)):
+        holder = FactorHolder(dtype=np.float64)
+        solve(far, rng.normal(size=50), factor=holder)
+        factors.clear()
+        x, res = solve(a, rhs, factor=holder, whole_norm=whole_norm)
+        assert (holder.reused, len(factors)) == (False, 1)
+        assert res <= ROUNDOFF_RESIDUAL
+        assert relative_residual(a, rhs, x) == res
+
+
 def test_backward_error_refuses_a_non_finite_magnitude():
     """x = (1.5e308, -1.5e308) solves [[1, 1], [0, 1]] x = b exactly, but
     |A||x| overflows: with r = 0 every row's ratio would read 0.  Such an

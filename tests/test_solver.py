@@ -888,6 +888,57 @@ def test_a_solve_leaves_the_operators_matrix_as_it_was(complex_j3, kind, monkeyp
         assert errors
 
 
+def test_psi_block_from_the_face_pairs_is_the_congruence_of_the_vorticity_block(complex_j3):
+    """D1^T A5 D1 of every tet, taken from A5's six face pairs by one
+    constant (6, 36) product, is within 1e-15 of the two matrix products."""
+    rng = np.random.default_rng(35)
+    _, local5 = solver.assemble_convection(
+        complex_j3, rng.normal(size=complex_j3.V1.ndof), rng.normal(size=complex_j3.V2.ndof)
+    )
+    pairs = local5.reshape(-1, 16)[:, solver._PAIR_INDEX]
+    got = (pairs @ solver._PAIR_D1).reshape(-1, 6, 6)
+    want = solver._TET_D1.T @ local5 @ solver._TET_D1
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("generators", [0, 1])
+def test_convection_slots_gathered_by_index_add_up_as_by_mask(complex_j3, generators, monkeypatch):
+    """The pattern data a step refills are, bit for bit, the static data plus
+    the kept entries of the raveled local blocks picked by a boolean mask
+    and summed into their slots; the static data stay as they were."""
+    velocity = ethier_velocity(2.0, 1.0)
+    bc = ethier_two_ends(velocity) if generators else ethier_bc(2.0, 1.0)
+    config = SolverConfig(nu=1.0, dt=1e-3)
+    operator = solver.make_operator(complex_j3, bc, config.nu, config.dt)
+    assert len(operator.boundary.generators) == generators
+    static = operator.static.copy()
+    refilled = []
+    real_refill = operator.reduced.refill
+
+    def spied(data, *args):
+        refilled.append(data.copy())
+        return real_refill(data, *args)
+
+    monkeypatch.setattr(operator.reduced, "refill", spied)
+    state = initialize_state(complex_j3, bc, velocity)
+    local3, local5 = solver.assemble_convection(
+        complex_j3, state.omega.values, state.u.values, config.theta
+    )
+    step(complex_j3, bc, config, state, operator=operator)
+    pairs = local5.reshape(-1, 16)[:, solver._PAIR_INDEX]
+    local = [solver._TET_D1.T @ local3, pairs @ solver._PAIR_D1]
+    if generators:
+        w, wt = operator.h_loc, np.swapaxes(operator.h_loc, 1, 2)
+        w5 = wt @ local5
+        local += [wt @ local3, w5 @ solver._TET_D1, solver._TET_D1.T @ local5 @ w, w5 @ w]
+    local = np.concatenate(local, None)
+    on = np.zeros(local.size, bool)
+    on[operator.conv_take] = True
+    want = static + np.bincount(operator.conv_pos, local[on], minlength=len(static))
+    assert len(refilled) == 1 and refilled[0].tobytes() == want.tobytes()
+    assert operator.static.tobytes() == static.tobytes()
+
+
 def test_steady_diagnostics_report_the_factor_and_its_passes(complex_j3, monkeypatch):
     """``solve_stokes`` reports the precision of the factor that solved and
     its refinement passes, one fewer than its triangular solves: float32,
