@@ -25,16 +25,16 @@ below ``diag_pivot_thresh`` of its column.  That threshold, not static
 pivoting, is what keeps the zero diagonals of Stokes systems from
 breaking the factor, and it keeps the fill of the order.  A
 :class:`FactorHolder` lets a sequence of nearby systems, such as the
-steps of one run, share one factor through iterative refinement, and
-each refinement may start from the previous system's solution.  The
-factor may be float32, as the solver's is: refinement, its residual and
-the residual contract stay float64, and a solve may count as at roundoff
-by its componentwise backward error, so the precision of the factor
-moves how many passes a solve takes, not what it returns
-(mixed-precision refinement: Buttari et al., ACM TOMS 2008; Carson &
-Higham, SIAM J. Sci. Comput. 2018).  :func:`solve_spd` solves a symmetric positive definite
-system, such as the edge mass matrix of the initial vorticity, by
-conjugate gradients under the same residual contract, with no factor.
+steps of one run, share one factor through iterative refinement from
+LU^-1 b.  The factor may be float32, as the solver's is: refinement,
+its residual and the residual contract stay float64, and a solve may
+count as at roundoff by its componentwise backward error, so the
+precision of the factor moves how many passes a solve takes, not what
+it returns (mixed-precision refinement: Buttari et al., ACM TOMS 2008;
+Carson & Higham, SIAM J. Sci. Comput. 2018).  :func:`solve_spd` solves
+a symmetric positive definite system, such as the edge mass matrix of
+the initial vorticity, by conjugate gradients under the same residual
+contract, with no factor.
 
 :meth:`FactorHolder.factor_now` factors a matrix ahead of its solve, and
 :func:`on_worker` runs a function on the package's one worker thread,
@@ -395,7 +395,7 @@ class FactorHolder:
                 self.dtype = np.float64
 
 
-def solve(matrix, rhs, factor=None, x0=None, whole_norm=None):
+def solve(matrix, rhs, factor=None):
     """Sparse LU solve in the matrix's own order, with a checked residual.
 
     SuperLU factors the matrix as given, eliminating its unknowns in
@@ -410,13 +410,8 @@ def solve(matrix, rhs, factor=None, x0=None, whole_norm=None):
     Iterative refinement on the same system follows the
     back-substitution while the relative residual is above
     ``ROUNDOFF_RESIDUAL`` and each pass at least halves it
-    (``REFINE_RATE``), for at most ``REFINE_MAX_PASSES`` passes.  Given
-    ``x0``, an initial iterate such as the solution of the previous
-    step, refinement starts from it instead of from the
-    back-substitution.  A pass is one correction: a solve from LU^-1 b
-    makes passes + 1 triangular solves, one from ``x0`` makes passes,
-    and an ``x0`` already at ``ROUNDOFF_RESIDUAL`` makes 0 passes and
-    none.
+    (``REFINE_RATE``), for at most ``REFINE_MAX_PASSES`` passes.  A pass
+    is one correction, so a solve makes passes + 1 triangular solves.
 
     ``factor``, a :class:`FactorHolder`, lends the factor of an earlier
     matrix of the same size and order.  Refinement against it converges
@@ -426,15 +421,11 @@ def solve(matrix, rhs, factor=None, x0=None, whole_norm=None):
     way, and its factor held.  A fresh factor runs the same loop, and
     without a holder every call factors, in float64.
 
-    A solve is at roundoff when one of three tests holds, tried in this
-    order, each only when those before it fail:
+    A solve is at roundoff when one of two tests holds, the second tried
+    only when the first fails:
 
     1. the relative residual is at most ``ROUNDOFF_RESIDUAL``;
-    2. ``whole_norm`` (below) is given, the relative residual is within
-       ``RESIDUAL_TOL`` and the residual is at most ``ROUNDOFF_RESIDUAL``
-       of the norm it returns: a huge whole norm cannot keep a stale
-       factor that does not converge, which is refactored instead;
-    3. the relative residual is within ``RESIDUAL_TOL``, the residual and
+    2. the relative residual is within ``RESIDUAL_TOL``, the residual and
        |A||x| are finite, and the componentwise backward error
        max_i |r_i| / (|A||x| + |b|)_i is at most
        ``ROUNDOFF_BACKWARD_ERROR``: x then solves exactly a system whose
@@ -449,58 +440,46 @@ def solve(matrix, rhs, factor=None, x0=None, whole_norm=None):
 
     The holder's ``dtype`` sets the precision of the factor
     (``csc_matrix(a, dtype=...)``); refinement is float64 either way, on
-    the right-hand side (and ``x0``) scaled by a power of two that brings
-    the right-hand side to unit size.  A fresh float32 factor must refine
-    to roundoff, and a held one of this matrix to ``RESIDUAL_TOL``: one
-    that breaks down in SuperLU, gives non-finite values or ends above
-    that is replaced by a float64 factor of this matrix, and the holder
-    stays float64.  The passes of every factor tried count in the
-    holder's ``passes``.  ``matrix`` is read, never written: |A| is
-    built on its own index arrays (:func:`_backward_error`).
+    the right-hand side scaled by a power of two that brings it to unit
+    size.  A fresh float32 factor must refine to roundoff, and a held one
+    of this matrix to ``RESIDUAL_TOL``: one that breaks down in SuperLU,
+    gives non-finite values or ends above that is replaced by a float64
+    factor of this matrix, and the holder stays float64.  The passes of
+    every factor tried count in the holder's ``passes``.  ``matrix`` is
+    read, never written: |A| is built on its own index arrays
+    (:func:`_backward_error`).
 
-    ``whole_norm``, when ``rhs`` is only the residual that an earlier
-    state leaves of a larger right-hand side (the stream operator's
-    increments), returns that right-hand side's norm; it is called only
-    when a refinement ends above ``ROUNDOFF_RESIDUAL`` and within
-    ``RESIDUAL_TOL``.  Roundoff is then judged against it too (test 2): a
-    factor counts as at roundoff where the residual is at most
-    ``ROUNDOFF_RESIDUAL`` of the larger norm, as it would for the whole
-    system.  Refinement still runs while it halves the residual, and the
-    residual returned and checked stays relative to ``rhs``.
     Returns the solution and its relative residual, checked against
-    ``RESIDUAL_TOL``.  Raises SingularSystemError when factorization
-    hits an exactly singular pivot, SolverError when the residual
-    contract is violated, both only from a float64 factor.
+    ``RESIDUAL_TOL``.  Raises SolverError, before any factor or
+    triangular solve and with the holder left as it was, when ``rhs``
+    holds a value that is not finite; SingularSystemError when
+    factorization hits an exactly singular pivot, and SolverError when
+    the residual contract is violated, both only from a float64 factor.
     """
     a = sp.csr_matrix(matrix)
     if a.shape[0] != a.shape[1]:
         raise ValueError("solve needs a square matrix")
-    rhs = given = np.asarray(rhs, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(rhs))
+    if len(bad):
+        raise SolverError(f"right-hand side row {bad[0]} is {rhs[bad[0]]}, not finite")
 
     def at_roundoff(x, res):
-        if res <= ROUNDOFF_RESIDUAL:
-            return True
-        if (
-            whole_norm is not None
-            and res <= RESIDUAL_TOL
-            and res * np.linalg.norm(given) <= ROUNDOFF_RESIDUAL * whole_norm()
-        ):
-            return True
-        return res <= RESIDUAL_TOL and _backward_error(a, rhs, x) <= ROUNDOFF_BACKWARD_ERROR
+        return res <= ROUNDOFF_RESIDUAL or (
+            res <= RESIDUAL_TOL and _backward_error(a, rhs, x) <= ROUNDOFF_BACKWARD_ERROR
+        )
 
     # A power of two brings the right-hand side to unit size, exactly: the
     # residuals of late passes stay inside float32's range, norms inside float64's.
     scale = math.ldexp(1.0, -math.frexp(float(np.abs(rhs).max(initial=0.0)))[1])
     rhs = rhs * scale
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float) * scale
     holder = FactorHolder() if factor is None else factor
     holder.reused, holder.fresh = holder.lu is not None and not holder.fresh, False
     holder.passes = 0
     while True:
         if holder.lu is None:
             holder._factor(a)
-        x, res, passes = _refine(holder.lu, a, rhs, holder.dtype, x0)
+        x, res, passes = _refine(holder.lu, a, rhs, holder.dtype)
         holder.passes += passes
         if at_roundoff(x, res):
             break
@@ -536,9 +515,9 @@ def _factor(a, dtype):
         ) from exc
 
 
-def _refine(lu, a, rhs, dtype, x0):
-    """Refinement from ``x0``, or from the back-substitution when it is
-    None; returns (x, residual, passes).
+def _refine(lu, a, rhs, dtype):
+    """Refinement from the back-substitution LU^-1 rhs; returns (x,
+    residual, passes).
 
     Each right-hand side is cast to the factor's ``dtype`` for its
     triangular solves; the iterate and its residual against the float64
@@ -548,7 +527,7 @@ def _refine(lu, a, rhs, dtype, x0):
     def lu_solve(b):
         return lu.solve(b.astype(dtype, copy=False)).astype(float, copy=False)
 
-    x = lu_solve(rhs) if x0 is None else x0
+    x = lu_solve(rhs)
     if not np.all(np.isfinite(x)):
         return x, np.inf, 0
     rhs_norm = _rhs_norm(rhs)
@@ -566,15 +545,13 @@ def _refine(lu, a, rhs, dtype, x0):
     return x, res, passes
 
 
-def solve_reduced(reduced, factor=None, x0=None, whole_norm=None):
+def solve_reduced(reduced, factor=None):
     """Solve a ReducedSystem; returns the full DOF vector and the residual.
 
     The reduced matrix is factored in the order :func:`eliminate` gave
-    it.  ``factor``, ``x0``, an initial iterate of the free unknowns in
-    that order (``full[reduced.free]``), and ``whole_norm`` are passed on
-    to :func:`solve`.
+    it, and ``factor`` is passed on to :func:`solve`.
     """
-    x, res = solve(reduced.matrix, reduced.rhs, factor=factor, x0=x0, whole_norm=whole_norm)
+    x, res = solve(reduced.matrix, reduced.rhs, factor=factor)
     return reduced.expand(x), res
 
 

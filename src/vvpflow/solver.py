@@ -53,19 +53,15 @@ against it while every pass at least halves the relative residual; the
 factor is kept if the solve ends at roundoff (``linalg.ROUNDOFF_RESIDUAL``,
 or the componentwise backward error ``linalg.ROUNDOFF_BACKWARD_ERROR``),
 and otherwise the current matrix is factored (see
-:func:`vvpflow.linalg.solve`).  A solve that continues
-from the state the operator last returned (``step`` passes its state)
-starts its refinement from that solve's reduced solution; any other
-state, such as ``run_noflow``'s rest state for each exponent, starts
-from LU^-1 b.  The warm start saves little: on the benchmark's
-``ns-sweep`` (seed 0) a step averaged 4.65 triangular solves and 5.63
-residual products with it, against 4.98 and 4.98 from LU^-1 b, and an
-``ns-large`` step 4.0 and 4.0 either way.  A factor never outlives the
-call that built its operator.  The operator factors in float32 and refines in float64; a
-fresh float32 factor that does not refine to roundoff is replaced by a
-float64 one, which the operator keeps from then on.  A steady solve
-refines from its float32 factor to the componentwise roundoff of a
-float64 one in 3-5 passes (n = 3..10).
+:func:`vvpflow.linalg.solve`).  Every solve refines from LU^-1 b: its
+unknowns are already the change from the state it continues from, and
+starting from the previous step's change saved no triangular solve.  A
+factor never outlives the call that built its operator.  The operator
+factors in float32 and refines in float64; a fresh float32 factor that
+does not refine to roundoff is replaced by a float64 one, which the
+operator keeps from then on.  A steady solve refines from its float32
+factor to the componentwise roundoff of a float64 one in 3-5 passes
+(n = 3..10).
 :func:`initialize_state` builds no factor: its edge mass-matrix system
 is solved by conjugate gradients (:func:`vvpflow.linalg.solve_spd`).
 
@@ -213,11 +209,9 @@ class TransientState:
 class StepDiagnostics:
     """One step's health.  ``factor_reused`` is True when the step's solve
     kept the run's LU factor, ``refine_passes`` counts its refinement
-    corrections (see :func:`vvpflow.linalg.solve`): the run's first step
-    starts from LU^-1 b and makes passes + 1 triangular solves, a later
-    one starts from the previous solution and makes passes, and 0 passes
-    mean the start was already at roundoff.  ``unknowns`` is the size of
-    the factored stream system (see :func:`make_operator`) and
+    corrections (see :func:`vvpflow.linalg.solve`): every step starts from
+    LU^-1 b and makes passes + 1 triangular solves.  ``unknowns`` is the
+    size of the factored stream system (see :func:`make_operator`) and
     ``factor_dtype`` the precision of the factor held after the step
     (``linalg.FactorHolder.dtype``)."""
 
@@ -288,17 +282,14 @@ class _StreamOperator:
     ``mesh.elimination_order``'s edge order with each psi_e right after
     omega_e and alpha last, so one sparse factor holds all.  ``factor`` holds the LU that
     :func:`vvpflow.linalg.solve` reuses across the operator's solves,
-    float32 with the float64 fallback, and ``last`` the state its last
-    solve returned with that solve's reduced solution.
+    float32 with the float64 fallback.
 
     A solve is made about the state it continues from (zero without one):
     the unknowns are the change of the vorticity, psi and alpha, so that
     the velocity is not the small difference of a large lift and a large
-    curl.  Roundoff is judged against the whole right-hand side before that
-    state's rows are taken off (``whole_norm`` of :func:`linalg.solve`).
-    The lift u_g is that state's velocity with the new essential fluxes,
-    whose divergence defect (against the particular divergence of ``f3``,
-    less its harmonic part) is carried from the leaves of
+    curl.  The lift u_g is that state's velocity with the new essential
+    fluxes, whose divergence defect (against the particular divergence of
+    ``f3``, less its harmonic part) is carried from the leaves of
     ``boundary.forest`` to the roots of the closed components and out
     through the outlet faces (:func:`_sweep`); the same sweep takes the
     roundoff divergence off u_g + W (psi, alpha).  The pressure is then
@@ -376,7 +367,6 @@ class _StreamOperator:
         self.tree_faces = forest.parent_face[forest.tree]
         self.steady = dt is None
         self.factor = FactorHolder(dtype=np.float32)
-        self.last = (None, None)
 
     def _rows(self, convection, omega, u):
         """A (omega, u) plus the convection A3 omega + A5 u on the v-rows."""
@@ -397,10 +387,7 @@ class _StreamOperator:
         ``loads`` (``f2``, ``f3``, ``load_degree``) go to :func:`assemble_rhs`,
         ``convection`` (the local blocks of :func:`assemble_convection`) into
         the v-rows and ``rhs_u2`` to the v-rows' right side.  ``previous``,
-        when given, is the state the solve is made about; when it is the
-        state this operator's last solve returned, refinement starts from
-        that solve's reduced solution, and any other state starts from
-        LU^-1 b.
+        when given, is the state the solve is made about.
         """
         complex_, h, reduced = self.complex, self.harmonic.basis, self.reduced
         mesh = complex_.mesh
@@ -440,16 +427,7 @@ class _StreamOperator:
             values = np.empty(0)
         r = b - self._rows(convection, omega, u)
         reduced.refill(data, np.concatenate([r[:E], self.wt @ r[E:]]), values)
-        returned, x0 = self.last
-        x0 = x0 if previous is returned else None  # both None before a first solve
-        full, residual = solve_reduced(
-            reduced,
-            factor=self.factor,
-            x0=x0,
-            whole_norm=lambda: np.linalg.norm(
-                np.concatenate([b[:E], self.wt @ b[E:]])[reduced.free]
-            ),
-        )
+        full, residual = solve_reduced(reduced, factor=self.factor)
         parts = reduced.split(full)
         omega = omega + parts["u1"]
         u += self.w @ parts["psi"]
@@ -467,7 +445,6 @@ class _StreamOperator:
             u=FormCoefficients(complex_.V2, u),
             p=FormCoefficients(complex_.V3, p),
         )
-        self.last = (state, full[reduced.free])
         return state, residual
 
 
@@ -546,8 +523,7 @@ def solve_stokes(
     :func:`make_operator`), ``factor_dtype``, the precision of the factor
     that solved it (float32 unless it fell back to float64), and
     ``refine_passes``, its refinement corrections, as in
-    :class:`StepDiagnostics`: the solve starts from LU^-1 b and makes
-    passes + 1 triangular solves.
+    :class:`StepDiagnostics`.
     """
     operator = make_operator(complex_, _boundary(complex_, bc, harmonic, natural_cache), nu)
     state, residual = operator.solve(t, {"f2": f2, "f3": f3, "load_degree": load_degree})
@@ -594,9 +570,8 @@ def step(complex_, bc, config, state, f=None, operator=None):
 
     ``operator`` is an operator for this ``config``'s nu and dt
     (:func:`make_operator`), such as the one :func:`run_transient` builds
-    per run; the step gives it its loads and ``state``, so a step from the
-    state the operator last returned refines from that solution.  Without
-    it the step builds a one-shot one.
+    per run; the step gives it its loads and ``state``, the state its
+    solve is made about.  Without it the step builds a one-shot one.
     """
     t_new = state.t + config.dt
     if operator is None:

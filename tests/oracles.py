@@ -495,8 +495,6 @@ class SaddleOperator:
     factoring the dense border (see :meth:`solve`).  ``factor`` is float32
     when ``dt`` is given and float64 when steady: the steady saddle system
     does not refine from a float32 factor at n = 12 (backward error 1).
-    ``last`` holds the state its last solve returned and that solve's
-    reduced solution, the start of a solve that continues from that state.
     """
 
     def __init__(self, complex_, bc, nu, dt=None):
@@ -522,17 +520,15 @@ class SaddleOperator:
         self.m3h = complex_.m3 @ self.harmonic.basis
         self.steady = dt is None
         self.factor = FactorHolder(dtype=np.float64 if self.steady else np.float32)
-        self.last = (None, None)
 
     def solve(self, t, loads, convection=None, rhs_u2=None, previous=None):
         """Solve at time t; returns (state, residual).
 
         ``loads`` (``f2``, ``f3``, ``load_degree``) go to :func:`assemble_rhs`,
         ``convection`` (the local blocks of :func:`assemble_convection`) into
-        the v-row and ``rhs_u2`` to the v-row's right side.  When
-        ``previous``, the state the step continues from, is the state this
-        operator's last solve returned, refinement starts from that solve's
-        reduced solution; any other state starts from LU^-1 b.
+        the v-row and ``rhs_u2`` to the v-row's right side.  ``previous``,
+        the state the step continues from, is unused: the unknowns are the
+        solution itself, and every solve refines from LU^-1 b.
 
         With dim H > 0 the paper's bordered system adds M3 H phi to the
         q-rows and the chi-row H^T M3 u3 = 0.  H^T M3 H = I and H^T M3 D2
@@ -566,9 +562,7 @@ class SaddleOperator:
         shift = self.m3h @ (h.T @ eliminated[u3])  # M3 H phi, to the right-hand side
         eliminated[u3] -= shift
         b[u3] -= shift
-        returned, x0 = self.last
-        x0 = x0 if previous is returned else None  # both None before a first solve
-        full, residual = solve_reduced(reduced, factor=self.factor, x0=x0)
+        full, residual = solve_reduced(reduced, factor=self.factor)
         parts = reduced.split(full)
         u = parts["u2"].copy()
         if self.harmonic.dim:
@@ -581,7 +575,6 @@ class SaddleOperator:
             u=FormCoefficients(complex_.V2, u),
             p=FormCoefficients(complex_.V3, p),
         )
-        self.last = (state, full[reduced.free])
         return state, residual
 
 

@@ -500,72 +500,82 @@ def _spy_backward_errors(monkeypatch):
 
 
 def test_a_held_factor_is_judged_against_the_whole_right_hand_side(monkeypatch):
-    """The right-hand side of an increment is what an earlier state leaves of
-    a larger one.  Where the increment lies along the smallest singular
-    direction, its relative residual floors far above ROUNDOFF_RESIDUAL
-    (3.5e-13 here, even from a fresh factor).  Each roundoff test accepts
-    on its own.  The held factor of a nearby matrix is kept by the second
-    (judged against the whole right-hand side's norm, before any backward
-    error is evaluated) or by the third (the componentwise backward error)
-    alone, and replaced without both.  The residual returned stays
-    relative to ``rhs``.  A solve that the first accepts, ending at
-    ROUNDOFF_RESIDUAL, asks for neither the whole norm nor the backward
-    error."""
+    """Where the right-hand side lies along the smallest singular direction,
+    the relative residual floors far above ROUNDOFF_RESIDUAL (3.5e-13
+    here, even from a fresh factor).  The held factor of a nearby matrix
+    is then kept by the componentwise backward error, which weighs every
+    row against |A||x| + |b|, and replaced without it.  The residual
+    returned stays relative to ``rhs``.  A solve that ends at
+    ROUNDOFF_RESIDUAL does not ask for the backward error."""
     rng = np.random.default_rng(17)
     a = _conditioned(rng, 1e4)
     near = a + 1e-7 * sp.csr_matrix(rng.normal(size=a.shape))
     rhs = near @ np.linalg.svd(near.toarray())[2][-1]
     factors = _spy_factors(monkeypatch)
     errors = _spy_backward_errors(monkeypatch)
-    whole = lambda: 1e4 * np.linalg.norm(rhs)  # noqa: E731
     floor = linalg.ROUNDOFF_BACKWARD_ERROR
-    for whole_norm, componentwise, kept in (
-        (None, False, False),
-        (whole, False, True),
-        (None, True, True),
-    ):
+    for componentwise, kept in ((False, False), (True, True)):
         monkeypatch.setattr(linalg, "ROUNDOFF_BACKWARD_ERROR", floor if componentwise else 0.0)
         holder = FactorHolder()
         solve(a, rng.normal(size=a.shape[0]), factor=holder)
         factors.clear()
         errors.clear()
-        x, res = solve(near, rhs, factor=holder, whole_norm=whole_norm)
+        x, res = solve(near, rhs, factor=holder)
         assert (holder.reused, len(factors)) == (kept, 0 if kept else 1)
         assert relative_residual(near, rhs, x) == res
         assert 1e2 * ROUNDOFF_RESIDUAL < res <= RESIDUAL_TOL
-        if whole_norm is None:
-            assert 0.0 < errors[0] <= floor
-        else:  # the whole norm keeps it before the backward error is asked for
-            assert errors == []
+        assert 0.0 < errors[0] <= floor
     monkeypatch.undo()
 
     def unused(*args):
-        raise AssertionError("whole norm or backward error asked for at roundoff")
+        raise AssertionError("backward error asked for at roundoff")
 
     monkeypatch.setattr(linalg, "_backward_error", unused)
     a = sp.random(30, 30, density=0.2, random_state=12) + 30 * sp.eye(30)
-    _, res = solve(a, rng.normal(size=30), whole_norm=unused)
+    _, res = solve(a, rng.normal(size=30))
     assert res <= ROUNDOFF_RESIDUAL
 
 
-def test_a_huge_whole_norm_does_not_keep_a_factor_that_fails_to_converge(monkeypatch):
-    """The whole-norm roundoff test holds only within RESIDUAL_TOL: the held
-    float64 factor of a far matrix leaves a relative residual near 1, which
-    no whole norm, however large, may declare at roundoff.  The solve
-    refactors and ends at roundoff, as it does without a whole norm."""
+def test_a_stale_far_factor_is_refactored_and_ends_at_roundoff(monkeypatch):
+    """The held float64 factor of a far matrix leaves a relative residual
+    near 1: the solve refactors and ends at roundoff."""
     rng = np.random.default_rng(35)
     a = sp.random(50, 50, density=0.2, random_state=35) + 50 * sp.eye(50)
     far = sp.random(50, 50, density=0.2, random_state=36) - 50 * sp.eye(50)
     rhs = rng.normal(size=50)
     factors = _spy_factors(monkeypatch)
-    for whole_norm in (None, lambda: 1e20 * np.linalg.norm(rhs)):
-        holder = FactorHolder(dtype=np.float64)
-        solve(far, rng.normal(size=50), factor=holder)
-        factors.clear()
-        x, res = solve(a, rhs, factor=holder, whole_norm=whole_norm)
-        assert (holder.reused, len(factors)) == (False, 1)
-        assert res <= ROUNDOFF_RESIDUAL
-        assert relative_residual(a, rhs, x) == res
+    holder = FactorHolder(dtype=np.float64)
+    solve(far, rng.normal(size=50), factor=holder)
+    factors.clear()
+    x, res = solve(a, rhs, factor=holder)
+    assert (holder.reused, len(factors)) == (False, 1)
+    assert res <= ROUNDOFF_RESIDUAL
+    assert relative_residual(a, rhs, x) == res
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_right_hand_side_is_refused_before_the_factor(monkeypatch, bad):
+    """A right-hand side with a value that is not finite is refused with a
+    SolverError naming its first such row, not blamed on the factor: the
+    float32 holder keeps its factor and precision, and the next finite
+    solve reuses that factor without making another."""
+    rng = np.random.default_rng(36)
+    a = sp.random(30, 30, density=0.2, random_state=36) + 30 * sp.eye(30)
+    holder = FactorHolder(dtype=np.float32)
+    solve(a, rng.normal(size=30), factor=holder)
+    lu = holder.lu
+    factors, passes = _spy_factors(monkeypatch), _spy_passes(monkeypatch)
+    rhs = rng.normal(size=30)
+    rhs[[7, 12]] = bad
+    with pytest.raises(SolverError, match="row 7 ") as caught:
+        solve(a, rhs, factor=holder)
+    assert not isinstance(caught.value, SingularSystemError)
+    assert (factors, passes) == ([], [])
+    assert (holder.lu, holder.dtype) == (lu, np.float32)
+    rhs[[7, 12]] = 1.0
+    x, res = solve(a, rhs, factor=holder)
+    assert factors == [] and (holder.lu, holder.reused) == (lu, True)
+    assert relative_residual(a, rhs, x) == res <= ROUNDOFF_RESIDUAL
 
 
 def test_backward_error_refuses_a_non_finite_magnitude():
@@ -594,8 +604,8 @@ def test_a_near_null_iterate_is_refused_above_the_residual_tolerance(monkeypatch
     real = linalg._refine
     iterates = []
 
-    def near_null_first(lu, matrix, b, dtype, x0):
-        x, res, passes = real(lu, matrix, b, dtype, x0)
+    def near_null_first(lu, matrix, b, dtype):
+        x, res, passes = real(lu, matrix, b, dtype)
         if not iterates:
             x = x + 1e8
             res = np.linalg.norm(b - matrix @ x) / np.linalg.norm(b)

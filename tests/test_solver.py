@@ -960,8 +960,8 @@ def test_run_falls_back_to_one_float64_factor(complex_j3, monkeypatch):
     real = linalg._refine
     passes = []
 
-    def stalled_in_float32(lu, a, rhs, dtype, x0):
-        x, res, n = real(lu, a, rhs, dtype, x0)
+    def stalled_in_float32(lu, a, rhs, dtype):
+        x, res, n = real(lu, a, rhs, dtype)
         passes.append(n)
         return x, (np.inf if dtype == np.float32 else res), n
 
@@ -1308,7 +1308,7 @@ def test_operator_solves_with_the_loads_of_each_step(complex_n2):
 
 
 # ---------------------------------------------------------------------------
-# refinement from the previous step's solution
+# refinement from LU^-1 b
 
 
 def _count_trisolves(monkeypatch):
@@ -1337,65 +1337,35 @@ def _full(state):
     return np.concatenate([state.omega.values, state.u.values, state.p.values])
 
 
-def test_steps_after_the_first_refine_from_the_previous_solution(complex_j3, monkeypatch):
-    """Two operators step in lockstep from the same states: one from its own
-    last state, so from its last reduced solution, the other from a copy,
-    so from LU^-1 b.  After the first step the warm solve makes one
-    triangular solve per pass and the cold one a pass more; both agree to
-    1e-14 relative.  The ends are natural, so the stream system carries a
-    generator.  The saddle reference's unknowns are the solution, which
-    its warm steps start from, so they make as many passes as its cold
-    ones and one triangular solve fewer; the stream operator's are the
-    change from the previous state, and its warm steps start from the
-    previous change."""
+def test_a_step_from_the_operators_own_state_is_a_step_from_a_copy(complex_j3, monkeypatch):
+    """Twin operators step in lockstep, one from the state it returned, the
+    other from a copy of that state, which no operator returned: every
+    step is bit for bit the same, and every solve starts from LU^-1 b and
+    makes passes + 1 triangular solves.  The ends are natural, so the
+    stream system carries a generator; the saddle reference starts alike."""
     bc = ethier_two_ends(ethier_velocity(2.0, 1.0))
     config = SolverConfig(nu=1.0, dt=1e-3, t_end=1e-2)
     calls = _count_trisolves(monkeypatch)
     for kind in (oracles.SaddleOperator, solver.make_operator):
         state = initialize_state(complex_j3, bc, ethier_velocity(2.0, 1.0))
-        warm, cold = (kind(complex_j3, bc, config.nu, config.dt) for _ in "ab")
-        assert len(warm.boundary.generators) == 1
-        fewer = 0
-        for n in range(1, 11):
+        own, twin = (kind(complex_j3, bc, config.nu, config.dt) for _ in "ab")
+        assert len(own.boundary.generators) == 1
+        for _ in range(10):
             calls.clear()
-            got, _ = step(complex_j3, bc, config, state, operator=warm)
-            warm_solves = len(calls)
+            got, residual = step(complex_j3, bc, config, state, operator=own)
+            assert len(calls) == own.factor.passes + 1
             calls.clear()
-            want, _ = step(complex_j3, bc, config, _copy(state), operator=cold)
-            assert len(calls) == cold.factor.passes + 1
-            assert warm_solves == warm.factor.passes + (n == 1)
-            fewer += warm.factor.passes == cold.factor.passes and warm_solves == len(calls) - 1
-            assert np.linalg.norm(_full(got) - _full(want)) <= 1e-14 * np.linalg.norm(_full(want))
+            want, residual_want = step(complex_j3, bc, config, _copy(state), operator=twin)
+            assert len(calls) == twin.factor.passes + 1
+            assert _full(got).tobytes() == _full(want).tobytes()
+            assert residual == residual_want
             state = got
-        if kind is oracles.SaddleOperator:
-            assert fewer >= 8
 
 
-def test_a_state_the_operator_did_not_return_starts_cold(complex_j3):
-    """Stepping from an equal copy of the operator's last state, or from a
-    state another operator returned, is bitwise the solve about that state
-    from LU^-1 b (with a generator)."""
-    bc = ethier_two_ends(ethier_velocity(2.0, 1.0))
-    config = SolverConfig(nu=1.0, dt=1e-3, t_end=1e-2)
-    state0 = initialize_state(complex_j3, bc, ethier_velocity(2.0, 1.0))
-    ops = [solver.make_operator(complex_j3, bc, config.nu, config.dt) for _ in range(3)]
-    first = [step(complex_j3, bc, config, state0, operator=op)[0] for op in ops]
-    omega, u = first[0].omega.values, first[0].u.values
-    reference, _ = ops[0].solve(
-        first[0].t + config.dt,
-        {"f2": None, "load_degree": None},
-        solver.assemble_convection(complex_j3, omega, u, config.theta),
-        complex_j3.m2 @ u / config.dt,
-        previous=_copy(first[0]),
-    )
-    for op, start in ((ops[1], _copy(first[1])), (ops[2], first[0])):
-        got, _ = step(complex_j3, bc, config, start, operator=op)
-        assert _full(got).tobytes() == _full(reference).tobytes()
-
-
-def test_warm_started_run_keeps_the_gates_at_roundoff(monkeypatch):
-    """Twenty steps at n = 4 from the previous solutions: every residual and
-    every divergence stays at roundoff."""
+def test_a_run_of_twenty_steps_keeps_the_gates_at_roundoff(monkeypatch):
+    """Twenty steps at n = 4, each refined from LU^-1 b against the run's
+    factor: every residual and every divergence stays at roundoff, and a
+    step that keeps the factor makes passes + 1 triangular solves."""
     complex_ = DeRhamComplex(build_box_mesh(4, 4, 4))
     bc = ethier_bc(2.0, 1.0)
     config = SolverConfig(nu=1.0, dt=1e-3, t_end=2e-2)
@@ -1412,25 +1382,8 @@ def test_warm_started_run_keeps_the_gates_at_roundoff(monkeypatch):
     for (state, diag, solves), before in zip(seen, [0, *(s for _, _, s in seen)]):
         assert diag.residual <= linalg.ROUNDOFF_RESIDUAL
         assert diag.div_max <= 1e-13 * (1.0 + complex_.norm(state.u))
-        if diag.step > 1 and diag.factor_reused:
-            assert solves - before == diag.refine_passes
-
-
-def test_a_start_at_roundoff_makes_no_pass_and_no_trisolve(complex_n2, monkeypatch):
-    """The same steady system solved twice by one operator, the second time
-    from the first solve's state: the start is already the solution, so the
-    second solve makes 0 passes and no triangular solve, and returns it
-    (the saddle reference, whose unknowns are the solution itself)."""
-    fields = stokes_mms_fields(nu=1.0)
-    operator = oracles.SaddleOperator(complex_n2, _outlet_bc(fields), nu=1.0)
-    loads = {"f2": fields["forcing"], "load_degree": None}
-    first, residual = operator.solve(0.0, loads)
-    assert residual <= linalg.ROUNDOFF_RESIDUAL
-    calls = _count_trisolves(monkeypatch)
-    again, residual_again = operator.solve(0.0, loads, previous=first)
-    assert (calls, operator.factor.passes, operator.factor.reused) == ([], 0, True)
-    assert residual_again == residual
-    assert _full(again).tobytes() == _full(first).tobytes()
+        if diag.factor_reused:
+            assert solves - before == diag.refine_passes + 1
 
 
 # ---------------------------------------------------------------------------
